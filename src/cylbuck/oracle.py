@@ -16,6 +16,12 @@ The same machinery measures Korn-type ratios per mode:
 
 and evaluates the same three ratios on the wave-packet ansatz that attains
 all of them simultaneously.
+
+Assembly precision: every strain and gradient map of a mode is a Chebyshev
+value or derivative table, times a polynomial in (n, mhat), times r^0 or
+r^-1.  Each form is therefore a fixed combination of twelve radial moment
+matrices, which are computed once per (h, degree, nodes) in extended
+precision, rounded once to float64, and combined per mode in float64.
 """
 
 from __future__ import annotations
@@ -41,8 +47,11 @@ class RadialDiscretization:
     """Chebyshev polynomial degree per displacement component on the wall.
 
     The quadrature rule (default 2*degree Gauss-Legendre nodes) integrates
-    every polynomial part of the forms exactly; the 1/r factors are analytic
-    on the wall and converge at machine precision well before that.
+    every polynomial part of the radial moments exactly; the 1/r factors are
+    analytic on the wall and converge at machine precision well before that.
+    The moments are summed in extended precision and rounded once to
+    float64, so refining the rule moves assembled entries only at the
+    float64 rounding level.
     """
 
     degree: int = 12
@@ -82,13 +91,23 @@ def _leggauss_refined(nodes: int):
     return t, w
 
 
-@lru_cache(maxsize=64)
-def _cheb_tables(h: float, degree: int, nodes: int):
-    """Quadrature nodes/weights and basis value/derivative tables on the wall.
+class _WallTables(NamedTuple):
+    r: np.ndarray        # quadrature nodes on the wall (extended precision)
+    w: np.ndarray        # weights, Jacobian h/2 included
+    V: np.ndarray        # Chebyshev values, nodes x (degree + 1)
+    dV: np.ndarray       # their r-derivatives
+    v_mid: np.ndarray    # values at the mid-surface r = 1
+    moments: np.ndarray  # float64, (12, k*k): int X^T Y r^(1-q) dr, index (X, Y, q)
 
-    Everything is evaluated in extended precision; the assembled forms are
-    cast to float64 only at the end, so refining the rule moves matrix
-    entries at the final-rounding level only.
+
+@lru_cache(maxsize=64)
+def _cheb_tables(h: float, degree: int, nodes: int) -> _WallTables:
+    """Quadrature rule, basis tables and radial moments on the wall.
+
+    The tables are evaluated in extended precision.  The moments
+    int X^T Y r^(1-q) dr for X, Y in {V, dV} and q in {0, 1, 2} are summed
+    in extended precision and rounded once to float64; mode_forms combines
+    them per mode in float64.
     """
     t, wt = _leggauss_refined(nodes)
     half = np.longdouble(0.5) * np.longdouble(h)
@@ -102,7 +121,20 @@ def _cheb_tables(h: float, degree: int, nodes: int):
         dV[:, k] = np.polynomial.chebyshev.chebval(t, np.polynomial.chebyshev.chebder(coef))
     dV *= np.longdouble(2.0) / np.longdouble(h)
     v_mid = np.polynomial.chebyshev.chebvander(np.zeros(1, dtype=np.longdouble), degree)[0]
-    return r, w, V, dV, v_mid
+
+    k = degree + 1
+    tabs = (V, dV)
+    moments = np.empty((2, 2, 3, k, k))
+    for q in range(3):
+        wq = (w * r ** (1 - q))[:, None]
+        for x in range(2):
+            for y in range(x, 2):
+                M = tabs[x].T @ (wq * tabs[y])
+                if x == y:
+                    M = 0.5 * (M + M.T)
+                moments[x, y, q] = M
+                moments[y, x, q] = moments[x, y, q].T
+    return _WallTables(r, w, V, dV, v_mid, moments.reshape(12, k * k))
 
 
 @dataclass(frozen=True)
@@ -137,6 +169,24 @@ def _sym(C: np.ndarray, rw: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
+# One-hot radial atoms indexed (block r/theta/z, table V/dV, power p of 1/r).
+# A map's coefficient array c stands for sum c[b, X, p] X r^-p placed in
+# block b, and its quadratic form for the outer product of c with itself.
+_ATOMS = np.eye(12).reshape(12, 3, 2, 2)
+# pairs the 1/r powers (p, p') of two atoms with the moment weight r^(1-q), q = p + p'
+_POWER_SUM = np.array([[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
+
+
+def _over_r(c: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(c)
+    out[..., 1] = c[..., 0]
+    return out
+
+
+def _gram(c: np.ndarray) -> np.ndarray:
+    return np.multiply.outer(c, c)
+
+
 def mode_forms(
     geom: ShellGeometry,
     elastic: IsotropicElasticity,
@@ -148,94 +198,79 @@ def mode_forms(
     DOF layout: [f_r coefficients | f_theta coefficients | f_z coefficients];
     the theta block is dropped for n = 0 (no torsion in this pairing).
     """
-    r, w, V, dV, _ = _cheb_tables(geom.h, disc.degree, disc.nodes)
+    tabs = _cheb_tables(geom.h, disc.degree, disc.nodes)
     k = disc.degree + 1
     n = float(wn.n)
     mh = wn.m_hat
-    has_theta = wn.n >= 1
-    ndof = 3 * k if has_theta else 2 * k
-    q = len(r)
-    blocks = {"r": slice(0, k)}
-    if has_theta:
-        blocks["theta"] = slice(k, 2 * k)
-        blocks["z"] = slice(2 * k, 3 * k)
-    else:
-        blocks["z"] = slice(k, 2 * k)
+    names = ("r", "theta", "z") if wn.n >= 1 else ("r", "z")
+    blocks = {name: slice(i * k, (i + 1) * k) for i, name in enumerate(names)}
 
-    def placed(tab: np.ndarray, name: str) -> np.ndarray:
-        C = np.zeros((q, ndof), dtype=tab.dtype)
-        C[:, blocks[name]] = tab
-        return C
-
-    Pr, dPr = placed(V, "r"), placed(dV, "r")
-    Pz, dPz = placed(V, "z"), placed(dV, "z")
-    if has_theta:
-        Pt, dPt = placed(V, "theta"), placed(dV, "theta")
-    else:
-        Pt = np.zeros((q, ndof), dtype=V.dtype)
-        dPt = np.zeros((q, ndof), dtype=V.dtype)
-
-    inv_r = (1.0 / r)[:, None]
+    Pr, dPr, Pt, dPt, Pz, dPz = _ATOMS[::2]  # the r^0 atoms
     # strain amplitude maps
     C_rr = dPr
-    C_tt = (n * Pt + Pr) * inv_r
+    C_tt = _over_r(n * Pt + Pr)
     C_zz = mh * Pz
-    C_rt = 0.5 * (dPt - (Pt + n * Pr) * inv_r)
+    C_rt = 0.5 * (dPt - _over_r(Pt + n * Pr))
     C_rz = 0.5 * (dPz - mh * Pr)
-    C_tz = -0.5 * (mh * Pt + n * Pz * inv_r)
+    C_tz = -0.5 * (mh * Pt + n * _over_r(Pz))
     # gradient amplitude maps (component, direction)
-    G_rt = -(n * Pr + Pt) * inv_r
+    G_rt = -_over_r(n * Pr + Pt)
     G_rz = -mh * Pr
     G_tz = -mh * Pt
-    G_zt = -n * Pz * inv_r
+    G_zt = -n * _over_r(Pz)
 
     f = trig_factors(wn)
-    rw = w * r
-    S_rr, S_tt, S_zz = _sym(C_rr, rw), _sym(C_tt, rw), _sym(C_zz, rw)
-    S_rt, S_rz, S_tz = _sym(C_rt, rw), _sym(C_rz, rw), _sym(C_tz, rw)
-    S_tr = _sym(C_rr + C_tt + C_zz, rw)  # trace map shares the cos-cos factor
+    S_rr, S_tt, S_zz = _gram(C_rr), _gram(C_tt), _gram(C_zz)
+    S_rt, S_rz, S_tz = _gram(C_rt), _gram(C_rz), _gram(C_tz)
+    S_tr = _gram(C_rr + C_tt + C_zz)  # trace map shares the cos-cos factor
 
     nu = elastic.nu
-    stiffness = (
-        (nu / (1.0 - 2.0 * nu)) * f.cc * S_tr
-        + f.cc * (S_rr + S_tt + S_zz)
-        + 2.0 * f.sc * S_rt
-        + 2.0 * f.cs * S_rz
-        + 2.0 * f.ss * S_tz
-    ) / (1.0 + nu)
     e2 = f.cc * (S_rr + S_tt + S_zz) + 2.0 * f.sc * S_rt + 2.0 * f.cs * S_rz + 2.0 * f.ss * S_tz
+    stiffness = ((nu / (1.0 - 2.0 * nu)) * f.cc * S_tr + e2) / (1.0 + nu)
     grad2 = (
-        f.cc * _sym(dPr, rw)
-        + f.sc * _sym(G_rt, rw)
-        + f.cs * _sym(G_rz, rw)
-        + f.sc * _sym(dPt, rw)
-        + f.cc * _sym((n * Pt + Pr) * inv_r, rw)
-        + f.ss * _sym(G_tz, rw)
-        + f.cs * _sym(dPz, rw)
-        + f.ss * _sym(G_zt, rw)
-        + f.cc * _sym(mh * Pz, rw)
+        f.cc * _gram(dPr)
+        + f.sc * _gram(G_rt)
+        + f.cs * _gram(G_rz)
+        + f.sc * _gram(dPt)
+        + f.cc * S_tt
+        + f.ss * _gram(G_tz)
+        + f.cs * _gram(dPz)
+        + f.ss * _gram(G_zt)
+        + f.cc * S_zz
     )
-    phi_rz = f.cs * mh**2 * _sym(Pr, rw)
-    phi_zz = f.cc * mh**2 * _sym(Pz, rw)
-    phi_tz = f.ss * mh**2 * _sym(Pt, rw)
-    phi_r2 = f.cc * _sym(Pr, rw)
+    coef = np.stack([
+        stiffness,
+        e2,
+        grad2,
+        f.cs * mh**2 * _gram(Pr),  # phi_rz
+        f.cc * mh**2 * _gram(Pz),  # phi_zz
+        f.ss * mh**2 * _gram(Pt),  # phi_tz
+        f.cc * _gram(Pr),          # phi_r2
+    ])
 
-    _, _, _, _, v_mid = _cheb_tables(geom.h, disc.degree, disc.nodes)
-    v = np.zeros(ndof, dtype=v_mid.dtype)
-    v[blocks["r"]] = v_mid
+    keep = [0, 1, 2] if wn.n >= 1 else [0, 2]
+    nf, nb = coef.shape[0], len(keep)
+    # (form, block, table, p, block', table', p') -> (form, block, block', table, table', q)
+    coef = coef[:, keep][:, :, :, :, keep].transpose(0, 1, 4, 2, 5, 3, 6)
+    coef = coef.reshape(-1, 4) @ _POWER_SUM
+    F = (coef.reshape(-1, 12) @ tabs.moments).reshape(nf, nb, nb, k, k)
+    F = F.transpose(0, 1, 3, 2, 4).reshape(nf, nb * k, nb * k)
+    F = 0.5 * (F + F.transpose(0, 2, 1))
+
+    v = np.zeros(nb * k)
+    v[blocks["r"]] = tabs.v_mid
     phi_rz_mid = f.cs * mh**2 * geom.h * np.outer(v, v)
 
-    as64 = lambda M: np.asarray(M, dtype=np.float64)
     return ModeForms(
         wn=wn,
-        stiffness=as64(stiffness),
-        e2=as64(e2),
-        grad2=as64(grad2),
-        phi_rz=as64(phi_rz),
-        phi_zz=as64(phi_zz),
-        phi_tz=as64(phi_tz),
-        phi_rz_mid=as64(phi_rz_mid),
-        phi_r2=as64(phi_r2),
+        stiffness=F[0],
+        e2=F[1],
+        grad2=F[2],
+        phi_rz=F[3],
+        phi_zz=F[4],
+        phi_tz=F[5],
+        phi_rz_mid=phi_rz_mid,
+        phi_r2=F[6],
         blocks=blocks,
     )
 
@@ -262,20 +297,22 @@ def assemble_pencil(
         B = forms.phi_rz
     else:
         B = forms.phi_rz_mid
-    A = forms.stiffness
-    try:
-        scipy.linalg.cho_factor(A)
-    except scipy.linalg.LinAlgError as exc:
-        raise AssemblyDegenerate(f"stiffness not positive definite for {wn}") from exc
-    return ModePencil(wn=wn, A=A, B=B, denominator=denominator, blocks=forms.blocks)
+    return ModePencil(wn=wn, A=forms.stiffness, B=B, denominator=denominator, blocks=forms.blocks)
 
 
 def min_rayleigh(pencil: ModePencil) -> float:
-    """inf over the mode space of (x.A.x)/(x.B.x) = 1 / mu_max(B w.r.t. A)."""
+    """inf over the mode space of (x.A.x)/(x.B.x) = 1 / mu_max(B w.r.t. A).
+
+    Raises AssemblyDegenerate when the stiffness A is not positive definite
+    (the Cholesky factorization inside the generalized eigensolve fails).
+    """
     scale_a = np.linalg.norm(pencil.A)
     if np.linalg.norm(pencil.B) <= 1e-15 * scale_a:
         raise ZeroDenominator(f"destabilizing form vanishes for {pencil.wn}")
-    mu = scipy.linalg.eigh(pencil.B, pencil.A, eigvals_only=True)[-1]
+    try:
+        mu = scipy.linalg.eigh(pencil.B, pencil.A, eigvals_only=True)[-1]
+    except scipy.linalg.LinAlgError as exc:
+        raise AssemblyDegenerate(f"stiffness not positive definite for {pencil.wn}") from exc
     if mu <= 0.0:
         raise ZeroDenominator(f"destabilizing form is not positive on {pencil.wn}")
     return 1.0 / mu
@@ -499,7 +536,7 @@ def assemble_reduced_pencil(
     per-mode strain exactly: same finite-dimensional problem, independent
     code path.
     """
-    r, w, V, dV, v_mid = _cheb_tables(geom.h, disc.degree, disc.nodes)
+    r, w, V, dV, v_mid, _ = _cheb_tables(geom.h, disc.degree, disc.nodes)
     k = disc.degree + 1
     n = float(wn.n)
     mh = wn.m_hat
@@ -551,10 +588,6 @@ def assemble_reduced_pencil(
     v = np.zeros(ndof, dtype=v_mid.dtype)
     v[:k] = v_mid
     B = np.asarray(f.cs * mh**2 * geom.h * np.outer(v, v), dtype=np.float64)
-    try:
-        scipy.linalg.cho_factor(A)
-    except scipy.linalg.LinAlgError as exc:
-        raise AssemblyDegenerate(f"reduced stiffness not positive definite for {wn}") from exc
     return ModePencil(wn=wn, A=A, B=B, denominator="phi_rz_mid", blocks=blocks)
 
 

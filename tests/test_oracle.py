@@ -5,13 +5,14 @@ import pytest
 from numpy.polynomial import Polynomial, chebyshev
 
 from cylbuck.critical_load import CriticalLoadProblem, per_mode_strain, per_mode_strain_full
-from cylbuck.errors import QuadratureUnderResolved, ZeroDenominator
+from cylbuck.errors import AssemblyDegenerate, QuadratureUnderResolved, ZeroDenominator
 from cylbuck.material import IsotropicElasticity
 from cylbuck.oracle import (
     AnsatzRatios,
     BumpProfile,
     ModePencil,
     RadialDiscretization,
+    _leggauss_refined,
     ansatz_ratios,
     assemble_pencil,
     assemble_reduced_pencil,
@@ -29,6 +30,7 @@ from cylbuck.spectral import (
     mode_denominators,
     mode_energy,
     optimal_mode,
+    trig_factors,
 )
 
 EL = IsotropicElasticity(nu=0.3)
@@ -60,7 +62,86 @@ def dof_vector(mode, geom, disc):
     return np.concatenate(blocks)
 
 
+def direct_forms(geom, elastic, wn, disc):
+    """Every form of the mode by per-node quadrature in extended precision:
+    each map is placed into its DOF block node by node and integrated as
+    C^T diag(r w) C, independently of the oracle's radial moments."""
+    t, wt = _leggauss_refined(disc.nodes)
+    half = np.longdouble(geom.h) / 2
+    r, w = 1 + half * t, half * wt
+    V = chebyshev.chebvander(t, disc.degree)
+    dV = np.stack(
+        [chebyshev.chebval(t, chebyshev.chebder(np.eye(disc.degree + 1)[j])) for j in range(disc.degree + 1)],
+        axis=1,
+    ) / half
+    k = disc.degree + 1
+    names = ("r", "theta", "z") if wn.n >= 1 else ("r", "z")
+    ndof = k * len(names)
+
+    def placed(tab, name):
+        C = np.zeros((len(r), ndof), dtype=np.longdouble)
+        if name in names:
+            i = names.index(name)
+            C[:, i * k:(i + 1) * k] = tab
+        return C
+
+    def sym(C):
+        M = C.T @ ((w * r)[:, None] * C)
+        return 0.5 * (M + M.T)
+
+    n, mh, nu = float(wn.n), wn.m_hat, elastic.nu
+    Pr, dPr, Pt, dPt = placed(V, "r"), placed(dV, "r"), placed(V, "theta"), placed(dV, "theta")
+    Pz, dPz = placed(V, "z"), placed(dV, "z")
+    inv_r = (1 / r)[:, None]
+    C_rr, C_tt, C_zz = dPr, (n * Pt + Pr) * inv_r, mh * Pz
+    C_rt = 0.5 * (dPt - (Pt + n * Pr) * inv_r)
+    C_rz = 0.5 * (dPz - mh * Pr)
+    C_tz = -0.5 * (mh * Pt + n * Pz * inv_r)
+    f = trig_factors(wn)
+    e2 = (
+        f.cc * (sym(C_rr) + sym(C_tt) + sym(C_zz))
+        + 2 * f.sc * sym(C_rt) + 2 * f.cs * sym(C_rz) + 2 * f.ss * sym(C_tz)
+    )
+    grad2 = (
+        f.cc * sym(dPr) + f.sc * sym((n * Pr + Pt) * inv_r) + f.cs * sym(mh * Pr)
+        + f.sc * sym(dPt) + f.cc * sym(C_tt) + f.ss * sym(mh * Pt)
+        + f.cs * sym(dPz) + f.ss * sym(n * Pz * inv_r) + f.cc * sym(C_zz)
+    )
+    v_mid = placed(chebyshev.chebvander(np.zeros(1), disc.degree), "r")[0]
+    forms = {
+        "stiffness": ((nu / (1 - 2 * nu)) * f.cc * sym(C_rr + C_tt + C_zz) + e2) / (1 + nu),
+        "e2": e2,
+        "grad2": grad2,
+        "phi_rz": f.cs * mh**2 * sym(Pr),
+        "phi_zz": f.cc * mh**2 * sym(Pz),
+        "phi_tz": f.ss * mh**2 * sym(Pt),
+        "phi_rz_mid": f.cs * mh**2 * geom.h * np.outer(v_mid, v_mid),
+        "phi_r2": f.cc * sym(Pr),
+    }
+    return {name: np.asarray(M, dtype=np.float64) for name, M in forms.items()}
+
+
 class TestPencilAssembly:
+    @pytest.mark.parametrize("h", [0.1, 0.01, 0.002])
+    @pytest.mark.parametrize("degree", [6, 12])
+    @pytest.mark.parametrize("nodes", [None, 48])
+    def test_moment_assembly_matches_direct_quadrature(self, h, degree, nodes):
+        geom = ShellGeometry(h=h, L=PI)
+        disc = RadialDiscretization(degree=degree, quad_nodes=nodes)
+        for m, n in ((4, 0), (1, 1), (9, 12), (25, 18)):
+            wn = WaveNumbers(m=m, n=n, L=PI)
+            forms = mode_forms(geom, EL, wn, disc)
+            want = direct_forms(geom, EL, wn, disc)
+            for name, M in want.items():
+                got = getattr(forms, name)
+                assert got.shape == M.shape
+                assert np.abs(got - M).max() <= 1e-14 * np.abs(M).max(), (name, m, n)
+            if n == 0:
+                # the Korn scan skips the theta_z eigensolve on exactly this
+                assert not np.any(forms.phi_tz)
+                assert "theta" not in forms.blocks
+                assert forms.stiffness.shape == (2 * (degree + 1),) * 2
+
     def test_rigid_motions_excluded(self):
         for h in (0.1, 0.01):
             geom = ShellGeometry(h=h, L=PI)
@@ -150,6 +231,14 @@ class TestMinRayleigh:
         )
         with pytest.raises(ZeroDenominator):
             min_rayleigh(broken)
+
+    def test_indefinite_stiffness_raises_typed_error(self):
+        A = np.diag([2.0, -1.0, 3.0])
+        pencil = ModePencil(
+            wn=WaveNumbers(m=1, n=1, L=PI), A=A, B=np.eye(3), denominator="phi_rz", blocks={}
+        )
+        with pytest.raises(AssemblyDegenerate):
+            min_rayleigh(pencil)
 
     def test_richer_space_never_above_closed_form(self):
         # on Koiter-circle wave numbers at h=0.01 the oracle sits within 5%
