@@ -1,5 +1,11 @@
 """Command-line interface: sweeps, verification scans, and plot-ready data.
 
+Every run setting is one row of ``SETTINGS``, which gives the ``RunConfig``
+attribute and its default, the shared flag, and the parser that both the flag
+text and a ``--config`` file value go through.  Each command returns a
+``Report``; ``emit`` writes ``<stem>.csv`` and ``<stem>.json`` and prints
+the stdout lines.
+
 Outputs are deterministic: fixed scan orders, fixed tie-breaks, and
 shortest-round-trip float formatting make reruns byte-identical.
 """
@@ -11,8 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from . import acceptance
 from . import critical_load as cl
@@ -48,18 +53,40 @@ def write_json(path: str, obj):
     write_text(path, json.dumps(obj, indent=2) + "\n")
 
 
-@dataclass
-class RunConfig:
-    nu: float = 0.3
-    E: float = 1.0
-    L: float = math.pi
-    h_list: List[float] = field(default_factory=lambda: [0.1, 0.03, 0.01])
-    margin: float = 3.0
-    degree: int = 12
-    outdir: str = "."
-    jobs: int = 1
+def _h_list(value) -> List[float]:
+    """Comma-separated flag text, or a JSON list of numbers."""
+    tokens = value.split(",") if isinstance(value, str) else value
+    if not isinstance(tokens, list):
+        raise ValueError(f"h-list must be a list of numbers, got {value!r}")
+    return [float(tok) for tok in tokens]
 
-    def validate(self):
+
+class Setting(NamedTuple):
+    name: str  # RunConfig attribute and config-file key; the flag is --name with "-" for "_"
+    default: object
+    parse: Callable  # flag text or config-file value -> setting value
+    help: str
+
+
+SETTINGS = (
+    Setting("nu", 0.3, float, "Poisson ratio (default 0.3)"),
+    Setting("E", 1.0, float, "Young modulus (default 1)"),
+    Setting("L", math.pi, float, "shell length over radius (default pi)"),
+    Setting("h_list", (0.1, 0.03, 0.01), _h_list, "comma-separated decreasing slendernesses"),
+    Setting("margin", 3.0, float, "sweep window margin factor"),
+    Setting("degree", 12, int, "radial polynomial degree"),
+    Setting("outdir", ".", str, "output directory (default .)"),
+    Setting("jobs", os.cpu_count() or 1, int, "parallel workers (default: CPUs)"),
+)
+_SETTING = {s.name: s for s in SETTINGS}
+
+
+class RunConfig:
+    """Validated run settings: one attribute per SETTINGS row, unset ones at their default."""
+
+    def __init__(self, **values):
+        for s in SETTINGS:
+            setattr(self, s.name, values.get(s.name, s.default))
         if not self.h_list:
             raise ValueError("h-list must be nonempty")
         if any(b >= a for a, b in zip(self.h_list, self.h_list[1:])):
@@ -78,6 +105,108 @@ class RunConfig:
 
     def disc(self) -> oracle_mod.RadialDiscretization:
         return oracle_mod.RadialDiscretization(degree=self.degree)
+
+
+def _file_value(key: str, raw):
+    """A config-file value must already be what its setting's parser makes of it."""
+    if key not in _SETTING:
+        raise ValueError(f"unknown config key {key!r}")
+    try:
+        value = _SETTING[key].parse(raw)
+        if value == raw and not isinstance(raw, bool):  # True == 1, so bools need the type test
+            return value
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"config key {key!r} has a bad value {raw!r}")
+
+
+def merge_config(args) -> RunConfig:
+    """Defaults, then the --config file, then flags."""
+    values = {}
+    if args.config:
+        with open(args.config) as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("a config file must hold one JSON object")
+        values.update((key, _file_value(key, raw)) for key, raw in data.items())
+    values.update(
+        (s.name, getattr(args, s.name)) for s in SETTINGS if getattr(args, s.name) is not None
+    )
+    return RunConfig(**values)
+
+
+class Report(NamedTuple):
+    """What a command produced; ``emit`` puts it on disk and on stdout."""
+
+    stem: str
+    data: object = None                # -> <stem>.json
+    columns: Sequence[str] = ()        # with records -> <stem>.csv, one row per record
+    records: Sequence[dict] = ()
+    lines: Sequence[str] = ()          # stdout
+    code: int = 0
+
+
+def emit(outdir: str, report: Report) -> int:
+    """Write <stem>.csv and <stem>.json into outdir, print the lines; the exit code."""
+    path = os.path.join(outdir, report.stem)
+    if report.columns:
+        rows = [[rec[c] for c in report.columns] for rec in report.records]
+        write_csv(path + ".csv", report.columns, rows)
+    if report.data is not None:
+        write_json(path + ".json", report.data)
+    for line in report.lines:
+        print(line)
+    return report.code
+
+
+def _grid_points(field: modes_mod.DisplacementField):
+    """Indices (ir, jt, kz) in file order: r varies fastest, then theta, then z."""
+    for kz in range(len(field.z)):
+        for jt in range(len(field.theta)):
+            for ir in range(len(field.r)):
+                yield ir, jt, kz
+
+
+def write_vtk(path: str, field: modes_mod.DisplacementField):
+    """Legacy ASCII structured grid; r varies fastest, then theta, then z."""
+    nr, nt, nz = len(field.r), len(field.theta), len(field.z)
+    lines = [
+        "# vtk DataFile Version 3.0",
+        "cylbuck buckling mode displacement",
+        "ASCII",
+        "DATASET STRUCTURED_GRID",
+        f"DIMENSIONS {nr} {nt} {nz}",
+        f"POINTS {nr * nt * nz} double",
+    ]
+    cos_t = [math.cos(t) for t in field.theta]
+    sin_t = [math.sin(t) for t in field.theta]
+    for ir, jt, kz in _grid_points(field):
+        r = field.r[ir]
+        lines.append(f"{fmt(r * cos_t[jt])} {fmt(r * sin_t[jt])} {fmt(field.z[kz])}")
+    lines.append(f"POINT_DATA {nr * nt * nz}")
+    for name in ("phi_r", "phi_theta", "phi_z"):
+        lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+        data = getattr(field, name)
+        lines.extend(fmt(data[p]) for p in _grid_points(field))
+    write_text(path, "\n".join(lines) + "\n")
+
+
+def write_mode_csv(path: str, field: modes_mod.DisplacementField):
+    rows = [
+        [field.r[ir], field.theta[jt], field.z[kz],
+         field.phi_r[ir, jt, kz], field.phi_theta[ir, jt, kz], field.phi_z[ir, jt, kz]]
+        for ir, jt, kz in _grid_points(field)
+    ]
+    write_csv(path, ("r", "theta", "z", "phi_r", "phi_theta", "phi_z"), rows)
+
+
+def _h(config: RunConfig, args) -> float:
+    """--h, or the first slenderness of the h-list."""
+    return args.h if args.h is not None else config.h_list[0]
+
+
+def _slope(h_values: Sequence[float], values: Sequence[float]) -> float:
+    return oracle_mod.fitted_slope(h_values, values) if len(values) > 1 else float("nan")
 
 
 def _result_record(config: RunConfig, h: float, res: cl.BucklingResult) -> dict:
@@ -101,71 +230,65 @@ SWEEP_COLUMNS = (
     "h", "m", "n", "m_hat", "lambda3_tilde", "lambda3_full",
     "lambda_star", "ratio", "a_theta", "a_z",
 )
+SERIES_COLUMNS = ("h", "kind", "value", "fitted_slope")
+EQUIVALENCE_COLUMNS = ("h", "sup_gap_full_vs_rz", "lambda_star_times_gap", "rz_vs_mid_coefficient")
 
 
-def cmd_critical_load(config: RunConfig, args) -> int:
-    h = args.h if args.h is not None else config.h_list[0]
-    res = cl.sweep(config.problem(h))
-    record = _result_record(config, h, res)
-    write_json(os.path.join(config.outdir, "critical_load.json"), record)
-    print(json.dumps(record, indent=2))
-    return 0
+def cmd_critical_load(config: RunConfig, args) -> Report:
+    h = _h(config, args)
+    record = _result_record(config, h, cl.sweep(config.problem(h)))
+    return Report("critical_load", record, lines=[json.dumps(record, indent=2)])
 
 
-def cmd_sweep(config: RunConfig, args) -> int:
-    rows, records = [], []
-    for h in config.h_list:
-        res = cl.sweep(config.problem(h))
-        rec = _result_record(config, h, res)
-        records.append(rec)
-        rows.append([rec[c] for c in SWEEP_COLUMNS])
-    write_csv(os.path.join(config.outdir, "sweep.csv"), SWEEP_COLUMNS, rows)
-    write_json(os.path.join(config.outdir, "sweep.json"), records)
-    for rec in records:
-        print(f"h={fmt(rec['h'])}: (m={rec['m']}, n={rec['n']}) ratio={fmt(rec['ratio'])}")
-    return 0
+def cmd_sweep(config: RunConfig, args) -> Report:
+    records = [_result_record(config, h, cl.sweep(config.problem(h))) for h in config.h_list]
+    lines = [f"h={fmt(r['h'])}: (m={r['m']}, n={r['n']}) ratio={fmt(r['ratio'])}" for r in records]
+    return Report("sweep", records, SWEEP_COLUMNS, records, lines)
 
 
-def cmd_koiter(config: RunConfig, args) -> int:
-    h = args.h if args.h is not None else config.h_list[0]
+def cmd_koiter(config: RunConfig, args) -> Report:
+    h = _h(config, args)
     problem = config.problem(h)
     found = cl.koiter_circle(problem, rel_tol=args.tolerance)
     R = problem.koiter_radius
-    records = []
-    for wn in found:
-        records.append(
-            {
-                "m": wn.m,
-                "n": wn.n,
-                "m_hat": wn.m_hat,
-                "circle_residual": abs(math.hypot(wn.m_hat - R, wn.n) - R) / R,
-                "lambda3_tilde": cl.per_mode_strain(problem, wn).value,
-            }
-        )
+    records = [
+        {
+            "m": wn.m,
+            "n": wn.n,
+            "m_hat": wn.m_hat,
+            "circle_residual": abs(math.hypot(wn.m_hat - R, wn.n) - R) / R,
+            "lambda3_tilde": cl.per_mode_strain(problem, wn).value,
+        }
+        for wn in found
+    ]
     out = {"h": h, "radius": R, "tolerance": args.tolerance, "modes": records}
-    write_json(os.path.join(config.outdir, "koiter.json"), out)
-    print(f"{len(records)} integer pairs within {fmt(args.tolerance)} of the circle (R={fmt(R)})")
-    return 0
+    line = f"{len(records)} integer pairs within {fmt(args.tolerance)} of the circle (R={fmt(R)})"
+    return Report("koiter", out, lines=[line])
 
 
-def _kind_series(config: RunConfig, estimates_by_h) -> list:
-    """Rows (h, kind, value, fitted_slope) with the slope shared per kind."""
-    kinds = sorted({e.kind for ests in estimates_by_h.values() for e in ests})
-    rows = []
-    slopes = {}
-    for kind in kinds:
-        hs = sorted(estimates_by_h, reverse=True)
-        vals = []
-        for h in hs:
-            vals.extend(e.value for e in estimates_by_h[h] if e.kind == kind)
-        slopes[kind] = oracle_mod.fitted_slope(hs, vals) if len(vals) > 1 else float("nan")
-    for h in sorted(estimates_by_h, reverse=True):
-        for e in sorted(estimates_by_h[h], key=lambda e: e.kind):
-            rows.append([e.h, e.kind, e.value, slopes[e.kind]])
-    return rows
+def _kind_series(estimates_by_h: Dict[float, list]) -> List[dict]:
+    """Records (h, kind, value, fitted_slope), the slope fitted per kind over all h."""
+    hs = sorted(estimates_by_h, reverse=True)
+    values = {}
+    for h in hs:
+        for e in estimates_by_h[h]:
+            values.setdefault(e.kind, []).append(e.value)
+    slopes = {kind: _slope(hs, vals) for kind, vals in values.items()}
+    return [
+        {"h": e.h, "kind": e.kind, "value": e.value, "fitted_slope": slopes[e.kind]}
+        for h in hs
+        for e in sorted(estimates_by_h[h], key=lambda e: e.kind)
+    ]
 
 
-def cmd_korn(config: RunConfig, args) -> int:
+def _series_lines(records: List[dict]) -> List[str]:
+    return [
+        f"h={fmt(r['h'])} {r['kind']}: {fmt(r['value'])} (slope {fmt(r['fitted_slope'])})"
+        for r in records
+    ]
+
+
+def cmd_korn(config: RunConfig, args) -> Report:
     el = config.elastic()
     disc = config.disc()
     by_h = {}
@@ -174,12 +297,9 @@ def cmd_korn(config: RunConfig, args) -> int:
         by_h[h] = oracle_mod.korn_mode_scan(
             problem.geom, el, disc, problem.window(), jobs=config.jobs
         )
-    rows = _kind_series(config, by_h)
-    write_csv(os.path.join(config.outdir, "korn.csv"), ("h", "kind", "value", "fitted_slope"), rows)
-    records = [
-        {"h": r[0], "kind": r[1], "value": r[2], "fitted_slope": r[3]} for r in rows
-    ]
+    records = _kind_series(by_h)
     out = {"estimates": records}
+    lines = _series_lines(records)
     if len(config.h_list) > 1:
         # slenderness sufficient condition: classical_strain^2 / K -> 0,
         # measured through its log-log slope (expected ~ +1/2)
@@ -189,38 +309,24 @@ def cmd_korn(config: RunConfig, args) -> int:
             for h in config.h_list
         ]
         out["slenderness_condition_slope"] = oracle_mod.fitted_slope(config.h_list, ratios)
-    write_json(os.path.join(config.outdir, "korn.json"), out)
-    for r in rows:
-        print(f"h={fmt(r[0])} {r[1]}: {fmt(r[2])} (slope {fmt(r[3])})")
-    if "slenderness_condition_slope" in out:
-        print(f"strain^2/K slope: {fmt(out['slenderness_condition_slope'])}")
-    return 0
+        lines.append(f"strain^2/K slope: {fmt(out['slenderness_condition_slope'])}")
+    return Report("korn", out, SERIES_COLUMNS, records, lines)
 
 
-def cmd_ansatz(config: RunConfig, args) -> int:
+def cmd_ansatz(config: RunConfig, args) -> Report:
     by_h = {}
     for h in config.h_list:
-        geom = ShellGeometry(h=h, L=config.L)
-        r = oracle_mod.ansatz_ratios(geom)
+        r = oracle_mod.ansatz_ratios(ShellGeometry(h=h, L=config.L))
         by_h[h] = [
             oracle_mod.KornEstimate(h=h, kind="korn", value=r.korn),
             oracle_mod.KornEstimate(h=h, kind="theta_z", value=r.theta_z),
             oracle_mod.KornEstimate(h=h, kind="r_z", value=r.r_z),
         ]
-    rows = _kind_series(config, by_h)
-    write_csv(
-        os.path.join(config.outdir, "ansatz.csv"), ("h", "kind", "value", "fitted_slope"), rows
-    )
-    write_json(
-        os.path.join(config.outdir, "ansatz.json"),
-        [{"h": r[0], "kind": r[1], "value": r[2], "fitted_slope": r[3]} for r in rows],
-    )
-    for r in rows:
-        print(f"h={fmt(r[0])} {r[1]}: {fmt(r[2])} (slope {fmt(r[3])})")
-    return 0
+    records = _kind_series(by_h)
+    return Report("ansatz", records, SERIES_COLUMNS, records, _series_lines(records))
 
 
-def cmd_equivalence(config: RunConfig, args) -> int:
+def cmd_equivalence(config: RunConfig, args) -> Report:
     el = config.elastic()
     disc = config.disc()
     records = []
@@ -236,77 +342,19 @@ def cmd_equivalence(config: RunConfig, args) -> int:
                 "rz_vs_mid_coefficient": scan.rz_vs_mid_coef,
             }
         )
-    slope = oracle_mod.fitted_slope(
-        [r["h"] for r in records], [r["lambda_star_times_gap"] for r in records]
-    ) if len(records) > 1 else float("nan")
+    slope = _slope([r["h"] for r in records], [r["lambda_star_times_gap"] for r in records])
     out = {"records": records, "lambda_star_gap_slope": slope}
-    write_json(os.path.join(config.outdir, "equivalence.json"), out)
-    write_csv(
-        os.path.join(config.outdir, "equivalence.csv"),
-        ("h", "sup_gap_full_vs_rz", "lambda_star_times_gap", "rz_vs_mid_coefficient"),
-        [[r["h"], r["sup_gap_full_vs_rz"], r["lambda_star_times_gap"], r["rz_vs_mid_coefficient"]] for r in records],
+    return Report(
+        "equivalence", out, EQUIVALENCE_COLUMNS, records, [f"lambda_star * gap slope: {fmt(slope)}"]
     )
-    print(f"lambda_star * gap slope: {fmt(slope)}")
-    return 0
 
 
-def write_vtk(path: str, field: modes_mod.DisplacementField):
-    """Legacy ASCII structured grid; r varies fastest, then theta, then z."""
-    nr, nt, nz = len(field.r), len(field.theta), len(field.z)
-    lines = [
-        "# vtk DataFile Version 3.0",
-        "cylbuck buckling mode displacement",
-        "ASCII",
-        "DATASET STRUCTURED_GRID",
-        f"DIMENSIONS {nr} {nt} {nz}",
-        f"POINTS {nr * nt * nz} double",
-    ]
-    for kz in range(nz):
-        for jt in range(nt):
-            ct, st = math.cos(field.theta[jt]), math.sin(field.theta[jt])
-            for ir in range(nr):
-                r = field.r[ir]
-                lines.append(f"{fmt(r * ct)} {fmt(r * st)} {fmt(field.z[kz])}")
-    lines.append(f"POINT_DATA {nr * nt * nz}")
-    for name, data in (
-        ("phi_r", field.phi_r),
-        ("phi_theta", field.phi_theta),
-        ("phi_z", field.phi_z),
-    ):
-        lines.append(f"SCALARS {name} double 1")
-        lines.append("LOOKUP_TABLE default")
-        for kz in range(nz):
-            for jt in range(nt):
-                for ir in range(nr):
-                    lines.append(fmt(data[ir, jt, kz]))
-    write_text(path, "\n".join(lines) + "\n")
-
-
-def write_mode_csv(path: str, field: modes_mod.DisplacementField):
-    rows = []
-    for kz in range(len(field.z)):
-        for jt in range(len(field.theta)):
-            for ir in range(len(field.r)):
-                rows.append(
-                    [
-                        field.r[ir],
-                        field.theta[jt],
-                        field.z[kz],
-                        field.phi_r[ir, jt, kz],
-                        field.phi_theta[ir, jt, kz],
-                        field.phi_z[ir, jt, kz],
-                    ]
-                )
-    write_csv(path, ("r", "theta", "z", "phi_r", "phi_theta", "phi_z"), rows)
-
-
-def cmd_mode(config: RunConfig, args) -> int:
-    h = args.h if args.h is not None else config.h_list[0]
+def cmd_mode(config: RunConfig, args) -> Report:
+    h = _h(config, args)
     spec = modes_mod.BucklingModeSpec(
         geom=ShellGeometry(h=h, L=config.L), elastic=config.elastic(), alpha=args.alpha
     )
     field_data = modes_mod.synthesize(spec)
-    ratio = modes_mod.quotient_ratio(spec)
     meta = {
         "h": h,
         "alpha": args.alpha,
@@ -314,30 +362,22 @@ def cmd_mode(config: RunConfig, args) -> int:
         "n": spec.n,
         "m_hat": spec.m_hat,
         "lambda_star": spec.lambda_star,
-        "quotient_ratio": ratio,
+        "quotient_ratio": modes_mod.quotient_ratio(spec),
         "boundary_trace_max": field_data.boundary_trace_max(),
         "grid": [len(field_data.r), len(field_data.theta), len(field_data.z)],
         "format": args.format,
     }
-    if args.format == "vtk":
-        write_vtk(os.path.join(config.outdir, "mode.vtk"), field_data)
-    else:
-        write_mode_csv(os.path.join(config.outdir, "mode.csv"), field_data)
-    write_json(os.path.join(config.outdir, "mode.json"), meta)
-    print(json.dumps(meta, indent=2))
-    return 0
+    writer = write_vtk if args.format == "vtk" else write_mode_csv
+    writer(os.path.join(config.outdir, f"mode.{args.format}"), field_data)
+    return Report("mode", meta, lines=[json.dumps(meta, indent=2)])
 
 
-def cmd_verify(config: RunConfig, args) -> int:
-    numbers = None
-    if args.criteria:
-        numbers = [int(tok) for tok in args.criteria.split(",")]
+def cmd_verify(config: RunConfig, args) -> Report:
+    numbers = [int(tok) for tok in args.criteria.split(",")] if args.criteria else None
     results = acceptance.run_all(numbers, jobs=config.jobs)
-    for res in results:
-        print(res.line())
-    failed = [r for r in results if not r.passed]
-    print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
-    return 0 if not failed else 2
+    passed = sum(r.passed for r in results)
+    lines = [r.line() for r in results] + [f"{passed}/{len(results)} criteria passed"]
+    return Report("verify", lines=lines, code=0 if passed == len(results) else 2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,89 +389,35 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file with RunConfig fields; flags override")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--nu", type=float, default=None, help="Poisson ratio (default 0.3)")
-        p.add_argument("--E", type=float, default=None, help="Young modulus (default 1)")
-        p.add_argument("--L", type=float, default=None, help="shell length over radius (default pi)")
-        p.add_argument("--h-list", default=None, help="comma-separated decreasing slendernesses")
-        p.add_argument("--margin", type=float, default=None, help="sweep window margin factor")
-        p.add_argument("--degree", type=int, default=None, help="radial polynomial degree")
-        p.add_argument("--outdir", default=None, help="output directory (default .)")
-        p.add_argument("--jobs", type=int, default=None, help="parallel workers (default: CPUs)")
+    def command(name, fn, help):
+        p = sub.add_parser(name, help=help)
+        for s in SETTINGS:
+            p.add_argument("--" + s.name.replace("_", "-"), type=s.parse, default=None, help=s.help)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("critical-load", help="sweep one slenderness, report the winner")
-    common(p)
+    p = command("critical-load", cmd_critical_load, "sweep one slenderness, report the winner")
     p.add_argument("--h", type=float, default=None)
-    p.set_defaults(fn=cmd_critical_load)
 
-    p = sub.add_parser("sweep", help="integer sweep over an h-list -> sweep.csv")
-    common(p)
-    p.set_defaults(fn=cmd_sweep)
+    command("sweep", cmd_sweep, "integer sweep over an h-list -> sweep.csv")
 
-    p = sub.add_parser("koiter", help="integer pairs near the Koiter circle")
-    common(p)
+    p = command("koiter", cmd_koiter, "integer pairs near the Koiter circle")
     p.add_argument("--h", type=float, default=None)
     p.add_argument("--tolerance", type=float, default=0.05)
-    p.set_defaults(fn=cmd_koiter)
 
-    p = sub.add_parser("korn", help="Korn-type extremal ratios over mode windows -> korn.csv")
-    common(p)
-    p.set_defaults(fn=cmd_korn)
+    command("korn", cmd_korn, "Korn-type extremal ratios over mode windows -> korn.csv")
+    command("ansatz", cmd_ansatz, "Korn ratios of the wave-packet ansatz")
+    command("equivalence", cmd_equivalence, "reciprocal Rayleigh-quotient gaps")
 
-    p = sub.add_parser("ansatz", help="Korn ratios of the wave-packet ansatz")
-    common(p)
-    p.set_defaults(fn=cmd_ansatz)
-
-    p = sub.add_parser("equivalence", help="reciprocal Rayleigh-quotient gaps")
-    common(p)
-    p.set_defaults(fn=cmd_equivalence)
-
-    p = sub.add_parser("mode", help="synthesize the two-term buckling mode field")
-    common(p)
+    p = command("mode", cmd_mode, "synthesize the two-term buckling mode field")
     p.add_argument("--h", type=float, default=None)
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--format", choices=("vtk", "csv"), default="vtk")
-    p.set_defaults(fn=cmd_mode)
 
-    p = sub.add_parser("verify", help="run the acceptance criteria, print PASS/FAIL")
-    common(p)
+    p = command("verify", cmd_verify, "run the acceptance criteria, print PASS/FAIL")
     p.add_argument("--criteria", default=None, help="comma-separated subset, e.g. 1,4,7")
-    p.set_defaults(fn=cmd_verify)
 
     return parser
-
-
-def merge_config(args) -> RunConfig:
-    base = RunConfig()
-    file_keys = set()
-    if args.config:
-        with open(args.config) as fh:
-            data = json.load(fh)
-        for key, val in data.items():
-            if not hasattr(base, key):
-                raise ValueError(f"unknown config key {key!r}")
-            setattr(base, key, val)
-            file_keys.add(key)
-    if args.nu is not None:
-        base.nu = args.nu
-    if args.E is not None:
-        base.E = args.E
-    if args.L is not None:
-        base.L = args.L
-    if args.h_list is not None:
-        base.h_list = [float(tok) for tok in args.h_list.split(",")]
-    if args.margin is not None:
-        base.margin = args.margin
-    if args.degree is not None:
-        base.degree = args.degree
-    if args.outdir is not None:
-        base.outdir = args.outdir
-    if args.jobs is not None:
-        base.jobs = args.jobs
-    elif "jobs" not in file_keys:
-        base.jobs = os.cpu_count() or 1
-    base.validate()
-    return base
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -440,7 +426,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = merge_config(args)
         os.makedirs(config.outdir, exist_ok=True)
-        return args.fn(config, args)
+        return emit(config.outdir, args.fn(config, args))
     except CylbuckError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

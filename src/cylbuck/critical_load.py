@@ -142,7 +142,7 @@ class _Quad2:
     def minimize(self) -> Tuple[float, float, float]:
         """Exact minimizer via the 2x2 gradient system; checks PD minors."""
         det = self.m00 * self.m11 - self.m01 * self.m01
-        if self.m00 <= 0.0 or det <= 1e-14:
+        if self.m00 <= 0.0 or det <= 1e-14 * self.m00 * self.m11:
             raise SingularSystem(
                 f"quadratic not positive definite (m00={self.m00:.3e}, det={det:.3e})"
             )

@@ -29,8 +29,8 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from functools import lru_cache, partial
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -332,21 +332,22 @@ class OracleMinimum(NamedTuple):
     wn: WaveNumbers
 
 
-def _min_rayleigh_worker(args) -> Tuple[float, int, int]:
-    h, L, nu, E, degree, nodes, denominator, m, n = args
-    geom = ShellGeometry(h=h, L=L)
-    elastic = IsotropicElasticity(nu=nu, E=E)
-    disc = RadialDiscretization(degree=degree, quad_nodes=nodes)
-    wn = WaveNumbers(m=m, n=n, L=L)
-    value = min_rayleigh(assemble_pencil(geom, elastic, wn, denominator, disc))
-    return value, m, n
+def _mode_min_rayleigh(
+    geom: ShellGeometry,
+    elastic: IsotropicElasticity,
+    disc: RadialDiscretization,
+    denominator: str,
+    wn: WaveNumbers,
+) -> float:
+    return min_rayleigh(assemble_pencil(geom, elastic, wn, denominator, disc))
 
 
-def _run_jobs(worker, arglist: Sequence, jobs: int) -> List:
-    if jobs <= 1 or len(arglist) < 32:
-        return [worker(a) for a in arglist]
+def _run_jobs(per_mode: Callable, pairs: Sequence[WaveNumbers], jobs: int) -> List:
+    """per_mode(wn) for every pair, in order; in a process pool for large windows."""
+    if jobs <= 1 or len(pairs) < 32:
+        return [per_mode(wn) for wn in pairs]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, arglist, chunksize=max(1, len(arglist) // (4 * jobs))))
+        return list(pool.map(per_mode, pairs, chunksize=max(1, len(pairs) // (4 * jobs))))
 
 
 def oracle_sweep(
@@ -362,17 +363,14 @@ def oracle_sweep(
     Deterministic tie-break as in the closed-form sweep (smallest n, then m);
     the reduction order never affects the winner.
     """
-    args = [
-        (geom.h, geom.L, elastic.nu, elastic.E, disc.degree, disc.nodes, denominator, wn.m, wn.n)
-        for wn in window_pairs(window, geom.L)
-    ]
-    results = _run_jobs(_min_rayleigh_worker, args, jobs)
+    pairs = window_pairs(window, geom.L)
+    values = _run_jobs(partial(_mode_min_rayleigh, geom, elastic, disc, denominator), pairs, jobs)
     best = None
-    for value, m, n in results:  # scan order is (n, m) lexicographic
-        if best is None or value < best[0]:
-            best = (value, m, n)
+    for value, wn in zip(values, pairs):  # scan order is (n, m) lexicographic
+        if best is None or value < best.value:
+            best = OracleMinimum(value=value, wn=wn)
     assert best is not None
-    return OracleMinimum(value=best[0], wn=WaveNumbers(m=best[1], n=best[2], L=geom.L))
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -398,12 +396,14 @@ class KornEstimate:
             raise ValueError("Korn estimates are positive by construction")
 
 
-def _mode_korn_worker(args) -> Tuple[float, float, float, float]:
-    h, L, nu, E, degree, nodes, m, n = args
-    geom = ShellGeometry(h=h, L=L)
-    elastic = IsotropicElasticity(nu=nu, E=E)
-    disc = RadialDiscretization(degree=degree, quad_nodes=nodes)
-    forms = mode_forms(geom, elastic, WaveNumbers(m=m, n=n, L=L), disc)
+def _mode_korn(
+    geom: ShellGeometry,
+    elastic: IsotropicElasticity,
+    disc: RadialDiscretization,
+    wn: WaveNumbers,
+) -> Tuple[float, float, float, float]:
+    """Per-mode (korn, r_z, theta_z, weighted) ratios; see KornEstimate."""
+    forms = mode_forms(geom, elastic, wn, disc)
 
     vals_korn, vecs_korn = scipy.linalg.eigh(forms.e2, forms.grad2)
     korn = vals_korn[0]
@@ -425,7 +425,7 @@ def _mode_korn_worker(args) -> Tuple[float, float, float, float]:
         g2 = float(x @ forms.grad2 @ x)
         e2 = float(x @ forms.e2 @ x)
         pr2 = float(x @ forms.phi_r2 @ x)
-        bound = (math.sqrt(pr2) / h + math.sqrt(e2)) * math.sqrt(e2)
+        bound = (math.sqrt(pr2) / geom.h + math.sqrt(e2)) * math.sqrt(e2)
         if bound > 0.0:
             weighted = max(weighted, g2 / bound)
     return korn, rz, tz, weighted
@@ -442,11 +442,8 @@ def korn_mode_scan(
 
     Returns four estimates: kinds "korn", "theta_z", "r_z", "weighted".
     """
-    args = [
-        (geom.h, geom.L, elastic.nu, elastic.E, disc.degree, disc.nodes, wn.m, wn.n)
-        for wn in window_pairs(window, geom.L)
-    ]
-    results = _run_jobs(_mode_korn_worker, args, jobs)
+    pairs = window_pairs(window, geom.L)
+    results = _run_jobs(partial(_mode_korn, geom, elastic, disc), pairs, jobs)
     korn = min(r[0] for r in results)
     rz = max(r[1] for r in results)
     tz = max(r[2] for r in results)
@@ -487,16 +484,6 @@ def equivalence_gap(
     )
 
 
-def _equivalence_worker(args) -> Tuple[float, float, float]:
-    h, L, nu, E, degree, nodes, m, n = args
-    geom = ShellGeometry(h=h, L=L)
-    elastic = IsotropicElasticity(nu=nu, E=E)
-    disc = RadialDiscretization(degree=degree, quad_nodes=nodes)
-    wn = WaveNumbers(m=m, n=n, L=L)
-    gaps = equivalence_gap(geom, elastic, wn, disc)
-    return gaps.full_vs_rz, gaps.rz_vs_mid, wn.m_hat
-
-
 class EquivalenceScan(NamedTuple):
     full_vs_rz: float        # sup over the window of |1/R - 1/R1|
     rz_vs_mid_coef: float    # sup of |1/R1 - 1/R2| / (mhat sqrt(h))
@@ -509,13 +496,10 @@ def equivalence_scan(
     window: Tuple[int, int],
     jobs: int = 1,
 ) -> EquivalenceScan:
-    args = [
-        (geom.h, geom.L, elastic.nu, elastic.E, disc.degree, disc.nodes, wn.m, wn.n)
-        for wn in window_pairs(window, geom.L)
-    ]
-    results = _run_jobs(_equivalence_worker, args, jobs)
-    sup1 = max(r[0] for r in results)
-    coef = max(r[1] / (r[2] * math.sqrt(geom.h)) for r in results)
+    pairs = window_pairs(window, geom.L)
+    gaps = _run_jobs(partial(equivalence_gap, geom, elastic, disc=disc), pairs, jobs)
+    sup1 = max(g.full_vs_rz for g in gaps)
+    coef = max(g.rz_vs_mid / (wn.m_hat * math.sqrt(geom.h)) for g, wn in zip(gaps, pairs))
     return EquivalenceScan(full_vs_rz=sup1, rz_vs_mid_coef=coef)
 
 

@@ -1,9 +1,10 @@
 import json
 import math
+import os
 
 import pytest
 
-from cylbuck.cli import main
+from cylbuck.cli import SETTINGS, build_parser, fmt, main, merge_config
 
 
 def read(path):
@@ -21,6 +22,7 @@ class TestCriticalLoad:
         assert data["lambda3_tilde"] < data["lambda_star"]
         out = capsys.readouterr().out
         assert "lambda_star" in out
+        assert out.encode() == read(tmp_path / "critical_load.json")
 
 
 class TestSweep:
@@ -84,7 +86,7 @@ class TestMode:
         scalars = [ln for ln in lines if ln.startswith("SCALARS")]
         assert [s.split()[1] for s in scalars] == ["phi_r", "phi_theta", "phi_z"]
 
-    def test_csv_output_row_count(self, tmp_path):
+    def test_csv_output_row_count(self, tmp_path, capsys):
         assert (
             main(
                 ["mode", "--h", "0.03", "--alpha", "0.25", "--L", str(2 * math.pi),
@@ -92,6 +94,7 @@ class TestMode:
             )
             == 0
         )
+        assert capsys.readouterr().out.encode() == read(tmp_path / "mode.json")
         meta = json.loads(read(tmp_path / "mode.json"))
         body = read(tmp_path / "mode.csv").decode().splitlines()
         assert body[0] == "r,theta,z,phi_r,phi_theta,phi_z"
@@ -135,6 +138,30 @@ class TestKornFamily:
         assert data["records"][0]["lambda_star_times_gap"] > 0
 
 
+class TestEmitter:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--h-list", "0.1,0.05"],
+            ["korn", "--h-list", "0.1,0.05", "--degree", "6", "--jobs", "1"],
+            ["ansatz", "--h-list", "0.01,0.005"],
+            ["equivalence", "--h-list", "0.1,0.05", "--degree", "6", "--jobs", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_csv_rows_are_json_records(self, tmp_path, argv):
+        command = argv[0]
+        assert main(argv + ["--outdir", str(tmp_path)]) == 0
+        records = json.loads(read(tmp_path / f"{command}.json"))
+        if command in ("korn", "equivalence"):
+            records = records["estimates" if command == "korn" else "records"]
+        lines = read(tmp_path / f"{command}.csv").decode().splitlines()
+        header, rows = lines[0].split(","), [ln.split(",") for ln in lines[1:]]
+        assert len(rows) == len(records) > 0
+        for row, rec in zip(rows, records):
+            assert row == [rec[c] if isinstance(rec[c], str) else fmt(rec[c]) for c in header]
+
+
 class TestVerify:
     def test_subset(self, tmp_path, capsys):
         code = main(["verify", "--criteria", "4,7", "--jobs", "1", "--outdir", str(tmp_path)])
@@ -157,6 +184,38 @@ class TestConfigAndErrors:
         assert r1["lambda_star"] != r2["lambda_star"]
         assert r2["lambda_star"] == pytest.approx(0.1 / math.sqrt(2.73), rel=1e-12)
 
+    def test_every_setting_from_file_then_flag(self, tmp_path):
+        cpus = os.cpu_count() or 1
+        from_file = {
+            "nu": 0.25, "E": 2.0, "L": 3.0, "h_list": [0.1, 0.05], "margin": 2.5,
+            "degree": 8, "outdir": "from-file", "jobs": cpus + 1,
+        }
+        from_flag = {
+            "nu": ("0.35", 0.35), "E": ("4", 4.0), "L": ("5.5", 5.5),
+            "h_list": ("0.2,0.1", [0.2, 0.1]), "margin": ("4", 4.0), "degree": ("10", 10),
+            "outdir": ("from-flag", "from-flag"), "jobs": ("5", 5),
+        }
+        assert set(from_file) == set(from_flag) == {s.name for s in SETTINGS}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(from_file))
+        parse = build_parser().parse_args
+        config = merge_config(parse(["--config", str(cfg), "sweep"]))
+        assert {name: getattr(config, name) for name in from_file} == from_file
+        for name, (text, value) in from_flag.items():
+            flag = "--" + name.replace("_", "-")
+            config = merge_config(parse(["--config", str(cfg), "sweep", flag, text]))
+            assert {k: getattr(config, k) for k in from_file} == {**from_file, name: value}
+
+    def test_jobs_defaults_to_cpu_count(self, tmp_path):
+        parse = build_parser().parse_args
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"nu": 0.25}))
+        assert merge_config(parse(["sweep"])).jobs == (os.cpu_count() or 1)
+        assert merge_config(parse(["--config", str(cfg), "sweep"])).jobs == (os.cpu_count() or 1)
+        cfg.write_text(json.dumps({"jobs": 7}))
+        assert merge_config(parse(["--config", str(cfg), "sweep"])).jobs == 7
+        assert merge_config(parse(["--config", str(cfg), "sweep", "--jobs", "3"])).jobs == 3
+
     def test_validation_errors_exit_one(self, tmp_path, capsys):
         # increasing h-list
         assert main(["sweep", "--h-list", "0.01,0.1", "--outdir", str(tmp_path)]) == 1
@@ -167,6 +226,18 @@ class TestConfigAndErrors:
         cfg.write_text(json.dumps({"bogus": 1}))
         assert main(["--config", str(cfg), "sweep", "--outdir", str(tmp_path)]) == 1
         capsys.readouterr()
+        # config values of the wrong type, and a file that is not a JSON object
+        for command, bad in [
+            ("sweep", {"nu": "0.3"}),
+            ("sweep", {"h_list": 0.1}),
+            ("korn", {"jobs": "2"}),
+            ("korn", {"degree": 12.5}),
+            ("sweep", [0.3]),
+        ]:
+            cfg.write_text(json.dumps(bad))
+            assert main(["--config", str(cfg), command, "--outdir", str(tmp_path)]) == 1, bad
+            err = capsys.readouterr().err
+            assert err.startswith("ValueError: ") and err.count("\n") == 1, err
 
     def test_numerical_error_name_on_stderr(self, tmp_path, capsys):
         code = main(

@@ -158,6 +158,12 @@ class TestAmplitudeMinimization:
             assert best >= exact.value * (1 - 1e-12)
             assert best == pytest.approx(exact.value, rel=1e-6)
 
+    def test_singularity_test_is_scale_free(self):
+        # a well-conditioned diagonal 2x2 whose entries are ~1e-8: only an
+        # absolute determinant threshold would call it singular
+        mm = mode_strain_at(EL, WaveNumbers(m=1, n=0, L=2e4), 0.01)
+        assert mm.value > 0.0
+
     def test_sandwich_inequality(self, rng):
         # (1 - h - h^2) tilde <= full <= (1 + h + h^2) tilde
         for _ in range(100):

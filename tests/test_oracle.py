@@ -17,6 +17,7 @@ from cylbuck.oracle import (
     assemble_pencil,
     assemble_reduced_pencil,
     equivalence_gap,
+    equivalence_scan,
     korn_mode_scan,
     min_rayleigh,
     mode_forms,
@@ -296,13 +297,13 @@ class TestOracleSweep:
         assert at_winner <= res.strain * (1 + 1e-8)
 
     def test_jobs_parallel_same_result(self):
+        # 70 pairs: above the serial cut-off, so jobs=2 runs the process pool
         geom = ShellGeometry(h=0.05, L=PI)
         disc = RadialDiscretization(degree=6)
         window = (10, 6)
-        serial = oracle_sweep(geom, EL, disc, window, jobs=1)
-        parallel = oracle_sweep(geom, EL, disc, window, jobs=2)
-        assert serial.value == parallel.value
-        assert (serial.wn.m, serial.wn.n) == (parallel.wn.m, parallel.wn.n)
+        for scan in (oracle_sweep, korn_mode_scan, equivalence_scan):
+            serial = scan(geom, EL, disc, window, jobs=1)
+            assert scan(geom, EL, disc, window, jobs=2) == serial, scan.__name__
 
 
 class TestKornScan:
