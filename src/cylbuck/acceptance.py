@@ -121,11 +121,10 @@ def criterion_3() -> CriterionResult:
     R = p.koiter_radius
     near = 0
     on_circle = 0
-    for wn in p.window_pairs():
-        if cl.per_mode_strain(p, wn).value <= 1.02 * best:
-            near += 1
-            if abs(math.hypot(wn.m_hat - R, float(wn.n)) - R) <= 1.0:
-                on_circle += 1
+    for n, m_hat, minima in cl.window_strains(p):
+        close = minima.value <= 1.02 * best
+        near += int(np.count_nonzero(close))
+        on_circle += int(np.count_nonzero(close & (np.abs(np.hypot(m_hat - R, n) - R) <= 1.0)))
     passed = on_circle >= 5
     details = (
         f"{near} pairs within 2% of the minimum, of which {on_circle} lie "

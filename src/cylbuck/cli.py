@@ -29,7 +29,9 @@ from .spectral import ShellGeometry
 
 
 def fmt(x) -> str:
-    """Shortest decimal that round-trips; integers stay integers."""
+    """Shortest decimal that round-trips; integers stay integers; None reads nan."""
+    if x is None:
+        return "nan"
     if isinstance(x, bool):
         return str(x).lower()
     if isinstance(x, int):
@@ -205,8 +207,9 @@ def _h(config: RunConfig, args) -> float:
     return args.h if args.h is not None else config.h_list[0]
 
 
-def _slope(h_values: Sequence[float], values: Sequence[float]) -> float:
-    return oracle_mod.fitted_slope(h_values, values) if len(values) > 1 else float("nan")
+def _slope(h_values: Sequence[float], values: Sequence[float]) -> Optional[float]:
+    """The fitted log-log slope; None (JSON null) from a single h."""
+    return oracle_mod.fitted_slope(h_values, values) if len(values) > 1 else None
 
 
 def _result_record(config: RunConfig, h: float, res: cl.BucklingResult) -> dict:
@@ -256,7 +259,7 @@ def cmd_koiter(config: RunConfig, args) -> Report:
             "m": wn.m,
             "n": wn.n,
             "m_hat": wn.m_hat,
-            "circle_residual": abs(math.hypot(wn.m_hat - R, wn.n) - R) / R,
+            "circle_residual": cl.circle_residual(wn, R),
             "lambda3_tilde": cl.per_mode_strain(problem, wn).value,
         }
         for wn in found

@@ -24,9 +24,15 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, List, NamedTuple, Optional, Tuple
 
+import numpy as np
+
 from .errors import EmptySet, SingularSystem, WindowTooSmall
 from .material import IsotropicElasticity
-from .spectral import ShellGeometry, WaveNumbers
+from .spectral import ShellGeometry, WaveNumbers, window_pairs
+
+# Window pairs per array chunk of whole rows (one n each): a window scan holds
+# max(_CHUNK_PAIRS, m_max) pairs at a time, whatever the window's size.
+_CHUNK_PAIRS = 1 << 16
 
 
 def classical_strain_at(h: float, nu: float) -> float:
@@ -77,13 +83,6 @@ class CriticalLoadProblem:
     def wave_numbers(self, m: int, n: int) -> WaveNumbers:
         return WaveNumbers(m=m, n=n, L=self.geom.L)
 
-    def window_pairs(self) -> Iterator[WaveNumbers]:
-        """Deterministic scan order: n outer ascending, m inner ascending."""
-        m_max, n_max = self.window()
-        for n in range(0, n_max + 1):
-            for m in range(1, m_max + 1):
-                yield self.wave_numbers(m, n)
-
 
 class QForms(NamedTuple):
     q0: float
@@ -92,103 +91,89 @@ class QForms(NamedTuple):
     q2: float
 
 
-class _Quad2:
-    """Quadratic q(a) = a.M.a + 2 b.a + c over a = (a_theta, a_z)."""
+# A quadratic q(a) = a.M.a + 2 b.a + c over a = (a_theta, a_z) is the tuple
+# (m00, m01, m11, b0, b1, c).  Each entry below sums the contributions of the
+# squared terms in the order of the docstring.  Only +, -, * and / occur, which
+# numpy rounds exactly as Python does, so one pair on floats and a chunk on
+# arrays agree bit for bit; mhat^4 is passed in because numpy's array power
+# does not round as Python's float power does.
 
-    __slots__ = ("m00", "m01", "m11", "b0", "b1", "c")
+def _q0(mh, n, beta):
+    """Q0 = beta (1 + n a_t + mh a_z)^2 + 2 (1 + n a_t)^2 + 2 mh^2 a_z^2 + (mh a_t + n a_z)^2."""
+    bn = beta * n
+    return (
+        bn * n + 2.0 * n * n + mh * mh,
+        bn * mh + mh * n,
+        beta * mh * mh + 2.0 * mh * mh + n * n,
+        bn + 2.0 * n,
+        beta * mh,
+        beta + 2.0,
+    )
 
-    def __init__(self):
-        self.m00 = self.m01 = self.m11 = 0.0
-        self.b0 = self.b1 = 0.0
-        self.c = 0.0
 
-    def add_square(self, w: float, c0: float, g0: float, g1: float):
-        """Accumulate w * (c0 + g0 a0 + g1 a1)^2."""
-        self.m00 += w * g0 * g0
-        self.m01 += w * g0 * g1
-        self.m11 += w * g1 * g1
-        self.b0 += w * c0 * g0
-        self.b1 += w * c0 * g1
-        self.c += w * c0 * c0
+def _q1s(mh, mh4, n, beta):
+    """Q1s = beta (s + n a_t)^2 + 2 n^2 (n + a_t)^2 + 2 mh^4 + 4 mh^2 (n + a_t)^2, s = mh^2 + n^2."""
+    s = mh * mh + n * n
+    bs = beta * s
+    nn = n * n
+    mhn = mh * n
+    return (
+        beta * n * n + 2.0 * n * n + 4.0 * mh * mh,
+        0.0,
+        0.0,
+        bs * n + 2.0 * nn * n + 4.0 * mhn * mh,
+        0.0,
+        bs * s + 2.0 * nn * nn + 2.0 * mh4 + 4.0 * mhn * mhn,
+    )
 
-    def add_product(self, w: float, f, g):
-        """Accumulate w * (f0 + f.a)(g0 + g.a) for affine f, g."""
-        f0, f1, f2 = f
-        g0, g1, g2 = g
-        self.m00 += w * f1 * g1
-        self.m01 += w * 0.5 * (f1 * g2 + f2 * g1)
-        self.m11 += w * f2 * g2
-        self.b0 += w * 0.5 * (f0 * g1 + g0 * f1)
-        self.b1 += w * 0.5 * (f0 * g2 + g0 * f2)
-        self.c += w * f0 * g0
 
-    def add(self, other: "_Quad2", w: float = 1.0):
-        self.m00 += w * other.m00
-        self.m01 += w * other.m01
-        self.m11 += w * other.m11
-        self.b0 += w * other.b0
-        self.b1 += w * other.b1
-        self.c += w * other.c
+def _q1_cross(mh, n):
+    """The signed cross term Q1 - Q1s = 2 mh (a_t + n)(mh a_t + n a_z)."""
+    mhn = mh * n
+    return (2.0 * mh * mh, mhn, 0.0, mhn * mh, mhn * n, 0.0)
 
-    def value(self, a0: float, a1: float) -> float:
-        return (
-            self.m00 * a0 * a0
-            + 2.0 * self.m01 * a0 * a1
-            + self.m11 * a1 * a1
-            + 2.0 * (self.b0 * a0 + self.b1 * a1)
-            + self.c
+
+def _q2(mh, n):
+    """Q2 = mh^2 (n + a_t)^2."""
+    mhn = mh * n
+    return (mh * mh, 0.0, 0.0, mhn * mh, 0.0, mhn * mhn)
+
+
+def _weighted_sum(q, *terms):
+    """q + w1 q1 + w2 q2 + ... over the (w, q) terms, entry by entry, left to right."""
+    for w, other in terms:
+        q = tuple(a + w * b for a, b in zip(q, other))
+    return q
+
+
+def _value(q, a0, a1):
+    m00, m01, m11, b0, b1, c = q
+    return m00 * a0 * a0 + 2.0 * m01 * a0 * a1 + m11 * a1 * a1 + 2.0 * (b0 * a0 + b1 * a1) + c
+
+
+def _minimize(q):
+    """(min q, a_theta, a_z) from the 2x2 gradient system.
+
+    Raises SingularSystem unless det > 1e-14 m00 m11 (scale-free positive
+    definiteness); on arrays, for the first offending entry in row-major order.
+    """
+    m00, m01, m11, b0, b1, c = q
+    det = m00 * m11 - m01 * m01
+    singular = (m00 <= 0.0) | (det <= 1e-14 * m00 * m11)
+    if singular is not False and np.any(singular):  # np.any costs ~5 us on a Python bool
+        first = np.argmax(singular)
+        raise SingularSystem(
+            f"quadratic not positive definite (m00={np.ravel(m00)[first]:.3e}, "
+            f"det={np.ravel(det)[first]:.3e})"
         )
-
-    def minimize(self) -> Tuple[float, float, float]:
-        """Exact minimizer via the 2x2 gradient system; checks PD minors."""
-        det = self.m00 * self.m11 - self.m01 * self.m01
-        if self.m00 <= 0.0 or det <= 1e-14 * self.m00 * self.m11:
-            raise SingularSystem(
-                f"quadratic not positive definite (m00={self.m00:.3e}, det={det:.3e})"
-            )
-        a0 = (-self.b0 * self.m11 + self.b1 * self.m01) / det
-        a1 = (-self.b1 * self.m00 + self.b0 * self.m01) / det
-        return self.c + self.b0 * a0 + self.b1 * a1, a0, a1
-
-    def gradient(self, a0: float, a1: float) -> Tuple[float, float]:
-        return (
-            2.0 * (self.m00 * a0 + self.m01 * a1 + self.b0),
-            2.0 * (self.m01 * a0 + self.m11 * a1 + self.b1),
-        )
+    a0 = (-b0 * m11 + b1 * m01) / det
+    a1 = (-b1 * m00 + b0 * m01) / det
+    return c + b0 * a0 + b1 * a1, a0, a1
 
 
 def _beta(elastic: IsotropicElasticity) -> float:
     """2 Lambda / (Lambda + 2) = 2 nu / (1 - nu)."""
     return 2.0 * elastic.nu / (1.0 - elastic.nu)
-
-
-def _q0_quad(mh: float, n: float, beta: float) -> _Quad2:
-    q = _Quad2()
-    q.add_square(beta, 1.0, n, mh)      # trace term (1 + n a_theta + mhat a_z)^2
-    q.add_square(2.0, 1.0, n, 0.0)      # hoop
-    q.add_square(2.0, 0.0, 0.0, mh)     # axial
-    q.add_square(1.0, 0.0, mh, n)       # theta-z shear
-    return q
-
-
-def _q1s_quad(mh: float, n: float, beta: float) -> _Quad2:
-    q = _Quad2()
-    q.add_square(beta, mh * mh + n * n, n, 0.0)
-    q.add_square(2.0, n * n, n, 0.0)
-    q.c += 2.0 * mh**4
-    q.add_square(4.0, mh * n, mh, 0.0)
-    return q
-
-
-def _q1_cross(mh: float, n: float) -> Tuple[Tuple[float, float, float], Tuple[float, float, float]]:
-    # 2 mhat (a_theta + n)(mhat a_theta + n a_z)
-    return (mh * n, mh, 0.0), (0.0, mh, n)
-
-
-def _q2_quad(mh: float, n: float) -> _Quad2:
-    q = _Quad2()
-    q.add_square(1.0, mh * n, mh, 0.0)
-    return q
 
 
 def q_forms(
@@ -197,13 +182,13 @@ def q_forms(
     """Evaluate the four wall-moment quadratic forms at given amplitudes."""
     mh, n = wn.m_hat, float(wn.n)
     beta = _beta(elastic)
-    q0 = _q0_quad(mh, n, beta).value(a_theta, a_z)
-    q1s = _q1s_quad(mh, n, beta).value(a_theta, a_z)
-    cross = _Quad2()
-    cross.add_product(2.0, *_q1_cross(mh, n))
-    q1 = q1s + cross.value(a_theta, a_z)
-    q2 = _q2_quad(mh, n).value(a_theta, a_z)
-    return QForms(q0=q0, q1=q1, q1_simplified=q1s, q2=q2)
+    q1s = _value(_q1s(mh, mh**4, n, beta), a_theta, a_z)
+    return QForms(
+        q0=_value(_q0(mh, n, beta), a_theta, a_z),
+        q1=q1s + _value(_q1_cross(mh, n), a_theta, a_z),
+        q1_simplified=q1s,
+        q2=_value(_q2(mh, n), a_theta, a_z),
+    )
 
 
 class ModeMinimum(NamedTuple):
@@ -214,8 +199,19 @@ class ModeMinimum(NamedTuple):
 
 def q0_argmin_az(wn: WaveNumbers, a_theta: float, elastic: IsotropicElasticity) -> float:
     """Exact minimizer of the leading form Q0 over a_z at frozen a_theta."""
-    q = _q0_quad(wn.m_hat, float(wn.n), _beta(elastic))
-    return -(q.b1 + q.m01 * a_theta) / q.m11
+    _, m01, m11, _, b1, _ = _q0(wn.m_hat, float(wn.n), _beta(elastic))
+    return -(b1 + m01 * a_theta) / m11
+
+
+def _mode_minimum(mh, mh4, n, elastic: IsotropicElasticity, h: float, reduced: bool) -> ModeMinimum:
+    """mode_strain_at for floats (one pair) or broadcast arrays (a chunk of pairs)."""
+    beta = _beta(elastic)
+    H = h * h / 12.0
+    terms = [(H, _q1s(mh, mh4, n, beta))]
+    if not reduced:
+        terms += [(H, _q1_cross(mh, n)), (h**4 / 80.0, _q2(mh, n))]
+    value, a_theta, a_z = _minimize(_weighted_sum(_q0(mh, n, beta), *terms))
+    return ModeMinimum(value / (2.0 * (1.0 + elastic.nu) * mh * mh), a_theta, a_z)
 
 
 def mode_strain_at(
@@ -230,19 +226,8 @@ def mode_strain_at(
     reduced=True keeps Q0 + (h^2/12) Q1s; reduced=False the full
     Q0 + (h^2/12) Q1 + (h^4/80) Q2.
     """
-    mh, n = wn.m_hat, float(wn.n)
-    beta = _beta(elastic)
-    H = h * h / 12.0
-    obj = _q0_quad(mh, n, beta)
-    obj.add(_q1s_quad(mh, n, beta), H)
-    if not reduced:
-        cross = _Quad2()
-        cross.add_product(2.0, *_q1_cross(mh, n))
-        obj.add(cross, H)
-        obj.add(_q2_quad(mh, n), h**4 / 80.0)
-    value, a_theta, a_z = obj.minimize()
-    scale = 2.0 * (1.0 + elastic.nu) * mh * mh
-    return ModeMinimum(value / scale, a_theta, a_z)
+    mh = wn.m_hat
+    return _mode_minimum(mh, mh**4, float(wn.n), elastic, h, reduced)
 
 
 def per_mode_strain(problem: CriticalLoadProblem, wn: WaveNumbers) -> ModeMinimum:
@@ -253,6 +238,26 @@ def per_mode_strain(problem: CriticalLoadProblem, wn: WaveNumbers) -> ModeMinimu
 def per_mode_strain_full(problem: CriticalLoadProblem, wn: WaveNumbers) -> ModeMinimum:
     """Per-(m,n) critical strain keeping the cross term and the h^4 moment."""
     return mode_strain_at(problem.elastic, wn, problem.geom.h, reduced=False)
+
+
+def window_strains(
+    problem: CriticalLoadProblem,
+) -> Iterator[Tuple[np.ndarray, np.ndarray, ModeMinimum]]:
+    """Reduced minima of the whole window as (n, m_hat, minima), a chunk of rows at a time.
+
+    ``n`` is a column of consecutive indices n, ``m_hat`` the row pi m / L for
+    m = 1 .. m_max, and entry [i, j] of each ``minima`` array belongs to the
+    pair (m = j + 1, n[i]).  Flattened in order, the chunks follow the scan
+    order of ``spectral.window_pairs``.  Every entry equals ``per_mode_strain``
+    of its pair bit for bit.
+    """
+    m_max, n_max = problem.window()
+    m_hat = math.pi * np.arange(1, m_max + 1) / problem.geom.L
+    m_hat4 = np.array([x**4 for x in m_hat.tolist()])  # Python float power, as mode_strain_at
+    rows = max(1, _CHUNK_PAIRS // m_max)
+    for n0 in range(0, n_max + 1, rows):
+        n = np.arange(n0, min(n0 + rows, n_max + 1), dtype=float)[:, None]
+        yield n, m_hat, _mode_minimum(m_hat, m_hat4, n, problem.elastic, problem.geom.h, True)
 
 
 @dataclass(frozen=True)
@@ -280,31 +285,31 @@ class BucklingResult:
 def sweep(problem: CriticalLoadProblem) -> BucklingResult:
     """Exhaustive integer minimization over the window.
 
-    Scan order (n ascending, then m) plus strict improvement gives the
-    deterministic tie-break: smallest n, then smallest m.  Raises
+    The first minimum in scan order (n ascending, then m) wins, which gives
+    the deterministic tie-break: smallest n, then smallest m.  Raises
     WindowTooSmall when the winner touches the window boundary.
     """
     m_max, n_max = problem.window()
     best = None
-    best_mn = None
-    for wn in problem.window_pairs():
-        mm = per_mode_strain(problem, wn)
-        if best is None or mm.value < best.value:
-            best = mm
-            best_mn = wn
-    assert best is not None and best_mn is not None
-    if best_mn.m == m_max or best_mn.n == n_max:
+    for n, _, minima in window_strains(problem):
+        i = int(np.argmin(minima.value))  # row-major: the chunk's first minimum in scan order
+        if best is None or minima.value.flat[i] < best.value:
+            row, col = divmod(i, m_max)
+            wn = problem.wave_numbers(col + 1, int(n[row, 0]))
+            best = ModeMinimum(*(float(a.flat[i]) for a in minima))
+    assert best is not None
+    if wn.m == m_max or wn.n == n_max:
         raise WindowTooSmall(
-            f"sweep winner (m={best_mn.m}, n={best_mn.n}) on window boundary "
+            f"sweep winner (m={wn.m}, n={wn.n}) on window boundary "
             f"(m_max={m_max}, n_max={n_max}); increase the margin factor"
         )
-    full = per_mode_strain_full(problem, best_mn)
-    mh = best_mn.m_hat
-    residual = abs(mh / (mh * mh + best_mn.n**2) - math.sqrt(best.value / 2.0))
+    full = per_mode_strain_full(problem, wn)
+    mh = wn.m_hat
+    residual = abs(mh / (mh * mh + wn.n**2) - math.sqrt(best.value / 2.0))
     return BucklingResult(
         strain=best.value,
-        m=best_mn.m,
-        n=best_mn.n,
+        m=wn.m,
+        n=wn.n,
         m_hat=mh,
         a_theta=best.a_theta,
         a_z=best.a_z,
@@ -329,6 +334,11 @@ def continuous_mode_strain(problem: CriticalLoadProblem, m_hat: float, n: float)
     return m_hat * m_hat / s**2 + H * s**2 / ((1.0 - nu * nu) * m_hat * m_hat)
 
 
+def circle_residual(wn: WaveNumbers, R: float) -> float:
+    """Relative distance |hypot(mhat - R, n) - R| / R of a pair from the Koiter circle of radius R."""
+    return abs(math.hypot(wn.m_hat - R, wn.n) - R) / R
+
+
 def koiter_circle(problem: CriticalLoadProblem, rel_tol: float = 0.05) -> List[WaveNumbers]:
     """Integer pairs within relative distance rel_tol of the Koiter circle.
 
@@ -337,8 +347,8 @@ def koiter_circle(problem: CriticalLoadProblem, rel_tol: float = 0.05) -> List[W
     """
     R = problem.koiter_radius
     found = []
-    for wn in problem.window_pairs():
-        residual = abs(math.hypot(wn.m_hat - R, float(wn.n)) - R) / R
+    for wn in window_pairs(problem.window(), problem.geom.L):
+        residual = circle_residual(wn, R)
         if residual <= rel_tol:
             found.append((residual, wn.n, wn.m, wn))
     if not found:

@@ -37,7 +37,7 @@ import scipy.linalg
 
 from .errors import AssemblyDegenerate, QuadratureUnderResolved, ZeroDenominator
 from .material import IsotropicElasticity
-from .spectral import ShellGeometry, WaveNumbers, radial_rule, trig_factors
+from .spectral import ShellGeometry, WaveNumbers, radial_rule, trig_factors, window_pairs
 
 DENOMINATORS = ("full", "phi_rz", "phi_rz_mid")
 
@@ -322,11 +322,6 @@ def min_rayleigh(pencil: ModePencil) -> float:
 # window scans
 # ---------------------------------------------------------------------------
 
-def window_pairs(window: Tuple[int, int], L: float) -> List[WaveNumbers]:
-    m_max, n_max = window
-    return [WaveNumbers(m=m, n=n, L=L) for n in range(0, n_max + 1) for m in range(1, m_max + 1)]
-
-
 class OracleMinimum(NamedTuple):
     value: float
     wn: WaveNumbers
@@ -363,7 +358,7 @@ def oracle_sweep(
     Deterministic tie-break as in the closed-form sweep (smallest n, then m);
     the reduction order never affects the winner.
     """
-    pairs = window_pairs(window, geom.L)
+    pairs = list(window_pairs(window, geom.L))
     values = _run_jobs(partial(_mode_min_rayleigh, geom, elastic, disc, denominator), pairs, jobs)
     best = None
     for value, wn in zip(values, pairs):  # scan order is (n, m) lexicographic
@@ -442,7 +437,7 @@ def korn_mode_scan(
 
     Returns four estimates: kinds "korn", "theta_z", "r_z", "weighted".
     """
-    pairs = window_pairs(window, geom.L)
+    pairs = list(window_pairs(window, geom.L))
     results = _run_jobs(partial(_mode_korn, geom, elastic, disc), pairs, jobs)
     korn = min(r[0] for r in results)
     rz = max(r[1] for r in results)
@@ -496,7 +491,7 @@ def equivalence_scan(
     window: Tuple[int, int],
     jobs: int = 1,
 ) -> EquivalenceScan:
-    pairs = window_pairs(window, geom.L)
+    pairs = list(window_pairs(window, geom.L))
     gaps = _run_jobs(partial(equivalence_gap, geom, elastic, disc=disc), pairs, jobs)
     sup1 = max(g.full_vs_rz for g in gaps)
     coef = max(g.rz_vs_mid / (wn.m_hat * math.sqrt(geom.h)) for g, wn in zip(gaps, pairs))

@@ -162,6 +162,31 @@ class TestEmitter:
             assert row == [rec[c] if isinstance(rec[c], str) else fmt(rec[c]) for c in header]
 
 
+class TestSingleH:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["korn", "--h-list", "0.1", "--degree", "6", "--jobs", "1"],
+            ["ansatz", "--h-list", "1e-4"],
+            ["equivalence", "--h-list", "0.1", "--degree", "6", "--jobs", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_slope_is_json_null(self, tmp_path, argv):
+        # one h fits no slope; strict JSON has no NaN
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        command = argv[0]
+        assert main(argv + ["--outdir", str(tmp_path)]) == 0
+        data = json.loads(read(tmp_path / f"{command}.json").decode(), parse_constant=reject)
+        if command == "equivalence":
+            slopes = [data["lambda_star_gap_slope"]]
+        else:
+            slopes = [r["fitted_slope"] for r in (data["estimates"] if command == "korn" else data)]
+        assert slopes and all(s is None for s in slopes)
+
+
 class TestVerify:
     def test_subset(self, tmp_path, capsys):
         code = main(["verify", "--criteria", "4,7", "--jobs", "1", "--outdir", str(tmp_path)])

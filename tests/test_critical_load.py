@@ -1,11 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from cylbuck import critical_load
 from cylbuck.critical_load import (
     BucklingResult,
     CriticalLoadProblem,
+    ModeMinimum,
     classical_strain,
     classical_strain_at,
     continuous_mode_strain,
@@ -16,10 +19,11 @@ from cylbuck.critical_load import (
     q0_argmin_az,
     q_forms,
     sweep,
+    window_strains,
 )
-from cylbuck.errors import EmptySet, WindowTooSmall
+from cylbuck.errors import EmptySet, SingularSystem, WindowTooSmall
 from cylbuck.material import IsotropicElasticity
-from cylbuck.spectral import ShellGeometry, WaveNumbers
+from cylbuck.spectral import ShellGeometry, WaveNumbers, window_pairs
 
 EL = IsotropicElasticity(nu=0.3)
 
@@ -164,6 +168,15 @@ class TestAmplitudeMinimization:
         mm = mode_strain_at(EL, WaveNumbers(m=1, n=0, L=2e4), 0.01)
         assert mm.value > 0.0
 
+    def test_singular_form_raises_for_the_first_offending_entry(self):
+        # (m00, m01, m11): det = 0 for the two singular forms, in scan order 2.0 comes first
+        good, first, second = (4.0, 1.0, 1.0), (2.0, 2.0, 2.0), (3.0, 3.0, 3.0)
+        with pytest.raises(SingularSystem, match=r"m00=2\.000e\+00"):
+            critical_load._minimize((*first, 0.0, 0.0, 0.0))
+        chunk = tuple(np.array([[good[k], first[k]], [second[k], good[k]]]) for k in range(3))
+        with pytest.raises(SingularSystem, match=r"m00=2\.000e\+00"):
+            critical_load._minimize((*chunk, 0.0, 0.0, 0.0))
+
     def test_sandwich_inequality(self, rng):
         # (1 - h - h^2) tilde <= full <= (1 + h + h^2) tilde
         for _ in range(100):
@@ -278,6 +291,61 @@ class TestSweep:
                 strain=-1.0, m=1, n=1, m_hat=1.0, a_theta=0.0, a_z=0.0,
                 strain_full=1.0, koiter_residual=0.0,
             )
+
+
+def window_problems(rng, count=24):
+    """Random problems with nu in [-0.45, 0.45], L in [0.5, 50] and h log-uniform
+    on [1e-7, 0.25], one h per equal stratum of log h (so some windows are
+    small and keep their natural size).  A window of more than 4000 pairs is
+    replaced by a random one of at most 60 x 41 pairs."""
+    lo, hi = math.log(1e-7), math.log(0.25)
+    for k in range(count):
+        h = math.exp(lo + (k + rng.uniform()) / count * (hi - lo))
+        p = problem(h, nu=float(rng.uniform(-0.45, 0.45)), L=float(rng.uniform(0.5, 50.0)))
+        m_max, n_max = p.window()
+        if m_max * (n_max + 1) > 4000:
+            window = (int(rng.integers(8, 61)), int(rng.integers(8, 41)))
+            p = dataclasses.replace(p, window_override=window)
+        yield p
+
+
+class TestWindowStrains:
+    def test_chunks_equal_the_scalar_minimization(self, rng, monkeypatch):
+        interior = 0
+        for p in window_problems(rng):
+            m_max, n_max = p.window()
+            pairs = []
+            for rows, _, minima in window_strains(p):
+                for i, n in enumerate(rows[:, 0]):
+                    for j in range(m_max):
+                        wn = p.wave_numbers(j + 1, int(n))
+                        want = mode_strain_at(p.elastic, wn, p.geom.h, reduced=True)
+                        got = ModeMinimum(*(float(a[i, j]) for a in minima))
+                        assert got == want, (p, wn)
+                        pairs.append((want.value, wn.n, wn.m, want))
+            order = [(wn.n, wn.m) for wn in window_pairs(p.window(), p.geom.L)]
+            assert [(n, m) for _, n, m, _ in pairs] == order
+            _, n, m, want = min(pairs, key=lambda t: t[:3])
+            for chunk_pairs in (critical_load._CHUNK_PAIRS, 1):  # 1: one row per chunk
+                monkeypatch.setattr(critical_load, "_CHUNK_PAIRS", chunk_pairs)
+                if m == m_max or n == n_max:
+                    with pytest.raises(WindowTooSmall):
+                        sweep(p)
+                else:
+                    res = sweep(p)
+                    assert (res.m, res.n, res.strain, res.a_theta, res.a_z) == (m, n, *want)
+            monkeypatch.undo()
+            interior += m < m_max and n < n_max
+        assert interior > 0
+
+    def test_sweep_at_small_h(self):
+        # 14.9 M pairs.  |ratio - 1| is not monotone in h at this scale (0.0042 at
+        # h = 1e-3, 0.0063 at 3e-4), so only its level is checked.
+        p = problem(1e-6)
+        res = sweep(p)
+        m_max, n_max = p.window()
+        assert abs(res.strain / classical_strain(p) - 1) <= 1e-3
+        assert 1 < res.m < m_max and 0 < res.n < n_max
 
 
 class TestKoiterCircle:
