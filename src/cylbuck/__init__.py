@@ -9,14 +9,14 @@ from .material import IsotropicElasticity, SymStrain, coercivity_bound, energy_d
 from .spectral import (
     FourierMode,
     LinearizedMode,
-    RadialProfile,
     ShellGeometry,
     WaveNumbers,
+    as_fourier,
     linearize,
     optimal_fr_slope,
     optimal_mode,
     simplified_strain,
-    strain_components,
+    strain_amplitudes,
 )
 from .trivial_branch import (
     StVenantKirchhoff,
@@ -62,12 +62,12 @@ __all__ = [
     "LinearizedMode",
     "ModePencil",
     "RadialDiscretization",
-    "RadialProfile",
     "ShellGeometry",
     "StVenantKirchhoff",
     "SymStrain",
     "WaveNumbers",
     "ansatz_ratios",
+    "as_fourier",
     "assemble_pencil",
     "classical_strain",
     "classical_strain_at",
@@ -87,7 +87,7 @@ __all__ = [
     "quotient_ratio",
     "simplified_strain",
     "solve_radial_stretch",
-    "strain_components",
+    "strain_amplitudes",
     "sweep",
     "synthesize",
     "trivial_stress",

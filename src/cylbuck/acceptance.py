@@ -15,12 +15,14 @@ from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from . import critical_load as cl
 from . import modes as modes_mod
 from . import oracle as oracle_mod
-from .material import IsotropicElasticity, coercivity_bound, energy_density, random_strain
-from .spectral import ShellGeometry, WaveNumbers
+from . import spectral
+from .material import IsotropicElasticity, SymStrain, coercivity_bound, energy_density, random_strain
+from .spectral import FourierMode, ShellGeometry, WaveNumbers
 from .trivial_branch import StVenantKirchhoff, linearized_displacement_slope, solve_radial_stretch
 
 NU_DEFAULT = 0.3
@@ -121,7 +123,7 @@ def criterion_3() -> CriterionResult:
     R = p.koiter_radius
     near = 0
     on_circle = 0
-    for n, m_hat, minima in cl.window_strains(p):
+    for n, _, m_hat, minima in cl.window_strains(p):
         close = minima.value <= 1.02 * best
         near += int(np.count_nonzero(close))
         on_circle += int(np.count_nonzero(close & (np.abs(np.hypot(m_hat - R, n) - R) <= 1.0)))
@@ -145,8 +147,7 @@ def criterion_4() -> CriterionResult:
         L = float(rng.uniform(0.5, 10.0))
         at = float(rng.uniform(-5.0, 5.0))
         wn = WaveNumbers(m=m, n=n, L=L)
-        mh = wn.m_hat
-        want = -mh * (2 * nu + (nu + 1) * n * at) / (2 * mh**2 + (1 - nu) * n**2)
+        want = modes_mod.closed_form_a_z(nu, wn.m_hat, n, at)
         got = cl.q0_argmin_az(wn, at, el)
         worst = max(worst, abs(got - want) / max(1.0, abs(want)))
     passed = worst <= 1e-12
@@ -253,6 +254,27 @@ def criterion_8() -> CriterionResult:
     return CriterionResult(8, "two-term buckling mode", passed, details)
 
 
+def _grid_energy(geom: ShellGeometry, elastic: IsotropicElasticity, modes) -> float:
+    """Elastic energy of the summed modes by tensor-grid quadrature over the
+    shell: Gauss-Legendre in r (24 nodes) and z (48), uniform in theta (64)."""
+    r, wr = spectral.radial_rule(geom, 24)
+    theta = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)[None, :, None]
+    zq, wz = np.polynomial.legendre.leggauss(48)
+    z = 0.5 * geom.L * (zq + 1.0)[None, None, :]
+    total = [0.0] * 6
+    for mode in modes:
+        e = spectral.strain_amplitudes(mode, r[:, None, None])
+        n, mh = float(mode.wn.n), mode.wn.m_hat
+        cc = np.cos(n * theta) * np.cos(mh * z)
+        sc = np.sin(n * theta) * np.cos(mh * z)
+        cs = np.cos(n * theta) * np.sin(mh * z)
+        ss = np.sin(n * theta) * np.sin(mh * z)
+        terms = (e.rr * cc, e.tt * cc, e.zz * cc, e.rt * sc, e.rz * cs, e.tz * ss)
+        total = [t + term for t, term in zip(total, terms)]
+    weight = (wr * r)[:, None, None] * (2.0 * math.pi / 64) * (0.5 * geom.L * wz)[None, None, :]
+    return float(np.sum(weight * energy_density(elastic, SymStrain(*total))))
+
+
 def criterion_9() -> CriterionResult:
     """Property suite: homogeneity, coercivity, decoupling, wall inequality,
     sandwich."""
@@ -275,22 +297,13 @@ def criterion_9() -> CriterionResult:
         if f2 > 1e-12:
             checks.append(energy_density(el, e) >= alpha * f2 * (1 - 1e-12))
     # Parseval decoupling of the stiffness over distinct modes
-    from numpy.polynomial import Polynomial
-
-    from .spectral import FourierMode, RadialProfile, mode_energy
-
     geom = ShellGeometry(h=0.05, L=L_DEFAULT)
     modes = []
     for (m, n) in ((1, 2), (3, 2), (2, 5)):
-        profs = [
-            RadialProfile.from_polynomial(Polynomial(rng.uniform(-1, 1, size=3)))
-            for _ in range(3)
-        ]
-        modes.append(
-            FourierMode(wn=WaveNumbers(m=m, n=n, L=L_DEFAULT), fr=profs[0], ftheta=profs[1], fz=profs[2])
-        )
-    total = sum(mode_energy(geom, el, mo) for mo in modes)
-    checks.append(total > 0)  # decoupling itself is asserted in the unit suite
+        profs = [Polynomial(rng.uniform(-1, 1, size=3)) for _ in range(3)]  # fr, ftheta, fz
+        modes.append(FourierMode(WaveNumbers(m=m, n=n, L=L_DEFAULT), *profs))
+    per_mode = sum(spectral.mode_energy(geom, el, mo) for mo in modes)
+    checks.append(abs(_grid_energy(geom, el, modes) - per_mode) <= 1e-9 * abs(per_mode))
 
     # wall integral inequality on random polynomials
     for _ in range(100):

@@ -30,8 +30,9 @@ from .errors import EmptySet, SingularSystem, WindowTooSmall
 from .material import IsotropicElasticity
 from .spectral import ShellGeometry, WaveNumbers, window_pairs
 
-# Window pairs per array chunk of whole rows (one n each): a window scan holds
-# max(_CHUNK_PAIRS, m_max) pairs at a time, whatever the window's size.
+# Window pairs per array chunk: whole rows (one n each) while a row fits, else
+# one row cut into column slices, so a window scan holds at most _CHUNK_PAIRS
+# pairs at a time, whatever the window's size.
 _CHUNK_PAIRS = 1 << 16
 
 
@@ -242,22 +243,34 @@ def per_mode_strain_full(problem: CriticalLoadProblem, wn: WaveNumbers) -> ModeM
 
 def window_strains(
     problem: CriticalLoadProblem,
-) -> Iterator[Tuple[np.ndarray, np.ndarray, ModeMinimum]]:
-    """Reduced minima of the whole window as (n, m_hat, minima), a chunk of rows at a time.
+) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray, ModeMinimum]]:
+    """Reduced minima of the whole window as (n, m, m_hat, minima), a chunk at a time.
 
-    ``n`` is a column of consecutive indices n, ``m_hat`` the row pi m / L for
-    m = 1 .. m_max, and entry [i, j] of each ``minima`` array belongs to the
-    pair (m = j + 1, n[i]).  Flattened in order, the chunks follow the scan
-    order of ``spectral.window_pairs``.  Every entry equals ``per_mode_strain``
-    of its pair bit for bit.
+    ``n`` is a column of consecutive indices n, ``m`` a row of consecutive
+    indices m and ``m_hat`` the matching row pi m / L; entry [i, j] of each
+    ``minima`` array belongs to the pair (m[j], n[i]).  A chunk holds whole
+    rows (m = 1 .. m_max) when a row fits in ``_CHUNK_PAIRS``, else a slice of
+    one row.  Flattened in order, the chunks follow the scan order of
+    ``spectral.window_pairs``.  Every entry equals ``per_mode_strain`` of its
+    pair bit for bit.
     """
     m_max, n_max = problem.window()
-    m_hat = math.pi * np.arange(1, m_max + 1) / problem.geom.L
-    m_hat4 = np.array([x**4 for x in m_hat.tolist()])  # Python float power, as mode_strain_at
+    cols = min(m_max, _CHUNK_PAIRS)
     rows = max(1, _CHUNK_PAIRS // m_max)
+
+    def m_slices():
+        for m0 in range(1, m_max + 1, cols):
+            m = np.arange(m0, min(m0 + cols, m_max + 1))
+            m_hat = math.pi * m / problem.geom.L
+            # Python's float power, as in mode_strain_at
+            yield m, m_hat, np.array([x**4 for x in m_hat.tolist()])
+
+    # whole rows share one slice; a cut row recomputes its slices, so memory stays bounded
+    whole_rows = list(m_slices()) if cols == m_max else None
     for n0 in range(0, n_max + 1, rows):
         n = np.arange(n0, min(n0 + rows, n_max + 1), dtype=float)[:, None]
-        yield n, m_hat, _mode_minimum(m_hat, m_hat4, n, problem.elastic, problem.geom.h, True)
+        for m, m_hat, m_hat4 in whole_rows or m_slices():
+            yield n, m, m_hat, _mode_minimum(m_hat, m_hat4, n, problem.elastic, problem.geom.h, True)
 
 
 @dataclass(frozen=True)
@@ -287,17 +300,23 @@ def sweep(problem: CriticalLoadProblem) -> BucklingResult:
 
     The first minimum in scan order (n ascending, then m) wins, which gives
     the deterministic tie-break: smallest n, then smallest m.  Raises
-    WindowTooSmall when the winner touches the window boundary.
+    SingularSystem when that minimum is not positive (every other entry is at
+    least as large) and WindowTooSmall when the winner touches the window
+    boundary.
     """
     m_max, n_max = problem.window()
     best = None
-    for n, _, minima in window_strains(problem):
+    for n, m, _, minima in window_strains(problem):
         i = int(np.argmin(minima.value))  # row-major: the chunk's first minimum in scan order
         if best is None or minima.value.flat[i] < best.value:
-            row, col = divmod(i, m_max)
-            wn = problem.wave_numbers(col + 1, int(n[row, 0]))
+            row, col = divmod(i, m.size)
+            wn = problem.wave_numbers(int(m[col]), int(n[row, 0]))
             best = ModeMinimum(*(float(a.flat[i]) for a in minima))
     assert best is not None
+    if not best.value > 0.0:
+        raise SingularSystem(
+            f"reduced minimum {best.value:.3e} at (m={wn.m}, n={wn.n}) is not positive"
+        )
     if wn.m == m_max or wn.n == n_max:
         raise WindowTooSmall(
             f"sweep winner (m={wn.m}, n={wn.n}) on window boundary "

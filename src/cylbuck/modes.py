@@ -25,13 +25,14 @@ from .errors import WindowTooSmall
 from .material import IsotropicElasticity
 from .spectral import (
     FourierMode,
-    RadialProfile,
     ShellGeometry,
     WaveNumbers,
+    as_fourier,
+    displacement,
     mode_denominators,
     mode_energy,
+    optimal_mode,
 )
-from numpy.polynomial import Polynomial
 
 
 @dataclass(frozen=True)
@@ -76,60 +77,33 @@ class BucklingModeSpec:
         return int(lo if exact - lo <= 0.5 else lo + 1)
 
 
-@dataclass(frozen=True)
-class Harmonic:
-    """One signed term of the two-term expansion."""
-
-    wn: WaveNumbers
-    sign: float
-    fr: RadialProfile
-    ftheta: RadialProfile
-    fz: RadialProfile
-
-    def as_mode(self) -> FourierMode:
-        return FourierMode(wn=self.wn, fr=self.fr, ftheta=self.ftheta, fz=self.fz)
-
-
-def _a_z(nu: float, m_hat: float, n: int, a_theta: float) -> float:
+def closed_form_a_z(nu: float, m_hat: float, n: int, a_theta: float) -> float:
+    """The paper's closed-form axial amplitude at frozen a_theta (the minimizer
+    of the leading wall moment over a_z)."""
     return -m_hat * (2.0 * nu + (nu + 1.0) * n * a_theta) / (
         2.0 * m_hat**2 + (1.0 - nu) * n**2
     )
 
 
-def harmonics(spec: BucklingModeSpec) -> Tuple[Harmonic, Harmonic]:
+def harmonics(spec: BucklingModeSpec) -> Tuple[FourierMode, FourierMode]:
     """The two signed harmonics (m, n) and (m+2, n).
 
-    a_theta is fixed by the leading harmonic; the radial and axial profiles
-    are re-optimized per harmonic (each mhat enters its own a_z and
-    quadratic radial profile); the second harmonic is negated so the theta
-    boundary traces cancel.
+    a_theta is fixed by the leading harmonic; each harmonic's own mhat enters
+    its a_z and its energy-minimizing quadratic radial profile
+    (:func:`spectral.optimal_mode`); the second harmonic is negated so the
+    theta boundary traces cancel.
     """
     nu = spec.elastic.nu
     n = spec.n
     mh0 = spec.m_hat
     a_theta = -n * (n**2 + (nu + 2.0) * mh0**2) / (mh0**2 + n**2) ** 2
     out = []
-    for m, sign in ((spec.m, 1.0), (spec.m + 2, -1.0)):
+    for m in (spec.m, spec.m + 2):
         wn = WaveNumbers(m=m, n=n, L=spec.geom.L)
-        mh = wn.m_hat
-        a_z = _a_z(nu, mh, n, a_theta)
-        rm1 = Polynomial([-1.0, 1.0])
-        c = nu / (1.0 - nu)
-        fr_poly = 1.0 - c * (n * a_theta + 1.0 + mh * a_z) * rm1 - 0.5 * c * (
-            n * a_theta + n**2 + mh**2
-        ) * rm1**2
-        ftheta_poly = a_theta * Polynomial([0.0, 1.0]) + n * rm1
-        fz_poly = a_z + mh * rm1
-        out.append(
-            Harmonic(
-                wn=wn,
-                sign=sign,
-                fr=RadialProfile.from_polynomial(sign * fr_poly),
-                ftheta=RadialProfile.from_polynomial(sign * ftheta_poly),
-                fz=RadialProfile.from_polynomial(sign * fz_poly),
-            )
-        )
-    return out[0], out[1]
+        a_z = closed_form_a_z(nu, wn.m_hat, n, a_theta)
+        out.append(as_fourier(optimal_mode(wn, a_theta, a_z, spec.elastic)))
+    first, second = out
+    return first, FourierMode(wn=second.wn, fr=-second.fr, ftheta=-second.ftheta, fz=-second.fz)
 
 
 def check_window(spec: BucklingModeSpec, margin: float = 3.0):
@@ -176,18 +150,10 @@ def evaluate(spec: BucklingModeSpec, r, theta, z):
     r = np.asarray(r, dtype=float)[:, None, None]
     theta = np.asarray(theta, dtype=float)[None, :, None]
     z = np.asarray(z, dtype=float)[None, None, :]
-    n = spec.n
-    ct, st = np.cos(n * theta), np.sin(n * theta)
-    pr = np.zeros(np.broadcast_shapes(r.shape, theta.shape, z.shape))
-    pt = np.zeros_like(pr)
-    pz = np.zeros_like(pr)
-    for harm in harmonics(spec):
-        mh = harm.wn.m_hat
-        cz, sz = np.cos(mh * z), np.sin(mh * z)
-        pr = pr + harm.fr.value(r) * ct * cz
-        pt = pt + harm.ftheta.value(r) * st * cz
-        pz = pz + harm.fz.value(r) * ct * sz
-    return pr, pt, pz
+    fields = [np.zeros(np.broadcast_shapes(r.shape, theta.shape, z.shape)) for _ in range(3)]
+    for mode in harmonics(spec):
+        fields = [f + part for f, part in zip(fields, displacement(mode, r, theta, z))]
+    return tuple(fields)
 
 
 def synthesize(
@@ -237,8 +203,7 @@ def quotient_breakdown(spec: BucklingModeSpec, nodes: int = 16) -> QuotientBreak
     """Exact per-harmonic quadrature of the quotient; harmonics decouple."""
     check_window(spec)
     stiff, denom = [], []
-    for harm in harmonics(spec):
-        mode = harm.as_mode()
+    for mode in harmonics(spec):
         stiff.append(mode_energy(spec.geom, spec.elastic, mode, nodes))
         denom.append(mode_denominators(spec.geom, mode, nodes).phi_rz)
     return QuotientBreakdown(stiff, denom, spec.lambda_star)

@@ -73,22 +73,22 @@ def _leggauss_refined(nodes: int):
     times the integrand's t-derivative); two Newton steps through the
     Legendre recurrence push that to the longdouble level.
     """
-    t64, _ = np.polynomial.legendre.leggauss(nodes)
-    t = t64.astype(np.longdouble)
-    for _ in range(2):
+
+    def legendre(t):
+        """P_nodes(t) and its derivative through the three-term recurrence."""
         p_prev = np.ones_like(t)
         p = t.copy()
         for k in range(2, nodes + 1):
             p, p_prev = ((2 * k - 1) * t * p - (k - 1) * p_prev) / k, p
-        dp = nodes * (t * p - p_prev) / (t * t - 1.0)
+        return p, nodes * (t * p - p_prev) / (t * t - 1.0)
+
+    t64, _ = np.polynomial.legendre.leggauss(nodes)
+    t = t64.astype(np.longdouble)
+    for _ in range(2):
+        p, dp = legendre(t)
         t = t - p / dp
-    p_prev = np.ones_like(t)
-    p = t.copy()
-    for k in range(2, nodes + 1):
-        p, p_prev = ((2 * k - 1) * t * p - (k - 1) * p_prev) / k, p
-    dp = nodes * (t * p - p_prev) / (t * t - 1.0)
-    w = 2.0 / ((1.0 - t * t) * dp * dp)
-    return t, w
+    _, dp = legendre(t)
+    return t, 2.0 / ((1.0 - t * t) * dp * dp)
 
 
 class _WallTables(NamedTuple):

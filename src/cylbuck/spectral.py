@@ -21,8 +21,8 @@ f_r(1) is normalized to 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -89,42 +89,18 @@ def window_pairs(window: Tuple[int, int], L: float) -> Iterator[WaveNumbers]:
 
 
 @dataclass(frozen=True)
-class RadialProfile:
-    """Scalar radial profile with its derivative; both vectorize over r.
-
-    ``poly`` is set when the profile is polynomial (the common case) so
-    exact coefficient-level manipulations stay available.
-    """
-
-    value: Callable
-    slope: Callable
-    poly: Optional[Polynomial] = None
-
-    @staticmethod
-    def constant(c: float) -> "RadialProfile":
-        return RadialProfile.from_polynomial(Polynomial([c]))
-
-    @staticmethod
-    def from_polynomial(poly: Polynomial) -> "RadialProfile":
-        dpoly = poly.deriv()
-        return RadialProfile(value=lambda r: poly(r), slope=lambda r: dpoly(r), poly=poly)
-
-
-def affine_profile(value_at_1: float, slope: float) -> RadialProfile:
-    """Profile value_at_1 + slope*(r-1)."""
-    return RadialProfile.from_polynomial(
-        Polynomial([value_at_1 - slope, slope])
-    )
-
-
-@dataclass(frozen=True)
 class FourierMode:
-    """Single Fourier mode with arbitrary C^1 radial profiles."""
+    """Single Fourier mode with polynomial radial profiles in r."""
 
     wn: WaveNumbers
-    fr: RadialProfile
-    ftheta: RadialProfile
-    fz: RadialProfile
+    fr: Polynomial
+    ftheta: Polynomial
+    fz: Polynomial
+
+
+def _ftheta(mode: FourierMode) -> Polynomial:
+    """The theta profile; zero for n = 0, where its sin(n theta) factor vanishes."""
+    return mode.ftheta if mode.wn.n else Polynomial([0.0])
 
 
 @dataclass(frozen=True)
@@ -139,23 +115,12 @@ class LinearizedMode:
     wn: WaveNumbers
     a_theta: float
     a_z: float
-    fr: Optional[RadialProfile] = None
+    fr: Polynomial = field(default_factory=lambda: Polynomial([1.0]))
 
     def __post_init__(self):
-        if self.fr is not None:
-            v1 = float(self.fr.value(1.0))
-            if abs(v1 - 1.0) > 1e-10:
-                raise ValueError(f"f_r(1) must equal 1, got {v1}")
-
-    def fr_value(self, r):
-        if self.fr is None:
-            return 1.0 + 0.0 * np.asarray(r, dtype=float)
-        return self.fr.value(r)
-
-    def fr_slope(self, r):
-        if self.fr is None:
-            return 0.0 * np.asarray(r, dtype=float)
-        return self.fr.slope(r)
+        v1 = float(self.fr(1.0))
+        if abs(v1 - 1.0) > 1e-10:
+            raise ValueError(f"f_r(1) must equal 1, got {v1}")
 
 
 def _check_radius(geom: Optional[ShellGeometry], r):
@@ -163,31 +128,9 @@ def _check_radius(geom: Optional[ShellGeometry], r):
         raise ValueError("radius outside the shell wall")
 
 
-def strain_components(mode: LinearizedMode, r, geom: Optional[ShellGeometry] = None) -> SymStrain:
-    """Radial amplitude factors of the exact strain of a linearized mode.
-
-    Each returned component multiplies its own trigonometric product; see the
-    module docstring for the pairing.
-    """
-    _check_radius(geom, r)
-    r = np.asarray(r, dtype=float)
-    n = float(mode.wn.n)
-    mh = mode.wn.m_hat
-    at, az = mode.a_theta, mode.a_z
-    f = mode.fr_value(r)
-    fp = mode.fr_slope(r)
-    return SymStrain(
-        rr=fp,
-        tt=(n * (r * at + (r - 1.0) * n) + f) / r,
-        zz=mh * (az + (r - 1.0) * mh),
-        rt=n * (1.0 - f) / (2.0 * r),
-        rz=mh * (1.0 - f) / 2.0,
-        tz=-(mh * r**2 * at + n * az + (r**2 - 1.0) * mh * n) / (2.0 * r),
-    )
-
-
-def simplified_strain(mode: LinearizedMode, r, geom: Optional[ShellGeometry] = None) -> SymStrain:
-    """Pruned strain surrogate: radial shears dropped, sqrt(r) reweighting.
+def simplified_strain(mode: FourierMode, r, geom: Optional[ShellGeometry] = None) -> SymStrain:
+    """Pruned strain surrogate: radial shears dropped, f_r frozen at its
+    mid-surface value in the hoop strain, sqrt(r) reweighting.
 
     Designed so the weighted radial integrands of the elastic form become
     polynomial; differs from the exact strain by O(sqrt(h)) in L2 for wave
@@ -198,16 +141,16 @@ def simplified_strain(mode: LinearizedMode, r, geom: Optional[ShellGeometry] = N
     sq = np.sqrt(r)
     n = float(mode.wn.n)
     mh = mode.wn.m_hat
-    at, az = mode.a_theta, mode.a_z
-    fp = mode.fr_slope(r)
+    f_t = _ftheta(mode)(r)
+    f_z = mode.fz(r)
     zeros = 0.0 * r
     return SymStrain(
-        rr=fp / sq,
-        tt=(n * (r * at + (r - 1.0) * n) + 1.0) / sq,
-        zz=mh * (az + (r - 1.0) * mh) / sq,
+        rr=mode.fr.deriv()(r) / sq,
+        tt=(n * f_t + float(mode.fr(1.0))) / sq,
+        zz=mh * f_z / sq,
         rt=zeros,
         rz=zeros,
-        tz=-(mh * r**2 * at + n * az + (r**2 - 1.0) * mh * n) / (2.0 * sq),
+        tz=-(mh * r * f_t + n * f_z) / (2.0 * sq),
     )
 
 
@@ -234,29 +177,26 @@ def optimal_mode(
     """Linearized mode carrying the energy-minimizing radial profile.
 
     Integrating the optimal slope from r = 1 gives the quadratic
-    f_r(r) = 1 - k[(r-1) A + (r-1)^2 B / 2],  k = Lambda/(Lambda+2) = nu/(1-nu),
+    f_r(r) = 1 - c (r-1) A - c (r-1)^2 B / 2,  c = nu/(1-nu) = Lambda/(Lambda+2),
     with A = n a_theta + 1 + mhat a_z and B = n a_theta + n^2 + mhat^2.
     """
     n = float(wn.n)
     mh = wn.m_hat
-    k = elastic.Lambda / (elastic.Lambda + 2.0)
-    A = n * a_theta + 1.0 + mh * a_z
-    B = n * a_theta + n**2 + mh**2
+    c = elastic.nu / (1.0 - elastic.nu)
     rm1 = Polynomial([-1.0, 1.0])
-    poly = 1.0 - k * (A * rm1 + 0.5 * B * rm1**2)
-    return LinearizedMode(wn=wn, a_theta=a_theta, a_z=a_z, fr=RadialProfile.from_polynomial(poly))
+    fr = 1.0 - c * (n * a_theta + 1.0 + mh * a_z) * rm1 - 0.5 * c * (
+        n * a_theta + n**2 + mh**2
+    ) * rm1**2
+    return LinearizedMode(wn=wn, a_theta=a_theta, a_z=a_z, fr=fr)
 
 
 def as_fourier(mode: LinearizedMode) -> FourierMode:
     """Expand a linearized mode into explicit radial profiles."""
     n = float(mode.wn.n)
     mh = mode.wn.m_hat
-    fr = mode.fr if mode.fr is not None else RadialProfile.constant(1.0)
-    ftheta = RadialProfile.from_polynomial(
-        Polynomial([-n, mode.a_theta + n])
-    )  # r a_theta + (r-1) n
-    fz = affine_profile(mode.a_z, mh)
-    return FourierMode(wn=mode.wn, fr=fr, ftheta=ftheta, fz=fz)
+    ftheta = Polynomial([-n, mode.a_theta + n])  # r a_theta + (r-1) n
+    fz = Polynomial([mode.a_z - mh, mh])  # a_z + (r-1) mhat
+    return FourierMode(wn=mode.wn, fr=mode.fr, ftheta=ftheta, fz=fz)
 
 
 def strain_amplitudes(mode: FourierMode, r, geom: Optional[ShellGeometry] = None) -> SymStrain:
@@ -266,16 +206,13 @@ def strain_amplitudes(mode: FourierMode, r, geom: Optional[ShellGeometry] = None
     r = np.asarray(r, dtype=float)
     n = float(mode.wn.n)
     mh = mode.wn.m_hat
-    f_r = mode.fr.value(r)
-    fp_r = mode.fr.slope(r)
-    f_z = mode.fz.value(r)
-    fp_z = mode.fz.slope(r)
-    if mode.wn.n == 0:
-        f_t = 0.0 * r
-        fp_t = 0.0 * r
-    else:
-        f_t = mode.ftheta.value(r)
-        fp_t = mode.ftheta.slope(r)
+    f_r = mode.fr(r)
+    fp_r = mode.fr.deriv()(r)
+    f_z = mode.fz(r)
+    fp_z = mode.fz.deriv()(r)
+    ftheta = _ftheta(mode)
+    f_t = ftheta(r)
+    fp_t = ftheta.deriv()(r)
     return SymStrain(
         rr=fp_r,
         tt=(n * f_t + f_r) / r,
@@ -290,11 +227,11 @@ def linearize(mode: FourierMode) -> FourierMode:
     """First-order Taylor expansion of the theta and z profiles about r = 1."""
     n = float(mode.wn.n)
     mh = mode.wn.m_hat
-    fr1 = float(mode.fr.value(1.0))
-    ft1 = float(mode.ftheta.value(1.0))
-    fz1 = float(mode.fz.value(1.0))
-    ftheta = RadialProfile.from_polynomial(Polynomial([-n * fr1, ft1 + n * fr1]))
-    fz = affine_profile(fz1, mh * fr1)
+    fr1 = float(mode.fr(1.0))
+    ft1 = float(mode.ftheta(1.0))
+    fz1 = float(mode.fz(1.0))
+    ftheta = Polynomial([-n * fr1, ft1 + n * fr1])
+    fz = Polynomial([fz1 - mh * fr1, mh * fr1])
     return FourierMode(wn=mode.wn, fr=mode.fr, ftheta=ftheta, fz=fz)
 
 
@@ -368,11 +305,11 @@ def mode_denominators(geom: ShellGeometry, mode: FourierMode, nodes: int = 16) -
     r, w = radial_rule(geom, nodes)
     f = trig_factors(mode.wn)
     mh2 = mode.wn.m_hat**2
-    fr = mode.fr.value(r)
-    fz = mode.fz.value(r)
-    ft = 0.0 * r if mode.wn.n == 0 else mode.ftheta.value(r)
+    fr = mode.fr(r)
+    fz = mode.fz(r)
+    ft = _ftheta(mode)(r)
     rw = w * r
-    fr1 = float(mode.fr.value(1.0))
+    fr1 = float(mode.fr(1.0))
     return DenominatorValues(
         phi_rz=f.cs * mh2 * float(np.sum(rw * fr**2)),
         phi_zz=f.cc * mh2 * float(np.sum(rw * fz**2)),
@@ -398,10 +335,9 @@ def displacement(mode: FourierMode, r, theta, z):
     r = np.asarray(r, dtype=float)
     ct, st = np.cos(n * theta), np.sin(n * theta)
     cz, sz = np.cos(mh * z), np.sin(mh * z)
-    ftheta = 0.0 * r if mode.wn.n == 0 else mode.ftheta.value(r)
     return (
-        mode.fr.value(r) * ct * cz,
-        ftheta * st * cz,
-        mode.fz.value(r) * ct * sz,
+        mode.fr(r) * ct * cz,
+        _ftheta(mode)(r) * st * cz,
+        mode.fz(r) * ct * sz,
     )
 

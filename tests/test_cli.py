@@ -270,3 +270,19 @@ class TestConfigAndErrors:
         )
         assert code == 2
         assert "EmptySet" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep", "--h-list", "0.3", "--L", "1e5"], ["critical-load", "--h", "0.3", "--L", "1e5"]],
+        ids=["sweep", "critical-load"],
+    )
+    def test_non_positive_minimum_is_numerical_failure(self, tmp_path, capsys, argv):
+        # a long thick shell: the window's first reduced minimum, at (1, 1), is
+        # -1.24e-7 (cancellation), so no critical strain can be reported
+        assert main(argv + ["--outdir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("SingularSystem: reduced minimum -1.2")
+        assert "(m=1, n=1) is not positive" in captured.err
+        assert captured.err.count("\n") == 1
+        assert os.listdir(tmp_path) == []

@@ -314,20 +314,23 @@ class TestWindowStrains:
         interior = 0
         for p in window_problems(rng):
             m_max, n_max = p.window()
-            pairs = []
-            for rows, _, minima in window_strains(p):
-                for i, n in enumerate(rows[:, 0]):
-                    for j in range(m_max):
-                        wn = p.wave_numbers(j + 1, int(n))
-                        want = mode_strain_at(p.elastic, wn, p.geom.h, reduced=True)
-                        got = ModeMinimum(*(float(a[i, j]) for a in minima))
-                        assert got == want, (p, wn)
-                        pairs.append((want.value, wn.n, wn.m, want))
-            order = [(wn.n, wn.m) for wn in window_pairs(p.window(), p.geom.L)]
-            assert [(n, m) for _, n, m, _ in pairs] == order
-            _, n, m, want = min(pairs, key=lambda t: t[:3])
-            for chunk_pairs in (critical_load._CHUNK_PAIRS, 1):  # 1: one row per chunk
+            scalar = {
+                (wn.n, wn.m): mode_strain_at(p.elastic, wn, p.geom.h, reduced=True)
+                for wn in window_pairs(p.window(), p.geom.L)
+            }
+            # m_max: one row per chunk; 7: every row cut into column slices
+            for chunk_pairs in (critical_load._CHUNK_PAIRS, m_max, 7):
                 monkeypatch.setattr(critical_load, "_CHUNK_PAIRS", chunk_pairs)
+                pairs = []
+                for rows, cols, _, minima in window_strains(p):
+                    for i, n in enumerate(rows[:, 0]):
+                        for j, m in enumerate(cols):
+                            want = scalar[int(n), int(m)]
+                            got = ModeMinimum(*(float(a[i, j]) for a in minima))
+                            assert got == want, (p, n, m, chunk_pairs)
+                            pairs.append((want.value, int(n), int(m), want))
+                assert [(n, m) for _, n, m, _ in pairs] == list(scalar)
+                _, n, m, want = min(pairs, key=lambda t: t[:3])
                 if m == m_max or n == n_max:
                     with pytest.raises(WindowTooSmall):
                         sweep(p)
@@ -337,6 +340,26 @@ class TestWindowStrains:
             monkeypatch.undo()
             interior += m < m_max and n < n_max
         assert interior > 0
+
+    def test_cut_rows_keep_the_winner(self, monkeypatch):
+        # the winner (3, 13) lies in the second 2-pair slice of its row
+        p = problem(0.001)
+        want = sweep(p)
+        assert (want.m, want.n) == (3, 13)
+        monkeypatch.setattr(critical_load, "_CHUNK_PAIRS", 2)
+        assert sweep(p) == want
+
+    def test_ties_go_to_the_first_pair_across_chunks(self, monkeypatch):
+        # every pair gets the same minimum: the strict < across chunks keeps (1, 0)
+        def flat(m_hat, m_hat4, n, elastic, h, reduced):
+            one = np.ones(np.broadcast_shapes(np.shape(m_hat), np.shape(n)))
+            return ModeMinimum(one, 0.0 * one, 0.0 * one)
+
+        monkeypatch.setattr(critical_load, "_mode_minimum", flat)
+        for chunk_pairs in (critical_load._CHUNK_PAIRS, 7):
+            monkeypatch.setattr(critical_load, "_CHUNK_PAIRS", chunk_pairs)
+            res = sweep(problem(0.01))
+            assert (res.m, res.n) == (1, 0)
 
     def test_sweep_at_small_h(self):
         # 14.9 M pairs.  |ratio - 1| is not monotone in h at this scale (0.0042 at

@@ -8,13 +8,14 @@ from cylbuck.material import IsotropicElasticity
 from cylbuck.modes import (
     BucklingModeSpec,
     check_window,
+    closed_form_a_z,
     evaluate,
     harmonics,
     quotient_breakdown,
     quotient_ratio,
     synthesize,
 )
-from cylbuck.spectral import ShellGeometry, displacement
+from cylbuck.spectral import ShellGeometry, WaveNumbers, as_fourier, displacement, optimal_mode
 
 EL = IsotropicElasticity(nu=0.3)
 
@@ -46,8 +47,34 @@ class TestConstruction:
         assert h1.wn.n == h2.wn.n == spec.n
         r = np.linspace(spec.geom.r_inner, spec.geom.r_outer, 5)
         # theta profiles exactly opposite; leading radial profile normalized
-        assert np.allclose(h2.ftheta.value(r), -h1.ftheta.value(r), rtol=1e-13)
-        assert float(h1.fr.value(1.0)) == pytest.approx(1.0, rel=1e-13)
+        assert np.allclose(h2.ftheta(r), -h1.ftheta(r), rtol=1e-13)
+        assert float(h1.fr(1.0)) == pytest.approx(1.0, rel=1e-13)
+
+    def test_harmonics_are_signed_optimal_modes(self):
+        # each harmonic is +-as_fourier(optimal_mode(...)) at the leading
+        # harmonic's a_theta and its own closed-form a_z, coefficient for coefficient
+        cases = [
+            (0.03, 0.5, 0.3, 2 * math.pi),
+            (0.01, 0.5, 0.3, 2 * math.pi),
+            (0.003, 0.25, 0.27, 7.3),
+            (0.03, 1.0, 0.333, 6.2832),
+            (0.02, 0.75, -0.2, 3.0),
+        ]
+        ns = []
+        for h, alpha, nu, L in cases:
+            spec = spec_at(h, alpha=alpha, nu=nu, L=L)
+            n, mh0 = spec.n, spec.m_hat
+            ns.append(n)
+            a_theta = -n * (n**2 + (nu + 2.0) * mh0**2) / (mh0**2 + n**2) ** 2
+            for harm, m, sign in zip(harmonics(spec), (spec.m, spec.m + 2), (1.0, -1.0)):
+                wn = WaveNumbers(m=m, n=n, L=L)
+                a_z = closed_form_a_z(nu, wn.m_hat, n, a_theta)
+                want = as_fourier(optimal_mode(wn, a_theta, a_z, spec.elastic))
+                assert harm.wn == wn
+                for name in ("fr", "ftheta", "fz"):
+                    got, expected = getattr(harm, name).coef, sign * getattr(want, name).coef
+                    assert got.shape == expected.shape and np.all(got == expected), (spec, m, name)
+        assert 0 in ns and max(ns) > 0
 
     def test_window_guard(self):
         spec = BucklingModeSpec(
@@ -85,9 +112,7 @@ class TestSynthesizedField:
         got = evaluate(spec, r, t, z)
         want = [np.zeros((4, 4, 4)) for _ in range(3)]
         for harm in (h1, h2):
-            parts = displacement(
-                harm.as_mode(), r[:, None, None], t[None, :, None], z[None, None, :]
-            )
+            parts = displacement(harm, r[:, None, None], t[None, :, None], z[None, None, :])
             for i in range(3):
                 want[i] = want[i] + parts[i]
         for g, w in zip(got, want):

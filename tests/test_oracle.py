@@ -52,11 +52,10 @@ def cheb_coeffs_on_wall(poly, geom, degree):
 def dof_vector(mode, geom, disc):
     """Pack a linearized mode's profiles into oracle DOFs."""
     n, mh = mode.wn.n, mode.wn.m_hat
-    fr_poly = Polynomial([1.0]) if mode.fr is None else mode.fr.poly
     ftheta = Polynomial([-float(n), mode.a_theta + float(n)])
     fz = Polynomial([mode.a_z - mh, mh])
     k = disc.degree + 1
-    blocks = [cheb_coeffs_on_wall(fr_poly, geom, disc.degree)]
+    blocks = [cheb_coeffs_on_wall(mode.fr, geom, disc.degree)]
     if n >= 1:
         blocks.append(cheb_coeffs_on_wall(ftheta, geom, disc.degree))
     blocks.append(cheb_coeffs_on_wall(fz, geom, disc.degree))
