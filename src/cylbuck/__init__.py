@@ -37,7 +37,7 @@ from .critical_load import (
 )
 from .oracle import (
     AnsatzRatios,
-    KornEstimate,
+    KornRatios,
     ModePencil,
     RadialDiscretization,
     ansatz_ratios,
@@ -58,7 +58,7 @@ __all__ = [
     "DisplacementField",
     "FourierMode",
     "IsotropicElasticity",
-    "KornEstimate",
+    "KornRatios",
     "LinearizedMode",
     "ModePencil",
     "RadialDiscretization",

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional
 
 import numpy as np
@@ -57,18 +56,12 @@ def _problem(h: float, nu: float = NU_DEFAULT, L: float = L_DEFAULT) -> cl.Criti
     )
 
 
-@lru_cache(maxsize=8)
-def _sweep_ratio_errors(nu: float, L: float):
-    errs = []
-    for h in SWEEP_H:
-        p = _problem(h, nu, L)
-        errs.append(abs(cl.sweep(p).strain / cl.classical_strain(p) - 1.0))
-    return tuple(errs)
-
-
 def criterion_1() -> CriterionResult:
     """Integer sweep converges to the classical strain formula."""
-    errs = _sweep_ratio_errors(NU_DEFAULT, L_DEFAULT)
+    errs = []
+    for h in SWEEP_H:
+        p = _problem(h)
+        errs.append(abs(cl.sweep(p).strain / cl.classical_strain(p) - 1.0))
     at_001 = errs[SWEEP_H.index(0.01)]
     decreasing = all(b < a for a, b in zip(errs, errs[1:]))
     passed = at_001 <= 0.05 and decreasing
@@ -156,33 +149,21 @@ def criterion_4() -> CriterionResult:
     )
 
 
-@lru_cache(maxsize=4)
-def _korn_scan_values(jobs: int = 1):
-    vals: Dict[str, List[float]] = {"korn": [], "theta_z": [], "r_z": []}
-    disc = oracle_mod.RadialDiscretization()
-    el = IsotropicElasticity(nu=NU_DEFAULT)
-    for h in KORN_H:
-        geom = ShellGeometry(h=h, L=L_DEFAULT)
-        window = cl.CriticalLoadProblem(geom=geom, elastic=el).window()
-        for est in oracle_mod.korn_mode_scan(geom, el, disc, window, jobs=jobs):
-            if est.kind in vals:
-                vals[est.kind].append(est.value)
-    return {k: tuple(v) for k, v in vals.items()}
-
-
 def criterion_5(jobs: int = 1) -> CriterionResult:
     """Korn-type ratios scale with the predicted powers of h."""
     targets = {"korn": 1.5, "theta_z": -0.5, "r_z": -1.0}
-    vals = _korn_scan_values(jobs)
-    slopes = {k: oracle_mod.fitted_slope(KORN_H, vals[k]) for k in targets}
-    scan_ok = all(abs(slopes[k] - targets[k]) <= 0.15 for k in targets)
+    disc = oracle_mod.RadialDiscretization()
+    scan = []
+    for h in KORN_H:
+        p = _problem(h)
+        scan.append(oracle_mod.korn_mode_scan(p.geom, p.elastic, disc, p.window(), jobs=jobs))
+    ansatz = [oracle_mod.ansatz_ratios(ShellGeometry(h=h, L=L_DEFAULT)) for h in ANSATZ_H]
 
-    ratios = [oracle_mod.ansatz_ratios(ShellGeometry(h=h, L=L_DEFAULT)) for h in ANSATZ_H]
-    aslopes = {
-        "korn": oracle_mod.fitted_slope(ANSATZ_H, [r.korn for r in ratios]),
-        "theta_z": oracle_mod.fitted_slope(ANSATZ_H, [r.theta_z for r in ratios]),
-        "r_z": oracle_mod.fitted_slope(ANSATZ_H, [r.r_z for r in ratios]),
-    }
+    def fit(hs, ratios):
+        return {k: oracle_mod.fitted_slope(hs, [getattr(r, k) for r in ratios]) for k in targets}
+
+    slopes, aslopes = fit(KORN_H, scan), fit(ANSATZ_H, ansatz)
+    scan_ok = all(abs(slopes[k] - targets[k]) <= 0.15 for k in targets)
     ansatz_ok = all(abs(aslopes[k] - targets[k]) <= 0.2 for k in targets)
     passed = scan_ok and ansatz_ok
     details = (

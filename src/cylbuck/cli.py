@@ -78,7 +78,7 @@ SETTINGS = (
     Setting("margin", 3.0, float, "sweep window margin factor"),
     Setting("degree", 12, int, "radial polynomial degree"),
     Setting("outdir", ".", str, "output directory (default .)"),
-    Setting("jobs", os.cpu_count() or 1, int, "parallel workers (default: CPUs)"),
+    Setting("jobs", os.cpu_count() or 1, int, "parallel workers, at least 1 (default: CPUs)"),
 )
 _SETTING = {s.name: s for s in SETTINGS}
 
@@ -93,6 +93,8 @@ class RunConfig:
             raise ValueError("h-list must be nonempty")
         if any(b >= a for a, b in zip(self.h_list, self.h_list[1:])):
             raise ValueError("h-list must be strictly decreasing")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         IsotropicElasticity(nu=self.nu, E=self.E)
         for h in self.h_list:
             ShellGeometry(h=h, L=self.L)
@@ -269,18 +271,17 @@ def cmd_koiter(config: RunConfig, args) -> Report:
     return Report("koiter", out, lines=[line])
 
 
-def _kind_series(estimates_by_h: Dict[float, list]) -> List[dict]:
-    """Records (h, kind, value, fitted_slope), the slope fitted per kind over all h."""
-    hs = sorted(estimates_by_h, reverse=True)
-    values = {}
-    for h in hs:
-        for e in estimates_by_h[h]:
-            values.setdefault(e.kind, []).append(e.value)
-    slopes = {kind: _slope(hs, vals) for kind, vals in values.items()}
+def _kind_series(ratios_by_h: Dict[float, NamedTuple]) -> List[dict]:
+    """Records (h, kind, value, fitted_slope), one per field of the ratios
+    ("kind", in name order), the slope fitted per kind over all h."""
+    hs = sorted(ratios_by_h, reverse=True)
+    kinds = sorted(ratios_by_h[hs[0]]._fields)
+    series = {kind: [getattr(ratios_by_h[h], kind) for h in hs] for kind in kinds}
+    slopes = {kind: _slope(hs, values) for kind, values in series.items()}
     return [
-        {"h": e.h, "kind": e.kind, "value": e.value, "fitted_slope": slopes[e.kind]}
-        for h in hs
-        for e in sorted(estimates_by_h[h], key=lambda e: e.kind)
+        {"h": h, "kind": kind, "value": series[kind][i], "fitted_slope": slopes[kind]}
+        for i, h in enumerate(hs)
+        for kind in kinds
     ]
 
 
@@ -306,25 +307,14 @@ def cmd_korn(config: RunConfig, args) -> Report:
     if len(config.h_list) > 1:
         # slenderness sufficient condition: classical_strain^2 / K -> 0,
         # measured through its log-log slope (expected ~ +1/2)
-        ratios = [
-            cl.classical_strain_at(h, config.nu) ** 2
-            / next(e.value for e in by_h[h] if e.kind == "korn")
-            for h in config.h_list
-        ]
+        ratios = [cl.classical_strain_at(h, config.nu) ** 2 / by_h[h].korn for h in config.h_list]
         out["slenderness_condition_slope"] = oracle_mod.fitted_slope(config.h_list, ratios)
         lines.append(f"strain^2/K slope: {fmt(out['slenderness_condition_slope'])}")
     return Report("korn", out, SERIES_COLUMNS, records, lines)
 
 
 def cmd_ansatz(config: RunConfig, args) -> Report:
-    by_h = {}
-    for h in config.h_list:
-        r = oracle_mod.ansatz_ratios(ShellGeometry(h=h, L=config.L))
-        by_h[h] = [
-            oracle_mod.KornEstimate(h=h, kind="korn", value=r.korn),
-            oracle_mod.KornEstimate(h=h, kind="theta_z", value=r.theta_z),
-            oracle_mod.KornEstimate(h=h, kind="r_z", value=r.r_z),
-        ]
+    by_h = {h: oracle_mod.ansatz_ratios(ShellGeometry(h=h, L=config.L)) for h in config.h_list}
     records = _kind_series(by_h)
     return Report("ansatz", records, SERIES_COLUMNS, records, _series_lines(records))
 

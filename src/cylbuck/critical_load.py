@@ -56,8 +56,8 @@ class CriticalLoadProblem:
     window_override: Optional[Tuple[int, int]] = None
 
     def __post_init__(self):
-        if not self.margin >= 1.0:
-            raise ValueError("margin factor must be >= 1")
+        if not 1.0 <= self.margin < math.inf:
+            raise ValueError(f"margin factor must be finite and >= 1, got {self.margin}")
 
     @property
     def H(self) -> float:

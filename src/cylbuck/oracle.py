@@ -27,10 +27,11 @@ precision, rounded once to float64, and combined per mode in float64.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -145,7 +146,6 @@ class ModePencil:
     A: np.ndarray
     B: np.ndarray
     denominator: str
-    blocks: Dict[str, slice]
 
 
 class ModeForms(NamedTuple):
@@ -160,7 +160,6 @@ class ModeForms(NamedTuple):
     phi_tz: np.ndarray
     phi_rz_mid: np.ndarray
     phi_r2: np.ndarray
-    blocks: Dict[str, slice]
 
 
 def _sym(C: np.ndarray, rw: np.ndarray) -> np.ndarray:
@@ -202,8 +201,6 @@ def mode_forms(
     k = disc.degree + 1
     n = float(wn.n)
     mh = wn.m_hat
-    names = ("r", "theta", "z") if wn.n >= 1 else ("r", "z")
-    blocks = {name: slice(i * k, (i + 1) * k) for i, name in enumerate(names)}
 
     Pr, dPr, Pt, dPt, Pz, dPz = _ATOMS[::2]  # the r^0 atoms
     # strain amplitude maps
@@ -258,7 +255,7 @@ def mode_forms(
     F = 0.5 * (F + F.transpose(0, 2, 1))
 
     v = np.zeros(nb * k)
-    v[blocks["r"]] = tabs.v_mid
+    v[:k] = tabs.v_mid
     phi_rz_mid = f.cs * mh**2 * geom.h * np.outer(v, v)
 
     return ModeForms(
@@ -271,7 +268,6 @@ def mode_forms(
         phi_tz=F[5],
         phi_rz_mid=phi_rz_mid,
         phi_r2=F[6],
-        blocks=blocks,
     )
 
 
@@ -297,7 +293,7 @@ def assemble_pencil(
         B = forms.phi_rz
     else:
         B = forms.phi_rz_mid
-    return ModePencil(wn=wn, A=forms.stiffness, B=B, denominator=denominator, blocks=forms.blocks)
+    return ModePencil(wn=wn, A=forms.stiffness, B=B, denominator=denominator)
 
 
 def min_rayleigh(pencil: ModePencil) -> float:
@@ -338,11 +334,15 @@ def _mode_min_rayleigh(
 
 
 def _run_jobs(per_mode: Callable, pairs: Sequence[WaveNumbers], jobs: int) -> List:
-    """per_mode(wn) for every pair, in order; in a process pool for large windows."""
-    if jobs <= 1 or len(pairs) < 32:
+    """per_mode(wn) for every pair, in order; in a process pool for large windows.
+
+    The pool never has more workers than there are CPUs.
+    """
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers <= 1 or len(pairs) < 32:
         return [per_mode(wn) for wn in pairs]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(per_mode, pairs, chunksize=max(1, len(pairs) // (4 * jobs))))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(per_mode, pairs, chunksize=max(1, len(pairs) // (4 * workers))))
 
 
 def oracle_sweep(
@@ -372,23 +372,34 @@ def oracle_sweep(
 # Korn-type measurements
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KornEstimate:
-    """Measured extremal ratio at one slenderness.
+class AnsatzRatios(NamedTuple):
+    """Korn-type ratios of one field, as the wave-packet ansatz reports them."""
 
-    kind: "korn" (min |e|^2/|grad|^2 over the window; an upper bound on the
-    true constant since the mode set is restricted), "r_z" and "theta_z"
-    (max destabilizing ratios), or "weighted" (consistency ratio of the
-    product-form gradient bound on eigen-extremal fields).
+    korn: float      # |e|^2 / |grad phi|^2, tracks h^{3/2}
+    theta_z: float   # |phi_{theta,z}|^2 / |e|^2, tracks h^{-1/2}
+    r_z: float       # |phi_{r,z}|^2 / |e|^2, tracks h^{-1}
+
+
+class KornRatios(NamedTuple):
+    """AnsatzRatios's three fields plus weighted, per mode or over a window.
+
+    Over a window korn is the minimum (an upper bound on the true constant
+    since the mode set is restricted), theta_z and r_z are the maximum
+    destabilizing ratios, and weighted is the maximum consistency ratio of
+    the product-form gradient bound on eigen-extremal fields.
     """
 
-    h: float
-    kind: str
-    value: float
+    korn: float
+    theta_z: float
+    r_z: float
+    weighted: float
 
-    def __post_init__(self):
-        if not self.value > 0.0:
-            raise ValueError("Korn estimates are positive by construction")
+
+def _positive(ratios):
+    """The ratios, unless a field is not positive (a NaN is not)."""
+    if not all(v > 0.0 for v in ratios):
+        raise ValueError(f"Korn-type ratios are positive by construction, got {ratios}")
+    return ratios
 
 
 def _mode_korn(
@@ -396,8 +407,8 @@ def _mode_korn(
     elastic: IsotropicElasticity,
     disc: RadialDiscretization,
     wn: WaveNumbers,
-) -> Tuple[float, float, float, float]:
-    """Per-mode (korn, r_z, theta_z, weighted) ratios; see KornEstimate."""
+) -> KornRatios:
+    """The Korn-type ratios of one mode; theta_z is 0 for n = 0."""
     forms = mode_forms(geom, elastic, wn, disc)
 
     vals_korn, vecs_korn = scipy.linalg.eigh(forms.e2, forms.grad2)
@@ -423,7 +434,7 @@ def _mode_korn(
         bound = (math.sqrt(pr2) / geom.h + math.sqrt(e2)) * math.sqrt(e2)
         if bound > 0.0:
             weighted = max(weighted, g2 / bound)
-    return korn, rz, tz, weighted
+    return KornRatios(korn=korn, theta_z=tz, r_z=rz, weighted=weighted)
 
 
 def korn_mode_scan(
@@ -432,23 +443,16 @@ def korn_mode_scan(
     disc: RadialDiscretization,
     window: Tuple[int, int],
     jobs: int = 1,
-) -> List[KornEstimate]:
-    """Extremal Korn-type ratios over all modes in the window.
-
-    Returns four estimates: kinds "korn", "theta_z", "r_z", "weighted".
-    """
+) -> KornRatios:
+    """Extremal Korn-type ratios over all modes in the window."""
     pairs = list(window_pairs(window, geom.L))
-    results = _run_jobs(partial(_mode_korn, geom, elastic, disc), pairs, jobs)
-    korn = min(r[0] for r in results)
-    rz = max(r[1] for r in results)
-    tz = max(r[2] for r in results)
-    weighted = max(r[3] for r in results)
-    return [
-        KornEstimate(h=geom.h, kind="korn", value=korn),
-        KornEstimate(h=geom.h, kind="theta_z", value=tz),
-        KornEstimate(h=geom.h, kind="r_z", value=rz),
-        KornEstimate(h=geom.h, kind="weighted", value=weighted),
-    ]
+    per_mode = _run_jobs(partial(_mode_korn, geom, elastic, disc), pairs, jobs)
+    return _positive(KornRatios(
+        korn=min(r.korn for r in per_mode),
+        theta_z=max(r.theta_z for r in per_mode),
+        r_z=max(r.r_z for r in per_mode),
+        weighted=max(r.weighted for r in per_mode),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +528,6 @@ def assemble_reduced_pencil(
     q = len(r)
     i_at = k if has_theta else None
     i_az = k + 1 if has_theta else k
-    blocks = {"r": slice(0, k)}
 
     sq = np.sqrt(r)
     fr1 = np.broadcast_to(v_mid, (q, k))  # f_r(1) as a map of the r-coefficients
@@ -567,7 +570,7 @@ def assemble_reduced_pencil(
     v = np.zeros(ndof, dtype=v_mid.dtype)
     v[:k] = v_mid
     B = np.asarray(f.cs * mh**2 * geom.h * np.outer(v, v), dtype=np.float64)
-    return ModePencil(wn=wn, A=A, B=B, denominator="phi_rz_mid", blocks=blocks)
+    return ModePencil(wn=wn, A=A, B=B, denominator="phi_rz_mid")
 
 
 # ---------------------------------------------------------------------------
@@ -615,12 +618,6 @@ class BumpProfile:
             full[inside] = d
             out.append(full)
         return out
-
-
-class AnsatzRatios(NamedTuple):
-    korn: float      # |e|^2 / |grad phi|^2, tracks h^{3/2}
-    theta_z: float   # |phi_{theta,z}|^2 / |e|^2, tracks h^{-1/2}
-    r_z: float       # |phi_{r,z}|^2 / |e|^2, tracks h^{-1}
 
 
 def _ansatz_norms(geom: ShellGeometry, bump: BumpProfile, eta_nodes: int, z_nodes: int, r_nodes: int):
@@ -712,11 +709,11 @@ def ansatz_ratios(
             raise QuadratureUnderResolved(
                 f"{key} changed by {abs(val - ref) / max(abs(ref), 1e-300):.2e} under refinement"
             )
-    return AnsatzRatios(
+    return _positive(AnsatzRatios(
         korn=norms["e2"] / norms["grad2"],
         theta_z=norms["phi_tz2"] / norms["e2"],
         r_z=norms["phi_rz2"] / norms["e2"],
-    )
+    ))
 
 
 def fitted_slope(h_values: Iterable[float], values: Iterable[float]) -> float:

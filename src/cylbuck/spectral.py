@@ -40,8 +40,8 @@ class ShellGeometry:
     def __post_init__(self):
         if not (0.0 < self.h < 1.0):
             raise ValueError(f"need 0 < h < 1, got h={self.h}")
-        if not self.L > 0.0:
-            raise ValueError(f"need L > 0, got L={self.L}")
+        if not 0.0 < self.L < math.inf:
+            raise ValueError(f"need finite L > 0, got L={self.L}")
 
     @property
     def r_inner(self) -> float:

@@ -257,10 +257,22 @@ class TestConfigAndErrors:
             ("sweep", {"h_list": 0.1}),
             ("korn", {"jobs": "2"}),
             ("korn", {"degree": 12.5}),
+            ("korn", {"jobs": 0}),
             ("sweep", [0.3]),
         ]:
             cfg.write_text(json.dumps(bad))
             assert main(["--config", str(cfg), command, "--outdir", str(tmp_path)]) == 1, bad
+            err = capsys.readouterr().err
+            assert err.startswith("ValueError: ") and err.count("\n") == 1, err
+        # out-of-range flags: no workers, a non-finite length or margin
+        for argv in [
+            ["korn", "--h-list", "0.1", "--degree", "6", "--jobs", "0"],
+            ["korn", "--h-list", "0.1", "--degree", "6", "--jobs", "-3"],
+            ["sweep", "--h-list", "0.1", "--L", "inf"],
+            ["critical-load", "--h", "0.1", "--L", "1e400"],
+            ["koiter", "--h", "0.1", "--margin", "inf"],
+        ]:
+            assert main(argv + ["--outdir", str(tmp_path)]) == 1, argv
             err = capsys.readouterr().err
             assert err.startswith("ValueError: ") and err.count("\n") == 1, err
 

@@ -1,15 +1,19 @@
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial, chebyshev
 
+from cylbuck import oracle
 from cylbuck.critical_load import CriticalLoadProblem, per_mode_strain, per_mode_strain_full
 from cylbuck.errors import AssemblyDegenerate, QuadratureUnderResolved, ZeroDenominator
 from cylbuck.material import IsotropicElasticity
 from cylbuck.oracle import (
     AnsatzRatios,
     BumpProfile,
+    KornRatios,
     ModePencil,
     RadialDiscretization,
     _leggauss_refined,
@@ -32,6 +36,7 @@ from cylbuck.spectral import (
     mode_energy,
     optimal_mode,
     trig_factors,
+    window_pairs,
 )
 
 EL = IsotropicElasticity(nu=0.3)
@@ -139,7 +144,6 @@ class TestPencilAssembly:
             if n == 0:
                 # the Korn scan skips the theta_z eigensolve on exactly this
                 assert not np.any(forms.phi_tz)
-                assert "theta" not in forms.blocks
                 assert forms.stiffness.shape == (2 * (degree + 1),) * 2
 
     def test_rigid_motions_excluded(self):
@@ -218,25 +222,19 @@ class TestMinRayleigh:
     def test_identical_forms_give_one(self):
         geom = ShellGeometry(h=0.02, L=PI)
         pencil = assemble_pencil(geom, EL, WaveNumbers(m=3, n=2, L=PI), "phi_rz")
-        unit = ModePencil(
-            wn=pencil.wn, A=pencil.A, B=pencil.A, denominator="phi_rz", blocks=pencil.blocks
-        )
+        unit = ModePencil(wn=pencil.wn, A=pencil.A, B=pencil.A, denominator="phi_rz")
         assert min_rayleigh(unit) == pytest.approx(1.0, rel=1e-10)
 
     def test_zero_denominator_raises(self):
         geom = ShellGeometry(h=0.02, L=PI)
         pencil = assemble_pencil(geom, EL, WaveNumbers(m=3, n=2, L=PI), "phi_rz")
-        broken = ModePencil(
-            wn=pencil.wn, A=pencil.A, B=0.0 * pencil.B, denominator="phi_rz", blocks=pencil.blocks
-        )
+        broken = ModePencil(wn=pencil.wn, A=pencil.A, B=0.0 * pencil.B, denominator="phi_rz")
         with pytest.raises(ZeroDenominator):
             min_rayleigh(broken)
 
     def test_indefinite_stiffness_raises_typed_error(self):
         A = np.diag([2.0, -1.0, 3.0])
-        pencil = ModePencil(
-            wn=WaveNumbers(m=1, n=1, L=PI), A=A, B=np.eye(3), denominator="phi_rz", blocks={}
-        )
+        pencil = ModePencil(wn=WaveNumbers(m=1, n=1, L=PI), A=A, B=np.eye(3), denominator="phi_rz")
         with pytest.raises(AssemblyDegenerate):
             min_rayleigh(pencil)
 
@@ -295,25 +293,50 @@ class TestOracleSweep:
         at_winner = min_rayleigh(assemble_pencil(geom, EL, p.wave_numbers(res.m, res.n), "phi_rz"))
         assert at_winner <= res.strain * (1 + 1e-8)
 
-    def test_jobs_parallel_same_result(self):
+    def test_jobs_parallel_same_result(self, monkeypatch):
         # 70 pairs: above the serial cut-off, so jobs=2 runs the process pool
         geom = ShellGeometry(h=0.05, L=PI)
         disc = RadialDiscretization(degree=6)
         window = (10, 6)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real 2-worker pool on any runner
         for scan in (oracle_sweep, korn_mode_scan, equivalence_scan):
             serial = scan(geom, EL, disc, window, jobs=1)
             assert scan(geom, EL, disc, window, jobs=2) == serial, scan.__name__
+
+    def test_pool_never_exceeds_cpu_count(self, monkeypatch):
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                started.append(chunksize)
+                return map(fn, items)
+
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        pairs = list(window_pairs((10, 6), PI))
+        assert len(pairs) == 70
+        assert oracle._run_jobs(lambda wn: wn.m, pairs, jobs=10**6) == [wn.m for wn in pairs]
+        assert started == [3, 70 // 12]
+        assert multiprocessing.active_children() == []
 
 
 class TestKornScan:
     def test_ratios_positive_and_scale_free(self, rng):
         geom = ShellGeometry(h=0.05, L=PI)
         disc = RadialDiscretization(degree=8)
-        ests = korn_mode_scan(geom, EL, disc, window=(8, 6))
-        kinds = {e.kind for e in ests}
-        assert kinds == {"korn", "theta_z", "r_z", "weighted"}
-        for e in ests:
-            assert e.value > 0
+        ratios = korn_mode_scan(geom, EL, disc, window=(8, 6))
+        assert ratios._fields == ("korn", "theta_z", "r_z", "weighted")
+        for value in ratios:
+            assert value > 0
         # per-mode ratios are quotients of quadratic forms: scaling invariant
         forms = mode_forms(geom, EL, WaveNumbers(m=2, n=3, L=PI), disc)
         x = rng.standard_normal(forms.stiffness.shape[0])
@@ -324,9 +347,19 @@ class TestKornScan:
     def test_korn_below_destabilizing_bounds(self):
         # |e|^2/|grad|^2 <= 1 always; the r_z ratio dominates theta_z's
         geom = ShellGeometry(h=0.02, L=PI)
-        ests = {e.kind: e.value for e in korn_mode_scan(geom, EL, RadialDiscretization(8), (12, 8))}
-        assert ests["korn"] < 1.0
-        assert ests["r_z"] > ests["theta_z"]
+        ratios = korn_mode_scan(geom, EL, RadialDiscretization(8), (12, 8))
+        assert ratios.korn < 1.0
+        assert ratios.r_z > ratios.theta_z
+
+    @pytest.mark.parametrize(
+        "bad", [KornRatios(1.0, 0.0, 1.0, 1.0), KornRatios(1.0, 1.0, 1.0, math.nan)],
+        ids=["zero", "nan-last"],
+    )
+    def test_non_positive_ratio_raises(self, monkeypatch, bad):
+        # a NaN after the first field must fail too: min((1.0, nan)) is 1.0
+        monkeypatch.setattr(oracle, "_mode_korn", lambda geom, elastic, disc, wn: bad)
+        with pytest.raises(ValueError):
+            korn_mode_scan(ShellGeometry(h=0.05, L=PI), EL, RadialDiscretization(6), (3, 2), jobs=1)
 
 
 class TestEquivalenceGap:

@@ -356,6 +356,8 @@ class TestValidation:
             ShellGeometry(h=1.5, L=1.0)
         with pytest.raises(ValueError):
             ShellGeometry(h=0.1, L=0.0)
+        with pytest.raises(ValueError):
+            ShellGeometry(h=0.1, L=math.inf)
 
     def test_wave_number_bounds(self):
         with pytest.raises(ValueError):
