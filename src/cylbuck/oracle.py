@@ -21,17 +21,23 @@ Assembly precision: every strain and gradient map of a mode is a Chebyshev
 value or derivative table, times a polynomial in (n, mhat), times r^0 or
 r^-1.  Each form is therefore a fixed combination of twelve radial moment
 matrices, which are computed once per (h, degree, nodes) in extended
-precision, rounded once to float64, and combined per mode in float64.
+precision, rounded once to float64, and combined in float64 per window
+slice: up to 16 consecutive pairs of one row n, stacked along a pair axis.
+A pair's forms come out bit for bit the same in every slice, so the window
+scans and the one-pair mode_forms agree exactly.  The mid-surface
+denominator phi_rz_mid is rank one, so its window scan takes the quotient
+from a Cholesky solve instead of a generalized eigensolve.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -107,8 +113,8 @@ def _cheb_tables(h: float, degree: int, nodes: int) -> _WallTables:
 
     The tables are evaluated in extended precision.  The moments
     int X^T Y r^(1-q) dr for X, Y in {V, dV} and q in {0, 1, 2} are summed
-    in extended precision and rounded once to float64; mode_forms combines
-    them per mode in float64.
+    in extended precision and rounded once to float64; _slice_forms
+    combines them per slice in float64.
     """
     t, wt = _leggauss_refined(nodes)
     half = np.longdouble(0.5) * np.longdouble(h)
@@ -162,6 +168,22 @@ class ModeForms(NamedTuple):
     phi_r2: np.ndarray
 
 
+_FORM_NAMES = ModeForms._fields[1:]
+# the forms each consumer reads; a slice assembles only the ones it is asked for
+_PENCIL_FORMS = {
+    "full": ("stiffness", "phi_rz", "phi_zz", "phi_tz"),
+    "phi_rz": ("stiffness", "phi_rz"),
+    "phi_rz_mid": ("stiffness", "phi_rz_mid"),
+}
+_KORN_FORMS = ("e2", "grad2", "phi_rz", "phi_tz", "phi_r2")
+_GAP_FORMS = ("stiffness", "phi_zz", "phi_tz", "phi_rz", "phi_rz_mid")
+# Pairs per slice.  Measured on the three h = 0.02 window scans (2 vCPUs):
+# 16 and 32 pairs take the same time, 0.41 s, as the per-pair eigensolves
+# dominate, but a slice's arrays grow with it, and peak RSS rose over
+# per-mode assembly by 1.6 MB at 16 pairs and by 3.5 MB at 32.
+_SLICE_PAIRS = 16
+
+
 def _sym(C: np.ndarray, rw: np.ndarray) -> np.ndarray:
     # stays in the tables' extended precision; callers cast once at the end
     M = C.T @ (rw[:, None] * C)
@@ -183,24 +205,56 @@ def _over_r(c: np.ndarray) -> np.ndarray:
 
 
 def _gram(c: np.ndarray) -> np.ndarray:
-    return np.multiply.outer(c, c)
+    """Outer product of c with itself over its last three (atom) axes, per pair."""
+    return c[..., None, None, None] * c[..., None, None, None, :, :, :]
 
 
-def mode_forms(
+def _blocks(n: int) -> List[int]:
+    """The DOF blocks (r, theta, z) of row n; theta is dropped for n = 0 (no torsion)."""
+    return [0, 1, 2] if n >= 1 else [0, 2]
+
+
+def _mid_surface(
+    geom: ShellGeometry, disc: RadialDiscretization, pairs: Sequence[WaveNumbers]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(scale, v) with phi_rz_mid = scale[i] * outer(v, v) for each pair of one row.
+
+    v maps the DOFs to f_r(1); scale is the cos-sin trig factor times mhat^2 h.
+    """
+    k = disc.degree + 1
+    v = np.zeros(len(_blocks(pairs[0].n)) * k)
+    v[:k] = _cheb_tables(geom.h, disc.degree, disc.nodes).v_mid
+    f = trig_factors(pairs[0])
+    return np.array([f.cs * wn.m_hat**2 * geom.h for wn in pairs]), v
+
+
+def _slice_forms(
     geom: ShellGeometry,
     elastic: IsotropicElasticity,
-    wn: WaveNumbers,
     disc: RadialDiscretization,
-) -> ModeForms:
-    """Assemble every quadratic form of the mode in one pass.
+    pairs: Sequence[WaveNumbers],
+    names: Sequence[str] = _FORM_NAMES,
+) -> Dict[str, np.ndarray]:
+    """The named quadratic forms of consecutive pairs of one row n.
 
-    DOF layout: [f_r coefficients | f_theta coefficients | f_z coefficients];
-    the theta block is dropped for n = 0 (no torsion in this pairing).
+    Each form is stacked along a leading pair axis.  DOF layout:
+    [f_r coefficients | f_theta coefficients | f_z coefficients], without
+    the theta block for n = 0.  A pair's forms are the same float64 arrays,
+    bit for bit, in any slice and for any names: the coefficient arithmetic
+    is elementwise per pair, with the scalars rounded as for one pair, and
+    the moment contraction makes one (rows, 12) @ moments product per pair.
     """
+    wn0 = pairs[0]
+    if any(wn.n != wn0.n or wn.L != wn0.L for wn in pairs):
+        raise ValueError("a slice holds pairs of one row n")
     tabs = _cheb_tables(geom.h, disc.degree, disc.nodes)
     k = disc.degree + 1
-    n = float(wn.n)
-    mh = wn.m_hat
+    n = float(wn0.n)
+    m_hats = [wn.m_hat for wn in pairs]
+    mh = np.array(m_hats)[:, None, None, None]
+
+    def per_pair(scalars):
+        return np.array(scalars)[:, None, None, None, None, None, None]
 
     Pr, dPr, Pt, dPt, Pz, dPz = _ATOMS[::2]  # the r^0 atoms
     # strain amplitude maps
@@ -216,59 +270,84 @@ def mode_forms(
     G_tz = -mh * Pt
     G_zt = -n * _over_r(Pz)
 
-    f = trig_factors(wn)
+    f = trig_factors(wn0)
     S_rr, S_tt, S_zz = _gram(C_rr), _gram(C_tt), _gram(C_zz)
     S_rt, S_rz, S_tz = _gram(C_rt), _gram(C_rz), _gram(C_tz)
     S_tr = _gram(C_rr + C_tt + C_zz)  # trace map shares the cos-cos factor
 
     nu = elastic.nu
     e2 = f.cc * (S_rr + S_tt + S_zz) + 2.0 * f.sc * S_rt + 2.0 * f.cs * S_rz + 2.0 * f.ss * S_tz
-    stiffness = ((nu / (1.0 - 2.0 * nu)) * f.cc * S_tr + e2) / (1.0 + nu)
-    grad2 = (
-        f.cc * _gram(dPr)
-        + f.sc * _gram(G_rt)
-        + f.cs * _gram(G_rz)
-        + f.sc * _gram(dPt)
-        + f.cc * S_tt
-        + f.ss * _gram(G_tz)
-        + f.cs * _gram(dPz)
-        + f.ss * _gram(G_zt)
-        + f.cc * S_zz
-    )
-    coef = np.stack([
-        stiffness,
-        e2,
-        grad2,
-        f.cs * mh**2 * _gram(Pr),  # phi_rz
-        f.cc * mh**2 * _gram(Pz),  # phi_zz
-        f.ss * mh**2 * _gram(Pt),  # phi_tz
-        f.cc * _gram(Pr),          # phi_r2
-    ])
+    coef = {
+        "stiffness": ((nu / (1.0 - 2.0 * nu)) * f.cc * S_tr + e2) / (1.0 + nu),
+        "e2": e2,
+        "grad2": (
+            f.cc * _gram(dPr)
+            + f.sc * _gram(G_rt)
+            + f.cs * _gram(G_rz)
+            + f.sc * _gram(dPt)
+            + f.cc * S_tt
+            + f.ss * _gram(G_tz)
+            + f.cs * _gram(dPz)
+            + f.ss * _gram(G_zt)
+            + f.cc * S_zz
+        ),
+        "phi_rz": per_pair([f.cs * m**2 for m in m_hats]) * _gram(Pr),
+        "phi_zz": per_pair([f.cc * m**2 for m in m_hats]) * _gram(Pz),
+        "phi_tz": per_pair([f.ss * m**2 for m in m_hats]) * _gram(Pt),
+        "phi_r2": f.cc * _gram(Pr),
+    }
 
-    keep = [0, 1, 2] if wn.n >= 1 else [0, 2]
-    nf, nb = coef.shape[0], len(keep)
-    # (form, block, table, p, block', table', p') -> (form, block, block', table, table', q)
-    coef = coef[:, keep][:, :, :, :, keep].transpose(0, 1, 4, 2, 5, 3, 6)
-    coef = coef.reshape(-1, 4) @ _POWER_SUM
-    F = (coef.reshape(-1, 12) @ tabs.moments).reshape(nf, nb, nb, k, k)
-    F = F.transpose(0, 1, 3, 2, 4).reshape(nf, nb * k, nb * k)
-    F = 0.5 * (F + F.transpose(0, 2, 1))
+    forms = {}
+    contracted = [name for name in names if name != "phi_rz_mid"]
+    if contracted:
+        keep = _blocks(wn0.n)
+        P, nf, nb = len(pairs), len(contracted), len(keep)
+        shape = (P,) + _ATOMS.shape[1:] * 2
+        C = np.stack([np.broadcast_to(coef[name], shape) for name in contracted], axis=1)
+        # (pair, form, block, table, p, block', table', p')
+        #   -> (pair, form, block, block', table, table', q)
+        C = C[:, :, keep][:, :, :, :, :, keep].transpose(0, 1, 2, 5, 3, 6, 4, 7)
+        C = (C.reshape(-1, 4) @ _POWER_SUM).reshape(P, nf * nb * nb, 12)
+        F = (C @ tabs.moments).reshape(P, nf, nb, nb, k, k)
+        F = F.transpose(0, 1, 2, 4, 3, 5).reshape(P, nf, nb * k, nb * k)
+        F = F + F.swapaxes(2, 3)
+        F *= 0.5
+        forms = dict(zip(contracted, F.swapaxes(0, 1)))
+    if "phi_rz_mid" in names:
+        scale, v = _mid_surface(geom, disc, pairs)
+        forms["phi_rz_mid"] = scale[:, None, None] * np.outer(v, v)
+    return forms
 
-    v = np.zeros(nb * k)
-    v[:k] = tabs.v_mid
-    phi_rz_mid = f.cs * mh**2 * geom.h * np.outer(v, v)
 
-    return ModeForms(
-        wn=wn,
-        stiffness=F[0],
-        e2=F[1],
-        grad2=F[2],
-        phi_rz=F[3],
-        phi_zz=F[4],
-        phi_tz=F[5],
-        phi_rz_mid=phi_rz_mid,
-        phi_r2=F[6],
-    )
+def mode_forms(
+    geom: ShellGeometry,
+    elastic: IsotropicElasticity,
+    wn: WaveNumbers,
+    disc: RadialDiscretization,
+) -> ModeForms:
+    """Every quadratic form of one mode: the slice of that one pair."""
+    forms = _slice_forms(geom, elastic, disc, [wn])
+    return ModeForms(wn=wn, **{name: F[0] for name, F in forms.items()})
+
+
+def _slice_pencils(
+    geom: ShellGeometry,
+    elastic: IsotropicElasticity,
+    disc: RadialDiscretization,
+    denominator: str,
+    pairs: Sequence[WaveNumbers],
+) -> List[ModePencil]:
+    if denominator not in DENOMINATORS:
+        raise ValueError(f"denominator must be one of {DENOMINATORS}")
+    forms = _slice_forms(geom, elastic, disc, pairs, _PENCIL_FORMS[denominator])
+    if denominator == "full":
+        B = forms["phi_rz"] + forms["phi_zz"] + forms["phi_tz"]
+    else:
+        B = forms[denominator]
+    return [
+        ModePencil(wn=wn, A=A, B=b, denominator=denominator)
+        for wn, A, b in zip(pairs, forms["stiffness"], B)
+    ]
 
 
 def assemble_pencil(
@@ -284,16 +363,7 @@ def assemble_pencil(
     |phi_{r,z}|^2 + |phi_{z,z}|^2 + |phi_{theta,z}|^2, "phi_rz" for the
     |phi_{r,z}|^2 norm, "phi_rz_mid" for its mid-surface trace.
     """
-    if denominator not in DENOMINATORS:
-        raise ValueError(f"denominator must be one of {DENOMINATORS}")
-    forms = mode_forms(geom, elastic, wn, disc)
-    if denominator == "full":
-        B = forms.phi_rz + forms.phi_zz + forms.phi_tz
-    elif denominator == "phi_rz":
-        B = forms.phi_rz
-    else:
-        B = forms.phi_rz_mid
-    return ModePencil(wn=wn, A=forms.stiffness, B=B, denominator=denominator)
+    return _slice_pencils(geom, elastic, disc, denominator, [wn])[0]
 
 
 def min_rayleigh(pencil: ModePencil) -> float:
@@ -314,6 +384,38 @@ def min_rayleigh(pencil: ModePencil) -> float:
     return 1.0 / mu
 
 
+def _rank_one_minima(
+    pairs: Sequence[WaveNumbers], A: np.ndarray, scale: np.ndarray, v: np.ndarray
+) -> List[float]:
+    """min_rayleigh of each pencil (A[i], scale[i] * outer(v, v)), without an eigensolve.
+
+    The one nonzero eigenvalue of a rank-one form w.r.t. A = L L^T is
+    mu = scale v.A^-1.v = scale |L^-1 v|^2, so the infimum is 1/mu.  The
+    checks are min_rayleigh's, each naming the first failing pair in scan
+    order.
+    """
+    if not (np.isfinite(A).all() and np.isfinite(scale).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    vanishes = np.abs(scale) * (v @ v) <= 1e-15 * np.linalg.norm(A, axis=(1, 2))
+    if vanishes.any():
+        raise ZeroDenominator(f"destabilizing form vanishes for {pairs[np.argmax(vanishes)]}")
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        for wn, a in zip(pairs, A):  # the batched factorization does not say which
+            try:
+                np.linalg.cholesky(a)
+            except np.linalg.LinAlgError as exc:
+                raise AssemblyDegenerate(f"stiffness not positive definite for {wn}") from exc
+        raise
+    y = np.linalg.solve(L, v[:, None])[..., 0]
+    mu = scale * np.sum(y * y, axis=1)
+    not_positive = mu <= 0.0
+    if not_positive.any():
+        raise ZeroDenominator(f"destabilizing form is not positive on {pairs[np.argmax(not_positive)]}")
+    return list(1.0 / mu)
+
+
 # ---------------------------------------------------------------------------
 # window scans
 # ---------------------------------------------------------------------------
@@ -323,26 +425,44 @@ class OracleMinimum(NamedTuple):
     wn: WaveNumbers
 
 
-def _mode_min_rayleigh(
+def _window_slices(window: Tuple[int, int], L: float) -> List[List[WaveNumbers]]:
+    """The window's pairs in scan order, cut into slices of one row n of at most _SLICE_PAIRS."""
+    slices = []
+    for _, row in itertools.groupby(window_pairs(window, L), key=lambda wn: wn.n):
+        row = list(row)
+        slices += [row[i:i + _SLICE_PAIRS] for i in range(0, len(row), _SLICE_PAIRS)]
+    return slices
+
+
+def _run_jobs(per_slice: Callable, slices: Sequence[Sequence[WaveNumbers]], jobs: int) -> List:
+    """per_slice(pairs) for every slice, concatenated in scan order.
+
+    Large windows run in a process pool, one slice per task; the pool never
+    has more workers than there are CPUs.
+    """
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers <= 1 or sum(map(len, slices)) < 32:
+        parts = [per_slice(pairs) for pairs in slices]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunksize = max(1, len(slices) // (4 * workers))
+            parts = list(pool.map(per_slice, slices, chunksize=chunksize))
+    return [result for part in parts for result in part]
+
+
+def _slice_min_rayleigh(
     geom: ShellGeometry,
     elastic: IsotropicElasticity,
     disc: RadialDiscretization,
     denominator: str,
-    wn: WaveNumbers,
-) -> float:
-    return min_rayleigh(assemble_pencil(geom, elastic, wn, denominator, disc))
-
-
-def _run_jobs(per_mode: Callable, pairs: Sequence[WaveNumbers], jobs: int) -> List:
-    """per_mode(wn) for every pair, in order; in a process pool for large windows.
-
-    The pool never has more workers than there are CPUs.
-    """
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers <= 1 or len(pairs) < 32:
-        return [per_mode(wn) for wn in pairs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(per_mode, pairs, chunksize=max(1, len(pairs) // (4 * workers))))
+    pairs: Sequence[WaveNumbers],
+) -> List[float]:
+    """min_rayleigh of every pair of the slice; phi_rz_mid as rank one."""
+    if denominator != "phi_rz_mid":
+        return [min_rayleigh(p) for p in _slice_pencils(geom, elastic, disc, denominator, pairs)]
+    A = _slice_forms(geom, elastic, disc, pairs, ("stiffness",))["stiffness"]
+    scale, v = _mid_surface(geom, disc, pairs)
+    return _rank_one_minima(pairs, A, scale, v)
 
 
 def oracle_sweep(
@@ -358,10 +478,12 @@ def oracle_sweep(
     Deterministic tie-break as in the closed-form sweep (smallest n, then m);
     the reduction order never affects the winner.
     """
-    pairs = list(window_pairs(window, geom.L))
-    values = _run_jobs(partial(_mode_min_rayleigh, geom, elastic, disc, denominator), pairs, jobs)
+    slices = _window_slices(window, geom.L)
+    per_slice = partial(_slice_min_rayleigh, geom, elastic, disc, denominator)
+    values = _run_jobs(per_slice, slices, jobs)
     best = None
-    for value, wn in zip(values, pairs):  # scan order is (n, m) lexicographic
+    # scan order is (n, m) lexicographic
+    for value, wn in zip(values, itertools.chain.from_iterable(slices)):
         if best is None or value < best.value:
             best = OracleMinimum(value=value, wn=wn)
     assert best is not None
@@ -403,24 +525,24 @@ def _positive(ratios):
 
 
 def _mode_korn(
-    geom: ShellGeometry,
-    elastic: IsotropicElasticity,
-    disc: RadialDiscretization,
-    wn: WaveNumbers,
+    h: float,
+    e2: np.ndarray,
+    grad2: np.ndarray,
+    phi_rz: np.ndarray,
+    phi_tz: np.ndarray,
+    phi_r2: np.ndarray,
 ) -> KornRatios:
-    """The Korn-type ratios of one mode; theta_z is 0 for n = 0."""
-    forms = mode_forms(geom, elastic, wn, disc)
-
-    vals_korn, vecs_korn = scipy.linalg.eigh(forms.e2, forms.grad2)
+    """The Korn-type ratios of one mode from its _KORN_FORMS; theta_z is 0 for n = 0."""
+    vals_korn, vecs_korn = scipy.linalg.eigh(e2, grad2)
     korn = vals_korn[0]
     extremals = [vecs_korn[:, 0]]
 
-    vals_rz, vecs_rz = scipy.linalg.eigh(forms.phi_rz, forms.e2)
+    vals_rz, vecs_rz = scipy.linalg.eigh(phi_rz, e2)
     rz = vals_rz[-1]
     extremals.append(vecs_rz[:, -1])
 
-    if np.linalg.norm(forms.phi_tz) > 0.0:
-        vals_tz, vecs_tz = scipy.linalg.eigh(forms.phi_tz, forms.e2)
+    if np.linalg.norm(phi_tz) > 0.0:
+        vals_tz, vecs_tz = scipy.linalg.eigh(phi_tz, e2)
         tz = vals_tz[-1]
         extremals.append(vecs_tz[:, -1])
     else:
@@ -428,13 +550,23 @@ def _mode_korn(
 
     weighted = 0.0
     for x in extremals:
-        g2 = float(x @ forms.grad2 @ x)
-        e2 = float(x @ forms.e2 @ x)
-        pr2 = float(x @ forms.phi_r2 @ x)
-        bound = (math.sqrt(pr2) / geom.h + math.sqrt(e2)) * math.sqrt(e2)
+        g2 = float(x @ grad2 @ x)
+        e2_x = float(x @ e2 @ x)
+        pr2 = float(x @ phi_r2 @ x)
+        bound = (math.sqrt(pr2) / h + math.sqrt(e2_x)) * math.sqrt(e2_x)
         if bound > 0.0:
             weighted = max(weighted, g2 / bound)
     return KornRatios(korn=korn, theta_z=tz, r_z=rz, weighted=weighted)
+
+
+def _slice_korn(
+    geom: ShellGeometry,
+    elastic: IsotropicElasticity,
+    disc: RadialDiscretization,
+    pairs: Sequence[WaveNumbers],
+) -> List[KornRatios]:
+    forms = _slice_forms(geom, elastic, disc, pairs, _KORN_FORMS)
+    return [_mode_korn(geom.h, *mode) for mode in zip(*(forms[name] for name in _KORN_FORMS))]
 
 
 def korn_mode_scan(
@@ -445,8 +577,8 @@ def korn_mode_scan(
     jobs: int = 1,
 ) -> KornRatios:
     """Extremal Korn-type ratios over all modes in the window."""
-    pairs = list(window_pairs(window, geom.L))
-    per_mode = _run_jobs(partial(_mode_korn, geom, elastic, disc), pairs, jobs)
+    slices = _window_slices(window, geom.L)
+    per_mode = _run_jobs(partial(_slice_korn, geom, elastic, disc), slices, jobs)
     return _positive(KornRatios(
         korn=min(r.korn for r in per_mode),
         theta_z=max(r.theta_z for r in per_mode),
@@ -466,21 +598,33 @@ class GapValues(NamedTuple):
     rz_vs_mid: float      # sup |1/R1 - 1/R2|
 
 
+def _slice_gaps(
+    geom: ShellGeometry,
+    elastic: IsotropicElasticity,
+    disc: RadialDiscretization,
+    pairs: Sequence[WaveNumbers],
+) -> List[GapValues]:
+    forms = _slice_forms(geom, elastic, disc, pairs, _GAP_FORMS)
+    D1 = forms["phi_zz"] + forms["phi_tz"]
+    D2 = forms["phi_rz"] - forms["phi_rz_mid"]
+    gaps = []
+    for A, d1, d2 in zip(forms["stiffness"], D1, D2):
+        vals1 = scipy.linalg.eigh(d1, A, eigvals_only=True)
+        vals2 = scipy.linalg.eigh(d2, A, eigvals_only=True)
+        gaps.append(GapValues(
+            full_vs_rz=float(vals1[-1]),
+            rz_vs_mid=float(max(abs(vals2[0]), abs(vals2[-1]))),
+        ))
+    return gaps
+
+
 def equivalence_gap(
     geom: ShellGeometry,
     elastic: IsotropicElasticity,
     wn: WaveNumbers,
     disc: RadialDiscretization = RadialDiscretization(),
 ) -> GapValues:
-    forms = mode_forms(geom, elastic, wn, disc)
-    D1 = forms.phi_zz + forms.phi_tz
-    vals1 = scipy.linalg.eigh(D1, forms.stiffness, eigvals_only=True)
-    D2 = forms.phi_rz - forms.phi_rz_mid
-    vals2 = scipy.linalg.eigh(D2, forms.stiffness, eigvals_only=True)
-    return GapValues(
-        full_vs_rz=float(vals1[-1]),
-        rz_vs_mid=float(max(abs(vals2[0]), abs(vals2[-1]))),
-    )
+    return _slice_gaps(geom, elastic, disc, [wn])[0]
 
 
 class EquivalenceScan(NamedTuple):
@@ -495,8 +639,9 @@ def equivalence_scan(
     window: Tuple[int, int],
     jobs: int = 1,
 ) -> EquivalenceScan:
-    pairs = list(window_pairs(window, geom.L))
-    gaps = _run_jobs(partial(equivalence_gap, geom, elastic, disc=disc), pairs, jobs)
+    slices = _window_slices(window, geom.L)
+    gaps = _run_jobs(partial(_slice_gaps, geom, elastic, disc), slices, jobs)
+    pairs = itertools.chain.from_iterable(slices)
     sup1 = max(g.full_vs_rz for g in gaps)
     coef = max(g.rz_vs_mid / (wn.m_hat * math.sqrt(geom.h)) for g, wn in zip(gaps, pairs))
     return EquivalenceScan(full_vs_rz=sup1, rz_vs_mid_coef=coef)

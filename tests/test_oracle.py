@@ -212,6 +212,31 @@ class TestPencilAssembly:
                 diff = np.abs(Ma - Mb).max()
                 assert diff <= 1e-13 * np.abs(Ma).max()
 
+    def test_slices_equal_mode_forms(self, rng, monkeypatch):
+        # every form a scan requests, bit for bit and sign for sign, whether
+        # or not the slice size cuts the rows (n = 0 row included)
+        nu, h, L = rng.uniform(0.2, 0.4), rng.uniform(0.04, 0.1), rng.uniform(2.5, 4.0)
+        geom, elastic = ShellGeometry(h=h, L=L), IsotropicElasticity(nu=nu)
+        disc = RadialDiscretization(degree=8)
+        window = CriticalLoadProblem(geom=geom, elastic=elastic).window()
+        want = {wn: mode_forms(geom, elastic, wn, disc) for wn in window_pairs(window, L)}
+        subsets = [("stiffness",), oracle._KORN_FORMS, oracle._GAP_FORMS, oracle._FORM_NAMES]
+        subsets += oracle._PENCIL_FORMS.values()
+        for size in (5, window[0], 32):
+            monkeypatch.setattr(oracle, "_SLICE_PAIRS", size)
+            slices = oracle._window_slices(window, L)
+            assert [wn for s in slices for wn in s] == list(want)
+            assert slices[0][0].n == 0
+            for pairs in slices:
+                for names in subsets:
+                    forms = oracle._slice_forms(geom, elastic, disc, pairs, names)
+                    assert sorted(forms) == sorted(names)
+                    for i, wn in enumerate(pairs):
+                        for name in names:
+                            got, ref = forms[name][i], getattr(want[wn], name)
+                            assert np.array_equal(got, ref), (size, wn, name)
+                            assert np.array_equal(np.signbit(got), np.signbit(ref)), (size, wn, name)
+
     def test_invalid_denominator_rejected(self):
         geom = ShellGeometry(h=0.03, L=PI)
         with pytest.raises(ValueError):
@@ -269,6 +294,63 @@ class TestMinRayleigh:
             assert lo <= hi * (1 + 1e-12)
 
 
+class TestRankOneMinima:
+    """The phi_rz_mid window scan skips the eigensolve but keeps its checks."""
+
+    PAIRS = [WaveNumbers(m=m, n=2, L=PI) for m in range(1, 5)]
+
+    def inputs(self):
+        A = np.stack([np.diag([2.0, 3.0, 4.0]) + 0.5 for _ in self.PAIRS])
+        return A, np.ones(len(self.PAIRS)), np.array([1.0, 0.5, -1.0])
+
+    def test_matches_eigensolve(self):
+        A, _, v = self.inputs()
+        scale = np.array([1.0, 2.0, 0.5, 3.0])
+        got = oracle._rank_one_minima(self.PAIRS, A, scale, v)
+        for value, a, s in zip(got, A, scale):
+            pencil = ModePencil(wn=self.PAIRS[0], A=a, B=s * np.outer(v, v), denominator="phi_rz_mid")
+            assert value == pytest.approx(min_rayleigh(pencil), rel=1e-14)
+
+    @pytest.mark.parametrize("where", ["stiffness", "scale"])
+    def test_non_finite_rejected(self, where):
+        A, scale, v = self.inputs()
+        if where == "stiffness":
+            A[2, 1, 1] = math.nan
+        else:
+            scale[2] = math.inf
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            oracle._rank_one_minima(self.PAIRS, A, scale, v)
+
+    def test_first_indefinite_pair_named(self):
+        A, scale, v = self.inputs()
+        A[1, 0, 0] = A[3, 0, 0] = -1.0
+        with pytest.raises(AssemblyDegenerate, match=r"WaveNumbers\(m=2, n=2"):
+            oracle._rank_one_minima(self.PAIRS, A, scale, v)
+
+    def test_vanishing_denominator_raises(self):
+        A, scale, v = self.inputs()
+        scale[2] = 1e-17
+        with pytest.raises(ZeroDenominator, match=r"vanishes for WaveNumbers\(m=3, n=2"):
+            oracle._rank_one_minima(self.PAIRS, A, scale, v)
+
+    def test_non_positive_denominator_raises(self):
+        A, scale, v = self.inputs()
+        scale[1] = -1.0
+        with pytest.raises(ZeroDenominator, match=r"not positive on WaveNumbers\(m=2, n=2"):
+            oracle._rank_one_minima(self.PAIRS, A, scale, v)
+
+    def test_window_matches_min_rayleigh(self):
+        # every pair of the h = 0.02 window against the generalized eigensolve
+        geom = ShellGeometry(h=0.02, L=PI)
+        disc = RadialDiscretization()
+        window = CriticalLoadProblem(geom=geom, elastic=EL).window()
+        for pairs in oracle._window_slices(window, PI):
+            got = oracle._slice_min_rayleigh(geom, EL, disc, "phi_rz_mid", pairs)
+            for value, wn in zip(got, pairs):
+                want = min_rayleigh(assemble_pencil(geom, EL, wn, "phi_rz_mid", disc))
+                assert abs(value / want - 1.0) <= 1e-12, wn
+
+
 class TestReducedPencil:
     @pytest.mark.parametrize("mn", [(1, 4), (13, 9), (18, 1), (5, 0)])
     def test_matches_closed_form_minimum(self, mn):
@@ -322,10 +404,11 @@ class TestOracleSweep:
 
         monkeypatch.setattr(oracle, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        pairs = list(window_pairs((10, 6), PI))
-        assert len(pairs) == 70
-        assert oracle._run_jobs(lambda wn: wn.m, pairs, jobs=10**6) == [wn.m for wn in pairs]
-        assert started == [3, 70 // 12]
+        slices = oracle._window_slices((40, 29), PI)
+        assert len(slices) >= 2 * 12  # so that the chunk size tells 3 workers from 10**6
+        got = oracle._run_jobs(lambda pairs: [wn.m for wn in pairs], slices, jobs=10**6)
+        assert got == [wn.m for wn in window_pairs((40, 29), PI)]
+        assert started == [3, len(slices) // 12]
         assert multiprocessing.active_children() == []
 
 
@@ -357,7 +440,7 @@ class TestKornScan:
     )
     def test_non_positive_ratio_raises(self, monkeypatch, bad):
         # a NaN after the first field must fail too: min((1.0, nan)) is 1.0
-        monkeypatch.setattr(oracle, "_mode_korn", lambda geom, elastic, disc, wn: bad)
+        monkeypatch.setattr(oracle, "_mode_korn", lambda h, *forms: bad)
         with pytest.raises(ValueError):
             korn_mode_scan(ShellGeometry(h=0.05, L=PI), EL, RadialDiscretization(6), (3, 2), jobs=1)
 
