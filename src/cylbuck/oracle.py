@@ -5,8 +5,8 @@ mode keeps *exact* strains (no radial linearization, no pruning) with the
 radial profiles discretized in a Chebyshev polynomial basis on the wall.
 Quadratic functionals become small symmetric matrices ("pencils"); infima of
 Rayleigh quotients become generalized eigenvalue problems, solved as the
-largest eigenvalue of the destabilizing form with respect to the stiffness
-(Cholesky congruence), which sidesteps the denominator's null space.
+largest eigenvalue of the destabilizing form with respect to the stiffness,
+which sidesteps the denominator's null space.
 
 The same machinery measures Korn-type ratios per mode:
 
@@ -17,6 +17,18 @@ The same machinery measures Korn-type ratios per mode:
 and evaluates the same three ratios on the wave-packet ansatz that attains
 all of them simultaneously.
 
+Block reduction: most destabilizing forms live on one or two of the DOF
+blocks r, theta, z (phi_rz and phi_rz_mid on r, phi_tz on theta, phi_zz +
+phi_tz on theta and z).  Such a form B has the same nonzero eigenvalues
+w.r.t. A as its block B_b w.r.t. the Schur complement S_b of A onto the
+block, and a Cholesky factor of A with that block ordered last carries a
+factor of S_b as its trailing block.  The window scans therefore solve these
+pencils on the block, 13 x 13 or 26 x 26 at the default degree instead of
+39 x 39, after one batched factorization per slice and block (_block_factor);
+the rank-one phi_rz_mid needs only one solve with the trailing block.
+Only the full denominator, which spans every block, and the korn ratio,
+whose two forms both have full rank, keep a generalized eigensolve per mode.
+
 Assembly precision: every strain and gradient map of a mode is a Chebyshev
 value or derivative table, times a polynomial in (n, mhat), times r^0 or
 r^-1.  Each form is therefore a fixed combination of twelve radial moment
@@ -24,9 +36,7 @@ matrices, which are computed once per (h, degree, nodes) in extended
 precision, rounded once to float64, and combined in float64 per window
 slice: up to 16 consecutive pairs of one row n, stacked along a pair axis.
 A pair's forms come out bit for bit the same in every slice, so the window
-scans and the one-pair mode_forms agree exactly.  The mid-surface
-denominator phi_rz_mid is rank one, so its window scan takes the quotient
-from a Cholesky solve instead of a generalized eigensolve.
+scans and the one-pair mode_forms agree exactly.
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequenc
 import numpy as np
 import scipy.linalg
 
-from .errors import AssemblyDegenerate, QuadratureUnderResolved, ZeroDenominator
+from .errors import AssemblyDegenerate, NonConvergence, QuadratureUnderResolved, ZeroDenominator
 from .material import IsotropicElasticity
 from .spectral import ShellGeometry, WaveNumbers, radial_rule, trig_factors, window_pairs
 
@@ -384,36 +394,85 @@ def min_rayleigh(pencil: ModePencil) -> float:
     return 1.0 / mu
 
 
-def _rank_one_minima(
-    pairs: Sequence[WaveNumbers], A: np.ndarray, scale: np.ndarray, v: np.ndarray
-) -> List[float]:
-    """min_rayleigh of each pencil (A[i], scale[i] * outer(v, v)), without an eigensolve.
+def _block_factor(
+    pairs: Sequence[WaveNumbers], A: np.ndarray, dofs: np.ndarray, *forms: np.ndarray, what: str = "stiffness"
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Cholesky factors L[i] L[i]^T = A[i], the DOFs reordered so that dofs come last.
 
-    The one nonzero eigenvalue of a rank-one form w.r.t. A = L L^T is
-    mu = scale v.A^-1.v = scale |L^-1 v|^2, so the infimum is 1/mu.  The
-    checks are min_rayleigh's, each naming the first failing pair in scan
-    order.
+    One batched factorization serves the slice.  The trailing block L_b of
+    L[i] factors the Schur complement of A[i] onto dofs, so a form B[i]
+    that vanishes off dofs has the same nonzero eigenvalues w.r.t. A[i] as
+    C[i] = L_b^-1 B_b L_b^-T (_block_reduce), B_b its dofs block, and an
+    eigenvector u of C[i] maps back to x = L[i]^-T [0; u] in the reordered
+    DOFs.  Returns (L, order), order[j] being the DOF in reordered position j.
+
+    Raises ValueError for a non-finite entry of A or of the other forms the
+    caller reads (as eigh's check_finite) and AssemblyDegenerate naming the
+    first pair, in scan order, whose A[i] (the form named what) is not
+    positive definite.
     """
-    if not (np.isfinite(A).all() and np.isfinite(scale).all()):
+    if not all(np.isfinite(F).all() for F in (A,) + forms):
         raise ValueError("array must not contain infs or NaNs")
-    vanishes = np.abs(scale) * (v @ v) <= 1e-15 * np.linalg.norm(A, axis=(1, 2))
-    if vanishes.any():
-        raise ZeroDenominator(f"destabilizing form vanishes for {pairs[np.argmax(vanishes)]}")
+    rest = np.ones(A.shape[-1], dtype=bool)
+    rest[dofs] = False
+    order = np.concatenate([np.flatnonzero(rest), dofs])
     try:
-        L = np.linalg.cholesky(A)
+        return np.linalg.cholesky(A[:, order][:, :, order]), order
     except np.linalg.LinAlgError:
         for wn, a in zip(pairs, A):  # the batched factorization does not say which
             try:
                 np.linalg.cholesky(a)
             except np.linalg.LinAlgError as exc:
-                raise AssemblyDegenerate(f"stiffness not positive definite for {wn}") from exc
+                raise AssemblyDegenerate(f"{what} not positive definite for {wn}") from exc
         raise
-    y = np.linalg.solve(L, v[:, None])[..., 0]
-    mu = scale * np.sum(y * y, axis=1)
+
+
+def _block_reduce(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """C[i] = L_b^-1 B[i] L_b^-T, L_b the trailing block of L[i] of B[i]'s size."""
+    Li = np.linalg.inv(L[:, -B.shape[-1]:, -B.shape[-1]:])
+    return Li @ B @ Li.swapaxes(1, 2)
+
+
+def _minima(pairs: Sequence[WaveNumbers], mu: np.ndarray) -> List[float]:
+    """1 / mu per pair, after min_rayleigh's check that mu is positive."""
     not_positive = mu <= 0.0
     if not_positive.any():
         raise ZeroDenominator(f"destabilizing form is not positive on {pairs[np.argmax(not_positive)]}")
     return list(1.0 / mu)
+
+
+def _block_minima(
+    pairs: Sequence[WaveNumbers], A: np.ndarray, B: np.ndarray, dofs: np.ndarray
+) -> List[float]:
+    """min_rayleigh of each pencil (A[i], B[i]) whose B[i] vanishes off the DOFs dofs.
+
+    The checks are min_rayleigh's, each naming the first failing pair in
+    scan order.
+    """
+    vanishes = np.linalg.norm(B, axis=(1, 2)) <= 1e-15 * np.linalg.norm(A, axis=(1, 2))
+    if vanishes.any():
+        raise ZeroDenominator(f"destabilizing form vanishes for {pairs[np.argmax(vanishes)]}")
+    L, _ = _block_factor(pairs, A, dofs, B)
+    return _minima(pairs, np.linalg.eigvalsh(_block_reduce(L, B[:, dofs][:, :, dofs]))[:, -1])
+
+
+def _rank_one_minima(
+    pairs: Sequence[WaveNumbers], A: np.ndarray, scale: np.ndarray, v: np.ndarray
+) -> List[float]:
+    """min_rayleigh of each pencil (A[i], scale[i] * outer(v, v)), without an eigensolve.
+
+    The form vanishes off the support b of v, and its one nonzero
+    eigenvalue is mu = scale |L_b^-1 v_b|^2 (_block_factor), so the
+    infimum is 1/mu.  The checks are min_rayleigh's, each naming the first
+    failing pair in scan order.
+    """
+    vanishes = np.abs(scale) * (v @ v) <= 1e-15 * np.linalg.norm(A, axis=(1, 2))
+    if vanishes.any():
+        raise ZeroDenominator(f"destabilizing form vanishes for {pairs[np.argmax(vanishes)]}")
+    dofs = np.flatnonzero(v)
+    L, _ = _block_factor(pairs, A, dofs, scale)
+    y = np.linalg.solve(L[:, -len(dofs):, -len(dofs):], np.broadcast_to(v[dofs, None], (len(A), len(dofs), 1)))
+    return _minima(pairs, scale * np.sum(y * y, axis=(1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -457,12 +516,16 @@ def _slice_min_rayleigh(
     denominator: str,
     pairs: Sequence[WaveNumbers],
 ) -> List[float]:
-    """min_rayleigh of every pair of the slice; phi_rz_mid as rank one."""
-    if denominator != "phi_rz_mid":
-        return [min_rayleigh(p) for p in _slice_pencils(geom, elastic, disc, denominator, pairs)]
-    A = _slice_forms(geom, elastic, disc, pairs, ("stiffness",))["stiffness"]
-    scale, v = _mid_surface(geom, disc, pairs)
-    return _rank_one_minima(pairs, A, scale, v)
+    """min_rayleigh of every pair of the slice; phi_rz on the r block, phi_rz_mid as rank one."""
+    if denominator == "phi_rz":
+        forms = _slice_forms(geom, elastic, disc, pairs, _PENCIL_FORMS[denominator])
+        return _block_minima(pairs, forms["stiffness"], forms["phi_rz"], np.arange(disc.degree + 1))
+    if denominator == "phi_rz_mid":
+        A = _slice_forms(geom, elastic, disc, pairs, ("stiffness",))["stiffness"]
+        scale, v = _mid_surface(geom, disc, pairs)
+        return _rank_one_minima(pairs, A, scale, v)
+    # the full form spans every block; _slice_pencils rejects an unknown denominator
+    return [min_rayleigh(p) for p in _slice_pencils(geom, elastic, disc, denominator, pairs)]
 
 
 def oracle_sweep(
@@ -524,49 +587,57 @@ def _positive(ratios):
     return ratios
 
 
-def _mode_korn(
-    h: float,
-    e2: np.ndarray,
-    grad2: np.ndarray,
-    phi_rz: np.ndarray,
-    phi_tz: np.ndarray,
-    phi_r2: np.ndarray,
-) -> KornRatios:
-    """The Korn-type ratios of one mode from its _KORN_FORMS; theta_z is 0 for n = 0."""
-    vals_korn, vecs_korn = scipy.linalg.eigh(e2, grad2)
-    korn = vals_korn[0]
-    extremals = [vecs_korn[:, 0]]
-
-    vals_rz, vecs_rz = scipy.linalg.eigh(phi_rz, e2)
-    rz = vals_rz[-1]
-    extremals.append(vecs_rz[:, -1])
-
-    if np.linalg.norm(phi_tz) > 0.0:
-        vals_tz, vecs_tz = scipy.linalg.eigh(phi_tz, e2)
-        tz = vals_tz[-1]
-        extremals.append(vecs_tz[:, -1])
-    else:
-        tz = 0.0
-
-    weighted = 0.0
-    for x in extremals:
-        g2 = float(x @ grad2 @ x)
-        e2_x = float(x @ e2 @ x)
-        pr2 = float(x @ phi_r2 @ x)
-        bound = (math.sqrt(pr2) / h + math.sqrt(e2_x)) * math.sqrt(e2_x)
-        if bound > 0.0:
-            weighted = max(weighted, g2 / bound)
-    return KornRatios(korn=korn, theta_z=tz, r_z=rz, weighted=weighted)
-
-
 def _slice_korn(
     geom: ShellGeometry,
     elastic: IsotropicElasticity,
     disc: RadialDiscretization,
     pairs: Sequence[WaveNumbers],
 ) -> List[KornRatios]:
+    """The Korn-type ratios of every pair of the slice; theta_z is 0 for n = 0.
+
+    phi_rz lives on the r block and phi_tz on the theta block, so r_z and
+    theta_z and their extremal fields come from pencils reduced to one
+    block.  korn pairs two full-rank forms: one eigenpair per pencil.
+    """
     forms = _slice_forms(geom, elastic, disc, pairs, _KORN_FORMS)
-    return [_mode_korn(geom.h, *mode) for mode in zip(*(forms[name] for name in _KORN_FORMS))]
+    e2, grad2 = forms["e2"], forms["grad2"]
+    k = disc.degree + 1
+    blocks = {"r_z": ("phi_rz", np.arange(k))}
+    if pairs[0].n >= 1:
+        blocks["theta_z"] = ("phi_tz", np.arange(k, 2 * k))
+    top = {"theta_z": np.zeros(len(pairs))}
+    extremals = []
+    for ratio, (name, dofs) in blocks.items():
+        L, order = _block_factor(pairs, e2, dofs, grad2, forms[name], forms["phi_r2"], what="e2")
+        vals, vecs = np.linalg.eigh(_block_reduce(L, forms[name][:, dofs][:, :, dofs]))
+        top[ratio] = vals[:, -1]
+        y = np.zeros(L.shape[:2])
+        y[:, -k:] = vecs[:, :, -1]
+        x = np.empty_like(y)
+        x[:, order] = np.linalg.solve(L.swapaxes(1, 2), y[..., None])[..., 0]
+        extremals.append(x)
+
+    korn, x_korn = [], []
+    for wn, a, b in zip(pairs, e2, grad2):
+        # LAPACK directly: scipy.linalg.eigh's argument handling adds about
+        # half again to this small solve
+        vals, vecs, _, _, info = scipy.linalg.lapack.dsygvx(a, b, range="I", il=1, iu=1)
+        if info > len(a):  # LAPACK's code for a failed factorization of b
+            raise AssemblyDegenerate(f"grad2 not positive definite for {wn}")
+        if info:
+            raise NonConvergence(f"korn eigenvector did not converge for {wn}")
+        korn.append(vals[0])
+        x_korn.append(vecs[:, 0])
+    extremals.append(np.array(x_korn))
+
+    X = np.stack(extremals, axis=1)  # (pair, extremal, DOF)
+    g2, e2_x, pr2 = (np.einsum("pvi,pij,pvj->pv", X, M, X) for M in (grad2, e2, forms["phi_r2"]))
+    # e2 is positive definite (factored above), so every bound is positive
+    weighted = (g2 / ((np.sqrt(pr2) / geom.h + np.sqrt(e2_x)) * np.sqrt(e2_x))).max(axis=1)
+    return [
+        KornRatios(korn=float(c), theta_z=float(t), r_z=float(r), weighted=float(w))
+        for c, t, r, w in zip(korn, top["theta_z"], top["r_z"], weighted)
+    ]
 
 
 def korn_mode_scan(
@@ -604,18 +675,24 @@ def _slice_gaps(
     disc: RadialDiscretization,
     pairs: Sequence[WaveNumbers],
 ) -> List[GapValues]:
+    """The gaps of every pair of the slice.
+
+    phi_zz + phi_tz lives on the theta and z blocks and phi_rz - phi_rz_mid
+    on the r block, so both gaps come from block-reduced pencils.
+    """
     forms = _slice_forms(geom, elastic, disc, pairs, _GAP_FORMS)
+    A = forms["stiffness"]
+    k = disc.degree + 1
     D1 = forms["phi_zz"] + forms["phi_tz"]
     D2 = forms["phi_rz"] - forms["phi_rz_mid"]
-    gaps = []
-    for A, d1, d2 in zip(forms["stiffness"], D1, D2):
-        vals1 = scipy.linalg.eigh(d1, A, eigvals_only=True)
-        vals2 = scipy.linalg.eigh(d2, A, eigvals_only=True)
-        gaps.append(GapValues(
-            full_vs_rz=float(vals1[-1]),
-            rz_vs_mid=float(max(abs(vals2[0]), abs(vals2[-1]))),
-        ))
-    return gaps
+    L1, _ = _block_factor(pairs, A, np.arange(k, A.shape[-1]), D1)
+    L2, _ = _block_factor(pairs, A, np.arange(k), D2)
+    vals1 = np.linalg.eigvalsh(_block_reduce(L1, D1[:, k:, k:]))
+    vals2 = np.linalg.eigvalsh(_block_reduce(L2, D2[:, :k, :k]))
+    return [
+        GapValues(full_vs_rz=float(v1[-1]), rz_vs_mid=float(max(abs(v2[0]), abs(v2[-1]))))
+        for v1, v2 in zip(vals1, vals2)
+    ]
 
 
 def equivalence_gap(

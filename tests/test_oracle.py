@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.polynomial import Polynomial, chebyshev
 
 from cylbuck import oracle
@@ -351,6 +352,92 @@ class TestRankOneMinima:
                 assert abs(value / want - 1.0) <= 1e-12, wn
 
 
+def reference_korn(h, e2, grad2, phi_rz, phi_tz, phi_r2):
+    """Korn ratios of one mode from full-vector generalized eigensolves on the full pencils."""
+    vals, vecs = scipy.linalg.eigh(e2, grad2)
+    korn, extremals = vals[0], [vecs[:, 0]]
+    vals, vecs = scipy.linalg.eigh(phi_rz, e2)
+    r_z = vals[-1]
+    extremals.append(vecs[:, -1])
+    theta_z = 0.0
+    if np.any(phi_tz):
+        vals, vecs = scipy.linalg.eigh(phi_tz, e2)
+        theta_z = vals[-1]
+        extremals.append(vecs[:, -1])
+    weighted = 0.0
+    for x in extremals:
+        e2_x = x @ e2 @ x
+        bound = (math.sqrt(x @ phi_r2 @ x) / h + math.sqrt(e2_x)) * math.sqrt(e2_x)
+        weighted = max(weighted, (x @ grad2 @ x) / bound)
+    return KornRatios(korn=korn, theta_z=theta_z, r_z=r_z, weighted=weighted)
+
+
+class TestBlockReduction:
+    """Forms that live on one or two DOF blocks are solved on those blocks."""
+
+    def test_scans_match_full_pencils(self, rng):
+        nu, h, L = rng.uniform(0.2, 0.4), rng.uniform(0.03, 0.1), rng.uniform(2.5, 4.0)
+        geom, elastic, disc = ShellGeometry(h=h, L=L), IsotropicElasticity(nu=nu), RadialDiscretization()
+        window = CriticalLoadProblem(geom=geom, elastic=elastic).window()
+        slices = oracle._window_slices(window, L)
+        assert slices[0][0].n == 0
+        for pairs in slices:
+            korn = oracle._slice_korn(geom, elastic, disc, pairs)
+            gaps = oracle._slice_gaps(geom, elastic, disc, pairs)
+            phi_rz = oracle._slice_min_rayleigh(geom, elastic, disc, "phi_rz", pairs)
+            for i, wn in enumerate(pairs):
+                f = mode_forms(geom, elastic, wn, disc)
+                want = reference_korn(h, f.e2, f.grad2, f.phi_rz, f.phi_tz, f.phi_r2)
+                for field, value in zip(want._fields, want):
+                    assert getattr(korn[i], field) == pytest.approx(value, rel=1e-10, abs=0.0), (wn, field)
+                full_vs_rz = scipy.linalg.eigh(f.phi_zz + f.phi_tz, f.stiffness, eigvals_only=True)[-1]
+                mid = scipy.linalg.eigh(f.phi_rz - f.phi_rz_mid, f.stiffness, eigvals_only=True)
+                assert gaps[i].full_vs_rz == pytest.approx(full_vs_rz, rel=1e-10), wn
+                assert gaps[i].rz_vs_mid == pytest.approx(max(abs(mid[0]), abs(mid[-1])), rel=1e-10), wn
+                rz = scipy.linalg.eigh(f.phi_rz, f.stiffness, eigvals_only=True)[-1]
+                assert phi_rz[i] == pytest.approx(1.0 / rz, rel=1e-10), wn
+
+    def test_indefinite_block_form_keeps_both_extremes(self):
+        # phi_rz - phi_rz_mid takes both signs on the r block
+        geom, disc = ShellGeometry(h=0.05, L=PI), RadialDiscretization()
+        pairs = [WaveNumbers(m=m, n=n, L=PI) for n in (0, 3) for m in (1, 4)]
+        for wn in pairs:
+            f = mode_forms(geom, EL, wn, disc)
+            D = f.phi_rz - f.phi_rz_mid
+            want = scipy.linalg.eigh(D, f.stiffness, eigvals_only=True)
+            assert want[0] < 0.0 < want[-1]
+            r = np.arange(disc.degree + 1)
+            L, _ = oracle._block_factor([wn], f.stiffness[None], r, D[None])
+            got = np.linalg.eigvalsh(oracle._block_reduce(L, D[None][:, r][:, :, r])[0])
+            assert got[0] == pytest.approx(want[0], rel=1e-10), wn
+            assert got[-1] == pytest.approx(want[-1], rel=1e-10), wn
+
+    @staticmethod
+    def break_forms(monkeypatch, name):
+        """Make form name indefinite at (m, n) = (2, 1) and (4, 2) of every slice that holds them."""
+        assemble = oracle._slice_forms
+
+        def patched(geom, elastic, disc, pairs, names=oracle._FORM_NAMES):
+            forms = assemble(geom, elastic, disc, pairs, names)
+            for i, wn in enumerate(pairs):
+                if (wn.m, wn.n) in ((2, 1), (4, 2)) and name in forms:
+                    forms[name][i, 0, 0] *= -1.0
+            return forms
+
+        monkeypatch.setattr(oracle, "_slice_forms", patched)
+
+    @pytest.mark.parametrize("name", ["e2", "grad2"])
+    def test_korn_scan_names_first_indefinite_pair(self, monkeypatch, name):
+        self.break_forms(monkeypatch, name)
+        with pytest.raises(AssemblyDegenerate, match=rf"{name} not positive definite for WaveNumbers\(m=2, n=1,"):
+            korn_mode_scan(ShellGeometry(h=0.05, L=PI), EL, RadialDiscretization(6), (6, 3), jobs=1)
+
+    def test_gap_scan_names_first_indefinite_pair(self, monkeypatch):
+        self.break_forms(monkeypatch, "stiffness")
+        with pytest.raises(AssemblyDegenerate, match=r"stiffness not positive definite for WaveNumbers\(m=2, n=1,"):
+            equivalence_scan(ShellGeometry(h=0.05, L=PI), EL, RadialDiscretization(6), (6, 3), jobs=1)
+
+
 class TestReducedPencil:
     @pytest.mark.parametrize("mn", [(1, 4), (13, 9), (18, 1), (5, 0)])
     def test_matches_closed_form_minimum(self, mn):
@@ -440,7 +527,7 @@ class TestKornScan:
     )
     def test_non_positive_ratio_raises(self, monkeypatch, bad):
         # a NaN after the first field must fail too: min((1.0, nan)) is 1.0
-        monkeypatch.setattr(oracle, "_mode_korn", lambda h, *forms: bad)
+        monkeypatch.setattr(oracle, "_slice_korn", lambda geom, elastic, disc, pairs: [bad] * len(pairs))
         with pytest.raises(ValueError):
             korn_mode_scan(ShellGeometry(h=0.05, L=PI), EL, RadialDiscretization(6), (3, 2), jobs=1)
 
