@@ -109,6 +109,7 @@ def criterion_3() -> CriterionResult:
     within integer-rounding distance 1 of the circle.  (The 2% level set is
     wider than the unit tube -- the landscape is flat transverse to the
     circle -- so the tube condition selects among the near-optimal pairs.)
+    The scan skips only pairs that the ceiling 1.02 * best excludes.
     """
     h = 0.001
     p = _problem(h)
@@ -116,7 +117,7 @@ def criterion_3() -> CriterionResult:
     R = p.koiter_radius
     near = 0
     on_circle = 0
-    for n, _, m_hat, minima in cl.window_strains(p):
+    for n, _, m_hat, minima in cl.window_strains(p, 1.02 * best):
         close = minima.value <= 1.02 * best
         near += int(np.count_nonzero(close))
         on_circle += int(np.count_nonzero(close & (np.abs(np.hypot(m_hat - R, n) - R) <= 1.0)))

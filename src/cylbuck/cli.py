@@ -19,6 +19,8 @@ import os
 import sys
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
+import numpy as np
+
 from . import acceptance
 from . import critical_load as cl
 from . import modes as modes_mod
@@ -95,9 +97,9 @@ class RunConfig:
             raise ValueError("h-list must be strictly decreasing")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        IsotropicElasticity(nu=self.nu, E=self.E)
         for h in self.h_list:
-            ShellGeometry(h=h, L=self.L)
+            self.problem(h)  # nu, E, h, L and margin
+        self.disc()  # degree
 
     def elastic(self) -> IsotropicElasticity:
         return IsotropicElasticity(nu=self.nu, E=self.E)
@@ -174,25 +176,28 @@ def _grid_points(field: modes_mod.DisplacementField):
 def write_vtk(path: str, field: modes_mod.DisplacementField):
     """Legacy ASCII structured grid; r varies fastest, then theta, then z."""
     nr, nt, nz = len(field.r), len(field.theta), len(field.z)
-    lines = [
+
+    def lines(fmt_line, *arrays) -> str:
+        """One line per grid point, in file order, from [ir, jt, kz] arrays."""
+        columns = (np.broadcast_to(a, (nr, nt, nz)).transpose().ravel().tolist() for a in arrays)
+        return "\n".join(map(fmt_line, *columns))
+
+    r = np.asarray(field.r)[:, None, None]
+    cos_t = np.array([math.cos(t) for t in field.theta])[:, None]
+    sin_t = np.array([math.sin(t) for t in field.theta])[:, None]
+    parts = [
         "# vtk DataFile Version 3.0",
         "cylbuck buckling mode displacement",
         "ASCII",
         "DATASET STRUCTURED_GRID",
         f"DIMENSIONS {nr} {nt} {nz}",
         f"POINTS {nr * nt * nz} double",
+        lines("{!r} {!r} {!r}".format, r * cos_t, r * sin_t, np.asarray(field.z)),
+        f"POINT_DATA {nr * nt * nz}",
     ]
-    cos_t = [math.cos(t) for t in field.theta]
-    sin_t = [math.sin(t) for t in field.theta]
-    for ir, jt, kz in _grid_points(field):
-        r = field.r[ir]
-        lines.append(f"{fmt(r * cos_t[jt])} {fmt(r * sin_t[jt])} {fmt(field.z[kz])}")
-    lines.append(f"POINT_DATA {nr * nt * nz}")
     for name in ("phi_r", "phi_theta", "phi_z"):
-        lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
-        data = getattr(field, name)
-        lines.extend(fmt(data[p]) for p in _grid_points(field))
-    write_text(path, "\n".join(lines) + "\n")
+        parts += [f"SCALARS {name} double 1", "LOOKUP_TABLE default", lines(repr, getattr(field, name))]
+    write_text(path, "\n".join(parts) + "\n")
 
 
 def write_mode_csv(path: str, field: modes_mod.DisplacementField):

@@ -4,6 +4,9 @@ import os
 
 import pytest
 
+import numpy as np
+
+from cylbuck import cli
 from cylbuck.cli import SETTINGS, build_parser, fmt, main, merge_config
 
 
@@ -85,6 +88,37 @@ class TestMode:
         assert meta["boundary_trace_max"] <= 1e-12
         scalars = [ln for ln in lines if ln.startswith("SCALARS")]
         assert [s.split()[1] for s in scalars] == ["phi_r", "phi_theta", "phi_z"]
+
+    def test_vtk_bytes_match_the_scalar_writer(self, tmp_path):
+        def scalar_writer(path, field):
+            nr, nt, nz = len(field.r), len(field.theta), len(field.z)
+            points = [(ir, jt, kz) for kz in range(nz) for jt in range(nt) for ir in range(nr)]
+            lines = [
+                "# vtk DataFile Version 3.0", "cylbuck buckling mode displacement", "ASCII",
+                "DATASET STRUCTURED_GRID", f"DIMENSIONS {nr} {nt} {nz}", f"POINTS {len(points)} double",
+            ]
+            cos_t = [math.cos(t) for t in field.theta]
+            sin_t = [math.sin(t) for t in field.theta]
+            for ir, jt, kz in points:
+                r = field.r[ir]
+                lines.append(f"{fmt(r * cos_t[jt])} {fmt(r * sin_t[jt])} {fmt(field.z[kz])}")
+            lines.append(f"POINT_DATA {len(points)}")
+            for name in ("phi_r", "phi_theta", "phi_z"):
+                lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+                lines.extend(fmt(getattr(field, name)[p]) for p in points)
+            cli.write_text(path, "\n".join(lines) + "\n")
+
+        rng = np.random.default_rng(3)
+        shape = (3, 5, 4)
+        phi = [rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape) for _ in range(3)]
+        phi[0][0, 0, 0], phi[1][1, 2, 3] = -0.0, 0.0
+        field = cli.modes_mod.DisplacementField(
+            spec=None, r=np.linspace(0.995, 1.005, 3), theta=np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False),
+            z=np.linspace(0.0, math.pi, 4), phi_r=phi[0], phi_theta=phi[1], phi_z=phi[2],
+        )
+        cli.write_vtk(str(tmp_path / "fast.vtk"), field)
+        scalar_writer(str(tmp_path / "scalar.vtk"), field)
+        assert read(tmp_path / "fast.vtk") == read(tmp_path / "scalar.vtk")
 
     def test_csv_output_row_count(self, tmp_path, capsys):
         assert (
@@ -275,6 +309,31 @@ class TestConfigAndErrors:
             assert main(argv + ["--outdir", str(tmp_path)]) == 1, argv
             err = capsys.readouterr().err
             assert err.startswith("ValueError: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mode", "--h", "0.1", "--margin", "inf"],
+            ["mode", "--h", "0.1", "--margin", "0.5"],
+            ["koiter", "--h", "0.1", "--degree", "0"],
+            ["sweep", "--h-list", "0.1", "--degree", "-3"],
+        ],
+        ids=["mode-margin-inf", "mode-margin-0.5", "koiter-degree-0", "sweep-degree--3"],
+    )
+    def test_margin_and_degree_checked_by_every_command(self, tmp_path, capsys, argv):
+        assert main(argv + ["--outdir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ValueError: ") and err.count("\n") == 1, err
+        assert os.listdir(tmp_path) == []
+
+    def test_every_command_accepts_every_shared_flag(self):
+        values = {"nu": "0.3", "E": "1", "L": "3", "h_list": "0.1", "margin": "3", "degree": "8",
+                  "outdir": ".", "jobs": "1"}
+        flags = [tok for s in SETTINGS for tok in ("--" + s.name.replace("_", "-"), values[s.name])]
+        commands = ("critical-load", "sweep", "koiter", "korn", "ansatz", "equivalence", "mode", "verify")
+        for command in commands:
+            config = merge_config(build_parser().parse_args([command] + flags))
+            assert (config.margin, config.degree, config.jobs) == (3.0, 8, 1)
 
     def test_numerical_error_name_on_stderr(self, tmp_path, capsys):
         code = main(

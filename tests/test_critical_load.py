@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from cylbuck.critical_load import (
     BucklingResult,
     CriticalLoadProblem,
     ModeMinimum,
+    circle_residual,
     classical_strain,
     classical_strain_at,
     continuous_mode_strain,
@@ -18,6 +20,7 @@ from cylbuck.critical_load import (
     per_mode_strain_full,
     q0_argmin_az,
     q_forms,
+    surrogate_deficit,
     sweep,
     window_strains,
 )
@@ -62,6 +65,39 @@ def objective_by_hand(mh, n, at, az, nu, h, reduced):
     else:
         num = q0 + H * q1 + h**4 / 80.0 * q2
     return num / (2.0 * (1.0 + nu) * mh**2)
+
+
+def exact_reduced_minimum(mh, n, nu, h):
+    """The reduced minimum in rational arithmetic at the given float inputs,
+    from the displayed forms Q0 + (h^2/12) Q1s."""
+    mh, n, nu = Fraction(mh), Fraction(n), Fraction(nu)
+    beta, H, s = 2 * nu / (1 - nu), Fraction(h) ** 2 / 12, mh * mh + n * n
+
+    def f(at, az):
+        q0 = beta * (1 + n * at + mh * az) ** 2 + 2 * (1 + n * at) ** 2 + 2 * mh**2 * az**2
+        q1s = beta * (s + n * at) ** 2 + 2 * n**2 * (n + at) ** 2 + 2 * mh**4 + 4 * mh**2 * (n + at) ** 2
+        return q0 + (mh * at + n * az) ** 2 + H * q1s
+
+    c = f(0, 0)
+    m00, b0 = (f(1, 0) + f(-1, 0)) / 2 - c, (f(1, 0) - f(-1, 0)) / 4
+    m11, b1 = (f(0, 1) + f(0, -1)) / 2 - c, (f(0, 1) - f(0, -1)) / 4
+    m01 = (f(1, 1) - c - m00 - m11 - 2 * b0 - 2 * b1) / 2
+    value = c - (m11 * b0 * b0 - 2 * m01 * b0 * b1 + m00 * b1 * b1) / (m00 * m11 - m01 * m01)
+    return value / (2 * (1 + nu) * mh * mh)
+
+
+def full_scan_sweep(p, monkeypatch):
+    """sweep(p) over the whole window, or the name and message of its error."""
+    with monkeypatch.context() as patch:
+        patch.setattr(critical_load, "_seed_ceiling", lambda p: None)
+        return sweep_outcome(p)
+
+
+def sweep_outcome(p):
+    try:
+        return sweep(p)
+    except (SingularSystem, WindowTooSmall) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 class TestQForms:
@@ -318,17 +354,17 @@ class TestWindowStrains:
                 (wn.n, wn.m): mode_strain_at(p.elastic, wn, p.geom.h, reduced=True)
                 for wn in window_pairs(p.window(), p.geom.L)
             }
-            # m_max: one row per chunk; 7: every row cut into column slices
+            # the default chunk, one of a row's length, and one of 7 pairs, which cuts every row
             for chunk_pairs in (critical_load._CHUNK_PAIRS, m_max, 7):
                 monkeypatch.setattr(critical_load, "_CHUNK_PAIRS", chunk_pairs)
                 pairs = []
-                for rows, cols, _, minima in window_strains(p):
-                    for i, n in enumerate(rows[:, 0]):
-                        for j, m in enumerate(cols):
-                            want = scalar[int(n), int(m)]
-                            got = ModeMinimum(*(float(a[i, j]) for a in minima))
-                            assert got == want, (p, n, m, chunk_pairs)
-                            pairs.append((want.value, int(n), int(m), want))
+                for ns, ms, _, minima in window_strains(p):
+                    assert ns.size <= chunk_pairs
+                    for k, (n, m) in enumerate(zip(ns, ms)):
+                        want = scalar[int(n), int(m)]
+                        got = ModeMinimum(*(float(a[k]) for a in minima))
+                        assert got == want, (p, n, m, chunk_pairs)
+                        pairs.append((want.value, int(n), int(m), want))
                 assert [(n, m) for _, n, m, _ in pairs] == list(scalar)
                 _, n, m, want = min(pairs, key=lambda t: t[:3])
                 if m == m_max or n == n_max:
@@ -371,6 +407,81 @@ class TestWindowStrains:
         assert 1 < res.m < m_max and 0 < res.n < n_max
 
 
+
+class TestPrunedScan:
+    def test_bound_holds_on_every_window_pair(self, rng):
+        for p in window_problems(rng):
+            for n, _, m_hat, minima in window_strains(p):
+                bound = (1.0 - surrogate_deficit(p, m_hat)) * continuous_mode_strain(p, m_hat, n)
+                assert np.all(minima.value >= bound), p
+
+    def test_bound_is_tight_at_the_origin_end(self):
+        # the window's smallest reduced / surrogate, at m = 1, is within 5 % of the
+        # deficit bound at h = 1e-3 and within 0.2 % at h = 1e-6
+        for h, rel in ((1e-3, 0.05), (1e-6, 0.002)):
+            p = problem(h)
+            deficit = max(
+                float(np.max(1.0 - minima.value / continuous_mode_strain(p, m_hat, n)))
+                for n, _, m_hat, minima in window_strains(p, 1.5 * p.lambda_star)
+            )
+            assert (1.0 - rel) * surrogate_deficit(p, 1.0) <= deficit <= surrogate_deficit(p, 1.0)
+
+    def test_rounding_margin_covers_the_computed_minima(self, rng):
+        # |computed - exact| <= _ROUNDING_ULPS 2^-53 (beta + 2)(1 + H s^2) / (2 (1 + nu) mhat^2)
+        worst = 0.0
+        for _ in range(300):
+            nu = float(rng.uniform(-0.45, 0.45))
+            h = math.exp(rng.uniform(math.log(1e-9), math.log(0.3)))
+            L = math.exp(rng.uniform(math.log(0.5), math.log(1e6)))
+            m = int(rng.choice([1, 2, rng.integers(1, 100), rng.integers(1, 100_000)]))
+            n = int(rng.choice([0, 1, 2, rng.integers(0, 40), rng.integers(0, 30_000)]))
+            wn = WaveNumbers(m=m, n=n, L=L)
+            got = mode_strain_at(IsotropicElasticity(nu=nu), wn, h).value
+            mh, beta, H = wn.m_hat, 2.0 * nu / (1.0 - nu), h * h / 12.0
+            scale = (beta + 2.0) * (1.0 + H * (mh * mh + n * n) ** 2) / (2.0 * (1.0 + nu) * mh * mh)
+            ulps = float(abs(Fraction(got) - exact_reduced_minimum(mh, n, nu, h))) / (scale * 2.0**-53)
+            worst = max(worst, ulps)
+        assert worst <= critical_load._ROUNDING_ULPS / 4
+
+    def test_pruned_scan_keeps_every_pair_at_or_below_the_ceiling(self, rng):
+        def scan(p, ceiling=None):
+            chunks = list(window_strains(p, ceiling))
+            n, m, value = (np.concatenate(a) for a in zip(*((n, m, v.value) for n, m, _, v in chunks)))
+            return n * (p.window()[0] + 1) + m, value  # pair keys grow in scan order
+
+        # the L = pi windows hold the pairs at m = 1, where the bound is tight
+        for p in [problem(1e-3), problem(1e-4)] + list(window_problems(rng)):
+            keys, values = scan(p)
+            best = values.min()
+            for ceiling in [best, 1.02 * best] + list(best * (1.0 + rng.uniform(0.0, 0.5, 8))):
+                kept, kept_values = scan(p, ceiling)
+                assert np.all(np.diff(kept) > 0)  # scan order, each pair once
+                assert np.array_equal(kept_values, values[np.searchsorted(keys, kept)])
+                assert np.all(np.isin(keys[values <= ceiling], kept)), (p, ceiling)
+        # a ceiling that is not positive scans the whole window
+        assert np.array_equal(scan(p, 0.0)[0], keys)
+
+    def test_pruned_sweep_equals_the_full_scan(self, rng, monkeypatch):
+        problems = list(window_problems(rng))
+        problems += [problem(h) for h in (1e-3, 1e-4, 1e-5, 1e-6)]
+        # a long thick shell: the columns m < m1 are kept whole, and they hold
+        # the winner (1, 1)
+        long_shell = problem(0.3, L=2e4)
+        lo, hi = critical_load._pruned_ranges(long_shell, critical_load._seed_ceiling(long_shell))
+        assert hi[0, 0] > 1 and np.all(lo[:, 1:] > hi[0, 0])
+        for p in problems + [long_shell]:
+            assert sweep_outcome(p) == full_scan_sweep(p, monkeypatch), p
+
+    def test_sweep_at_h_1e_8(self):
+        # 1.49 G window pairs; the pruned scan evaluates about 61 k of them
+        p = problem(1e-8)
+        res = sweep(p)
+        m_max, n_max = p.window()
+        assert (res.m, res.n) == (1, 135)
+        assert res.m < m_max and 0 < res.n < n_max
+        assert abs(res.strain / classical_strain(p) - 1) <= math.sqrt(p.geom.h)
+
+
 class TestKoiterCircle:
     def test_axisymmetric_point_present(self):
         # n = 0 crossing sits at mhat = sqrt(2/lambda_star) ~ 18.18 for
@@ -405,3 +516,18 @@ class TestKoiterCircle:
         p1, p2 = problem(0.01), problem(0.02)
         # doubling lambda_star shrinks the radius by sqrt(2)
         assert p1.koiter_radius / p2.koiter_radius == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
+    def test_band_enumeration_equals_the_window_scan(self, rng):
+        for p in window_problems(rng, count=12):
+            R = p.koiter_radius
+            for tol in (0.01, 0.05, 0.3, 1.5):
+                want = sorted(
+                    (circle_residual(wn, R), wn.n, wn.m)
+                    for wn in window_pairs(p.window(), p.geom.L)
+                    if circle_residual(wn, R) <= tol
+                )
+                try:
+                    got = [(wn.n, wn.m) for wn in koiter_circle(p, rel_tol=tol)]
+                except EmptySet:
+                    got = []
+                assert got == [(n, m) for _, n, m in want], (p, tol)
