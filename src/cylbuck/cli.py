@@ -261,15 +261,21 @@ def cmd_koiter(config: RunConfig, args) -> Report:
     problem = config.problem(h)
     found = cl.koiter_circle(problem, rel_tol=args.tolerance)
     R = problem.koiter_radius
+    m_hat = [wn.m_hat for wn in found]
+    # one minimization over all pairs; Python's float power, as in mode_strain_at
+    strains = cl._mode_minimum(
+        np.array(m_hat), np.array([x**4 for x in m_hat]), np.array([float(wn.n) for wn in found]),
+        problem.elastic, h, reduced=True,
+    ).value.tolist()
     records = [
         {
             "m": wn.m,
             "n": wn.n,
-            "m_hat": wn.m_hat,
+            "m_hat": mh,
             "circle_residual": cl.circle_residual(wn, R),
-            "lambda3_tilde": cl.per_mode_strain(problem, wn).value,
+            "lambda3_tilde": strain,
         }
-        for wn in found
+        for wn, mh, strain in zip(found, m_hat, strains)
     ]
     out = {"h": h, "radius": R, "tolerance": args.tolerance, "modes": records}
     line = f"{len(records)} integer pairs within {fmt(args.tolerance)} of the circle (R={fmt(R)})"

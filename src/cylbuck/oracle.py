@@ -54,7 +54,7 @@ import scipy.linalg
 
 from .errors import AssemblyDegenerate, NonConvergence, QuadratureUnderResolved, ZeroDenominator
 from .material import IsotropicElasticity
-from .spectral import ShellGeometry, WaveNumbers, radial_rule, trig_factors, window_pairs
+from .spectral import ShellGeometry, WaveNumbers, trig_factors, window_pairs
 
 DENOMINATORS = ("full", "phi_rz", "phi_rz_mid")
 
@@ -843,66 +843,55 @@ class BumpProfile:
 
 
 def _ansatz_norms(geom: ShellGeometry, bump: BumpProfile, eta_nodes: int, z_nodes: int, r_nodes: int):
+    """The squared norms of the wave-packet ansatz under the tensor Gauss rule.
+
+    Every field is a sum of at most two terms a(r) b_k(eta) c_l(z), with b_k
+    the k-th bump derivative in eta and c_l the l-th in z, and the weight
+    factors in the same way.  So a norm is the sum over the field's term pairs
+    of G_r[i, j] G_eta[k_i, k_j] G_z[l_i, l_j], with 1-D Gram matrices G: the
+    same rule summed in another order.  Terms of one (k, l) are merged before
+    squaring, and r - 1 is formed as (h/2) t, so no coefficient cancels.
+    """
     h, L = geom.h, geom.L
     q = h**0.25  # theta = q * eta compresses the circumferential profile
+    s = math.sqrt(h)
 
     t_eta, w_eta = np.polynomial.legendre.leggauss(eta_nodes)
-    zt, wz = np.polynomial.legendre.leggauss(z_nodes)
-    z = 0.5 * L * (zt + 1.0)
-    wz = 0.5 * L * wz
-    r, wr = radial_rule(geom, r_nodes)
+    t_z, w_z = (t_eta, w_eta) if z_nodes == eta_nodes else np.polynomial.legendre.leggauss(z_nodes)
+    b = np.array(bump.derivatives(t_eta, 4))  # b and its eta derivatives to order 4
+    # c, c', c'' of the bump in z = L (t + 1) / 2
+    c = np.array([cj * (2.0 / L) ** j for j, cj in enumerate(bump.derivatives(t_z, 2))])
+    G_eta = (b * (q * w_eta)) @ b.T
+    G_z = (c * (0.5 * L * w_z)) @ c.T
 
-    b = bump.derivatives(t_eta, 4)                      # b, b', b'', b''', b''''
-    c_raw = bump.derivatives(2.0 * z / L - 1.0, 2)
-    c = [c_raw[j] * (2.0 / L) ** j for j in range(3)]    # c, c', c''
+    t_r, w_r = np.polynomial.legendre.leggauss(r_nodes)
+    rho = 0.5 * h * t_r  # r - 1
+    r = 1.0 + rho
+    w_r = 0.5 * h * w_r * r
 
-    R = r[:, None, None]
-    B = [bi[None, :, None] for bi in b]
-    C = [ci[None, None, :] for ci in c]
+    def norm2(*terms):
+        """|sum of a(r) b_k c_l|^2 over the (k, l, a) terms."""
+        k, l, coefs = zip(*terms)
+        a = np.array([np.broadcast_to(x, r.shape) for x in coefs])
+        return float(np.sum((a * w_r) @ a.T * G_eta[np.ix_(k, k)] * G_z[np.ix_(l, l)]))
 
-    phi_r = -B[2] * C[0]
-    phi_t = R * q * B[1] * C[0] + (R - 1.0) / q * B[3] * C[0]
-
-    # raw coordinate partials (theta derivative = eta derivative / q)
-    p_rt = -B[3] * C[0] / q
-    p_rz = -B[2] * C[1]
-    p_tr = q * B[1] * C[0] + B[3] * C[0] / q
-    p_tt = R * B[2] * C[0] + (R - 1.0) / q**2 * B[4] * C[0]
-    p_tz = R * q * B[1] * C[1] + (R - 1.0) / q * B[3] * C[1]
-    p_zr = B[2] * C[1]
-    p_zt = ((R - 1.0) * B[3] * C[1] - math.sqrt(h) * B[1] * C[1]) / q
-    p_zz = (R - 1.0) * B[2] * C[2] - math.sqrt(h) * B[0] * C[2]
-
-    # gradient tensor entries in the cylindrical frame
-    g = {
-        "rr": np.zeros_like(phi_r),
-        "rt": (p_rt - phi_t) / R,
-        "rz": p_rz,
-        "tr": p_tr,
-        "tt": (p_tt + phi_r) / R,
-        "tz": p_tz,
-        "zr": p_zr,
-        "zt": p_zt / R,
-        "zz": p_zz,
-    }
-    e_tt = g["tt"]
-    e_zz = g["zz"]
-    e_rt = 0.5 * (g["rt"] + g["tr"])
-    e_rz = 0.5 * (g["rz"] + g["zr"])
-    e_tz = 0.5 * (g["tz"] + g["zt"])
-
-    weight = (wr * r)[:, None, None] * (q * w_eta)[None, :, None] * wz[None, None, :]
-
-    def norm2(field):
-        return float(np.sum(weight * field * field))
-
-    e2 = norm2(g["rr"]) + norm2(e_tt) + norm2(e_zz) + 2.0 * (norm2(e_rt) + norm2(e_rz) + norm2(e_tz))
-    grad2 = sum(norm2(g[key]) for key in g)
+    # the field, with b = b(eta), c = c(z) and theta = q eta:
+    #   phi_r = -b'' c,  phi_theta = (r q b' + (r - 1) b''' / q) c,  phi_z = ((r - 1) b'' - s b) c'
+    # Its gradient entries in the cylindrical frame follow; g_rr = 0, g_tr =
+    # -g_rt and g_zr = -g_rz, so the rr, rt and rz strains vanish.
+    rt = norm2((1, 0, -q), (3, 0, -1.0 / q))
+    rz = norm2((2, 1, -1.0))
+    tt = norm2((2, 0, rho / r), (4, 0, rho / (q * q * r)))
+    tz = norm2((1, 1, q * r), (3, 1, rho / q))
+    zt = norm2((1, 1, -s / (q * r)), (3, 1, rho / (q * r)))
+    zz = norm2((0, 2, -s), (2, 2, rho))
+    # e_tz = (g_tz + g_zt) / 2, with q r - s / (q r) = q rho (2 + rho) / r
+    e_tz = norm2((1, 1, 0.5 * q * rho * (2.0 + rho) / r), (3, 1, 0.5 * rho * (1.0 + r) / (q * r)))
     return {
-        "e2": e2,
-        "grad2": grad2,
-        "phi_rz2": norm2(p_rz),
-        "phi_tz2": norm2(p_tz),
+        "e2": tt + zz + 2.0 * e_tz,
+        "grad2": 2.0 * (rt + rz) + tt + tz + zt + zz,
+        "phi_rz2": rz,
+        "phi_tz2": tz,
     }
 
 
@@ -913,7 +902,7 @@ def ansatz_ratios(
     z_nodes: int = 160,
     r_nodes: int = 8,
 ) -> AnsatzRatios:
-    """Korn-type ratios of the wave-packet ansatz by tensor quadrature.
+    """Korn-type ratios of the wave-packet ansatz by tensor-rule quadrature.
 
     The circumferential integral is taken in the stretched variable so the
     rule resolves the h^{1/4}-compressed bump at any h; a refined-rule

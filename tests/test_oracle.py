@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -564,6 +565,55 @@ class TestEquivalenceGap:
         assert max(coefs) / min(coefs) < 2.0
 
 
+def dense_ansatz_norms(geom, eta_nodes, z_nodes, r_nodes, dtype=float):
+    """The ansatz norms on the dense r x eta x z grid of the tensor Gauss rule,
+    in dtype, from the float64 nodes, weights and bump values: the reference
+    for oracle._ansatz_norms, which sums the same rule as 1-D Gram products."""
+    bump = BumpProfile()
+    cast = lambda x: np.asarray(x, dtype=dtype)
+    h, L = cast(geom.h), cast(geom.L)
+    q, s = h ** cast(0.25), np.sqrt(h)
+    t_eta, w_eta = np.polynomial.legendre.leggauss(eta_nodes)
+    t_z, w_z = np.polynomial.legendre.leggauss(z_nodes)
+    t_r, w_r = np.polynomial.legendre.leggauss(r_nodes)
+    rho_r = cast(0.5 * t_r) * h  # r - 1, formed without cancellation
+    R, rho = (1.0 + rho_r)[:, None, None], rho_r[:, None, None]
+    B = [cast(b)[None, :, None] for b in bump.derivatives(t_eta, 4)]
+    C = [cast(c)[None, None, :] * (2.0 / L) ** j for j, c in enumerate(bump.derivatives(t_z, 2))]
+
+    phi_r = -B[2] * C[0]
+    phi_t = R * q * B[1] * C[0] + rho / q * B[3] * C[0]
+    p_rt = -B[3] * C[0] / q
+    p_rz = -B[2] * C[1]
+    p_tr = q * B[1] * C[0] + B[3] * C[0] / q
+    p_tt = R * B[2] * C[0] + rho / q**2 * B[4] * C[0]
+    p_tz = R * q * B[1] * C[1] + rho / q * B[3] * C[1]
+    p_zr = B[2] * C[1]
+    p_zt = (rho * B[3] * C[1] - s * B[1] * C[1]) / q
+    p_zz = rho * B[2] * C[2] - s * B[0] * C[2]
+    g = {
+        "rt": (p_rt - phi_t) / R, "rz": p_rz, "tr": p_tr, "tt": (p_tt + phi_r) / R,
+        "tz": p_tz, "zr": p_zr, "zt": p_zt / R, "zz": p_zz,
+    }
+    weight = (
+        (cast(0.5 * w_r) * h * (1.0 + rho_r))[:, None, None]
+        * (q * cast(w_eta))[None, :, None]
+        * (cast(0.5 * w_z) * L)[None, None, :]
+    )
+
+    def norm2(field):
+        return np.sum(weight * field * field)
+
+    def sym(a, b):
+        return 0.5 * (g[a] + g[b])
+
+    e2 = norm2(g["tt"]) + norm2(g["zz"]) + 2.0 * (
+        norm2(sym("rt", "tr")) + norm2(sym("rz", "zr")) + norm2(sym("tz", "zt"))
+    )
+    grad2 = sum(norm2(v) for v in g.values())
+    return {"e2": e2, "grad2": grad2, "phi_rz2": norm2(p_rz), "phi_tz2": norm2(p_tz)}
+
+
 class TestAnsatz:
     def test_zero_bump_rejected(self):
         class ZeroBump:
@@ -601,3 +651,36 @@ class TestAnsatz:
     def test_invalid_exponent_scale(self):
         with pytest.raises(ValueError):
             BumpProfile(a=0.0)
+
+    @pytest.mark.parametrize("h", [1e-2, 1e-4])
+    @pytest.mark.parametrize("z_nodes", [40, 24])
+    def test_separable_norms_match_the_dense_grid(self, h, z_nodes):
+        geom = ShellGeometry(h=h, L=PI)
+        got = oracle._ansatz_norms(geom, BumpProfile(), 40, z_nodes, 8)
+        want = dense_ansatz_norms(geom, 40, z_nodes, 8)
+        for key, value in want.items():
+            assert got[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="no extended precision")
+    def test_e2_at_small_h_against_extended_precision(self):
+        # the dense float64 grid loses ~3e-9 of e2 here to R B - B cancellations
+        geom = ShellGeometry(h=1e-8, L=PI)
+        got = oracle._ansatz_norms(geom, BumpProfile(), 40, 40, 8)["e2"]
+        want = dense_ansatz_norms(geom, 40, 40, 8, dtype=np.longdouble)["e2"]
+        assert abs(got - want) <= 1e-10 * abs(want)
+
+    def test_memory_stays_small(self):
+        tracemalloc.start()
+        try:
+            ansatz_ratios(ShellGeometry(h=1e-5, L=PI))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
+    def test_slopes_at_small_h(self):
+        hs = (1e-6, 1e-7, 1e-8)
+        ratios = [ansatz_ratios(ShellGeometry(h=h, L=PI)) for h in hs]
+        for kind, target in (("korn", 1.5), ("theta_z", -0.5), ("r_z", -1.0)):
+            slope = oracle.fitted_slope(hs, [getattr(r, kind) for r in ratios])
+            assert abs(slope - target) <= 0.01, kind
