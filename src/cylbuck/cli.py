@@ -165,23 +165,16 @@ def emit(outdir: str, report: Report) -> int:
     return report.code
 
 
-def _grid_points(field: modes_mod.DisplacementField):
-    """Indices (ir, jt, kz) in file order: r varies fastest, then theta, then z."""
-    for kz in range(len(field.z)):
-        for jt in range(len(field.theta)):
-            for ir in range(len(field.r)):
-                yield ir, jt, kz
+def _grid_lines(field: modes_mod.DisplacementField, fmt_line: Callable, *arrays) -> str:
+    """One line per grid point from arrays broadcast to [ir, jt, kz]; r varies fastest, then theta, then z."""
+    shape = (len(field.r), len(field.theta), len(field.z))
+    columns = (np.broadcast_to(a, shape).transpose().ravel().tolist() for a in arrays)
+    return "\n".join(map(fmt_line, *columns))
 
 
 def write_vtk(path: str, field: modes_mod.DisplacementField):
     """Legacy ASCII structured grid; r varies fastest, then theta, then z."""
     nr, nt, nz = len(field.r), len(field.theta), len(field.z)
-
-    def lines(fmt_line, *arrays) -> str:
-        """One line per grid point, in file order, from [ir, jt, kz] arrays."""
-        columns = (np.broadcast_to(a, (nr, nt, nz)).transpose().ravel().tolist() for a in arrays)
-        return "\n".join(map(fmt_line, *columns))
-
     r = np.asarray(field.r)[:, None, None]
     cos_t = np.array([math.cos(t) for t in field.theta])[:, None]
     sin_t = np.array([math.sin(t) for t in field.theta])[:, None]
@@ -192,21 +185,22 @@ def write_vtk(path: str, field: modes_mod.DisplacementField):
         "DATASET STRUCTURED_GRID",
         f"DIMENSIONS {nr} {nt} {nz}",
         f"POINTS {nr * nt * nz} double",
-        lines("{!r} {!r} {!r}".format, r * cos_t, r * sin_t, np.asarray(field.z)),
+        _grid_lines(field, "{!r} {!r} {!r}".format, r * cos_t, r * sin_t, np.asarray(field.z)),
         f"POINT_DATA {nr * nt * nz}",
     ]
     for name in ("phi_r", "phi_theta", "phi_z"):
-        parts += [f"SCALARS {name} double 1", "LOOKUP_TABLE default", lines(repr, getattr(field, name))]
+        parts += [f"SCALARS {name} double 1", "LOOKUP_TABLE default", _grid_lines(field, repr, getattr(field, name))]
     write_text(path, "\n".join(parts) + "\n")
 
 
 def write_mode_csv(path: str, field: modes_mod.DisplacementField):
-    rows = [
-        [field.r[ir], field.theta[jt], field.z[kz],
-         field.phi_r[ir, jt, kz], field.phi_theta[ir, jt, kz], field.phi_z[ir, jt, kz]]
-        for ir, jt, kz in _grid_points(field)
-    ]
-    write_csv(path, ("r", "theta", "z", "phi_r", "phi_theta", "phi_z"), rows)
+    """One row per grid point; r varies fastest, then theta, then z."""
+    rows = _grid_lines(
+        field, "{!r},{!r},{!r},{!r},{!r},{!r}".format,
+        np.asarray(field.r)[:, None, None], np.asarray(field.theta)[:, None], np.asarray(field.z),
+        field.phi_r, field.phi_theta, field.phi_z,
+    )
+    write_text(path, "r,theta,z,phi_r,phi_theta,phi_z\n" + rows + "\n")
 
 
 def _h(config: RunConfig, args) -> float:
@@ -261,12 +255,9 @@ def cmd_koiter(config: RunConfig, args) -> Report:
     problem = config.problem(h)
     found = cl.koiter_circle(problem, rel_tol=args.tolerance)
     R = problem.koiter_radius
-    m_hat = [wn.m_hat for wn in found]
-    # one minimization over all pairs; Python's float power, as in mode_strain_at
-    strains = cl._mode_minimum(
-        np.array(m_hat), np.array([x**4 for x in m_hat]), np.array([float(wn.n) for wn in found]),
-        problem.elastic, h, reduced=True,
-    ).value.tolist()
+    m_hat, minima = cl._pair_minima(
+        problem, np.array([float(wn.n) for wn in found]), np.array([wn.m for wn in found])
+    )
     records = [
         {
             "m": wn.m,
@@ -275,7 +266,7 @@ def cmd_koiter(config: RunConfig, args) -> Report:
             "circle_residual": cl.circle_residual(wn, R),
             "lambda3_tilde": strain,
         }
-        for wn, mh, strain in zip(found, m_hat, strains)
+        for wn, mh, strain in zip(found, m_hat.tolist(), minima.value.tolist())
     ]
     out = {"h": h, "radius": R, "tolerance": args.tolerance, "modes": records}
     line = f"{len(records)} integer pairs within {fmt(args.tolerance)} of the circle (R={fmt(R)})"

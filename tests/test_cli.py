@@ -120,6 +120,15 @@ class TestMode:
         scalar_writer(str(tmp_path / "scalar.vtk"), field)
         assert read(tmp_path / "fast.vtk") == read(tmp_path / "scalar.vtk")
 
+        # the mode CSV: one row per point in the same order, each value fmt-ed
+        nr, nt, nz = phi[0].shape
+        rows = ["r,theta,z,phi_r,phi_theta,phi_z"] + [
+            ",".join(fmt(v) for v in (field.r[ir], field.theta[jt], field.z[kz], *(p[ir, jt, kz] for p in phi)))
+            for kz in range(nz) for jt in range(nt) for ir in range(nr)
+        ]
+        cli.write_mode_csv(str(tmp_path / "fast.csv"), field)
+        assert read(tmp_path / "fast.csv") == ("\n".join(rows) + "\n").encode()
+
     def test_csv_output_row_count(self, tmp_path, capsys):
         assert (
             main(

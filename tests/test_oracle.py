@@ -14,7 +14,6 @@ from cylbuck.errors import AssemblyDegenerate, QuadratureUnderResolved, ZeroDeno
 from cylbuck.material import IsotropicElasticity
 from cylbuck.oracle import (
     AnsatzRatios,
-    BumpProfile,
     KornRatios,
     ModePencil,
     RadialDiscretization,
@@ -297,49 +296,62 @@ class TestMinRayleigh:
 
 
 class TestRankOneMinima:
-    """The phi_rz_mid window scan skips the eigensolve but keeps its checks."""
+    """The phi_rz_mid window scan skips the eigensolve but keeps min_rayleigh's checks.
+
+    TestBlockMinima runs the same checks on the phi_rz block eigensolve.
+    """
 
     PAIRS = [WaveNumbers(m=m, n=2, L=PI) for m in range(1, 5)]
+    DENOMINATOR = "phi_rz_mid"
+    V = np.array([1.0, 0.5, -1.0])
 
     def inputs(self):
         A = np.stack([np.diag([2.0, 3.0, 4.0]) + 0.5 for _ in self.PAIRS])
-        return A, np.ones(len(self.PAIRS)), np.array([1.0, 0.5, -1.0])
+        return A, np.ones(len(self.PAIRS))
+
+    def forms(self, scale):
+        """The destabilizing forms B[i] = scale[i] * outer(V, V)."""
+        return scale[:, None, None] * np.outer(self.V, self.V)
+
+    def minima(self, A, scale):
+        return oracle._rank_one_minima(self.PAIRS, A, scale, self.V)
 
     def test_matches_eigensolve(self):
-        A, _, v = self.inputs()
+        A, _ = self.inputs()
         scale = np.array([1.0, 2.0, 0.5, 3.0])
-        got = oracle._rank_one_minima(self.PAIRS, A, scale, v)
-        for value, a, s in zip(got, A, scale):
-            pencil = ModePencil(wn=self.PAIRS[0], A=a, B=s * np.outer(v, v), denominator="phi_rz_mid")
+        got = self.minima(A, scale)
+        for value, a, b in zip(got, A, self.forms(scale)):
+            pencil = ModePencil(wn=self.PAIRS[0], A=a, B=b, denominator=self.DENOMINATOR)
             assert value == pytest.approx(min_rayleigh(pencil), rel=1e-14)
 
     @pytest.mark.parametrize("where", ["stiffness", "scale"])
     def test_non_finite_rejected(self, where):
-        A, scale, v = self.inputs()
+        A, scale = self.inputs()
         if where == "stiffness":
             A[2, 1, 1] = math.nan
         else:
             scale[2] = math.inf
         with pytest.raises(ValueError, match="infs or NaNs"):
-            oracle._rank_one_minima(self.PAIRS, A, scale, v)
+            self.minima(A, scale)
 
     def test_first_indefinite_pair_named(self):
-        A, scale, v = self.inputs()
+        A, scale = self.inputs()
         A[1, 0, 0] = A[3, 0, 0] = -1.0
         with pytest.raises(AssemblyDegenerate, match=r"WaveNumbers\(m=2, n=2"):
-            oracle._rank_one_minima(self.PAIRS, A, scale, v)
+            self.minima(A, scale)
 
     def test_vanishing_denominator_raises(self):
-        A, scale, v = self.inputs()
-        scale[2] = 1e-17
-        with pytest.raises(ZeroDenominator, match=r"vanishes for WaveNumbers\(m=3, n=2"):
-            oracle._rank_one_minima(self.PAIRS, A, scale, v)
+        for tiny in (1e-17, 0.0):  # identically zero included
+            A, scale = self.inputs()
+            scale[2] = scale[3] = tiny
+            with pytest.raises(ZeroDenominator, match=r"vanishes for WaveNumbers\(m=3, n=2"):
+                self.minima(A, scale)
 
     def test_non_positive_denominator_raises(self):
-        A, scale, v = self.inputs()
-        scale[1] = -1.0
+        A, scale = self.inputs()
+        scale[1] = scale[3] = -1.0
         with pytest.raises(ZeroDenominator, match=r"not positive on WaveNumbers\(m=2, n=2"):
-            oracle._rank_one_minima(self.PAIRS, A, scale, v)
+            self.minima(A, scale)
 
     def test_window_matches_min_rayleigh(self):
         # every pair of the h = 0.02 window against the generalized eigensolve
@@ -347,10 +359,26 @@ class TestRankOneMinima:
         disc = RadialDiscretization()
         window = CriticalLoadProblem(geom=geom, elastic=EL).window()
         for pairs in oracle._window_slices(window, PI):
-            got = oracle._slice_min_rayleigh(geom, EL, disc, "phi_rz_mid", pairs)
+            got = oracle._slice_min_rayleigh(geom, EL, disc, self.DENOMINATOR, pairs)
             for value, wn in zip(got, pairs):
-                want = min_rayleigh(assemble_pencil(geom, EL, wn, "phi_rz_mid", disc))
+                want = min_rayleigh(assemble_pencil(geom, EL, wn, self.DENOMINATOR, disc))
                 assert abs(value / want - 1.0) <= 1e-12, wn
+
+
+class TestBlockMinima(TestRankOneMinima):
+    """The phi_rz window scan's block eigensolve, _block_minima, under the same checks."""
+
+    DENOMINATOR = "phi_rz"
+    DOFS = np.array([0, 2])  # not trailing, so the factorization reorders the DOFs
+    W = np.array([[2.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.5, 0.0, 1.0]])  # positive definite on DOFS
+
+    def forms(self, scale):
+        """The destabilizing forms B[i] = scale[i] * W."""
+        with np.errstate(invalid="ignore"):  # an infinite scale leaves NaNs off DOFS
+            return scale[:, None, None] * self.W
+
+    def minima(self, A, scale):
+        return oracle._block_minima(self.PAIRS, A, self.forms(scale), self.DOFS)
 
 
 def reference_korn(h, e2, grad2, phi_rz, phi_tz, phi_r2):
@@ -407,11 +435,20 @@ class TestBlockReduction:
             D = f.phi_rz - f.phi_rz_mid
             want = scipy.linalg.eigh(D, f.stiffness, eigvals_only=True)
             assert want[0] < 0.0 < want[-1]
-            r = np.arange(disc.degree + 1)
-            L, _ = oracle._block_factor([wn], f.stiffness[None], r, D[None])
-            got = np.linalg.eigvalsh(oracle._block_reduce(L, D[None][:, r][:, :, r])[0])
+            got = oracle._block_eigh([wn], f.stiffness[None], D[None], np.arange(disc.degree + 1))[0]
             assert got[0] == pytest.approx(want[0], rel=1e-10), wn
             assert got[-1] == pytest.approx(want[-1], rel=1e-10), wn
+
+    def test_extremal_field_in_dof_order(self):
+        # the r block comes first in DOF order but last in the factorization
+        geom, disc = ShellGeometry(h=0.05, L=PI), RadialDiscretization(8)
+        for wn in (WaveNumbers(m=2, n=3, L=PI), WaveNumbers(m=3, n=0, L=PI)):
+            f = mode_forms(geom, EL, wn, disc)
+            D = f.phi_rz
+            vals, x = oracle._block_eigh([wn], f.stiffness[None], D[None], np.arange(disc.degree + 1), vectors=True)
+            mu, x = vals[0, -1], x[0]
+            assert mu == pytest.approx(scipy.linalg.eigh(D, f.stiffness, eigvals_only=True)[-1], rel=1e-10)
+            assert np.abs(D @ x - mu * f.stiffness @ x).max() <= 1e-10 * np.abs(D @ x).max(), wn
 
     @staticmethod
     def break_forms(monkeypatch, name):
@@ -494,8 +531,8 @@ class TestOracleSweep:
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         slices = oracle._window_slices((40, 29), PI)
         assert len(slices) >= 2 * 12  # so that the chunk size tells 3 workers from 10**6
-        got = oracle._run_jobs(lambda pairs: [wn.m for wn in pairs], slices, jobs=10**6)
-        assert got == [wn.m for wn in window_pairs((40, 29), PI)]
+        got = oracle._scan(lambda pairs: [wn.m for wn in pairs], (40, 29), PI, jobs=10**6)
+        assert got == [(wn.m, wn) for wn in window_pairs((40, 29), PI)]
         assert started == [3, len(slices) // 12]
         assert multiprocessing.active_children() == []
 
@@ -569,7 +606,7 @@ def dense_ansatz_norms(geom, eta_nodes, z_nodes, r_nodes, dtype=float):
     """The ansatz norms on the dense r x eta x z grid of the tensor Gauss rule,
     in dtype, from the float64 nodes, weights and bump values: the reference
     for oracle._ansatz_norms, which sums the same rule as 1-D Gram products."""
-    bump = BumpProfile()
+    bump = oracle._bump_derivatives
     cast = lambda x: np.asarray(x, dtype=dtype)
     h, L = cast(geom.h), cast(geom.L)
     q, s = h ** cast(0.25), np.sqrt(h)
@@ -578,8 +615,8 @@ def dense_ansatz_norms(geom, eta_nodes, z_nodes, r_nodes, dtype=float):
     t_r, w_r = np.polynomial.legendre.leggauss(r_nodes)
     rho_r = cast(0.5 * t_r) * h  # r - 1, formed without cancellation
     R, rho = (1.0 + rho_r)[:, None, None], rho_r[:, None, None]
-    B = [cast(b)[None, :, None] for b in bump.derivatives(t_eta, 4)]
-    C = [cast(c)[None, None, :] * (2.0 / L) ** j for j, c in enumerate(bump.derivatives(t_z, 2))]
+    B = [cast(b)[None, :, None] for b in bump(t_eta, 4)]
+    C = [cast(c)[None, None, :] * (2.0 / L) ** j for j, c in enumerate(bump(t_z, 2))]
 
     phi_r = -B[2] * C[0]
     phi_t = R * q * B[1] * C[0] + rho / q * B[3] * C[0]
@@ -615,30 +652,19 @@ def dense_ansatz_norms(geom, eta_nodes, z_nodes, r_nodes, dtype=float):
 
 
 class TestAnsatz:
-    def test_zero_bump_rejected(self):
-        class ZeroBump:
-            max_order = 4
-
-            def derivatives(self, t, order):
-                t = np.asarray(t, dtype=float)
-                return [np.zeros_like(t)] * (order + 1)
-
-        with pytest.raises(ValueError):
-            ansatz_ratios(ShellGeometry(h=0.01, L=PI), bump=ZeroBump())
-
     def test_under_resolved_raises(self):
         with pytest.raises(QuadratureUnderResolved):
             ansatz_ratios(ShellGeometry(h=0.01, L=PI), eta_nodes=10, z_nodes=10)
 
     def test_bump_derivative_stack_consistent(self):
         # orders 1..4 against finite differences of order 0 stack
-        bump = BumpProfile()
+        bump = oracle._bump_derivatives
         t = np.linspace(-0.95, 0.95, 41)
         step = 1e-6
-        d = bump.derivatives(t, 4)
+        d = bump(t, 4)
         for order in range(1, 5):
-            up = bump.derivatives(t + step, order - 1)[order - 1]
-            dn = bump.derivatives(t - step, order - 1)[order - 1]
+            up = bump(t + step, order - 1)[order - 1]
+            dn = bump(t - step, order - 1)[order - 1]
             fd = (up - dn) / (2 * step)
             assert np.allclose(fd, d[order], rtol=5e-6, atol=5e-6 * np.abs(d[order]).max())
 
@@ -648,15 +674,11 @@ class TestAnsatz:
         assert 0 < r.korn < 1
         assert r.r_z > 0 and r.theta_z > 0
 
-    def test_invalid_exponent_scale(self):
-        with pytest.raises(ValueError):
-            BumpProfile(a=0.0)
-
     @pytest.mark.parametrize("h", [1e-2, 1e-4])
     @pytest.mark.parametrize("z_nodes", [40, 24])
     def test_separable_norms_match_the_dense_grid(self, h, z_nodes):
         geom = ShellGeometry(h=h, L=PI)
-        got = oracle._ansatz_norms(geom, BumpProfile(), 40, z_nodes, 8)
+        got = oracle._ansatz_norms(geom, 40, z_nodes, 8)
         want = dense_ansatz_norms(geom, 40, z_nodes, 8)
         for key, value in want.items():
             assert got[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
@@ -665,7 +687,7 @@ class TestAnsatz:
     def test_e2_at_small_h_against_extended_precision(self):
         # the dense float64 grid loses ~3e-9 of e2 here to R B - B cancellations
         geom = ShellGeometry(h=1e-8, L=PI)
-        got = oracle._ansatz_norms(geom, BumpProfile(), 40, 40, 8)["e2"]
+        got = oracle._ansatz_norms(geom, 40, 40, 8)["e2"]
         want = dense_ansatz_norms(geom, 40, 40, 8, dtype=np.longdouble)["e2"]
         assert abs(got - want) <= 1e-10 * abs(want)
 
