@@ -165,19 +165,28 @@ def emit(outdir: str, report: Report) -> int:
     return report.code
 
 
-def _grid_lines(field: modes_mod.DisplacementField, fmt_line: Callable, *arrays) -> str:
-    """One line per grid point from arrays broadcast to [ir, jt, kz]; r varies fastest, then theta, then z."""
-    shape = (len(field.r), len(field.theta), len(field.z))
-    columns = (np.broadcast_to(a, shape).transpose().ravel().tolist() for a in arrays)
-    return "\n".join(map(fmt_line, *columns))
+def _column(a) -> list:
+    """A grid array [ir, jt, kz] as a list; r varies fastest, then theta, then z."""
+    return np.ravel(a, order="F").tolist()
+
+
+def _point_lines(field: modes_mod.DisplacementField, sep: str, x, y) -> List[str]:
+    """``f"{x!r}{sep}{y!r}{sep}{z!r}"`` per grid point in ``_column`` order,
+    from x and y given on [ir, jt].  Each (x, y) prefix and each z is
+    formatted once and joined by grid index, not by value, so that 0.0 and
+    -0.0 stay apart."""
+    shape = (len(field.r), len(field.theta))
+    xs, ys = (_column(np.broadcast_to(a, shape)) for a in (x, y))
+    prefixes = [f"{a!r}{sep}{b!r}{sep}" for a, b in zip(xs, ys)]
+    return [p + z for z in map(repr, _column(field.z)) for p in prefixes]
 
 
 def write_vtk(path: str, field: modes_mod.DisplacementField):
     """Legacy ASCII structured grid; r varies fastest, then theta, then z."""
     nr, nt, nz = len(field.r), len(field.theta), len(field.z)
-    r = np.asarray(field.r)[:, None, None]
-    cos_t = np.array([math.cos(t) for t in field.theta])[:, None]
-    sin_t = np.array([math.sin(t) for t in field.theta])[:, None]
+    r = np.asarray(field.r)[:, None]
+    cos_t = np.array([math.cos(t) for t in field.theta])
+    sin_t = np.array([math.sin(t) for t in field.theta])
     parts = [
         "# vtk DataFile Version 3.0",
         "cylbuck buckling mode displacement",
@@ -185,22 +194,21 @@ def write_vtk(path: str, field: modes_mod.DisplacementField):
         "DATASET STRUCTURED_GRID",
         f"DIMENSIONS {nr} {nt} {nz}",
         f"POINTS {nr * nt * nz} double",
-        _grid_lines(field, "{!r} {!r} {!r}".format, r * cos_t, r * sin_t, np.asarray(field.z)),
+        *_point_lines(field, " ", r * cos_t, r * sin_t),
         f"POINT_DATA {nr * nt * nz}",
     ]
     for name in ("phi_r", "phi_theta", "phi_z"):
-        parts += [f"SCALARS {name} double 1", "LOOKUP_TABLE default", _grid_lines(field, repr, getattr(field, name))]
+        parts += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+        parts += map(repr, _column(getattr(field, name)))
     write_text(path, "\n".join(parts) + "\n")
 
 
 def write_mode_csv(path: str, field: modes_mod.DisplacementField):
     """One row per grid point; r varies fastest, then theta, then z."""
-    rows = _grid_lines(
-        field, "{!r},{!r},{!r},{!r},{!r},{!r}".format,
-        np.asarray(field.r)[:, None, None], np.asarray(field.theta)[:, None], np.asarray(field.z),
-        field.phi_r, field.phi_theta, field.phi_z,
-    )
-    write_text(path, "r,theta,z,phi_r,phi_theta,phi_z\n" + rows + "\n")
+    points = _point_lines(field, ",", np.asarray(field.r)[:, None], np.asarray(field.theta))
+    phi = (_column(field.phi_r), _column(field.phi_theta), _column(field.phi_z))
+    rows = map("{},{!r},{!r},{!r}".format, points, *phi)
+    write_text(path, "r,theta,z,phi_r,phi_theta,phi_z\n" + "\n".join(rows) + "\n")
 
 
 def _h(config: RunConfig, args) -> float:

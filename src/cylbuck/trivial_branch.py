@@ -15,9 +15,8 @@ compression ``-E e_z (x) e_z``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-from scipy.optimize import brentq
 
 from .errors import NoRoot, NonConvergence
 from .material import IsotropicElasticity, SymStrain
@@ -50,6 +49,50 @@ def _residual(model, lam: float, a: float) -> float:
     return model.residual_rr(c1, c3)
 
 
+def _brentq(f, xpre: float, xcur: float, fpre: float, fcur: float, maxiter: int,
+            xtol: float = 1e-15, rtol: float = 8.9e-16) -> float:
+    """Brent's root of f on [xpre, xcur], where f takes the nonzero values
+    fpre and fcur of opposite signs.
+
+    Step for step the iteration of scipy's ``brentq.c`` (so the same roots,
+    bit for bit): inverse quadratic or secant steps, bisection whenever a
+    step is not short enough, and the tolerance 2 * delta with
+    delta = (xtol + rtol |x|) / 2.  Raises RuntimeError after maxiter steps
+    and ValueError on a NaN function value, as scipy does.
+    """
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise ValueError(f"The function value at x={xcur} is NaN; solver cannot continue.")
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
 def solve_radial_stretch(model, lam: float, bracket=(-0.5, 0.5)) -> float:
     """Root of the lateral traction condition near a = 0.
 
@@ -65,18 +108,13 @@ def solve_radial_stretch(model, lam: float, bracket=(-0.5, 0.5)) -> float:
         return lo
     if f_hi == 0.0:
         return hi
+    if math.isnan(f_lo) or math.isnan(f_hi):
+        raise ValueError(f"residual is NaN on bracket {bracket} (lambda={lam})")
     if f_lo * f_hi > 0.0:
         raise NoRoot(f"residual has no sign change on bracket {bracket} (lambda={lam})")
     try:
-        root = brentq(
-            lambda a: _residual(model, lam, a),
-            lo,
-            hi,
-            maxiter=_MAX_ITER,
-            xtol=1e-15,
-            rtol=8.9e-16,
-        )
-    except RuntimeError as exc:  # scipy signals maxiter this way
+        root = _brentq(lambda a: _residual(model, lam, a), lo, hi, f_lo, f_hi, _MAX_ITER)
+    except RuntimeError as exc:
         raise NonConvergence(str(exc)) from exc
     # Newton polish with a finite-difference slope; the Brent root is already
     # at machine precision in a, this guards the residual-level contract.

@@ -3,11 +3,12 @@ one PASS/FAIL line."""
 
 import math
 
+import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
 from cylbuck import acceptance
-from cylbuck.material import IsotropicElasticity
+from cylbuck.material import IsotropicElasticity, random_strain
 from cylbuck.spectral import FourierMode, ShellGeometry, WaveNumbers, mode_energy
 
 
@@ -37,3 +38,26 @@ def test_decoupling_check_detects_coupled_modes(rng):
     assert grid == pytest.approx(per_mode, rel=1e-9)
     grid, per_mode = energies([(1, 2), (3, 2), (1, 2)])
     assert grid != pytest.approx(per_mode, rel=1e-3)
+
+
+@pytest.mark.parametrize("seed", ["42", "1103"])
+def test_criterion_9_draws_match_the_scalar_loop(seed, monkeypatch):
+    # the batched draws are the doubles of the per-sample loop they replace:
+    # 200 rounds of random_strain and uniform(-3, 3), then 10 000 random_strain
+    monkeypatch.setenv("KOITER_SEED", seed)
+    batched = np.random.default_rng(acceptance._seed())
+    strains, factors, sampled = acceptance._strain_samples(batched)
+    scalar = np.random.default_rng(int(seed))
+    fields = ("rr", "tt", "zz", "rt", "rz", "tz")
+
+    def rows(e):
+        return np.column_stack([getattr(e, f) for f in fields])
+
+    homogeneity = []
+    for _ in range(200):
+        e = random_strain(scalar)
+        homogeneity.append([getattr(e, f) for f in fields] + [scalar.uniform(-3, 3)])
+    coercivity = [[getattr(e, f) for f in fields] for e in (random_strain(scalar) for _ in range(10_000))]
+    assert np.column_stack([rows(strains), factors]).tobytes() == np.array(homogeneity).tobytes()
+    assert rows(sampled).tobytes() == np.array(coercivity).tobytes()
+    assert batched.random() == scalar.random()

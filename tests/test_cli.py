@@ -109,25 +109,33 @@ class TestMode:
             cli.write_text(path, "\n".join(lines) + "\n")
 
         rng = np.random.default_rng(3)
-        shape = (3, 5, 4)
-        phi = [rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape) for _ in range(3)]
-        phi[0][0, 0, 0], phi[1][1, 2, 3] = -0.0, 0.0
-        field = cli.modes_mod.DisplacementField(
-            spec=None, r=np.linspace(0.995, 1.005, 3), theta=np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False),
-            z=np.linspace(0.0, math.pi, 4), phi_r=phi[0], phi_theta=phi[1], phi_z=phi[2],
-        )
-        cli.write_vtk(str(tmp_path / "fast.vtk"), field)
-        scalar_writer(str(tmp_path / "scalar.vtk"), field)
-        assert read(tmp_path / "fast.vtk") == read(tmp_path / "scalar.vtk")
-
-        # the mode CSV: one row per point in the same order, each value fmt-ed
-        nr, nt, nz = phi[0].shape
-        rows = ["r,theta,z,phi_r,phi_theta,phi_z"] + [
-            ",".join(fmt(v) for v in (field.r[ir], field.theta[jt], field.z[kz], *(p[ir, jt, kz] for p in phi)))
-            for kz in range(nz) for jt in range(nt) for ir in range(nr)
+        grids = [
+            (np.linspace(0.995, 1.005, 3), np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False), np.linspace(0.0, math.pi, 4)),
+            # signed zeros and repeated values: sin(0.0) = 0.0, sin(-0.0) = -0.0, sin(pi) = 1.2e-16,
+            # and a negative r times sin(0.0) gives -0.0; a cache keyed by value would merge 0.0 with -0.0
+            (np.array([0.995, 1.0, 1.0, -0.5]), np.array([0.0, -0.0, math.pi, math.pi, 2.0]), np.array([0.0, -0.0, 1.0, 1.0])),
         ]
-        cli.write_mode_csv(str(tmp_path / "fast.csv"), field)
-        assert read(tmp_path / "fast.csv") == ("\n".join(rows) + "\n").encode()
+        for k, (r, theta, z) in enumerate(grids):
+            shape = (len(r), len(theta), len(z))
+            phi = [rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape) for _ in range(3)]
+            phi[0][0, 0, 0], phi[1][1, 2, 3] = -0.0, 0.0
+            field = cli.modes_mod.DisplacementField(
+                spec=None, r=r, theta=theta, z=z, phi_r=phi[0], phi_theta=phi[1], phi_z=phi[2],
+            )
+            cli.write_vtk(str(tmp_path / f"fast{k}.vtk"), field)
+            scalar_writer(str(tmp_path / f"scalar{k}.vtk"), field)
+            assert read(tmp_path / f"fast{k}.vtk") == read(tmp_path / f"scalar{k}.vtk")
+
+            # the mode CSV: one row per point in the same order, each value fmt-ed
+            nr, nt, nz = shape
+            rows = ["r,theta,z,phi_r,phi_theta,phi_z"] + [
+                ",".join(fmt(v) for v in (r[ir], theta[jt], z[kz], *(p[ir, jt, kz] for p in phi)))
+                for kz in range(nz) for jt in range(nt) for ir in range(nr)
+            ]
+            cli.write_mode_csv(str(tmp_path / f"fast{k}.csv"), field)
+            assert read(tmp_path / f"fast{k}.csv") == ("\n".join(rows) + "\n").encode()
+        points = read(tmp_path / "fast1.vtk").decode().splitlines()[6:6 + 80]
+        assert {"0.0", "-0.0"} <= {tok for ln in points for tok in ln.split()}
 
     def test_csv_output_row_count(self, tmp_path, capsys):
         assert (

@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
-from cylbuck.errors import NoRoot
+from cylbuck import trivial_branch
+from cylbuck.errors import NoRoot, NonConvergence
 from cylbuck.material import IsotropicElasticity, SymStrain, elastic_map
 from cylbuck.trivial_branch import (
     StVenantKirchhoff,
+    _brentq,
+    _residual,
     linearized_displacement_slope,
     solve_radial_stretch,
     trivial_stress,
@@ -66,6 +71,86 @@ class TestRadialStretch:
         c1 = (1.0 + a) ** 2
         c3 = (1.0 - 1e-3) ** 2
         assert abs((c1 - 1.0) - 0.25 * (c3 - 1.0)) <= 1e-12
+
+
+class TestBrent:
+    """The Brent iteration in trivial_branch against scipy.optimize.brentq,
+    which the package itself does not import."""
+
+    @staticmethod
+    def both(f, lo, hi, maxiter=200, xtol=1e-15, rtol=8.9e-16):
+        from scipy.optimize import brentq
+
+        outcomes = []
+        for solve in (
+            lambda: brentq(f, lo, hi, xtol=xtol, rtol=rtol, maxiter=maxiter),
+            lambda: _brentq(f, lo, hi, f(lo), f(hi), maxiter, xtol, rtol),
+        ):
+            try:
+                root = solve()
+                outcomes.append(("root", root, math.copysign(1.0, root)))
+            except RuntimeError as exc:
+                outcomes.append(("RuntimeError", str(exc)))
+        return outcomes
+
+    def test_criterion_7_roots_bit_for_bit(self):
+        # criterion 7's nu and lambda values, on the default and random brackets
+        rng = np.random.default_rng(11)
+        compared = 0
+        for nu in (0.0, 0.3, 0.45):
+            model = StVenantKirchhoff(IsotropicElasticity(nu=nu))
+            for lam in [1e-6, -1e-6, *np.geomspace(1e-4, 1e-2, 7).tolist()]:
+                def f(a):
+                    return _residual(model, lam, a)
+
+                brackets = [(-0.5, 0.5)] + [tuple(rng.uniform(-0.9, 0.9, 2).tolist()) for _ in range(8)]
+                for lo, hi in brackets:
+                    if f(lo) * f(hi) < 0.0:
+                        want, got = self.both(f, lo, hi)
+                        assert got == want, (nu, lam, lo, hi)
+                        compared += 1
+        assert compared >= 27
+
+    def test_non_polynomial_roots_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            c = float(rng.uniform(0.1, 3.0))
+            lo, hi = float(rng.uniform(-5.0, 0.0)), float(rng.uniform(0.0, 5.0))
+
+            def f(x):
+                return math.exp(x) - c - math.sin(3.0 * x)
+
+            if f(lo) * f(hi) < 0.0:
+                want, got = self.both(f, lo, hi)
+                assert got == want
+                # scipy's default tolerances, on the reversed bracket
+                want, got = self.both(f, hi, lo, 100, 2e-12, 4 * np.finfo(float).eps)
+                assert got == want
+
+    def test_iteration_cap_raises_like_scipy(self):
+        def f(x):
+            return math.atan(x - 0.3) ** 3
+
+        want, got = self.both(f, -4.0, 5.0, maxiter=3)
+        assert got == want == ("RuntimeError", "Failed to converge after 3 iterations.")
+
+    def test_nan_residual_is_value_error(self):
+        # as scipy.optimize.brentq raised it: NaN at an end or inside the bracket
+        class NanInside:
+            def residual_rr(self, c1, c3):
+                return math.nan if 1.0 < c1 < 1.2 else c1 - 1.0 - 0.25 * (c3 - 1.0)
+
+        model = StVenantKirchhoff(IsotropicElasticity(nu=0.3))
+        with pytest.raises(ValueError, match="NaN"):
+            solve_radial_stretch(model, math.nan)
+        with pytest.raises(ValueError, match="NaN"):
+            solve_radial_stretch(NanInside(), 1e-3, bracket=(-0.5, 0.9))
+
+    def test_iteration_cap_is_non_convergence(self, monkeypatch):
+        model = StVenantKirchhoff(IsotropicElasticity(nu=0.3))
+        monkeypatch.setattr(trivial_branch, "_MAX_ITER", 2)
+        with pytest.raises(NonConvergence, match="Failed to converge after 2 iterations"):
+            solve_radial_stretch(model, 1e-3)
 
 
 class TestSlope:
