@@ -22,6 +22,8 @@ from .errors import NoRoot, NonConvergence
 from .material import IsotropicElasticity, SymStrain
 
 _MAX_ITER = 200
+_XTOL = 1e-15
+_RTOL = 8.9e-16
 _RESIDUAL_TOL = 1e-12
 
 
@@ -49,26 +51,25 @@ def _residual(model, lam: float, a: float) -> float:
     return model.residual_rr(c1, c3)
 
 
-def _brentq(f, xpre: float, xcur: float, fpre: float, fcur: float, maxiter: int,
-            xtol: float = 1e-15, rtol: float = 8.9e-16) -> float:
+def _brentq(f, xpre: float, xcur: float, fpre: float, fcur: float) -> float:
     """Brent's root of f on [xpre, xcur], where f takes the nonzero values
     fpre and fcur of opposite signs.
 
     Step for step the iteration of scipy's ``brentq.c`` (so the same roots,
     bit for bit): inverse quadratic or secant steps, bisection whenever a
     step is not short enough, and the tolerance 2 * delta with
-    delta = (xtol + rtol |x|) / 2.  Raises RuntimeError after maxiter steps
-    and ValueError on a NaN function value, as scipy does.
+    delta = (_XTOL + _RTOL |x|) / 2.  Raises RuntimeError after _MAX_ITER
+    steps and ValueError on a NaN function value, as scipy does.
     """
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(_MAX_ITER):
         if (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -90,7 +91,7 @@ def _brentq(f, xpre: float, xcur: float, fpre: float, fcur: float, maxiter: int,
         fcur = f(xcur)
         if math.isnan(fcur):
             raise ValueError(f"The function value at x={xcur} is NaN; solver cannot continue.")
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    raise RuntimeError(f"Failed to converge after {_MAX_ITER} iterations.")
 
 
 def solve_radial_stretch(model, lam: float, bracket=(-0.5, 0.5)) -> float:
@@ -110,10 +111,10 @@ def solve_radial_stretch(model, lam: float, bracket=(-0.5, 0.5)) -> float:
         return hi
     if math.isnan(f_lo) or math.isnan(f_hi):
         raise ValueError(f"residual is NaN on bracket {bracket} (lambda={lam})")
-    if f_lo * f_hi > 0.0:
+    if (f_lo < 0.0) == (f_hi < 0.0):
         raise NoRoot(f"residual has no sign change on bracket {bracket} (lambda={lam})")
     try:
-        root = _brentq(lambda a: _residual(model, lam, a), lo, hi, f_lo, f_hi, _MAX_ITER)
+        root = _brentq(lambda a: _residual(model, lam, a), lo, hi, f_lo, f_hi)
     except RuntimeError as exc:
         raise NonConvergence(str(exc)) from exc
     # Newton polish with a finite-difference slope; the Brent root is already

@@ -61,6 +61,20 @@ class TestRadialStretch:
         with pytest.raises(NoRoot):
             solve_radial_stretch(model, 0.0, bracket=(0.2, 0.4))
 
+    def test_tiny_residuals_of_one_sign_are_no_root(self):
+        # the product of the end residuals underflows to 0.0; the sign test
+        # must not let such a bracket through to the Brent iteration
+        class Tiny:
+            def __init__(self, sign):
+                self.sign = sign
+
+            def residual_rr(self, c1, c3):
+                return self.sign * 1e-200 * (1.0 + c1)
+
+        for sign in (1.0, -1.0):
+            with pytest.raises(NoRoot):
+                solve_radial_stretch(Tiny(sign), 1e-3)
+
     def test_custom_residual_model(self):
         # any object with residual_rr works; linear toy model with a'(0)=1/4
         class Toy:
@@ -78,13 +92,15 @@ class TestBrent:
     which the package itself does not import."""
 
     @staticmethod
-    def both(f, lo, hi, maxiter=200, xtol=1e-15, rtol=8.9e-16):
+    def both(f, lo, hi):
+        """Both solvers' outcomes under trivial_branch's current constants."""
         from scipy.optimize import brentq
 
+        tb = trivial_branch
         outcomes = []
         for solve in (
-            lambda: brentq(f, lo, hi, xtol=xtol, rtol=rtol, maxiter=maxiter),
-            lambda: _brentq(f, lo, hi, f(lo), f(hi), maxiter, xtol, rtol),
+            lambda: brentq(f, lo, hi, xtol=tb._XTOL, rtol=tb._RTOL, maxiter=tb._MAX_ITER),
+            lambda: _brentq(f, lo, hi, f(lo), f(hi)),
         ):
             try:
                 root = solve()
@@ -111,27 +127,34 @@ class TestBrent:
                         compared += 1
         assert compared >= 27
 
-    def test_non_polynomial_roots_bit_for_bit(self):
+    def test_non_polynomial_roots_bit_for_bit(self, monkeypatch):
         rng = np.random.default_rng(5)
+        brackets = []
         for _ in range(100):
             c = float(rng.uniform(0.1, 3.0))
             lo, hi = float(rng.uniform(-5.0, 0.0)), float(rng.uniform(0.0, 5.0))
 
-            def f(x):
+            def f(x, c=c):
                 return math.exp(x) - c - math.sin(3.0 * x)
 
             if f(lo) * f(hi) < 0.0:
                 want, got = self.both(f, lo, hi)
                 assert got == want
-                # scipy's default tolerances, on the reversed bracket
-                want, got = self.both(f, hi, lo, 100, 2e-12, 4 * np.finfo(float).eps)
-                assert got == want
+                brackets.append((f, hi, lo))
+        # scipy's default tolerances and cap, on the reversed brackets
+        monkeypatch.setattr(trivial_branch, "_MAX_ITER", 100)
+        monkeypatch.setattr(trivial_branch, "_XTOL", 2e-12)
+        monkeypatch.setattr(trivial_branch, "_RTOL", 4 * np.finfo(float).eps)
+        for f, lo, hi in brackets:
+            want, got = self.both(f, lo, hi)
+            assert got == want
 
-    def test_iteration_cap_raises_like_scipy(self):
+    def test_iteration_cap_raises_like_scipy(self, monkeypatch):
         def f(x):
             return math.atan(x - 0.3) ** 3
 
-        want, got = self.both(f, -4.0, 5.0, maxiter=3)
+        monkeypatch.setattr(trivial_branch, "_MAX_ITER", 3)
+        want, got = self.both(f, -4.0, 5.0)
         assert got == want == ("RuntimeError", "Failed to converge after 3 iterations.")
 
     def test_nan_residual_is_value_error(self):
