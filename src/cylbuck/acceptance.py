@@ -199,18 +199,25 @@ def criterion_6(jobs: int = 1) -> CriterionResult:
 
 
 def criterion_7() -> CriterionResult:
-    """Pre-buckled radial stretch: slope and quadratic remainder."""
+    """Pre-buckled radial stretch: slope, quadratic remainder, and every
+    sampled stretch zeroing the energy's lateral traction to 1e-12."""
     rows = []
     ok = True
     for nu in (0.0, 0.3, 0.45):
         model = StVenantKirchhoff(IsotropicElasticity(nu=nu))
         slope_err = abs(linearized_displacement_slope(model) - nu)
-        rem = max(
-            abs(solve_radial_stretch(model, lam) - nu * lam) / lam**2
-            for lam in np.geomspace(1e-4, 1e-2, 7)
+        lams = np.geomspace(1e-4, 1e-2, 7).tolist()
+        stretches = [solve_radial_stretch(model, lam) for lam in lams]
+        rem = max(abs(a - nu * lam) / lam**2 for lam, a in zip(lams, stretches))
+        zeroed = all(
+            abs(model.residual_rr((1.0 + a) ** 2, (1.0 - lam) ** 2)) <= 1e-12
+            for lam, a in zip(lams, stretches)
         )
-        ok = ok and slope_err <= 1e-6 and rem < 10.0
-        rows.append(f"nu={nu}: |a'(0)-nu|={slope_err:.1e}, remainder C={rem:.2f}")
+        ok = ok and slope_err <= 1e-6 and rem < 10.0 and zeroed
+        rows.append(
+            f"nu={nu}: |a'(0)-nu|={slope_err:.1e}, remainder C={rem:.2f}"
+            + ("" if zeroed else ", residual NOT zeroed to 1e-12")
+        )
     return CriterionResult(7, "trivial branch", ok, "; ".join(rows))
 
 

@@ -6,7 +6,7 @@ class CylbuckError(Exception):
 
 
 class NoRoot(CylbuckError):
-    """Residual does not change sign on the supplied bracket."""
+    """No real root: the trivial branch's (1+a)^2 = 1 + nu*lambda*(2-lambda) is <= 0."""
 
 
 class NonConvergence(CylbuckError):

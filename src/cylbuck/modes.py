@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -178,25 +178,11 @@ def synthesize(
     return DisplacementField(spec=spec, r=r, theta=theta, z=z, phi_r=pr, phi_theta=pt, phi_z=pz)
 
 
-class QuotientBreakdown:
-    """Per-harmonic stiffness/denominator values and their combined quotient."""
+class QuotientBreakdown(NamedTuple):
+    """Per-harmonic stiffness and denominator values of the two-term mode."""
 
-    def __init__(self, stiffness: List[float], denominators: List[float], lambda_star: float):
-        self.stiffness = stiffness
-        self.denominators = denominators
-        self.lambda_star = lambda_star
-
-    @property
-    def quotient(self) -> float:
-        return sum(self.stiffness) / sum(self.denominators)
-
-    @property
-    def ratio(self) -> float:
-        return self.quotient / self.lambda_star
-
-    @property
-    def per_harmonic(self) -> List[float]:
-        return [s / d for s, d in zip(self.stiffness, self.denominators)]
+    stiffness: List[float]
+    denominators: List[float]
 
 
 def quotient_breakdown(spec: BucklingModeSpec, nodes: int = 16) -> QuotientBreakdown:
@@ -206,9 +192,10 @@ def quotient_breakdown(spec: BucklingModeSpec, nodes: int = 16) -> QuotientBreak
     for mode in harmonics(spec):
         stiff.append(mode_energy(spec.geom, spec.elastic, mode, nodes))
         denom.append(mode_denominators(spec.geom, mode, nodes).phi_rz)
-    return QuotientBreakdown(stiff, denom, spec.lambda_star)
+    return QuotientBreakdown(stiff, denom)
 
 
 def quotient_ratio(spec: BucklingModeSpec, nodes: int = 16) -> float:
     """R1 of the two-term mode over the classical strain; -> 1 as h -> 0."""
-    return quotient_breakdown(spec, nodes).ratio
+    qb = quotient_breakdown(spec, nodes)
+    return sum(qb.stiffness) / sum(qb.denominators) / spec.lambda_star

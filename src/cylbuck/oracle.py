@@ -904,8 +904,9 @@ def ansatz_ratios(
     QuadratureUnderResolved.
     """
     norms = _ansatz_norms(geom, eta_nodes, z_nodes, r_nodes)
-    if norms["grad2"] <= 0.0:
-        raise ValueError("ansatz field vanishes")
+    vanished = [key for key, val in norms.items() if not val > 0.0]
+    if vanished:
+        raise ValueError(f"ansatz norms {', '.join(vanished)} vanish at h={geom.h!r}")
     check = _ansatz_norms(geom, int(1.5 * eta_nodes), int(1.5 * z_nodes), r_nodes)
     for key, val in norms.items():
         ref = check[key]

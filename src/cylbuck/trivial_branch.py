@@ -8,6 +8,8 @@ diagonal Cauchy-Green tensor
 
     C = diag((1+a)^2, (1+a)^2, (1-lambda)^2).
 
+For the St. Venant-Kirchhoff energy that equation is linear in
+``c1 = (1+a)^2``, with the exact root ``c1 = 1 + nu * lambda * (2 - lambda)``.
 To linear order ``a(lambda) = nu * lambda``, independent of the particular
 hyperelastic model; the associated linear elastic stress is the uniaxial
 compression ``-E e_z (x) e_z``.
@@ -18,13 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NoRoot, NonConvergence
+from .errors import NoRoot
 from .material import IsotropicElasticity, SymStrain
 
-_MAX_ITER = 200
-_XTOL = 1e-15
-_RTOL = 8.9e-16
-_RESIDUAL_TOL = 1e-12
+# central-difference step of a'(0): balances truncation against round-off
+_SLOPE_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -45,106 +45,29 @@ class StVenantKirchhoff:
         return 0.25 * lam * tr + 0.5 * mu * (c1 - 1.0)
 
 
-def _residual(model, lam: float, a: float) -> float:
-    c1 = (1.0 + a) ** 2
-    c3 = (1.0 - lam) ** 2
-    return model.residual_rr(c1, c3)
+def solve_radial_stretch(model: StVenantKirchhoff, lam: float) -> float:
+    """Radial stretch ``a`` that zeroes ``model.residual_rr`` at axial strain lam.
 
-
-def _brentq(f, xpre: float, xcur: float, fpre: float, fcur: float) -> float:
-    """Brent's root of f on [xpre, xcur], where f takes the nonzero values
-    fpre and fcur of opposite signs.
-
-    Step for step the iteration of scipy's ``brentq.c`` (so the same roots,
-    bit for bit): inverse quadratic or secant steps, bisection whenever a
-    step is not short enough, and the tolerance 2 * delta with
-    delta = (_XTOL + _RTOL |x|) / 2.  Raises RuntimeError after _MAX_ITER
-    steps and ValueError on a NaN function value, as scipy does.
+    ``residual_rr(c1, c3) = 0`` gives ``c1 - 1 = nu * lam * (2 - lam)``, and
+    ``a = (c1 - 1) / (1 + sqrt(c1))`` is ``sqrt(c1) - 1`` without its
+    cancellation at small lam.  Raises ValueError for a non-finite lam, NoRoot
+    when ``c1 <= 0`` (no real stretch) and OverflowError when ``c1`` overflows.
     """
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_MAX_ITER):
-        if (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (_XTOL + _RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-        if math.isnan(fcur):
-            raise ValueError(f"The function value at x={xcur} is NaN; solver cannot continue.")
-    raise RuntimeError(f"Failed to converge after {_MAX_ITER} iterations.")
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam}")
+    d = model.elastic.nu * lam * (2.0 - lam)
+    if 1.0 + d <= 0.0:
+        raise NoRoot(f"(1+a)^2 = {1.0 + d:.3e} <= 0: no real radial stretch (lambda={lam})")
+    if d == math.inf:
+        raise OverflowError(f"radial stretch overflows at lambda={lam}")
+    return d / (1.0 + math.sqrt(1.0 + d))
 
 
-def solve_radial_stretch(model, lam: float, bracket=(-0.5, 0.5)) -> float:
-    """Root of the lateral traction condition near a = 0.
-
-    Brent iteration on the caller's bracket, then a residual check at
-    1e-12.  Raises NoRoot when the residual does not change sign on the
-    bracket and NonConvergence when the iteration cap (200) is hit or the
-    polished root fails the residual tolerance.
-    """
-    lo, hi = bracket
-    f_lo = _residual(model, lam, lo)
-    f_hi = _residual(model, lam, hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if math.isnan(f_lo) or math.isnan(f_hi):
-        raise ValueError(f"residual is NaN on bracket {bracket} (lambda={lam})")
-    if (f_lo < 0.0) == (f_hi < 0.0):
-        raise NoRoot(f"residual has no sign change on bracket {bracket} (lambda={lam})")
-    try:
-        root = _brentq(lambda a: _residual(model, lam, a), lo, hi, f_lo, f_hi)
-    except RuntimeError as exc:
-        raise NonConvergence(str(exc)) from exc
-    # Newton polish with a finite-difference slope; the Brent root is already
-    # at machine precision in a, this guards the residual-level contract.
-    for _ in range(3):
-        res = _residual(model, lam, root)
-        if abs(res) <= _RESIDUAL_TOL:
-            return root
-        step = 1e-7 * max(1.0, abs(root))
-        slope = (_residual(model, lam, root + step) - _residual(model, lam, root - step)) / (
-            2.0 * step
-        )
-        if slope == 0.0:
-            break
-        root -= res / slope
-    res = _residual(model, lam, root)
-    if abs(res) > _RESIDUAL_TOL:
-        raise NonConvergence(f"residual {res:.3e} above tolerance after polish")
-    return root
-
-
-def linearized_displacement_slope(model, step: float = 1e-6) -> float:
-    """a'(0) by central finite difference; equals Poisson's ratio.
-
-    The default step balances truncation against round-off at double
-    precision.
-    """
-    a_plus = solve_radial_stretch(model, step)
-    a_minus = solve_radial_stretch(model, -step)
-    return (a_plus - a_minus) / (2.0 * step)
+def linearized_displacement_slope(model: StVenantKirchhoff) -> float:
+    """a'(0) by central finite difference; equals Poisson's ratio."""
+    a_plus = solve_radial_stretch(model, _SLOPE_STEP)
+    a_minus = solve_radial_stretch(model, -_SLOPE_STEP)
+    return (a_plus - a_minus) / (2.0 * _SLOPE_STEP)
 
 
 def trivial_stress(elastic: IsotropicElasticity) -> SymStrain:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
-from cylbuck import acceptance
+from cylbuck import acceptance, trivial_branch
 from cylbuck.material import IsotropicElasticity, random_strain
 from cylbuck.spectral import FourierMode, ShellGeometry, WaveNumbers, mode_energy
 
@@ -38,6 +38,25 @@ def test_decoupling_check_detects_coupled_modes(rng):
     assert grid == pytest.approx(per_mode, rel=1e-9)
     grid, per_mode = energies([(1, 2), (3, 2), (1, 2)])
     assert grid != pytest.approx(per_mode, rel=1e-3)
+
+
+def test_criterion_7_fails_a_stretch_off_the_energy(monkeypatch):
+    # a = nu lambda has the right slope and a zero remainder, so only the
+    # residual condition can catch it (at nu = 0.3 and 0.45; at nu = 0 it is exact)
+    def linear(model, lam):
+        return model.elastic.nu * lam
+
+    monkeypatch.setattr(trivial_branch, "solve_radial_stretch", linear)
+    monkeypatch.setattr(acceptance, "solve_radial_stretch", linear)
+    result = acceptance.criterion_7()
+    assert not result.passed
+    rows = result.details.split("; ")
+    assert [row.endswith("residual NOT zeroed to 1e-12") for row in rows] == [False, True, True]
+    for nu, row in zip((0.0, 0.3, 0.45), rows):
+        assert row.startswith(f"nu={nu}: |a'(0)-nu|=")
+        assert "remainder C=0.00" in row
+        slope_err = float(row.split("=")[2].split(",")[0])
+        assert slope_err <= 1e-6
 
 
 @pytest.mark.parametrize("seed", ["42", "1103"])

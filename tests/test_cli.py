@@ -343,6 +343,22 @@ class TestConfigAndErrors:
         assert err.startswith("ValueError: ") and err.count("\n") == 1, err
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["sweep", "--h-list", "0.5", "--L", "1e-300"], "OverflowError"),
+            (["ansatz", "--h-list", "0.5", "--L", "1e-300"], "OverflowError"),
+            (["ansatz", "--h-list", "1e-300"], "ValueError"),
+        ],
+        ids=["sweep-overflow", "ansatz-overflow", "ansatz-vanishing-norms"],
+    )
+    def test_arithmetic_failures_exit_one(self, tmp_path, capsys, argv, name):
+        assert main(argv + ["--outdir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(name + ": ") and captured.err.count("\n") == 1, captured.err
+        assert os.listdir(tmp_path) == []
+
     def test_every_command_accepts_every_shared_flag(self):
         values = {"nu": "0.3", "E": "1", "L": "3", "h_list": "0.1", "margin": "3", "degree": "8",
                   "outdir": ".", "jobs": "1"}

@@ -656,6 +656,12 @@ class TestAnsatz:
         with pytest.raises(QuadratureUnderResolved):
             ansatz_ratios(ShellGeometry(h=0.01, L=PI), eta_nodes=10, z_nodes=10)
 
+    @pytest.mark.parametrize("h", [5e-324, 1e-300])
+    def test_vanishing_norms_raise_before_any_division(self, h):
+        # at 5e-324 every norm is 0.0; at 1e-300 e2 underflows but grad2 does not
+        with pytest.raises(ValueError, match="e2.* vanish"):
+            ansatz_ratios(ShellGeometry(h=h, L=PI))
+
     def test_bump_derivative_stack_consistent(self):
         # orders 1..4 against finite differences of order 0 stack
         bump = oracle._bump_derivatives

@@ -12,8 +12,8 @@ def test_public_names_resolve_once():
 
 
 def test_import_leaves_scipy_optimize_out():
-    # the Brent root of the trivial branch is in the package; scipy.optimize
-    # would add ~0.2 s and ~20 MB to every import
+    # the trivial branch is a closed form and the oracle needs only
+    # scipy.linalg; scipy.optimize would add ~0.2 s and ~20 MB to every import
     code = "import sys, cylbuck; print('scipy.optimize' in sys.modules)"
     src = os.path.dirname(os.path.dirname(cylbuck.__file__))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))

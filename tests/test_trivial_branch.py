@@ -3,13 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from cylbuck import trivial_branch
-from cylbuck.errors import NoRoot, NonConvergence
+from cylbuck.errors import NoRoot
 from cylbuck.material import IsotropicElasticity, SymStrain, elastic_map
 from cylbuck.trivial_branch import (
     StVenantKirchhoff,
-    _brentq,
-    _residual,
     linearized_displacement_slope,
     solve_radial_stretch,
     trivial_stress,
@@ -56,124 +53,53 @@ class TestRadialStretch:
         assert max(cs) < 2.0
         assert max(cs) / min(cs) < 3.0
 
-    def test_no_root_on_bad_bracket(self):
+    def test_non_finite_lambda_is_value_error(self):
         model = StVenantKirchhoff(IsotropicElasticity(nu=0.3))
-        with pytest.raises(NoRoot):
-            solve_radial_stretch(model, 0.0, bracket=(0.2, 0.4))
+        for lam in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                solve_radial_stretch(model, lam)
 
-    def test_tiny_residuals_of_one_sign_are_no_root(self):
-        # the product of the end residuals underflows to 0.0; the sign test
-        # must not let such a bracket through to the Brent iteration
-        class Tiny:
-            def __init__(self, sign):
-                self.sign = sign
-
-            def residual_rr(self, c1, c3):
-                return self.sign * 1e-200 * (1.0 + c1)
-
-        for sign in (1.0, -1.0):
+    def test_no_real_stretch_is_no_root(self):
+        # (1+a)^2 = 1 + nu lam (2 - lam) <= 0; at nu = 1/8, lam = -2 it is 0.0
+        for nu, lam in ((0.3, -1.2), (0.3, 4.0), (0.125, -2.0), (0.45, -1e200)):
             with pytest.raises(NoRoot):
-                solve_radial_stretch(Tiny(sign), 1e-3)
+                solve_radial_stretch(StVenantKirchhoff(IsotropicElasticity(nu=nu)), lam)
 
-    def test_custom_residual_model(self):
-        # any object with residual_rr works; linear toy model with a'(0)=1/4
-        class Toy:
-            def residual_rr(self, c1, c3):
-                return (c1 - 1.0) - 0.25 * (c3 - 1.0)
+    def test_overflowing_stretch_is_overflow_error(self):
+        model = StVenantKirchhoff(IsotropicElasticity(nu=-0.5))
+        with pytest.raises(OverflowError):
+            solve_radial_stretch(model, 1e200)
 
-        a = solve_radial_stretch(Toy(), 1e-3)
-        c1 = (1.0 + a) ** 2
-        c3 = (1.0 - 1e-3) ** 2
-        assert abs((c1 - 1.0) - 0.25 * (c3 - 1.0)) <= 1e-12
+    def test_stretches_below_minus_one_half(self):
+        # at nu = 0.3 the root for lam in (-1.08, -0.87) lies below a = -0.5
+        el = IsotropicElasticity(nu=0.3)
+        model = StVenantKirchhoff(el)
+        for lam in (-1.07, -1.0, -0.9):
+            a = solve_radial_stretch(model, lam)
+            assert -1.0 < a < -0.5
+            assert abs(residual_by_hand(el, lam, a)) <= 1e-14
 
-
-class TestBrent:
-    """The Brent iteration in trivial_branch against scipy.optimize.brentq,
-    which the package itself does not import."""
-
-    @staticmethod
-    def both(f, lo, hi):
-        """Both solvers' outcomes under trivial_branch's current constants."""
+    def test_closed_form_against_scipy_brentq(self):
+        # criterion 7's (nu, lambda) values and random cases: the closed form
+        # is the root scipy's Brent iteration finds, and it zeroes the
+        # independently transcribed residual
         from scipy.optimize import brentq
 
-        tb = trivial_branch
-        outcomes = []
-        for solve in (
-            lambda: brentq(f, lo, hi, xtol=tb._XTOL, rtol=tb._RTOL, maxiter=tb._MAX_ITER),
-            lambda: _brentq(f, lo, hi, f(lo), f(hi)),
-        ):
-            try:
-                root = solve()
-                outcomes.append(("root", root, math.copysign(1.0, root)))
-            except RuntimeError as exc:
-                outcomes.append(("RuntimeError", str(exc)))
-        return outcomes
-
-    def test_criterion_7_roots_bit_for_bit(self):
-        # criterion 7's nu and lambda values, on the default and random brackets
-        rng = np.random.default_rng(11)
-        compared = 0
-        for nu in (0.0, 0.3, 0.45):
-            model = StVenantKirchhoff(IsotropicElasticity(nu=nu))
-            for lam in [1e-6, -1e-6, *np.geomspace(1e-4, 1e-2, 7).tolist()]:
-                def f(a):
-                    return _residual(model, lam, a)
-
-                brackets = [(-0.5, 0.5)] + [tuple(rng.uniform(-0.9, 0.9, 2).tolist()) for _ in range(8)]
-                for lo, hi in brackets:
-                    if f(lo) * f(hi) < 0.0:
-                        want, got = self.both(f, lo, hi)
-                        assert got == want, (nu, lam, lo, hi)
-                        compared += 1
-        assert compared >= 27
-
-    def test_non_polynomial_roots_bit_for_bit(self, monkeypatch):
-        rng = np.random.default_rng(5)
-        brackets = []
-        for _ in range(100):
-            c = float(rng.uniform(0.1, 3.0))
-            lo, hi = float(rng.uniform(-5.0, 0.0)), float(rng.uniform(0.0, 5.0))
-
-            def f(x, c=c):
-                return math.exp(x) - c - math.sin(3.0 * x)
-
-            if f(lo) * f(hi) < 0.0:
-                want, got = self.both(f, lo, hi)
-                assert got == want
-                brackets.append((f, hi, lo))
-        # scipy's default tolerances and cap, on the reversed brackets
-        monkeypatch.setattr(trivial_branch, "_MAX_ITER", 100)
-        monkeypatch.setattr(trivial_branch, "_XTOL", 2e-12)
-        monkeypatch.setattr(trivial_branch, "_RTOL", 4 * np.finfo(float).eps)
-        for f, lo, hi in brackets:
-            want, got = self.both(f, lo, hi)
-            assert got == want
-
-    def test_iteration_cap_raises_like_scipy(self, monkeypatch):
-        def f(x):
-            return math.atan(x - 0.3) ** 3
-
-        monkeypatch.setattr(trivial_branch, "_MAX_ITER", 3)
-        want, got = self.both(f, -4.0, 5.0)
-        assert got == want == ("RuntimeError", "Failed to converge after 3 iterations.")
-
-    def test_nan_residual_is_value_error(self):
-        # as scipy.optimize.brentq raised it: NaN at an end or inside the bracket
-        class NanInside:
-            def residual_rr(self, c1, c3):
-                return math.nan if 1.0 < c1 < 1.2 else c1 - 1.0 - 0.25 * (c3 - 1.0)
-
-        model = StVenantKirchhoff(IsotropicElasticity(nu=0.3))
-        with pytest.raises(ValueError, match="NaN"):
-            solve_radial_stretch(model, math.nan)
-        with pytest.raises(ValueError, match="NaN"):
-            solve_radial_stretch(NanInside(), 1e-3, bracket=(-0.5, 0.9))
-
-    def test_iteration_cap_is_non_convergence(self, monkeypatch):
-        model = StVenantKirchhoff(IsotropicElasticity(nu=0.3))
-        monkeypatch.setattr(trivial_branch, "_MAX_ITER", 2)
-        with pytest.raises(NonConvergence, match="Failed to converge after 2 iterations"):
-            solve_radial_stretch(model, 1e-3)
+        cases = [
+            (nu, lam)
+            for nu in (0.0, 0.3, 0.45)
+            for lam in (1e-6, -1e-6, *np.geomspace(1e-4, 1e-2, 7).tolist())
+        ]
+        rng = np.random.default_rng(13)
+        # every one of these draws has a real stretch, (1+a)^2 > 0
+        cases += zip(rng.uniform(-0.9, 0.49, 1200).tolist(), rng.uniform(-0.8, 0.9, 1200).tolist())
+        for nu, lam in cases:
+            el = IsotropicElasticity(nu=nu)
+            a = solve_radial_stretch(StVenantKirchhoff(el), lam)
+            # the residual is increasing in a on (-1, 1) and changes sign there
+            want = brentq(lambda x: residual_by_hand(el, lam, x), -1.0, 1.0, xtol=1e-15, rtol=8.9e-16)
+            assert abs(a - want) <= 2e-15, (nu, lam)
+            assert abs(residual_by_hand(el, lam, a)) <= 1e-14, (nu, lam)
 
 
 class TestSlope:
