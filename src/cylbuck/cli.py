@@ -170,6 +170,21 @@ def _column(a) -> list:
     return np.ravel(a, order="F").tolist()
 
 
+def _repr_column(a) -> List[str]:
+    """``repr`` of each value of ``_column(a)``, each distinct magnitude formatted once.
+
+    Values are keyed by the bit pattern of their magnitude, and a set sign bit
+    puts the "-" back, so 0.0 and -0.0 stay apart; a NaN reads "nan" whatever
+    its sign bit, as with ``repr``."""
+    v = np.ravel(np.asarray(a, dtype=np.float64), order="F")
+    bits = v.view(np.uint64)
+    magnitudes, index = np.unique(bits & np.uint64(2**63 - 1), return_inverse=True)
+    text = list(map(repr, magnitudes.view(np.float64).tolist()))
+    negative = (bits >> np.uint64(63)).astype(bool) & ~np.isnan(v)
+    table = np.array(text + ["-" + t for t in text], dtype=object)
+    return table[index + len(text) * negative].tolist()
+
+
 def _point_lines(field: modes_mod.DisplacementField, sep: str, x, y) -> List[str]:
     """``f"{x!r}{sep}{y!r}{sep}{z!r}"`` per grid point in ``_column`` order,
     from x and y given on [ir, jt].  Each (x, y) prefix and each z is
@@ -199,15 +214,15 @@ def write_vtk(path: str, field: modes_mod.DisplacementField):
     ]
     for name in ("phi_r", "phi_theta", "phi_z"):
         parts += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
-        parts += map(repr, _column(getattr(field, name)))
+        parts += _repr_column(getattr(field, name))
     write_text(path, "\n".join(parts) + "\n")
 
 
 def write_mode_csv(path: str, field: modes_mod.DisplacementField):
     """One row per grid point; r varies fastest, then theta, then z."""
     points = _point_lines(field, ",", np.asarray(field.r)[:, None], np.asarray(field.theta))
-    phi = (_column(field.phi_r), _column(field.phi_theta), _column(field.phi_z))
-    rows = map("{},{!r},{!r},{!r}".format, points, *phi)
+    phi = (_repr_column(field.phi_r), _repr_column(field.phi_theta), _repr_column(field.phi_z))
+    rows = map(",".join, zip(points, *phi))
     write_text(path, "r,theta,z,phi_r,phi_theta,phi_z\n" + "\n".join(rows) + "\n")
 
 

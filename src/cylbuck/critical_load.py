@@ -40,6 +40,13 @@ from .spectral import ShellGeometry, WaveNumbers
 # parts of them, so a window scan holds at most _CHUNK_PAIRS pairs at a time,
 # whatever the window's size.
 _CHUNK_PAIRS = 1 << 16
+# Every window holds the axial indices m = 1 .. m_max, m_max >= 8, taken as
+# int64 and, in m_hat = pi m / L, as doubles: m_max <= 2**53 keeps each m exact
+# in both.  m_hat <= 2**200 keeps m_hat**4, the objective's largest power, at
+# most 2**800, which leaves 2**224 for the factors of n, h and the margin beside
+# it before a double overflows.
+_M_MAX = 2.0**53
+_M_HAT_MAX = 2.0**200
 
 
 def classical_strain_at(h: float, nu: float) -> float:
@@ -64,6 +71,11 @@ class CriticalLoadProblem:
     def __post_init__(self):
         if not 1.0 <= self.margin < math.inf:
             raise ValueError(f"margin factor must be finite and >= 1, got {self.margin}")
+        if not math.pi * 8 / self.geom.L <= _M_HAT_MAX:
+            raise ValueError(
+                f"L={self.geom.L!r} is too short: the axial wave numbers pi m / L of "
+                f"m = 1 .. 8 exceed 2**200"
+            )
 
     @property
     def H(self) -> float:
@@ -79,11 +91,19 @@ class CriticalLoadProblem:
         return 1.0 / math.sqrt(2.0 * self.lambda_star)
 
     def window(self) -> Tuple[int, int]:
-        """(m_max, n_max); the circle spans mhat <= 2R and n <= R."""
+        """(m_max, n_max); the circle spans mhat <= 2R and n <= R.
+
+        Raises ValueError when m_max would exceed 2**53 (L too long for h)."""
         if self.window_override is not None:
             return self.window_override
         R = self.koiter_radius
-        m_max = max(8, math.ceil(self.margin * 2.0 * R * self.geom.L / math.pi))
+        m_top = self.margin * 2.0 * R * self.geom.L / math.pi
+        if not m_top <= _M_MAX:
+            raise ValueError(
+                f"L={self.geom.L!r} is too long at h={self.geom.h!r}: the window would "
+                f"span {m_top:.3g} axial indices m, more than 2**53"
+            )
+        m_max = max(8, math.ceil(m_top))
         n_max = max(8, math.ceil(self.margin * R))
         return m_max, n_max
 
@@ -528,8 +548,11 @@ def koiter_circle(problem: CriticalLoadProblem, rel_tol: float = 0.05) -> List[W
     Only each row's band R (1 - rel_tol) <= hypot(mhat - R, n) <= R (1 + rel_tol)
     is enumerated, widened by one index on both sides; ``circle_residual``
     decides membership.  Sorted by circle residual (ties: smaller n, then m).
-    Raises EmptySet when the tolerance admits no pair.
+    Raises ValueError unless rel_tol is finite and >= 0, and EmptySet when the
+    tolerance admits no pair.
     """
+    if not 0.0 <= rel_tol < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {rel_tol}")
     R = problem.koiter_radius
     m_max, n_max = problem.window()
     L = problem.geom.L

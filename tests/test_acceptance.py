@@ -2,6 +2,7 @@
 one PASS/FAIL line."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -79,4 +80,49 @@ def test_criterion_9_draws_match_the_scalar_loop(seed, monkeypatch):
     coercivity = [[getattr(e, f) for f in fields] for e in (random_strain(scalar) for _ in range(10_000))]
     assert np.column_stack([rows(strains), factors]).tobytes() == np.array(homogeneity).tobytes()
     assert rows(sampled).tobytes() == np.array(coercivity).tobytes()
+    assert batched.random() == scalar.random()
+
+
+def _square(p):
+    out = [0] * (2 * len(p) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(p):
+            out[i + j] += a * b
+    return out
+
+
+def _exact_wall_sides(h, coef):
+    """The wall inequality's two integrals for f = sum coef[k] x^k in rational arithmetic."""
+    f = [Fraction(c) for c in coef]
+    G = [Fraction(0)] + [c / (k + 1) for k, c in enumerate(f)]
+    G[0] = -sum(G)  # F - F(1)
+    lo, hi = 1 - Fraction(h) / 2, 1 + Fraction(h) / 2
+
+    def integral(p):
+        return sum(c * (hi ** (k + 1) - lo ** (k + 1)) / (k + 1) for k, c in enumerate(p))
+
+    return integral(_square(G)), Fraction(h) ** 2 / 4 * integral(_square(f))
+
+
+@pytest.mark.parametrize("seed", [42, 1103])
+def test_criterion_9_wall_sides_match_the_polynomial_loop(seed):
+    # the array form against the Polynomial loop it replaces, on the same draws;
+    # that loop's lhs subtracts two antiderivative values of size ~1 to get an
+    # integral of size ~h^3, so it is good to ~1e-8 only and the exact
+    # integrals are the reference for the values, the float loop for the verdicts
+    batched = np.random.default_rng(seed)
+    lhs, rhs = acceptance._wall_sides(batched)
+    scalar = np.random.default_rng(seed)
+    for k in range(100):
+        h = float(scalar.uniform(0.01, 0.5))
+        f = Polynomial(scalar.uniform(-2, 2, size=6))
+        F = f.integ()
+        g = (F - F(1.0)) ** 2
+        lo, hi = 1 - h / 2, 1 + h / 2
+        loop_lhs = g.integ()(hi) - g.integ()(lo)
+        f2 = (f**2).integ()
+        loop_rhs = h**2 / 4.0 * (f2(hi) - f2(lo))
+        want = _exact_wall_sides(h, f.coef)
+        assert [lhs[k], rhs[k]] == pytest.approx([float(w) for w in want], rel=1e-12, abs=0)
+        assert (lhs[k] <= rhs[k] * (1 + 1e-12)) == (loop_lhs <= loop_rhs * (1 + 1e-12))
     assert batched.random() == scalar.random()

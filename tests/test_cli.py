@@ -109,6 +109,10 @@ class TestMode:
             cli.write_text(path, "\n".join(lines) + "\n")
 
         rng = np.random.default_rng(3)
+        # doubles whose text a formatter keyed by value could get wrong: signed zeros, infinities,
+        # NaN with either sign bit (repr drops it), subnormals, and repr's notation switches
+        special = [0.0, -0.0, math.inf, -math.inf, math.nan, np.copysign(math.nan, -1.0), 5e-324, -5e-324,
+                   1e16, -1e16, 9999999999999998.0, -9999999999999998.0, 1e-05, -1e-05, 0.0001, -0.0001]
         grids = [
             (np.linspace(0.995, 1.005, 3), np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False), np.linspace(0.0, math.pi, 4)),
             # signed zeros and repeated values: sin(0.0) = 0.0, sin(-0.0) = -0.0, sin(pi) = 1.2e-16,
@@ -119,6 +123,8 @@ class TestMode:
             shape = (len(r), len(theta), len(z))
             phi = [rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape) for _ in range(3)]
             phi[0][0, 0, 0], phi[1][1, 2, 3] = -0.0, 0.0
+            for i, p in enumerate(phi):
+                p.flat[5 * i + 1:5 * i + 1 + len(special)] = special
             field = cli.modes_mod.DisplacementField(
                 spec=None, r=r, theta=theta, z=z, phi_r=phi[0], phi_theta=phi[1], phi_z=phi[2],
             )
@@ -136,6 +142,9 @@ class TestMode:
             assert read(tmp_path / f"fast{k}.csv") == ("\n".join(rows) + "\n").encode()
         points = read(tmp_path / "fast1.vtk").decode().splitlines()[6:6 + 80]
         assert {"0.0", "-0.0"} <= {tok for ln in points for tok in ln.split()}
+        values = read(tmp_path / "fast1.vtk").decode().splitlines()
+        assert {"nan", "-inf", "-5e-324", "1e+16", "9999999999999998.0", "1e-05", "0.0001"} <= set(values)
+        assert "-nan" not in values
 
     def test_csv_output_row_count(self, tmp_path, capsys):
         assert (
@@ -346,8 +355,8 @@ class TestConfigAndErrors:
     @pytest.mark.parametrize(
         "argv, name",
         [
-            (["sweep", "--h-list", "0.5", "--L", "1e-300"], "OverflowError"),
-            (["ansatz", "--h-list", "0.5", "--L", "1e-300"], "OverflowError"),
+            (["sweep", "--h-list", "0.5", "--L", "1e-300"], "ValueError"),
+            (["ansatz", "--h-list", "0.5", "--L", "1e-300"], "ValueError"),
             (["ansatz", "--h-list", "1e-300"], "ValueError"),
         ],
         ids=["sweep-overflow", "ansatz-overflow", "ansatz-vanishing-norms"],
@@ -357,6 +366,29 @@ class TestConfigAndErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(name + ": ") and captured.err.count("\n") == 1, captured.err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "argv, L",
+        [(argv, L) for L in ("1e-300", "1e300") for argv in (
+            ["sweep", "--h-list", "0.5"], ["mode", "--h", "0.5"], ["critical-load", "--h", "0.5"],
+            ["koiter", "--h", "0.5"])] + [(["ansatz", "--h-list", "0.5"], "1e-300")],
+        ids=lambda v: v if isinstance(v, str) else v[0],
+    )
+    def test_unrepresentable_length_is_named(self, tmp_path, capsys, argv, L):
+        # 1e-300: pi m / L overflows the objective's m_hat**4; 1e300: the window's
+        # m_max does not fit an int64.  Either way one line that names L, no warning
+        assert main(argv + ["--L", L, "--outdir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"ValueError: L={float(L)!r} ") and captured.err.count("\n") == 1, captured.err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    def test_koiter_tolerance_checked(self, tmp_path, capsys, tolerance):
+        assert main(["koiter", "--h", "0.01", "--tolerance", tolerance, "--outdir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ValueError: tolerance ") and err.count("\n") == 1, err
         assert os.listdir(tmp_path) == []
 
     def test_every_command_accepts_every_shared_flag(self):
