@@ -140,11 +140,10 @@ class TestMode:
             ]
             cli.write_mode_csv(str(tmp_path / f"fast{k}.csv"), field)
             assert read(tmp_path / f"fast{k}.csv") == ("\n".join(rows) + "\n").encode()
-        points = read(tmp_path / "fast1.vtk").decode().splitlines()[6:6 + 80]
-        assert {"0.0", "-0.0"} <= {tok for ln in points for tok in ln.split()}
-        values = read(tmp_path / "fast1.vtk").decode().splitlines()
-        assert {"nan", "-inf", "-5e-324", "1e+16", "9999999999999998.0", "1e-05", "0.0001"} <= set(values)
-        assert "-nan" not in values
+        lines = read(tmp_path / "fast1.vtk").decode().splitlines()
+        assert {"0.0", "-0.0"} <= {tok for ln in lines[6:6 + 80] for tok in ln.split()}
+        assert {"nan", "-inf", "-5e-324", "1e+16", "9999999999999998.0", "1e-05", "0.0001"} <= set(lines)
+        assert "-nan" not in lines
 
     def test_csv_output_row_count(self, tmp_path, capsys):
         assert (
@@ -377,7 +376,8 @@ class TestConfigAndErrors:
     )
     def test_unrepresentable_length_is_named(self, tmp_path, capsys, argv, L):
         # 1e-300: pi m / L overflows the objective's m_hat**4; 1e300: the window's
-        # m_max does not fit an int64.  Either way one line that names L, no warning
+        # m_max exceeds 2**53 and its int64 cast fails.  Either way one line that
+        # names L, and no warning
         assert main(argv + ["--L", L, "--outdir", str(tmp_path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
