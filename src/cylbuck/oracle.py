@@ -29,7 +29,9 @@ per slice and block, the trailing-block congruence, and the extremal field
 mapped back to DOF order on request); the rank-one phi_rz_mid needs only one
 solve with the trailing block.
 Only the full denominator, which spans every block, and the korn ratio,
-whose two forms both have full rank, keep a generalized eigensolve per mode.
+whose two forms both have full rank, keep a generalized eigensolve per mode:
+one LAPACK dsygvx call that computes only the one extremal eigenvalue (with
+its eigenvector for korn) and none of the others.
 
 Assembly precision: every strain and gradient map of a mode is a Chebyshev
 value or derivative table, times a polynomial in (n, mhat), times r^0 or
@@ -37,8 +39,9 @@ r^-1.  Each form is therefore a fixed combination of twelve radial moment
 matrices, which are computed once per (h, degree, nodes) in extended
 precision, rounded once to float64, and combined in float64 per window
 slice: up to 16 consecutive pairs of one row n, stacked along a pair axis.
-A pair's forms come out bit for bit the same in every slice, so the window
-scans and the one-pair mode_forms agree exactly.
+A slice builds only the forms it is asked for.  A pair's forms come out bit
+for bit the same in every slice, so the window scans and the one-pair
+mode_forms agree exactly.
 """
 
 from __future__ import annotations
@@ -189,10 +192,10 @@ _PENCIL_FORMS = {
 }
 _KORN_FORMS = ("e2", "grad2", "phi_rz", "phi_tz", "phi_r2")
 _GAP_FORMS = ("stiffness", "phi_zz", "phi_tz", "phi_rz", "phi_rz_mid")
-# Pairs per slice.  Measured on the three h = 0.02 window scans (2 vCPUs):
-# 16 and 32 pairs take the same time, 0.41 s, as the per-pair eigensolves
-# dominate, but a slice's arrays grow with it, and peak RSS rose over
-# per-mode assembly by 1.6 MB at 16 pairs and by 3.5 MB at 32.
+# Pairs per slice.  Measured on the three h = 0.02 window scans (2 vCPUs,
+# BLAS at 1 thread, six runs each): 0.23-0.32 s at 16 pairs and 0.19-0.30 s
+# at 32, within the host's drift, while a slice's arrays grow with it and
+# peak RSS rose from 61.7 MB at 16 pairs to 63.9 MB at 32.
 _SLICE_PAIRS = 16
 
 
@@ -283,30 +286,34 @@ def _slice_forms(
     G_zt = -n * _over_r(Pz)
 
     f = trig_factors(wn0)
-    S_rr, S_tt, S_zz = _gram(C_rr), _gram(C_tt), _gram(C_zz)
-    S_rt, S_rz, S_tz = _gram(C_rt), _gram(C_rz), _gram(C_tz)
-    S_tr = _gram(C_rr + C_tt + C_zz)  # trace map shares the cos-cos factor
-
     nu = elastic.nu
-    e2 = f.cc * (S_rr + S_tt + S_zz) + 2.0 * f.sc * S_rt + 2.0 * f.cs * S_rz + 2.0 * f.ss * S_tz
+
+    def e2():
+        return (
+            f.cc * (_gram(C_rr) + _gram(C_tt) + _gram(C_zz))
+            + 2.0 * f.sc * _gram(C_rt) + 2.0 * f.cs * _gram(C_rz) + 2.0 * f.ss * _gram(C_tz)
+        )
+
+    # each form's coefficients are built only when the form is requested
     coef = {
-        "stiffness": ((nu / (1.0 - 2.0 * nu)) * f.cc * S_tr + e2) / (1.0 + nu),
+        # the trace map shares the cos-cos factor
+        "stiffness": lambda: ((nu / (1.0 - 2.0 * nu)) * f.cc * _gram(C_rr + C_tt + C_zz) + e2()) / (1.0 + nu),
         "e2": e2,
-        "grad2": (
+        "grad2": lambda: (
             f.cc * _gram(dPr)
             + f.sc * _gram(G_rt)
             + f.cs * _gram(G_rz)
             + f.sc * _gram(dPt)
-            + f.cc * S_tt
+            + f.cc * _gram(C_tt)
             + f.ss * _gram(G_tz)
             + f.cs * _gram(dPz)
             + f.ss * _gram(G_zt)
-            + f.cc * S_zz
+            + f.cc * _gram(C_zz)
         ),
-        "phi_rz": per_pair([f.cs * m**2 for m in m_hats]) * _gram(Pr),
-        "phi_zz": per_pair([f.cc * m**2 for m in m_hats]) * _gram(Pz),
-        "phi_tz": per_pair([f.ss * m**2 for m in m_hats]) * _gram(Pt),
-        "phi_r2": f.cc * _gram(Pr),
+        "phi_rz": lambda: per_pair([f.cs * m**2 for m in m_hats]) * _gram(Pr),
+        "phi_zz": lambda: per_pair([f.cc * m**2 for m in m_hats]) * _gram(Pz),
+        "phi_tz": lambda: per_pair([f.ss * m**2 for m in m_hats]) * _gram(Pt),
+        "phi_r2": lambda: f.cc * _gram(Pr),
     }
 
     forms = {}
@@ -315,7 +322,7 @@ def _slice_forms(
         keep = _blocks(wn0.n)
         P, nf, nb = len(pairs), len(contracted), len(keep)
         shape = (P,) + _ATOMS.shape[1:] * 2
-        C = np.stack([np.broadcast_to(coef[name], shape) for name in contracted], axis=1)
+        C = np.stack([np.broadcast_to(coef[name](), shape) for name in contracted], axis=1)
         # (pair, form, block, table, p, block', table', p')
         #   -> (pair, form, block, block', table, table', q)
         C = C[:, :, keep][:, :, :, :, :, keep].transpose(0, 1, 2, 5, 3, 6, 4, 7)
@@ -382,20 +389,20 @@ def _check_vanishing(pairs: Sequence[WaveNumbers], norm_b, A: np.ndarray):
         raise ZeroDenominator(f"destabilizing form vanishes for {pairs[np.argmax(vanishes)]}")
 
 
+def _check_finite(*forms: np.ndarray):
+    """ValueError for a non-finite entry of any form, as eigh's check_finite."""
+    if not all(np.isfinite(F).all() for F in forms):
+        raise ValueError("array must not contain infs or NaNs")
+
+
 def min_rayleigh(pencil: ModePencil) -> float:
     """inf over the mode space of (x.A.x)/(x.B.x) = 1 / mu_max(B w.r.t. A).
 
-    Raises AssemblyDegenerate when the stiffness A is not positive definite
-    (the Cholesky factorization inside the generalized eigensolve fails).
+    The one-pair case of _top_minima: raises ZeroDenominator when B vanishes
+    or mu_max is not positive, ValueError for a non-finite entry and
+    AssemblyDegenerate when the stiffness A is not positive definite.
     """
-    _check_vanishing([pencil.wn], np.linalg.norm(pencil.B), pencil.A)
-    try:
-        mu = scipy.linalg.eigh(pencil.B, pencil.A, eigvals_only=True)[-1]
-    except scipy.linalg.LinAlgError as exc:
-        raise AssemblyDegenerate(f"stiffness not positive definite for {pencil.wn}") from exc
-    if mu <= 0.0:
-        raise ZeroDenominator(f"destabilizing form is not positive on {pencil.wn}")
-    return 1.0 / mu
+    return _top_minima([pencil.wn], pencil.A[None], pencil.B[None])[0]
 
 
 def _block_factor(
@@ -412,8 +419,7 @@ def _block_factor(
     first pair, in scan order, whose A[i] (the form named what) is not
     positive definite.
     """
-    if not all(np.isfinite(F).all() for F in (A,) + forms):
-        raise ValueError("array must not contain infs or NaNs")
+    _check_finite(A, *forms)
     rest = np.ones(A.shape[-1], dtype=bool)
     rest[dofs] = False
     order = np.concatenate([np.flatnonzero(rest), dofs])
@@ -464,11 +470,33 @@ def _block_eigh(
 
 
 def _minima(pairs: Sequence[WaveNumbers], mu: np.ndarray) -> List[float]:
-    """1 / mu per pair, after min_rayleigh's check that mu is positive."""
+    """1 / mu per pair, after the check that mu is positive."""
     not_positive = mu <= 0.0
     if not_positive.any():
         raise ZeroDenominator(f"destabilizing form is not positive on {pairs[np.argmax(not_positive)]}")
     return list(1.0 / mu)
+
+
+def _top_minima(pairs: Sequence[WaveNumbers], A: np.ndarray, B: np.ndarray) -> List[float]:
+    """min_rayleigh of each pencil (A[i], B[i]): one top-eigenvalue solve per pair.
+
+    The vanishing and finiteness checks run once for the slice; then LAPACK's
+    dsygvx computes only the largest eigenvalue of B[i] w.r.t. A[i] (the
+    other eigenvalues are never read).  The checks are min_rayleigh's, each
+    naming the first failing pair in scan order.
+    """
+    _check_vanishing(pairs, np.linalg.norm(B, axis=(1, 2)), A)
+    _check_finite(A, B)
+    N = A.shape[-1]
+    mu = np.empty(len(pairs))
+    for i, (wn, a, b) in enumerate(zip(pairs, A, B)):
+        vals, _, _, _, info = scipy.linalg.lapack.dsygvx(b, a, jobz="N", range="I", il=N, iu=N)
+        if info > N:  # LAPACK's code for a failed factorization of a
+            raise AssemblyDegenerate(f"stiffness not positive definite for {wn}")
+        if info:
+            raise NonConvergence(f"top eigenvalue did not converge for {wn}")
+        mu[i] = vals[0]
+    return _minima(pairs, mu)
 
 
 def _block_minima(
@@ -552,8 +580,7 @@ def _slice_min_rayleigh(
     A, B = _pencil_forms(geom, elastic, disc, denominator, pairs)  # rejects an unknown denominator
     if denominator == "phi_rz":
         return _block_minima(pairs, A, B, np.arange(disc.degree + 1))
-    # the full form spans every block
-    return [min_rayleigh(ModePencil(wn, a, b, denominator)) for wn, a, b in zip(pairs, A, B)]
+    return _top_minima(pairs, A, B)  # the full form spans every block
 
 
 def oracle_sweep(
@@ -837,6 +864,15 @@ def _bump_derivatives(t: np.ndarray, order: int) -> List[np.ndarray]:
     return out
 
 
+@lru_cache(maxsize=8)
+def _leggauss(nodes: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The float64 Gauss-Legendre rule of nodes nodes, computed once and read-only."""
+    rule = np.polynomial.legendre.leggauss(nodes)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
 def _ansatz_norms(geom: ShellGeometry, eta_nodes: int, z_nodes: int, r_nodes: int):
     """The squared norms of the wave-packet ansatz under the tensor Gauss rule.
 
@@ -851,15 +887,15 @@ def _ansatz_norms(geom: ShellGeometry, eta_nodes: int, z_nodes: int, r_nodes: in
     q = h**0.25  # theta = q * eta compresses the circumferential profile
     s = math.sqrt(h)
 
-    t_eta, w_eta = np.polynomial.legendre.leggauss(eta_nodes)
-    t_z, w_z = (t_eta, w_eta) if z_nodes == eta_nodes else np.polynomial.legendre.leggauss(z_nodes)
+    t_eta, w_eta = _leggauss(eta_nodes)
+    t_z, w_z = _leggauss(z_nodes)
     b = np.array(_bump_derivatives(t_eta, 4))  # b and its eta derivatives to order 4
     # c, c', c'' of the bump in z = L (t + 1) / 2
     c = np.array([cj * (2.0 / L) ** j for j, cj in enumerate(_bump_derivatives(t_z, 2))])
     G_eta = (b * (q * w_eta)) @ b.T
     G_z = (c * (0.5 * L * w_z)) @ c.T
 
-    t_r, w_r = np.polynomial.legendre.leggauss(r_nodes)
+    t_r, w_r = _leggauss(r_nodes)
     rho = 0.5 * h * t_r  # r - 1
     r = 1.0 + rho
     w_r = 0.5 * h * w_r * r
@@ -914,11 +950,16 @@ def ansatz_ratios(
             raise QuadratureUnderResolved(
                 f"{key} changed by {abs(val - ref) / max(abs(ref), 1e-300):.2e} under refinement"
             )
-    return _positive(AnsatzRatios(
+    ratios = AnsatzRatios(
         korn=norms["e2"] / norms["grad2"],
         theta_z=norms["phi_tz2"] / norms["e2"],
         r_z=norms["phi_rz2"] / norms["e2"],
-    ))
+    )
+    if 0.0 in ratios:
+        # the z-derivative norms scale like L^-j and e2 like L, so a long
+        # enough shell underflows the destabilizing ratios
+        raise ValueError(f"L={geom.L!r} is too long at h={geom.h!r}: the ansatz ratios underflow, got {ratios}")
+    return _positive(ratios)
 
 
 def fitted_slope(h_values: Iterable[float], values: Iterable[float]) -> float:

@@ -371,13 +371,14 @@ class TestConfigAndErrors:
         "argv, L",
         [(argv, L) for L in ("1e-300", "1e300") for argv in (
             ["sweep", "--h-list", "0.5"], ["mode", "--h", "0.5"], ["critical-load", "--h", "0.5"],
-            ["koiter", "--h", "0.5"])] + [(["ansatz", "--h-list", "0.5"], "1e-300")],
+            ["koiter", "--h", "0.5"])] + [(["ansatz", "--h-list", "0.5"], L) for L in ("1e-300", "1e300")],
         ids=lambda v: v if isinstance(v, str) else v[0],
     )
     def test_unrepresentable_length_is_named(self, tmp_path, capsys, argv, L):
         # 1e-300: pi m / L overflows the objective's m_hat**4; 1e300: the window's
-        # m_max exceeds 2**53 and its int64 cast fails.  Either way one line that
-        # names L, and no warning
+        # m_max exceeds 2**53 and its int64 cast fails, and the ansatz's
+        # destabilizing ratios underflow.  Either way one line that names L, and
+        # no warning
         assert main(argv + ["--L", L, "--outdir", str(tmp_path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -264,6 +265,15 @@ class TestMinRayleigh:
         with pytest.raises(AssemblyDegenerate):
             min_rayleigh(pencil)
 
+    @pytest.mark.parametrize("form", ["A", "B"])
+    def test_non_finite_rejected(self, form):
+        geom = ShellGeometry(h=0.02, L=PI)
+        pencil = assemble_pencil(geom, EL, WaveNumbers(m=3, n=2, L=PI), "full")
+        M = getattr(pencil, form).copy()
+        M[1, 2] = M[2, 1] = math.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            min_rayleigh(dataclasses.replace(pencil, **{form: M}))
+
     def test_richer_space_never_above_closed_form(self):
         # on Koiter-circle wave numbers at h=0.01 the oracle sits within 5%
         # below the reduced closed form
@@ -379,6 +389,44 @@ class TestBlockMinima(TestRankOneMinima):
 
     def minima(self, A, scale):
         return oracle._block_minima(self.PAIRS, A, self.forms(scale), self.DOFS)
+
+
+class TestTopMinima(TestRankOneMinima):
+    """The full scan's one top-eigenvalue solve per pair, _top_minima, under the same checks.
+
+    min_rayleigh is its one-pair case, so the values are compared with
+    scipy's generalized eigensolve instead.
+    """
+
+    DENOMINATOR = "full"
+    W = np.array([[2.0, 0.3, 0.5], [0.3, 1.0, -0.2], [0.5, -0.2, 1.0]])  # positive definite
+
+    def forms(self, scale):
+        """The destabilizing forms B[i] = scale[i] * W."""
+        return scale[:, None, None] * self.W
+
+    def minima(self, A, scale):
+        return oracle._top_minima(self.PAIRS, A, self.forms(scale))
+
+    def test_matches_eigensolve(self):
+        A, _ = self.inputs()
+        scale = np.array([1.0, 2.0, 0.5, 3.0])
+        got = self.minima(A, scale)
+        for value, a, b in zip(got, A, self.forms(scale)):
+            want = 1.0 / scipy.linalg.eigh(b, a, eigvals_only=True)[-1]
+            assert value == pytest.approx(want, rel=1e-14)
+
+    def test_window_matches_min_rayleigh(self):
+        # every pair of the h = 0.02 window against scipy's full generalized eigensolve
+        geom = ShellGeometry(h=0.02, L=PI)
+        disc = RadialDiscretization()
+        window = CriticalLoadProblem(geom=geom, elastic=EL).window()
+        for pairs in oracle._window_slices(window, PI):
+            got = oracle._slice_min_rayleigh(geom, EL, disc, self.DENOMINATOR, pairs)
+            for value, wn in zip(got, pairs):
+                pencil = assemble_pencil(geom, EL, wn, self.DENOMINATOR, disc)
+                want = 1.0 / scipy.linalg.eigh(pencil.B, pencil.A, eigvals_only=True)[-1]
+                assert abs(value / want - 1.0) <= 1e-14, wn
 
 
 def reference_korn(h, e2, grad2, phi_rz, phi_tz, phi_r2):
