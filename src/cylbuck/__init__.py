@@ -8,10 +8,8 @@ quadratic minimization -> Koiter circle) with an independent discretized
 from .material import IsotropicElasticity, SymStrain, coercivity_bound, energy_density
 from .spectral import (
     FourierMode,
-    LinearizedMode,
     ShellGeometry,
     WaveNumbers,
-    as_fourier,
     linearize,
     optimal_fr_slope,
     optimal_mode,
@@ -27,7 +25,6 @@ from .trivial_branch import (
 from .critical_load import (
     BucklingResult,
     CriticalLoadProblem,
-    classical_strain,
     classical_strain_at,
     koiter_circle,
     per_mode_strain,
@@ -59,7 +56,6 @@ __all__ = [
     "FourierMode",
     "IsotropicElasticity",
     "KornRatios",
-    "LinearizedMode",
     "ModePencil",
     "RadialDiscretization",
     "ShellGeometry",
@@ -67,9 +63,7 @@ __all__ = [
     "SymStrain",
     "WaveNumbers",
     "ansatz_ratios",
-    "as_fourier",
     "assemble_pencil",
-    "classical_strain",
     "classical_strain_at",
     "coercivity_bound",
     "energy_density",

@@ -74,7 +74,6 @@ class Setting(NamedTuple):
 
 SETTINGS = (
     Setting("nu", 0.3, float, "Poisson ratio (default 0.3)"),
-    Setting("E", 1.0, float, "Young modulus (default 1)"),
     Setting("L", math.pi, float, "shell length over radius (default pi)"),
     Setting("h_list", (0.1, 0.03, 0.01), _h_list, "comma-separated decreasing slendernesses"),
     Setting("margin", 3.0, float, "sweep window margin factor"),
@@ -98,11 +97,11 @@ class RunConfig:
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         for h in self.h_list:
-            self.problem(h)  # nu, E, h, L and margin
+            self.problem(h)  # nu, h, L and margin
         self.disc()  # degree
 
     def elastic(self) -> IsotropicElasticity:
-        return IsotropicElasticity(nu=self.nu, E=self.E)
+        return IsotropicElasticity(nu=self.nu)
 
     def problem(self, h: float) -> cl.CriticalLoadProblem:
         return cl.CriticalLoadProblem(
@@ -351,7 +350,7 @@ def cmd_equivalence(config: RunConfig, args) -> Report:
     for h in config.h_list:
         problem = config.problem(h)
         scan = oracle_mod.equivalence_scan(problem.geom, el, disc, problem.window(), jobs=config.jobs)
-        lam = cl.classical_strain(problem)
+        lam = problem.lambda_star
         records.append(
             {
                 "h": h,
@@ -369,9 +368,7 @@ def cmd_equivalence(config: RunConfig, args) -> Report:
 
 def cmd_mode(config: RunConfig, args) -> Report:
     h = _h(config, args)
-    spec = modes_mod.BucklingModeSpec(
-        geom=ShellGeometry(h=h, L=config.L), elastic=config.elastic(), alpha=args.alpha
-    )
+    spec = modes_mod.BucklingModeSpec(config.problem(h), args.alpha)
     field_data = modes_mod.synthesize(spec)
     meta = {
         "h": h,
@@ -379,7 +376,7 @@ def cmd_mode(config: RunConfig, args) -> Report:
         "m": spec.m,
         "n": spec.n,
         "m_hat": spec.m_hat,
-        "lambda_star": spec.lambda_star,
+        "lambda_star": spec.problem.lambda_star,
         "quotient_ratio": modes_mod.quotient_ratio(spec),
         "boundary_trace_max": field_data.boundary_trace_max(),
         "grid": [len(field_data.r), len(field_data.theta), len(field_data.z)],

@@ -521,10 +521,6 @@ def sweep(problem: CriticalLoadProblem) -> BucklingResult:
     )
 
 
-def classical_strain(problem: CriticalLoadProblem) -> float:
-    return problem.lambda_star
-
-
 def continuous_mode_strain(problem: CriticalLoadProblem, m_hat: float, n: float) -> float:
     """Leading two-moment surrogate mhat^2/(mhat^2+n^2)^2 + H (mhat^2+n^2)^2 / ((1-nu^2) mhat^2).
 

@@ -20,14 +20,10 @@ from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
-from .critical_load import CriticalLoadProblem, classical_strain_at
+from .critical_load import CriticalLoadProblem
 from .errors import WindowTooSmall
-from .material import IsotropicElasticity
 from .spectral import (
     FourierMode,
-    ShellGeometry,
-    WaveNumbers,
-    as_fourier,
     displacement,
     mode_denominators,
     mode_energy,
@@ -37,15 +33,16 @@ from .spectral import (
 
 @dataclass(frozen=True)
 class BucklingModeSpec:
-    """Selects the wave numbers m(h), n(h) from the scaling exponent alpha.
+    """Selects the wave numbers m(h), n(h) of a problem from the scaling
+    exponent alpha.
 
     The target axial wave number is (2R)^alpha with 2R = sqrt(2/lambda_star)
     the Koiter-circle diameter; n(h) is the nonnegative integer closest to
-    the circle at that mhat (ties toward smaller n).
+    the circle at that mhat (ties toward smaller n).  Both harmonics must lie
+    inside the problem's sweep window (``check_window``).
     """
 
-    geom: ShellGeometry
-    elastic: IsotropicElasticity
+    problem: CriticalLoadProblem
     alpha: float
 
     def __post_init__(self):
@@ -53,21 +50,17 @@ class BucklingModeSpec:
             raise ValueError("alpha must lie in (0, 1]")
 
     @property
-    def lambda_star(self) -> float:
-        return classical_strain_at(self.geom.h, self.elastic.nu)
-
-    @property
     def m(self) -> int:
-        target = math.sqrt(2.0 / self.lambda_star) ** self.alpha
-        return max(1, round(target * self.geom.L / math.pi))
+        target = math.sqrt(2.0 / self.problem.lambda_star) ** self.alpha
+        return max(1, round(target * self.problem.geom.L / math.pi))
 
     @property
     def m_hat(self) -> float:
-        return math.pi * self.m / self.geom.L
+        return math.pi * self.m / self.problem.geom.L
 
     @property
     def n(self) -> int:
-        R = 1.0 / math.sqrt(2.0 * self.lambda_star)
+        R = self.problem.koiter_radius
         gap = self.m_hat * (2.0 * R - self.m_hat)
         if gap <= 0.0:
             return 0
@@ -93,23 +86,23 @@ def harmonics(spec: BucklingModeSpec) -> Tuple[FourierMode, FourierMode]:
     (:func:`spectral.optimal_mode`); the second harmonic is negated so the
     theta boundary traces cancel.
     """
-    nu = spec.elastic.nu
+    problem = spec.problem
+    nu = problem.elastic.nu
     n = spec.n
     mh0 = spec.m_hat
     a_theta = -n * (n**2 + (nu + 2.0) * mh0**2) / (mh0**2 + n**2) ** 2
     out = []
     for m in (spec.m, spec.m + 2):
-        wn = WaveNumbers(m=m, n=n, L=spec.geom.L)
+        wn = problem.wave_numbers(m, n)
         a_z = closed_form_a_z(nu, wn.m_hat, n, a_theta)
-        out.append(as_fourier(optimal_mode(wn, a_theta, a_z, spec.elastic)))
+        out.append(optimal_mode(wn, a_theta, a_z, problem.elastic))
     first, second = out
     return first, FourierMode(wn=second.wn, fr=-second.fr, ftheta=-second.ftheta, fz=-second.fz)
 
 
-def check_window(spec: BucklingModeSpec, margin: float = 3.0):
-    """Both harmonics must sit inside the sweep window."""
-    problem = CriticalLoadProblem(geom=spec.geom, elastic=spec.elastic, margin=margin)
-    m_max, n_max = problem.window()
+def check_window(spec: BucklingModeSpec):
+    """Both harmonics must sit inside the problem's sweep window."""
+    m_max, n_max = spec.problem.window()
     if spec.m + 2 >= m_max or spec.n >= n_max:
         raise WindowTooSmall(
             f"harmonics (m={spec.m}, m+2) with n={spec.n} exceed window ({m_max}, {n_max})"
@@ -156,24 +149,17 @@ def evaluate(spec: BucklingModeSpec, r, theta, z):
     return tuple(fields)
 
 
-def synthesize(
-    spec: BucklingModeSpec,
-    r_nodes: int = 9,
-    theta_nodes: int = 0,
-    z_nodes: int = 0,
-) -> DisplacementField:
+def synthesize(spec: BucklingModeSpec, r_nodes: int = 9) -> DisplacementField:
     """Sample the two-term mode on a tensor grid.
 
-    Default grid densities resolve the oscillation with Nyquist margin:
-    theta >= 8 n + 16 on [0, 2 pi), z >= 8 (m+2) + 16 on [0, L].
+    The grid resolves the oscillation with Nyquist margin: 8 n + 16 points
+    on [0, 2 pi) in theta, 8 (m+2) + 16 on [0, L] in z.
     """
     check_window(spec)
-    nt = theta_nodes if theta_nodes else 8 * spec.n + 16
-    nz = z_nodes if z_nodes else 8 * (spec.m + 2) + 16
-    geom = spec.geom
+    geom = spec.problem.geom
     r = np.linspace(geom.r_inner, geom.r_outer, r_nodes)
-    theta = np.linspace(0.0, 2.0 * math.pi, nt, endpoint=False)
-    z = np.linspace(0.0, geom.L, nz)
+    theta = np.linspace(0.0, 2.0 * math.pi, 8 * spec.n + 16, endpoint=False)
+    z = np.linspace(0.0, geom.L, 8 * (spec.m + 2) + 16)
     pr, pt, pz = evaluate(spec, r, theta, z)
     return DisplacementField(spec=spec, r=r, theta=theta, z=z, phi_r=pr, phi_theta=pt, phi_z=pz)
 
@@ -188,14 +174,15 @@ class QuotientBreakdown(NamedTuple):
 def quotient_breakdown(spec: BucklingModeSpec, nodes: int = 16) -> QuotientBreakdown:
     """Exact per-harmonic quadrature of the quotient; harmonics decouple."""
     check_window(spec)
+    geom, elastic = spec.problem.geom, spec.problem.elastic
     stiff, denom = [], []
     for mode in harmonics(spec):
-        stiff.append(mode_energy(spec.geom, spec.elastic, mode, nodes))
-        denom.append(mode_denominators(spec.geom, mode, nodes).phi_rz)
+        stiff.append(mode_energy(geom, elastic, mode, nodes))
+        denom.append(mode_denominators(geom, mode, nodes).phi_rz)
     return QuotientBreakdown(stiff, denom)
 
 
 def quotient_ratio(spec: BucklingModeSpec, nodes: int = 16) -> float:
     """R1 of the two-term mode over the classical strain; -> 1 as h -> 0."""
     qb = quotient_breakdown(spec, nodes)
-    return sum(qb.stiffness) / sum(qb.denominators) / spec.lambda_star
+    return sum(qb.stiffness) / sum(qb.denominators) / spec.problem.lambda_star

@@ -15,13 +15,14 @@ scope and f_theta is ignored there.
 The linearization operator replaces the theta and z profiles by their
 first-order Taylor expansion about the mid-surface r = 1, leaving phi_r
 untouched.  Its image is parameterized by two amplitudes (a_theta, a_z) once
-f_r(1) is normalized to 1.
+f_r(1) is normalized to 1; ``optimal_mode`` builds that family's member with
+the energy-minimizing radial profile.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
@@ -103,26 +104,6 @@ def _ftheta(mode: FourierMode) -> Polynomial:
     return mode.ftheta if mode.wn.n else Polynomial([0.0])
 
 
-@dataclass(frozen=True)
-class LinearizedMode:
-    """Image of the linearization operator, normalized to f_r(1) = 1.
-
-    theta profile: r a_theta + (r-1) n,   z profile: a_z + (r-1) mhat.
-    ``fr`` defaults to the constant profile 1; use :func:`optimal_mode` for
-    the energy-minimizing radial slope.
-    """
-
-    wn: WaveNumbers
-    a_theta: float
-    a_z: float
-    fr: Polynomial = field(default_factory=lambda: Polynomial([1.0]))
-
-    def __post_init__(self):
-        v1 = float(self.fr(1.0))
-        if abs(v1 - 1.0) > 1e-10:
-            raise ValueError(f"f_r(1) must equal 1, got {v1}")
-
-
 def _check_radius(geom: Optional[ShellGeometry], r):
     if geom is not None and not geom.contains_radius(r):
         raise ValueError("radius outside the shell wall")
@@ -155,27 +136,31 @@ def simplified_strain(mode: FourierMode, r, geom: Optional[ShellGeometry] = None
 
 
 def optimal_fr_slope(
-    mode: LinearizedMode, r, elastic: IsotropicElasticity, geom: Optional[ShellGeometry] = None
+    mode: FourierMode, r, elastic: IsotropicElasticity, geom: Optional[ShellGeometry] = None
 ):
-    """Pointwise minimizer of the elastic integrand over the radial slope.
+    """Radial slope that makes the ``simplified_strain`` energy density
+    stationary (a minimum) in e_rr, the rest of the mode held fixed.
 
-    f_r'(r) = -Lambda/(Lambda+2) * p(r) with
+    f_r'(r) = -Lambda/(Lambda+2) * (n f_theta(r) + f_r(1) + mhat f_z(r)), for
+    any mode.  On the linearized family (f_theta = r a_theta + (r-1) n,
+    f_z = a_z + (r-1) mhat, f_r(1) = 1) the bracket is
     p(r) = n r a_theta + (r-1) n^2 + 1 + mhat a_z + (r-1) mhat^2.
     """
     _check_radius(geom, r)
     r = np.asarray(r, dtype=float)
     n = float(mode.wn.n)
-    mh = mode.wn.m_hat
     lam = elastic.Lambda
-    p = n * r * mode.a_theta + (r - 1.0) * n**2 + 1.0 + mh * mode.a_z + (r - 1.0) * mh**2
+    p = n * _ftheta(mode)(r) + float(mode.fr(1.0)) + mode.wn.m_hat * mode.fz(r)
     return -lam / (lam + 2.0) * p
 
 
 def optimal_mode(
     wn: WaveNumbers, a_theta: float, a_z: float, elastic: IsotropicElasticity
-) -> LinearizedMode:
-    """Linearized mode carrying the energy-minimizing radial profile.
+) -> FourierMode:
+    """The linearized-family mode with amplitudes (a_theta, a_z), f_r(1) = 1,
+    and the energy-minimizing radial profile.
 
+    theta profile: r a_theta + (r-1) n,   z profile: a_z + (r-1) mhat.
     Integrating the optimal slope from r = 1 gives the quadratic
     f_r(r) = 1 - c (r-1) A - c (r-1)^2 B / 2,  c = nu/(1-nu) = Lambda/(Lambda+2),
     with A = n a_theta + 1 + mhat a_z and B = n a_theta + n^2 + mhat^2.
@@ -187,16 +172,9 @@ def optimal_mode(
     fr = 1.0 - c * (n * a_theta + 1.0 + mh * a_z) * rm1 - 0.5 * c * (
         n * a_theta + n**2 + mh**2
     ) * rm1**2
-    return LinearizedMode(wn=wn, a_theta=a_theta, a_z=a_z, fr=fr)
-
-
-def as_fourier(mode: LinearizedMode) -> FourierMode:
-    """Expand a linearized mode into explicit radial profiles."""
-    n = float(mode.wn.n)
-    mh = mode.wn.m_hat
-    ftheta = Polynomial([-n, mode.a_theta + n])  # r a_theta + (r-1) n
-    fz = Polynomial([mode.a_z - mh, mh])  # a_z + (r-1) mhat
-    return FourierMode(wn=mode.wn, fr=mode.fr, ftheta=ftheta, fz=fz)
+    ftheta = Polynomial([-n, a_theta + n])
+    fz = Polynomial([a_z - mh, mh])
+    return FourierMode(wn=wn, fr=fr, ftheta=ftheta, fz=fz)
 
 
 def strain_amplitudes(mode: FourierMode, r, geom: Optional[ShellGeometry] = None) -> SymStrain:

@@ -271,11 +271,11 @@ class TestConfigAndErrors:
     def test_every_setting_from_file_then_flag(self, tmp_path):
         cpus = os.cpu_count() or 1
         from_file = {
-            "nu": 0.25, "E": 2.0, "L": 3.0, "h_list": [0.1, 0.05], "margin": 2.5,
+            "nu": 0.25, "L": 3.0, "h_list": [0.1, 0.05], "margin": 2.5,
             "degree": 8, "outdir": "from-file", "jobs": cpus + 1,
         }
         from_flag = {
-            "nu": ("0.35", 0.35), "E": ("4", 4.0), "L": ("5.5", 5.5),
+            "nu": ("0.35", 0.35), "L": ("5.5", 5.5),
             "h_list": ("0.2,0.1", [0.2, 0.1]), "margin": ("4", 4.0), "degree": ("10", 10),
             "outdir": ("from-flag", "from-flag"), "jobs": ("5", 5),
         }
@@ -393,7 +393,7 @@ class TestConfigAndErrors:
         assert os.listdir(tmp_path) == []
 
     def test_every_command_accepts_every_shared_flag(self):
-        values = {"nu": "0.3", "E": "1", "L": "3", "h_list": "0.1", "margin": "3", "degree": "8",
+        values = {"nu": "0.3", "L": "3", "h_list": "0.1", "margin": "3", "degree": "8",
                   "outdir": ".", "jobs": "1"}
         flags = [tok for s in SETTINGS for tok in ("--" + s.name.replace("_", "-"), values[s.name])]
         commands = ("critical-load", "sweep", "koiter", "korn", "ansatz", "equivalence", "mode", "verify")
@@ -401,12 +401,19 @@ class TestConfigAndErrors:
             config = merge_config(build_parser().parse_args([command] + flags))
             assert (config.margin, config.degree, config.jobs) == (3.0, 8, 1)
 
-    def test_numerical_error_name_on_stderr(self, tmp_path, capsys):
-        code = main(
-            ["koiter", "--h", "0.01", "--tolerance", "1e-12", "--outdir", str(tmp_path)]
-        )
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["koiter", "--h", "0.01", "--tolerance", "1e-12"], "EmptySet"),
+            # harmonic m + 2 = 12 lies outside the margin-1 window (11, 8)
+            (["mode", "--h", "0.03", "--alpha", "1", "--margin", "1"], "WindowTooSmall"),
+        ],
+        ids=["koiter-tolerance", "mode-margin"],
+    )
+    def test_numerical_error_name_on_stderr(self, tmp_path, capsys, argv, name):
+        code = main(argv + ["--outdir", str(tmp_path)])
         assert code == 2
-        assert "EmptySet" in capsys.readouterr().err
+        assert name in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

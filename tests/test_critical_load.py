@@ -11,7 +11,6 @@ from cylbuck.critical_load import (
     CriticalLoadProblem,
     ModeMinimum,
     circle_residual,
-    classical_strain,
     classical_strain_at,
     continuous_mode_strain,
     koiter_circle,
@@ -263,12 +262,12 @@ class TestContinuousSurrogate:
             if mh <= 0:
                 continue
             assert continuous_mode_strain(p, mh, n) == pytest.approx(
-                classical_strain(p), rel=1e-12
+                p.lambda_star, rel=1e-12
             )
 
     def test_circle_is_the_minimum(self, rng):
         p = problem(0.01)
-        lam = classical_strain(p)
+        lam = p.lambda_star
         for _ in range(200):
             mh = rng.uniform(0.2, 40.0)
             n = rng.uniform(0.0, 30.0)
@@ -279,7 +278,7 @@ class TestSweep:
     def test_winner_and_tolerances_at_reference(self):
         p = problem(0.01)
         res = sweep(p)
-        lam = classical_strain(p)
+        lam = p.lambda_star
         assert abs(res.strain / lam - 1) <= 0.05
         # winner must reproduce the per-mode evaluations exactly
         wn = p.wave_numbers(res.m, res.n)
@@ -293,7 +292,7 @@ class TestSweep:
         errs = []
         for h in (0.1, 0.03, 0.01):
             p = problem(h)
-            errs.append(abs(sweep(p).strain / classical_strain(p) - 1))
+            errs.append(abs(sweep(p).strain / p.lambda_star - 1))
         assert errs[0] > errs[1] > errs[2]
 
     def test_linear_bracket_in_h(self):
@@ -403,7 +402,7 @@ class TestWindowStrains:
         p = problem(1e-6)
         res = sweep(p)
         m_max, n_max = p.window()
-        assert abs(res.strain / classical_strain(p) - 1) <= 1e-3
+        assert abs(res.strain / p.lambda_star - 1) <= 1e-3
         assert 1 < res.m < m_max and 0 < res.n < n_max
 
 
@@ -479,7 +478,7 @@ class TestPrunedScan:
         m_max, n_max = p.window()
         assert (res.m, res.n) == (1, 135)
         assert res.m < m_max and 0 < res.n < n_max
-        assert abs(res.strain / classical_strain(p) - 1) <= math.sqrt(p.geom.h)
+        assert abs(res.strain / p.lambda_star - 1) <= math.sqrt(p.geom.h)
 
 
 class TestKoiterCircle:
@@ -487,7 +486,7 @@ class TestKoiterCircle:
         # n = 0 crossing sits at mhat = sqrt(2/lambda_star) ~ 18.18 for
         # nu=0.3, h=0.01, L=pi
         p = problem(0.01)
-        target = math.sqrt(2.0 / classical_strain(p))
+        target = math.sqrt(2.0 / p.lambda_star)
         assert target == pytest.approx(18.178, abs=2e-3)
         found = koiter_circle(p, rel_tol=0.05)
         axi = [wn for wn in found if wn.n == 0]

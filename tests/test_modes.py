@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cylbuck.critical_load import CriticalLoadProblem
 from cylbuck.errors import WindowTooSmall
 from cylbuck.material import IsotropicElasticity
 from cylbuck.modes import (
@@ -15,15 +16,14 @@ from cylbuck.modes import (
     quotient_ratio,
     synthesize,
 )
-from cylbuck.spectral import ShellGeometry, WaveNumbers, as_fourier, displacement, optimal_mode
-
-EL = IsotropicElasticity(nu=0.3)
+from cylbuck.spectral import ShellGeometry, WaveNumbers, displacement, optimal_mode
 
 
-def spec_at(h, alpha=0.5, nu=0.3, L=2 * math.pi):
-    return BucklingModeSpec(
-        geom=ShellGeometry(h=h, L=L), elastic=IsotropicElasticity(nu=nu), alpha=alpha
+def spec_at(h, alpha=0.5, nu=0.3, L=2 * math.pi, margin=3.0):
+    problem = CriticalLoadProblem(
+        geom=ShellGeometry(h=h, L=L), elastic=IsotropicElasticity(nu=nu), margin=margin
     )
+    return BucklingModeSpec(problem, alpha)
 
 
 class TestConstruction:
@@ -35,7 +35,7 @@ class TestConstruction:
 
     def test_wave_numbers_track_the_circle(self):
         spec = spec_at(0.01)
-        R = 1.0 / math.sqrt(2.0 * spec.lambda_star)
+        R = 1.0 / math.sqrt(2.0 * spec.problem.lambda_star)
         # n(h) sits within rounding distance of the circle crossing
         target = math.sqrt(spec.m_hat * (2 * R - spec.m_hat))
         assert abs(spec.n - target) <= 0.5 + 1e-12
@@ -45,13 +45,13 @@ class TestConstruction:
         h1, h2 = harmonics(spec)
         assert h2.wn.m == h1.wn.m + 2
         assert h1.wn.n == h2.wn.n == spec.n
-        r = np.linspace(spec.geom.r_inner, spec.geom.r_outer, 5)
+        r = np.linspace(spec.problem.geom.r_inner, spec.problem.geom.r_outer, 5)
         # theta profiles exactly opposite; leading radial profile normalized
         assert np.allclose(h2.ftheta(r), -h1.ftheta(r), rtol=1e-13)
         assert float(h1.fr(1.0)) == pytest.approx(1.0, rel=1e-13)
 
     def test_harmonics_are_signed_optimal_modes(self):
-        # each harmonic is +-as_fourier(optimal_mode(...)) at the leading
+        # each harmonic is +-optimal_mode(...) at the leading
         # harmonic's a_theta and its own closed-form a_z, coefficient for coefficient
         cases = [
             (0.03, 0.5, 0.3, 2 * math.pi),
@@ -69,7 +69,7 @@ class TestConstruction:
             for harm, m, sign in zip(harmonics(spec), (spec.m, spec.m + 2), (1.0, -1.0)):
                 wn = WaveNumbers(m=m, n=n, L=L)
                 a_z = closed_form_a_z(nu, wn.m_hat, n, a_theta)
-                want = as_fourier(optimal_mode(wn, a_theta, a_z, spec.elastic))
+                want = optimal_mode(wn, a_theta, a_z, spec.problem.elastic)
                 assert harm.wn == wn
                 for name in ("fr", "ftheta", "fz"):
                     got, expected = getattr(harm, name).coef, sign * getattr(want, name).coef
@@ -77,11 +77,9 @@ class TestConstruction:
         assert 0 in ns and max(ns) > 0
 
     def test_window_guard(self):
-        spec = BucklingModeSpec(
-            geom=ShellGeometry(h=0.003, L=math.pi), elastic=EL, alpha=1.0
-        )
+        spec = spec_at(0.003, alpha=1.0, L=math.pi, margin=1.0)
         with pytest.raises(WindowTooSmall):
-            check_window(spec, margin=1.0)
+            check_window(spec)
 
 
 class TestSynthesizedField:
@@ -93,7 +91,7 @@ class TestSynthesizedField:
     def test_periodic_in_theta(self):
         spec = spec_at(0.01)
         r = np.array([1.0])
-        z = np.linspace(0.0, spec.geom.L, 7)
+        z = np.linspace(0.0, spec.problem.geom.L, 7)
         a = evaluate(spec, r, np.array([0.0]), z)
         b = evaluate(spec, r, np.array([2.0 * math.pi]), z)
         scale = max(np.abs(f).max() for f in a)
@@ -106,9 +104,10 @@ class TestSynthesizedField:
         # displacement evaluations
         spec = spec_at(0.02)
         h1, h2 = harmonics(spec)
-        r = rng.uniform(spec.geom.r_inner, spec.geom.r_outer, size=4)
+        geom = spec.problem.geom
+        r = rng.uniform(geom.r_inner, geom.r_outer, size=4)
         t = rng.uniform(0.0, 2 * math.pi, size=4)
-        z = rng.uniform(0.0, spec.geom.L, size=4)
+        z = rng.uniform(0.0, geom.L, size=4)
         got = evaluate(spec, r, t, z)
         want = [np.zeros((4, 4, 4)) for _ in range(3)]
         for harm in (h1, h2):
@@ -139,14 +138,14 @@ class TestQuotient:
         spec = spec_at(0.003)
         qb = quotient_breakdown(spec)
         for s, d in zip(qb.stiffness, qb.denominators):
-            assert abs(s / d / spec.lambda_star - 1.0) <= 0.1
+            assert abs(s / d / spec.problem.lambda_star - 1.0) <= 0.1
 
     def test_parseval_against_grid_quadrature(self):
         # R1 of the combined field by brute-force 3D quadrature equals the
         # per-harmonic decomposition
         spec = spec_at(0.03)
         qb = quotient_breakdown(spec)
-        geom, el = spec.geom, spec.elastic
+        geom = spec.problem.geom
 
         nr, ntheta, nz = 16, 96, 160
         tq, wr = np.polynomial.legendre.leggauss(nr)

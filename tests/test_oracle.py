@@ -30,10 +30,9 @@ from cylbuck.oracle import (
     oracle_sweep,
 )
 from cylbuck.spectral import (
-    LinearizedMode,
+    FourierMode,
     ShellGeometry,
     WaveNumbers,
-    as_fourier,
     mode_denominators,
     mode_energy,
     optimal_mode,
@@ -57,15 +56,11 @@ def cheb_coeffs_on_wall(poly, geom, degree):
 
 
 def dof_vector(mode, geom, disc):
-    """Pack a linearized mode's profiles into oracle DOFs."""
-    n, mh = mode.wn.n, mode.wn.m_hat
-    ftheta = Polynomial([-float(n), mode.a_theta + float(n)])
-    fz = Polynomial([mode.a_z - mh, mh])
-    k = disc.degree + 1
+    """Pack a mode's profiles into oracle DOFs."""
     blocks = [cheb_coeffs_on_wall(mode.fr, geom, disc.degree)]
-    if n >= 1:
-        blocks.append(cheb_coeffs_on_wall(ftheta, geom, disc.degree))
-    blocks.append(cheb_coeffs_on_wall(fz, geom, disc.degree))
+    if mode.wn.n >= 1:
+        blocks.append(cheb_coeffs_on_wall(mode.ftheta, geom, disc.degree))
+    blocks.append(cheb_coeffs_on_wall(mode.fz, geom, disc.degree))
     return np.concatenate(blocks)
 
 
@@ -169,9 +164,8 @@ class TestPencilAssembly:
             mode = optimal_mode(wn, rng.uniform(-1, 1), rng.uniform(-1, 1), EL)
             x = dof_vector(mode, geom, disc)
             forms = mode_forms(geom, EL, wn, disc)
-            fmode = as_fourier(mode)
-            want_stiff = mode_energy(geom, EL, fmode, nodes=disc.nodes)
-            dens = mode_denominators(geom, fmode, nodes=disc.nodes)
+            want_stiff = mode_energy(geom, EL, mode, nodes=disc.nodes)
+            dens = mode_denominators(geom, mode, nodes=disc.nodes)
             assert float(x @ forms.stiffness @ x) == pytest.approx(want_stiff, rel=1e-12)
             assert float(x @ forms.phi_rz @ x) == pytest.approx(dens.phi_rz, rel=1e-12)
             assert float(x @ forms.phi_zz @ x) == pytest.approx(dens.phi_zz, rel=1e-12)
@@ -184,10 +178,12 @@ class TestPencilAssembly:
         geom = ShellGeometry(h=0.04, L=PI)
         disc = RadialDiscretization()
         wn = WaveNumbers(m=2, n=3, L=PI)
-        mode = LinearizedMode(wn=wn, a_theta=0.7, a_z=-0.4)
+        mh = wn.m_hat
+        a_theta, a_z = 0.7, -0.4
+        ftheta, fz = Polynomial([-3.0, a_theta + 3.0]), Polynomial([a_z - mh, mh])
+        mode = FourierMode(wn=wn, fr=Polynomial([1.0]), ftheta=ftheta, fz=fz)
         x = dof_vector(mode, geom, disc)
         forms = mode_forms(geom, EL, wn, disc)
-        mh = wn.m_hat
         half = PI * PI / 2  # theta and z trig integrals for n >= 1, m >= 1
 
         def wall_int(poly):
@@ -195,8 +191,8 @@ class TestPencilAssembly:
             return prim(geom.r_outer) - prim(geom.r_inner)
 
         want_rz = half * mh**2 * wall_int(Polynomial([1.0]) ** 2)
-        want_zz = half * mh**2 * wall_int(Polynomial([mode.a_z - mh, mh]) ** 2)
-        want_tz = half * mh**2 * wall_int(Polynomial([-3.0, mode.a_theta + 3.0]) ** 2)
+        want_zz = half * mh**2 * wall_int(fz**2)
+        want_tz = half * mh**2 * wall_int(ftheta**2)
         assert float(x @ forms.phi_rz @ x) == pytest.approx(want_rz, rel=1e-12)
         assert float(x @ forms.phi_zz @ x) == pytest.approx(want_zz, rel=1e-12)
         assert float(x @ forms.phi_tz @ x) == pytest.approx(want_tz, rel=1e-12)

@@ -5,13 +5,11 @@ import pytest
 from numpy.polynomial import Polynomial
 from scipy.optimize import minimize_scalar
 
-from cylbuck.material import IsotropicElasticity, energy_density
+from cylbuck.material import IsotropicElasticity, SymStrain, energy_density
 from cylbuck.spectral import (
     FourierMode,
-    LinearizedMode,
     ShellGeometry,
     WaveNumbers,
-    as_fourier,
     linearize,
     mode_denominators,
     mode_energy,
@@ -27,18 +25,23 @@ from cylbuck.spectral import (
 EL = IsotropicElasticity(nu=0.3)
 
 
+def linear_mode(wn, a_theta, a_z, fr=Polynomial([1.0])):
+    """The linearized-family mode: theta profile r a_theta + (r-1) n, z
+    profile a_z + (r-1) mhat."""
+    n, mh = float(wn.n), wn.m_hat
+    return FourierMode(
+        wn=wn, fr=fr, ftheta=Polynomial([-n, a_theta + n]), fz=Polynomial([a_z - mh, mh])
+    )
+
+
 # ---------------------------------------------------------------------------
 # independent oracle: complex-step differentiation of the displacement field
 # ---------------------------------------------------------------------------
 
-def displacement_functions(mode):
+def displacement_functions(wn, fr, at, az):
     """Literal transcription of the linearized-mode displacement field."""
-    n = float(mode.wn.n)
-    mh = mode.wn.m_hat
-    at, az = mode.a_theta, mode.a_z
-
-    def fr(r):
-        return mode.fr(r)
+    n = float(wn.n)
+    mh = wn.m_hat
 
     def phi_r(r, t, z):
         return fr(r) * np.cos(n * t) * np.cos(mh * z)
@@ -59,9 +62,9 @@ def cstep(f, args, index, h=1e-30):
     return np.imag(f(*args)) / h
 
 
-def strains_by_differentiation(mode, r, t, z):
+def strains_by_differentiation(wn, fr, at, az, r, t, z):
     """Cylindrical strain-displacement relations applied to the raw field."""
-    pr, pt, pz = displacement_functions(mode)
+    pr, pt, pz = displacement_functions(wn, fr, at, az)
     a = (r, t, z)
     e_rr = cstep(pr, a, 0)
     e_tt = (cstep(pt, a, 1) + pr(*a)) / r
@@ -78,13 +81,12 @@ class TestStrainComponents:
         for _ in range(20):
             wn = WaveNumbers(m=int(rng.integers(1, 9)), n=int(rng.integers(1, 9)), L=math.pi)
             fr = Polynomial([1.0, 0, 0]) + Polynomial([-1.0, 1.0]) * rng.uniform(-1, 1)
-            mode = LinearizedMode(
-                wn=wn, a_theta=rng.uniform(-2, 2), a_z=rng.uniform(-2, 2), fr=fr
-            )
+            at, az = rng.uniform(-2, 2), rng.uniform(-2, 2)
+            mode = linear_mode(wn, at, az, fr)
             r = rng.uniform(geom.r_inner, geom.r_outer)
             t = rng.uniform(0, 2 * math.pi)
             z = rng.uniform(0, math.pi)
-            e = strain_amplitudes(as_fourier(mode), r)
+            e = strain_amplitudes(mode, r)
             n, mh = float(wn.n), wn.m_hat
             ct, st = math.cos(n * t), math.sin(n * t)
             cz, sz = math.cos(mh * z), math.sin(mh * z)
@@ -96,14 +98,14 @@ class TestStrainComponents:
                 e.rz * ct * sz,
                 e.tz * st * sz,
             )
-            want = strains_by_differentiation(mode, r, t, z)
+            want = strains_by_differentiation(wn, fr, at, az, r, t, z)
             for g, w in zip(got, want):
                 assert g == pytest.approx(w, rel=1e-12, abs=1e-12)
 
     def test_flat_profile_at_midsurface(self):
         wn = WaveNumbers(m=3, n=2, L=math.pi)
-        mode = LinearizedMode(wn=wn, a_theta=0.0, a_z=0.0)
-        e = strain_amplitudes(as_fourier(mode), 1.0)
+        mode = linear_mode(wn, 0.0, 0.0)
+        e = strain_amplitudes(mode, 1.0)
         assert e.rr == 0.0
         assert e.rt == 0.0
         assert e.rz == 0.0
@@ -114,23 +116,23 @@ class TestStrainComponents:
 
     def test_axisymmetric_shears_vanish(self):
         wn = WaveNumbers(m=4, n=0, L=math.pi)
-        mode = LinearizedMode(wn=wn, a_theta=0.0, a_z=0.4)
+        mode = linear_mode(wn, 0.0, 0.4)
         for r in (0.96, 1.0, 1.04):
-            e = strain_amplitudes(as_fourier(mode), r)
+            e = strain_amplitudes(mode, r)
             assert float(e.rt) == 0.0
             assert float(e.tz) == 0.0
 
     def test_radius_outside_wall_rejected(self):
         geom = ShellGeometry(h=0.02, L=math.pi)
-        mode = LinearizedMode(wn=WaveNumbers(m=1, n=1, L=math.pi), a_theta=0.0, a_z=0.0)
+        mode = linear_mode(WaveNumbers(m=1, n=1, L=math.pi), 0.0, 0.0)
         with pytest.raises(ValueError):
-            strain_amplitudes(as_fourier(mode), 1.2, geom=geom)
+            strain_amplitudes(mode, 1.2, geom=geom)
 
 
 class TestSimplifiedStrain:
     def test_radial_shears_identically_zero(self, rng):
         wn = WaveNumbers(m=5, n=3, L=math.pi)
-        mode = as_fourier(optimal_mode(wn, 0.3, -0.2, EL))
+        mode = optimal_mode(wn, 0.3, -0.2, EL)
         r = rng.uniform(0.95, 1.05, size=7)
         E = simplified_strain(mode, r)
         assert np.all(E.rt == 0.0)
@@ -138,7 +140,7 @@ class TestSimplifiedStrain:
 
     def test_collapses_at_midsurface(self):
         wn = WaveNumbers(m=5, n=3, L=math.pi)
-        mode = as_fourier(optimal_mode(wn, 0.3, -0.2, EL))
+        mode = optimal_mode(wn, 0.3, -0.2, EL)
         e = strain_amplitudes(mode, 1.0)
         E = simplified_strain(mode, 1.0)
         for name in ("rr", "tt", "zz", "tz"):
@@ -154,7 +156,7 @@ class TestSimplifiedStrain:
             problem = CriticalLoadProblem(geom=geom, elastic=EL)
             for wn in koiter_circle(problem, rel_tol=0.05)[:4]:
                 mm = per_mode_strain(problem, wn)
-                mode = as_fourier(optimal_mode(wn, mm.a_theta, mm.a_z, EL))
+                mode = optimal_mode(wn, mm.a_theta, mm.a_z, EL)
                 r, w = radial_rule(geom, 24)
                 e = strain_amplitudes(mode, r)
                 E = simplified_strain(mode, r)
@@ -169,13 +171,13 @@ class TestOptimalSlope:
     def test_zero_at_nu_zero(self):
         el0 = IsotropicElasticity(nu=0.0)
         wn = WaveNumbers(m=2, n=1, L=math.pi)
-        mode = LinearizedMode(wn=wn, a_theta=0.5, a_z=0.5)
+        mode = linear_mode(wn, 0.5, 0.5)
         assert float(optimal_fr_slope(mode, 1.02, el0)) == 0.0
 
     def test_hand_value(self):
         # nu=0.3, a=0, n=0, mhat=1, r=1: p=1, slope = -(1.5/3.5) = -3/7
         wn = WaveNumbers(m=1, n=0, L=math.pi)
-        mode = LinearizedMode(wn=wn, a_theta=0.0, a_z=0.0)
+        mode = linear_mode(wn, 0.0, 0.0)
         got = float(optimal_fr_slope(mode, 1.0, EL))
         assert got == pytest.approx(-3.0 / 7.0, rel=1e-14)
 
@@ -184,7 +186,7 @@ class TestOptimalSlope:
         for _ in range(10):
             wn = WaveNumbers(m=int(rng.integers(1, 7)), n=int(rng.integers(0, 7)), L=math.pi)
             at, az = rng.uniform(-2, 2, size=2)
-            mode = LinearizedMode(wn=wn, a_theta=at, a_z=az)
+            mode = linear_mode(wn, at, az)
             r = rng.uniform(0.95, 1.05)
             n, mh = float(wn.n), wn.m_hat
             p = n * r * at + (r - 1) * n**2 + 1.0 + mh * az + (r - 1) * mh**2
@@ -200,6 +202,28 @@ class TestOptimalSlope:
             assert abs(integrand(got) - res.fun) <= 1e-10 * max(1.0, abs(res.fun))
             # stationarity of the integrand at the closed form
             assert abs(2 * lam * (got + p) + 4 * got) <= 1e-12 * max(1.0, abs(p))
+
+    @pytest.mark.parametrize("nu", [0.3, 0.0])
+    def test_stationary_on_general_modes(self, rng, nu):
+        # quadratic profiles outside the linearized family: with e_rr set from
+        # the slope, the simplified-strain density is stationary in e_rr
+        el = IsotropicElasticity(nu=nu)
+        for _ in range(20):
+            wn = WaveNumbers(m=int(rng.integers(1, 9)), n=int(rng.integers(0, 9)), L=math.pi)
+            fr, ftheta, fz = (Polynomial(rng.uniform(-1, 1, size=3)) for _ in range(3))
+            mode = FourierMode(wn=wn, fr=fr, ftheta=ftheta, fz=fz)
+            r = rng.uniform(0.95, 1.05)
+            e = simplified_strain(mode, r)
+            e_rr = float(optimal_fr_slope(mode, r, el)) / math.sqrt(r)
+
+            def density(rr):
+                return float(energy_density(el, SymStrain(rr, e.tt, e.zz, e.rt, e.rz, e.tz)))
+
+            d = 1e-3 * max(abs(e_rr), abs(float(e.tt)), abs(float(e.zz)))
+            at = density(e_rr)
+            assert at > 0.0
+            assert abs(density(e_rr + d) - density(e_rr - d)) <= 1e-10 * at
+            assert min(density(e_rr + d), density(e_rr - d)) >= at
 
     def test_optimal_mode_profile_consistency(self, rng):
         wn = WaveNumbers(m=4, n=5, L=math.pi)
@@ -219,7 +243,7 @@ class TestLinearize:
 
     def test_fixed_point_on_affine_profiles(self, rng):
         wn = WaveNumbers(m=3, n=2, L=math.pi)
-        lin = as_fourier(LinearizedMode(wn=wn, a_theta=0.4, a_z=-0.3))
+        lin = linear_mode(wn, 0.4, -0.3)
         again = linearize(lin)
         r = rng.uniform(0.9, 1.1, size=6)
         for name in ("fr", "ftheta", "fz"):
@@ -326,7 +350,7 @@ class TestModeQuadrature:
         # material density on amplitude level
         geom = ShellGeometry(h=0.03, L=math.pi)
         wn = WaveNumbers(m=3, n=4, L=math.pi)
-        mode = as_fourier(optimal_mode(wn, 0.2, -0.1, EL))
+        mode = optimal_mode(wn, 0.2, -0.1, EL)
         r, w = radial_rule(geom, 16)
         e = strain_amplitudes(mode, r)
         f = trig_factors(wn)
@@ -338,7 +362,7 @@ class TestModeQuadrature:
     def test_denominators_for_flat_mode(self):
         geom = ShellGeometry(h=0.04, L=math.pi)
         wn = WaveNumbers(m=2, n=3, L=math.pi)
-        mode = as_fourier(LinearizedMode(wn=wn, a_theta=0.0, a_z=0.0))
+        mode = linear_mode(wn, 0.0, 0.0)
         d = mode_denominators(geom, mode)
         mh = wn.m_hat
         # f_r = 1: |phi_rz|^2 = (pi L/2) mhat^2 h; mid-surface trace identical
@@ -366,9 +390,3 @@ class TestValidation:
             WaveNumbers(m=1, n=-1, L=math.pi)
         wn = WaveNumbers(m=6, n=2, L=2.0)
         assert wn.m_hat == pytest.approx(3.0 * math.pi)
-
-    def test_linearized_mode_normalization_enforced(self):
-        wn = WaveNumbers(m=1, n=1, L=math.pi)
-        bad = Polynomial([2.0])
-        with pytest.raises(ValueError):
-            LinearizedMode(wn=wn, a_theta=0.0, a_z=0.0, fr=bad)
