@@ -25,7 +25,6 @@ from .trivial_branch import (
 from .critical_load import (
     BucklingResult,
     CriticalLoadProblem,
-    classical_strain_at,
     koiter_circle,
     per_mode_strain,
     per_mode_strain_full,
@@ -64,7 +63,6 @@ __all__ = [
     "WaveNumbers",
     "ansatz_ratios",
     "assemble_pencil",
-    "classical_strain_at",
     "coercivity_bound",
     "energy_density",
     "equivalence_gap",

@@ -50,9 +50,9 @@ class CriterionResult:
         return f"[{tag}] criterion {self.number}: {self.name} -- {self.details}"
 
 
-def _problem(h: float, nu: float = NU_DEFAULT, L: float = L_DEFAULT) -> cl.CriticalLoadProblem:
+def _problem(h: float, L: float = L_DEFAULT) -> cl.CriticalLoadProblem:
     return cl.CriticalLoadProblem(
-        geom=ShellGeometry(h=h, L=L), elastic=IsotropicElasticity(nu=nu)
+        geom=ShellGeometry(h=h, L=L), elastic=IsotropicElasticity(nu=NU_DEFAULT)
     )
 
 
@@ -179,13 +179,11 @@ def criterion_5(jobs: int = 1) -> CriterionResult:
 
 def criterion_6(jobs: int = 1) -> CriterionResult:
     """Reciprocal-quotient gap vanishes against the classical strain scale."""
-    el = IsotropicElasticity(nu=NU_DEFAULT)
     disc = oracle_mod.RadialDiscretization()
     prods = []
     for h in EQUIV_H:
-        geom = ShellGeometry(h=h, L=L_DEFAULT)
-        p = cl.CriticalLoadProblem(geom=geom, elastic=el)
-        scan = oracle_mod.equivalence_scan(geom, el, disc, p.window(), jobs=jobs)
+        p = _problem(h)
+        scan = oracle_mod.equivalence_scan(p.geom, p.elastic, disc, p.window(), jobs=jobs)
         prods.append(p.lambda_star * scan.full_vs_rz)
     decreasing = all(b < a for a, b in zip(prods, prods[1:]))
     slope = oracle_mod.fitted_slope(EQUIV_H, prods)

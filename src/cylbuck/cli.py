@@ -235,10 +235,10 @@ def _slope(h_values: Sequence[float], values: Sequence[float]) -> Optional[float
     return oracle_mod.fitted_slope(h_values, values) if len(values) > 1 else None
 
 
-def _result_record(config: RunConfig, h: float, res: cl.BucklingResult) -> dict:
-    lam_star = cl.classical_strain_at(h, config.nu)
+def _result_record(problem: cl.CriticalLoadProblem, res: cl.BucklingResult) -> dict:
+    lam_star = problem.lambda_star
     return {
-        "h": h,
+        "h": problem.geom.h,
         "m": res.m,
         "n": res.n,
         "m_hat": res.m_hat,
@@ -261,13 +261,13 @@ EQUIVALENCE_COLUMNS = ("h", "sup_gap_full_vs_rz", "lambda_star_times_gap", "rz_v
 
 
 def cmd_critical_load(config: RunConfig, args) -> Report:
-    h = _h(config, args)
-    record = _result_record(config, h, cl.sweep(config.problem(h)))
+    problem = config.problem(_h(config, args))
+    record = _result_record(problem, cl.sweep(problem))
     return Report("critical_load", record, lines=[json.dumps(record, indent=2)])
 
 
 def cmd_sweep(config: RunConfig, args) -> Report:
-    records = [_result_record(config, h, cl.sweep(config.problem(h))) for h in config.h_list]
+    records = [_result_record(p, cl.sweep(p)) for p in map(config.problem, config.h_list)]
     lines = [f"h={fmt(r['h'])}: (m={r['m']}, n={r['n']}) ratio={fmt(r['ratio'])}" for r in records]
     return Report("sweep", records, SWEEP_COLUMNS, records, lines)
 
@@ -331,7 +331,7 @@ def cmd_korn(config: RunConfig, args) -> Report:
     if len(config.h_list) > 1:
         # slenderness sufficient condition: classical_strain^2 / K -> 0,
         # measured through its log-log slope (expected ~ +1/2)
-        ratios = [cl.classical_strain_at(h, config.nu) ** 2 / by_h[h].korn for h in config.h_list]
+        ratios = [config.problem(h).lambda_star ** 2 / by_h[h].korn for h in config.h_list]
         out["slenderness_condition_slope"] = oracle_mod.fitted_slope(config.h_list, ratios)
         lines.append(f"strain^2/K slope: {fmt(out['slenderness_condition_slope'])}")
     return Report("korn", out, SERIES_COLUMNS, records, lines)

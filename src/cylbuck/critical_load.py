@@ -49,11 +49,6 @@ _M_MAX = 2.0**53
 _M_HAT_MAX = 2.0**200
 
 
-def classical_strain_at(h: float, nu: float) -> float:
-    """Classical asymptotic critical strain h / sqrt(3 (1 - nu^2))."""
-    return h / math.sqrt(3.0 * (1.0 - nu * nu))
-
-
 @dataclass(frozen=True)
 class CriticalLoadProblem:
     """Geometry + material + the integer sweep window.
@@ -66,7 +61,6 @@ class CriticalLoadProblem:
     geom: ShellGeometry
     elastic: IsotropicElasticity
     margin: float = 3.0
-    window_override: Optional[Tuple[int, int]] = None
 
     def __post_init__(self):
         if not 1.0 <= self.margin < math.inf:
@@ -83,7 +77,9 @@ class CriticalLoadProblem:
 
     @property
     def lambda_star(self) -> float:
-        return classical_strain_at(self.geom.h, self.elastic.nu)
+        """Classical asymptotic critical strain h / sqrt(3 (1 - nu^2))."""
+        nu = self.elastic.nu
+        return self.geom.h / math.sqrt(3.0 * (1.0 - nu * nu))
 
     @property
     def koiter_radius(self) -> float:
@@ -94,8 +90,6 @@ class CriticalLoadProblem:
         """(m_max, n_max); the circle spans mhat <= 2R and n <= R.
 
         Raises ValueError when m_max would exceed 2**53 (L too long for h)."""
-        if self.window_override is not None:
-            return self.window_override
         R = self.koiter_radius
         m_top = self.margin * 2.0 * R * self.geom.L / math.pi
         if not m_top <= _M_MAX:
@@ -552,7 +546,7 @@ def koiter_circle(problem: CriticalLoadProblem, rel_tol: float = 0.05) -> List[W
     R = problem.koiter_radius
     m_max, n_max = problem.window()
     L = problem.geom.L
-    n = np.arange(min(n_max, math.floor(R * (1.0 + rel_tol))) + 1, dtype=float)
+    n = np.arange(math.floor(min(n_max, R * (1.0 + rel_tol))) + 1, dtype=float)
     outer, inner = (R, R * (1.0 + rel_tol)), (R, R * (1.0 - rel_tol))
     lo, hi = _annulus_ranges(n, outer, inner, math.pi / L, 1, m_max, pad=1)
     found = []

@@ -130,7 +130,6 @@ def coercivity_bound(elastic: IsotropicElasticity) -> float:
     return min(shear, volumetric)
 
 
-def random_strain(rng: np.random.Generator, scale: float = 1.0) -> SymStrain:
-    """Uniformly random strain components in [-scale, scale]; test helper."""
-    v = rng.uniform(-scale, scale, size=6)
-    return SymStrain(*v)
+def random_strain(rng: np.random.Generator) -> SymStrain:
+    """Uniformly random strain components in [-1, 1]; test helper."""
+    return SymStrain(*rng.uniform(-1.0, 1.0, size=6))

@@ -113,7 +113,6 @@ def check_window(spec: BucklingModeSpec):
 class DisplacementField:
     """Tensor-grid samples of the two-term displacement field."""
 
-    spec: BucklingModeSpec
     r: np.ndarray
     theta: np.ndarray
     z: np.ndarray
@@ -161,7 +160,7 @@ def synthesize(spec: BucklingModeSpec, r_nodes: int = 9) -> DisplacementField:
     theta = np.linspace(0.0, 2.0 * math.pi, 8 * spec.n + 16, endpoint=False)
     z = np.linspace(0.0, geom.L, 8 * (spec.m + 2) + 16)
     pr, pt, pz = evaluate(spec, r, theta, z)
-    return DisplacementField(spec=spec, r=r, theta=theta, z=z, phi_r=pr, phi_theta=pt, phi_z=pz)
+    return DisplacementField(r=r, theta=theta, z=z, phi_r=pr, phi_theta=pt, phi_z=pz)
 
 
 class QuotientBreakdown(NamedTuple):
@@ -171,18 +170,20 @@ class QuotientBreakdown(NamedTuple):
     denominators: List[float]
 
 
-def quotient_breakdown(spec: BucklingModeSpec, nodes: int = 16) -> QuotientBreakdown:
+def quotient_breakdown(spec: BucklingModeSpec) -> QuotientBreakdown:
     """Exact per-harmonic quadrature of the quotient; harmonics decouple."""
     check_window(spec)
     geom, elastic = spec.problem.geom, spec.problem.elastic
     stiff, denom = [], []
     for mode in harmonics(spec):
-        stiff.append(mode_energy(geom, elastic, mode, nodes))
-        denom.append(mode_denominators(geom, mode, nodes).phi_rz)
+        stiff.append(mode_energy(geom, elastic, mode))
+        denom.append(mode_denominators(geom, mode).phi_rz)
     return QuotientBreakdown(stiff, denom)
 
 
-def quotient_ratio(spec: BucklingModeSpec, nodes: int = 16) -> float:
-    """R1 of the two-term mode over the classical strain; -> 1 as h -> 0."""
-    qb = quotient_breakdown(spec, nodes)
+def quotient_ratio(spec: BucklingModeSpec) -> float:
+    """R1 of the two-term mode over the classical strain; -> 1 as h -> 0.
+
+    The per-harmonic quadrature is mode_energy's 16-node radial rule."""
+    qb = quotient_breakdown(spec)
     return sum(qb.stiffness) / sum(qb.denominators) / spec.problem.lambda_star

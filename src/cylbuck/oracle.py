@@ -68,7 +68,7 @@ DENOMINATORS = ("full", "phi_rz", "phi_rz_mid")
 class RadialDiscretization:
     """Chebyshev polynomial degree per displacement component on the wall.
 
-    The quadrature rule (default 2*degree Gauss-Legendre nodes) integrates
+    The quadrature rule (2*degree Gauss-Legendre nodes) integrates
     every polynomial part of the radial moments exactly; the 1/r factors are
     analytic on the wall and converge at machine precision well before that.
     The moments are summed in extended precision and rounded once to
@@ -77,7 +77,6 @@ class RadialDiscretization:
     """
 
     degree: int = 12
-    quad_nodes: Optional[int] = None
 
     def __post_init__(self):
         if self.degree < 4:
@@ -85,7 +84,7 @@ class RadialDiscretization:
 
     @property
     def nodes(self) -> int:
-        return self.quad_nodes if self.quad_nodes is not None else 2 * self.degree
+        return 2 * self.degree
 
 
 def _leggauss_refined(nodes: int):
@@ -873,6 +872,11 @@ def _leggauss(nodes: int) -> Tuple[np.ndarray, np.ndarray]:
     return rule
 
 
+# Gauss-Legendre nodes of the ansatz rule in (eta, z, r); the self-check of
+# ansatz_ratios refines eta and z by 1.5 and keeps r.
+_ANSATZ_NODES = (160, 160, 8)
+
+
 def _ansatz_norms(geom: ShellGeometry, eta_nodes: int, z_nodes: int, r_nodes: int):
     """The squared norms of the wave-packet ansatz under the tensor Gauss rule.
 
@@ -926,19 +930,15 @@ def _ansatz_norms(geom: ShellGeometry, eta_nodes: int, z_nodes: int, r_nodes: in
     }
 
 
-def ansatz_ratios(
-    geom: ShellGeometry,
-    eta_nodes: int = 160,
-    z_nodes: int = 160,
-    r_nodes: int = 8,
-) -> AnsatzRatios:
+def ansatz_ratios(geom: ShellGeometry) -> AnsatzRatios:
     """Korn-type ratios of the wave-packet ansatz by tensor-rule quadrature.
 
     The circumferential integral is taken in the stretched variable so the
-    rule resolves the h^{1/4}-compressed bump at any h; a refined-rule
-    self-check guards against under-resolution and raises
+    rule of _ANSATZ_NODES resolves the h^{1/4}-compressed bump at any h; a
+    refined-rule self-check guards against under-resolution and raises
     QuadratureUnderResolved.
     """
+    eta_nodes, z_nodes, r_nodes = _ANSATZ_NODES
     norms = _ansatz_norms(geom, eta_nodes, z_nodes, r_nodes)
     vanished = [key for key, val in norms.items() if not val > 0.0]
     if vanished:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -51,10 +51,6 @@ class ShellGeometry:
     @property
     def r_outer(self) -> float:
         return 1.0 + 0.5 * self.h
-
-    def contains_radius(self, r) -> bool:
-        r = np.asarray(r)
-        return bool(np.all((r >= self.r_inner - 1e-12) & (r <= self.r_outer + 1e-12)))
 
 
 @dataclass(frozen=True)
@@ -104,12 +100,7 @@ def _ftheta(mode: FourierMode) -> Polynomial:
     return mode.ftheta if mode.wn.n else Polynomial([0.0])
 
 
-def _check_radius(geom: Optional[ShellGeometry], r):
-    if geom is not None and not geom.contains_radius(r):
-        raise ValueError("radius outside the shell wall")
-
-
-def simplified_strain(mode: FourierMode, r, geom: Optional[ShellGeometry] = None) -> SymStrain:
+def simplified_strain(mode: FourierMode, r) -> SymStrain:
     """Pruned strain surrogate: radial shears dropped, f_r frozen at its
     mid-surface value in the hoop strain, sqrt(r) reweighting.
 
@@ -117,7 +108,6 @@ def simplified_strain(mode: FourierMode, r, geom: Optional[ShellGeometry] = None
     polynomial; differs from the exact strain by O(sqrt(h)) in L2 for wave
     numbers within the slender-regime bounds.
     """
-    _check_radius(geom, r)
     r = np.asarray(r, dtype=float)
     sq = np.sqrt(r)
     n = float(mode.wn.n)
@@ -135,9 +125,7 @@ def simplified_strain(mode: FourierMode, r, geom: Optional[ShellGeometry] = None
     )
 
 
-def optimal_fr_slope(
-    mode: FourierMode, r, elastic: IsotropicElasticity, geom: Optional[ShellGeometry] = None
-):
+def optimal_fr_slope(mode: FourierMode, r, elastic: IsotropicElasticity):
     """Radial slope that makes the ``simplified_strain`` energy density
     stationary (a minimum) in e_rr, the rest of the mode held fixed.
 
@@ -146,7 +134,6 @@ def optimal_fr_slope(
     f_z = a_z + (r-1) mhat, f_r(1) = 1) the bracket is
     p(r) = n r a_theta + (r-1) n^2 + 1 + mhat a_z + (r-1) mhat^2.
     """
-    _check_radius(geom, r)
     r = np.asarray(r, dtype=float)
     n = float(mode.wn.n)
     lam = elastic.Lambda
@@ -177,10 +164,9 @@ def optimal_mode(
     return FourierMode(wn=wn, fr=fr, ftheta=ftheta, fz=fz)
 
 
-def strain_amplitudes(mode: FourierMode, r, geom: Optional[ShellGeometry] = None) -> SymStrain:
+def strain_amplitudes(mode: FourierMode, r) -> SymStrain:
     """Strain amplitudes of a general mode from the cylindrical
     strain-displacement relations."""
-    _check_radius(geom, r)
     r = np.asarray(r, dtype=float)
     n = float(mode.wn.n)
     mh = mode.wn.m_hat
@@ -241,15 +227,14 @@ def trig_factors(wn: WaveNumbers) -> TrigFactors:
     return TrigFactors(cc=theta_c * zhalf, sc=theta_s * zhalf, cs=theta_c * zhalf, ss=theta_s * zhalf)
 
 
-def mode_energy(
-    geom: ShellGeometry, elastic: IsotropicElasticity, mode: FourierMode, nodes: int = 16
-) -> float:
+def mode_energy(geom: ShellGeometry, elastic: IsotropicElasticity, mode: FourierMode) -> float:
     """Elastic energy int <L0/E e, e> dx of the mode over the shell.
 
     The theta/z integrals are done analytically through trig_factors; the
-    radial integral uses Gauss-Legendre with the r dr volume weight.
+    radial integral uses radial_rule's 16 Gauss-Legendre nodes with the r dr
+    volume weight.
     """
-    r, w = radial_rule(geom, nodes)
+    r, w = radial_rule(geom)
     e = strain_amplitudes(mode, r)
     f = trig_factors(mode.wn)
     nu = elastic.nu
@@ -279,8 +264,8 @@ class DenominatorValues:
         return self.phi_rz + self.phi_zz + self.phi_tz
 
 
-def mode_denominators(geom: ShellGeometry, mode: FourierMode, nodes: int = 16) -> DenominatorValues:
-    r, w = radial_rule(geom, nodes)
+def mode_denominators(geom: ShellGeometry, mode: FourierMode) -> DenominatorValues:
+    r, w = radial_rule(geom)
     f = trig_factors(mode.wn)
     mh2 = mode.wn.m_hat**2
     fr = mode.fr(r)
@@ -296,14 +281,12 @@ def mode_denominators(geom: ShellGeometry, mode: FourierMode, nodes: int = 16) -
     )
 
 
-def rayleigh_r1(
-    geom: ShellGeometry, elastic: IsotropicElasticity, mode: FourierMode, nodes: int = 16
-) -> float:
+def rayleigh_r1(geom: ShellGeometry, elastic: IsotropicElasticity, mode: FourierMode) -> float:
     """Stiffness over the |phi_{r,z}|^2 destabilizing norm for one mode."""
-    den = mode_denominators(geom, mode, nodes).phi_rz
+    den = mode_denominators(geom, mode).phi_rz
     if den == 0.0:
         raise ZeroDivisionError("mode has no radial-axial gradient content")
-    return mode_energy(geom, elastic, mode, nodes) / den
+    return mode_energy(geom, elastic, mode) / den
 
 
 def displacement(mode: FourierMode, r, theta, z):

@@ -126,7 +126,7 @@ class TestMode:
             for i, p in enumerate(phi):
                 p.flat[5 * i + 1:5 * i + 1 + len(special)] = special
             field = cli.modes_mod.DisplacementField(
-                spec=None, r=r, theta=theta, z=z, phi_r=phi[0], phi_theta=phi[1], phi_z=phi[2],
+                r=r, theta=theta, z=z, phi_r=phi[0], phi_theta=phi[1], phi_z=phi[2],
             )
             cli.write_vtk(str(tmp_path / f"fast{k}.vtk"), field)
             scalar_writer(str(tmp_path / f"scalar{k}.vtk"), field)

@@ -11,7 +11,6 @@ from cylbuck.critical_load import (
     CriticalLoadProblem,
     ModeMinimum,
     circle_residual,
-    classical_strain_at,
     continuous_mode_strain,
     koiter_circle,
     mode_strain_at,
@@ -30,10 +29,18 @@ from cylbuck.spectral import ShellGeometry, WaveNumbers, window_pairs
 EL = IsotropicElasticity(nu=0.3)
 
 
-def problem(h, nu=0.3, L=math.pi, **kw):
-    return CriticalLoadProblem(
-        geom=ShellGeometry(h=h, L=L), elastic=IsotropicElasticity(nu=nu), **kw
-    )
+def problem(h, nu=0.3, L=math.pi):
+    return CriticalLoadProblem(geom=ShellGeometry(h=h, L=L), elastic=IsotropicElasticity(nu=nu))
+
+
+@dataclasses.dataclass(frozen=True)
+class WindowedProblem(CriticalLoadProblem):
+    """A problem swept over the given (m_max, n_max) instead of its own window."""
+
+    given: tuple = dataclasses.field(kw_only=True)
+
+    def window(self):
+        return self.given
 
 
 def q_forms_by_hand(mh, n, at, az, nu):
@@ -229,15 +236,15 @@ class TestClassicalStrain:
     def test_reference_value(self):
         # 0.01 / sqrt(3 (1 - 0.09)) evaluated independently
         want = 0.01 / math.sqrt(2.73)
-        assert classical_strain_at(0.01, 0.3) == pytest.approx(want, rel=1e-15)
-        assert classical_strain_at(0.01, 0.3) == pytest.approx(6.0523e-3, rel=1e-4)
+        assert problem(0.01, 0.3).lambda_star == pytest.approx(want, rel=1e-15)
+        assert problem(0.01, 0.3).lambda_star == pytest.approx(6.0523e-3, rel=1e-4)
 
     def test_nu_zero(self):
-        assert classical_strain_at(0.02, 0.0) == pytest.approx(0.02 / math.sqrt(3.0), rel=1e-15)
+        assert problem(0.02, 0.0).lambda_star == pytest.approx(0.02 / math.sqrt(3.0), rel=1e-15)
 
     def test_linear_in_h(self):
-        assert classical_strain_at(0.02, 0.3) == pytest.approx(
-            2 * classical_strain_at(0.01, 0.3), rel=1e-15
+        assert problem(0.02, 0.3).lambda_star == pytest.approx(
+            2 * problem(0.01, 0.3).lambda_star, rel=1e-15
         )
 
 
@@ -309,7 +316,7 @@ class TestSweep:
         assert res.strain > 0
 
     def test_window_boundary_raises(self):
-        p = problem(0.01, window_override=(3, 2))
+        p = WindowedProblem(ShellGeometry(h=0.01, L=math.pi), EL, given=(3, 2))
         with pytest.raises(WindowTooSmall):
             sweep(p)
 
@@ -340,7 +347,7 @@ def window_problems(rng, count=24):
         m_max, n_max = p.window()
         if m_max * (n_max + 1) > 4000:
             window = (int(rng.integers(8, 61)), int(rng.integers(8, 41)))
-            p = dataclasses.replace(p, window_override=window)
+            p = WindowedProblem(p.geom, p.elastic, given=window)
         yield p
 
 
@@ -510,6 +517,14 @@ class TestKoiterCircle:
     def test_empty_for_tiny_tolerance(self):
         with pytest.raises(EmptySet):
             koiter_circle(problem(0.01), rel_tol=1e-9)
+
+    def test_overflowing_tolerance_admits_the_whole_window(self):
+        # R (1 + 1e308) overflows to inf; the band is then the whole window
+        p = problem(1e-3)
+        m_max, n_max = p.window()
+        whole = koiter_circle(p, rel_tol=1e300)
+        assert len(whole) == m_max * (n_max + 1)
+        assert koiter_circle(p, rel_tol=1e308) == whole
 
     def test_radius_scales_inverse_sqrt(self):
         p1, p2 = problem(0.01), problem(0.02)

@@ -11,7 +11,7 @@ from numpy.polynomial import Polynomial, chebyshev
 
 from cylbuck import oracle
 from cylbuck.critical_load import CriticalLoadProblem, per_mode_strain, per_mode_strain_full
-from cylbuck.errors import AssemblyDegenerate, QuadratureUnderResolved, ZeroDenominator
+from cylbuck.errors import AssemblyDegenerate, NonConvergence, QuadratureUnderResolved, ZeroDenominator
 from cylbuck.material import IsotropicElasticity
 from cylbuck.oracle import (
     AnsatzRatios,
@@ -127,9 +127,11 @@ class TestPencilAssembly:
     @pytest.mark.parametrize("h", [0.1, 0.01, 0.002])
     @pytest.mark.parametrize("degree", [6, 12])
     @pytest.mark.parametrize("nodes", [None, 48])
-    def test_moment_assembly_matches_direct_quadrature(self, h, degree, nodes):
+    def test_moment_assembly_matches_direct_quadrature(self, h, degree, nodes, monkeypatch):
+        if nodes is not None:
+            monkeypatch.setattr(RadialDiscretization, "nodes", property(lambda self: nodes))
         geom = ShellGeometry(h=h, L=PI)
-        disc = RadialDiscretization(degree=degree, quad_nodes=nodes)
+        disc = RadialDiscretization(degree=degree)
         for m, n in ((4, 0), (1, 1), (9, 12), (25, 18)):
             wn = WaveNumbers(m=m, n=n, L=PI)
             forms = mode_forms(geom, EL, wn, disc)
@@ -164,8 +166,8 @@ class TestPencilAssembly:
             mode = optimal_mode(wn, rng.uniform(-1, 1), rng.uniform(-1, 1), EL)
             x = dof_vector(mode, geom, disc)
             forms = mode_forms(geom, EL, wn, disc)
-            want_stiff = mode_energy(geom, EL, mode, nodes=disc.nodes)
-            dens = mode_denominators(geom, mode, nodes=disc.nodes)
+            want_stiff = mode_energy(geom, EL, mode)
+            dens = mode_denominators(geom, mode)
             assert float(x @ forms.stiffness @ x) == pytest.approx(want_stiff, rel=1e-12)
             assert float(x @ forms.phi_rz @ x) == pytest.approx(dens.phi_rz, rel=1e-12)
             assert float(x @ forms.phi_zz @ x) == pytest.approx(dens.phi_zz, rel=1e-12)
@@ -197,15 +199,17 @@ class TestPencilAssembly:
         assert float(x @ forms.phi_zz @ x) == pytest.approx(want_zz, rel=1e-12)
         assert float(x @ forms.phi_tz @ x) == pytest.approx(want_tz, rel=1e-12)
 
-    def test_quadrature_exactness_under_refinement(self):
+    def test_quadrature_exactness_under_refinement(self, monkeypatch):
         # truncation is zero (polynomial integrands; 1/r analytic on the
         # wall), so doubling the rule moves entries only at summation
         # roundoff level
-        for h, mn in ((0.1, (2, 1)), (0.03, (6, 4)), (0.01, (9, 12))):
-            geom = ShellGeometry(h=h, L=PI)
-            wn = WaveNumbers(m=mn[0], n=mn[1], L=PI)
-            a = mode_forms(geom, EL, wn, RadialDiscretization(degree=12))
-            b = mode_forms(geom, EL, wn, RadialDiscretization(degree=12, quad_nodes=48))
+        cases = ((0.1, (2, 1)), (0.03, (6, 4)), (0.01, (9, 12)))
+        disc = RadialDiscretization(degree=12)
+        modes = [(ShellGeometry(h=h, L=PI), WaveNumbers(m=m, n=n, L=PI)) for h, (m, n) in cases]
+        coarse = [mode_forms(geom, EL, wn, disc) for geom, wn in modes]
+        monkeypatch.setattr(RadialDiscretization, "nodes", property(lambda self: 48))
+        fine = [mode_forms(geom, EL, wn, disc) for geom, wn in modes]
+        for a, b in zip(coarse, fine):
             for Ma, Mb in ((a.stiffness, b.stiffness), (a.phi_rz, b.phi_rz), (a.grad2, b.grad2)):
                 diff = np.abs(Ma - Mb).max()
                 assert diff <= 1e-13 * np.abs(Ma).max()
@@ -519,6 +523,23 @@ class TestBlockReduction:
         with pytest.raises(AssemblyDegenerate, match=r"stiffness not positive definite for WaveNumbers\(m=2, n=1,"):
             equivalence_scan(ShellGeometry(h=0.05, L=PI), EL, RadialDiscretization(6), (6, 3), jobs=1)
 
+    @pytest.mark.parametrize("scan", ["full", "korn"])
+    def test_unconverged_solve_raises(self, monkeypatch, scan):
+        # the full window minimum and the Korn ratio each solve by dsygvx
+        dsygvx = scipy.linalg.lapack.dsygvx
+
+        def unconverged(*args, **kwargs):
+            *out, _ = dsygvx(*args, **kwargs)
+            return (*out, 1)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dsygvx", unconverged)
+        geom, disc = ShellGeometry(h=0.05, L=PI), RadialDiscretization(6)
+        with pytest.raises(NonConvergence, match=r"for WaveNumbers\(m=1, n=0,"):
+            if scan == "full":
+                oracle_sweep(geom, EL, disc, (3, 2), "full")
+            else:
+                korn_mode_scan(geom, EL, disc, (3, 2))
+
 
 class TestReducedPencil:
     @pytest.mark.parametrize("mn", [(1, 4), (13, 9), (18, 1), (5, 0)])
@@ -696,9 +717,10 @@ def dense_ansatz_norms(geom, eta_nodes, z_nodes, r_nodes, dtype=float):
 
 
 class TestAnsatz:
-    def test_under_resolved_raises(self):
+    def test_under_resolved_raises(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_ANSATZ_NODES", (10, 10, 8))
         with pytest.raises(QuadratureUnderResolved):
-            ansatz_ratios(ShellGeometry(h=0.01, L=PI), eta_nodes=10, z_nodes=10)
+            ansatz_ratios(ShellGeometry(h=0.01, L=PI))
 
     @pytest.mark.parametrize("h", [5e-324, 1e-300])
     def test_vanishing_norms_raise_before_any_division(self, h):

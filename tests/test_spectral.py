@@ -122,12 +122,6 @@ class TestStrainComponents:
             assert float(e.rt) == 0.0
             assert float(e.tz) == 0.0
 
-    def test_radius_outside_wall_rejected(self):
-        geom = ShellGeometry(h=0.02, L=math.pi)
-        mode = linear_mode(WaveNumbers(m=1, n=1, L=math.pi), 0.0, 0.0)
-        with pytest.raises(ValueError):
-            strain_amplitudes(mode, 1.2, geom=geom)
-
 
 class TestSimplifiedStrain:
     def test_radial_shears_identically_zero(self, rng):
