@@ -33,20 +33,32 @@ whose two forms both have full rank, keep a generalized eigensolve per mode:
 one LAPACK dsygvx call that computes only the one extremal eigenvalue (with
 its eigenvector for korn) and none of the others.
 
+Window minimum: the buckling load is where the second variation stops being
+positive definite, and the full and phi_rz scans use that directly.  The
+smallest minimum found so far is a ceiling c; a slice whose pencils
+A - c (1 + margin) B all admit a Cholesky factorization holds no pair at or
+below c and is skipped unsolved.  Every other slice is solved exactly, so
+the minimum and its pair are those of the exhaustive scan, bit for bit.  The
+ceiling comes from the oracle's own solves only and uses nothing from the
+closed form.
+
 Assembly precision: every strain and gradient map of a mode is a Chebyshev
 value or derivative table, times a polynomial in (n, mhat), times r^0 or
 r^-1.  Each form is therefore a fixed combination of twelve radial moment
 matrices, which are computed once per (h, degree, nodes) in extended
 precision, rounded once to float64, and combined in float64 per window
 slice: up to 16 consecutive pairs of one row n, stacked along a pair axis.
-A slice builds only the forms it is asked for.  A pair's forms come out bit
-for bit the same in every slice, so the window scans and the one-pair
-mode_forms agree exactly.
+phi_rz, phi_zz, phi_tz and phi_r2 are each a scalar per pair times the one
+mass moment int V^T V r dr on one block, and are built as such, bit for bit
+the general combination.  A slice builds only the forms it is asked for.  A
+pair's forms come out bit for bit the same in every slice, so the window
+scans and the one-pair mode_forms agree exactly.
 """
 
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -62,6 +74,7 @@ from .material import IsotropicElasticity
 from .spectral import ShellGeometry, WaveNumbers, trig_factors, window_pairs
 
 DENOMINATORS = ("full", "phi_rz", "phi_rz_mid")
+_log = logging.getLogger("cylbuck")
 
 
 @dataclass(frozen=True)
@@ -257,6 +270,10 @@ def _slice_forms(
     bit for bit, in any slice and for any names: the coefficient arithmetic
     is elementwise per pair, with the scalars rounded as for one pair, and
     the moment contraction makes one (rows, 12) @ moments product per pair.
+    The single-block forms skip the contraction: each is its pair's scalar
+    times the mass moment on its block (phi_tz is zero for n = 0), which is
+    what the contraction gives bit for bit, since the scalar's coefficient
+    row has one nonzero entry and the mass moment is exactly symmetric.
     """
     wn0 = pairs[0]
     if any(wn.n != wn0.n or wn.L != wn0.L for wn in pairs):
@@ -266,9 +283,6 @@ def _slice_forms(
     n = float(wn0.n)
     m_hats = [wn.m_hat for wn in pairs]
     mh = np.array(m_hats)[:, None, None, None]
-
-    def per_pair(scalars):
-        return np.array(scalars)[:, None, None, None, None, None, None]
 
     Pr, dPr, Pt, dPt, Pz, dPz = _ATOMS[::2]  # the r^0 atoms
     # strain amplitude maps
@@ -309,17 +323,22 @@ def _slice_forms(
             + f.ss * _gram(G_zt)
             + f.cc * _gram(C_zz)
         ),
-        "phi_rz": lambda: per_pair([f.cs * m**2 for m in m_hats]) * _gram(Pr),
-        "phi_zz": lambda: per_pair([f.cc * m**2 for m in m_hats]) * _gram(Pz),
-        "phi_tz": lambda: per_pair([f.ss * m**2 for m in m_hats]) * _gram(Pt),
-        "phi_r2": lambda: f.cc * _gram(Pr),
+    }
+    # (block, per-pair scalar) of the forms that are one scalar times the
+    # mass moment int V^T V r dr on one block
+    mass = {
+        "phi_rz": (0, [f.cs * m**2 for m in m_hats]),
+        "phi_zz": (2, [f.cc * m**2 for m in m_hats]),
+        "phi_tz": (1, [f.ss * m**2 for m in m_hats]),
+        "phi_r2": (0, [f.cc] * len(pairs)),
     }
 
     forms = {}
-    contracted = [name for name in names if name != "phi_rz_mid"]
+    keep = _blocks(wn0.n)
+    P, nb = len(pairs), len(keep)
+    contracted = [name for name in names if name in coef]
     if contracted:
-        keep = _blocks(wn0.n)
-        P, nf, nb = len(pairs), len(contracted), len(keep)
+        nf = len(contracted)
         shape = (P,) + _ATOMS.shape[1:] * 2
         C = np.stack([np.broadcast_to(coef[name](), shape) for name in contracted], axis=1)
         # (pair, form, block, table, p, block', table', p')
@@ -331,6 +350,13 @@ def _slice_forms(
         F = F + F.swapaxes(2, 3)
         F *= 0.5
         forms = dict(zip(contracted, F.swapaxes(0, 1)))
+    for name in (name for name in names if name in mass):
+        block, scale = mass[name]
+        F = np.zeros((P, nb * k, nb * k))
+        if block in keep:  # phi_tz vanishes for n = 0
+            j = keep.index(block) * k
+            F[:, j:j + k, j:j + k] = np.array(scale)[:, None, None] * tabs.moments[0].reshape(k, k)
+        forms[name] = F
     if "phi_rz_mid" in names:
         scale, v = _mid_surface(geom, disc, pairs)
         forms["phi_rz_mid"] = scale[:, None, None] * np.outer(v, v)
@@ -565,21 +591,83 @@ def _scan(
     return [item for pairs, part in zip(slices, parts) for item in zip(part, pairs, strict=True)]
 
 
+# Relative margin of the definiteness ceiling.  A slice is skipped when
+# every A - c (1 + margin) B factors, so the margin must exceed how far
+# above a pair's computed minimum v the factorization of A - v B still
+# succeeds: the rounding error of v plus the factorization's backward error,
+# relative to the quotient.  Worst-case bounds on both grow with cond(A)
+# (~1e11 at h = 1e-3) and are far too loose, so the margin rests on
+# measurement: at the sweep winner and 40 drawn pairs per window (L = pi,
+# nu = 0.3, degree 12) the largest excess was 1.5e-13 at h = 1e-2, 5.5e-12
+# at 1e-3, 2.1e-10 at 1e-4 and 1e-5, and 1.4e-7 at 1e-6.  1e-5 stays 70
+# times above all of them and solves the same pairs as 1e-9 at h = 0.02
+# and 0.005.
+_CEILING_MARGIN = 1e-5
+
+
+def _clears_ceiling(pairs: Sequence[WaveNumbers], A: np.ndarray, B: np.ndarray, ceiling: float) -> bool:
+    """Whether every pencil (A[i], B[i]) of the slice has min_rayleigh above ceiling.
+
+    True when A[i] - ceiling (1 + _CEILING_MARGIN) B[i] is positive
+    definite for every pair, tested by one batched Cholesky factorization:
+    then x.A.x > ceiling x.B.x for every x with x.B.x > 0.  min_rayleigh's
+    vanishing and finiteness checks run first, each naming the first
+    failing pair in scan order.  With B[i] positive semidefinite the
+    factorization also proves A[i] positive definite, so an indefinite
+    stiffness fails the test and is reported by the exact solve.
+    """
+    _check_vanishing(pairs, np.linalg.norm(B, axis=(1, 2)), A)
+    _check_finite(A, B)
+    try:
+        np.linalg.cholesky(A - (ceiling * (1.0 + _CEILING_MARGIN)) * B)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _slice_min_rayleigh(
     geom: ShellGeometry,
     elastic: IsotropicElasticity,
     disc: RadialDiscretization,
     denominator: str,
     pairs: Sequence[WaveNumbers],
+    ceiling: float = math.inf,
 ) -> List[float]:
-    """min_rayleigh of every pair of the slice; phi_rz on the r block, phi_rz_mid as rank one."""
+    """min_rayleigh of every pair of the slice; phi_rz on the r block, phi_rz_mid as rank one.
+
+    For full and phi_rz, a slice whose pencils all clear a finite ceiling
+    (_clears_ceiling) is not solved: every pair gets inf.  A skipped pair
+    is never solved, so it cannot raise NonConvergence.  Any other slice
+    is solved exactly, as with no ceiling.  phi_rz_mid ignores the ceiling:
+    its rank-one solve costs about as much as the test.
+    """
     if denominator == "phi_rz_mid":
         A = _slice_forms(geom, elastic, disc, pairs, ("stiffness",))["stiffness"]
         return _rank_one_minima(pairs, A, *_mid_surface(geom, disc, pairs))
     A, B = _pencil_forms(geom, elastic, disc, denominator, pairs)  # rejects an unknown denominator
+    if ceiling < math.inf and _clears_ceiling(pairs, A, B, ceiling):
+        return [math.inf] * len(pairs)
     if denominator == "phi_rz":
         return _block_minima(pairs, A, B, np.arange(disc.degree + 1))
     return _top_minima(pairs, A, B)  # the full form spans every block
+
+
+class _CeilingSweep:
+    """oracle_sweep's per-slice function: _slice_min_rayleigh under the smallest minimum it has returned.
+
+    Every value it keeps is the exact minimum of some window pair, so the
+    ceiling is at or above the window minimum in any scan order: a pool
+    worker's copy keeps a ceiling of its own and stays exact.
+    """
+
+    def __init__(self, geom, elastic, disc, denominator):
+        self.args = (geom, elastic, disc, denominator)
+        self.ceiling = math.inf
+
+    def __call__(self, pairs: Sequence[WaveNumbers]) -> List[float]:
+        values = _slice_min_rayleigh(*self.args, pairs, self.ceiling)
+        self.ceiling = min(self.ceiling, *values)
+        return values
 
 
 def oracle_sweep(
@@ -592,11 +680,21 @@ def oracle_sweep(
 ) -> OracleMinimum:
     """Minimize the discretized Rayleigh quotient over the integer window.
 
+    The full and phi_rz scans keep the smallest minimum found so far as a
+    definiteness ceiling and skip, unsolved, each slice whose pencils all
+    stay positive definite a margin above it (_clears_ceiling).  No skipped
+    pair can reach the minimum, so the result is the exhaustive scan's,
+    bit for bit: the winner's value comes from the same exact solve.
     Deterministic tie-break as in the closed-form sweep (smallest n, then m):
-    min keeps the first minimum in scan order.
+    min keeps the first minimum in scan order.  Logs the denominator and the
+    pairs covered and solved at DEBUG on the "cylbuck" logger.
     """
-    per_slice = partial(_slice_min_rayleigh, geom, elastic, disc, denominator)
-    return OracleMinimum(*min(_scan(per_slice, window, geom.L, jobs), key=lambda item: item[0]))
+    scanned = _scan(_CeilingSweep(geom, elastic, disc, denominator), window, geom.L, jobs)
+    _log.debug(
+        "oracle_sweep %s: %d pairs covered, %d solved",
+        denominator, len(scanned), sum(value < math.inf for value, _ in scanned),
+    )
+    return OracleMinimum(*min(scanned, key=lambda item: item[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 import multiprocessing
 import os
@@ -10,13 +11,14 @@ import scipy.linalg
 from numpy.polynomial import Polynomial, chebyshev
 
 from cylbuck import oracle
-from cylbuck.critical_load import CriticalLoadProblem, per_mode_strain, per_mode_strain_full
+from cylbuck.critical_load import CriticalLoadProblem, per_mode_strain, per_mode_strain_full, sweep
 from cylbuck.errors import AssemblyDegenerate, NonConvergence, QuadratureUnderResolved, ZeroDenominator
 from cylbuck.material import IsotropicElasticity
 from cylbuck.oracle import (
     AnsatzRatios,
     KornRatios,
     ModePencil,
+    OracleMinimum,
     RadialDiscretization,
     _leggauss_refined,
     ansatz_ratios,
@@ -600,6 +602,127 @@ class TestOracleSweep:
         assert got == [(wn.m, wn) for wn in window_pairs((40, 29), PI)]
         assert started == [3, len(slices) // 12]
         assert multiprocessing.active_children() == []
+
+
+def exhaustive_minimum(geom, elastic, disc, window, denominator):
+    """The window minimum with every pair solved: the exact solve of each
+    slice, and the first minimum in scan order."""
+    best = None
+    for pairs in oracle._window_slices(window, geom.L):
+        A, B = oracle._pencil_forms(geom, elastic, disc, denominator, pairs)
+        if denominator == "full":
+            values = oracle._top_minima(pairs, A, B)
+        else:
+            values = oracle._block_minima(pairs, A, B, np.arange(disc.degree + 1))
+        for value, wn in zip(values, pairs):
+            if best is None or value < best[0]:
+                best = (value, wn)
+    return OracleMinimum(*best)
+
+
+def sweep_log(caplog, *args, **kwargs):
+    """oracle_sweep's result and its DEBUG record's (denominator, covered, solved)."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="cylbuck"):
+        got = oracle_sweep(*args, **kwargs)
+    (record,) = [r for r in caplog.records if r.name == "cylbuck"]
+    return got, record.args
+
+
+class TestCeilingScan:
+    """The full and phi_rz window minima skip the slices that stay definite above the best value so far."""
+
+    @pytest.mark.parametrize("denominator", ["full", "phi_rz"])
+    @pytest.mark.parametrize("case", ["h=0.02", "h=0.005", "drawn"])
+    def test_equals_the_exhaustive_scan(self, rng, monkeypatch, caplog, case, denominator):
+        if case == "drawn":
+            nu, h, L = rng.uniform(0.0, 0.45), rng.uniform(0.02, 0.1), rng.uniform(2.0, 12.0)
+        else:
+            nu, h, L = 0.3, float(case[2:]), PI
+        geom, elastic, disc = ShellGeometry(h=h, L=L), IsotropicElasticity(nu=nu), RadialDiscretization()
+        window = CriticalLoadProblem(geom=geom, elastic=elastic).window()
+        want = exhaustive_minimum(geom, elastic, disc, window, denominator)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # jobs=2 runs a real 2-worker pool
+        for jobs in (1, 2):
+            got, (den, covered, solved) = sweep_log(caplog, geom, elastic, disc, window, denominator, jobs=jobs)
+            assert got == want, (case, jobs)
+            assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+            assert (den, covered) == (denominator, window[0] * (window[1] + 1))
+            assert solved < covered / 2, (case, jobs)  # the ceiling skipped most of the window
+
+    @pytest.mark.parametrize("denominator", ["full", "phi_rz"])
+    @pytest.mark.parametrize("h", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+    def test_margin_never_clears_the_pairs_own_minimum(self, h, denominator):
+        # a ceiling equal to a pair's computed minimum never skips that pair,
+        # so no skipped pair can tie with or undercut the minimum
+        p = CriticalLoadProblem(geom=ShellGeometry(h=h, L=PI), elastic=EL)
+        res = sweep(p)
+        wn, disc = p.wave_numbers(res.m, res.n), RadialDiscretization()
+        A, B = oracle._pencil_forms(p.geom, EL, disc, denominator, [wn])
+        (value,) = oracle._slice_min_rayleigh(p.geom, EL, disc, denominator, [wn])
+        assert not oracle._clears_ceiling([wn], A, B, value)
+        assert oracle._clears_ceiling([wn], A, B, value * (1.0 - 1e-3))  # the test can pass
+
+    GEOM = ShellGeometry(h=0.05, L=PI)
+    DISC = RadialDiscretization(8)
+
+    def skipped_slice(self, denominator):
+        """A slice of at least three pairs that the clean scan skips, and the window."""
+        window = CriticalLoadProblem(geom=self.GEOM, elastic=EL).window()
+        scan = oracle._CeilingSweep(self.GEOM, EL, self.DISC, denominator)
+        skipped = [
+            pairs for pairs in oracle._window_slices(window, PI)
+            if all(v == math.inf for v in scan(pairs)) and len(pairs) >= 3
+        ]
+        return skipped[-1], window
+
+    @pytest.mark.parametrize("denominator", ["full", "phi_rz"])
+    @pytest.mark.parametrize(
+        "fault, error, match",
+        [
+            ("non-finite", ValueError, "infs or NaNs"),
+            ("vanishing", ZeroDenominator, "destabilizing form vanishes for"),
+            ("indefinite", AssemblyDegenerate, "stiffness not positive definite for"),
+        ],
+    )
+    def test_checks_run_on_skipped_slices(self, monkeypatch, denominator, fault, error, match):
+        pairs, window = self.skipped_slice(denominator)
+        targets = pairs[1:3]
+        assemble = oracle._pencil_forms
+
+        def patched(geom, elastic, disc, den, slice_pairs):
+            A, B = assemble(geom, elastic, disc, den, slice_pairs)
+            for i, wn in enumerate(slice_pairs):
+                if wn in targets:
+                    if fault == "non-finite":
+                        A[i, 1, 2] = A[i, 2, 1] = math.nan
+                    elif fault == "vanishing":
+                        B[i] = 0.0
+                    else:
+                        A[i, 0, 0] *= -1.0
+            return A, B
+
+        monkeypatch.setattr(oracle, "_pencil_forms", patched)
+        first = targets[0]
+        if fault != "non-finite":  # the error names the first failing pair
+            match += rf" WaveNumbers\(m={first.m}, n={first.n},"
+        with pytest.raises(error, match=match):
+            oracle_sweep(self.GEOM, EL, self.DISC, window, denominator)
+
+    def test_silent_by_default(self, caplog, capsys):
+        oracle_sweep(self.GEOM, EL, self.DISC, (6, 4), "full")
+        assert not [r for r in caplog.records if r.name == "cylbuck"]
+        assert capsys.readouterr() == ("", "")
+
+    def test_log_counts_every_denominator(self, caplog):
+        window = CriticalLoadProblem(geom=self.GEOM, elastic=EL).window()
+        for denominator in oracle.DENOMINATORS:
+            _, (den, covered, solved) = sweep_log(caplog, self.GEOM, EL, self.DISC, window, denominator)
+            assert (den, covered) == (denominator, window[0] * (window[1] + 1))
+            if denominator == "phi_rz_mid":
+                assert solved == covered  # the rank-one scan takes no ceiling
+            else:
+                assert 0 < solved < covered
 
 
 class TestKornScan:
