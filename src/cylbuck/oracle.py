@@ -39,20 +39,25 @@ smallest minimum found so far is a ceiling c; a slice whose pencils
 A - c (1 + margin) B all admit a Cholesky factorization holds no pair at or
 below c and is skipped unsolved.  Every other slice is solved exactly, so
 the minimum and its pair are those of the exhaustive scan, bit for bit.  The
-ceiling comes from the oracle's own solves only and uses nothing from the
-closed form.
+ceiling comes from the oracle's own solves only.  It is seeded, before the
+scan and before any process pool starts, from the exact minima of a few
+pairs placed where the classical Koiter circle crosses a row; the circle's
+radius only places them.
 
 Assembly precision: every strain and gradient map of a mode is a Chebyshev
-value or derivative table, times a polynomial in (n, mhat), times r^0 or
-r^-1.  Each form is therefore a fixed combination of twelve radial moment
-matrices, which are computed once per (h, degree, nodes) in extended
-precision, rounded once to float64, and combined in float64 per window
-slice: up to 16 consecutive pairs of one row n, stacked along a pair axis.
-phi_rz, phi_zz, phi_tz and phi_r2 are each a scalar per pair times the one
-mass moment int V^T V r dr on one block, and are built as such, bit for bit
-the general combination.  A slice builds only the forms it is asked for.  A
-pair's forms come out bit for bit the same in every slice, so the window
-scans and the one-pair mode_forms agree exactly.
+value or derivative table, times a coefficient that is linear in mhat for a
+fixed n, times r^0 or r^-1.  Each form is therefore a fixed combination of
+twelve radial moment matrices, which are computed once per (h, degree,
+nodes) in extended precision and rounded once to float64.  The row n is the
+assembly unit: the map coefficients are split exactly by power of mhat, each
+power is contracted with the moments once per row, and every pair of the
+row is formed as F0 + mhat F1 + mhat^2 F2 in float64.  n stays exact in the
+coefficients, and nothing assembled is interpolated.  phi_rz, phi_zz, phi_tz
+and phi_r2 are each a scalar per pair times the one mass moment
+int V^T V r dr on one block, and full's denominator is one block-diagonal
+scaled mass.  A row builds only the forms it is asked for.  A pair's forms
+come out bit for bit the same in every row call, slice or single pair, so
+the window scans and the one-pair mode_forms agree exactly.
 """
 
 from __future__ import annotations
@@ -69,7 +74,8 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequenc
 import numpy as np
 import scipy.linalg
 
-from .errors import AssemblyDegenerate, NonConvergence, QuadratureUnderResolved, ZeroDenominator
+from .critical_load import CriticalLoadProblem
+from .errors import AssemblyDegenerate, CylbuckError, NonConvergence, QuadratureUnderResolved, ZeroDenominator
 from .material import IsotropicElasticity
 from .spectral import ShellGeometry, WaveNumbers, trig_factors, window_pairs
 
@@ -141,7 +147,7 @@ def _cheb_tables(h: float, degree: int, nodes: int) -> _WallTables:
     The tables are evaluated in extended precision.  The moments
     int X^T Y r^(1-q) dr for X, Y in {V, dV} and q in {0, 1, 2} are summed
     in extended precision and rounded once to float64; _slice_forms
-    combines them per slice in float64.
+    contracts them once per row and power of mhat, in float64.
     """
     t, wt = _leggauss_refined(nodes)
     half = np.longdouble(0.5) * np.longdouble(h)
@@ -196,7 +202,7 @@ class ModeForms(NamedTuple):
 
 
 _FORM_NAMES = ModeForms._fields[1:]
-# the forms each consumer reads; a slice assembles only the ones it is asked for
+# the forms each consumer reads; a row assembles only the ones it is asked for
 _PENCIL_FORMS = {
     "full": ("stiffness", "phi_rz", "phi_zz", "phi_tz"),
     "phi_rz": ("stiffness", "phi_rz"),
@@ -204,10 +210,13 @@ _PENCIL_FORMS = {
 }
 _KORN_FORMS = ("e2", "grad2", "phi_rz", "phi_tz", "phi_r2")
 _GAP_FORMS = ("stiffness", "phi_zz", "phi_tz", "phi_rz", "phi_rz_mid")
-# Pairs per slice.  Measured on the three h = 0.02 window scans (2 vCPUs,
-# BLAS at 1 thread, six runs each): 0.23-0.32 s at 16 pairs and 0.19-0.30 s
-# at 32, within the host's drift, while a slice's arrays grow with it and
-# peak RSS rose from 61.7 MB at 16 pairs to 63.9 MB at 32.
+# Pairs per slice: the scans assemble a whole row at once and run the
+# ceiling test and the solves on slices of it.  Re-measured with row
+# assembly on the h = 0.02 window (L = pi, nu = 0.3, 2 vCPUs, BLAS at 1
+# thread, 15 alternating in-process pairs): 8 or 12 pairs ran the three
+# window minima 7-10 % faster than 16 (13-14 of 15 pairs) but the Korn scan
+# 3-13 % slower (2-6 of 15); the gap scan did not move.  16 stays, as the
+# Korn scan is the larger cost of the two.
 _SLICE_PAIRS = 16
 
 
@@ -217,10 +226,11 @@ def _sym(C: np.ndarray, rw: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-# One-hot radial atoms indexed (block r/theta/z, table V/dV, power p of 1/r).
-# A map's coefficient array c stands for sum c[b, X, p] X r^-p placed in
-# block b, and its quadratic form for the outer product of c with itself.
-_ATOMS = np.eye(12).reshape(12, 3, 2, 2)
+# One-hot radial atoms indexed (power a of mhat, block r/theta/z, table V/dV,
+# power p of 1/r), all at a = 0.  A map's coefficient array c stands for
+# sum c[a, b, X, p] mhat^a X r^-p placed in block b, and its quadratic form
+# for the outer product of c with itself, by power of mhat.
+_ATOMS = np.eye(24)[:12].reshape(12, 2, 3, 2, 2)
 # pairs the 1/r powers (p, p') of two atoms with the moment weight r^(1-q), q = p + p'
 _POWER_SUM = np.array([[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
 
@@ -231,9 +241,21 @@ def _over_r(c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gram(c: np.ndarray) -> np.ndarray:
-    """Outer product of c with itself over its last three (atom) axes, per pair."""
-    return c[..., None, None, None] * c[..., None, None, None, :, :, :]
+def _times_mhat(c: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(c)
+    out[1] = c[0]
+    return out
+
+
+def _gram(terms: Sequence[Tuple[float, np.ndarray]]) -> np.ndarray:
+    """sum w c c^T over the (w, c) terms, c = c[0] + mhat c[1], by power of mhat (0, 1, 2).
+
+    The outer products run over the atom axes; one einsum sums the terms.
+    """
+    w, c = zip(*terms)
+    c = np.array(c).reshape(len(c), 2, -1)
+    g = np.einsum("i,iaj,ibk->abjk", np.array(w), c, c)
+    return np.stack([g[0, 0], g[0, 1] + g[1, 0], g[1, 1]]).reshape((3,) + _ATOMS.shape[2:] * 2)
 
 
 def _blocks(n: int) -> List[int]:
@@ -255,6 +277,76 @@ def _mid_surface(
     return np.array([f.cs * wn.m_hat**2 * geom.h for wn in pairs]), v
 
 
+def _row_coefficients(n: int, f, nu: float, names: Sequence[str]) -> np.ndarray:
+    """Atom coefficients of the named contracted forms of row n, by power of mhat.
+
+    Returns (form, power of mhat, block, table, p, block', table', p').  Each
+    map is linear in mhat, so each form is exactly quadratic in it; n and the
+    trig factors f are exact per row.
+    """
+    Pr, dPr, Pt, dPt, Pz, dPz = _ATOMS[::2]  # the r^0 atoms
+    n = float(n)
+    # strain amplitude maps
+    C_rr = dPr
+    C_tt = _over_r(n * Pt + Pr)
+    C_zz = _times_mhat(Pz)
+    C_rt = 0.5 * (dPt - _over_r(Pt + n * Pr))
+    C_rz = 0.5 * (dPz - _times_mhat(Pr))
+    C_tz = -0.5 * (_times_mhat(Pt) + n * _over_r(Pz))
+    # gradient amplitude maps (component, direction)
+    G_rt = -_over_r(n * Pr + Pt)
+    G_rz = -_times_mhat(Pr)
+    G_tz = -_times_mhat(Pt)
+    G_zt = -n * _over_r(Pz)
+
+    # each form as (weight, map) terms
+    e2 = [(f.cc, C_rr), (f.cc, C_tt), (f.cc, C_zz), (2.0 * f.sc, C_rt), (2.0 * f.cs, C_rz), (2.0 * f.ss, C_tz)]
+    trace = ((nu / (1.0 - 2.0 * nu)) * f.cc, C_rr + C_tt + C_zz)  # shares the cos-cos factor
+    terms = {
+        "stiffness": [(w / (1.0 + nu), c) for w, c in [trace] + e2],
+        "e2": e2,
+        "grad2": [
+            (f.cc, dPr), (f.sc, G_rt), (f.cs, G_rz), (f.sc, dPt), (f.cc, C_tt),
+            (f.ss, G_tz), (f.cs, dPz), (f.ss, G_zt), (f.cc, C_zz),
+        ],
+    }
+    return np.stack([_gram(terms[name]) for name in names])
+
+
+# the forms that are one scalar per pair (of the cos-sin factors and mhat^2)
+# times the mass moment int V^T V r dr on one block: name -> (block, scalar)
+_MASS_FORMS = {
+    "phi_rz": (0, lambda f, mh2: f.cs * mh2),
+    "phi_zz": (2, lambda f, mh2: f.cc * mh2),
+    "phi_tz": (1, lambda f, mh2: f.ss * mh2),
+    "phi_r2": (0, lambda f, mh2: np.full_like(mh2, f.cc)),
+}
+
+
+def _mass_form(
+    geom: ShellGeometry, disc: RadialDiscretization, pairs: Sequence[WaveNumbers], names: Sequence[str]
+) -> np.ndarray:
+    """The sum of the named single-block forms of each pair of one row: one scaled block-diagonal mass.
+
+    The forms' blocks are distinct, so each entry is one form's scalar times
+    the moment, exactly as in the sum of the forms.  A block the row does
+    not have (theta for n = 0) holds nothing: phi_tz vanishes there.
+    """
+    tabs = _cheb_tables(geom.h, disc.degree, disc.nodes)
+    k = disc.degree + 1
+    keep = _blocks(pairs[0].n)
+    f = trig_factors(pairs[0])
+    mh = np.array([wn.m_hat for wn in pairs])
+    mh2 = mh * mh
+    F = np.zeros((len(pairs), len(keep) * k, len(keep) * k))
+    for name in names:
+        block, scalar = _MASS_FORMS[name]
+        if block in keep:
+            j = keep.index(block) * k
+            F[:, j:j + k, j:j + k] = scalar(f, mh2)[:, None, None] * tabs.moments[0].reshape(k, k)
+    return F
+
+
 def _slice_forms(
     geom: ShellGeometry,
     elastic: IsotropicElasticity,
@@ -262,101 +354,45 @@ def _slice_forms(
     pairs: Sequence[WaveNumbers],
     names: Sequence[str] = _FORM_NAMES,
 ) -> Dict[str, np.ndarray]:
-    """The named quadratic forms of consecutive pairs of one row n.
+    """The named quadratic forms of pairs of one row n, as quadratics in mhat.
 
     Each form is stacked along a leading pair axis.  DOF layout:
     [f_r coefficients | f_theta coefficients | f_z coefficients], without
-    the theta block for n = 0.  A pair's forms are the same float64 arrays,
-    bit for bit, in any slice and for any names: the coefficient arithmetic
-    is elementwise per pair, with the scalars rounded as for one pair, and
-    the moment contraction makes one (rows, 12) @ moments product per pair.
-    The single-block forms skip the contraction: each is its pair's scalar
-    times the mass moment on its block (phi_tz is zero for n = 0), which is
-    what the contraction gives bit for bit, since the scalar's coefficient
-    row has one nonzero entry and the mass moment is exactly symmetric.
+    the theta block for n = 0.  For a fixed n every map is linear in mhat,
+    so stiffness, e2 and grad2 are F0 + mhat F1 + mhat^2 F2: the maps are
+    split by power of mhat at the coefficient level, each power is
+    contracted with the radial moments once for the call, and the pairs
+    are formed together, elementwise, as F0 + mhat (F1 + mhat F2).  The single-block forms are a
+    scalar per pair times the mass moment on their block (phi_tz is zero
+    for n = 0) and build no map.  A pair's forms are the same float64
+    arrays, bit for bit, in any slice and for any names: F0, F1 and F2 do
+    not depend on the pairs, and the evaluation is elementwise per pair.
     """
     wn0 = pairs[0]
     if any(wn.n != wn0.n or wn.L != wn0.L for wn in pairs):
         raise ValueError("a slice holds pairs of one row n")
-    tabs = _cheb_tables(geom.h, disc.degree, disc.nodes)
-    k = disc.degree + 1
-    n = float(wn0.n)
-    m_hats = [wn.m_hat for wn in pairs]
-    mh = np.array(m_hats)[:, None, None, None]
-
-    Pr, dPr, Pt, dPt, Pz, dPz = _ATOMS[::2]  # the r^0 atoms
-    # strain amplitude maps
-    C_rr = dPr
-    C_tt = _over_r(n * Pt + Pr)
-    C_zz = mh * Pz
-    C_rt = 0.5 * (dPt - _over_r(Pt + n * Pr))
-    C_rz = 0.5 * (dPz - mh * Pr)
-    C_tz = -0.5 * (mh * Pt + n * _over_r(Pz))
-    # gradient amplitude maps (component, direction)
-    G_rt = -_over_r(n * Pr + Pt)
-    G_rz = -mh * Pr
-    G_tz = -mh * Pt
-    G_zt = -n * _over_r(Pz)
-
-    f = trig_factors(wn0)
-    nu = elastic.nu
-
-    def e2():
-        return (
-            f.cc * (_gram(C_rr) + _gram(C_tt) + _gram(C_zz))
-            + 2.0 * f.sc * _gram(C_rt) + 2.0 * f.cs * _gram(C_rz) + 2.0 * f.ss * _gram(C_tz)
-        )
-
-    # each form's coefficients are built only when the form is requested
-    coef = {
-        # the trace map shares the cos-cos factor
-        "stiffness": lambda: ((nu / (1.0 - 2.0 * nu)) * f.cc * _gram(C_rr + C_tt + C_zz) + e2()) / (1.0 + nu),
-        "e2": e2,
-        "grad2": lambda: (
-            f.cc * _gram(dPr)
-            + f.sc * _gram(G_rt)
-            + f.cs * _gram(G_rz)
-            + f.sc * _gram(dPt)
-            + f.cc * _gram(C_tt)
-            + f.ss * _gram(G_tz)
-            + f.cs * _gram(dPz)
-            + f.ss * _gram(G_zt)
-            + f.cc * _gram(C_zz)
-        ),
-    }
-    # (block, per-pair scalar) of the forms that are one scalar times the
-    # mass moment int V^T V r dr on one block
-    mass = {
-        "phi_rz": (0, [f.cs * m**2 for m in m_hats]),
-        "phi_zz": (2, [f.cc * m**2 for m in m_hats]),
-        "phi_tz": (1, [f.ss * m**2 for m in m_hats]),
-        "phi_r2": (0, [f.cc] * len(pairs)),
-    }
-
     forms = {}
-    keep = _blocks(wn0.n)
-    P, nb = len(pairs), len(keep)
-    contracted = [name for name in names if name in coef]
+    contracted = [name for name in names if name in ("stiffness", "e2", "grad2")]
     if contracted:
-        nf = len(contracted)
-        shape = (P,) + _ATOMS.shape[1:] * 2
-        C = np.stack([np.broadcast_to(coef[name](), shape) for name in contracted], axis=1)
-        # (pair, form, block, table, p, block', table', p')
-        #   -> (pair, form, block, block', table, table', q)
+        tabs = _cheb_tables(geom.h, disc.degree, disc.nodes)
+        k, keep = disc.degree + 1, _blocks(wn0.n)
+        nf, nb = len(contracted), len(keep)
+        C = _row_coefficients(wn0.n, trig_factors(wn0), elastic.nu, contracted)
+        # (form, a, block, table, p, block', table', p') -> (form, a, block, block', table, table', q)
         C = C[:, :, keep][:, :, :, :, :, keep].transpose(0, 1, 2, 5, 3, 6, 4, 7)
-        C = (C.reshape(-1, 4) @ _POWER_SUM).reshape(P, nf * nb * nb, 12)
-        F = (C @ tabs.moments).reshape(P, nf, nb, nb, k, k)
-        F = F.transpose(0, 1, 2, 4, 3, 5).reshape(P, nf, nb * k, nb * k)
-        F = F + F.swapaxes(2, 3)
-        F *= 0.5
-        forms = dict(zip(contracted, F.swapaxes(0, 1)))
-    for name in (name for name in names if name in mass):
-        block, scale = mass[name]
-        F = np.zeros((P, nb * k, nb * k))
-        if block in keep:  # phi_tz vanishes for n = 0
-            j = keep.index(block) * k
-            F[:, j:j + k, j:j + k] = np.array(scale)[:, None, None] * tabs.moments[0].reshape(k, k)
-        forms[name] = F
+        C = (C.reshape(-1, 4) @ _POWER_SUM).reshape(-1, 12)
+        F = (C @ tabs.moments).reshape(nf, 3, nb, nb, k, k)
+        F = F.transpose(0, 1, 2, 4, 3, 5).reshape(nf, 3, nb * k, nb * k)
+        F = 0.5 * (F + F.swapaxes(2, 3))
+        mh = np.array([wn.m_hat for wn in pairs])[:, None, None]
+        for name, (F0, F1, F2) in zip(contracted, F):
+            forms[name] = mh * F2  # F0 + mhat (F1 + mhat F2), in place
+            forms[name] += F1
+            forms[name] *= mh
+            forms[name] += F0
+    for name in names:
+        if name in _MASS_FORMS:
+            forms[name] = _mass_form(geom, disc, pairs, (name,))
     if "phi_rz_mid" in names:
         scale, v = _mid_surface(geom, disc, pairs)
         forms["phi_rz_mid"] = scale[:, None, None] * np.outer(v, v)
@@ -381,12 +417,17 @@ def _pencil_forms(
     denominator: str,
     pairs: Sequence[WaveNumbers],
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """(A, B) of every pair of the slice: the stiffness, and the sum of the denominator's forms."""
+    """(A, B) of every pair of one row: the stiffness, and the sum of the denominator's forms.
+
+    The full and phi_rz forms are one block-diagonal scaled mass moment.
+    """
     if denominator not in DENOMINATORS:
         raise ValueError(f"denominator must be one of {DENOMINATORS}")
-    forms = _slice_forms(geom, elastic, disc, pairs, _PENCIL_FORMS[denominator])
-    A, first, *rest = (forms[name] for name in _PENCIL_FORMS[denominator])
-    return A, sum(rest, first)
+    A = _slice_forms(geom, elastic, disc, pairs, ("stiffness",))["stiffness"]
+    if denominator == "phi_rz_mid":
+        scale, v = _mid_surface(geom, disc, pairs)
+        return A, scale[:, None, None] * np.outer(v, v)
+    return A, _mass_form(geom, disc, pairs, _PENCIL_FORMS[denominator][1:])
 
 
 def assemble_pencil(
@@ -562,33 +603,44 @@ class OracleMinimum(NamedTuple):
     wn: WaveNumbers
 
 
+def _window_rows(window: Tuple[int, int], L: float) -> List[List[WaveNumbers]]:
+    """The window's pairs in scan order ((n, m) lexicographic), one list per row n."""
+    return [list(row) for _, row in itertools.groupby(window_pairs(window, L), key=lambda wn: wn.n)]
+
+
+def _slices(pairs: Sequence[WaveNumbers]) -> List[slice]:
+    """The index ranges that cut pairs of one row into slices of at most _SLICE_PAIRS."""
+    return [slice(i, i + _SLICE_PAIRS) for i in range(0, len(pairs), _SLICE_PAIRS)]
+
+
 def _window_slices(window: Tuple[int, int], L: float) -> List[List[WaveNumbers]]:
-    """The window's pairs in scan order, cut into slices of one row n of at most _SLICE_PAIRS."""
-    slices = []
-    for _, row in itertools.groupby(window_pairs(window, L), key=lambda wn: wn.n):
-        row = list(row)
-        slices += [row[i:i + _SLICE_PAIRS] for i in range(0, len(row), _SLICE_PAIRS)]
-    return slices
+    """The window's pairs in scan order, cut into the slices that the scans solve together."""
+    return [row[s] for row in _window_rows(window, L) for s in _slices(row)]
+
+
+def _by_slice(solve: Callable, pairs: Sequence[WaveNumbers], forms: Dict[str, np.ndarray]) -> list:
+    """solve(pairs[s], forms cut to s) over the slices s of one row, concatenated."""
+    return [item for s in _slices(pairs) for item in solve(pairs[s], {name: F[s] for name, F in forms.items()})]
 
 
 def _scan(
-    per_slice: Callable, window: Tuple[int, int], L: float, jobs: int
+    per_row: Callable, window: Tuple[int, int], L: float, jobs: int
 ) -> List[Tuple[object, WaveNumbers]]:
     """(result, pair) for every pair of the window, in scan order ((n, m) lexicographic).
 
-    per_slice(pairs) gives one result per pair of a _window_slices slice.
-    Large windows run in a process pool, one slice per task; the pool never
-    has more workers than there are CPUs.
+    per_row(pairs) gives one result per pair of a _window_rows row, so each
+    row is assembled once.  Large windows run in a process pool, several
+    rows per task; the pool never has more workers than there are CPUs.
     """
-    slices = _window_slices(window, L)
+    rows = _window_rows(window, L)
     workers = min(jobs, os.cpu_count() or 1)
-    if workers <= 1 or sum(map(len, slices)) < 32:
-        parts = [per_slice(pairs) for pairs in slices]
+    if workers <= 1 or sum(map(len, rows)) < 32:
+        parts = [per_row(pairs) for pairs in rows]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunksize = max(1, len(slices) // (4 * workers))
-            parts = list(pool.map(per_slice, slices, chunksize=chunksize))
-    return [item for pairs, part in zip(slices, parts) for item in zip(part, pairs, strict=True)]
+            chunksize = max(1, len(rows) // (4 * workers))
+            parts = list(pool.map(per_row, rows, chunksize=chunksize))
+    return [item for pairs, part in zip(rows, parts) for item in zip(part, pairs, strict=True)]
 
 
 # Relative margin of the definiteness ceiling.  A slice is skipped when
@@ -633,31 +685,42 @@ def _slice_min_rayleigh(
     pairs: Sequence[WaveNumbers],
     ceiling: float = math.inf,
 ) -> List[float]:
-    """min_rayleigh of every pair of the slice; phi_rz on the r block, phi_rz_mid as rank one.
+    """min_rayleigh of every pair of one row; phi_rz on the r block, phi_rz_mid as rank one.
 
-    For full and phi_rz, a slice whose pencils all clear a finite ceiling
-    (_clears_ceiling) is not solved: every pair gets inf.  A skipped pair
-    is never solved, so it cannot raise NonConvergence.  Any other slice
-    is solved exactly, as with no ceiling.  phi_rz_mid ignores the ceiling:
-    its rank-one solve costs about as much as the test.
+    The pairs are assembled once and solved slice by slice (_slices).  For
+    full and phi_rz, a slice whose pencils all clear the ceiling
+    (_clears_ceiling) is not solved: every pair gets inf.  The ceiling
+    starts at ceiling and drops to each solved slice's minimum.  A skipped
+    pair is never solved, so it cannot raise NonConvergence.  Any other
+    slice is solved exactly, as with no ceiling.  phi_rz_mid takes no
+    ceiling: its rank-one solve costs about as much as the test.
     """
     if denominator == "phi_rz_mid":
         A = _slice_forms(geom, elastic, disc, pairs, ("stiffness",))["stiffness"]
-        return _rank_one_minima(pairs, A, *_mid_surface(geom, disc, pairs))
+        scale, v = _mid_surface(geom, disc, pairs)
+        forms = {"stiffness": A, "scale": scale}
+        return _by_slice(lambda part, f: _rank_one_minima(part, f["stiffness"], f["scale"], v), pairs, forms)
     A, B = _pencil_forms(geom, elastic, disc, denominator, pairs)  # rejects an unknown denominator
-    if ceiling < math.inf and _clears_ceiling(pairs, A, B, ceiling):
-        return [math.inf] * len(pairs)
-    if denominator == "phi_rz":
-        return _block_minima(pairs, A, B, np.arange(disc.degree + 1))
-    return _top_minima(pairs, A, B)  # the full form spans every block
+    values = []
+    for s in _slices(pairs):
+        if ceiling < math.inf and _clears_ceiling(pairs[s], A[s], B[s], ceiling):
+            values += [math.inf] * len(pairs[s])
+            continue
+        if denominator == "phi_rz":
+            values += _block_minima(pairs[s], A[s], B[s], np.arange(disc.degree + 1))
+        else:
+            values += _top_minima(pairs[s], A[s], B[s])  # the full form spans every block
+        ceiling = min(ceiling, *values[s])
+    return values
 
 
 class _CeilingSweep:
-    """oracle_sweep's per-slice function: _slice_min_rayleigh under the smallest minimum it has returned.
+    """oracle_sweep's per-row function: _slice_min_rayleigh under the smallest minimum it has returned.
 
     Every value it keeps is the exact minimum of some window pair, so the
     ceiling is at or above the window minimum in any scan order: a pool
-    worker's copy keeps a ceiling of its own and stays exact.
+    task's copy starts from the parent's ceiling, keeps one of its own and
+    stays exact.
     """
 
     def __init__(self, geom, elastic, disc, denominator):
@@ -668,6 +731,36 @@ class _CeilingSweep:
         values = _slice_min_rayleigh(*self.args, pairs, self.ceiling)
         self.ceiling = min(self.ceiling, *values)
         return values
+
+    def seed(self, pairs: Sequence[WaveNumbers]) -> int:
+        """Lower the ceiling to the exact minima of pairs of one row; returns how many were solved.
+
+        An error is left to the scan, which names the first failing pair in
+        scan order.
+        """
+        try:
+            return sum(value < math.inf for value in self(pairs)) if pairs else 0
+        except (ValueError, CylbuckError):
+            return 0
+
+
+def _seed_pairs(geom: ShellGeometry, elastic: IsotropicElasticity, window: Tuple[int, int]) -> List[WaveNumbers]:
+    """Up to _SLICE_PAIRS pairs of row n = 0.8 R around each point where the Koiter circle crosses it.
+
+    Every pair on the classical Koiter circle of radius R has the classical
+    load to leading order, so their oracle minima lie near the window
+    minimum.  Only R is read from the closed form, to place the pairs; the
+    ceiling they seed is the oracle's own solve.
+    """
+    R = CriticalLoadProblem(geom=geom, elastic=elastic).koiter_radius
+    m_max, n_max = window
+    n = min(n_max, round(0.8 * R))
+    half_chord = math.sqrt(max(0.0, R * R - n * n))
+    ms = set()
+    for mhat in (R - half_chord, R + half_chord):
+        m = round(mhat * geom.L / math.pi)
+        ms.update(range(max(1, m - _SLICE_PAIRS // 2), min(m_max, m + _SLICE_PAIRS // 2 - 1) + 1))
+    return [WaveNumbers(m=m, n=n, L=geom.L) for m in sorted(ms)]
 
 
 def oracle_sweep(
@@ -685,14 +778,19 @@ def oracle_sweep(
     stay positive definite a margin above it (_clears_ceiling).  No skipped
     pair can reach the minimum, so the result is the exhaustive scan's,
     bit for bit: the winner's value comes from the same exact solve.
-    Deterministic tie-break as in the closed-form sweep (smallest n, then m):
-    min keeps the first minimum in scan order.  Logs the denominator and the
-    pairs covered and solved at DEBUG on the "cylbuck" logger.
+    The ceiling is seeded before the scan, and so before a process pool
+    starts, from the exact minima of the _seed_pairs near the Koiter circle:
+    every pool task starts from it.  Deterministic tie-break as in the
+    closed-form sweep (smallest n, then m): min keeps the first minimum in
+    scan order.  Logs the denominator, the pairs covered and the pairs
+    solved, seeds included, at DEBUG on the "cylbuck" logger.
     """
-    scanned = _scan(_CeilingSweep(geom, elastic, disc, denominator), window, geom.L, jobs)
+    sweep = _CeilingSweep(geom, elastic, disc, denominator)
+    seeded = 0 if denominator == "phi_rz_mid" else sweep.seed(_seed_pairs(geom, elastic, window))
+    scanned = _scan(sweep, window, geom.L, jobs)
     _log.debug(
         "oracle_sweep %s: %d pairs covered, %d solved",
-        denominator, len(scanned), sum(value < math.inf for value, _ in scanned),
+        denominator, len(scanned), seeded + sum(value < math.inf for value, _ in scanned),
     )
     return OracleMinimum(*min(scanned, key=lambda item: item[0]))
 
@@ -737,15 +835,19 @@ def _slice_korn(
     disc: RadialDiscretization,
     pairs: Sequence[WaveNumbers],
 ) -> List[KornRatios]:
-    """The Korn-type ratios of every pair of the slice; theta_z is 0 for n = 0.
+    """The Korn-type ratios of every pair of one row: assembled once, solved slice by slice."""
+    forms = _slice_forms(geom, elastic, disc, pairs, _KORN_FORMS)
+    return _by_slice(partial(_korn_ratios, geom.h, disc.degree + 1), pairs, forms)
+
+
+def _korn_ratios(h: float, k: int, pairs: Sequence[WaveNumbers], forms: Dict[str, np.ndarray]) -> List[KornRatios]:
+    """The Korn-type ratios of every pair of a slice; theta_z is 0 for n = 0.
 
     phi_rz lives on the r block and phi_tz on the theta block, so r_z and
     theta_z and their extremal fields come from pencils reduced to one
     block.  korn pairs two full-rank forms: one eigenpair per pencil.
     """
-    forms = _slice_forms(geom, elastic, disc, pairs, _KORN_FORMS)
     e2, grad2 = forms["e2"], forms["grad2"]
-    k = disc.degree + 1
     blocks = {"r_z": ("phi_rz", np.arange(k))}
     if pairs[0].n >= 1:
         blocks["theta_z"] = ("phi_tz", np.arange(k, 2 * k))
@@ -772,7 +874,7 @@ def _slice_korn(
     X = np.stack(extremals, axis=1)  # (pair, extremal, DOF)
     g2, e2_x, pr2 = (np.einsum("pvi,pij,pvj->pv", X, M, X) for M in (grad2, e2, forms["phi_r2"]))
     # e2 is positive definite (factored above), so every bound is positive
-    weighted = (g2 / ((np.sqrt(pr2) / geom.h + np.sqrt(e2_x)) * np.sqrt(e2_x))).max(axis=1)
+    weighted = (g2 / ((np.sqrt(pr2) / h + np.sqrt(e2_x)) * np.sqrt(e2_x))).max(axis=1)
     return [
         KornRatios(korn=float(c), theta_z=float(t), r_z=float(r), weighted=float(w))
         for c, t, r, w in zip(korn, top["theta_z"], top["r_z"], weighted)
@@ -786,8 +888,12 @@ def korn_mode_scan(
     window: Tuple[int, int],
     jobs: int = 1,
 ) -> KornRatios:
-    """Extremal Korn-type ratios over all modes in the window."""
+    """Extremal Korn-type ratios over all modes in the window.
+
+    Logs the pairs covered at DEBUG on the "cylbuck" logger.
+    """
     per_mode = [r for r, _ in _scan(partial(_slice_korn, geom, elastic, disc), window, geom.L, jobs)]
+    _log.debug("korn_mode_scan: %d pairs covered", len(per_mode))
     return _positive(KornRatios(
         korn=min(r.korn for r in per_mode),
         theta_z=max(r.theta_z for r in per_mode),
@@ -813,14 +919,18 @@ def _slice_gaps(
     disc: RadialDiscretization,
     pairs: Sequence[WaveNumbers],
 ) -> List[GapValues]:
-    """The gaps of every pair of the slice.
+    """The gaps of every pair of one row: assembled once, solved slice by slice."""
+    forms = _slice_forms(geom, elastic, disc, pairs, _GAP_FORMS)
+    return _by_slice(partial(_gap_values, disc.degree + 1), pairs, forms)
+
+
+def _gap_values(k: int, pairs: Sequence[WaveNumbers], forms: Dict[str, np.ndarray]) -> List[GapValues]:
+    """The gaps of every pair of a slice.
 
     phi_zz + phi_tz lives on the theta and z blocks and phi_rz - phi_rz_mid
     on the r block, so both gaps come from block-reduced pencils.
     """
-    forms = _slice_forms(geom, elastic, disc, pairs, _GAP_FORMS)
     A = forms["stiffness"]
-    k = disc.degree + 1
     D1 = forms["phi_zz"] + forms["phi_tz"]
     D2 = forms["phi_rz"] - forms["phi_rz_mid"]
     vals1 = _block_eigh(pairs, A, D1, np.arange(k, A.shape[-1]))
@@ -852,7 +962,12 @@ def equivalence_scan(
     window: Tuple[int, int],
     jobs: int = 1,
 ) -> EquivalenceScan:
+    """Suprema of the two gaps over all modes in the window.
+
+    Logs the pairs covered at DEBUG on the "cylbuck" logger.
+    """
     gaps = _scan(partial(_slice_gaps, geom, elastic, disc), window, geom.L, jobs)
+    _log.debug("equivalence_scan: %d pairs covered", len(gaps))
     sup1 = max(g.full_vs_rz for g, _ in gaps)
     coef = max(g.rz_vs_mid / (wn.m_hat * math.sqrt(geom.h)) for g, wn in gaps)
     return EquivalenceScan(full_vs_rz=sup1, rz_vs_mid_coef=coef)

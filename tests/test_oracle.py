@@ -126,15 +126,17 @@ def direct_forms(geom, elastic, wn, disc):
 
 
 class TestPencilAssembly:
-    @pytest.mark.parametrize("h", [0.1, 0.01, 0.002])
+    @pytest.mark.parametrize("h", [0.1, 0.01, 0.002, 1e-4, 1e-5])
     @pytest.mark.parametrize("degree", [6, 12])
     @pytest.mark.parametrize("nodes", [None, 48])
     def test_moment_assembly_matches_direct_quadrature(self, h, degree, nodes, monkeypatch):
+        # the quadratic-in-mhat assembly, up to mhat = 5000 (the h = 1e-5
+        # window reaches mhat ~ 1700 at L = pi)
         if nodes is not None:
             monkeypatch.setattr(RadialDiscretization, "nodes", property(lambda self: nodes))
         geom = ShellGeometry(h=h, L=PI)
         disc = RadialDiscretization(degree=degree)
-        for m, n in ((4, 0), (1, 1), (9, 12), (25, 18)):
+        for m, n in ((4, 0), (1, 1), (9, 12), (25, 18), (300, 2), (2000, 60), (5000, 0)):
             wn = WaveNumbers(m=m, n=n, L=PI)
             forms = mode_forms(geom, EL, wn, disc)
             want = direct_forms(geom, EL, wn, disc)
@@ -245,6 +247,48 @@ class TestPencilAssembly:
         geom = ShellGeometry(h=0.03, L=PI)
         with pytest.raises(ValueError):
             assemble_pencil(geom, EL, WaveNumbers(m=1, n=1, L=PI), "bogus")
+
+
+class TestSmallHAccuracy:
+    """phi_rz / reduced - 1 at the closed-form sweep winner, nu = 0.3, pinned at small h.
+
+    Each pin lies within 1e-10 of the quotient of the once-rounded forms
+    of direct_forms (per-node quadrature in extended precision, each entry
+    rounded once) at degrees 8 and 12.  The tolerance is the float64 noise
+    budget of assembly and eigensolve: 1e-11 of the quotient at h = 1e-3
+    and 1e-9 at h = 1e-4, where two correct assemblies that round
+    differently were measured up to 4e-12 and 6e-10 apart.  Below h = 1e-4
+    rounding sets the digits (ROADMAP item 1), so h = 1e-5 and 1e-6 only
+    bound the deviation.
+    """
+
+    @staticmethod
+    def deviations(L, h):
+        p = CriticalLoadProblem(geom=ShellGeometry(h=h, L=L), elastic=EL)
+        res = sweep(p)
+        wn = p.wave_numbers(res.m, res.n)
+        return [
+            min_rayleigh(assemble_pencil(p.geom, EL, wn, "phi_rz", RadialDiscretization(degree))) / res.strain - 1.0
+            for degree in (8, 12, 16)
+        ]
+
+    @pytest.mark.parametrize(
+        "L, h, want, tol",
+        [
+            (PI, 1e-3, -1.810558e-5, 1e-11),
+            (PI, 1e-4, -3.267e-7, 1e-9),
+            (10.0, 1e-3, -3.013517e-6, 1e-11),
+            (10.0, 1e-4, -1.422e-7, 1e-9),
+        ],
+    )
+    def test_winner_deviation_pinned(self, L, h, want, tol):
+        for degree, got in zip((8, 12, 16), self.deviations(L, h)):
+            assert abs(got - want) <= tol, (degree, got)
+
+    @pytest.mark.parametrize("h", [1e-5, 1e-6])
+    def test_winner_deviation_bounded_below_the_pins(self, h):
+        for degree, got in zip((8, 12, 16), self.deviations(PI, h)):
+            assert abs(got) <= 1e-6, (degree, got)
 
 
 class TestMinRayleigh:
@@ -596,11 +640,11 @@ class TestOracleSweep:
 
         monkeypatch.setattr(oracle, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        slices = oracle._window_slices((40, 29), PI)
-        assert len(slices) >= 2 * 12  # so that the chunk size tells 3 workers from 10**6
+        rows = oracle._window_rows((40, 29), PI)
+        assert len(rows) >= 2 * 12  # so that the chunk size tells 3 workers from 10**6
         got = oracle._scan(lambda pairs: [wn.m for wn in pairs], (40, 29), PI, jobs=10**6)
         assert got == [(wn.m, wn) for wn in window_pairs((40, 29), PI)]
-        assert started == [3, len(slices) // 12]
+        assert started == [3, len(rows) // 12]
         assert multiprocessing.active_children() == []
 
 
@@ -709,6 +753,20 @@ class TestCeilingScan:
         with pytest.raises(error, match=match):
             oracle_sweep(self.GEOM, EL, self.DISC, window, denominator)
 
+    @pytest.mark.parametrize("denominator", ["full", "phi_rz"])
+    @pytest.mark.parametrize("h", [0.02, 0.005])
+    def test_pool_solves_at_most_twice_the_serial_pairs(self, monkeypatch, caplog, h, denominator):
+        # the ceiling is seeded before the pool starts, so no pool task
+        # starts from an infinite ceiling
+        p = CriticalLoadProblem(geom=ShellGeometry(h=h, L=PI), elastic=EL)
+        args = (p.geom, EL, RadialDiscretization(), p.window(), denominator)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # jobs=2 runs a real 2-worker pool
+        serial, (_, _, solved_serial) = sweep_log(caplog, *args, jobs=1)
+        pooled, (_, _, solved_pooled) = sweep_log(caplog, *args, jobs=2)
+        assert pooled == serial
+        assert np.float64(pooled.value).tobytes() == np.float64(serial.value).tobytes()
+        assert solved_pooled <= 2 * solved_serial, (solved_pooled, solved_serial)
+
     def test_silent_by_default(self, caplog, capsys):
         oracle_sweep(self.GEOM, EL, self.DISC, (6, 4), "full")
         assert not [r for r in caplog.records if r.name == "cylbuck"]
@@ -788,6 +846,18 @@ class TestEquivalenceGap:
             scan = equivalence_scan(geom, EL, RadialDiscretization(), p.window())
             coefs.append(scan.rz_vs_mid_coef)
         assert max(coefs) / min(coefs) < 2.0
+
+
+@pytest.mark.parametrize("scan", [korn_mode_scan, equivalence_scan])
+def test_scan_logs_pairs_covered(caplog, scan):
+    args = (ShellGeometry(h=0.05, L=PI), EL, RadialDiscretization(6), (6, 3))
+    scan(*args, jobs=1)
+    assert not [r for r in caplog.records if r.name == "cylbuck"]  # silent by default
+    with caplog.at_level(logging.DEBUG, logger="cylbuck"):
+        scan(*args, jobs=1)
+    (record,) = [r for r in caplog.records if r.name == "cylbuck"]
+    assert record.levelno == logging.DEBUG
+    assert record.getMessage() == f"{scan.__name__}: 24 pairs covered"
 
 
 def dense_ansatz_norms(geom, eta_nodes, z_nodes, r_nodes, dtype=float):
