@@ -17,32 +17,31 @@ The same machinery measures Korn-type ratios per mode:
 and evaluates the same three ratios on the wave-packet ansatz that attains
 all of them simultaneously.
 
-Block reduction: most destabilizing forms live on one or two of the DOF
-blocks r, theta, z (phi_rz and phi_rz_mid on r, phi_tz on theta, phi_zz +
-phi_tz on theta and z).  Such a form B has the same nonzero eigenvalues
-w.r.t. A as its block B_b w.r.t. the Schur complement S_b of A onto the
-block, and a Cholesky factor of A with that block ordered last carries a
-factor of S_b as its trailing block.  The window scans therefore solve these
-pencils on the block, 13 x 13 or 26 x 26 at the default degree instead of
-39 x 39, through one block eigensolve (_block_eigh: a batched factorization
-per slice and block, the trailing-block congruence, and the extremal field
-mapped back to DOF order on request); the rank-one phi_rz_mid needs only one
-solve with the trailing block.
-Only the full denominator, which spans every block, and the korn ratio,
-whose two forms both have full rank, keep a generalized eigensolve per mode:
-one LAPACK dsygvx call that computes only the one extremal eigenvalue (with
-its eigenvector for korn) and none of the others.
+Block reduction: a form B that vanishes off some DOFs b (its support) has
+the same nonzero eigenvalues w.r.t. A as its block B_b w.r.t. the Schur
+complement S_b of A onto b, and a Cholesky factor of A with b ordered last
+carries a factor of S_b as its trailing block.  So every pencil is solved
+on the support of its destabilizing form, through one block eigensolve
+(_block_eigh: a batched factorization per slice, the trailing-block
+congruence, and the extremal field mapped back to DOF order on request):
+phi_rz on the r block, 13 x 13 at the default degree instead of 39 x 39,
+phi_rz_mid on the even Chebyshev coefficients of the r block (7 x 7, rank
+one), phi_tz on theta, phi_zz + phi_tz on theta and z, and full on every
+DOF.  Only the korn ratio, whose two forms both have full rank and whose
+extremal field is read, keeps one LAPACK dsygvx call per mode that computes
+only the one lowest eigenpair.
 
 Window minimum: the buckling load is where the second variation stops being
-positive definite, and the full and phi_rz scans use that directly.  The
+positive definite, and every denominator's scan uses that directly.  The
 smallest minimum found so far is a ceiling c; a slice whose pencils
 A - c (1 + margin) B all admit a Cholesky factorization holds no pair at or
-below c and is skipped unsolved.  Every other slice is solved exactly, so
-the minimum and its pair are those of the exhaustive scan, bit for bit.  The
-ceiling comes from the oracle's own solves only.  It is seeded, before the
-scan and before any process pool starts, from the exact minima of a few
-pairs placed where the classical Koiter circle crosses a row; the circle's
-radius only places them.
+below c and is skipped unsolved.  Every other slice is solved exactly by the
+same slice solve (_slice_minima) as min_rayleigh, so the minimum and its
+pair are those of the exhaustive scan, bit for bit, and min_rayleigh at the
+winner returns the scan's value.  The ceiling comes from the oracle's own
+solves only.  It is seeded, before the scan and before any process pool
+starts, from the exact minima of a few pairs placed where the classical
+Koiter circle crosses a row; the circle's radius only places them.
 
 Assembly precision: every strain and gradient map of a mode is a Chebyshev
 value or derivative table, times a coefficient that is linear in mhat for a
@@ -263,20 +262,6 @@ def _blocks(n: int) -> List[int]:
     return [0, 1, 2] if n >= 1 else [0, 2]
 
 
-def _mid_surface(
-    geom: ShellGeometry, disc: RadialDiscretization, pairs: Sequence[WaveNumbers]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(scale, v) with phi_rz_mid = scale[i] * outer(v, v) for each pair of one row.
-
-    v maps the DOFs to f_r(1); scale is the cos-sin trig factor times mhat^2 h.
-    """
-    k = disc.degree + 1
-    v = np.zeros(len(_blocks(pairs[0].n)) * k)
-    v[:k] = _cheb_tables(geom.h, disc.degree, disc.nodes).v_mid
-    f = trig_factors(pairs[0])
-    return np.array([f.cs * wn.m_hat**2 * geom.h for wn in pairs]), v
-
-
 def _row_coefficients(n: int, f, nu: float, names: Sequence[str]) -> np.ndarray:
     """Atom coefficients of the named contracted forms of row n, by power of mhat.
 
@@ -394,8 +379,14 @@ def _slice_forms(
         if name in _MASS_FORMS:
             forms[name] = _mass_form(geom, disc, pairs, (name,))
     if "phi_rz_mid" in names:
-        scale, v = _mid_surface(geom, disc, pairs)
-        forms["phi_rz_mid"] = scale[:, None, None] * np.outer(v, v)
+        # cs mhat^2 h outer(v, v) on the r block, v.c = f_r(1) for its coefficients c
+        k = disc.degree + 1
+        N = len(_blocks(wn0.n)) * k
+        v = _cheb_tables(geom.h, disc.degree, disc.nodes).v_mid.astype(float)
+        f = trig_factors(wn0)
+        scale = np.array([f.cs * wn.m_hat**2 * geom.h for wn in pairs])
+        forms["phi_rz_mid"] = np.zeros((len(pairs), N, N))
+        forms["phi_rz_mid"][:, :k, :k] = scale[:, None, None] * np.outer(v, v)
     return forms
 
 
@@ -419,15 +410,15 @@ def _pencil_forms(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(A, B) of every pair of one row: the stiffness, and the sum of the denominator's forms.
 
-    The full and phi_rz forms are one block-diagonal scaled mass moment.
+    full's sum is built as one block-diagonal scaled mass (_mass_form).
     """
     if denominator not in DENOMINATORS:
         raise ValueError(f"denominator must be one of {DENOMINATORS}")
-    A = _slice_forms(geom, elastic, disc, pairs, ("stiffness",))["stiffness"]
-    if denominator == "phi_rz_mid":
-        scale, v = _mid_surface(geom, disc, pairs)
-        return A, scale[:, None, None] * np.outer(v, v)
-    return A, _mass_form(geom, disc, pairs, _PENCIL_FORMS[denominator][1:])
+    if denominator == "full":
+        A = _slice_forms(geom, elastic, disc, pairs, ("stiffness",))["stiffness"]
+        return A, _mass_form(geom, disc, pairs, _PENCIL_FORMS["full"][1:])
+    forms = _slice_forms(geom, elastic, disc, pairs, _PENCIL_FORMS[denominator])
+    return forms["stiffness"], forms[denominator]
 
 
 def assemble_pencil(
@@ -447,10 +438,10 @@ def assemble_pencil(
     return ModePencil(wn=wn, A=A[0], B=B[0], denominator=denominator)
 
 
-def _check_vanishing(pairs: Sequence[WaveNumbers], norm_b, A: np.ndarray):
+def _check_vanishing(pairs: Sequence[WaveNumbers], A: np.ndarray, B: np.ndarray):
     """ZeroDenominator naming the first pair, in scan order, whose destabilizing
-    form's norm norm_b is at most 1e-15 times the norm of its stiffness A."""
-    vanishes = norm_b <= 1e-15 * np.linalg.norm(A, axis=(-2, -1))
+    form B's norm is at most 1e-15 times the norm of its stiffness A."""
+    vanishes = np.linalg.norm(B, axis=(-2, -1)) <= 1e-15 * np.linalg.norm(A, axis=(-2, -1))
     if np.any(vanishes):
         raise ZeroDenominator(f"destabilizing form vanishes for {pairs[np.argmax(vanishes)]}")
 
@@ -464,40 +455,45 @@ def _check_finite(*forms: np.ndarray):
 def min_rayleigh(pencil: ModePencil) -> float:
     """inf over the mode space of (x.A.x)/(x.B.x) = 1 / mu_max(B w.r.t. A).
 
-    The one-pair case of _top_minima: raises ZeroDenominator when B vanishes
-    or mu_max is not positive, ValueError for a non-finite entry and
-    AssemblyDegenerate when the stiffness A is not positive definite.
+    The one-pair case of _slice_minima, the solve behind every window
+    minimum, so a scan and a single pair give the same value bit for bit.
+    Raises ZeroDenominator when B vanishes or mu_max is not positive,
+    ValueError for a non-finite entry, AssemblyDegenerate when the stiffness
+    A is not positive definite and NonConvergence when the eigensolve fails.
     """
-    return _top_minima([pencil.wn], pencil.A[None], pencil.B[None])[0]
+    return _slice_minima([pencil.wn], pencil.A[None], pencil.B[None])[0]
+
+
+def _named(solve: Callable, pairs: Sequence[WaveNumbers], M: np.ndarray, error: type, what: str):
+    """solve(M) on a batch with one matrix per pair; if it fails, error "<what> for <pair>"
+    naming the first pair, in scan order, whose own solve fails (the batched call does not say which)."""
+    try:
+        return solve(M)
+    except np.linalg.LinAlgError:
+        for wn, m in zip(pairs, M):
+            try:
+                solve(m)
+            except np.linalg.LinAlgError as exc:
+                raise error(f"{what} for {wn}") from exc
+        raise
 
 
 def _block_factor(
-    pairs: Sequence[WaveNumbers], A: np.ndarray, dofs: np.ndarray, *forms: np.ndarray, what: str = "stiffness"
+    pairs: Sequence[WaveNumbers], A: np.ndarray, dofs: np.ndarray, what: str = "stiffness"
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Cholesky factors L[i] L[i]^T = A[i], the DOFs reordered so that dofs come last.
 
     One batched factorization serves the slice.  The trailing block L_b of
     L[i] factors the Schur complement of A[i] onto dofs (see _block_eigh).
     Returns (L, order), order[j] being the DOF in reordered position j.
-
-    Raises ValueError for a non-finite entry of A or of the other forms the
-    caller reads (as eigh's check_finite) and AssemblyDegenerate naming the
-    first pair, in scan order, whose A[i] (the form named what) is not
-    positive definite.
+    Raises AssemblyDegenerate naming the first pair, in scan order, whose
+    A[i] (the form named what) is not positive definite.
     """
-    _check_finite(A, *forms)
     rest = np.ones(A.shape[-1], dtype=bool)
     rest[dofs] = False
     order = np.concatenate([np.flatnonzero(rest), dofs])
-    try:
-        return np.linalg.cholesky(A[:, order][:, :, order]), order
-    except np.linalg.LinAlgError:
-        for wn, a in zip(pairs, A):  # the batched factorization does not say which
-            try:
-                np.linalg.cholesky(a)
-            except np.linalg.LinAlgError as exc:
-                raise AssemblyDegenerate(f"{what} not positive definite for {wn}") from exc
-        raise
+    degenerate = f"{what} not positive definite"
+    return _named(np.linalg.cholesky, pairs, A[:, order][:, :, order], AssemblyDegenerate, degenerate), order
 
 
 def _block_eigh(
@@ -505,7 +501,6 @@ def _block_eigh(
     A: np.ndarray,
     B: np.ndarray,
     dofs: np.ndarray,
-    *checked: np.ndarray,
     what: str = "stiffness",
     vectors: bool = False,
 ):
@@ -518,16 +513,19 @@ def _block_eigh(
     vectors, also the top eigenvector of each pencil, in DOF order: C[i]'s
     top eigenvector u mapped back to x = L[i]^-T [0; u].
 
-    _block_factor checks A, B and the other forms the caller reads (checked)
-    and names the form A as what.
+    The caller checks that the forms are finite.  Raises AssemblyDegenerate
+    (A, named what, not positive definite) and NonConvergence, each naming
+    the first failing pair in scan order.
     """
-    L, order = _block_factor(pairs, A, dofs, B, *checked, what=what)
+    L, order = _block_factor(pairs, A, dofs, what)
     nb = len(dofs)
     Li = np.linalg.inv(L[:, -nb:, -nb:])
     C = Li @ B[:, dofs][:, :, dofs] @ Li.swapaxes(1, 2)
+    solve = np.linalg.eigh if vectors else np.linalg.eigvalsh
+    eig = _named(solve, pairs, C, NonConvergence, "eigenvalues did not converge")
     if not vectors:
-        return np.linalg.eigvalsh(C)
-    vals, vecs = np.linalg.eigh(C)
+        return eig
+    vals, vecs = eig
     y = np.zeros(L.shape[:2])
     y[:, -nb:] = vecs[:, :, -1]
     x = np.empty_like(y)
@@ -535,63 +533,51 @@ def _block_eigh(
     return vals, x
 
 
-def _minima(pairs: Sequence[WaveNumbers], mu: np.ndarray) -> List[float]:
-    """1 / mu per pair, after the check that mu is positive."""
-    not_positive = mu <= 0.0
+# Relative margin of the definiteness ceiling.  A slice is skipped when
+# every A - c (1 + margin) B factors, so the margin must exceed how far
+# above a pair's computed minimum v the factorization of A - v B still
+# succeeds: the rounding error of v plus the factorization's backward error,
+# relative to the quotient.  Worst-case bounds on both grow with cond(A)
+# (~1e11 at h = 1e-3) and are far too loose, so the margin rests on
+# measurement: at the sweep winner and 40 drawn pairs per window (L = pi,
+# nu = 0.3, degree 12) the largest excess was 1.5e-13 at h = 1e-2, 5.5e-12
+# at 1e-3, 2.1e-10 at 1e-4 and 1e-5, and 1.4e-7 at 1e-6.  1e-5 stays 70
+# times above all of them and solves the same pairs as 1e-9 at h = 0.02
+# and 0.005.
+_CEILING_MARGIN = 1e-5
+
+
+def _slice_minima(
+    pairs: Sequence[WaveNumbers], A: np.ndarray, B: np.ndarray, ceiling: float = math.inf
+) -> List[float]:
+    """min_rayleigh of each pencil (A[i], B[i]) of a slice, or inf for every pair if all clear ceiling.
+
+    The vanishing and finiteness checks run once for the slice, each naming
+    the first failing pair in scan order.  Under a finite ceiling, one
+    batched Cholesky factorization of A[i] - ceiling (1 + _CEILING_MARGIN)
+    B[i] tests the slice: if every pencil factors, x.A.x > ceiling x.B.x
+    for every x with x.B.x > 0, and the slice is skipped unsolved.  With
+    B[i] positive semidefinite the factorization also proves A[i] positive
+    definite, so an indefinite stiffness fails the test and is reported by
+    the solve.  The solve is one block eigensolve (_block_eigh) on the
+    support of B, the DOFs where some B[i] has a nonzero entry.  A
+    semidefinite form's null space solves to rounding noise of either sign,
+    so a top eigenvalue within 1e-14 of the lowest one's magnitude counts
+    as not positive (ZeroDenominator).
+    """
+    _check_vanishing(pairs, A, B)
+    _check_finite(A, B)
+    if ceiling < math.inf:
+        try:
+            np.linalg.cholesky(A - (ceiling * (1.0 + _CEILING_MARGIN)) * B)
+            return [math.inf] * len(pairs)
+        except np.linalg.LinAlgError:
+            pass
+    mu = _block_eigh(pairs, A, B, np.flatnonzero(np.any(B, axis=(0, 1))))
+    not_positive = mu[:, -1] <= 1e-14 * np.abs(mu[:, 0])
     if not_positive.any():
         raise ZeroDenominator(f"destabilizing form is not positive on {pairs[np.argmax(not_positive)]}")
-    return list(1.0 / mu)
-
-
-def _top_minima(pairs: Sequence[WaveNumbers], A: np.ndarray, B: np.ndarray) -> List[float]:
-    """min_rayleigh of each pencil (A[i], B[i]): one top-eigenvalue solve per pair.
-
-    The vanishing and finiteness checks run once for the slice; then LAPACK's
-    dsygvx computes only the largest eigenvalue of B[i] w.r.t. A[i] (the
-    other eigenvalues are never read).  The checks are min_rayleigh's, each
-    naming the first failing pair in scan order.
-    """
-    _check_vanishing(pairs, np.linalg.norm(B, axis=(1, 2)), A)
-    _check_finite(A, B)
-    N = A.shape[-1]
-    mu = np.empty(len(pairs))
-    for i, (wn, a, b) in enumerate(zip(pairs, A, B)):
-        vals, _, _, _, info = scipy.linalg.lapack.dsygvx(b, a, jobz="N", range="I", il=N, iu=N)
-        if info > N:  # LAPACK's code for a failed factorization of a
-            raise AssemblyDegenerate(f"stiffness not positive definite for {wn}")
-        if info:
-            raise NonConvergence(f"top eigenvalue did not converge for {wn}")
-        mu[i] = vals[0]
-    return _minima(pairs, mu)
-
-
-def _block_minima(
-    pairs: Sequence[WaveNumbers], A: np.ndarray, B: np.ndarray, dofs: np.ndarray
-) -> List[float]:
-    """min_rayleigh of each pencil (A[i], B[i]) whose B[i] vanishes off the DOFs dofs.
-
-    The checks are min_rayleigh's, each naming the first failing pair in
-    scan order.
-    """
-    _check_vanishing(pairs, np.linalg.norm(B, axis=(1, 2)), A)
-    return _minima(pairs, _block_eigh(pairs, A, B, dofs)[:, -1])
-
-
-def _rank_one_minima(
-    pairs: Sequence[WaveNumbers], A: np.ndarray, scale: np.ndarray, v: np.ndarray
-) -> List[float]:
-    """min_rayleigh of each pencil (A[i], scale[i] * outer(v, v)), without an eigensolve.
-
-    The form vanishes off the support b of v, and its one nonzero
-    eigenvalue is mu = scale |L_b^-1 v_b|^2 (_block_factor), so the
-    infimum is 1/mu.  The checks are min_rayleigh's, each naming the first
-    failing pair in scan order.
-    """
-    _check_vanishing(pairs, np.abs(scale) * (v @ v), A)
-    dofs = np.flatnonzero(v)
-    L, _ = _block_factor(pairs, A, dofs, scale)
-    y = np.linalg.solve(L[:, -len(dofs):, -len(dofs):], np.broadcast_to(v[dofs, None], (len(A), len(dofs), 1)))
-    return _minima(pairs, scale * np.sum(y * y, axis=(1, 2)))
+    return list(1.0 / mu[:, -1])
 
 
 # ---------------------------------------------------------------------------
@@ -643,40 +629,6 @@ def _scan(
     return [item for pairs, part in zip(rows, parts) for item in zip(part, pairs, strict=True)]
 
 
-# Relative margin of the definiteness ceiling.  A slice is skipped when
-# every A - c (1 + margin) B factors, so the margin must exceed how far
-# above a pair's computed minimum v the factorization of A - v B still
-# succeeds: the rounding error of v plus the factorization's backward error,
-# relative to the quotient.  Worst-case bounds on both grow with cond(A)
-# (~1e11 at h = 1e-3) and are far too loose, so the margin rests on
-# measurement: at the sweep winner and 40 drawn pairs per window (L = pi,
-# nu = 0.3, degree 12) the largest excess was 1.5e-13 at h = 1e-2, 5.5e-12
-# at 1e-3, 2.1e-10 at 1e-4 and 1e-5, and 1.4e-7 at 1e-6.  1e-5 stays 70
-# times above all of them and solves the same pairs as 1e-9 at h = 0.02
-# and 0.005.
-_CEILING_MARGIN = 1e-5
-
-
-def _clears_ceiling(pairs: Sequence[WaveNumbers], A: np.ndarray, B: np.ndarray, ceiling: float) -> bool:
-    """Whether every pencil (A[i], B[i]) of the slice has min_rayleigh above ceiling.
-
-    True when A[i] - ceiling (1 + _CEILING_MARGIN) B[i] is positive
-    definite for every pair, tested by one batched Cholesky factorization:
-    then x.A.x > ceiling x.B.x for every x with x.B.x > 0.  min_rayleigh's
-    vanishing and finiteness checks run first, each naming the first
-    failing pair in scan order.  With B[i] positive semidefinite the
-    factorization also proves A[i] positive definite, so an indefinite
-    stiffness fails the test and is reported by the exact solve.
-    """
-    _check_vanishing(pairs, np.linalg.norm(B, axis=(1, 2)), A)
-    _check_finite(A, B)
-    try:
-        np.linalg.cholesky(A - (ceiling * (1.0 + _CEILING_MARGIN)) * B)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def _slice_min_rayleigh(
     geom: ShellGeometry,
     elastic: IsotropicElasticity,
@@ -685,31 +637,19 @@ def _slice_min_rayleigh(
     pairs: Sequence[WaveNumbers],
     ceiling: float = math.inf,
 ) -> List[float]:
-    """min_rayleigh of every pair of one row; phi_rz on the r block, phi_rz_mid as rank one.
+    """min_rayleigh of every pair of one row, under ceiling.
 
-    The pairs are assembled once and solved slice by slice (_slices).  For
-    full and phi_rz, a slice whose pencils all clear the ceiling
-    (_clears_ceiling) is not solved: every pair gets inf.  The ceiling
-    starts at ceiling and drops to each solved slice's minimum.  A skipped
-    pair is never solved, so it cannot raise NonConvergence.  Any other
-    slice is solved exactly, as with no ceiling.  phi_rz_mid takes no
-    ceiling: its rank-one solve costs about as much as the test.
+    The pairs are assembled once and solved slice by slice (_slices) by
+    _slice_minima: a slice whose pencils all clear the ceiling is not
+    solved, and every pair gets inf.  The ceiling starts at ceiling and
+    drops to each solved slice's minimum.  A skipped pair is never solved,
+    so it cannot raise NonConvergence.  Any other slice is solved exactly,
+    as with no ceiling.
     """
-    if denominator == "phi_rz_mid":
-        A = _slice_forms(geom, elastic, disc, pairs, ("stiffness",))["stiffness"]
-        scale, v = _mid_surface(geom, disc, pairs)
-        forms = {"stiffness": A, "scale": scale}
-        return _by_slice(lambda part, f: _rank_one_minima(part, f["stiffness"], f["scale"], v), pairs, forms)
     A, B = _pencil_forms(geom, elastic, disc, denominator, pairs)  # rejects an unknown denominator
     values = []
     for s in _slices(pairs):
-        if ceiling < math.inf and _clears_ceiling(pairs[s], A[s], B[s], ceiling):
-            values += [math.inf] * len(pairs[s])
-            continue
-        if denominator == "phi_rz":
-            values += _block_minima(pairs[s], A[s], B[s], np.arange(disc.degree + 1))
-        else:
-            values += _top_minima(pairs[s], A[s], B[s])  # the full form spans every block
+        values += _slice_minima(pairs[s], A[s], B[s], ceiling)
         ceiling = min(ceiling, *values[s])
     return values
 
@@ -773,20 +713,20 @@ def oracle_sweep(
 ) -> OracleMinimum:
     """Minimize the discretized Rayleigh quotient over the integer window.
 
-    The full and phi_rz scans keep the smallest minimum found so far as a
-    definiteness ceiling and skip, unsolved, each slice whose pencils all
-    stay positive definite a margin above it (_clears_ceiling).  No skipped
-    pair can reach the minimum, so the result is the exhaustive scan's,
-    bit for bit: the winner's value comes from the same exact solve.
-    The ceiling is seeded before the scan, and so before a process pool
-    starts, from the exact minima of the _seed_pairs near the Koiter circle:
-    every pool task starts from it.  Deterministic tie-break as in the
-    closed-form sweep (smallest n, then m): min keeps the first minimum in
-    scan order.  Logs the denominator, the pairs covered and the pairs
-    solved, seeds included, at DEBUG on the "cylbuck" logger.
+    The scan keeps the smallest minimum found so far as a definiteness
+    ceiling and skips, unsolved, each slice whose pencils all stay positive
+    definite a margin above it (_slice_minima).  No skipped pair can reach
+    the minimum, so the result is the exhaustive scan's, bit for bit: the
+    winner's value comes from the same exact solve.  The ceiling is seeded
+    before the scan, and so before a process pool starts, from the exact
+    minima of the _seed_pairs near the Koiter circle: every pool task
+    starts from it.  Deterministic tie-break as in the closed-form sweep
+    (smallest n, then m): min keeps the first minimum in scan order.  Logs
+    the denominator, the pairs covered and the pairs solved, seeds
+    included, at DEBUG on the "cylbuck" logger.
     """
     sweep = _CeilingSweep(geom, elastic, disc, denominator)
-    seeded = 0 if denominator == "phi_rz_mid" else sweep.seed(_seed_pairs(geom, elastic, window))
+    seeded = sweep.seed(_seed_pairs(geom, elastic, window))
     scanned = _scan(sweep, window, geom.L, jobs)
     _log.debug(
         "oracle_sweep %s: %d pairs covered, %d solved",
@@ -847,6 +787,7 @@ def _korn_ratios(h: float, k: int, pairs: Sequence[WaveNumbers], forms: Dict[str
     theta_z and their extremal fields come from pencils reduced to one
     block.  korn pairs two full-rank forms: one eigenpair per pencil.
     """
+    _check_finite(*forms.values())
     e2, grad2 = forms["e2"], forms["grad2"]
     blocks = {"r_z": ("phi_rz", np.arange(k))}
     if pairs[0].n >= 1:
@@ -854,7 +795,7 @@ def _korn_ratios(h: float, k: int, pairs: Sequence[WaveNumbers], forms: Dict[str
     top = {"theta_z": np.zeros(len(pairs))}
     extremals = []
     for ratio, (name, dofs) in blocks.items():
-        vals, x = _block_eigh(pairs, e2, forms[name], dofs, grad2, forms["phi_r2"], what="e2", vectors=True)
+        vals, x = _block_eigh(pairs, e2, forms[name], dofs, what="e2", vectors=True)
         top[ratio] = vals[:, -1]
         extremals.append(x)
 
@@ -930,6 +871,7 @@ def _gap_values(k: int, pairs: Sequence[WaveNumbers], forms: Dict[str, np.ndarra
     phi_zz + phi_tz lives on the theta and z blocks and phi_rz - phi_rz_mid
     on the r block, so both gaps come from block-reduced pencils.
     """
+    _check_finite(*forms.values())
     A = forms["stiffness"]
     D1 = forms["phi_zz"] + forms["phi_tz"]
     D2 = forms["phi_rz"] - forms["phi_rz_mid"]

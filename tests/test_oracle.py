@@ -277,7 +277,7 @@ class TestSmallHAccuracy:
         [
             (PI, 1e-3, -1.810558e-5, 1e-11),
             (PI, 1e-4, -3.267e-7, 1e-9),
-            (10.0, 1e-3, -3.013517e-6, 1e-11),
+            (10.0, 1e-3, -3.013536e-6, 1e-11),
             (10.0, 1e-4, -1.422e-7, 1e-9),
         ],
     )
@@ -351,128 +351,95 @@ class TestMinRayleigh:
             assert lo <= hi * (1 + 1e-12)
 
 
-class TestRankOneMinima:
-    """The phi_rz_mid window scan skips the eigensolve but keeps min_rayleigh's checks.
+class TestSliceMinima:
+    """The one slice solve behind every window minimum and min_rayleigh, on the three shapes of B.
 
-    TestBlockMinima runs the same checks on the phi_rz block eigensolve.
+    rank-one: scale * outer(v, v), as phi_rz_mid; block: supported on the
+    DOFs 0 and 2, not trailing, so the factorization reorders the DOFs, as
+    phi_rz; full: positive definite on every DOF, as the full denominator.
     """
 
     PAIRS = [WaveNumbers(m=m, n=2, L=PI) for m in range(1, 5)]
-    DENOMINATOR = "phi_rz_mid"
-    V = np.array([1.0, 0.5, -1.0])
+    SHAPES = {
+        "rank-one": np.outer([1.0, 0.5, -1.0], [1.0, 0.5, -1.0]),
+        "block": np.array([[2.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.5, 0.0, 1.0]]),  # positive definite on 0, 2
+        "full": np.array([[2.0, 0.3, 0.5], [0.3, 1.0, -0.2], [0.5, -0.2, 1.0]]),  # positive definite
+    }
+
+    @pytest.fixture(params=list(SHAPES))
+    def W(self, request):
+        return self.SHAPES[request.param]
 
     def inputs(self):
         A = np.stack([np.diag([2.0, 3.0, 4.0]) + 0.5 for _ in self.PAIRS])
         return A, np.ones(len(self.PAIRS))
 
-    def forms(self, scale):
-        """The destabilizing forms B[i] = scale[i] * outer(V, V)."""
-        return scale[:, None, None] * np.outer(self.V, self.V)
+    @staticmethod
+    def forms(W, scale):
+        """The destabilizing forms B[i] = scale[i] * W."""
+        with np.errstate(invalid="ignore"):  # an infinite scale leaves NaNs where W is 0
+            return scale[:, None, None] * W
 
-    def minima(self, A, scale):
-        return oracle._rank_one_minima(self.PAIRS, A, scale, self.V)
+    def minima(self, W, A, scale):
+        return oracle._slice_minima(self.PAIRS, A, self.forms(W, scale))
 
-    def test_matches_eigensolve(self):
+    def test_matches_eigensolve(self, W):
         A, _ = self.inputs()
         scale = np.array([1.0, 2.0, 0.5, 3.0])
-        got = self.minima(A, scale)
-        for value, a, b in zip(got, A, self.forms(scale)):
-            pencil = ModePencil(wn=self.PAIRS[0], A=a, B=b, denominator=self.DENOMINATOR)
-            assert value == pytest.approx(min_rayleigh(pencil), rel=1e-14)
+        got = self.minima(W, A, scale)
+        for value, wn, a, b in zip(got, self.PAIRS, A, self.forms(W, scale)):
+            want = 1.0 / scipy.linalg.eigh(b, a, eigvals_only=True)[-1]
+            assert value == pytest.approx(want, rel=1e-14)
+            assert value == min_rayleigh(ModePencil(wn=wn, A=a, B=b, denominator="phi_rz"))  # the one-pair case
 
     @pytest.mark.parametrize("where", ["stiffness", "scale"])
-    def test_non_finite_rejected(self, where):
+    def test_non_finite_rejected(self, W, where):
         A, scale = self.inputs()
         if where == "stiffness":
             A[2, 1, 1] = math.nan
         else:
             scale[2] = math.inf
         with pytest.raises(ValueError, match="infs or NaNs"):
-            self.minima(A, scale)
+            self.minima(W, A, scale)
 
-    def test_first_indefinite_pair_named(self):
+    def test_first_indefinite_pair_named(self, W):
         A, scale = self.inputs()
         A[1, 0, 0] = A[3, 0, 0] = -1.0
         with pytest.raises(AssemblyDegenerate, match=r"WaveNumbers\(m=2, n=2"):
-            self.minima(A, scale)
+            self.minima(W, A, scale)
 
-    def test_vanishing_denominator_raises(self):
+    def test_vanishing_denominator_raises(self, W):
         for tiny in (1e-17, 0.0):  # identically zero included
             A, scale = self.inputs()
             scale[2] = scale[3] = tiny
             with pytest.raises(ZeroDenominator, match=r"vanishes for WaveNumbers\(m=3, n=2"):
-                self.minima(A, scale)
+                self.minima(W, A, scale)
 
-    def test_non_positive_denominator_raises(self):
-        A, scale = self.inputs()
-        scale[1] = scale[3] = -1.0
-        with pytest.raises(ZeroDenominator, match=r"not positive on WaveNumbers\(m=2, n=2"):
-            self.minima(A, scale)
+    def test_non_positive_denominator_raises(self, W):
+        # at -3 the rank-one form's null space solves to a positive rounding
+        # error (+6e-17 beside -2.3), which must count as zero too
+        for negative in (-1.0, -3.0):
+            A, scale = self.inputs()
+            scale[1] = scale[3] = negative
+            with pytest.raises(ZeroDenominator, match=r"not positive on WaveNumbers\(m=2, n=2"):
+                self.minima(W, A, scale)
 
-    def test_window_matches_min_rayleigh(self):
-        # every pair of the h = 0.02 window against the generalized eigensolve
+    @pytest.mark.parametrize("denominator", oracle.DENOMINATORS)
+    def test_window_matches_min_rayleigh(self, denominator):
+        # every pair of the h = 0.02 window: the scan and min_rayleigh are
+        # one solve, bit for bit, and agree with scipy's generalized
+        # eigensolve on the whole pencil (the block-reduced solves to 1e-12)
+        rel = 1e-14 if denominator == "full" else 1e-12
         geom = ShellGeometry(h=0.02, L=PI)
         disc = RadialDiscretization()
         window = CriticalLoadProblem(geom=geom, elastic=EL).window()
         for pairs in oracle._window_slices(window, PI):
-            got = oracle._slice_min_rayleigh(geom, EL, disc, self.DENOMINATOR, pairs)
+            got = oracle._slice_min_rayleigh(geom, EL, disc, denominator, pairs)
             for value, wn in zip(got, pairs):
-                want = min_rayleigh(assemble_pencil(geom, EL, wn, self.DENOMINATOR, disc))
-                assert abs(value / want - 1.0) <= 1e-12, wn
-
-
-class TestBlockMinima(TestRankOneMinima):
-    """The phi_rz window scan's block eigensolve, _block_minima, under the same checks."""
-
-    DENOMINATOR = "phi_rz"
-    DOFS = np.array([0, 2])  # not trailing, so the factorization reorders the DOFs
-    W = np.array([[2.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.5, 0.0, 1.0]])  # positive definite on DOFS
-
-    def forms(self, scale):
-        """The destabilizing forms B[i] = scale[i] * W."""
-        with np.errstate(invalid="ignore"):  # an infinite scale leaves NaNs off DOFS
-            return scale[:, None, None] * self.W
-
-    def minima(self, A, scale):
-        return oracle._block_minima(self.PAIRS, A, self.forms(scale), self.DOFS)
-
-
-class TestTopMinima(TestRankOneMinima):
-    """The full scan's one top-eigenvalue solve per pair, _top_minima, under the same checks.
-
-    min_rayleigh is its one-pair case, so the values are compared with
-    scipy's generalized eigensolve instead.
-    """
-
-    DENOMINATOR = "full"
-    W = np.array([[2.0, 0.3, 0.5], [0.3, 1.0, -0.2], [0.5, -0.2, 1.0]])  # positive definite
-
-    def forms(self, scale):
-        """The destabilizing forms B[i] = scale[i] * W."""
-        return scale[:, None, None] * self.W
-
-    def minima(self, A, scale):
-        return oracle._top_minima(self.PAIRS, A, self.forms(scale))
-
-    def test_matches_eigensolve(self):
-        A, _ = self.inputs()
-        scale = np.array([1.0, 2.0, 0.5, 3.0])
-        got = self.minima(A, scale)
-        for value, a, b in zip(got, A, self.forms(scale)):
-            want = 1.0 / scipy.linalg.eigh(b, a, eigvals_only=True)[-1]
-            assert value == pytest.approx(want, rel=1e-14)
-
-    def test_window_matches_min_rayleigh(self):
-        # every pair of the h = 0.02 window against scipy's full generalized eigensolve
-        geom = ShellGeometry(h=0.02, L=PI)
-        disc = RadialDiscretization()
-        window = CriticalLoadProblem(geom=geom, elastic=EL).window()
-        for pairs in oracle._window_slices(window, PI):
-            got = oracle._slice_min_rayleigh(geom, EL, disc, self.DENOMINATOR, pairs)
-            for value, wn in zip(got, pairs):
-                pencil = assemble_pencil(geom, EL, wn, self.DENOMINATOR, disc)
+                pencil = assemble_pencil(geom, EL, wn, denominator, disc)
+                assert np.float64(value).tobytes() == np.float64(min_rayleigh(pencil)).tobytes(), wn
                 want = 1.0 / scipy.linalg.eigh(pencil.B, pencil.A, eigvals_only=True)[-1]
-                assert abs(value / want - 1.0) <= 1e-14, wn
+                assert abs(value / want - 1.0) <= rel, wn
 
 
 def reference_korn(h, e2, grad2, phi_rz, phi_tz, phi_r2):
@@ -569,22 +536,31 @@ class TestBlockReduction:
         with pytest.raises(AssemblyDegenerate, match=r"stiffness not positive definite for WaveNumbers\(m=2, n=1,"):
             equivalence_scan(ShellGeometry(h=0.05, L=PI), EL, RadialDiscretization(6), (6, 3), jobs=1)
 
-    @pytest.mark.parametrize("scan", ["full", "korn"])
+    @pytest.mark.parametrize("scan", ["full", "korn", "phi_rz", "phi_rz_mid", "gap"])
     def test_unconverged_solve_raises(self, monkeypatch, scan):
-        # the full window minimum and the Korn ratio each solve by dsygvx
-        dsygvx = scipy.linalg.lapack.dsygvx
-
-        def unconverged(*args, **kwargs):
-            *out, _ = dsygvx(*args, **kwargs)
-            return (*out, 1)
-
-        monkeypatch.setattr(scipy.linalg.lapack, "dsygvx", unconverged)
+        # the Korn ratio solves by dsygvx, every other scan by the block eigensolve
         geom, disc = ShellGeometry(h=0.05, L=PI), RadialDiscretization(6)
+        oracle._cheb_tables(geom.h, disc.degree, disc.nodes)  # its Gauss rule calls eigvalsh: cache it first
+        if scan == "korn":
+            dsygvx = scipy.linalg.lapack.dsygvx
+
+            def unconverged(*args, **kwargs):
+                *out, _ = dsygvx(*args, **kwargs)
+                return (*out, 1)
+
+            monkeypatch.setattr(scipy.linalg.lapack, "dsygvx", unconverged)
+        else:
+            def unconverged(*args, **kwargs):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+            monkeypatch.setattr(np.linalg, "eigvalsh", unconverged)
         with pytest.raises(NonConvergence, match=r"for WaveNumbers\(m=1, n=0,"):
-            if scan == "full":
-                oracle_sweep(geom, EL, disc, (3, 2), "full")
-            else:
+            if scan == "korn":
                 korn_mode_scan(geom, EL, disc, (3, 2))
+            elif scan == "gap":
+                equivalence_scan(geom, EL, disc, (3, 2))
+            else:
+                oracle_sweep(geom, EL, disc, (3, 2), scan)
 
 
 class TestReducedPencil:
@@ -654,11 +630,7 @@ def exhaustive_minimum(geom, elastic, disc, window, denominator):
     best = None
     for pairs in oracle._window_slices(window, geom.L):
         A, B = oracle._pencil_forms(geom, elastic, disc, denominator, pairs)
-        if denominator == "full":
-            values = oracle._top_minima(pairs, A, B)
-        else:
-            values = oracle._block_minima(pairs, A, B, np.arange(disc.degree + 1))
-        for value, wn in zip(values, pairs):
+        for value, wn in zip(oracle._slice_minima(pairs, A, B), pairs):
             if best is None or value < best[0]:
                 best = (value, wn)
     return OracleMinimum(*best)
@@ -674,9 +646,9 @@ def sweep_log(caplog, *args, **kwargs):
 
 
 class TestCeilingScan:
-    """The full and phi_rz window minima skip the slices that stay definite above the best value so far."""
+    """Every window minimum skips the slices that stay definite above the best value so far."""
 
-    @pytest.mark.parametrize("denominator", ["full", "phi_rz"])
+    @pytest.mark.parametrize("denominator", oracle.DENOMINATORS)
     @pytest.mark.parametrize("case", ["h=0.02", "h=0.005", "drawn"])
     def test_equals_the_exhaustive_scan(self, rng, monkeypatch, caplog, case, denominator):
         if case == "drawn":
@@ -694,7 +666,7 @@ class TestCeilingScan:
             assert (den, covered) == (denominator, window[0] * (window[1] + 1))
             assert solved < covered / 2, (case, jobs)  # the ceiling skipped most of the window
 
-    @pytest.mark.parametrize("denominator", ["full", "phi_rz"])
+    @pytest.mark.parametrize("denominator", oracle.DENOMINATORS)
     @pytest.mark.parametrize("h", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
     def test_margin_never_clears_the_pairs_own_minimum(self, h, denominator):
         # a ceiling equal to a pair's computed minimum never skips that pair,
@@ -703,9 +675,9 @@ class TestCeilingScan:
         res = sweep(p)
         wn, disc = p.wave_numbers(res.m, res.n), RadialDiscretization()
         A, B = oracle._pencil_forms(p.geom, EL, disc, denominator, [wn])
-        (value,) = oracle._slice_min_rayleigh(p.geom, EL, disc, denominator, [wn])
-        assert not oracle._clears_ceiling([wn], A, B, value)
-        assert oracle._clears_ceiling([wn], A, B, value * (1.0 - 1e-3))  # the test can pass
+        (value,) = oracle._slice_minima([wn], A, B)
+        assert oracle._slice_minima([wn], A, B, value) == [value]  # solved, not skipped
+        assert oracle._slice_minima([wn], A, B, value * (1.0 - 1e-3)) == [math.inf]  # the test can pass
 
     GEOM = ShellGeometry(h=0.05, L=PI)
     DISC = RadialDiscretization(8)
@@ -720,7 +692,7 @@ class TestCeilingScan:
         ]
         return skipped[-1], window
 
-    @pytest.mark.parametrize("denominator", ["full", "phi_rz"])
+    @pytest.mark.parametrize("denominator", oracle.DENOMINATORS)
     @pytest.mark.parametrize(
         "fault, error, match",
         [
@@ -753,7 +725,7 @@ class TestCeilingScan:
         with pytest.raises(error, match=match):
             oracle_sweep(self.GEOM, EL, self.DISC, window, denominator)
 
-    @pytest.mark.parametrize("denominator", ["full", "phi_rz"])
+    @pytest.mark.parametrize("denominator", oracle.DENOMINATORS)
     @pytest.mark.parametrize("h", [0.02, 0.005])
     def test_pool_solves_at_most_twice_the_serial_pairs(self, monkeypatch, caplog, h, denominator):
         # the ceiling is seeded before the pool starts, so no pool task
@@ -777,10 +749,7 @@ class TestCeilingScan:
         for denominator in oracle.DENOMINATORS:
             _, (den, covered, solved) = sweep_log(caplog, self.GEOM, EL, self.DISC, window, denominator)
             assert (den, covered) == (denominator, window[0] * (window[1] + 1))
-            if denominator == "phi_rz_mid":
-                assert solved == covered  # the rank-one scan takes no ceiling
-            else:
-                assert 0 < solved < covered
+            assert 0 < solved < covered
 
 
 class TestKornScan:
