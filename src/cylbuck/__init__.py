@@ -10,17 +10,13 @@ from .spectral import (
     FourierMode,
     ShellGeometry,
     WaveNumbers,
-    linearize,
-    optimal_fr_slope,
     optimal_mode,
-    simplified_strain,
     strain_amplitudes,
 )
 from .trivial_branch import (
     StVenantKirchhoff,
     linearized_displacement_slope,
     solve_radial_stretch,
-    trivial_stress,
 )
 from .critical_load import (
     BucklingResult,
@@ -28,7 +24,6 @@ from .critical_load import (
     koiter_circle,
     per_mode_strain,
     per_mode_strain_full,
-    q_forms,
     sweep,
 )
 from .oracle import (
@@ -38,7 +33,6 @@ from .oracle import (
     RadialDiscretization,
     ansatz_ratios,
     assemble_pencil,
-    equivalence_gap,
     korn_mode_scan,
     min_rayleigh,
 )
@@ -65,22 +59,16 @@ __all__ = [
     "assemble_pencil",
     "coercivity_bound",
     "energy_density",
-    "equivalence_gap",
     "koiter_circle",
     "korn_mode_scan",
-    "linearize",
     "linearized_displacement_slope",
     "min_rayleigh",
-    "optimal_fr_slope",
     "optimal_mode",
     "per_mode_strain",
     "per_mode_strain_full",
-    "q_forms",
     "quotient_ratio",
-    "simplified_strain",
     "solve_radial_stretch",
     "strain_amplitudes",
     "sweep",
     "synthesize",
-    "trivial_stress",
 ]

@@ -263,8 +263,8 @@ def _strain_samples(rng: np.random.Generator):
     """Criterion 9's random strains as arrays: 200 strains with their factors
     for the homogeneity check, then 10 000 strains for coercivity.
 
-    The draws are those of 200 rounds of ``random_strain(rng)`` and
-    ``rng.uniform(-3, 3)``, then 10 000 calls of ``random_strain(rng)``:
+    The draws are those of 200 rounds of ``rng.uniform(-1, 1, size=6)`` and
+    ``rng.uniform(-3, 3)``, then 10 000 calls of ``rng.uniform(-1, 1, size=6)``:
     numpy's uniform is ``low + range * next_double``, so one block of
     ``rng.random`` scaled the same way takes the same doubles.
     """

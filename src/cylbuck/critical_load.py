@@ -105,13 +105,6 @@ class CriticalLoadProblem:
         return WaveNumbers(m=m, n=n, L=self.geom.L)
 
 
-class QForms(NamedTuple):
-    q0: float
-    q1: float
-    q1_simplified: float
-    q2: float
-
-
 # A quadratic q(a) = a.M.a + 2 b.a + c over a = (a_theta, a_z) is the tuple
 # (m00, m01, m11, b0, b1, c).  Each entry below sums the contributions of the
 # squared terms in the order of the docstring.  Only +, -, * and / occur, which
@@ -167,11 +160,6 @@ def _weighted_sum(q, *terms):
     return q
 
 
-def _value(q, a0, a1):
-    m00, m01, m11, b0, b1, c = q
-    return m00 * a0 * a0 + 2.0 * m01 * a0 * a1 + m11 * a1 * a1 + 2.0 * (b0 * a0 + b1 * a1) + c
-
-
 def _minimize(q):
     """(min q, a_theta, a_z) from the 2x2 gradient system.
 
@@ -195,21 +183,6 @@ def _minimize(q):
 def _beta(elastic: IsotropicElasticity) -> float:
     """2 Lambda / (Lambda + 2) = 2 nu / (1 - nu)."""
     return 2.0 * elastic.nu / (1.0 - elastic.nu)
-
-
-def q_forms(
-    wn: WaveNumbers, a_theta: float, a_z: float, elastic: IsotropicElasticity
-) -> QForms:
-    """Evaluate the four wall-moment quadratic forms at given amplitudes."""
-    mh, n = wn.m_hat, float(wn.n)
-    beta = _beta(elastic)
-    q1s = _value(_q1s(mh, mh**4, n, beta), a_theta, a_z)
-    return QForms(
-        q0=_value(_q0(mh, n, beta), a_theta, a_z),
-        q1=q1s + _value(_q1_cross(mh, n), a_theta, a_z),
-        q1_simplified=q1s,
-        q2=_value(_q2(mh, n), a_theta, a_z),
-    )
 
 
 class ModeMinimum(NamedTuple):
@@ -278,7 +251,11 @@ _ROOT_SLACK = 1e-9
 def surrogate_deficit(problem: CriticalLoadProblem, m_hat):
     """delta(mhat) = A / mhat + B + E / mhat^2, decreasing in mhat, such that the
     computed reduced minimum of every pair (m, n) of axial wave number mhat is at
-    least (1 - delta(mhat)) continuous_mode_strain(problem, mhat, n).
+    least (1 - delta(mhat)) times the continuous surrogate
+
+        mhat^2 / (mhat^2 + n^2)^2 + H (mhat^2 + n^2)^2 / ((1 - nu^2) mhat^2),
+
+    whose continuous minimum, attained on the Koiter circle, is lambda_star.
 
     Proof for the exact minimum.  Write t = a_theta, s = mhat^2 + n^2,
     N = 2 (1 + nu) mhat^2, beta + 2 = 2 / (1 - nu), and note beta + 1 > 0.
@@ -513,18 +490,6 @@ def sweep(problem: CriticalLoadProblem) -> BucklingResult:
         strain_full=full.value,
         koiter_residual=residual,
     )
-
-
-def continuous_mode_strain(problem: CriticalLoadProblem, m_hat: float, n: float) -> float:
-    """Leading two-moment surrogate mhat^2/(mhat^2+n^2)^2 + H (mhat^2+n^2)^2 / ((1-nu^2) mhat^2).
-
-    Its continuous minimum equals the classical strain, attained on the
-    Koiter circle.
-    """
-    s = m_hat * m_hat + n * n
-    H = problem.H
-    nu = problem.elastic.nu
-    return m_hat * m_hat / s**2 + H * s**2 / ((1.0 - nu * nu) * m_hat * m_hat)
 
 
 def circle_residual(wn: WaveNumbers, R: float) -> float:

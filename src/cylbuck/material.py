@@ -5,15 +5,13 @@ tensor ``L0/E``, so the quadratic form implemented here is dimensionless:
 
     density(e) = 1/(1+nu) * ( nu/(1-2 nu) * tr(e)^2 + |e|^2 )
 
-with ``|e|^2`` the Frobenius norm squared of the symmetric strain.  ``E`` is
-stored only for reporting dimensional stress.
+with ``|e|^2`` the Frobenius norm squared of the symmetric strain.  ``E`` only
+scales the dimensional moduli ``mu``, ``kappa`` and ``lame_lambda``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -110,15 +108,6 @@ def energy_density(elastic: IsotropicElasticity, e: SymStrain):
     )
 
 
-def elastic_map(elastic: IsotropicElasticity, e: SymStrain) -> SymStrain:
-    """Apply the normalized tensor: (L0/E) e = (Lambda/2 tr(e) I + e)/(1+nu)."""
-    c = 0.5 * elastic.Lambda * e.trace() / (1.0 + elastic.nu)
-    s = 1.0 / (1.0 + elastic.nu)
-    return SymStrain(
-        c + s * e.rr, c + s * e.tt, c + s * e.zz, s * e.rt, s * e.rz, s * e.tz
-    )
-
-
 def coercivity_bound(elastic: IsotropicElasticity) -> float:
     """Largest alpha with density(e) >= alpha |e|^2 for every symmetric e.
 
@@ -128,8 +117,3 @@ def coercivity_bound(elastic: IsotropicElasticity) -> float:
     shear = 1.0 / (1.0 + elastic.nu)
     volumetric = 1.0 / (1.0 - 2.0 * elastic.nu)
     return min(shear, volumetric)
-
-
-def random_strain(rng: np.random.Generator) -> SymStrain:
-    """Uniformly random strain components in [-1, 1]; test helper."""
-    return SymStrain(*rng.uniform(-1.0, 1.0, size=6))

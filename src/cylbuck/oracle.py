@@ -68,7 +68,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -217,12 +217,6 @@ _GAP_FORMS = ("stiffness", "phi_zz", "phi_tz", "phi_rz", "phi_rz_mid")
 # 3-13 % slower (2-6 of 15); the gap scan did not move.  16 stays, as the
 # Korn scan is the larger cost of the two.
 _SLICE_PAIRS = 16
-
-
-def _sym(C: np.ndarray, rw: np.ndarray) -> np.ndarray:
-    # stays in the tables' extended precision; callers cast once at the end
-    M = C.T @ (rw[:, None] * C)
-    return 0.5 * (M + M.T)
 
 
 # One-hot radial atoms indexed (power a of mhat, block r/theta/z, table V/dV,
@@ -599,11 +593,6 @@ def _slices(pairs: Sequence[WaveNumbers]) -> List[slice]:
     return [slice(i, i + _SLICE_PAIRS) for i in range(0, len(pairs), _SLICE_PAIRS)]
 
 
-def _window_slices(window: Tuple[int, int], L: float) -> List[List[WaveNumbers]]:
-    """The window's pairs in scan order, cut into the slices that the scans solve together."""
-    return [row[s] for row in _window_rows(window, L) for s in _slices(row)]
-
-
 def _by_slice(solve: Callable, pairs: Sequence[WaveNumbers], forms: Dict[str, np.ndarray]) -> list:
     """solve(pairs[s], forms cut to s) over the slices s of one row, concatenated."""
     return [item for s in _slices(pairs) for item in solve(pairs[s], {name: F[s] for name, F in forms.items()})]
@@ -883,15 +872,6 @@ def _gap_values(k: int, pairs: Sequence[WaveNumbers], forms: Dict[str, np.ndarra
     ]
 
 
-def equivalence_gap(
-    geom: ShellGeometry,
-    elastic: IsotropicElasticity,
-    wn: WaveNumbers,
-    disc: RadialDiscretization = RadialDiscretization(),
-) -> GapValues:
-    return _slice_gaps(geom, elastic, disc, [wn])[0]
-
-
 class EquivalenceScan(NamedTuple):
     full_vs_rz: float        # sup over the window of |1/R - 1/R1|
     rz_vs_mid_coef: float    # sup of |1/R1 - 1/R2| / (mhat sqrt(h))
@@ -913,77 +893,6 @@ def equivalence_scan(
     sup1 = max(g.full_vs_rz for g, _ in gaps)
     coef = max(g.rz_vs_mid / (wn.m_hat * math.sqrt(geom.h)) for g, wn in gaps)
     return EquivalenceScan(full_vs_rz=sup1, rz_vs_mid_coef=coef)
-
-
-# ---------------------------------------------------------------------------
-# reduced-model cross-check pencil
-# ---------------------------------------------------------------------------
-
-def assemble_reduced_pencil(
-    geom: ShellGeometry,
-    elastic: IsotropicElasticity,
-    wn: WaveNumbers,
-    disc: RadialDiscretization = RadialDiscretization(),
-) -> ModePencil:
-    """Pencil of the pruned-strain functional on linearized modes.
-
-    DOFs are the f_r coefficients plus (a_theta, a_z) (a_theta dropped for
-    n = 0).  Minimizing its Rayleigh quotient must reproduce the closed-form
-    per-mode strain exactly: same finite-dimensional problem, independent
-    code path.
-    """
-    r, w, V, dV, v_mid, _ = _cheb_tables(geom.h, disc.degree, disc.nodes)
-    k = disc.degree + 1
-    n = float(wn.n)
-    mh = wn.m_hat
-    has_theta = wn.n >= 1
-    ndof = k + (2 if has_theta else 1)
-    q = len(r)
-    i_at = k if has_theta else None
-    i_az = k + 1 if has_theta else k
-
-    sq = np.sqrt(r)
-    fr1 = np.broadcast_to(v_mid, (q, k))  # f_r(1) as a map of the r-coefficients
-
-    def zeros():
-        return np.zeros((q, ndof), dtype=r.dtype)
-
-    E_rr = zeros()
-    E_rr[:, :k] = dV / sq[:, None]
-
-    E_tt = zeros()
-    E_tt[:, :k] = ((r - 1.0) * n**2 + 1.0)[:, None] / sq[:, None] * fr1
-    if has_theta:
-        E_tt[:, i_at] = n * r / sq
-
-    E_tz = zeros()
-    E_tz[:, :k] = -((r**2 - 1.0) * mh * n)[:, None] / (2.0 * sq[:, None]) * fr1
-    if has_theta:
-        E_tz[:, i_at] = -mh * r**2 / (2.0 * sq)
-    E_tz[:, i_az] = -n / (2.0 * sq)
-
-    E_zz = zeros()
-    E_zz[:, :k] = ((r - 1.0) * mh**2)[:, None] / sq[:, None] * fr1
-    E_zz[:, i_az] = mh / sq
-
-    f = trig_factors(wn)
-    rw = w * r
-    nu = elastic.nu
-    S_tr = _sym(E_rr + E_tt + E_zz, rw)
-    A = np.asarray(
-        (
-            (nu / (1.0 - 2.0 * nu)) * f.cc * S_tr
-            + f.cc * (_sym(E_rr, rw) + _sym(E_tt, rw) + _sym(E_zz, rw))
-            + 2.0 * f.ss * _sym(E_tz, rw)
-        )
-        / (1.0 + nu),
-        dtype=np.float64,
-    )
-
-    v = np.zeros(ndof, dtype=v_mid.dtype)
-    v[:k] = v_mid
-    B = np.asarray(f.cs * mh**2 * geom.h * np.outer(v, v), dtype=np.float64)
-    return ModePencil(wn=wn, A=A, B=B, denominator="phi_rz_mid")
 
 
 # ---------------------------------------------------------------------------

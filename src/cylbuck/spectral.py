@@ -12,11 +12,14 @@ which every strain entry carries a single trigonometric product.  For n = 0
 the sin factor kills the theta component; torsional n = 0 content is out of
 scope and f_theta is ignored there.
 
-The linearization operator replaces the theta and z profiles by their
-first-order Taylor expansion about the mid-surface r = 1, leaving phi_r
-untouched.  Its image is parameterized by two amplitudes (a_theta, a_z) once
-f_r(1) is normalized to 1; ``optimal_mode`` builds that family's member with
-the energy-minimizing radial profile.
+The linearized family holds the modes with f_r(1) = 1 whose theta and z
+profiles are affine in r, with the mid-surface slopes at which the radial
+shears e_rt and e_rz vanish on r = 1:
+
+    f_theta = r a_theta + (r-1) n,    f_z = a_z + (r-1) mhat.
+
+Two amplitudes (a_theta, a_z) parameterize it; ``optimal_mode`` builds the
+family's member with the energy-minimizing radial profile.
 """
 
 from __future__ import annotations
@@ -100,47 +103,6 @@ def _ftheta(mode: FourierMode) -> Polynomial:
     return mode.ftheta if mode.wn.n else Polynomial([0.0])
 
 
-def simplified_strain(mode: FourierMode, r) -> SymStrain:
-    """Pruned strain surrogate: radial shears dropped, f_r frozen at its
-    mid-surface value in the hoop strain, sqrt(r) reweighting.
-
-    Designed so the weighted radial integrands of the elastic form become
-    polynomial; differs from the exact strain by O(sqrt(h)) in L2 for wave
-    numbers within the slender-regime bounds.
-    """
-    r = np.asarray(r, dtype=float)
-    sq = np.sqrt(r)
-    n = float(mode.wn.n)
-    mh = mode.wn.m_hat
-    f_t = _ftheta(mode)(r)
-    f_z = mode.fz(r)
-    zeros = 0.0 * r
-    return SymStrain(
-        rr=mode.fr.deriv()(r) / sq,
-        tt=(n * f_t + float(mode.fr(1.0))) / sq,
-        zz=mh * f_z / sq,
-        rt=zeros,
-        rz=zeros,
-        tz=-(mh * r * f_t + n * f_z) / (2.0 * sq),
-    )
-
-
-def optimal_fr_slope(mode: FourierMode, r, elastic: IsotropicElasticity):
-    """Radial slope that makes the ``simplified_strain`` energy density
-    stationary (a minimum) in e_rr, the rest of the mode held fixed.
-
-    f_r'(r) = -Lambda/(Lambda+2) * (n f_theta(r) + f_r(1) + mhat f_z(r)), for
-    any mode.  On the linearized family (f_theta = r a_theta + (r-1) n,
-    f_z = a_z + (r-1) mhat, f_r(1) = 1) the bracket is
-    p(r) = n r a_theta + (r-1) n^2 + 1 + mhat a_z + (r-1) mhat^2.
-    """
-    r = np.asarray(r, dtype=float)
-    n = float(mode.wn.n)
-    lam = elastic.Lambda
-    p = n * _ftheta(mode)(r) + float(mode.fr(1.0)) + mode.wn.m_hat * mode.fz(r)
-    return -lam / (lam + 2.0) * p
-
-
 def optimal_mode(
     wn: WaveNumbers, a_theta: float, a_z: float, elastic: IsotropicElasticity
 ) -> FourierMode:
@@ -185,18 +147,6 @@ def strain_amplitudes(mode: FourierMode, r) -> SymStrain:
         rz=0.5 * (fp_z - mh * f_r),
         tz=-0.5 * (mh * f_t + n * f_z / r),
     )
-
-
-def linearize(mode: FourierMode) -> FourierMode:
-    """First-order Taylor expansion of the theta and z profiles about r = 1."""
-    n = float(mode.wn.n)
-    mh = mode.wn.m_hat
-    fr1 = float(mode.fr(1.0))
-    ft1 = float(mode.ftheta(1.0))
-    fz1 = float(mode.fz(1.0))
-    ftheta = Polynomial([-n * fr1, ft1 + n * fr1])
-    fz = Polynomial([fz1 - mh * fr1, mh * fr1])
-    return FourierMode(wn=mode.wn, fr=mode.fr, ftheta=ftheta, fz=fz)
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +229,6 @@ def mode_denominators(geom: ShellGeometry, mode: FourierMode) -> DenominatorValu
         phi_tz=f.ss * mh2 * float(np.sum(rw * ft**2)),
         phi_rz_mid=f.cs * mh2 * fr1**2 * geom.h,
     )
-
-
-def rayleigh_r1(geom: ShellGeometry, elastic: IsotropicElasticity, mode: FourierMode) -> float:
-    """Stiffness over the |phi_{r,z}|^2 destabilizing norm for one mode."""
-    den = mode_denominators(geom, mode).phi_rz
-    if den == 0.0:
-        raise ZeroDivisionError("mode has no radial-axial gradient content")
-    return mode_energy(geom, elastic, mode) / den
 
 
 def displacement(mode: FourierMode, r, theta, z):

@@ -11,8 +11,7 @@ diagonal Cauchy-Green tensor
 For the St. Venant-Kirchhoff energy that equation is linear in
 ``c1 = (1+a)^2``, with the exact root ``c1 = 1 + nu * lambda * (2 - lambda)``.
 To linear order ``a(lambda) = nu * lambda``, independent of the particular
-hyperelastic model; the associated linear elastic stress is the uniaxial
-compression ``-E e_z (x) e_z``.
+hyperelastic model.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NoRoot
-from .material import IsotropicElasticity, SymStrain
+from .material import IsotropicElasticity
 
 # central-difference step of a'(0): balances truncation against round-off
 _SLOPE_STEP = 1e-6
@@ -68,11 +67,3 @@ def linearized_displacement_slope(model: StVenantKirchhoff) -> float:
     a_plus = solve_radial_stretch(model, _SLOPE_STEP)
     a_minus = solve_radial_stretch(model, -_SLOPE_STEP)
     return (a_plus - a_minus) / (2.0 * _SLOPE_STEP)
-
-
-def trivial_stress(elastic: IsotropicElasticity) -> SymStrain:
-    """Linear elastic stress of the trivial branch: uniaxial -E along z.
-
-    Independent of the slenderness h.
-    """
-    return SymStrain(zz=-elastic.E)

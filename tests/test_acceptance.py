@@ -9,7 +9,7 @@ import pytest
 from numpy.polynomial import Polynomial
 
 from cylbuck import acceptance, trivial_branch
-from cylbuck.material import IsotropicElasticity, random_strain
+from cylbuck.material import IsotropicElasticity, SymStrain
 from cylbuck.spectral import FourierMode, ShellGeometry, WaveNumbers, mode_energy
 
 
@@ -63,7 +63,8 @@ def test_criterion_7_fails_a_stretch_off_the_energy(monkeypatch):
 @pytest.mark.parametrize("seed", ["42", "1103"])
 def test_criterion_9_draws_match_the_scalar_loop(seed, monkeypatch):
     # the batched draws are the doubles of the per-sample loop they replace:
-    # 200 rounds of random_strain and uniform(-3, 3), then 10 000 random_strain
+    # 200 rounds of a strain of six uniform(-1, 1) draws and uniform(-3, 3),
+    # then 10 000 such strains
     monkeypatch.setenv("KOITER_SEED", seed)
     batched = np.random.default_rng(acceptance._seed())
     strains, factors, sampled = acceptance._strain_samples(batched)
@@ -75,9 +76,10 @@ def test_criterion_9_draws_match_the_scalar_loop(seed, monkeypatch):
 
     homogeneity = []
     for _ in range(200):
-        e = random_strain(scalar)
+        e = SymStrain(*scalar.uniform(-1.0, 1.0, size=6))
         homogeneity.append([getattr(e, f) for f in fields] + [scalar.uniform(-3, 3)])
-    coercivity = [[getattr(e, f) for f in fields] for e in (random_strain(scalar) for _ in range(10_000))]
+    draws = (SymStrain(*scalar.uniform(-1.0, 1.0, size=6)) for _ in range(10_000))
+    coercivity = [[getattr(e, f) for f in fields] for e in draws]
     assert np.column_stack([rows(strains), factors]).tobytes() == np.array(homogeneity).tobytes()
     assert rows(sampled).tobytes() == np.array(coercivity).tobytes()
     assert batched.random() == scalar.random()

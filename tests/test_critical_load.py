@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -11,13 +12,11 @@ from cylbuck.critical_load import (
     CriticalLoadProblem,
     ModeMinimum,
     circle_residual,
-    continuous_mode_strain,
     koiter_circle,
     mode_strain_at,
     per_mode_strain,
     per_mode_strain_full,
     q0_argmin_az,
-    q_forms,
     surrogate_deficit,
     sweep,
     window_strains,
@@ -41,6 +40,44 @@ class WindowedProblem(CriticalLoadProblem):
 
     def window(self):
         return self.given
+
+
+class QForms(NamedTuple):
+    q0: float
+    q1: float
+    q1_simplified: float
+    q2: float
+
+
+def _value(q, a0, a1):
+    m00, m01, m11, b0, b1, c = q
+    return m00 * a0 * a0 + 2.0 * m01 * a0 * a1 + m11 * a1 * a1 + 2.0 * (b0 * a0 + b1 * a1) + c
+
+
+def q_forms(wn, a_theta, a_z, elastic):
+    """The four wall-moment quadratic forms at given amplitudes, evaluated from
+    the coefficient tuples that the sweep minimizes."""
+    mh, n = wn.m_hat, float(wn.n)
+    beta = critical_load._beta(elastic)
+    q1s = _value(critical_load._q1s(mh, mh**4, n, beta), a_theta, a_z)
+    return QForms(
+        q0=_value(critical_load._q0(mh, n, beta), a_theta, a_z),
+        q1=q1s + _value(critical_load._q1_cross(mh, n), a_theta, a_z),
+        q1_simplified=q1s,
+        q2=_value(critical_load._q2(mh, n), a_theta, a_z),
+    )
+
+
+def continuous_mode_strain(problem, m_hat, n):
+    """Leading two-moment surrogate mhat^2/(mhat^2+n^2)^2 + H (mhat^2+n^2)^2 / ((1-nu^2) mhat^2).
+
+    Its continuous minimum equals the classical strain, attained on the
+    Koiter circle; surrogate_deficit bounds the reduced minimum below by it.
+    """
+    s = m_hat * m_hat + n * n
+    H = problem.H
+    nu = problem.elastic.nu
+    return m_hat * m_hat / s**2 + H * s**2 / ((1.0 - nu * nu) * m_hat * m_hat)
 
 
 def q_forms_by_hand(mh, n, at, az, nu):

@@ -3,14 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from cylbuck.material import (
-    IsotropicElasticity,
-    SymStrain,
-    coercivity_bound,
-    elastic_map,
-    energy_density,
-    random_strain,
-)
+from cylbuck.material import IsotropicElasticity, SymStrain, coercivity_bound, energy_density
 
 
 def voigt_matrix(elastic):
@@ -68,13 +61,13 @@ class TestEnergyDensity:
     def test_nu_zero_is_frobenius(self, rng):
         el = IsotropicElasticity(nu=0.0)
         for _ in range(20):
-            e = random_strain(rng)
+            e = SymStrain(*rng.uniform(-1.0, 1.0, size=6))
             assert energy_density(el, e) == pytest.approx(e.frob2(), rel=1e-14)
 
     def test_quadratic_homogeneity(self, rng):
         el = IsotropicElasticity(nu=0.27)
         for _ in range(50):
-            e = random_strain(rng)
+            e = SymStrain(*rng.uniform(-1.0, 1.0, size=6))
             c = rng.uniform(-3.0, 3.0)
             assert energy_density(el, e.scaled(c)) == pytest.approx(
                 c * c * energy_density(el, e), rel=1e-12, abs=1e-14
@@ -84,7 +77,7 @@ class TestEnergyDensity:
         for nu in (-0.5, 0.0, 0.3, 0.45):
             el = IsotropicElasticity(nu=nu)
             for _ in range(20):
-                e = random_strain(rng)
+                e = SymStrain(*rng.uniform(-1.0, 1.0, size=6))
                 assert energy_density(el, e) == pytest.approx(
                     density_via_voigt(el, e), rel=1e-12
                 )
@@ -92,7 +85,7 @@ class TestEnergyDensity:
     def test_isotropy_axis_permutations(self, rng):
         el = IsotropicElasticity(nu=0.35)
         shear_index = {(0, 1): "rt", (0, 2): "rz", (1, 2): "tz"}
-        e = random_strain(rng)
+        e = SymStrain(*rng.uniform(-1.0, 1.0, size=6))
         diag = [e.rr, e.tt, e.zz]
         shear = {"rt": e.rt, "rz": e.rz, "tz": e.tz}
         base = energy_density(el, e)
@@ -104,20 +97,6 @@ class TestEnergyDensity:
                 new_shear[name] = shear[shear_index[(pi, pj)]]
             permuted = SymStrain(new_diag[0], new_diag[1], new_diag[2], **new_shear)
             assert energy_density(el, permuted) == pytest.approx(base, rel=1e-12)
-
-    def test_elastic_map_consistent(self, rng):
-        el = IsotropicElasticity(nu=0.2)
-        for _ in range(10):
-            e = random_strain(rng)
-            s = elastic_map(el, e)
-            # <L e, e> recovered from the mapped tensor
-            inner = (
-                s.rr * e.rr
-                + s.tt * e.tt
-                + s.zz * e.zz
-                + 2 * (s.rt * e.rt + s.rz * e.rz + s.tz * e.tz)
-            )
-            assert inner == pytest.approx(energy_density(el, e), rel=1e-12)
 
 
 class TestCoercivity:
@@ -135,7 +114,7 @@ class TestCoercivity:
         alpha = coercivity_bound(el)
         worst = np.inf
         for _ in range(10_000):
-            e = random_strain(rng)
+            e = SymStrain(*rng.uniform(-1.0, 1.0, size=6))
             f2 = e.frob2()
             if f2 < 1e-12:
                 continue

@@ -23,8 +23,6 @@ from cylbuck.oracle import (
     _leggauss_refined,
     ansatz_ratios,
     assemble_pencil,
-    assemble_reduced_pencil,
-    equivalence_gap,
     equivalence_scan,
     korn_mode_scan,
     min_rayleigh,
@@ -123,6 +121,11 @@ def direct_forms(geom, elastic, wn, disc):
         "phi_r2": f.cc * sym(Pr),
     }
     return {name: np.asarray(M, dtype=np.float64) for name, M in forms.items()}
+
+
+def window_slices(window, L):
+    """The window's pairs in scan order, cut into the slices that the scans solve together."""
+    return [row[s] for row in oracle._window_rows(window, L) for s in oracle._slices(row)]
 
 
 class TestPencilAssembly:
@@ -230,7 +233,7 @@ class TestPencilAssembly:
         subsets += oracle._PENCIL_FORMS.values()
         for size in (5, window[0], 32):
             monkeypatch.setattr(oracle, "_SLICE_PAIRS", size)
-            slices = oracle._window_slices(window, L)
+            slices = window_slices(window, L)
             assert [wn for s in slices for wn in s] == list(want)
             assert slices[0][0].n == 0
             for pairs in slices:
@@ -433,7 +436,7 @@ class TestSliceMinima:
         geom = ShellGeometry(h=0.02, L=PI)
         disc = RadialDiscretization()
         window = CriticalLoadProblem(geom=geom, elastic=EL).window()
-        for pairs in oracle._window_slices(window, PI):
+        for pairs in window_slices(window, PI):
             got = oracle._slice_min_rayleigh(geom, EL, disc, denominator, pairs)
             for value, wn in zip(got, pairs):
                 pencil = assemble_pencil(geom, EL, wn, denominator, disc)
@@ -469,7 +472,7 @@ class TestBlockReduction:
         nu, h, L = rng.uniform(0.2, 0.4), rng.uniform(0.03, 0.1), rng.uniform(2.5, 4.0)
         geom, elastic, disc = ShellGeometry(h=h, L=L), IsotropicElasticity(nu=nu), RadialDiscretization()
         window = CriticalLoadProblem(geom=geom, elastic=elastic).window()
-        slices = oracle._window_slices(window, L)
+        slices = window_slices(window, L)
         assert slices[0][0].n == 0
         for pairs in slices:
             korn = oracle._slice_korn(geom, elastic, disc, pairs)
@@ -563,6 +566,74 @@ class TestBlockReduction:
                 oracle_sweep(geom, EL, disc, (3, 2), scan)
 
 
+def _sym(C, rw):
+    # stays in the tables' extended precision; callers cast once at the end
+    M = C.T @ (rw[:, None] * C)
+    return 0.5 * (M + M.T)
+
+
+def assemble_reduced_pencil(geom, elastic, wn, disc=RadialDiscretization()):
+    """Pencil of the pruned-strain functional on linearized modes.
+
+    DOFs are the f_r coefficients plus (a_theta, a_z) (a_theta dropped for
+    n = 0).  Minimizing its Rayleigh quotient must reproduce the closed-form
+    per-mode strain exactly: same finite-dimensional problem, independent
+    code path.
+    """
+    r, w, V, dV, v_mid, _ = oracle._cheb_tables(geom.h, disc.degree, disc.nodes)
+    k = disc.degree + 1
+    n = float(wn.n)
+    mh = wn.m_hat
+    has_theta = wn.n >= 1
+    ndof = k + (2 if has_theta else 1)
+    q = len(r)
+    i_at = k if has_theta else None
+    i_az = k + 1 if has_theta else k
+
+    sq = np.sqrt(r)
+    fr1 = np.broadcast_to(v_mid, (q, k))  # f_r(1) as a map of the r-coefficients
+
+    def zeros():
+        return np.zeros((q, ndof), dtype=r.dtype)
+
+    E_rr = zeros()
+    E_rr[:, :k] = dV / sq[:, None]
+
+    E_tt = zeros()
+    E_tt[:, :k] = ((r - 1.0) * n**2 + 1.0)[:, None] / sq[:, None] * fr1
+    if has_theta:
+        E_tt[:, i_at] = n * r / sq
+
+    E_tz = zeros()
+    E_tz[:, :k] = -((r**2 - 1.0) * mh * n)[:, None] / (2.0 * sq[:, None]) * fr1
+    if has_theta:
+        E_tz[:, i_at] = -mh * r**2 / (2.0 * sq)
+    E_tz[:, i_az] = -n / (2.0 * sq)
+
+    E_zz = zeros()
+    E_zz[:, :k] = ((r - 1.0) * mh**2)[:, None] / sq[:, None] * fr1
+    E_zz[:, i_az] = mh / sq
+
+    f = trig_factors(wn)
+    rw = w * r
+    nu = elastic.nu
+    S_tr = _sym(E_rr + E_tt + E_zz, rw)
+    A = np.asarray(
+        (
+            (nu / (1.0 - 2.0 * nu)) * f.cc * S_tr
+            + f.cc * (_sym(E_rr, rw) + _sym(E_tt, rw) + _sym(E_zz, rw))
+            + 2.0 * f.ss * _sym(E_tz, rw)
+        )
+        / (1.0 + nu),
+        dtype=np.float64,
+    )
+
+    v = np.zeros(ndof, dtype=v_mid.dtype)
+    v[:k] = v_mid
+    B = np.asarray(f.cs * mh**2 * geom.h * np.outer(v, v), dtype=np.float64)
+    return ModePencil(wn=wn, A=A, B=B, denominator="phi_rz_mid")
+
+
 class TestReducedPencil:
     @pytest.mark.parametrize("mn", [(1, 4), (13, 9), (18, 1), (5, 0)])
     def test_matches_closed_form_minimum(self, mn):
@@ -628,7 +699,7 @@ def exhaustive_minimum(geom, elastic, disc, window, denominator):
     """The window minimum with every pair solved: the exact solve of each
     slice, and the first minimum in scan order."""
     best = None
-    for pairs in oracle._window_slices(window, geom.L):
+    for pairs in window_slices(window, geom.L):
         A, B = oracle._pencil_forms(geom, elastic, disc, denominator, pairs)
         for value, wn in zip(oracle._slice_minima(pairs, A, B), pairs):
             if best is None or value < best[0]:
@@ -687,7 +758,7 @@ class TestCeilingScan:
         window = CriticalLoadProblem(geom=self.GEOM, elastic=EL).window()
         scan = oracle._CeilingSweep(self.GEOM, EL, self.DISC, denominator)
         skipped = [
-            pairs for pairs in oracle._window_slices(window, PI)
+            pairs for pairs in window_slices(window, PI)
             if all(v == math.inf for v in scan(pairs)) and len(pairs) >= 3
         ]
         return skipped[-1], window
@@ -800,7 +871,7 @@ class TestEquivalenceGap:
 
     def test_gap_values_positive(self):
         geom = ShellGeometry(h=0.02, L=PI)
-        gaps = equivalence_gap(geom, EL, WaveNumbers(m=4, n=5, L=PI))
+        gaps = oracle._slice_gaps(geom, EL, RadialDiscretization(), [WaveNumbers(m=4, n=5, L=PI)])[0]
         assert gaps.full_vs_rz > 0
         assert gaps.rz_vs_mid > 0
 

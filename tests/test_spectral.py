@@ -10,14 +10,11 @@ from cylbuck.spectral import (
     FourierMode,
     ShellGeometry,
     WaveNumbers,
-    linearize,
+    _ftheta,
     mode_denominators,
     mode_energy,
-    optimal_fr_slope,
     optimal_mode,
     radial_rule,
-    rayleigh_r1,
-    simplified_strain,
     strain_amplitudes,
     trig_factors,
 )
@@ -121,6 +118,72 @@ class TestStrainComponents:
             e = strain_amplitudes(mode, r)
             assert float(e.rt) == 0.0
             assert float(e.tz) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the pruned strain, its optimal radial slope, the linearization operator and
+# the phi_rz quotient: the reduction's steps, checked against the package
+# ---------------------------------------------------------------------------
+
+def simplified_strain(mode: FourierMode, r) -> SymStrain:
+    """Pruned strain surrogate: radial shears dropped, f_r frozen at its
+    mid-surface value in the hoop strain, sqrt(r) reweighting.
+
+    Designed so the weighted radial integrands of the elastic form become
+    polynomial; differs from the exact strain by O(sqrt(h)) in L2 for wave
+    numbers within the slender-regime bounds.
+    """
+    r = np.asarray(r, dtype=float)
+    sq = np.sqrt(r)
+    n = float(mode.wn.n)
+    mh = mode.wn.m_hat
+    f_t = _ftheta(mode)(r)
+    f_z = mode.fz(r)
+    zeros = 0.0 * r
+    return SymStrain(
+        rr=mode.fr.deriv()(r) / sq,
+        tt=(n * f_t + float(mode.fr(1.0))) / sq,
+        zz=mh * f_z / sq,
+        rt=zeros,
+        rz=zeros,
+        tz=-(mh * r * f_t + n * f_z) / (2.0 * sq),
+    )
+
+
+def optimal_fr_slope(mode: FourierMode, r, elastic: IsotropicElasticity):
+    """Radial slope that makes the ``simplified_strain`` energy density
+    stationary (a minimum) in e_rr, the rest of the mode held fixed.
+
+    f_r'(r) = -Lambda/(Lambda+2) * (n f_theta(r) + f_r(1) + mhat f_z(r)), for
+    any mode.  On the linearized family (f_theta = r a_theta + (r-1) n,
+    f_z = a_z + (r-1) mhat, f_r(1) = 1) the bracket is
+    p(r) = n r a_theta + (r-1) n^2 + 1 + mhat a_z + (r-1) mhat^2.
+    """
+    r = np.asarray(r, dtype=float)
+    n = float(mode.wn.n)
+    lam = elastic.Lambda
+    p = n * _ftheta(mode)(r) + float(mode.fr(1.0)) + mode.wn.m_hat * mode.fz(r)
+    return -lam / (lam + 2.0) * p
+
+
+def linearize(mode: FourierMode) -> FourierMode:
+    """First-order Taylor expansion of the theta and z profiles about r = 1."""
+    n = float(mode.wn.n)
+    mh = mode.wn.m_hat
+    fr1 = float(mode.fr(1.0))
+    ft1 = float(mode.ftheta(1.0))
+    fz1 = float(mode.fz(1.0))
+    ftheta = Polynomial([-n * fr1, ft1 + n * fr1])
+    fz = Polynomial([fz1 - mh * fr1, mh * fr1])
+    return FourierMode(wn=mode.wn, fr=mode.fr, ftheta=ftheta, fz=fz)
+
+
+def rayleigh_r1(geom: ShellGeometry, elastic: IsotropicElasticity, mode: FourierMode) -> float:
+    """Stiffness over the |phi_{r,z}|^2 destabilizing norm for one mode."""
+    den = mode_denominators(geom, mode).phi_rz
+    if den == 0.0:
+        raise ZeroDivisionError("mode has no radial-axial gradient content")
+    return mode_energy(geom, elastic, mode) / den
 
 
 class TestSimplifiedStrain:

@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 
 from cylbuck.errors import NoRoot
-from cylbuck.material import IsotropicElasticity, SymStrain, elastic_map
-from cylbuck.trivial_branch import (
-    StVenantKirchhoff,
-    linearized_displacement_slope,
-    solve_radial_stretch,
-    trivial_stress,
-)
+from cylbuck.material import IsotropicElasticity
+from cylbuck.trivial_branch import StVenantKirchhoff, linearized_displacement_slope, solve_radial_stretch
 
 
 def residual_by_hand(elastic, lam, a):
@@ -108,26 +103,3 @@ class TestSlope:
         model = StVenantKirchhoff(IsotropicElasticity(nu=nu))
         assert abs(linearized_displacement_slope(model) - nu) <= 1e-6
 
-
-class TestTrivialStress:
-    def test_unit_modulus(self):
-        s = trivial_stress(IsotropicElasticity(nu=0.3, E=1.0))
-        assert s.zz == -1.0
-        assert s.rr == s.tt == s.rt == s.rz == s.tz == 0.0
-
-    def test_linear_scaling(self):
-        s = trivial_stress(IsotropicElasticity(nu=0.3, E=200e9))
-        assert s.zz == -200e9
-
-    def test_matches_elastic_map_of_trivial_displacement(self):
-        # u = nu r e_r - z e_z has strain diag(nu, nu, -1); applying the
-        # normalized tensor must give the uniaxial stress -e_z (x) e_z
-        for nu in (0.0, 0.3, 0.45):
-            el = IsotropicElasticity(nu=nu)
-            e = SymStrain(rr=nu, tt=nu, zz=-1.0)
-            s = elastic_map(el, e)
-            assert s.rr == pytest.approx(0.0, abs=1e-15)
-            assert s.tt == pytest.approx(0.0, abs=1e-15)
-            assert s.zz == pytest.approx(-1.0, rel=1e-14)
-            ref = trivial_stress(el)
-            assert s.zz * el.E == pytest.approx(ref.zz, rel=1e-14)
