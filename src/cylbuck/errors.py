@@ -35,3 +35,7 @@ class EmptySet(CylbuckError):
 
 class QuadratureUnderResolved(CylbuckError):
     """Self-check against a refined rule exceeded tolerance; raise resolution."""
+
+
+class BoundViolated(CylbuckError):
+    """A measured bound that pruned a scan does not hold on its input."""

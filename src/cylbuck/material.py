@@ -5,8 +5,10 @@ tensor ``L0/E``, so the quadratic form implemented here is dimensionless:
 
     density(e) = 1/(1+nu) * ( nu/(1-2 nu) * tr(e)^2 + |e|^2 )
 
-with ``|e|^2`` the Frobenius norm squared of the symmetric strain.  ``E`` only
-scales the dimensional moduli ``mu``, ``kappa`` and ``lame_lambda``.
+with ``|e|^2`` the Frobenius norm squared of the symmetric strain; the
+docstrings elsewhere write its trace coefficient as Lambda / 2, with
+Lambda = 2 nu / (1-2 nu).  ``E`` only scales the dimensional moduli ``mu``
+and ``lame_lambda``.
 """
 
 from __future__ import annotations
@@ -19,10 +21,8 @@ class IsotropicElasticity:
     """Isotropic moduli.  ``nu`` must lie strictly inside (-1, 1/2).
 
     Derived constants:
-      mu      shear modulus E / (2(1+nu))
-      kappa   bulk modulus  E / (3(1-2 nu))
-      Lambda  2 nu / (1-2 nu), the dimensionless coefficient entering the
-              normalized quadratic form (density = (Lambda/2 tr^2 + |e|^2)/(1+nu))
+      mu           shear modulus E / (2(1+nu))
+      lame_lambda  first Lame parameter E nu / ((1+nu)(1-2 nu))
     """
 
     nu: float
@@ -39,17 +39,9 @@ class IsotropicElasticity:
         return self.E / (2.0 * (1.0 + self.nu))
 
     @property
-    def kappa(self) -> float:
-        return self.E / (3.0 * (1.0 - 2.0 * self.nu))
-
-    @property
     def lame_lambda(self) -> float:
         """First Lame parameter (dimensional)."""
         return self.E * self.nu / ((1.0 + self.nu) * (1.0 - 2.0 * self.nu))
-
-    @property
-    def Lambda(self) -> float:
-        return 2.0 * self.nu / (1.0 - 2.0 * self.nu)
 
 
 @dataclass(frozen=True)
@@ -83,16 +75,6 @@ class SymStrain:
     def scaled(self, c: float) -> "SymStrain":
         return SymStrain(
             c * self.rr, c * self.tt, c * self.zz, c * self.rt, c * self.rz, c * self.tz
-        )
-
-    def minus(self, other: "SymStrain") -> "SymStrain":
-        return SymStrain(
-            self.rr - other.rr,
-            self.tt - other.tt,
-            self.zz - other.zz,
-            self.rt - other.rt,
-            self.rz - other.rz,
-            self.tz - other.tz,
         )
 
 

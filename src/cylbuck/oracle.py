@@ -1,8 +1,12 @@
 """Discretized 3D-elasticity verification engine.
 
 Everything here deliberately avoids the closed-form reduction: each Fourier
-mode keeps *exact* strains (no radial linearization, no pruning) with the
-radial profiles discretized in a Chebyshev polynomial basis on the wall.
+mode keeps *exact* strains (no radial linearization, no dropped terms) with
+the radial profiles discretized in a Chebyshev polynomial basis on the wall.
+The one exception is the choice of pairs that the phi_rz and phi_rz_mid
+window minima assemble: oracle_sweep reads the reduced minima to drop the
+pairs that a measured lower bound, oracle >= (1 - delta_o) reduced, places
+above its ceiling.  Every value it returns is still the oracle's own solve.
 Quadratic functionals become small symmetric matrices ("pencils"); infima of
 Rayleigh quotients become generalized eigenvalue problems, solved as the
 largest eigenvalue of the destabilizing form with respect to the stiffness,
@@ -41,7 +45,10 @@ pair are those of the exhaustive scan, bit for bit, and min_rayleigh at the
 winner returns the scan's value.  The ceiling comes from the oracle's own
 solves only.  It is seeded, before the scan and before any process pool
 starts, from the exact minima of a few pairs placed where the classical
-Koiter circle crosses a row; the circle's radius only places them.
+Koiter circle crosses a row; the circle's radius only places them.  Under
+that seeded ceiling, phi_rz and phi_rz_mid assemble only the closed-form
+annulus that the deficit bound cannot exclude (about 25 pairs at L = pi,
+h = 0.02 and 0.005); full, which has no such bound, assembles the window.
 
 Assembly precision: every strain and gradient map of a mode is a Chebyshev
 value or derivative table, times a coefficient that is linear in mhat for a
@@ -73,8 +80,15 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple
 import numpy as np
 import scipy.linalg
 
-from .critical_load import CriticalLoadProblem
-from .errors import AssemblyDegenerate, CylbuckError, NonConvergence, QuadratureUnderResolved, ZeroDenominator
+from .critical_load import CriticalLoadProblem, window_strains
+from .errors import (
+    AssemblyDegenerate,
+    BoundViolated,
+    CylbuckError,
+    NonConvergence,
+    QuadratureUnderResolved,
+    ZeroDenominator,
+)
 from .material import IsotropicElasticity
 from .spectral import ShellGeometry, WaveNumbers, trig_factors, window_pairs
 
@@ -598,16 +612,13 @@ def _by_slice(solve: Callable, pairs: Sequence[WaveNumbers], forms: Dict[str, np
     return [item for s in _slices(pairs) for item in solve(pairs[s], {name: F[s] for name, F in forms.items()})]
 
 
-def _scan(
-    per_row: Callable, window: Tuple[int, int], L: float, jobs: int
-) -> List[Tuple[object, WaveNumbers]]:
-    """(result, pair) for every pair of the window, in scan order ((n, m) lexicographic).
+def _scan(per_row: Callable, rows: Sequence[Sequence[WaveNumbers]], jobs: int) -> List[Tuple[object, WaveNumbers]]:
+    """(result, pair) for every pair of the rows, in their order (_window_rows, or rows cut from them).
 
-    per_row(pairs) gives one result per pair of a _window_rows row, so each
-    row is assembled once.  Large windows run in a process pool, several
-    rows per task; the pool never has more workers than there are CPUs.
+    per_row(pairs) gives one result per pair of a row, so each row is
+    assembled once.  Many pairs run in a process pool, several rows per
+    task; the pool never has more workers than there are CPUs.
     """
-    rows = _window_rows(window, L)
     workers = min(jobs, os.cpu_count() or 1)
     if workers <= 1 or sum(map(len, rows)) < 32:
         parts = [per_row(pairs) for pairs in rows]
@@ -692,6 +703,76 @@ def _seed_pairs(geom: ShellGeometry, elastic: IsotropicElasticity, window: Tuple
     return [WaveNumbers(m=m, n=n, L=geom.L) for m in sorted(ms)]
 
 
+# Measured lower bound of the phi_rz and phi_rz_mid minima by the reduced
+# closed-form minimum of the same pair:
+#
+#     oracle(m, n) >= (1 - delta_o) reduced(m, n),   delta_o = _DEFICIT_C h^2 (1 + mhat^2 + n^2).
+#
+# It is not proved.  The deficit 1 - oracle / reduced is the wall's
+# three-dimensional correction to the reduction; measured, it stays of order
+# (h k)^2 for the wave vector k = (mhat, n), and the "+1" covers the pairs
+# of small k, where it is still of order h^2 (phi_rz_mid reads
+# 1.9 h^2 k^2 at (1, 0), h = 0.01, L = 30, nu = -0.2).  Measured on 500
+# windows, degree 12: h in {0.25, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 1e-3,
+# 3e-4, 1e-4}, nu in {-0.45, -0.2, 0, 0.3, 0.45}, L in {0.5, pi, 10, 30, 50}
+# and window margins 3 and 6; a window of more than 6000 pairs was cut to
+# its first columns over every row plus 3000 drawn pairs (1.94 M pairs per
+# denominator in all).  The largest (1 - oracle / reduced) / (h^2 (1 + mhat^2
+# + n^2)) was 0.336 for phi_rz and 0.4045 for phi_rz_mid, both at nu = 0.45,
+# h = 1e-4, m = 1, n = 1.83 R and 1.74 R; at nu = 0.3 they were 0.271 and 0.307.
+# It rises with nu, and as h falls it levels off: +0.9 % from h = 0.01 to
+# 0.005, +0.2 % from 1e-3 to 1e-4.  L, the margin and degrees 4, 8 and 16
+# moved the worst windows' values by at most 1e-4.  0.52 is
+# 28 % above 0.4045.  Outside the measured box _DEFICIT_BOX, and for every
+# pair with delta_o >= 1, nothing is pruned.
+_DEFICIT_C = 0.52
+_DEFICIT_BOX = {"h": (1e-4, 0.25), "nu": (-0.45, 0.45), "L": (0.5, 50.0)}
+
+
+@dataclass(frozen=True)
+class _WindowProblem(CriticalLoadProblem):
+    """The closed-form problem of geom and elastic over a given window."""
+
+    given: Tuple[int, int] = (8, 8)
+
+    def window(self) -> Tuple[int, int]:
+        return self.given
+
+
+def _sweep_rows(
+    geom: ShellGeometry, elastic: IsotropicElasticity, window: Tuple[int, int], denominator: str, ceiling: float
+) -> List[List[WaveNumbers]]:
+    """The rows oracle_sweep assembles under its seeded ceiling, in scan order.
+
+    full, an infinite ceiling and an (h, nu, L) outside _DEFICIT_BOX get
+    the whole window.  phi_rz and phi_rz_mid otherwise get the window's rows
+    cut to the pairs that the measured deficit bound cannot exclude: a pair
+    is kept when its computed reduced minimum r has
+    r (1 - delta_o) <= ceiling (1 + _CEILING_MARGIN) or when delta_o >= 1,
+    so every pair whose oracle minimum is at most the ceiling is kept while
+    the bound holds.  The candidates are critical_load.window_strains'
+    certified superset at that level over (1 - delta_max), delta_max being
+    delta_o at the window's largest mhat^2 + n^2 (the whole window when
+    delta_max >= 1), filtered pair by pair.  Empty rows are dropped.
+    """
+    (h_lo, h_hi), (nu_lo, nu_hi), (L_lo, L_hi) = _DEFICIT_BOX.values()
+    in_box = h_lo <= geom.h <= h_hi and nu_lo <= elastic.nu <= nu_hi and L_lo <= geom.L <= L_hi
+    if denominator == "full" or ceiling == math.inf or not in_box:
+        return _window_rows(window, geom.L)
+    m_max, n_max = window
+    scale = _DEFICIT_C * geom.h * geom.h
+    delta_max = scale * (1.0 + (math.pi * m_max / geom.L) ** 2 + n_max * n_max)
+    level = ceiling * (1.0 + _CEILING_MARGIN)
+    problem = _WindowProblem(geom=geom, elastic=elastic, given=window)
+    rows: Dict[int, List[WaveNumbers]] = {}
+    for n, m, m_hat, minima in window_strains(problem, level / (1.0 - delta_max) if delta_max < 1.0 else None):
+        delta = scale * (1.0 + m_hat * m_hat + n * n)
+        keep = (delta >= 1.0) | (minima.value * (1.0 - delta) <= level)
+        for row, col in zip(n[keep].astype(int).tolist(), m[keep].tolist()):
+            rows.setdefault(row, []).append(WaveNumbers(m=col, n=row, L=geom.L))
+    return list(rows.values())
+
+
 def oracle_sweep(
     geom: ShellGeometry,
     elastic: IsotropicElasticity,
@@ -710,18 +791,35 @@ def oracle_sweep(
     before the scan, and so before a process pool starts, from the exact
     minima of the _seed_pairs near the Koiter circle: every pool task
     starts from it.  Deterministic tie-break as in the closed-form sweep
-    (smallest n, then m): min keeps the first minimum in scan order.  Logs
-    the denominator, the pairs covered and the pairs solved, seeds
-    included, at DEBUG on the "cylbuck" logger.
+    (smallest n, then m): min keeps the first minimum in scan order.
+
+    phi_rz and phi_rz_mid then assemble only the pairs of the closed-form
+    annulus that the measured deficit bound cannot exclude under the seeded
+    ceiling (_sweep_rows): the one place where the oracle reads the
+    closed-form reduction's values.  full has no such bound and scans the
+    whole window.  The seeded ceiling is the exact minimum of a window pair,
+    which a valid bound keeps, so a scan whose minimum lies above it raises
+    BoundViolated.  Logs the denominator, the pairs covered (the window's),
+    the pairs assembled and the pairs solved, seeds included, at DEBUG on
+    the "cylbuck" logger.
     """
     sweep = _CeilingSweep(geom, elastic, disc, denominator)
-    seeded = sweep.seed(_seed_pairs(geom, elastic, window))
-    scanned = _scan(sweep, window, geom.L, jobs)
+    seeds = _seed_pairs(geom, elastic, window)
+    seeded = sweep.seed(seeds)
+    ceiling = sweep.ceiling
+    scanned = _scan(sweep, _sweep_rows(geom, elastic, window, denominator, ceiling), jobs)
     _log.debug(
-        "oracle_sweep %s: %d pairs covered, %d solved",
-        denominator, len(scanned), seeded + sum(value < math.inf for value, _ in scanned),
+        "oracle_sweep %s: %d pairs covered, %d assembled, %d solved",
+        denominator, window[0] * (window[1] + 1), len(seeds) + len(scanned),
+        seeded + sum(value < math.inf for value, _ in scanned),
     )
-    return OracleMinimum(*min(scanned, key=lambda item: item[0]))
+    value, wn = min(scanned, key=lambda item: item[0], default=(math.inf, None))
+    if not value <= ceiling:
+        raise BoundViolated(
+            f"the {denominator} scan of the annulus found {float(value)!r}, above the seeded window ceiling "
+            f"{float(ceiling)!r}: the deficit bound does not hold at h={geom.h!r}, nu={elastic.nu!r}, L={geom.L!r}"
+        )
+    return OracleMinimum(value, wn)
 
 
 # ---------------------------------------------------------------------------
@@ -822,7 +920,7 @@ def korn_mode_scan(
 
     Logs the pairs covered at DEBUG on the "cylbuck" logger.
     """
-    per_mode = [r for r, _ in _scan(partial(_slice_korn, geom, elastic, disc), window, geom.L, jobs)]
+    per_mode = [r for r, _ in _scan(partial(_slice_korn, geom, elastic, disc), _window_rows(window, geom.L), jobs)]
     _log.debug("korn_mode_scan: %d pairs covered", len(per_mode))
     return _positive(KornRatios(
         korn=min(r.korn for r in per_mode),
@@ -888,7 +986,7 @@ def equivalence_scan(
 
     Logs the pairs covered at DEBUG on the "cylbuck" logger.
     """
-    gaps = _scan(partial(_slice_gaps, geom, elastic, disc), window, geom.L, jobs)
+    gaps = _scan(partial(_slice_gaps, geom, elastic, disc), _window_rows(window, geom.L), jobs)
     _log.debug("equivalence_scan: %d pairs covered", len(gaps))
     sup1 = max(g.full_vs_rz for g, _ in gaps)
     coef = max(g.rz_vs_mid / (wn.m_hat * math.sqrt(geom.h)) for g, wn in gaps)

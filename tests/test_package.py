@@ -46,11 +46,25 @@ def _references(tree: ast.Module, strings: bool):
             yield node.value, node
 
 
+def _definitions(tree: ast.Module):
+    """(qualified name, node) of every top-level def and class of a module, and
+    of every method and property of its classes but the dunder methods, which
+    Python calls by protocol."""
+    for node in tree.body:
+        if isinstance(node, _DEFINITIONS):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, _DEFINITIONS) and not member.name.startswith("__"):
+                    yield f"{node.name}.{member.name}", member
+
+
 def test_every_package_definition_has_a_reader():
-    # Each top-level def or class of a package module is read somewhere in the
-    # package or the benchmark outside its own body.  Code that only a test
-    # reads belongs in that test's file; perfbench wraps some functions by
-    # name, so its string constants count as readers too.
+    # Each top-level def or class of a package module, and each method and
+    # property of its classes, is read somewhere in the package or the
+    # benchmark outside its own body.  Code that only a test reads belongs
+    # in that test's file; perfbench wraps some functions by name, so its
+    # string constants count as readers too.
     trees = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     sources = [(tree, False) for tree in trees.values()]
     sources += [(ast.parse(path.read_text()), True) for path in sorted(PERFBENCH.glob("*.py"))]
@@ -62,12 +76,10 @@ def test_every_package_definition_has_a_reader():
     for path, tree in trees.items():
         if path.name == "__init__.py":
             continue
-        for definition in tree.body:
-            if not isinstance(definition, _DEFINITIONS):
-                continue
+        for name, definition in _definitions(tree):
             own = {id(node) for node in ast.walk(definition)}
             if all(id(node) in own for node in readers.get(definition.name, [])):
-                unread.append(f"{path.stem}.{definition.name}")
+                unread.append(f"{path.stem}.{name}")
     assert unread == []
 
 
