@@ -3,10 +3,11 @@
 Everything here deliberately avoids the closed-form reduction: each Fourier
 mode keeps *exact* strains (no radial linearization, no dropped terms) with
 the radial profiles discretized in a Chebyshev polynomial basis on the wall.
-The one exception is the choice of pairs that the phi_rz and phi_rz_mid
-window minima assemble: oracle_sweep reads the reduced minima to drop the
-pairs that a measured lower bound, oracle >= (1 - delta_o) reduced, places
-above its ceiling.  Every value it returns is still the oracle's own solve.
+The one exception is the choice of pairs that the window minima assemble:
+oracle_sweep reads the reduced minima to drop the pairs that a measured
+lower bound, phi_rz >= (1 - delta_o) reduced (and for full that bound
+through the proved per-pair gap 1/full <= 1/phi_rz + G), places above its
+ceiling.  Every value it returns is still the oracle's own solve.
 Quadratic functionals become small symmetric matrices ("pencils"); infima of
 Rayleigh quotients become generalized eigenvalue problems, solved as the
 largest eigenvalue of the destabilizing form with respect to the stiffness,
@@ -46,9 +47,10 @@ winner returns the scan's value.  The ceiling comes from the oracle's own
 solves only.  It is seeded, before the scan and before any process pool
 starts, from the exact minima of a few pairs placed where the classical
 Koiter circle crosses a row; the circle's radius only places them.  Under
-that seeded ceiling, phi_rz and phi_rz_mid assemble only the closed-form
-annulus that the deficit bound cannot exclude (about 25 pairs at L = pi,
-h = 0.02 and 0.005); full, which has no such bound, assembles the window.
+that seeded ceiling every denominator assembles only the closed-form annulus
+that its lower bound cannot exclude: about 25 pairs for phi_rz and
+phi_rz_mid at L = pi, h = 0.02 and 0.005, and 66 and 112 for full, whose
+bound adds the gap G to the reciprocal.
 
 Assembly precision: every strain and gradient map of a mode is a Chebyshev
 value or derivative table, times a coefficient that is linear in mhat for a
@@ -685,12 +687,14 @@ class _CeilingSweep:
 
 
 def _seed_pairs(geom: ShellGeometry, elastic: IsotropicElasticity, window: Tuple[int, int]) -> List[WaveNumbers]:
-    """Up to _SLICE_PAIRS pairs of row n = 0.8 R around each point where the Koiter circle crosses it.
+    """The _SLICE_PAIRS columns of row n = 0.8 R nearest each point where the Koiter circle crosses it.
 
     Every pair on the classical Koiter circle of radius R has the classical
     load to leading order, so their oracle minima lie near the window
     minimum.  Only R is read from the closed form, to place the pairs; the
-    ceiling they seed is the oracle's own solve.
+    ceiling they seed is the oracle's own solve.  The columns are the
+    window's own: a crossing beyond the window's last column seeds its last
+    _SLICE_PAIRS columns (all of them in a narrower window).
     """
     R = CriticalLoadProblem(geom=geom, elastic=elastic).koiter_radius
     m_max, n_max = window
@@ -699,7 +703,8 @@ def _seed_pairs(geom: ShellGeometry, elastic: IsotropicElasticity, window: Tuple
     ms = set()
     for mhat in (R - half_chord, R + half_chord):
         m = round(mhat * geom.L / math.pi)
-        ms.update(range(max(1, m - _SLICE_PAIRS // 2), min(m_max, m + _SLICE_PAIRS // 2 - 1) + 1))
+        lo = max(1, min(m - _SLICE_PAIRS // 2, m_max - _SLICE_PAIRS + 1))
+        ms.update(range(lo, min(m_max, lo + _SLICE_PAIRS - 1) + 1))
     return [WaveNumbers(m=m, n=n, L=geom.L) for m in sorted(ms)]
 
 
@@ -729,6 +734,40 @@ _DEFICIT_C = 0.52
 _DEFICIT_BOX = {"h": (1e-4, 0.25), "nu": (-0.45, 0.45), "L": (0.5, 50.0)}
 
 
+# Proved bound of the full-vs-phi_rz gap, pair by pair.  full's form is
+# B_rz + B_zz + B_tz and mu_max(., A) is subadditive, so
+# 1/full = mu_max(B_rz + B_zz + B_tz, A) <= 1/phi_rz + gap with
+# gap = mu_max(B_zz + B_tz, A) (_gap_values' full_vs_rz), and gap <= G = g / kappa:
+#
+#   B_zz + B_tz <= g e2.  With Z = int C_zz^2 r dr and T = int C_tz^2 r dr,
+#   B_zz = cc Z (C_zz = mhat phi_z) and e2 >= cc Z + 2 ss T.  From
+#   C_tz = -(mhat phi_theta + n phi_z / r) / 2, mhat phi_theta = -2 C_tz - n phi_z / r,
+#   and (a + b)^2 <= 2 a^2 + 2 b^2 with r >= 1 - h/2 on the wall give
+#   B_tz = ss int (mhat phi_theta)^2 r dr <= ss (8 T + 2 t Z),  t = n^2 / (mhat^2 (1 - h/2)^2),
+#   so B_zz + B_tz <= g (cc Z + 2 ss T) for g = max(4, 1 + 2 t ss / cc) when
+#   ss > 0, and g = 1 when ss = 0 (n = 0: no theta block, B_tz = 0).  ss / cc
+#   is read from trig_factors.
+#
+#   A >= kappa e2.  A = (nu / (1 - 2 nu) cc tr^2 + e2) / (1 + nu) with
+#   tr = C_rr + C_tt + C_zz.  For nu >= 0 the trace term is nonnegative, so
+#   kappa = 1 / (1 + nu).  For nu < 0, tr^2 <= 3 (C_rr^2 + C_tt^2 + C_zz^2),
+#   whose cc-weighted integral is at most e2, so
+#   A >= (1 + 3 nu / (1 - 2 nu)) e2 / (1 + nu) = e2 / (1 - 2 nu).
+#
+# With the measured phi_rz >= (1 - delta_o) reduced, a pair's full minimum is
+# at least lb / (1 + G lb), lb = max(0, (1 - delta_o) reduced): 1/full <= 1/lb + G.
+def _gap_bound(geom: ShellGeometry, elastic: IsotropicElasticity, n: np.ndarray, m_hat: np.ndarray) -> np.ndarray:
+    """G >= full_vs_rz of each pair (n[k], mhat[k]) of the window: the proved bound above."""
+    nu = elastic.nu
+    kappa = 1.0 / (1.0 + nu) if nu >= 0.0 else 1.0 / (1.0 - 2.0 * nu)
+    rows = np.unique(n)
+    f = [trig_factors(WaveNumbers(m=1, n=int(row), L=geom.L)) for row in rows]
+    s = np.array([x.ss / x.cc for x in f])[np.searchsorted(rows, n)]
+    t = (n / (m_hat * (1.0 - 0.5 * geom.h))) ** 2
+    g = np.maximum(1.0 + 2.0 * t * s, np.where(s > 0.0, 4.0, 1.0))
+    return g / kappa
+
+
 @dataclass(frozen=True)
 class _WindowProblem(CriticalLoadProblem):
     """The closed-form problem of geom and elastic over a given window."""
@@ -744,30 +783,38 @@ def _sweep_rows(
 ) -> List[List[WaveNumbers]]:
     """The rows oracle_sweep assembles under its seeded ceiling, in scan order.
 
-    full, an infinite ceiling and an (h, nu, L) outside _DEFICIT_BOX get
-    the whole window.  phi_rz and phi_rz_mid otherwise get the window's rows
-    cut to the pairs that the measured deficit bound cannot exclude: a pair
-    is kept when its computed reduced minimum r has
-    r (1 - delta_o) <= ceiling (1 + _CEILING_MARGIN) or when delta_o >= 1,
-    so every pair whose oracle minimum is at most the ceiling is kept while
-    the bound holds.  The candidates are critical_load.window_strains'
-    certified superset at that level over (1 - delta_max), delta_max being
-    delta_o at the window's largest mhat^2 + n^2 (the whole window when
-    delta_max >= 1), filtered pair by pair.  Empty rows are dropped.
+    An infinite ceiling and an (h, nu, L) outside _DEFICIT_BOX get the whole
+    window.  Otherwise the window's rows are cut to the pairs that the
+    denominator's lower bound cannot exclude: with r the pair's computed
+    reduced minimum and lb = max(0, r (1 - delta_o)) (0 when delta_o >= 1),
+    a pair is kept when its bound is at most ceiling (1 + _CEILING_MARGIN).
+    The bound is lb for phi_rz and phi_rz_mid (the measured deficit bound)
+    and lb / (1 + G lb) for full (_gap_bound's proved G on top of it), so
+    every pair whose oracle minimum is at most the ceiling is kept while the
+    deficit bound holds.  phi_rz and phi_rz_mid filter
+    critical_load.window_strains' certified superset at that level over
+    (1 - delta_max), delta_max being delta_o at the window's largest
+    mhat^2 + n^2 (the whole window when delta_max >= 1); full filters the
+    whole window.  Empty rows are dropped.
     """
     (h_lo, h_hi), (nu_lo, nu_hi), (L_lo, L_hi) = _DEFICIT_BOX.values()
     in_box = h_lo <= geom.h <= h_hi and nu_lo <= elastic.nu <= nu_hi and L_lo <= geom.L <= L_hi
-    if denominator == "full" or ceiling == math.inf or not in_box:
+    if ceiling == math.inf or not in_box:
         return _window_rows(window, geom.L)
     m_max, n_max = window
     scale = _DEFICIT_C * geom.h * geom.h
     delta_max = scale * (1.0 + (math.pi * m_max / geom.L) ** 2 + n_max * n_max)
     level = ceiling * (1.0 + _CEILING_MARGIN)
+    # G grows without bound as n / mhat does, so no one level certifies full's candidates
+    superset = level / (1.0 - delta_max) if delta_max < 1.0 and denominator != "full" else None
     problem = _WindowProblem(geom=geom, elastic=elastic, given=window)
     rows: Dict[int, List[WaveNumbers]] = {}
-    for n, m, m_hat, minima in window_strains(problem, level / (1.0 - delta_max) if delta_max < 1.0 else None):
+    for n, m, m_hat, minima in window_strains(problem, superset):
         delta = scale * (1.0 + m_hat * m_hat + n * n)
-        keep = (delta >= 1.0) | (minima.value * (1.0 - delta) <= level)
+        lower = np.maximum(minima.value * (1.0 - delta), 0.0)  # of phi_rz and phi_rz_mid; 0 where delta_o >= 1
+        if denominator == "full":
+            lower = lower / (1.0 + _gap_bound(geom, elastic, n, m_hat) * lower)
+        keep = lower <= level
         for row, col in zip(n[keep].astype(int).tolist(), m[keep].tolist()):
             rows.setdefault(row, []).append(WaveNumbers(m=col, n=row, L=geom.L))
     return list(rows.values())
@@ -793,11 +840,12 @@ def oracle_sweep(
     starts from it.  Deterministic tie-break as in the closed-form sweep
     (smallest n, then m): min keeps the first minimum in scan order.
 
-    phi_rz and phi_rz_mid then assemble only the pairs of the closed-form
-    annulus that the measured deficit bound cannot exclude under the seeded
-    ceiling (_sweep_rows): the one place where the oracle reads the
-    closed-form reduction's values.  full has no such bound and scans the
-    whole window.  The seeded ceiling is the exact minimum of a window pair,
+    Each denominator then assembles only the pairs of the closed-form
+    annulus that its lower bound cannot exclude under the seeded ceiling
+    (_sweep_rows): the measured deficit bound for phi_rz and phi_rz_mid,
+    and for full that bound through the proved gap G.  That is the one
+    place where the oracle reads the closed-form reduction's values.  The
+    seeded ceiling is the exact minimum of a window pair,
     which a valid bound keeps, so a scan whose minimum lies above it raises
     BoundViolated.  Logs the denominator, the pairs covered (the window's),
     the pairs assembled and the pairs solved, seeds included, at DEBUG on

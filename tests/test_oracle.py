@@ -720,6 +720,23 @@ def sweep_log(caplog, *args, **kwargs):
     return got, record.args
 
 
+def gap_bound(p, pairs):
+    """oracle._gap_bound of each of the pairs of p."""
+    n = np.array([float(wn.n) for wn in pairs])
+    return oracle._gap_bound(p.geom, p.elastic, n, np.array([wn.m_hat for wn in pairs]))
+
+
+def pruning_bound(p, wn, denominator):
+    """The lower bound of wn's oracle minimum that the pruned scans rely on: (1 - delta_o) reduced for
+    phi_rz and phi_rz_mid, and lb / (1 + G lb) for full, lb = max(0, (1 - delta_o) reduced)."""
+    delta = oracle._DEFICIT_C * p.geom.h**2 * (1.0 + wn.m_hat**2 + wn.n**2)
+    lb = (1.0 - delta) * per_mode_strain(p, wn).value
+    if denominator != "full":
+        return lb
+    lb = max(lb, 0.0)
+    return lb / (1.0 + gap_bound(p, [wn])[0] * lb)
+
+
 class TestCeilingScan:
     """Every window minimum skips the slices that stay definite above the best value so far."""
 
@@ -834,12 +851,14 @@ class TestCeilingScan:
 
 
 class TestDeficitBound:
-    """The measured bound oracle >= (1 - delta_o) reduced that prunes the phi_rz and phi_rz_mid scans."""
+    """The measured bound oracle >= (1 - delta_o) reduced that prunes every window scan (full's through G)."""
 
     @staticmethod
-    def drawn_problems(rng, count=6):
-        """count problems with nu, L and h drawn over the bound's measured box (L and h log-uniform)."""
+    def drawn_problems(rng, count=6, nu=None):
+        """count problems with nu, L and h drawn over the bound's measured box (L and h log-uniform),
+        nu from the range nu instead when it is given."""
         (h_lo, h_hi), (nu_lo, nu_hi), (L_lo, L_hi) = oracle._DEFICIT_BOX.values()
+        nu_lo, nu_hi = nu or (nu_lo, nu_hi)
         return [
             CriticalLoadProblem(
                 geom=ShellGeometry(h=math.exp(rng.uniform(math.log(h_lo), math.log(h_hi))),
@@ -859,7 +878,7 @@ class TestDeficitBound:
         m_max, n_max = p.window()
         return min(m_max, max(1, 400 // (n_max + 1))), n_max
 
-    @pytest.mark.parametrize("denominator", ["phi_rz", "phi_rz_mid"])
+    @pytest.mark.parametrize("denominator", oracle.DENOMINATORS)
     def test_bound_and_pruned_scan_on_drawn_windows(self, rng, monkeypatch, caplog, denominator):
         disc = RadialDiscretization()
         monkeypatch.setattr(os, "cpu_count", lambda: 2)  # jobs=2 runs a real 2-worker pool on 32+ pairs
@@ -868,8 +887,7 @@ class TestDeficitBound:
             case = (geom.h, elastic.nu, geom.L, window)
             values = exhaustive_values(geom, elastic, disc, window, denominator)
             for value, wn in values:
-                delta = oracle._DEFICIT_C * geom.h**2 * (1.0 + wn.m_hat**2 + wn.n**2)
-                assert value >= (1.0 - delta) * per_mode_strain(p, wn).value, (case, wn)
+                assert value >= pruning_bound(p, wn, denominator), (case, wn)
             want = exhaustive_minimum(geom, elastic, disc, window, denominator, values)
             for jobs in (1, 2):
                 got, (_, covered, _, _) = sweep_log(caplog, geom, elastic, disc, window, denominator, jobs=jobs)
@@ -877,7 +895,7 @@ class TestDeficitBound:
                 assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes(), (case, jobs)
                 assert covered == len(values)
 
-    @pytest.mark.parametrize("denominator", ["phi_rz", "phi_rz_mid"])
+    @pytest.mark.parametrize("denominator", oracle.DENOMINATORS)
     def test_a_bound_that_excludes_the_winner_raises(self, monkeypatch, denominator):
         p = CriticalLoadProblem(geom=ShellGeometry(h=0.05, L=PI), elastic=EL)
         geom, disc, window = p.geom, RadialDiscretization(8), p.window()
@@ -885,12 +903,22 @@ class TestDeficitBound:
         seeded = oracle._CeilingSweep(geom, EL, disc, denominator)
         seeded.seed(oracle._seed_pairs(geom, EL, window))
         assert seeded.ceiling == winner.value  # a seed pair is the winner, so excluding it must raise
-        # half the largest C that still excludes the winner
         level = winner.value * (1.0 + oracle._CEILING_MARGIN)
-        k2 = winner.wn.m_hat**2 + winner.wn.n**2
-        C = 0.5 * (1.0 - level / per_mode_strain(p, winner.wn).value) / (geom.h**2 * (1.0 + k2))
-        assert 0.0 < C < oracle._DEFICIT_C
-        monkeypatch.setattr(oracle, "_DEFICIT_C", C)
+        reduced = per_mode_strain(p, winner.wn).value
+        if denominator == "full":
+            # under the proved gap bound no deficit constant C >= 0 excludes
+            # the full winner: even lb = reduced gives lb / (1 + G lb) below
+            # the level.  A bound that drops the gap (G = 0) does
+            G = gap_bound(p, [winner.wn])[0]
+            assert reduced / (1.0 + G * reduced) < level
+            assert pruning_bound(p, winner.wn, "phi_rz") > level
+            monkeypatch.setattr(oracle, "_gap_bound", lambda geom, elastic, n, m_hat: np.zeros_like(n))
+        else:
+            # half the largest C that still excludes the winner
+            k2 = winner.wn.m_hat**2 + winner.wn.n**2
+            C = 0.5 * (1.0 - level / reduced) / (geom.h**2 * (1.0 + k2))
+            assert 0.0 < C < oracle._DEFICIT_C
+            monkeypatch.setattr(oracle, "_DEFICIT_C", C)
         kept = [wn for row in oracle._sweep_rows(geom, EL, window, denominator, seeded.ceiling) for wn in row]
         assert winner.wn not in kept
         with pytest.raises(BoundViolated, match="above the seeded window ceiling"):
@@ -922,7 +950,7 @@ class TestDeficitBound:
             (0.02, 0.47, PI, "phi_rz_mid", 1e-9),  # nu outside it
             (0.02, 0.3, 0.4, "phi_rz", 1e-9),  # L outside it
             (0.02, 0.3, 60.0, "phi_rz_mid", 1e-9),
-            (0.02, 0.3, PI, "full", 1e-9),  # no bound for full
+            (0.3, 0.3, PI, "full", 1e-9),  # h above the measured box
             (0.02, 0.3, PI, "phi_rz", math.inf),  # no seeded ceiling
         ],
     )
@@ -938,10 +966,57 @@ class TestDeficitBound:
         for denominator in oracle.DENOMINATORS:
             _, (_, covered, assembled, solved) = sweep_log(caplog, *args, denominator)
             if denominator == "full":
-                assert assembled == covered + seeds
+                assert assembled - seeds < {0.02: 100, 0.005: 160}[h], assembled  # 66 and 112 measured
             else:
                 assert assembled - seeds < 32, (denominator, assembled)  # below _scan's pool threshold
             assert solved <= assembled
+
+    @pytest.mark.parametrize("denominator", oracle.DENOMINATORS)
+    def test_a_window_short_of_the_circle_is_still_seeded(self, caplog, denominator):
+        # the Koiter circle crosses row 0.8 R far beyond this window's three
+        # columns, so the seeds are the window's own columns nearest the crossings
+        geom, window, disc = ShellGeometry(h=5.98e-4, L=15.4), (3, 115), RadialDiscretization()
+        assert len(oracle._seed_pairs(geom, EL, window)) >= 1
+        want = exhaustive_minimum(geom, EL, disc, window, denominator)
+        got, (_, covered, assembled, _) = sweep_log(caplog, geom, EL, disc, window, denominator)
+        assert assembled < covered
+        assert got == want
+        assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+
+
+class TestGapBound:
+    """The proved per-pair bound full_vs_rz <= G that, with the deficit bound, prunes the full scan."""
+
+    def test_bound_is_the_derived_formula(self):
+        p = CriticalLoadProblem(geom=ShellGeometry(h=0.1, L=2.0), elastic=IsotropicElasticity(nu=-0.25))
+        pairs = [WaveNumbers(m=m, n=n, L=2.0) for m, n in ((1, 0), (5, 0), (1, 1), (3, 1), (1, 7), (4, 2))]
+        for wn, G in zip(pairs, gap_bound(p, pairs)):
+            t = (wn.n / (wn.m_hat * (1.0 - 0.05))) ** 2
+            g = max(4.0, 1.0 + 2.0 * t) if wn.n else 1.0
+            assert G == pytest.approx(g * (1.0 - 2.0 * -0.25), rel=1e-15), wn
+        assert gap_bound(dataclasses.replace(p, elastic=EL), pairs[:1])[0] == pytest.approx(1.3, rel=1e-15)
+
+    def test_gap_and_full_minimum_within_their_bounds_on_drawn_windows(self, rng):
+        # full_vs_rz <= G on every pair of drawn windows (three with nu < 0,
+        # three with nu > 0, each with its n = 0 row), and every exhaustive
+        # full minimum at or above the bound that prunes it; at nu = 0 the
+        # n = 0 row attains G = 1 up to rounding
+        nu_lo, nu_hi = oracle._DEFICIT_BOX["nu"]
+        problems = TestDeficitBound.drawn_problems(rng, 3, nu=(nu_lo, 0.0))
+        problems += TestDeficitBound.drawn_problems(rng, 3, nu=(0.0, nu_hi))
+        problems.append(CriticalLoadProblem(geom=ShellGeometry(h=0.25, L=50.0), elastic=IsotropicElasticity(nu=0.0)))
+        disc = RadialDiscretization()
+        for p in problems:
+            window = TestDeficitBound.cut_window(p)
+            case = (p.geom.h, p.elastic.nu, p.geom.L, window)
+            rows = oracle._window_rows(window, p.geom.L)
+            assert rows[0][0].n == 0
+            for row in rows:
+                gaps = oracle._slice_gaps(p.geom, p.elastic, disc, row)
+                for gap, G, wn in zip(gaps, gap_bound(p, row), row):
+                    assert gap.full_vs_rz <= G * (1.0 + 1e-12), (case, wn)
+            for value, wn in exhaustive_values(p.geom, p.elastic, disc, window, "full"):
+                assert value >= pruning_bound(p, wn, "full"), (case, wn)
 
 
 class TestKornScan:
