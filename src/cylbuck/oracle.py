@@ -24,17 +24,21 @@ all of them simultaneously.
 
 Block reduction: a form B that vanishes off some DOFs b (its support) has
 the same nonzero eigenvalues w.r.t. A as its block B_b w.r.t. the Schur
-complement S_b of A onto b, and a Cholesky factor of A with b ordered last
-carries a factor of S_b as its trailing block.  So every pencil is solved
-on the support of its destabilizing form, through one block eigensolve
-(_block_eigh: a batched factorization per slice, the trailing-block
-congruence, and the extremal field mapped back to DOF order on request):
-phi_rz on the r block, 13 x 13 at the default degree instead of 39 x 39,
-phi_rz_mid on the even Chebyshev coefficients of the r block (7 x 7, rank
-one), phi_tz on theta, phi_zz + phi_tz on theta and z, and full on every
-DOF.  Only the korn ratio, whose two forms both have full rank and whose
-extremal field is read, keeps one LAPACK dsygvx call per mode that computes
-only the one lowest eigenpair.
+complement S_b of A onto b.  Every window minimum solves its pencil on the
+support of the destabilizing form, through one block eigensolve
+(_block_eigh: a batched factorization per slice with b ordered last, whose
+trailing block factors S_b, and the trailing-block congruence): phi_rz on
+the r block, 13 x 13 at the default degree instead of 39 x 39, phi_rz_mid on
+the even Chebyshev coefficients of the r block (7 x 7, rank one), and full
+on every DOF.  The Korn and gap kernels have several blocks per pair and
+read them all from one inverse: S_b^-1 is the b block of A^-1, which one
+factorization and one triangular inverse per pair give (_inverse).  Their
+single-block forms are a scalar times the mass moment M = W W^T, so r_z and
+theta_z are c mu_max(W^T (A^-1)_bb W) on the r and theta blocks, full_vs_rz
+the same on the theta and z blocks together, and rz_vs_mid the extreme
+eigenvalues of M - h v v^T against (A^-1)_rr; none of these forms is
+assembled.  Only the korn ratio, whose two forms both have full rank, keeps
+one LAPACK dsygvx call per mode that computes only the one lowest eigenpair.
 
 Window minimum: the buckling load is where the second variation stops being
 positive definite, and every denominator's scan uses that directly.  The
@@ -223,15 +227,18 @@ _PENCIL_FORMS = {
     "phi_rz": ("stiffness", "phi_rz"),
     "phi_rz_mid": ("stiffness", "phi_rz_mid"),
 }
-_KORN_FORMS = ("e2", "grad2", "phi_rz", "phi_tz", "phi_r2")
-_GAP_FORMS = ("stiffness", "phi_zz", "phi_tz", "phi_rz", "phi_rz_mid")
+_KORN_FORMS = ("e2", "grad2")
+_GAP_FORMS = ("stiffness",)
 # Pairs per slice: the scans assemble a whole row at once and run the
-# ceiling test and the solves on slices of it.  Re-measured with row
-# assembly on the h = 0.02 window (L = pi, nu = 0.3, 2 vCPUs, BLAS at 1
-# thread, 15 alternating in-process pairs): 8 or 12 pairs ran the three
-# window minima 7-10 % faster than 16 (13-14 of 15 pairs) but the Korn scan
-# 3-13 % slower (2-6 of 15); the gap scan did not move.  16 stays, as the
-# Korn scan is the larger cost of the two.
+# ceiling test and the solves on slices of it.  Re-measured with the Korn
+# and gap kernels on one factorization per slice, on the h = 0.02
+# window (L = pi, nu = 0.3, 2 vCPUs, BLAS at 1 thread, two runs of 15
+# in-process repetitions, the sizes alternated): from 8 to 32 pairs the
+# Korn scan (about 250 ms) and the gap scan (about 130 ms) moved by -18 %
+# to +10 % against 16, in no direction that held over both runs; the three
+# pruned window minima (about 30 ms) ran 6-20 % faster at 8 or 12 pairs
+# (13-14 of 15) and 6-28 % slower at 24 and 32.  16 stays, as the two
+# scans are the larger cost.
 _SLICE_PAIRS = 16
 
 
@@ -318,6 +325,12 @@ _MASS_FORMS = {
 }
 
 
+def _mass_moment(geom: ShellGeometry, disc: RadialDiscretization) -> np.ndarray:
+    """The mass moment int V^T V r dr on one block, k x k."""
+    k = disc.degree + 1
+    return _cheb_tables(geom.h, disc.degree, disc.nodes).moments[0].reshape(k, k)
+
+
 def _mass_form(
     geom: ShellGeometry, disc: RadialDiscretization, pairs: Sequence[WaveNumbers], names: Sequence[str]
 ) -> np.ndarray:
@@ -327,7 +340,7 @@ def _mass_form(
     the moment, exactly as in the sum of the forms.  A block the row does
     not have (theta for n = 0) holds nothing: phi_tz vanishes there.
     """
-    tabs = _cheb_tables(geom.h, disc.degree, disc.nodes)
+    M = _mass_moment(geom, disc)
     k = disc.degree + 1
     keep = _blocks(pairs[0].n)
     f = trig_factors(pairs[0])
@@ -338,7 +351,7 @@ def _mass_form(
         block, scalar = _MASS_FORMS[name]
         if block in keep:
             j = keep.index(block) * k
-            F[:, j:j + k, j:j + k] = scalar(f, mh2)[:, None, None] * tabs.moments[0].reshape(k, k)
+            F[:, j:j + k, j:j + k] = scalar(f, mh2)[:, None, None] * M
     return F
 
 
@@ -488,59 +501,44 @@ def _named(solve: Callable, pairs: Sequence[WaveNumbers], M: np.ndarray, error: 
         raise
 
 
-def _block_factor(
-    pairs: Sequence[WaveNumbers], A: np.ndarray, dofs: np.ndarray, what: str = "stiffness"
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Cholesky factors L[i] L[i]^T = A[i], the DOFs reordered so that dofs come last.
+def _block_eigh(pairs: Sequence[WaveNumbers], A: np.ndarray, B: np.ndarray, dofs: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each pencil (B[i], A[i]) whose B[i] vanishes off the DOFs dofs.
 
-    One batched factorization serves the slice.  The trailing block L_b of
-    L[i] factors the Schur complement of A[i] onto dofs (see _block_eigh).
-    Returns (L, order), order[j] being the DOF in reordered position j.
-    Raises AssemblyDegenerate naming the first pair, in scan order, whose
-    A[i] (the form named what) is not positive definite.
+    B[i] has the same nonzero eigenvalues w.r.t. A[i] as its dofs block B_b
+    w.r.t. the Schur complement of A[i] onto dofs.  One batched Cholesky
+    factorization L[i] L[i]^T of A[i], the DOFs reordered so that dofs come
+    last, serves the slice: its trailing block L_b factors that Schur
+    complement.  So the eigenvalues are those of C[i] = L_b^-1 B_b L_b^-T,
+    ascending, one row per pair.
+
+    The caller checks that the forms are finite.  Raises AssemblyDegenerate
+    (the stiffness A not positive definite) and NonConvergence, each naming
+    the first failing pair in scan order.
     """
     rest = np.ones(A.shape[-1], dtype=bool)
     rest[dofs] = False
     order = np.concatenate([np.flatnonzero(rest), dofs])
-    degenerate = f"{what} not positive definite"
-    return _named(np.linalg.cholesky, pairs, A[:, order][:, :, order], AssemblyDegenerate, degenerate), order
-
-
-def _block_eigh(
-    pairs: Sequence[WaveNumbers],
-    A: np.ndarray,
-    B: np.ndarray,
-    dofs: np.ndarray,
-    what: str = "stiffness",
-    vectors: bool = False,
-):
-    """Eigenvalues of each pencil (B[i], A[i]) whose B[i] vanishes off the DOFs dofs.
-
-    B[i] has the same nonzero eigenvalues w.r.t. A[i] as its dofs block B_b
-    w.r.t. the Schur complement of A[i] onto dofs, whose Cholesky factor is
-    the trailing block L_b of _block_factor's L[i].  So the eigenvalues are
-    those of C[i] = L_b^-1 B_b L_b^-T, ascending, one row per pair.  With
-    vectors, also the top eigenvector of each pencil, in DOF order: C[i]'s
-    top eigenvector u mapped back to x = L[i]^-T [0; u].
-
-    The caller checks that the forms are finite.  Raises AssemblyDegenerate
-    (A, named what, not positive definite) and NonConvergence, each naming
-    the first failing pair in scan order.
-    """
-    L, order = _block_factor(pairs, A, dofs, what)
+    A = A[:, order][:, :, order]
+    L = _named(np.linalg.cholesky, pairs, A, AssemblyDegenerate, "stiffness not positive definite")
     nb = len(dofs)
     Li = np.linalg.inv(L[:, -nb:, -nb:])
     C = Li @ B[:, dofs][:, :, dofs] @ Li.swapaxes(1, 2)
-    solve = np.linalg.eigh if vectors else np.linalg.eigvalsh
-    eig = _named(solve, pairs, C, NonConvergence, "eigenvalues did not converge")
-    if not vectors:
-        return eig
-    vals, vecs = eig
-    y = np.zeros(L.shape[:2])
-    y[:, -nb:] = vecs[:, :, -1]
-    x = np.empty_like(y)
-    x[:, order] = np.linalg.solve(L.swapaxes(1, 2), y[..., None])[..., 0]
-    return vals, x
+    return _named(np.linalg.eigvalsh, pairs, C, NonConvergence, "eigenvalues did not converge")
+
+
+def _inverse(pairs: Sequence[WaveNumbers], A: np.ndarray, what: str) -> np.ndarray:
+    """A[i]^-1 of each pair: one batched Cholesky factorization L L^T = A and L^-T L^-1.
+
+    L^-1 is LAPACK's triangular inverse (dtrtri); L has a positive diagonal,
+    so it cannot fail.  The diagonal blocks of A^-1 are the inverse Schur
+    complements of A onto each block, so every block pencil of a pair reads
+    from this one factorization.  Raises AssemblyDegenerate naming the first
+    pair, in scan order, whose A[i] (the form named what) is not positive
+    definite.
+    """
+    L = _named(np.linalg.cholesky, pairs, A, AssemblyDegenerate, f"{what} not positive definite")
+    Li = np.stack([scipy.linalg.lapack.dtrtri(l, lower=1)[0] for l in L])
+    return Li.swapaxes(1, 2) @ Li
 
 
 # Relative margin of the definiteness ceiling.  A slice is skipped when
@@ -910,29 +908,45 @@ def _slice_korn(
     disc: RadialDiscretization,
     pairs: Sequence[WaveNumbers],
 ) -> List[KornRatios]:
-    """The Korn-type ratios of every pair of one row: assembled once, solved slice by slice."""
+    """The Korn-type ratios of every pair of one row: e2 and grad2 assembled once, solved slice by slice.
+
+    phi_rz, phi_tz and phi_r2 are a scalar times the mass moment, so they
+    enter the solves through its Cholesky root and are never assembled.
+    """
     forms = _slice_forms(geom, elastic, disc, pairs, _KORN_FORMS)
-    return _by_slice(partial(_korn_ratios, geom.h, disc.degree + 1), pairs, forms)
+    return _by_slice(partial(_korn_ratios, geom.h, np.linalg.cholesky(_mass_moment(geom, disc))), pairs, forms)
 
 
-def _korn_ratios(h: float, k: int, pairs: Sequence[WaveNumbers], forms: Dict[str, np.ndarray]) -> List[KornRatios]:
+def _korn_ratios(
+    h: float, W: np.ndarray, pairs: Sequence[WaveNumbers], forms: Dict[str, np.ndarray]
+) -> List[KornRatios]:
     """The Korn-type ratios of every pair of a slice; theta_z is 0 for n = 0.
 
-    phi_rz lives on the r block and phi_tz on the theta block, so r_z and
-    theta_z and their extremal fields come from pencils reduced to one
-    block.  korn pairs two full-rank forms: one eigenpair per pencil.
+    W W^T = M, the mass moment, and phi_rz and phi_tz are c M on the r and
+    theta block b, c = cs mhat^2 and ss mhat^2.  Their pencils against e2 =
+    A read A^-1 only: one factorization and one triangular inverse per pair
+    (_inverse).  (A^-1)_bb is the inverse Schur complement of A onto b, so
+    mu_max(c M, A) = c mu_max(W^T (A^-1)_bb W), with extremal field
+    x = A^-1[:, b] W u for that top eigenvector u.  korn pairs two
+    full-rank forms: one dsygvx eigenpair per pencil.
     """
-    _check_finite(*forms.values())
     e2, grad2 = forms["e2"], forms["grad2"]
-    blocks = {"r_z": ("phi_rz", np.arange(k))}
+    _check_finite(e2, grad2)
+    k = len(W)
+    f = trig_factors(pairs[0])
+    mh2 = np.array([wn.m_hat for wn in pairs]) ** 2
+    blocks = {"r_z": (0, f.cs)}
     if pairs[0].n >= 1:
-        blocks["theta_z"] = ("phi_tz", np.arange(k, 2 * k))
+        blocks["theta_z"] = (k, f.ss)
     top = {"theta_z": np.zeros(len(pairs))}
     extremals = []
-    for ratio, (name, dofs) in blocks.items():
-        vals, x = _block_eigh(pairs, e2, forms[name], dofs, what="e2", vectors=True)
-        top[ratio] = vals[:, -1]
-        extremals.append(x)
+    Ainv = _inverse(pairs, e2, "e2")
+    for ratio, (j, scale) in blocks.items():
+        cols = Ainv[:, :, j:j + k] @ W  # A^-1[:, b] W
+        vals, vecs = _named(np.linalg.eigh, pairs, W.T @ cols[:, j:j + k], NonConvergence,
+                            "eigenvalues did not converge")
+        top[ratio] = scale * mh2 * vals[:, -1]
+        extremals.append((cols @ vecs[:, :, -1:])[..., 0])
 
     korn, x_korn = [], []
     for wn, a, b in zip(pairs, e2, grad2):
@@ -948,7 +962,8 @@ def _korn_ratios(h: float, k: int, pairs: Sequence[WaveNumbers], forms: Dict[str
     extremals.append(np.array(x_korn))
 
     X = np.stack(extremals, axis=1)  # (pair, extremal, DOF)
-    g2, e2_x, pr2 = (np.einsum("pvi,pij,pvj->pv", X, M, X) for M in (grad2, e2, forms["phi_r2"]))
+    g2, e2_x = (((X @ M) * X).sum(axis=2) for M in (grad2, e2))
+    pr2 = f.cc * ((X[:, :, :k] @ W) ** 2).sum(axis=2)  # x.phi_r2.x = cc x_r^T W W^T x_r
     # e2 is positive definite (factored above), so every bound is positive
     weighted = (g2 / ((np.sqrt(pr2) / h + np.sqrt(e2_x)) * np.sqrt(e2_x))).max(axis=1)
     return [
@@ -995,27 +1010,45 @@ def _slice_gaps(
     disc: RadialDiscretization,
     pairs: Sequence[WaveNumbers],
 ) -> List[GapValues]:
-    """The gaps of every pair of one row: assembled once, solved slice by slice."""
-    forms = _slice_forms(geom, elastic, disc, pairs, _GAP_FORMS)
-    return _by_slice(partial(_gap_values, disc.degree + 1), pairs, forms)
+    """The gaps of every pair of one row: the stiffness assembled once, solved slice by slice.
 
-
-def _gap_values(k: int, pairs: Sequence[WaveNumbers], forms: Dict[str, np.ndarray]) -> List[GapValues]:
-    """The gaps of every pair of a slice.
-
-    phi_zz + phi_tz lives on the theta and z blocks and phi_rz - phi_rz_mid
-    on the r block, so both gaps come from block-reduced pencils.
+    With W W^T = M, the mass moment, phi_zz + phi_tz = mhat^2 W_d W_d^T on
+    the theta and z blocks, W_d = blockdiag(sqrt(ss) W, sqrt(cc) W) (the z
+    block alone for n = 0), and phi_rz - phi_rz_mid = cs mhat^2 D on the r
+    block, D = M - h v v^T (v the mid-surface values).  So the row's W_d
+    and D carry every destabilizing form, and none is assembled.
     """
-    _check_finite(*forms.values())
+    forms = _slice_forms(geom, elastic, disc, pairs, _GAP_FORMS)
+    M = _mass_moment(geom, disc)
+    W = np.linalg.cholesky(M)
+    f = trig_factors(pairs[0])
+    Wd = scipy.linalg.block_diag(*[math.sqrt(c) * W for c in ((f.ss, f.cc) if pairs[0].n >= 1 else (f.cc,))])
+    v = _cheb_tables(geom.h, disc.degree, disc.nodes).v_mid.astype(float)
+    return _by_slice(partial(_gap_values, Wd, M - geom.h * np.outer(v, v)), pairs, forms)
+
+
+def _gap_values(
+    Wd: np.ndarray, D: np.ndarray, pairs: Sequence[WaveNumbers], forms: Dict[str, np.ndarray]
+) -> List[GapValues]:
+    """The gaps of every pair of a slice, both read from A^-1 of the stiffness A (_inverse).
+
+    full_vs_rz = mhat^2 mu_max(W_d^T (A^-1)_dd W_d) on the theta and z
+    blocks d (see _slice_gaps).  cs mhat^2 D on the r block takes both
+    signs: its extreme |mu| against the Schur complement, whose inverse
+    (A^-1)_rr = R R^T is factored once more, is that of cs mhat^2 R^T D R.
+    """
     A = forms["stiffness"]
-    D1 = forms["phi_zz"] + forms["phi_tz"]
-    D2 = forms["phi_rz"] - forms["phi_rz_mid"]
-    vals1 = _block_eigh(pairs, A, D1, np.arange(k, A.shape[-1]))
-    vals2 = _block_eigh(pairs, A, D2, np.arange(k))
-    return [
-        GapValues(full_vs_rz=float(v1[-1]), rz_vs_mid=float(max(abs(v2[0]), abs(v2[-1]))))
-        for v1, v2 in zip(vals1, vals2)
-    ]
+    _check_finite(A)
+    k = len(D)
+    mh2 = np.array([wn.m_hat for wn in pairs]) ** 2
+    Ainv = _inverse(pairs, A, "stiffness")
+    not_converged = "eigenvalues did not converge"
+    vals1 = _named(np.linalg.eigvalsh, pairs, Wd.T @ Ainv[:, k:, k:] @ Wd, NonConvergence, not_converged)
+    R = _named(np.linalg.cholesky, pairs, Ainv[:, :k, :k], AssemblyDegenerate, "stiffness not positive definite")
+    vals2 = _named(np.linalg.eigvalsh, pairs, R.swapaxes(1, 2) @ D @ R, NonConvergence, not_converged)
+    full_vs_rz = mh2 * vals1[:, -1]
+    rz_vs_mid = trig_factors(pairs[0]).cs * mh2 * np.maximum(np.abs(vals2[:, 0]), np.abs(vals2[:, -1]))
+    return [GapValues(full_vs_rz=float(g1), rz_vs_mid=float(g2)) for g1, g2 in zip(full_vs_rz, rz_vs_mid)]
 
 
 class EquivalenceScan(NamedTuple):

@@ -469,18 +469,28 @@ class TestBlockReduction:
     """Forms that live on one or two DOF blocks are solved on those blocks."""
 
     def test_scans_match_full_pencils(self, rng):
-        nu, h, L = rng.uniform(0.2, 0.4), rng.uniform(0.03, 0.1), rng.uniform(2.5, 4.0)
-        geom, elastic, disc = ShellGeometry(h=h, L=L), IsotropicElasticity(nu=nu), RadialDiscretization()
-        window = CriticalLoadProblem(geom=geom, elastic=elastic).window()
-        slices = window_slices(window, L)
-        assert slices[0][0].n == 0
+        # two drawn windows, the second with nu < 0, and the first and last
+        # rows of the h = 0.005 window, the smallest h of criterion 5
+        drawn = [(rng.uniform(*nu), rng.uniform(0.03, 0.1), rng.uniform(2.5, 4.0))
+                 for nu in ((0.2, 0.4), (-0.45, -0.05))]
+        for nu, h, L in drawn + [(0.3, 0.005, PI)]:
+            geom, elastic = ShellGeometry(h=h, L=L), IsotropicElasticity(nu=nu)
+            rows = oracle._window_rows(CriticalLoadProblem(geom=geom, elastic=elastic).window(), L)
+            if h == 0.005:
+                rows = [rows[0], rows[-1]]
+            slices = [row[s] for row in rows for s in oracle._slices(row)]
+            assert slices[0][0].n == 0
+            self.assert_scans_match_full_pencils(geom, elastic, RadialDiscretization(), slices)
+
+    @staticmethod
+    def assert_scans_match_full_pencils(geom, elastic, disc, slices):
         for pairs in slices:
             korn = oracle._slice_korn(geom, elastic, disc, pairs)
             gaps = oracle._slice_gaps(geom, elastic, disc, pairs)
             phi_rz = oracle._slice_min_rayleigh(geom, elastic, disc, "phi_rz", pairs)
             for i, wn in enumerate(pairs):
                 f = mode_forms(geom, elastic, wn, disc)
-                want = reference_korn(h, f.e2, f.grad2, f.phi_rz, f.phi_tz, f.phi_r2)
+                want = reference_korn(geom.h, f.e2, f.grad2, f.phi_rz, f.phi_tz, f.phi_r2)
                 for field, value in zip(want._fields, want):
                     assert getattr(korn[i], field) == pytest.approx(value, rel=1e-10, abs=0.0), (wn, field)
                 full_vs_rz = scipy.linalg.eigh(f.phi_zz + f.phi_tz, f.stiffness, eigvals_only=True)[-1]
@@ -503,27 +513,17 @@ class TestBlockReduction:
             assert got[0] == pytest.approx(want[0], rel=1e-10), wn
             assert got[-1] == pytest.approx(want[-1], rel=1e-10), wn
 
-    def test_extremal_field_in_dof_order(self):
-        # the r block comes first in DOF order but last in the factorization
-        geom, disc = ShellGeometry(h=0.05, L=PI), RadialDiscretization(8)
-        for wn in (WaveNumbers(m=2, n=3, L=PI), WaveNumbers(m=3, n=0, L=PI)):
-            f = mode_forms(geom, EL, wn, disc)
-            D = f.phi_rz
-            vals, x = oracle._block_eigh([wn], f.stiffness[None], D[None], np.arange(disc.degree + 1), vectors=True)
-            mu, x = vals[0, -1], x[0]
-            assert mu == pytest.approx(scipy.linalg.eigh(D, f.stiffness, eigvals_only=True)[-1], rel=1e-10)
-            assert np.abs(D @ x - mu * f.stiffness @ x).max() <= 1e-10 * np.abs(D @ x).max(), wn
-
     @staticmethod
-    def break_forms(monkeypatch, name):
-        """Make form name indefinite at (m, n) = (2, 1) and (4, 2) of every slice that holds them."""
+    def break_forms(monkeypatch, name, value=None):
+        """Make form name indefinite at (m, n) = (2, 1) and (4, 2) of every slice that holds them,
+        or set its first entry there to value."""
         assemble = oracle._slice_forms
 
         def patched(geom, elastic, disc, pairs, names=oracle._FORM_NAMES):
             forms = assemble(geom, elastic, disc, pairs, names)
             for i, wn in enumerate(pairs):
                 if (wn.m, wn.n) in ((2, 1), (4, 2)) and name in forms:
-                    forms[name][i, 0, 0] *= -1.0
+                    forms[name][i, 0, 0] = -forms[name][i, 0, 0] if value is None else value
             return forms
 
         monkeypatch.setattr(oracle, "_slice_forms", patched)
@@ -539,9 +539,18 @@ class TestBlockReduction:
         with pytest.raises(AssemblyDegenerate, match=r"stiffness not positive definite for WaveNumbers\(m=2, n=1,"):
             equivalence_scan(ShellGeometry(h=0.05, L=PI), EL, RadialDiscretization(6), (6, 3), jobs=1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["e2", "grad2", "stiffness"])
+    def test_non_finite_form_rejected(self, monkeypatch, name, value):
+        # e2 and grad2 feed the Korn scan, the stiffness the gap scan
+        self.break_forms(monkeypatch, name, value)
+        scan = equivalence_scan if name == "stiffness" else korn_mode_scan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            scan(ShellGeometry(h=0.05, L=PI), EL, RadialDiscretization(6), (6, 3), jobs=1)
+
     @pytest.mark.parametrize("scan", ["full", "korn", "phi_rz", "phi_rz_mid", "gap"])
     def test_unconverged_solve_raises(self, monkeypatch, scan):
-        # the Korn ratio solves by dsygvx, every other scan by the block eigensolve
+        # the Korn ratio solves by dsygvx; the window minima and both gaps end in eigvalsh
         geom, disc = ShellGeometry(h=0.05, L=PI), RadialDiscretization(6)
         oracle._cheb_tables(geom.h, disc.degree, disc.nodes)  # its Gauss rule calls eigvalsh: cache it first
         if scan == "korn":
