@@ -433,41 +433,63 @@ class BucklingResult:
 
 
 def _seed_ceiling(problem: CriticalLoadProblem) -> float:
-    """Smallest computed minimum over the pairs nearest the Koiter circle: in
-    each row n <= R, the m nearest each of its two crossings, within the window."""
+    """Smallest computed minimum over the seeded pairs, all within the window:
+    in each row n <= R, the m nearest each of its two crossings of the Koiter
+    circle, and the columns m = 1, 2 of row n = 1, where a long thick shell's
+    column-buckling minima cancel down to rounding and can go negative.
+
+    Raises SingularSystem naming the seeded pair of that minimum (the first
+    in scan order) when it is not positive: the window minimum is at most it.
+    """
     m_max, n_max = problem.window()
     R = problem.koiter_radius
     n = np.arange(min(n_max, math.floor(R)) + 1, dtype=float)
     w = np.sqrt(R * R - n * n)
     m = np.clip(np.rint(np.concatenate((R - w, R + w)) * problem.geom.L / math.pi), 1, m_max)
-    _, minima = _pair_minima(problem, np.concatenate((n, n)), m.astype(np.int64))
-    return float(np.min(minima.value))
+    n, m = np.concatenate((n, n, [1.0, 1.0])), np.concatenate((m, [1.0, 2.0])).astype(np.int64)
+    _, minima = _pair_minima(problem, n, m)
+    order = np.lexsort((m, n))  # scan order, so argmin takes the first minimum in it
+    i = order[np.argmin(minima.value[order])]
+    if not minima.value[i] > 0.0:
+        raise SingularSystem(f"reduced minimum {minima.value[i]:.3e} at (m={m[i]}, n={int(n[i])}) is not positive")
+    return float(minima.value[i])
+
+
+def _window_minimum(problem: CriticalLoadProblem) -> Tuple[WaveNumbers, ModeMinimum]:
+    """The window's first minimum in scan order (n ascending, then m) and its pair.
+
+    Only the pairs that the ceiling of ``_seed_ceiling`` cannot exclude are
+    evaluated (``window_strains``); every pair whose computed minimum is at
+    most that ceiling is among them, so the minimum and its tie-break are
+    those of the whole window.  Raises SingularSystem, before the scan, when
+    that ceiling is not positive.
+    """
+    best = None
+    for n, m, _, minima in window_strains(problem, _seed_ceiling(problem)):
+        i = int(np.argmin(minima.value))  # the chunk's first minimum in scan order
+        if best is None or minima.value[i] < best[1].value:
+            best = problem.wave_numbers(int(m[i]), int(n[i])), ModeMinimum(*(float(a[i]) for a in minima))
+    assert best is not None
+    return best
 
 
 def sweep(problem: CriticalLoadProblem) -> BucklingResult:
     """Integer minimization over the window.
 
     The first minimum in scan order (n ascending, then m) wins, which gives
-    the deterministic tie-break: smallest n, then smallest m.  Only the pairs
-    that the ceiling of ``_seed_ceiling`` cannot exclude are evaluated
-    (``window_strains``); every pair whose computed minimum is at most that
-    ceiling is among them, so the winner and its tie-break are those of the
-    whole window.  Pruning cannot hide a ``_minimize`` guard either: with
-    beta + 1 > 0, m00 m11 >= ((beta + 2)^2 + 1) mhat^2 n^2, so
+    the deterministic tie-break: smallest n, then smallest m
+    (``_window_minimum``, which evaluates only the pairs that a seeded
+    ceiling cannot exclude).  Pruning cannot hide a ``_minimize`` guard:
+    with beta + 1 > 0, m00 m11 >= ((beta + 2)^2 + 1) mhat^2 n^2, so
     m01^2 / (m00 m11) <= (beta + 1)^2 / ((beta + 2)^2 + 1) < 9/17 for
     nu < 1/2, and every pair's det exceeds 8/17 m00 m11 > 0 in exact
     arithmetic.  Raises SingularSystem when that minimum is not positive
-    (every other entry is at least as large) and WindowTooSmall when the
-    winner touches the window boundary.
+    (every other entry is at least as large), before the scan when a seeded
+    pair already shows it, and WindowTooSmall when the winner touches the
+    window boundary.
     """
     m_max, n_max = problem.window()
-    best = None
-    for n, m, _, minima in window_strains(problem, _seed_ceiling(problem)):
-        i = int(np.argmin(minima.value))  # the chunk's first minimum in scan order
-        if best is None or minima.value[i] < best.value:
-            wn = problem.wave_numbers(int(m[i]), int(n[i]))
-            best = ModeMinimum(*(float(a[i]) for a in minima))
-    assert best is not None
+    wn, best = _window_minimum(problem)
     if not best.value > 0.0:
         raise SingularSystem(
             f"reduced minimum {best.value:.3e} at (m={wn.m}, n={wn.n}) is not positive"

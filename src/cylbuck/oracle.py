@@ -49,27 +49,33 @@ same slice solve (_slice_minima) as min_rayleigh, so the minimum and its
 pair are those of the exhaustive scan, bit for bit, and min_rayleigh at the
 winner returns the scan's value.  The ceiling comes from the oracle's own
 solves only.  It is seeded, before the scan and before any process pool
-starts, from the exact minima of a few pairs placed where the classical
-Koiter circle crosses a row; the circle's radius only places them.  Under
-that seeded ceiling every denominator assembles only the closed-form annulus
-that its lower bound cannot exclude: about 25 pairs for phi_rz and
-phi_rz_mid at L = pi, h = 0.02 and 0.005, and 66 and 112 for full, whose
-bound adds the gap G to the reciprocal.
+starts, by one exact solve at the closed-form winner of the window (the
+extremal fields lie near the Koiter circle, where the reduced winner sits
+within delta_o of the oracle's); the closed form only places that pair.
+Under that seeded ceiling every denominator assembles only the closed-form
+annulus that its lower bound cannot exclude.  At L = pi, nu = 0.3, seed
+included: 18 pairs for phi_rz and 16 for phi_rz_mid at h = 0.02, and 2
+from h = 0.005 on, where the annulus keeps the seed pair alone; 47, 32, 75
+and 212 for full at h = 0.02, 0.005, 1e-3 and 1e-4, whose bound adds the
+gap G to the reciprocal.
 
 Assembly precision: every strain and gradient map of a mode is a Chebyshev
 value or derivative table, times a coefficient that is linear in mhat for a
 fixed n, times r^0 or r^-1.  Each form is therefore a fixed combination of
 twelve radial moment matrices, which are computed once per (h, degree,
-nodes) in extended precision and rounded once to float64.  The row n is the
-assembly unit: the map coefficients are split exactly by power of mhat, each
-power is contracted with the moments once per row, and every pair of the
-row is formed as F0 + mhat F1 + mhat^2 F2 in float64.  n stays exact in the
-coefficients, and nothing assembled is interpolated.  phi_rz, phi_zz, phi_tz
-and phi_r2 are each a scalar per pair times the one mass moment
-int V^T V r dr on one block, and full's denominator is one block-diagonal
-scaled mass.  A row builds only the forms it is asked for.  A pair's forms
-come out bit for bit the same in every row call, slice or single pair, so
-the window scans and the one-pair mode_forms agree exactly.
+nodes) in extended precision and rounded once to float64.  The map
+coefficients are split exactly by power of mhat per row n, each power of
+every distinct row of a call is contracted with the moments in one batched
+pass, and every pair is formed as F0 + mhat F1 + mhat^2 F2 in float64.  n
+stays exact in the coefficients, and nothing assembled is interpolated.
+Row n = 0 has no theta block, so it is built apart from the rows n >= 1;
+a window scan builds row n = 0 in one call and the rows n >= 1 in one call
+per bounded group of rows.  phi_rz, phi_zz, phi_tz and phi_r2 are each a
+scalar per pair times the one mass moment int V^T V r dr on one block, and
+full's denominator is one block-diagonal scaled mass.  A call builds only
+the forms it is asked for.  A pair's forms come out bit for bit the same in
+every call, whatever rows, slice or single pair it holds, so the window
+scans and the one-pair mode_forms agree exactly.
 """
 
 from __future__ import annotations
@@ -81,18 +87,19 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
 
-from .critical_load import CriticalLoadProblem, window_strains
+from .critical_load import CriticalLoadProblem, _window_minimum, window_strains
 from .errors import (
     AssemblyDegenerate,
     BoundViolated,
     CylbuckError,
     NonConvergence,
     QuadratureUnderResolved,
+    SingularSystem,
     ZeroDenominator,
 )
 from .material import IsotropicElasticity
@@ -221,7 +228,7 @@ class ModeForms(NamedTuple):
 
 
 _FORM_NAMES = ModeForms._fields[1:]
-# the forms each consumer reads; a row assembles only the ones it is asked for
+# the forms each consumer reads; a call assembles only the ones it is asked for
 _PENCIL_FORMS = {
     "full": ("stiffness", "phi_rz", "phi_zz", "phi_tz"),
     "phi_rz": ("stiffness", "phi_rz"),
@@ -229,16 +236,18 @@ _PENCIL_FORMS = {
 }
 _KORN_FORMS = ("e2", "grad2")
 _GAP_FORMS = ("stiffness",)
-# Pairs per slice: the scans assemble a whole row at once and run the
-# ceiling test and the solves on slices of it.  Re-measured with the Korn
-# and gap kernels on one factorization per slice, on the h = 0.02
-# window (L = pi, nu = 0.3, 2 vCPUs, BLAS at 1 thread, two runs of 15
-# in-process repetitions, the sizes alternated): from 8 to 32 pairs the
-# Korn scan (about 250 ms) and the gap scan (about 130 ms) moved by -18 %
-# to +10 % against 16, in no direction that held over both runs; the three
-# pruned window minima (about 30 ms) ran 6-20 % faster at 8 or 12 pairs
-# (13-14 of 15) and 6-28 % slower at 24 and 32.  16 stays, as the two
-# scans are the larger cost.
+# Pairs per slice: the ceiling test and the solves run on slices of at most
+# this many pairs of one row, the Korn and gap kernels on slices of a row
+# built at once, and a window scan builds its kept rows n >= 1 in groups of
+# at most this many rows.  Re-measured with the scans pruned under the
+# closed-form seed, through perfbench/run.py (--seconds 15, seed 0, 2 vCPUs,
+# BLAS at 1 thread, four pairs of 8 and 16 alternated): korn_pool wall_ref
+# medians 1.51 (8) and 1.47 (16), oracle_window 0.068 and 0.066, 16 the
+# faster in three pairs of four on each; in-process the h = 0.02 window
+# minima ran 4-8 % faster at 8 or 12 in 8-10 of 15 repetitions and the
+# Korn and gap scans moved either way.  No size was faster on both
+# workloads, so 16 stays.  Groups of 8 rows peak 0.6 MB lower on
+# oracle_window (60.9 against 61.5 MB).
 _SLICE_PAIRS = 16
 
 
@@ -259,19 +268,22 @@ def _over_r(c: np.ndarray) -> np.ndarray:
 
 def _times_mhat(c: np.ndarray) -> np.ndarray:
     out = np.zeros_like(c)
-    out[1] = c[0]
+    out[:, 1] = c[:, 0]  # (row, a, ...)
     return out
 
 
 def _gram(terms: Sequence[Tuple[float, np.ndarray]]) -> np.ndarray:
-    """sum w c c^T over the (w, c) terms, c = c[0] + mhat c[1], by power of mhat (0, 1, 2).
+    """sum w c c^T over the (w, c) terms, c = c[0] + mhat c[1], per row and by power of mhat (0, 1, 2).
 
-    The outer products run over the atom axes; one einsum sums the terms.
+    Every map has a leading row axis.  The outer products run over the
+    atom axes; one einsum sums the terms, in the same order for every row.
     """
     w, c = zip(*terms)
-    c = np.array(c).reshape(len(c), 2, -1)
-    g = np.einsum("i,iaj,ibk->abjk", np.array(w), c, c)
-    return np.stack([g[0, 0], g[0, 1] + g[1, 0], g[1, 1]]).reshape((3,) + _ATOMS.shape[2:] * 2)
+    c = np.array(c)  # (term, row, a, block, table, p)
+    c = c.reshape(c.shape[:3] + (-1,))
+    g = np.einsum("i,iraj,irbk->rabjk", np.array(w), c, c)
+    g = np.stack([g[:, 0, 0], g[:, 0, 1] + g[:, 1, 0], g[:, 1, 1]], axis=1)
+    return g.reshape((len(g), 3) + _ATOMS.shape[2:] * 2)
 
 
 def _blocks(n: int) -> List[int]:
@@ -279,15 +291,17 @@ def _blocks(n: int) -> List[int]:
     return [0, 1, 2] if n >= 1 else [0, 2]
 
 
-def _row_coefficients(n: int, f, nu: float, names: Sequence[str]) -> np.ndarray:
-    """Atom coefficients of the named contracted forms of row n, by power of mhat.
+def _row_coefficients(n: Sequence[int], f, nu: float, names: Sequence[str]) -> np.ndarray:
+    """Atom coefficients of the named contracted forms of the rows n, by power of mhat.
 
-    Returns (form, power of mhat, block, table, p, block', table', p').  Each
-    map is linear in mhat, so each form is exactly quadratic in it; n and the
-    trig factors f are exact per row.
+    Returns (row, form, power of mhat, block, table, p, block', table', p').
+    The rows share the trig factors f, so they are all n >= 1 or row n = 0
+    alone.  Each map is linear in mhat, so each form is exactly quadratic
+    in it; n and f are exact per row, and every row's entries are those of
+    that row computed alone, bit for bit.
     """
-    Pr, dPr, Pt, dPt, Pz, dPz = _ATOMS[::2]  # the r^0 atoms
-    n = float(n)
+    n = np.asarray(n, dtype=float).reshape(-1, 1, 1, 1, 1)
+    Pr, dPr, Pt, dPt, Pz, dPz = _ATOMS[::2, None].repeat(len(n), axis=1)  # the r^0 atoms, one per row
     # strain amplitude maps
     C_rr = dPr
     C_tt = _over_r(n * Pt + Pr)
@@ -312,7 +326,7 @@ def _row_coefficients(n: int, f, nu: float, names: Sequence[str]) -> np.ndarray:
             (f.ss, G_tz), (f.cs, dPz), (f.ss, G_zt), (f.cc, C_zz),
         ],
     }
-    return np.stack([_gram(terms[name]) for name in names])
+    return np.stack([_gram(terms[name]) for name in names], axis=1)
 
 
 # the forms that are one scalar per pair (of the cos-sin factors and mhat^2)
@@ -325,6 +339,16 @@ _MASS_FORMS = {
 }
 
 
+def _row_runs(pairs: Sequence[WaveNumbers]) -> List[Tuple[int, int, int]]:
+    """(n, start, end) of each run of consecutive pairs of one row n."""
+    runs, start = [], 0
+    for n, run in itertools.groupby(pairs, key=lambda wn: wn.n):
+        end = start + sum(1 for _ in run)
+        runs.append((n, start, end))
+        start = end
+    return runs
+
+
 def _mass_moment(geom: ShellGeometry, disc: RadialDiscretization) -> np.ndarray:
     """The mass moment int V^T V r dr on one block, k x k."""
     k = disc.degree + 1
@@ -334,11 +358,12 @@ def _mass_moment(geom: ShellGeometry, disc: RadialDiscretization) -> np.ndarray:
 def _mass_form(
     geom: ShellGeometry, disc: RadialDiscretization, pairs: Sequence[WaveNumbers], names: Sequence[str]
 ) -> np.ndarray:
-    """The sum of the named single-block forms of each pair of one row: one scaled block-diagonal mass.
+    """The sum of the named single-block forms of each pair: one scaled block-diagonal mass.
 
-    The forms' blocks are distinct, so each entry is one form's scalar times
-    the moment, exactly as in the sum of the forms.  A block the row does
-    not have (theta for n = 0) holds nothing: phi_tz vanishes there.
+    The pairs share their trig factors and blocks, as _slice_forms' do.  The
+    forms' blocks are distinct, so each entry is one form's scalar times the
+    moment, exactly as in the sum of the forms.  A block the row does not
+    have (theta for n = 0) holds nothing: phi_tz vanishes there.
     """
     M = _mass_moment(geom, disc)
     k = disc.degree + 1
@@ -362,42 +387,50 @@ def _slice_forms(
     pairs: Sequence[WaveNumbers],
     names: Sequence[str] = _FORM_NAMES,
 ) -> Dict[str, np.ndarray]:
-    """The named quadratic forms of pairs of one row n, as quadratics in mhat.
+    """The named quadratic forms of pairs of one or more rows n, as quadratics in mhat.
 
     Each form is stacked along a leading pair axis.  DOF layout:
     [f_r coefficients | f_theta coefficients | f_z coefficients], without
-    the theta block for n = 0.  For a fixed n every map is linear in mhat,
-    so stiffness, e2 and grad2 are F0 + mhat F1 + mhat^2 F2: the maps are
-    split by power of mhat at the coefficient level, each power is
-    contracted with the radial moments once for the call, and the pairs
-    are formed together, elementwise, as F0 + mhat (F1 + mhat F2).  The single-block forms are a
-    scalar per pair times the mass moment on their block (phi_tz is zero
-    for n = 0) and build no map.  A pair's forms are the same float64
-    arrays, bit for bit, in any slice and for any names: F0, F1 and F2 do
-    not depend on the pairs, and the evaluation is elementwise per pair.
+    the theta block for n = 0, so row n = 0 is assembled apart from the
+    rows n >= 1.  For a fixed n every map is linear in mhat, so stiffness,
+    e2 and grad2 are F0 + mhat F1 + mhat^2 F2: the maps are split by power
+    of mhat at the coefficient level, each power of every distinct row is
+    contracted with the radial moments in one batched pass, and the pairs
+    are formed together, elementwise, as F0 + mhat (F1 + mhat F2).  The
+    single-block forms are a scalar per pair times the mass moment on their
+    block (phi_tz is zero for n = 0) and build no map.  A pair's forms are
+    the same float64 arrays, bit for bit, in any call and for any names:
+    each row's F0, F1 and F2 do not depend on the other rows or the pairs,
+    and the evaluation is elementwise per pair.
     """
     wn0 = pairs[0]
-    if any(wn.n != wn0.n or wn.L != wn0.L for wn in pairs):
-        raise ValueError("a slice holds pairs of one row n")
+    if any((wn.n == 0) != (wn0.n == 0) or wn.L != wn0.L for wn in pairs):
+        raise ValueError("row n = 0 is assembled apart from the rows n >= 1, and every pair has one L")
     forms = {}
     contracted = [name for name in names if name in ("stiffness", "e2", "grad2")]
     if contracted:
         tabs = _cheb_tables(geom.h, disc.degree, disc.nodes)
         k, keep = disc.degree + 1, _blocks(wn0.n)
         nf, nb = len(contracted), len(keep)
-        C = _row_coefficients(wn0.n, trig_factors(wn0), elastic.nu, contracted)
-        # (form, a, block, table, p, block', table', p') -> (form, a, block, block', table, table', q)
-        C = C[:, :, keep][:, :, :, :, :, keep].transpose(0, 1, 2, 5, 3, 6, 4, 7)
+        runs = _row_runs(pairs)
+        rows = sorted({n for n, _, _ in runs})
+        C = _row_coefficients(rows, trig_factors(wn0), elastic.nu, contracted)
+        # (row, form, a, block, table, p, block', table', p') -> (row, form, a, block, block', table, table', p, p')
+        C = C[:, :, :, keep][:, :, :, :, :, :, keep].transpose(0, 1, 2, 3, 6, 4, 7, 5, 8)
         C = (C.reshape(-1, 4) @ _POWER_SUM).reshape(-1, 12)
-        F = (C @ tabs.moments).reshape(nf, 3, nb, nb, k, k)
-        F = F.transpose(0, 1, 2, 4, 3, 5).reshape(nf, 3, nb * k, nb * k)
-        F = 0.5 * (F + F.swapaxes(2, 3))
+        F = (C @ tabs.moments).reshape(len(rows), nf, 3, nb, nb, k, k)
+        F = F.transpose(0, 1, 2, 3, 5, 4, 6).reshape(len(rows), nf, 3, nb * k, nb * k)
+        F = F + F.swapaxes(3, 4)
+        F *= 0.5
         mh = np.array([wn.m_hat for wn in pairs])[:, None, None]
-        for name, (F0, F1, F2) in zip(contracted, F):
-            forms[name] = mh * F2  # F0 + mhat (F1 + mhat F2), in place
-            forms[name] += F1
-            forms[name] *= mh
-            forms[name] += F0
+        for j, name in enumerate(contracted):
+            forms[name] = out = np.empty((len(pairs), nb * k, nb * k))
+            for n, a, b in runs:  # F0 + mhat (F1 + mhat F2), in place
+                F0, F1, F2 = F[rows.index(n), j]
+                np.multiply(mh[a:b], F2, out=out[a:b])
+                out[a:b] += F1
+                out[a:b] *= mh[a:b]
+                out[a:b] += F0
     for name in names:
         if name in _MASS_FORMS:
             forms[name] = _mass_form(geom, disc, pairs, (name,))
@@ -603,20 +636,20 @@ def _window_rows(window: Tuple[int, int], L: float) -> List[List[WaveNumbers]]:
 
 
 def _slices(pairs: Sequence[WaveNumbers]) -> List[slice]:
-    """The index ranges that cut pairs of one row into slices of at most _SLICE_PAIRS."""
-    return [slice(i, i + _SLICE_PAIRS) for i in range(0, len(pairs), _SLICE_PAIRS)]
+    """The index ranges that cut pairs, in scan order, into slices of at most _SLICE_PAIRS pairs of one row."""
+    return [slice(i, min(i + _SLICE_PAIRS, b)) for _, a, b in _row_runs(pairs) for i in range(a, b, _SLICE_PAIRS)]
 
 
 def _by_slice(solve: Callable, pairs: Sequence[WaveNumbers], forms: Dict[str, np.ndarray]) -> list:
-    """solve(pairs[s], forms cut to s) over the slices s of one row, concatenated."""
+    """solve(pairs[s], forms cut to s) over the slices s of the pairs, concatenated."""
     return [item for s in _slices(pairs) for item in solve(pairs[s], {name: F[s] for name, F in forms.items()})]
 
 
 def _scan(per_row: Callable, rows: Sequence[Sequence[WaveNumbers]], jobs: int) -> List[Tuple[object, WaveNumbers]]:
-    """(result, pair) for every pair of the rows, in their order (_window_rows, or rows cut from them).
+    """(result, pair) for every pair of the rows, in their order (_window_rows, rows cut from them, or groups of them).
 
-    per_row(pairs) gives one result per pair of a row, so each row is
-    assembled once.  Many pairs run in a process pool, several rows per
+    per_row(pairs) gives one result per pair of a row (or group), so each
+    is assembled once.  Many pairs run in a process pool, several rows per
     task; the pool never has more workers than there are CPUs.
     """
     workers = min(jobs, os.cpu_count() or 1)
@@ -637,14 +670,14 @@ def _slice_min_rayleigh(
     pairs: Sequence[WaveNumbers],
     ceiling: float = math.inf,
 ) -> List[float]:
-    """min_rayleigh of every pair of one row, under ceiling.
+    """min_rayleigh of every pair of one or more rows, in scan order, under ceiling.
 
-    The pairs are assembled once and solved slice by slice (_slices) by
-    _slice_minima: a slice whose pencils all clear the ceiling is not
-    solved, and every pair gets inf.  The ceiling starts at ceiling and
-    drops to each solved slice's minimum.  A skipped pair is never solved,
-    so it cannot raise NonConvergence.  Any other slice is solved exactly,
-    as with no ceiling.
+    The pairs (of row n = 0, or of rows n >= 1) are assembled in one call
+    and solved slice by slice (_slices, each of one row) by _slice_minima:
+    a slice whose pencils all clear the ceiling is not solved, and every
+    pair gets inf.  The ceiling starts at ceiling and drops to each solved
+    slice's minimum.  A skipped pair is never solved, so it cannot raise
+    NonConvergence.  Any other slice is solved exactly, as with no ceiling.
     """
     A, B = _pencil_forms(geom, elastic, disc, denominator, pairs)  # rejects an unknown denominator
     values = []
@@ -655,55 +688,46 @@ def _slice_min_rayleigh(
 
 
 class _CeilingSweep:
-    """oracle_sweep's per-row function: _slice_min_rayleigh under the smallest minimum it has returned.
+    """oracle_sweep's per-task function: _slice_min_rayleigh under the smallest minimum it has returned.
 
-    Every value it keeps is the exact minimum of some window pair, so the
-    ceiling is at or above the window minimum in any scan order: a pool
-    task's copy starts from the parent's ceiling, keeps one of its own and
-    stays exact.
+    The starting ceiling and every value it keeps are exact minima of
+    window pairs, so the ceiling is at or above the window minimum in any
+    scan order: a pool task's copy starts from the parent's ceiling, keeps
+    one of its own and stays exact.
     """
 
-    def __init__(self, geom, elastic, disc, denominator):
+    def __init__(self, geom, elastic, disc, denominator, ceiling):
         self.args = (geom, elastic, disc, denominator)
-        self.ceiling = math.inf
+        self.ceiling = ceiling
 
     def __call__(self, pairs: Sequence[WaveNumbers]) -> List[float]:
         values = _slice_min_rayleigh(*self.args, pairs, self.ceiling)
         self.ceiling = min(self.ceiling, *values)
         return values
 
-    def seed(self, pairs: Sequence[WaveNumbers]) -> int:
-        """Lower the ceiling to the exact minima of pairs of one row; returns how many were solved.
 
-        An error is left to the scan, which names the first failing pair in
-        scan order.
-        """
-        try:
-            return sum(value < math.inf for value in self(pairs)) if pairs else 0
-        except (ValueError, CylbuckError):
-            return 0
+def _row_groups(rows: Sequence[Sequence[WaveNumbers]]) -> List[List[WaveNumbers]]:
+    """The rows, in scan order, joined for one assembly each.
 
-
-def _seed_pairs(geom: ShellGeometry, elastic: IsotropicElasticity, window: Tuple[int, int]) -> List[WaveNumbers]:
-    """The _SLICE_PAIRS columns of row n = 0.8 R nearest each point where the Koiter circle crosses it.
-
-    Every pair on the classical Koiter circle of radius R has the classical
-    load to leading order, so their oracle minima lie near the window
-    minimum.  Only R is read from the closed form, to place the pairs; the
-    ceiling they seed is the oracle's own solve.  The columns are the
-    window's own: a crossing beyond the window's last column seeds its last
-    _SLICE_PAIRS columns (all of them in a narrower window).
+    Consecutive rows n >= 1 are joined while a group holds at most
+    _SLICE_PAIRS rows and _SLICE_PAIRS^2 pairs; a longer row stays alone,
+    and so does row n = 0, which has no theta block.  That bounds the
+    batched contraction of _slice_forms and the forms a group holds at once
+    by about those of one row of a few hundred pairs.
     """
-    R = CriticalLoadProblem(geom=geom, elastic=elastic).koiter_radius
-    m_max, n_max = window
-    n = min(n_max, round(0.8 * R))
-    half_chord = math.sqrt(max(0.0, R * R - n * n))
-    ms = set()
-    for mhat in (R - half_chord, R + half_chord):
-        m = round(mhat * geom.L / math.pi)
-        lo = max(1, min(m - _SLICE_PAIRS // 2, m_max - _SLICE_PAIRS + 1))
-        ms.update(range(lo, min(m_max, lo + _SLICE_PAIRS - 1) + 1))
-    return [WaveNumbers(m=m, n=n, L=geom.L) for m in sorted(ms)]
+    groups: List[List[WaveNumbers]] = []
+    joined: List[int] = []  # rows per group
+    for row in rows:
+        if (
+            groups and min(row[0].n, groups[-1][0].n) > 0
+            and joined[-1] < _SLICE_PAIRS and len(groups[-1]) + len(row) <= _SLICE_PAIRS**2
+        ):
+            groups[-1] += row
+            joined[-1] += 1
+        else:
+            groups.append(list(row))
+            joined.append(1)
+    return groups
 
 
 # Measured lower bound of the phi_rz and phi_rz_mid minima by the reduced
@@ -740,11 +764,18 @@ _DEFICIT_BOX = {"h": (1e-4, 0.25), "nu": (-0.45, 0.45), "L": (0.5, 50.0)}
 #   B_zz + B_tz <= g e2.  With Z = int C_zz^2 r dr and T = int C_tz^2 r dr,
 #   B_zz = cc Z (C_zz = mhat phi_z) and e2 >= cc Z + 2 ss T.  From
 #   C_tz = -(mhat phi_theta + n phi_z / r) / 2, mhat phi_theta = -2 C_tz - n phi_z / r,
-#   and (a + b)^2 <= 2 a^2 + 2 b^2 with r >= 1 - h/2 on the wall give
-#   B_tz = ss int (mhat phi_theta)^2 r dr <= ss (8 T + 2 t Z),  t = n^2 / (mhat^2 (1 - h/2)^2),
-#   so B_zz + B_tz <= g (cc Z + 2 ss T) for g = max(4, 1 + 2 t ss / cc) when
-#   ss > 0, and g = 1 when ss = 0 (n = 0: no theta block, B_tz = 0).  ss / cc
-#   is read from trig_factors.
+#   and (a + b)^2 <= (1 + eps) a^2 + (1 + 1/eps) b^2 for every eps > 0, with
+#   r >= 1 - h/2 on the wall, give
+#   B_tz = ss int (mhat phi_theta)^2 r dr <= ss (4 (1 + eps) T + (1 + 1/eps) t Z),
+#   t = n^2 / (mhat^2 (1 - h/2)^2), so B_zz + B_tz <= g (cc Z + 2 ss T) for
+#   g = max(2 (1 + eps), 1 + (1 + 1/eps) st), st = t ss / cc, when ss > 0, and
+#   g = 1 when ss = 0 (n = 0: no theta block, B_tz = 0).  ss / cc is read from
+#   trig_factors.  Each pair takes its best split: the two terms are equal, and
+#   g is least, at the positive root of 2 eps^2 + (1 - st) eps - st = 0,
+#   eps* = ((st - 1) + sqrt((st - 1)^2 + 8 st)) / 4, so g = 2 (1 + eps*), about
+#   st + 3 for large st (the split eps = 1 gives 1 + 2 st).  eps* is computed
+#   without cancellation (as 2 st / ((1 - st) + sqrt(...)) for st < 1), and g
+#   keeps both terms at the computed eps, so its rounding cannot undercut them.
 #
 #   A >= kappa e2.  A = (nu / (1 - 2 nu) cc tr^2 + e2) / (1 + nu) with
 #   tr = C_rr + C_tt + C_zz.  For nu >= 0 the trace term is nonnegative, so
@@ -761,9 +792,12 @@ def _gap_bound(geom: ShellGeometry, elastic: IsotropicElasticity, n: np.ndarray,
     rows = np.unique(n)
     f = [trig_factors(WaveNumbers(m=1, n=int(row), L=geom.L)) for row in rows]
     s = np.array([x.ss / x.cc for x in f])[np.searchsorted(rows, n)]
-    t = (n / (m_hat * (1.0 - 0.5 * geom.h))) ** 2
-    g = np.maximum(1.0 + 2.0 * t * s, np.where(s > 0.0, 4.0, 1.0))
-    return g / kappa
+    st = s * (n / (m_hat * (1.0 - 0.5 * geom.h))) ** 2
+    root = np.sqrt((st - 1.0) ** 2 + 8.0 * st)
+    with np.errstate(divide="ignore", invalid="ignore"):  # n = 0 (st = 0) takes g = 1
+        eps = np.where(st < 1.0, 2.0 * st / ((1.0 - st) + root), ((st - 1.0) + root) / 4.0)
+        g = np.maximum(2.0 * (1.0 + eps), 1.0 + (1.0 + 1.0 / eps) * st)
+    return np.where(s > 0.0, g, 1.0) / kappa
 
 
 @dataclass(frozen=True)
@@ -818,6 +852,22 @@ def _sweep_rows(
     return list(rows.values())
 
 
+def _seed_pair(geom: ShellGeometry, elastic: IsotropicElasticity, window: Tuple[int, int]) -> Optional[WaveNumbers]:
+    """The closed-form winner of the window, or None when the closed form has no positive minimum there.
+
+    It is the first minimum in scan order of critical_load.window_strains
+    under critical_load._seed_ceiling, over the oracle's own window
+    (critical_load._window_minimum).  The extremal fields lie near the
+    Koiter circle, where the reduced minima already sit within delta_o of
+    the oracle's, so the oracle's minimum at this pair lies near the window
+    minimum.  Only the pair is read from the closed form.
+    """
+    try:
+        return _window_minimum(_WindowProblem(geom=geom, elastic=elastic, given=window))[0]
+    except SingularSystem:
+        return None
+
+
 def oracle_sweep(
     geom: ShellGeometry,
     elastic: IsotropicElasticity,
@@ -833,31 +883,39 @@ def oracle_sweep(
     definite a margin above it (_slice_minima).  No skipped pair can reach
     the minimum, so the result is the exhaustive scan's, bit for bit: the
     winner's value comes from the same exact solve.  The ceiling is seeded
-    before the scan, and so before a process pool starts, from the exact
-    minima of the _seed_pairs near the Koiter circle: every pool task
-    starts from it.  Deterministic tie-break as in the closed-form sweep
-    (smallest n, then m): min keeps the first minimum in scan order.
+    before the scan, and so before a process pool starts, by one exact
+    solve at the closed-form winner (_seed_pair): every pool task starts
+    from it.  An error in that solve is left to the scan, which names the
+    first failing pair in scan order.  Deterministic tie-break as in the
+    closed-form sweep (smallest n, then m): min keeps the first minimum in
+    scan order.
 
     Each denominator then assembles only the pairs of the closed-form
     annulus that its lower bound cannot exclude under the seeded ceiling
     (_sweep_rows): the measured deficit bound for phi_rz and phi_rz_mid,
-    and for full that bound through the proved gap G.  That is the one
-    place where the oracle reads the closed-form reduction's values.  The
-    seeded ceiling is the exact minimum of a window pair,
-    which a valid bound keeps, so a scan whose minimum lies above it raises
-    BoundViolated.  Logs the denominator, the pairs covered (the window's),
-    the pairs assembled and the pairs solved, seeds included, at DEBUG on
-    the "cylbuck" logger.
+    and for full that bound through the proved gap G.  That and the seed
+    pair are where the oracle reads the closed-form reduction.  The kept
+    rows are assembled a group at a time (_row_groups: one batched build
+    for row n = 0, one per group of the rows n >= 1), and the ceiling test
+    and the solves run on slices of one row.  The seeded ceiling is the
+    exact minimum of a window pair, which a valid bound keeps, so a scan
+    whose minimum lies above it raises BoundViolated.  Logs the
+    denominator, the pairs covered (the window's), the pairs assembled and
+    the pairs solved, the seed included, at DEBUG on the "cylbuck" logger.
     """
-    sweep = _CeilingSweep(geom, elastic, disc, denominator)
-    seeds = _seed_pairs(geom, elastic, window)
-    seeded = sweep.seed(seeds)
-    ceiling = sweep.ceiling
-    scanned = _scan(sweep, _sweep_rows(geom, elastic, window, denominator, ceiling), jobs)
+    seed = _seed_pair(geom, elastic, window)
+    ceiling = math.inf
+    if seed is not None:
+        try:
+            (ceiling,) = _slice_min_rayleigh(geom, elastic, disc, denominator, [seed])
+        except (ValueError, CylbuckError):
+            pass
+    rows = _sweep_rows(geom, elastic, window, denominator, ceiling)
+    scanned = _scan(_CeilingSweep(geom, elastic, disc, denominator, ceiling), _row_groups(rows), jobs)
     _log.debug(
         "oracle_sweep %s: %d pairs covered, %d assembled, %d solved",
-        denominator, window[0] * (window[1] + 1), len(seeds) + len(scanned),
-        seeded + sum(value < math.inf for value, _ in scanned),
+        denominator, window[0] * (window[1] + 1), (seed is not None) + len(scanned),
+        (ceiling < math.inf) + sum(value < math.inf for value, _ in scanned),
     )
     value, wn = min(scanned, key=lambda item: item[0], default=(math.inf, None))
     if not value <= ceiling:

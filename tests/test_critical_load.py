@@ -352,6 +352,23 @@ class TestSweep:
         res = sweep(problem(0.5))
         assert res.strain > 0
 
+    def test_non_positive_seed_raises_before_the_scan(self, monkeypatch):
+        # a long thick shell: the column-buckling pairs of row n = 1 cancel
+        # down to rounding, and (2, 1) reads -4.97e-6, the window minimum,
+        # among 22.1 M pairs; the seeds show it, so no window pair is evaluated
+        calls = []
+
+        def counted(problem, n, m):
+            calls.append(len(n))
+            return pair_minima(problem, n, m)
+
+        pair_minima = critical_load._pair_minima
+        monkeypatch.setattr(critical_load, "_pair_minima", counted)
+        p = problem(0.5, L=1e6)
+        with pytest.raises(SingularSystem, match=r"reduced minimum -4\.969e-06 at \(m=2, n=1\) is not positive"):
+            sweep(p)
+        assert len(calls) == 1 and calls[0] < 10
+
     def test_window_boundary_raises(self):
         p = WindowedProblem(ShellGeometry(h=0.01, L=math.pi), EL, given=(3, 2))
         with pytest.raises(WindowTooSmall):

@@ -10,9 +10,16 @@ import pytest
 import scipy.linalg
 from numpy.polynomial import Polynomial, chebyshev
 
-from cylbuck import oracle
+from cylbuck import critical_load, oracle
 from cylbuck.critical_load import CriticalLoadProblem, per_mode_strain, per_mode_strain_full, sweep
-from cylbuck.errors import AssemblyDegenerate, BoundViolated, NonConvergence, QuadratureUnderResolved, ZeroDenominator
+from cylbuck.errors import (
+    AssemblyDegenerate,
+    BoundViolated,
+    NonConvergence,
+    QuadratureUnderResolved,
+    SingularSystem,
+    ZeroDenominator,
+)
 from cylbuck.material import IsotropicElasticity
 from cylbuck.oracle import (
     AnsatzRatios,
@@ -245,6 +252,26 @@ class TestPencilAssembly:
                             got, ref = forms[name][i], getattr(want[wn], name)
                             assert np.array_equal(got, ref), (size, wn, name)
                             assert np.array_equal(np.signbit(got), np.signbit(ref)), (size, wn, name)
+
+    @pytest.mark.parametrize("nu", [0.3, -0.2])
+    def test_batched_rows_equal_mode_forms(self, rng, nu):
+        # drawn pairs of many rows, in no order, built in one call each for
+        # row n = 0 and the rows n >= 1: every form bit for bit and sign for sign
+        geom = ShellGeometry(h=math.exp(rng.uniform(math.log(1e-4), math.log(0.05))), L=rng.uniform(0.5, 30.0))
+        elastic, disc = IsotropicElasticity(nu=nu), RadialDiscretization()
+        pairs = [WaveNumbers(m=int(m), n=int(n), L=geom.L) for m, n in rng.integers((1, 0), (400, 60), (40, 2))]
+        pairs += [WaveNumbers(m=int(m), n=0, L=geom.L) for m in rng.integers(1, 400, 4)]
+        for zero in (True, False):
+            part = [wn for wn in pairs if (wn.n == 0) == zero]
+            forms = oracle._slice_forms(geom, elastic, disc, part)
+            for i, wn in enumerate(part):
+                want = mode_forms(geom, elastic, wn, disc)
+                for name in oracle._FORM_NAMES:
+                    got, ref = forms[name][i], getattr(want, name)
+                    assert np.array_equal(got, ref), (wn, name)
+                    assert np.array_equal(np.signbit(got), np.signbit(ref)), (wn, name)
+        with pytest.raises(ValueError, match="row n = 0 is assembled apart"):
+            oracle._slice_forms(geom, elastic, disc, pairs)
 
     def test_invalid_denominator_rejected(self):
         geom = ShellGeometry(h=0.03, L=PI)
@@ -729,6 +756,12 @@ def sweep_log(caplog, *args, **kwargs):
     return got, record.args
 
 
+def seeded_ceiling(geom, elastic, disc, window, denominator):
+    """The ceiling oracle_sweep seeds: the exact minimum at the closed-form winner of the window."""
+    (ceiling,) = oracle._slice_min_rayleigh(geom, elastic, disc, denominator, [oracle._seed_pair(geom, elastic, window)])
+    return ceiling
+
+
 def gap_bound(p, pairs):
     """oracle._gap_bound of each of the pairs of p."""
     n = np.array([float(wn.n) for wn in pairs])
@@ -789,9 +822,9 @@ class TestCeilingScan:
     def skipped_slice(self, denominator):
         """The last slice of at least three pairs that the clean scan assembles and skips, and the window."""
         window = CriticalLoadProblem(geom=self.GEOM, elastic=EL).window()
-        scan = oracle._CeilingSweep(self.GEOM, EL, self.DISC, denominator)
-        scan.seed(oracle._seed_pairs(self.GEOM, EL, window))
-        rows = oracle._sweep_rows(self.GEOM, EL, window, denominator, scan.ceiling)
+        ceiling = seeded_ceiling(self.GEOM, EL, self.DISC, window, denominator)
+        scan = oracle._CeilingSweep(self.GEOM, EL, self.DISC, denominator, ceiling)
+        rows = oracle._sweep_rows(self.GEOM, EL, window, denominator, ceiling)
         skipped = [
             row[s] for row in rows for s in oracle._slices(row)
             if all(v == math.inf for v in scan(row[s])) and len(row[s]) >= 3
@@ -844,6 +877,21 @@ class TestCeilingScan:
         assert pooled == serial
         assert np.float64(pooled.value).tobytes() == np.float64(serial.value).tobytes()
         assert solved_pooled <= 2 * solved_serial, (solved_pooled, solved_serial)
+
+    def test_row_groups_bound_the_batched_build(self):
+        # scan order kept, row n = 0 alone, and each group of rows n >= 1 at
+        # most _SLICE_PAIRS rows and _SLICE_PAIRS^2 pairs unless one row is
+        # longer: per (window, pairs kept per row, groups), rows of 300 pairs
+        # stay alone, 40 rows of 3 join 16 at a time and 60 rows of 20 join 12
+        for window, cut, count in (((300, 40), None, 41), ((30, 40), 3, 4), ((30, 60), 20, 6)):
+            rows = [row[:cut] for row in oracle._window_rows(window, PI)]
+            groups = oracle._row_groups(rows)
+            assert [wn for group in groups for wn in group] == [wn for row in rows for wn in row]
+            assert groups[0] == rows[0] and len(groups) == count
+            for group in groups[1:]:
+                ns = {wn.n for wn in group}
+                assert 0 not in ns and len(ns) <= oracle._SLICE_PAIRS
+                assert len(group) <= oracle._SLICE_PAIRS**2 or len(ns) == 1
 
     def test_silent_by_default(self, caplog, capsys):
         oracle_sweep(self.GEOM, EL, self.DISC, (6, 4), "full")
@@ -909,9 +957,8 @@ class TestDeficitBound:
         p = CriticalLoadProblem(geom=ShellGeometry(h=0.05, L=PI), elastic=EL)
         geom, disc, window = p.geom, RadialDiscretization(8), p.window()
         winner = oracle_sweep(geom, EL, disc, window, denominator)
-        seeded = oracle._CeilingSweep(geom, EL, disc, denominator)
-        seeded.seed(oracle._seed_pairs(geom, EL, window))
-        assert seeded.ceiling == winner.value  # a seed pair is the winner, so excluding it must raise
+        ceiling = seeded_ceiling(geom, EL, disc, window, denominator)
+        assert ceiling == winner.value  # the seed pair is the winner, so excluding it must raise
         level = winner.value * (1.0 + oracle._CEILING_MARGIN)
         reduced = per_mode_strain(p, winner.wn).value
         if denominator == "full":
@@ -928,7 +975,7 @@ class TestDeficitBound:
             C = 0.5 * (1.0 - level / reduced) / (geom.h**2 * (1.0 + k2))
             assert 0.0 < C < oracle._DEFICIT_C
             monkeypatch.setattr(oracle, "_DEFICIT_C", C)
-        kept = [wn for row in oracle._sweep_rows(geom, EL, window, denominator, seeded.ceiling) for wn in row]
+        kept = [wn for row in oracle._sweep_rows(geom, EL, window, denominator, ceiling) for wn in row]
         assert winner.wn not in kept
         with pytest.raises(BoundViolated, match="above the seeded window ceiling"):
             oracle_sweep(geom, EL, disc, window, denominator)
@@ -967,25 +1014,45 @@ class TestDeficitBound:
         geom, elastic, window = ShellGeometry(h=h, L=L), IsotropicElasticity(nu=nu), (12, 8)
         assert oracle._sweep_rows(geom, elastic, window, denominator, ceiling) == oracle._window_rows(window, L)
 
-    @pytest.mark.parametrize("h", [0.02, 0.005])
+    # pairs assembled at L = pi, nu = 0.3, the seed included, as measured:
+    # (full, phi_rz, phi_rz_mid); at h = 0.005 and 1e-3 the seed is the
+    # phi_rz and phi_rz_mid winner, and the annulus keeps it alone
+    ASSEMBLED = {0.02: (47, 18, 16), 0.005: (32, 2, 2), 1e-3: (75, 2, 2)}
+
+    @pytest.mark.parametrize("h", list(ASSEMBLED))
     def test_pruned_scans_assemble_a_few_pairs(self, caplog, h):
         p = CriticalLoadProblem(geom=ShellGeometry(h=h, L=PI), elastic=EL)
         args = (p.geom, EL, RadialDiscretization(), p.window())
-        seeds = len(oracle._seed_pairs(p.geom, EL, p.window()))
-        for denominator in oracle.DENOMINATORS:
+        for denominator, most in zip(oracle.DENOMINATORS, self.ASSEMBLED[h]):
             _, (_, covered, assembled, solved) = sweep_log(caplog, *args, denominator)
-            if denominator == "full":
-                assert assembled - seeds < {0.02: 100, 0.005: 160}[h], assembled  # 66 and 112 measured
-            else:
-                assert assembled - seeds < 32, (denominator, assembled)  # below _scan's pool threshold
+            assert assembled <= most, (denominator, assembled)
             assert solved <= assembled
 
     @pytest.mark.parametrize("denominator", oracle.DENOMINATORS)
+    def test_no_positive_closed_form_minimum_seeds_nothing(self, monkeypatch, caplog, denominator):
+        # a closed form that raises SingularSystem leaves the ceiling
+        # unseeded, and the scan covers the whole window
+        geom, disc = ShellGeometry(h=0.05, L=PI), RadialDiscretization(8)
+        window = CriticalLoadProblem(geom=geom, elastic=EL).window()
+        want = exhaustive_minimum(geom, EL, disc, window, denominator)
+
+        def no_minimum(problem):
+            raise SingularSystem("reduced minimum -1.000e-07 at (m=1, n=1) is not positive")
+
+        monkeypatch.setattr(critical_load, "_seed_ceiling", no_minimum)
+        assert oracle._seed_pair(geom, EL, window) is None
+        got, (_, covered, assembled, _) = sweep_log(caplog, geom, EL, disc, window, denominator)
+        assert assembled == covered
+        assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes() and got == want
+
+    @pytest.mark.parametrize("denominator", oracle.DENOMINATORS)
     def test_a_window_short_of_the_circle_is_still_seeded(self, caplog, denominator):
-        # the Koiter circle crosses row 0.8 R far beyond this window's three
-        # columns, so the seeds are the window's own columns nearest the crossings
+        # the Koiter circle's crossings of most rows lie far beyond this
+        # window's three columns, so the seed is the closed-form winner of
+        # the window's own pairs
         geom, window, disc = ShellGeometry(h=5.98e-4, L=15.4), (3, 115), RadialDiscretization()
-        assert len(oracle._seed_pairs(geom, EL, window)) >= 1
+        seed = oracle._seed_pair(geom, EL, window)
+        assert seed.m <= window[0] and seed.n <= window[1]
         want = exhaustive_minimum(geom, EL, disc, window, denominator)
         got, (_, covered, assembled, _) = sweep_log(caplog, geom, EL, disc, window, denominator)
         assert assembled < covered
@@ -996,18 +1063,35 @@ class TestDeficitBound:
 class TestGapBound:
     """The proved per-pair bound full_vs_rz <= G that, with the deficit bound, prunes the full scan."""
 
+    @staticmethod
+    def even_split_bound(p, pairs):
+        """G with the split eps = 1 for every pair: max(4, 1 + 2 t ss / cc) / kappa, 1 / kappa for n = 0."""
+        nu = p.elastic.nu
+        kappa = 1.0 / (1.0 + nu) if nu >= 0.0 else 1.0 / (1.0 - 2.0 * nu)
+        t = np.array([(wn.n / (wn.m_hat * (1.0 - 0.5 * p.geom.h))) ** 2 for wn in pairs])
+        return np.where([wn.n > 0 for wn in pairs], np.maximum(4.0, 1.0 + 2.0 * t), 1.0) / kappa
+
     def test_bound_is_the_derived_formula(self):
-        p = CriticalLoadProblem(geom=ShellGeometry(h=0.1, L=2.0), elastic=IsotropicElasticity(nu=-0.25))
-        pairs = [WaveNumbers(m=m, n=n, L=2.0) for m, n in ((1, 0), (5, 0), (1, 1), (3, 1), (1, 7), (4, 2))]
-        for wn, G in zip(pairs, gap_bound(p, pairs)):
-            t = (wn.n / (wn.m_hat * (1.0 - 0.05))) ** 2
-            g = max(4.0, 1.0 + 2.0 * t) if wn.n else 1.0
-            assert G == pytest.approx(g * (1.0 - 2.0 * -0.25), rel=1e-15), wn
+        # ss / cc = 1 for n >= 1; t = 1.5 at (1, 1) makes the best split eps = 1 itself
+        L = PI * math.sqrt(1.5) * 0.95
+        p = CriticalLoadProblem(geom=ShellGeometry(h=0.1, L=L), elastic=IsotropicElasticity(nu=-0.25))
+        pairs = [WaveNumbers(m=m, n=n, L=L) for m, n in ((1, 0), (5, 0), (1, 1), (3, 1), (1, 7), (4, 2), (40, 1))]
+        G = gap_bound(p, pairs)
+        for wn, got, old in zip(pairs, G, self.even_split_bound(p, pairs)):
+            st = (wn.n / (wn.m_hat * (1.0 - 0.05))) ** 2
+            eps = ((st - 1.0) + math.sqrt((st - 1.0) ** 2 + 8.0 * st)) / 4.0
+            g = 2.0 * (1.0 + eps) if wn.n else 1.0
+            if wn.n:  # the best split: both terms of the bound are equal there
+                assert 1.0 + (1.0 + 1.0 / eps) * st == pytest.approx(g, rel=1e-12), wn
+            assert got == pytest.approx(g * (1.0 - 2.0 * -0.25), rel=1e-14), wn
+            assert got <= old, wn
+        assert G[2] == pytest.approx(4.0 * 1.5, rel=1e-15)  # eps = 1 at t = 1.5: the even split's 4
+        assert G[-1] < 2.01 * 1.5  # mhat / n large: g tends to 2, where the even split keeps 4
         assert gap_bound(dataclasses.replace(p, elastic=EL), pairs[:1])[0] == pytest.approx(1.3, rel=1e-15)
 
     def test_gap_and_full_minimum_within_their_bounds_on_drawn_windows(self, rng):
-        # full_vs_rz <= G on every pair of drawn windows (three with nu < 0,
-        # three with nu > 0, each with its n = 0 row), and every exhaustive
+        # full_vs_rz <= G <= the even split's G on every pair of drawn windows
+        # (three with nu < 0, three with nu > 0, each with its n = 0 row), and every exhaustive
         # full minimum at or above the bound that prunes it; at nu = 0 the
         # n = 0 row attains G = 1 up to rounding
         nu_lo, nu_hi = oracle._DEFICIT_BOX["nu"]
@@ -1022,8 +1106,9 @@ class TestGapBound:
             assert rows[0][0].n == 0
             for row in rows:
                 gaps = oracle._slice_gaps(p.geom, p.elastic, disc, row)
-                for gap, G, wn in zip(gaps, gap_bound(p, row), row):
+                for gap, G, old, wn in zip(gaps, gap_bound(p, row), self.even_split_bound(p, row), row):
                     assert gap.full_vs_rz <= G * (1.0 + 1e-12), (case, wn)
+                    assert G <= old, (case, wn)  # the best split never loses to eps = 1
             for value, wn in exhaustive_values(p.geom, p.elastic, disc, window, "full"):
                 assert value >= pruning_bound(p, wn, "full"), (case, wn)
 
