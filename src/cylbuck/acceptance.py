@@ -73,7 +73,7 @@ def criterion_1() -> CriterionResult:
     return CriterionResult(1, "classical formula convergence", passed, details)
 
 
-def criterion_2(jobs: int = 1) -> CriterionResult:
+def criterion_2() -> CriterionResult:
     """Discretized-elasticity window minimum agrees with the closed-form
     sweep, and at the h = 0.005 sweep winner the oracle's phi_rz quotient
     does not exceed the reduced strain.
@@ -86,7 +86,7 @@ def criterion_2(jobs: int = 1) -> CriterionResult:
     p = _problem(h)
     res = cl.sweep(p)
     disc = oracle_mod.RadialDiscretization()
-    om = oracle_mod.oracle_sweep(p.geom, p.elastic, disc, p.window(), jobs=jobs)
+    om = oracle_mod.oracle_sweep(p.geom, p.elastic, disc, p.window())
     agree = abs(om.value / res.strain - 1.0)
     at_winner = oracle_mod.min_rayleigh(
         oracle_mod.assemble_pencil(p.geom, p.elastic, p.wave_numbers(res.m, res.n), "phi_rz", disc)
@@ -362,7 +362,7 @@ CRITERIA: Dict[int, Callable[..., CriterionResult]] = {
     9: criterion_9,
 }
 
-_JOBS_AWARE = {2, 5, 6}
+_JOBS_AWARE = {5, 6}
 
 
 def run_all(numbers: Optional[Iterable[int]] = None, jobs: int = 1) -> List[CriterionResult]:

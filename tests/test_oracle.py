@@ -700,9 +700,28 @@ class TestOracleSweep:
         disc = RadialDiscretization(degree=6)
         window = (10, 6)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real 2-worker pool on any runner
-        for scan in (oracle_sweep, korn_mode_scan, equivalence_scan):
+        for scan in (korn_mode_scan, equivalence_scan):
             serial = scan(geom, EL, disc, window, jobs=1)
             assert scan(geom, EL, disc, window, jobs=2) == serial, scan.__name__
+
+    def test_sweep_never_starts_a_pool(self, monkeypatch, caplog):
+        # full at h = 0.02 scans 46 pairs after its seed, above _scan's
+        # 32-pair pool threshold, yet jobs is ignored and the scan is serial
+        p = CriticalLoadProblem(geom=ShellGeometry(h=0.02, L=PI), elastic=EL)
+        args = (p.geom, EL, RadialDiscretization(), p.window(), "full")
+        serial, serial_counts = sweep_log(caplog, *args, jobs=1)
+
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("oracle_sweep started a process pool")
+
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        got, counts = sweep_log(caplog, *args, jobs=4)
+        assert got == serial
+        assert np.float64(got.value).tobytes() == np.float64(serial.value).tobytes()
+        assert counts == serial_counts
+        assert counts[2] - 1 >= 32  # the pairs scanned after the seed
 
     def test_pool_never_exceeds_cpu_count(self, monkeypatch):
         started = []
@@ -784,7 +803,7 @@ class TestCeilingScan:
 
     @pytest.mark.parametrize("denominator", oracle.DENOMINATORS)
     @pytest.mark.parametrize("case", ["h=0.02", "h=0.005", "drawn"])
-    def test_equals_the_exhaustive_scan(self, rng, monkeypatch, caplog, case, denominator):
+    def test_equals_the_exhaustive_scan(self, rng, caplog, case, denominator):
         if case == "drawn":
             nu, h, L = rng.uniform(0.0, 0.45), rng.uniform(0.02, 0.1), rng.uniform(2.0, 12.0)
         else:
@@ -792,16 +811,12 @@ class TestCeilingScan:
         geom, elastic, disc = ShellGeometry(h=h, L=L), IsotropicElasticity(nu=nu), RadialDiscretization()
         window = CriticalLoadProblem(geom=geom, elastic=elastic).window()
         want = exhaustive_minimum(geom, elastic, disc, window, denominator)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # jobs=2 runs a real 2-worker pool
-        for jobs in (1, 2):
-            got, (den, covered, assembled, solved) = sweep_log(
-                caplog, geom, elastic, disc, window, denominator, jobs=jobs
-            )
-            assert got == want, (case, jobs)
-            assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
-            assert (den, covered) == (denominator, window[0] * (window[1] + 1))
-            assert solved < covered / 2, (case, jobs)  # the ceiling skipped most of the window
-            assert solved <= assembled, (case, jobs)
+        got, (den, covered, assembled, solved) = sweep_log(caplog, geom, elastic, disc, window, denominator)
+        assert got == want, case
+        assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+        assert (den, covered) == (denominator, window[0] * (window[1] + 1))
+        assert solved < covered / 2, case  # the ceiling skipped most of the window
+        assert solved <= assembled, case
 
     @pytest.mark.parametrize("denominator", oracle.DENOMINATORS)
     @pytest.mark.parametrize("h", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
@@ -820,14 +835,18 @@ class TestCeilingScan:
     DISC = RadialDiscretization(8)
 
     def skipped_slice(self, denominator):
-        """The last slice of at least three pairs that the clean scan assembles and skips, and the window."""
+        """The last slice of at least three pairs that the clean scan assembles and skips, and the window.
+
+        A slice whose pencils all clear the seeded ceiling also clears the
+        scan's running ceiling, which never exceeds it.
+        """
         window = CriticalLoadProblem(geom=self.GEOM, elastic=EL).window()
         ceiling = seeded_ceiling(self.GEOM, EL, self.DISC, window, denominator)
-        scan = oracle._CeilingSweep(self.GEOM, EL, self.DISC, denominator, ceiling)
         rows = oracle._sweep_rows(self.GEOM, EL, window, denominator, ceiling)
+        args = (self.GEOM, EL, self.DISC, denominator)
         skipped = [
             row[s] for row in rows for s in oracle._slices(row)
-            if all(v == math.inf for v in scan(row[s])) and len(row[s]) >= 3
+            if len(row[s]) >= 3 and all(v == math.inf for v in oracle._slice_min_rayleigh(*args, row[s], ceiling))
         ]
         return skipped[-1], window
 
@@ -863,20 +882,6 @@ class TestCeilingScan:
             match += rf" WaveNumbers\(m={first.m}, n={first.n},"
         with pytest.raises(error, match=match):
             oracle_sweep(self.GEOM, EL, self.DISC, window, denominator)
-
-    @pytest.mark.parametrize("denominator", oracle.DENOMINATORS)
-    @pytest.mark.parametrize("h", [0.02, 0.005])
-    def test_pool_solves_at_most_twice_the_serial_pairs(self, monkeypatch, caplog, h, denominator):
-        # the ceiling is seeded before the pool starts, so no pool task
-        # starts from an infinite ceiling
-        p = CriticalLoadProblem(geom=ShellGeometry(h=h, L=PI), elastic=EL)
-        args = (p.geom, EL, RadialDiscretization(), p.window(), denominator)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # jobs=2 runs a real 2-worker pool
-        serial, (_, _, _, solved_serial) = sweep_log(caplog, *args, jobs=1)
-        pooled, (_, _, _, solved_pooled) = sweep_log(caplog, *args, jobs=2)
-        assert pooled == serial
-        assert np.float64(pooled.value).tobytes() == np.float64(serial.value).tobytes()
-        assert solved_pooled <= 2 * solved_serial, (solved_pooled, solved_serial)
 
     def test_row_groups_bound_the_batched_build(self):
         # scan order kept, row n = 0 alone, and each group of rows n >= 1 at
@@ -936,9 +941,8 @@ class TestDeficitBound:
         return min(m_max, max(1, 400 // (n_max + 1))), n_max
 
     @pytest.mark.parametrize("denominator", oracle.DENOMINATORS)
-    def test_bound_and_pruned_scan_on_drawn_windows(self, rng, monkeypatch, caplog, denominator):
+    def test_bound_and_pruned_scan_on_drawn_windows(self, rng, caplog, denominator):
         disc = RadialDiscretization()
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # jobs=2 runs a real 2-worker pool on 32+ pairs
         for p in self.drawn_problems(rng):
             geom, elastic, window = p.geom, p.elastic, self.cut_window(p)
             case = (geom.h, elastic.nu, geom.L, window)
@@ -946,11 +950,10 @@ class TestDeficitBound:
             for value, wn in values:
                 assert value >= pruning_bound(p, wn, denominator), (case, wn)
             want = exhaustive_minimum(geom, elastic, disc, window, denominator, values)
-            for jobs in (1, 2):
-                got, (_, covered, _, _) = sweep_log(caplog, geom, elastic, disc, window, denominator, jobs=jobs)
-                assert got == want, (case, jobs)
-                assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes(), (case, jobs)
-                assert covered == len(values)
+            got, (_, covered, _, _) = sweep_log(caplog, geom, elastic, disc, window, denominator)
+            assert got == want, case
+            assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes(), case
+            assert covered == len(values)
 
     @pytest.mark.parametrize("denominator", oracle.DENOMINATORS)
     def test_a_bound_that_excludes_the_winner_raises(self, monkeypatch, denominator):
