@@ -704,11 +704,14 @@ class TestOracleSweep:
             serial = scan(geom, EL, disc, window, jobs=1)
             assert scan(geom, EL, disc, window, jobs=2) == serial, scan.__name__
 
-    def test_sweep_never_starts_a_pool(self, monkeypatch, caplog):
-        # full at h = 0.02 scans 46 pairs after its seed, above _scan's
-        # 32-pair pool threshold, yet jobs is ignored and the scan is serial
-        p = CriticalLoadProblem(geom=ShellGeometry(h=0.02, L=PI), elastic=EL)
-        args = (p.geom, EL, RadialDiscretization(), p.window(), "full")
+    @pytest.mark.parametrize("denominator", oracle.DENOMINATORS)
+    @pytest.mark.parametrize("h", [0.02, 1e-3])
+    def test_sweep_never_starts_a_pool(self, monkeypatch, caplog, h, denominator):
+        # full scans 46 pairs after its seed at h = 0.02 and 74 at h = 1e-3,
+        # above _scan's 32-pair pool threshold, yet jobs is ignored and every
+        # denominator's scan is serial
+        p = CriticalLoadProblem(geom=ShellGeometry(h=h, L=PI), elastic=EL)
+        args = (p.geom, EL, RadialDiscretization(), p.window(), denominator)
         serial, serial_counts = sweep_log(caplog, *args, jobs=1)
 
         class NoPool:
@@ -721,7 +724,8 @@ class TestOracleSweep:
         assert got == serial
         assert np.float64(got.value).tobytes() == np.float64(serial.value).tobytes()
         assert counts == serial_counts
-        assert counts[2] - 1 >= 32  # the pairs scanned after the seed
+        if denominator == "full":
+            assert counts[2] - 1 >= 32  # the pairs scanned after the seed
 
     def test_pool_never_exceeds_cpu_count(self, monkeypatch):
         started = []
