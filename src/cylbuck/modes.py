@@ -25,8 +25,8 @@ from .errors import WindowTooSmall
 from .spectral import (
     FourierMode,
     displacement,
-    mode_denominators,
     mode_energy,
+    mode_phi_rz,
     optimal_mode,
 )
 
@@ -177,7 +177,7 @@ def quotient_breakdown(spec: BucklingModeSpec) -> QuotientBreakdown:
     stiff, denom = [], []
     for mode in harmonics(spec):
         stiff.append(mode_energy(geom, elastic, mode))
-        denom.append(mode_denominators(geom, mode).phi_rz)
+        denom.append(mode_phi_rz(geom, mode))
     return QuotientBreakdown(stiff, denom)
 
 

@@ -58,7 +58,7 @@ and 16 for phi_rz_mid at h = 0.02, and 2 from h = 0.005 on, where the
 annulus keeps the seed pair alone; 47, 32, 75 and 212 for full at h = 0.02,
 0.005, 1e-3 and 1e-4, whose bound adds the gap G to the reciprocal.  So the
 window minima run serially; only the Korn and gap scans, which cover whole
-windows, use a process pool.
+windows, use a process pool, one task per row group.
 
 Assembly precision: every strain and gradient map of a mode is a Chebyshev
 value or derivative table, times a coefficient that is linear in mhat for a
@@ -69,9 +69,10 @@ coefficients are split exactly by power of mhat per row n, each power of
 every distinct row of a call is contracted with the moments in one batched
 pass, and every pair is formed as F0 + mhat F1 + mhat^2 F2 in float64.  n
 stays exact in the coefficients, and nothing assembled is interpolated.
-Row n = 0 has no theta block, so it is built apart from the rows n >= 1;
-a window scan builds row n = 0 in one call and the rows n >= 1 in one call
-per bounded group of rows.  phi_rz, phi_zz, phi_tz and phi_r2 are each a
+Row n = 0 has no theta block, so it is built apart from the rows n >= 1.
+Every window scan walks a flat scan-order list of pairs cut into row
+groups (_row_groups): row n = 0 in one call, the rows n >= 1 in one call
+per bounded group of rows.  phi_rz, phi_zz and phi_tz are each a
 scalar per pair times the one mass moment int V^T V r dr on one block, and
 full's denominator is one block-diagonal scaled mass.  A call builds only
 the forms it is asked for.  A pair's forms come out bit for bit the same in
@@ -225,7 +226,6 @@ class ModeForms(NamedTuple):
     phi_zz: np.ndarray
     phi_tz: np.ndarray
     phi_rz_mid: np.ndarray
-    phi_r2: np.ndarray
 
 
 _FORM_NAMES = ModeForms._fields[1:]
@@ -237,18 +237,18 @@ _PENCIL_FORMS = {
 }
 _KORN_FORMS = ("e2", "grad2")
 _GAP_FORMS = ("stiffness",)
-# Pairs per slice: the ceiling test and the solves run on slices of at most
-# this many pairs of one row, the Korn and gap kernels on slices of a row
-# built at once, and a window scan builds its kept rows n >= 1 in groups of
-# at most this many rows.  Re-measured with the scans pruned under the
-# closed-form seed, through perfbench/run.py (--seconds 15, seed 0, 2 vCPUs,
-# BLAS at 1 thread, four pairs of 8 and 16 alternated): korn_pool wall_ref
-# medians 1.51 (8) and 1.47 (16), oracle_window 0.068 and 0.066, 16 the
-# faster in three pairs of four on each; in-process the h = 0.02 window
-# minima ran 4-8 % faster at 8 or 12 in 8-10 of 15 repetitions and the
-# Korn and gap scans moved either way.  No size was faster on both
-# workloads, so 16 stays.  Groups of 8 rows peak 0.6 MB lower on
-# oracle_window (60.9 against 61.5 MB).
+# Pairs per slice: the ceiling test, the solves and the Korn and gap kernels
+# run on slices of at most this many pairs of one row, and every window scan
+# builds its rows n >= 1 in groups of at most this many rows and its square
+# of pairs.  Groups, not rows, of the Korn and gap scans raised the serial
+# criteria 5 + 6 peak RSS from 64.6 to 68.8 MB (2 vCPUs, BLAS at 1 thread).
+# Measured before that, through perfbench/run.py (--seconds 15, seed 0, four
+# pairs of 8 and 16 alternated): korn_pool wall_ref medians 1.51 (8) and
+# 1.47 (16), oracle_window 0.068 and 0.066, 16 the faster in three pairs of
+# four on each; in-process the h = 0.02 window minima ran 4-8 % faster at 8
+# or 12 in 8-10 of 15 repetitions and the Korn and gap scans moved either
+# way.  No size was faster on both workloads, so 16 stays.  Groups of 8 rows
+# peak 0.6 MB lower on oracle_window (60.9 against 61.5 MB).
 _SLICE_PAIRS = 16
 
 
@@ -336,7 +336,6 @@ _MASS_FORMS = {
     "phi_rz": (0, lambda f, mh2: f.cs * mh2),
     "phi_zz": (2, lambda f, mh2: f.cc * mh2),
     "phi_tz": (1, lambda f, mh2: f.ss * mh2),
-    "phi_r2": (0, lambda f, mh2: np.full_like(mh2, f.cc)),
 }
 
 
@@ -465,7 +464,7 @@ def _pencil_forms(
     denominator: str,
     pairs: Sequence[WaveNumbers],
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """(A, B) of every pair of one row: the stiffness, and the sum of the denominator's forms.
+    """(A, B) of every pair of one row group: the stiffness, and the sum of the denominator's forms.
 
     full's sum is built as one block-diagonal scaled mass (_mass_form).
     """
@@ -633,11 +632,6 @@ class OracleMinimum(NamedTuple):
     wn: WaveNumbers
 
 
-def _window_rows(window: Tuple[int, int], L: float) -> List[List[WaveNumbers]]:
-    """The window's pairs in scan order ((n, m) lexicographic), one list per row n."""
-    return [list(row) for _, row in itertools.groupby(window_pairs(window, L), key=lambda wn: wn.n)]
-
-
 def _slices(pairs: Sequence[WaveNumbers]) -> List[slice]:
     """The index ranges that cut pairs, in scan order, into slices of at most _SLICE_PAIRS pairs of one row."""
     return [slice(i, min(i + _SLICE_PAIRS, b)) for _, a, b in _row_runs(pairs) for i in range(a, b, _SLICE_PAIRS)]
@@ -648,22 +642,24 @@ def _by_slice(solve: Callable, pairs: Sequence[WaveNumbers], forms: Dict[str, np
     return [item for s in _slices(pairs) for item in solve(pairs[s], {name: F[s] for name, F in forms.items()})]
 
 
-def _scan(per_row: Callable, rows: Sequence[Sequence[WaveNumbers]], jobs: int) -> List[Tuple[object, WaveNumbers]]:
-    """(result, pair) for every pair of the window rows (_window_rows), in scan order.
+def _scan(per_group: Callable, pairs: Sequence[WaveNumbers], jobs: int) -> List[Tuple[object, WaveNumbers]]:
+    """(result, pair) for every pair of pairs, a flat list in scan order.
 
-    The Korn and gap scans cover whole windows through it.  per_row(pairs)
-    gives one result per pair of a row, so each is assembled once.  Many
-    pairs run in a process pool, several rows per task; the pool never has
+    The Korn and gap scans cover whole windows through it.  The pairs are
+    cut into the row groups of _row_groups, and per_group(group) gives one
+    result per pair of a group, so each group is assembled once.  Many
+    pairs run in a process pool, one group per task; the pool never has
     more workers than there are CPUs.
     """
+    groups = _row_groups(pairs)
     workers = min(jobs, os.cpu_count() or 1)
-    if workers <= 1 or sum(map(len, rows)) < 32:
-        parts = [per_row(pairs) for pairs in rows]
+    if workers <= 1 or len(pairs) < 32:
+        parts = [per_group(group) for group in groups]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunksize = max(1, len(rows) // (4 * workers))
-            parts = list(pool.map(per_row, rows, chunksize=chunksize))
-    return [item for pairs, part in zip(rows, parts) for item in zip(part, pairs, strict=True)]
+            chunksize = max(1, len(groups) // (4 * workers))
+            parts = list(pool.map(per_group, groups, chunksize=chunksize))
+    return [item for group, part in zip(groups, parts) for item in zip(part, group, strict=True)]
 
 
 def _slice_min_rayleigh(
@@ -691,26 +687,26 @@ def _slice_min_rayleigh(
     return values
 
 
-def _row_groups(rows: Sequence[Sequence[WaveNumbers]]) -> List[List[WaveNumbers]]:
-    """The rows, in scan order, joined for one assembly each.
+def _row_groups(pairs: Sequence[WaveNumbers]) -> List[List[WaveNumbers]]:
+    """The pairs, a flat list in scan order, cut into row groups of one assembly each.
 
-    Consecutive rows n >= 1 are joined while a group holds at most
-    _SLICE_PAIRS rows and _SLICE_PAIRS^2 pairs; a longer row stays alone,
-    and so does row n = 0, which has no theta block.  That bounds the
-    batched contraction of _slice_forms and the forms a group holds at once
-    by about those of one row of a few hundred pairs.
+    The consecutive runs of one row n (_row_runs) are joined while a group
+    holds at most _SLICE_PAIRS rows and _SLICE_PAIRS^2 pairs; a longer row
+    stays alone, and so does row n = 0, which has no theta block.  That
+    bounds the batched contraction of _slice_forms and the forms a group
+    holds at once by about those of one row of a few hundred pairs.
     """
     groups: List[List[WaveNumbers]] = []
     joined: List[int] = []  # rows per group
-    for row in rows:
+    for n, a, b in _row_runs(pairs):
         if (
-            groups and min(row[0].n, groups[-1][0].n) > 0
-            and joined[-1] < _SLICE_PAIRS and len(groups[-1]) + len(row) <= _SLICE_PAIRS**2
+            groups and min(n, groups[-1][0].n) > 0
+            and joined[-1] < _SLICE_PAIRS and len(groups[-1]) + b - a <= _SLICE_PAIRS**2
         ):
-            groups[-1] += row
+            groups[-1] += pairs[a:b]
             joined[-1] += 1
         else:
-            groups.append(list(row))
+            groups.append(list(pairs[a:b]))
             joined.append(1)
     return groups
 
@@ -795,13 +791,13 @@ class _WindowProblem(CriticalLoadProblem):
         return self.given
 
 
-def _sweep_rows(
+def _sweep_pairs(
     geom: ShellGeometry, elastic: IsotropicElasticity, window: Tuple[int, int], denominator: str, ceiling: float
-) -> List[List[WaveNumbers]]:
-    """The rows oracle_sweep assembles under its seeded ceiling, in scan order.
+) -> List[WaveNumbers]:
+    """The pairs oracle_sweep assembles under its seeded ceiling, a flat list in scan order.
 
     An infinite ceiling and an (h, nu, L) outside _DEFICIT_BOX get the whole
-    window.  Otherwise the window's rows are cut to the pairs that the
+    window.  Otherwise the window is cut to the pairs that the
     denominator's lower bound cannot exclude: with r the pair's computed
     reduced minimum and lb = max(0, r (1 - delta_o)) (0 when delta_o >= 1),
     a pair is kept when its bound is at most ceiling (1 + _CEILING_MARGIN).
@@ -812,12 +808,12 @@ def _sweep_rows(
     critical_load.window_strains' certified superset at that level over
     (1 - delta_max), delta_max being delta_o at the window's largest
     mhat^2 + n^2 (the whole window when delta_max >= 1); full filters the
-    whole window.  Empty rows are dropped.
+    whole window.
     """
     (h_lo, h_hi), (nu_lo, nu_hi), (L_lo, L_hi) = _DEFICIT_BOX.values()
     in_box = h_lo <= geom.h <= h_hi and nu_lo <= elastic.nu <= nu_hi and L_lo <= geom.L <= L_hi
     if ceiling == math.inf or not in_box:
-        return _window_rows(window, geom.L)
+        return list(window_pairs(window, geom.L))
     m_max, n_max = window
     scale = _DEFICIT_C * geom.h * geom.h
     delta_max = scale * (1.0 + (math.pi * m_max / geom.L) ** 2 + n_max * n_max)
@@ -825,7 +821,7 @@ def _sweep_rows(
     # G grows without bound as n / mhat does, so no one level certifies full's candidates
     superset = level / (1.0 - delta_max) if delta_max < 1.0 and denominator != "full" else None
     problem = _WindowProblem(geom=geom, elastic=elastic, given=window)
-    rows: Dict[int, List[WaveNumbers]] = {}
+    kept: List[WaveNumbers] = []
     for n, m, m_hat, minima in window_strains(problem, superset):
         delta = scale * (1.0 + m_hat * m_hat + n * n)
         lower = np.maximum(minima.value * (1.0 - delta), 0.0)  # of phi_rz and phi_rz_mid; 0 where delta_o >= 1
@@ -833,8 +829,8 @@ def _sweep_rows(
             lower = lower / (1.0 + _gap_bound(geom, elastic, n, m_hat) * lower)
         keep = lower <= level
         for row, col in zip(n[keep].astype(int).tolist(), m[keep].tolist()):
-            rows.setdefault(row, []).append(WaveNumbers(m=col, n=row, L=geom.L))
-    return list(rows.values())
+            kept.append(WaveNumbers(m=col, n=row, L=geom.L))
+    return kept
 
 
 def _seed_pair(geom: ShellGeometry, elastic: IsotropicElasticity, window: Tuple[int, int]) -> Optional[WaveNumbers]:
@@ -876,10 +872,10 @@ def oracle_sweep(
 
     Each denominator then assembles only the pairs of the closed-form
     annulus that its lower bound cannot exclude under the seeded ceiling
-    (_sweep_rows): the measured deficit bound for phi_rz and phi_rz_mid,
+    (_sweep_pairs): the measured deficit bound for phi_rz and phi_rz_mid,
     and for full that bound through the proved gap G.  That and the seed
     pair are where the oracle reads the closed-form reduction.  The kept
-    rows are assembled a group at a time (_row_groups: one batched build
+    pairs are assembled a group at a time (_row_groups: one batched build
     for row n = 0, one per group of the rows n >= 1), and the ceiling test
     and the solves run on slices of one row.  The seeded ceiling is the
     exact minimum of a window pair, which a valid bound keeps, so a scan
@@ -900,7 +896,7 @@ def oracle_sweep(
         except (ValueError, CylbuckError):
             pass
     scanned, running = [], ceiling
-    for group in _row_groups(_sweep_rows(geom, elastic, window, denominator, ceiling)):
+    for group in _row_groups(_sweep_pairs(geom, elastic, window, denominator, ceiling)):
         values = _slice_min_rayleigh(geom, elastic, disc, denominator, group, running)
         running = min(running, *values)
         scanned += zip(values, group)
@@ -958,9 +954,9 @@ def _slice_korn(
     disc: RadialDiscretization,
     pairs: Sequence[WaveNumbers],
 ) -> List[KornRatios]:
-    """The Korn-type ratios of every pair of one row: e2 and grad2 assembled once, solved slice by slice.
+    """The Korn-type ratios of a row group (_row_groups): e2 and grad2 assembled once, solved slice by slice.
 
-    phi_rz, phi_tz and phi_r2 are a scalar times the mass moment, so they
+    phi_rz, phi_tz and |phi_r|^2 are a scalar times the mass moment, so they
     enter the solves through its Cholesky root and are never assembled.
     """
     forms = _slice_forms(geom, elastic, disc, pairs, _KORN_FORMS)
@@ -1013,7 +1009,7 @@ def _korn_ratios(
 
     X = np.stack(extremals, axis=1)  # (pair, extremal, DOF)
     g2, e2_x = (((X @ M) * X).sum(axis=2) for M in (grad2, e2))
-    pr2 = f.cc * ((X[:, :, :k] @ W) ** 2).sum(axis=2)  # x.phi_r2.x = cc x_r^T W W^T x_r
+    pr2 = f.cc * ((X[:, :, :k] @ W) ** 2).sum(axis=2)  # |phi_r|^2 = cc x_r^T W W^T x_r
     # e2 is positive definite (factored above), so every bound is positive
     weighted = (g2 / ((np.sqrt(pr2) / h + np.sqrt(e2_x)) * np.sqrt(e2_x))).max(axis=1)
     return [
@@ -1033,7 +1029,8 @@ def korn_mode_scan(
 
     Logs the pairs covered at DEBUG on the "cylbuck" logger.
     """
-    per_mode = [r for r, _ in _scan(partial(_slice_korn, geom, elastic, disc), _window_rows(window, geom.L), jobs)]
+    scanned = _scan(partial(_slice_korn, geom, elastic, disc), list(window_pairs(window, geom.L)), jobs)
+    per_mode = [r for r, _ in scanned]
     _log.debug("korn_mode_scan: %d pairs covered", len(per_mode))
     return _positive(KornRatios(
         korn=min(r.korn for r in per_mode),
@@ -1060,13 +1057,14 @@ def _slice_gaps(
     disc: RadialDiscretization,
     pairs: Sequence[WaveNumbers],
 ) -> List[GapValues]:
-    """The gaps of every pair of one row: the stiffness assembled once, solved slice by slice.
+    """The gaps of a row group (_row_groups): the stiffness assembled once, solved slice by slice.
 
     With W W^T = M, the mass moment, phi_zz + phi_tz = mhat^2 W_d W_d^T on
     the theta and z blocks, W_d = blockdiag(sqrt(ss) W, sqrt(cc) W) (the z
     block alone for n = 0), and phi_rz - phi_rz_mid = cs mhat^2 D on the r
-    block, D = M - h v v^T (v the mid-surface values).  So the row's W_d
-    and D carry every destabilizing form, and none is assembled.
+    block, D = M - h v v^T (v the mid-surface values).  The group's rows
+    share their trig factors, so its W_d and D carry every destabilizing
+    form, and none is assembled.
     """
     forms = _slice_forms(geom, elastic, disc, pairs, _GAP_FORMS)
     M = _mass_moment(geom, disc)
@@ -1117,7 +1115,7 @@ def equivalence_scan(
 
     Logs the pairs covered at DEBUG on the "cylbuck" logger.
     """
-    gaps = _scan(partial(_slice_gaps, geom, elastic, disc), _window_rows(window, geom.L), jobs)
+    gaps = _scan(partial(_slice_gaps, geom, elastic, disc), list(window_pairs(window, geom.L)), jobs)
     _log.debug("equivalence_scan: %d pairs covered", len(gaps))
     sup1 = max(g.full_vs_rz for g, _ in gaps)
     coef = max(g.rz_vs_mid / (wn.m_hat * math.sqrt(geom.h)) for g, wn in gaps)

@@ -199,36 +199,11 @@ def mode_energy(geom: ShellGeometry, elastic: IsotropicElasticity, mode: Fourier
     return float(np.sum(w * r * dens))
 
 
-@dataclass(frozen=True)
-class DenominatorValues:
-    """Squared L2 norms of the z-gradient components of a mode."""
-
-    phi_rz: float
-    phi_zz: float
-    phi_tz: float
-    phi_rz_mid: float
-
-    @property
-    def full(self) -> float:
-        """Compression measure magnitude |c_h|/E."""
-        return self.phi_rz + self.phi_zz + self.phi_tz
-
-
-def mode_denominators(geom: ShellGeometry, mode: FourierMode) -> DenominatorValues:
+def mode_phi_rz(geom: ShellGeometry, mode: FourierMode) -> float:
+    """The squared L2 norm |phi_{r,z}|^2 of the mode, by radial_rule's 16 nodes."""
     r, w = radial_rule(geom)
-    f = trig_factors(mode.wn)
     mh2 = mode.wn.m_hat**2
-    fr = mode.fr(r)
-    fz = mode.fz(r)
-    ft = _ftheta(mode)(r)
-    rw = w * r
-    fr1 = float(mode.fr(1.0))
-    return DenominatorValues(
-        phi_rz=f.cs * mh2 * float(np.sum(rw * fr**2)),
-        phi_zz=f.cc * mh2 * float(np.sum(rw * fz**2)),
-        phi_tz=f.ss * mh2 * float(np.sum(rw * ft**2)),
-        phi_rz_mid=f.cs * mh2 * fr1**2 * geom.h,
-    )
+    return trig_factors(mode.wn).cs * mh2 * float(np.sum(w * r * mode.fr(r) ** 2))
 
 
 def displacement(mode: FourierMode, r, theta, z):

@@ -40,12 +40,12 @@ from cylbuck.spectral import (
     FourierMode,
     ShellGeometry,
     WaveNumbers,
-    mode_denominators,
     mode_energy,
     optimal_mode,
     trig_factors,
     window_pairs,
 )
+from test_spectral import mode_denominators
 
 EL = IsotropicElasticity(nu=0.3)
 PI = math.pi
@@ -132,7 +132,8 @@ def direct_forms(geom, elastic, wn, disc):
 
 def window_slices(window, L):
     """The window's pairs in scan order, cut into the slices that the scans solve together."""
-    return [row[s] for row in oracle._window_rows(window, L) for s in oracle._slices(row)]
+    pairs = list(window_pairs(window, L))
+    return [pairs[s] for s in oracle._slices(pairs)]
 
 
 class TestPencilAssembly:
@@ -150,8 +151,8 @@ class TestPencilAssembly:
             wn = WaveNumbers(m=m, n=n, L=PI)
             forms = mode_forms(geom, EL, wn, disc)
             want = direct_forms(geom, EL, wn, disc)
-            for name, M in want.items():
-                got = getattr(forms, name)
+            for name in oracle._FORM_NAMES:
+                got, M = getattr(forms, name), want[name]
                 assert got.shape == M.shape
                 assert np.abs(got - M).max() <= 1e-14 * np.abs(M).max(), (name, m, n)
             if n == 0:
@@ -496,28 +497,40 @@ class TestBlockReduction:
     """Forms that live on one or two DOF blocks are solved on those blocks."""
 
     def test_scans_match_full_pencils(self, rng):
-        # two drawn windows, the second with nu < 0, and the first and last
-        # rows of the h = 0.005 window, the smallest h of criterion 5
+        # two drawn windows, the second with nu < 0, each with its first
+        # multi-row group fed to the kernels at once and the rest a slice at
+        # a time, and the first and last rows of the h = 0.005 window, the
+        # smallest h of criterion 5
         drawn = [(rng.uniform(*nu), rng.uniform(0.03, 0.1), rng.uniform(2.5, 4.0))
                  for nu in ((0.2, 0.4), (-0.45, -0.05))]
         for nu, h, L in drawn + [(0.3, 0.005, PI)]:
             geom, elastic = ShellGeometry(h=h, L=L), IsotropicElasticity(nu=nu)
-            rows = oracle._window_rows(CriticalLoadProblem(geom=geom, elastic=elastic).window(), L)
+            window = CriticalLoadProblem(geom=geom, elastic=elastic).window()
+            pairs = list(window_pairs(window, L))
             if h == 0.005:
-                rows = [rows[0], rows[-1]]
-            slices = [row[s] for row in rows for s in oracle._slices(row)]
-            assert slices[0][0].n == 0
-            self.assert_scans_match_full_pencils(geom, elastic, RadialDiscretization(), slices)
+                batches = []
+                pairs = [wn for wn in pairs if wn.n in (0, window[1])]
+            else:
+                group = next(group for group in oracle._row_groups(pairs) if group[0].n != group[-1].n)
+                batches = [group]
+                pairs = [wn for wn in pairs if not group[0].n <= wn.n <= group[-1].n]
+            batches += [pairs[s] for s in oracle._slices(pairs)]
+            assert pairs[0].n == 0
+            self.assert_scans_match_full_pencils(geom, elastic, RadialDiscretization(), batches)
 
     @staticmethod
-    def assert_scans_match_full_pencils(geom, elastic, disc, slices):
-        for pairs in slices:
+    def assert_scans_match_full_pencils(geom, elastic, disc, batches):
+        for pairs in batches:
             korn = oracle._slice_korn(geom, elastic, disc, pairs)
             gaps = oracle._slice_gaps(geom, elastic, disc, pairs)
-            phi_rz = oracle._slice_min_rayleigh(geom, elastic, disc, "phi_rz", pairs)
+            # slice by slice: one call carries its ceiling from slice to slice
+            phi_rz = [value for s in oracle._slices(pairs)
+                      for value in oracle._slice_min_rayleigh(geom, elastic, disc, "phi_rz", pairs[s])]
+            # cc M on the r block: the pairs of a batch share cc and their blocks
+            phi_r2 = direct_forms(geom, elastic, pairs[0], disc)["phi_r2"]
             for i, wn in enumerate(pairs):
                 f = mode_forms(geom, elastic, wn, disc)
-                want = reference_korn(geom.h, f.e2, f.grad2, f.phi_rz, f.phi_tz, f.phi_r2)
+                want = reference_korn(geom.h, f.e2, f.grad2, f.phi_rz, f.phi_tz, phi_r2)
                 for field, value in zip(want._fields, want):
                     assert getattr(korn[i], field) == pytest.approx(value, rel=1e-10, abs=0.0), (wn, field)
                 full_vs_rz = scipy.linalg.eigh(f.phi_zz + f.phi_tz, f.stiffness, eigvals_only=True)[-1]
@@ -746,12 +759,33 @@ class TestOracleSweep:
 
         monkeypatch.setattr(oracle, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        rows = oracle._window_rows((40, 29), PI)
-        assert len(rows) >= 2 * 12  # so that the chunk size tells 3 workers from 10**6
-        got = oracle._scan(lambda pairs: [wn.m for wn in pairs], rows, jobs=10**6)
-        assert got == [(wn.m, wn) for wn in window_pairs((40, 29), PI)]
-        assert started == [3, len(rows) // 12]
+        pairs = list(window_pairs((300, 40), PI))
+        groups = oracle._row_groups(pairs)
+        assert len(groups) >= 2 * 12  # so that the chunk size tells 3 workers from 10**6
+        got = oracle._scan(lambda group: [wn.m for wn in group], pairs, jobs=10**6)
+        assert got == [(wn.m, wn) for wn in pairs]
+        assert started == [3, len(groups) // 12]
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("scan", [korn_mode_scan, equivalence_scan])
+    def test_whole_window_scans_assemble_once_per_row_group(self, monkeypatch, scan):
+        # the h = 0.02 window has 21 rows of 39 pairs: row n = 0 alone, then
+        # the rows n >= 1 six at a time (6 x 39 <= 256 pairs), so 5 groups
+        geom = ShellGeometry(h=0.02, L=PI)
+        window = CriticalLoadProblem(geom=geom, elastic=EL).window()
+        assert window == (39, 20)
+        groups = oracle._row_groups(list(window_pairs(window, PI)))
+        assert [len(group) for group in groups] == [39, 234, 234, 234, 78]
+        assembled = []
+        assemble = oracle._slice_forms
+
+        def counted(geom, elastic, disc, pairs, names=oracle._FORM_NAMES):
+            assembled.append(list(pairs))
+            return assemble(geom, elastic, disc, pairs, names)
+
+        monkeypatch.setattr(oracle, "_slice_forms", counted)
+        scan(geom, EL, RadialDiscretization(6), window, jobs=1)
+        assert assembled == groups
 
 
 def exhaustive_values(geom, elastic, disc, window, denominator):
@@ -846,11 +880,11 @@ class TestCeilingScan:
         """
         window = CriticalLoadProblem(geom=self.GEOM, elastic=EL).window()
         ceiling = seeded_ceiling(self.GEOM, EL, self.DISC, window, denominator)
-        rows = oracle._sweep_rows(self.GEOM, EL, window, denominator, ceiling)
+        pairs = oracle._sweep_pairs(self.GEOM, EL, window, denominator, ceiling)
         args = (self.GEOM, EL, self.DISC, denominator)
         skipped = [
-            row[s] for row in rows for s in oracle._slices(row)
-            if len(row[s]) >= 3 and all(v == math.inf for v in oracle._slice_min_rayleigh(*args, row[s], ceiling))
+            pairs[s] for s in oracle._slices(pairs)
+            if len(pairs[s]) >= 3 and all(v == math.inf for v in oracle._slice_min_rayleigh(*args, pairs[s], ceiling))
         ]
         return skipped[-1], window
 
@@ -892,11 +926,11 @@ class TestCeilingScan:
         # most _SLICE_PAIRS rows and _SLICE_PAIRS^2 pairs unless one row is
         # longer: per (window, pairs kept per row, groups), rows of 300 pairs
         # stay alone, 40 rows of 3 join 16 at a time and 60 rows of 20 join 12
-        for window, cut, count in (((300, 40), None, 41), ((30, 40), 3, 4), ((30, 60), 20, 6)):
-            rows = [row[:cut] for row in oracle._window_rows(window, PI)]
-            groups = oracle._row_groups(rows)
-            assert [wn for group in groups for wn in group] == [wn for row in rows for wn in row]
-            assert groups[0] == rows[0] and len(groups) == count
+        for window, cut, count in (((300, 40), 300, 41), ((30, 40), 3, 4), ((30, 60), 20, 6)):
+            pairs = [wn for wn in window_pairs(window, PI) if wn.m <= cut]
+            groups = oracle._row_groups(pairs)
+            assert [wn for group in groups for wn in group] == pairs
+            assert groups[0] == [wn for wn in pairs if wn.n == 0] and len(groups) == count
             for group in groups[1:]:
                 ns = {wn.n for wn in group}
                 assert 0 not in ns and len(ns) <= oracle._SLICE_PAIRS
@@ -982,15 +1016,14 @@ class TestDeficitBound:
             C = 0.5 * (1.0 - level / reduced) / (geom.h**2 * (1.0 + k2))
             assert 0.0 < C < oracle._DEFICIT_C
             monkeypatch.setattr(oracle, "_DEFICIT_C", C)
-        kept = [wn for row in oracle._sweep_rows(geom, EL, window, denominator, ceiling) for wn in row]
-        assert winner.wn not in kept
+        assert winner.wn not in oracle._sweep_pairs(geom, EL, window, denominator, ceiling)
         with pytest.raises(BoundViolated, match="above the seeded window ceiling"):
             oracle_sweep(geom, EL, disc, window, denominator)
 
     @pytest.mark.parametrize("h, nu, L", [(0.02, 0.3, PI), (0.005, 0.3, PI), (0.05, 0.45, PI), (0.02, -0.45, 0.5)])
     def test_kept_pairs_are_those_the_bound_cannot_exclude(self, h, nu, L):
         # pair by pair over the whole window, against the certified superset
-        # that _sweep_rows filters; on the last two windows a superset taken
+        # that _sweep_pairs filters; on the last two windows a superset taken
         # at the level itself, not at level / (1 - delta_max), misses pairs
         p = CriticalLoadProblem(geom=ShellGeometry(h=h, L=L), elastic=IsotropicElasticity(nu=nu))
         ceiling = sweep(p).strain  # a level near the window minimum
@@ -1000,9 +1033,7 @@ class TestDeficitBound:
             delta = oracle._DEFICIT_C * h * h * (1.0 + wn.m_hat**2 + wn.n**2)
             if delta >= 1.0 or per_mode_strain(p, wn).value * (1.0 - delta) <= level:
                 want.append(wn)
-        rows = oracle._sweep_rows(p.geom, p.elastic, p.window(), "phi_rz", ceiling)
-        assert [wn for row in rows for wn in row] == want
-        assert all(row and len({wn.n for wn in row}) == 1 for row in rows)
+        assert oracle._sweep_pairs(p.geom, p.elastic, p.window(), "phi_rz", ceiling) == want
         assert len(want) < p.window()[0] * (p.window()[1] + 1) / 10
 
     @pytest.mark.parametrize(
@@ -1019,7 +1050,7 @@ class TestDeficitBound:
     )
     def test_nothing_pruned_without_a_measured_bound(self, h, nu, L, denominator, ceiling):
         geom, elastic, window = ShellGeometry(h=h, L=L), IsotropicElasticity(nu=nu), (12, 8)
-        assert oracle._sweep_rows(geom, elastic, window, denominator, ceiling) == oracle._window_rows(window, L)
+        assert oracle._sweep_pairs(geom, elastic, window, denominator, ceiling) == list(window_pairs(window, L))
 
     # pairs assembled at L = pi, nu = 0.3, the seed included, as measured:
     # (full, phi_rz, phi_rz_mid); at h = 0.005 and 1e-3 the seed is the
@@ -1109,11 +1140,11 @@ class TestGapBound:
         for p in problems:
             window = TestDeficitBound.cut_window(p)
             case = (p.geom.h, p.elastic.nu, p.geom.L, window)
-            rows = oracle._window_rows(window, p.geom.L)
-            assert rows[0][0].n == 0
-            for row in rows:
-                gaps = oracle._slice_gaps(p.geom, p.elastic, disc, row)
-                for gap, G, old, wn in zip(gaps, gap_bound(p, row), self.even_split_bound(p, row), row):
+            groups = oracle._row_groups(list(window_pairs(window, p.geom.L)))
+            assert groups[0][0].n == 0
+            for group in groups:
+                gaps = oracle._slice_gaps(p.geom, p.elastic, disc, group)
+                for gap, G, old, wn in zip(gaps, gap_bound(p, group), self.even_split_bound(p, group), group):
                     assert gap.full_vs_rz <= G * (1.0 + 1e-12), (case, wn)
                     assert G <= old, (case, wn)  # the best split never loses to eps = 1
             for value, wn in exhaustive_values(p.geom, p.elastic, disc, window, "full"):

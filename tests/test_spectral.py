@@ -1,4 +1,5 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from cylbuck.spectral import (
     ShellGeometry,
     WaveNumbers,
     _ftheta,
-    mode_denominators,
     mode_energy,
+    mode_phi_rz,
     optimal_mode,
     radial_rule,
     strain_amplitudes,
@@ -20,6 +21,35 @@ from cylbuck.spectral import (
 )
 
 EL = IsotropicElasticity(nu=0.3)
+
+
+class DenominatorValues(NamedTuple):
+    """Squared L2 norms of the z-gradient components of a mode."""
+
+    phi_rz: float
+    phi_zz: float
+    phi_tz: float
+    phi_rz_mid: float
+
+    @property
+    def full(self) -> float:
+        """Compression measure magnitude |c_h|/E."""
+        return self.phi_rz + self.phi_zz + self.phi_tz
+
+
+def mode_denominators(geom, mode):
+    """The package's |phi_{r,z}|^2 norm and, as a reference, the mode's other z-gradient
+    norms on the same 16-node radial rule, with the trig factors of trig_factors."""
+    r, w = radial_rule(geom)
+    f = trig_factors(mode.wn)
+    mh2 = mode.wn.m_hat**2
+    rw = w * r
+    return DenominatorValues(
+        phi_rz=mode_phi_rz(geom, mode),
+        phi_zz=f.cc * mh2 * float(np.sum(rw * mode.fz(r) ** 2)),
+        phi_tz=f.ss * mh2 * float(np.sum(rw * _ftheta(mode)(r) ** 2)),
+        phi_rz_mid=f.cs * mh2 * float(mode.fr(1.0)) ** 2 * geom.h,
+    )
 
 
 def linear_mode(wn, a_theta, a_z, fr=Polynomial([1.0])):
@@ -190,7 +220,7 @@ def linearize(mode: FourierMode) -> FourierMode:
 
 def rayleigh_r1(geom: ShellGeometry, elastic: IsotropicElasticity, mode: FourierMode) -> float:
     """Stiffness over the |phi_{r,z}|^2 destabilizing norm for one mode."""
-    den = mode_denominators(geom, mode).phi_rz
+    den = mode_phi_rz(geom, mode)
     if den == 0.0:
         raise ZeroDivisionError("mode has no radial-axial gradient content")
     return mode_energy(geom, elastic, mode) / den
