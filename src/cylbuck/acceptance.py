@@ -150,14 +150,14 @@ def criterion_4() -> CriterionResult:
     )
 
 
-def criterion_5(jobs: int = 1) -> CriterionResult:
+def criterion_5() -> CriterionResult:
     """Korn-type ratios scale with the predicted powers of h."""
     targets = {"korn": 1.5, "theta_z": -0.5, "r_z": -1.0}
     disc = oracle_mod.RadialDiscretization()
     scan = []
     for h in KORN_H:
         p = _problem(h)
-        scan.append(oracle_mod.korn_mode_scan(p.geom, p.elastic, disc, p.window(), jobs=jobs))
+        scan.append(oracle_mod.korn_mode_scan(p.geom, p.elastic, disc, p.window()))
     ansatz = [oracle_mod.ansatz_ratios(ShellGeometry(h=h, L=L_DEFAULT)) for h in ANSATZ_H]
 
     def fit(hs, ratios):
@@ -177,14 +177,13 @@ def criterion_5(jobs: int = 1) -> CriterionResult:
     return CriterionResult(5, "Korn scalings", passed, details)
 
 
-def criterion_6(jobs: int = 1) -> CriterionResult:
+def criterion_6() -> CriterionResult:
     """Reciprocal-quotient gap vanishes against the classical strain scale."""
     disc = oracle_mod.RadialDiscretization()
     prods = []
     for h in EQUIV_H:
         p = _problem(h)
-        scan = oracle_mod.equivalence_scan(p.geom, p.elastic, disc, p.window(), jobs=jobs)
-        prods.append(p.lambda_star * scan.full_vs_rz)
+        prods.append(p.lambda_star * oracle_mod.full_vs_rz_supremum(p.geom, p.elastic, disc, p.window()))
     decreasing = all(b < a for a, b in zip(prods, prods[1:]))
     slope = oracle_mod.fitted_slope(EQUIV_H, prods)
     passed = decreasing and slope >= 0.3
@@ -362,15 +361,11 @@ CRITERIA: Dict[int, Callable[..., CriterionResult]] = {
     9: criterion_9,
 }
 
-_JOBS_AWARE = {5, 6}
-
-
-def run_all(numbers: Optional[Iterable[int]] = None, jobs: int = 1) -> List[CriterionResult]:
+def run_all(numbers: Optional[Iterable[int]] = None) -> List[CriterionResult]:
     selected = sorted(set(numbers)) if numbers else sorted(CRITERIA)
     results = []
     for num in selected:
         if num not in CRITERIA:
             raise ValueError(f"unknown criterion {num}")
-        fn = CRITERIA[num]
-        results.append(fn(jobs=jobs) if num in _JOBS_AWARE else fn())
+        results.append(CRITERIA[num]())
     return results

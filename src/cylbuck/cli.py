@@ -79,7 +79,7 @@ SETTINGS = (
     Setting("margin", 3.0, float, "sweep window margin factor"),
     Setting("degree", 12, int, "radial polynomial degree"),
     Setting("outdir", ".", str, "output directory (default .)"),
-    Setting("jobs", os.cpu_count() or 1, int, "parallel workers, at least 1 (default: CPUs)"),
+    Setting("jobs", 1, int, "accepted and ignored, at least 1 (default 1)"),
 )
 _SETTING = {s.name: s for s in SETTINGS}
 
@@ -322,9 +322,7 @@ def cmd_korn(config: RunConfig, args) -> Report:
     by_h = {}
     for h in config.h_list:
         problem = config.problem(h)
-        by_h[h] = oracle_mod.korn_mode_scan(
-            problem.geom, el, disc, problem.window(), jobs=config.jobs
-        )
+        by_h[h] = oracle_mod.korn_mode_scan(problem.geom, el, disc, problem.window())
     records = _kind_series(by_h)
     out = {"estimates": records}
     lines = _series_lines(records)
@@ -349,7 +347,7 @@ def cmd_equivalence(config: RunConfig, args) -> Report:
     records = []
     for h in config.h_list:
         problem = config.problem(h)
-        scan = oracle_mod.equivalence_scan(problem.geom, el, disc, problem.window(), jobs=config.jobs)
+        scan = oracle_mod.equivalence_scan(problem.geom, el, disc, problem.window())
         lam = problem.lambda_star
         records.append(
             {
@@ -389,7 +387,7 @@ def cmd_mode(config: RunConfig, args) -> Report:
 
 def cmd_verify(config: RunConfig, args) -> Report:
     numbers = [int(tok) for tok in args.criteria.split(",")] if args.criteria else None
-    results = acceptance.run_all(numbers, jobs=config.jobs)
+    results = acceptance.run_all(numbers)
     passed = sum(r.passed for r in results)
     lines = [r.line() for r in results] + [f"{passed}/{len(results)} criteria passed"]
     return Report("verify", lines=lines, code=0 if passed == len(results) else 2)

@@ -56,9 +56,8 @@ denominator assembles only the closed-form annulus that its lower bound
 cannot exclude.  At L = pi, nu = 0.3, seed included: 18 pairs for phi_rz
 and 16 for phi_rz_mid at h = 0.02, and 2 from h = 0.005 on, where the
 annulus keeps the seed pair alone; 47, 32, 75 and 212 for full at h = 0.02,
-0.005, 1e-3 and 1e-4, whose bound adds the gap G to the reciprocal.  So the
-window minima run serially; only the Korn and gap scans, which cover whole
-windows, use a process pool, one task per row group.
+0.005, 1e-3 and 1e-4, whose bound adds the gap G to the reciprocal.  The
+same G prunes full_vs_rz_supremum exactly.  Nothing runs in a process pool.
 
 Assembly precision: every strain and gradient map of a mode is a Chebyshev
 value or derivative table, times a coefficient that is linear in mhat for a
@@ -85,8 +84,6 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -239,16 +236,16 @@ _KORN_FORMS = ("e2", "grad2")
 _GAP_FORMS = ("stiffness",)
 # Pairs per slice: the ceiling test, the solves and the Korn and gap kernels
 # run on slices of at most this many pairs of one row, and every window scan
-# builds its rows n >= 1 in groups of at most this many rows and its square
-# of pairs.  Groups, not rows, of the Korn and gap scans raised the serial
-# criteria 5 + 6 peak RSS from 64.6 to 68.8 MB (2 vCPUs, BLAS at 1 thread).
-# Measured before that, through perfbench/run.py (--seconds 15, seed 0, four
-# pairs of 8 and 16 alternated): korn_pool wall_ref medians 1.51 (8) and
-# 1.47 (16), oracle_window 0.068 and 0.066, 16 the faster in three pairs of
-# four on each; in-process the h = 0.02 window minima ran 4-8 % faster at 8
-# or 12 in 8-10 of 15 repetitions and the Korn and gap scans moved either
-# way.  No size was faster on both workloads, so 16 stays.  Groups of 8 rows
-# peak 0.6 MB lower on oracle_window (60.9 against 61.5 MB).
+# builds its rows n >= 1 in groups of at most this many rows and four times
+# this many pairs.  Serial groups of up to 16^2 pairs raised korn_pool's peak
+# RSS from 61.6 MB (pooled) to 69.0 MB; 64 pairs held it at 63.6 MB at the
+# same wall time (2 vCPUs, BLAS at 1 thread).  Measured before that, through
+# perfbench/run.py (--seconds 15, seed 0, four pairs of 8 and 16
+# alternated): korn_pool wall_ref medians 1.51 (8) and 1.47 (16),
+# oracle_window 0.068 and 0.066, 16 the faster in three pairs of four on
+# each; in-process the h = 0.02 window minima ran 4-8 % faster at 8 or 12
+# in 8-10 of 15 repetitions.  No size was faster on both workloads, so 16
+# stays.
 _SLICE_PAIRS = 16
 
 
@@ -642,24 +639,14 @@ def _by_slice(solve: Callable, pairs: Sequence[WaveNumbers], forms: Dict[str, np
     return [item for s in _slices(pairs) for item in solve(pairs[s], {name: F[s] for name, F in forms.items()})]
 
 
-def _scan(per_group: Callable, pairs: Sequence[WaveNumbers], jobs: int) -> List[Tuple[object, WaveNumbers]]:
+def _scan(per_group: Callable, pairs: Sequence[WaveNumbers]) -> List[Tuple[object, WaveNumbers]]:
     """(result, pair) for every pair of pairs, a flat list in scan order.
 
-    The Korn and gap scans cover whole windows through it.  The pairs are
-    cut into the row groups of _row_groups, and per_group(group) gives one
-    result per pair of a group, so each group is assembled once.  Many
-    pairs run in a process pool, one group per task; the pool never has
-    more workers than there are CPUs.
+    The Korn and gap scans run through it, in the calling process.  The
+    pairs are cut into the row groups of _row_groups, and per_group(group)
+    gives one result per pair of a group, so each group is assembled once.
     """
-    groups = _row_groups(pairs)
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers <= 1 or len(pairs) < 32:
-        parts = [per_group(group) for group in groups]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunksize = max(1, len(groups) // (4 * workers))
-            parts = list(pool.map(per_group, groups, chunksize=chunksize))
-    return [item for group, part in zip(groups, parts) for item in zip(part, group, strict=True)]
+    return [item for group in _row_groups(pairs) for item in zip(per_group(group), group, strict=True)]
 
 
 def _slice_min_rayleigh(
@@ -691,17 +678,17 @@ def _row_groups(pairs: Sequence[WaveNumbers]) -> List[List[WaveNumbers]]:
     """The pairs, a flat list in scan order, cut into row groups of one assembly each.
 
     The consecutive runs of one row n (_row_runs) are joined while a group
-    holds at most _SLICE_PAIRS rows and _SLICE_PAIRS^2 pairs; a longer row
+    holds at most _SLICE_PAIRS rows and 4 _SLICE_PAIRS pairs; a longer row
     stays alone, and so does row n = 0, which has no theta block.  That
     bounds the batched contraction of _slice_forms and the forms a group
-    holds at once by about those of one row of a few hundred pairs.
+    holds at once by those of 64 pairs, or of one longer row.
     """
     groups: List[List[WaveNumbers]] = []
     joined: List[int] = []  # rows per group
     for n, a, b in _row_runs(pairs):
         if (
             groups and min(n, groups[-1][0].n) > 0
-            and joined[-1] < _SLICE_PAIRS and len(groups[-1]) + b - a <= _SLICE_PAIRS**2
+            and joined[-1] < _SLICE_PAIRS and len(groups[-1]) + b - a <= 4 * _SLICE_PAIRS
         ):
             groups[-1] += pairs[a:b]
             joined[-1] += 1
@@ -882,11 +869,8 @@ def oracle_sweep(
     whose minimum lies above it raises BoundViolated.  Logs the
     denominator, the pairs covered (the window's), the pairs assembled and
     the pairs solved, the seed included, at DEBUG on the "cylbuck" logger.
-
-    The scan is serial: it assembles a few dozen pairs (212 for full at
-    h = 1e-4, L = pi), and on them a process pool measured slower (h = 0.02
-    and 1e-3) or no faster (1e-4).  jobs is accepted and ignored, because
-    the benchmark's oracle_window workload still passes it.
+    jobs is accepted and ignored, because the benchmark's oracle_window
+    workload still passes it.
     """
     seed = _seed_pair(geom, elastic, window)
     ceiling = math.inf
@@ -1023,13 +1007,12 @@ def korn_mode_scan(
     elastic: IsotropicElasticity,
     disc: RadialDiscretization,
     window: Tuple[int, int],
-    jobs: int = 1,
 ) -> KornRatios:
     """Extremal Korn-type ratios over all modes in the window.
 
     Logs the pairs covered at DEBUG on the "cylbuck" logger.
     """
-    scanned = _scan(partial(_slice_korn, geom, elastic, disc), list(window_pairs(window, geom.L)), jobs)
+    scanned = _scan(partial(_slice_korn, geom, elastic, disc), list(window_pairs(window, geom.L)))
     per_mode = [r for r, _ in scanned]
     _log.debug("korn_mode_scan: %d pairs covered", len(per_mode))
     return _positive(KornRatios(
@@ -1109,17 +1092,40 @@ def equivalence_scan(
     elastic: IsotropicElasticity,
     disc: RadialDiscretization,
     window: Tuple[int, int],
-    jobs: int = 1,
 ) -> EquivalenceScan:
     """Suprema of the two gaps over all modes in the window.
 
     Logs the pairs covered at DEBUG on the "cylbuck" logger.
     """
-    gaps = _scan(partial(_slice_gaps, geom, elastic, disc), list(window_pairs(window, geom.L)), jobs)
+    gaps = _scan(partial(_slice_gaps, geom, elastic, disc), list(window_pairs(window, geom.L)))
     _log.debug("equivalence_scan: %d pairs covered", len(gaps))
     sup1 = max(g.full_vs_rz for g, _ in gaps)
     coef = max(g.rz_vs_mid / (wn.m_hat * math.sqrt(geom.h)) for g, wn in gaps)
     return EquivalenceScan(full_vs_rz=sup1, rz_vs_mid_coef=coef)
+
+
+def full_vs_rz_supremum(
+    geom: ShellGeometry, elastic: IsotropicElasticity, disc: RadialDiscretization, window: Tuple[int, int]
+) -> float:
+    """equivalence_scan's full_vs_rz, bit for bit, solving only the pairs that the proved bound G keeps.
+
+    Column m = 1, where the supremum sits at every measured h, is scanned
+    whole, and its largest gap s seeds the supremum.  Every pair's gap is at
+    most its G (_gap_bound), so of the other pairs only those with
+    G >= s (1 - _CEILING_MARGIN) are solved, through the same _scan and
+    _slice_gaps; a pair's gaps are the same in any group.  Logs the pairs
+    covered, the seed column's and the pairs solved at DEBUG on "cylbuck".
+    """
+    pairs = list(window_pairs(window, geom.L))
+    solve = partial(_slice_gaps, geom, elastic, disc)
+    column = [wn for wn in pairs if wn.m == 1]
+    seed = max(g.full_vs_rz for g, _ in _scan(solve, column))
+    rest = [wn for wn in pairs if wn.m > 1]
+    G = _gap_bound(geom, elastic, np.array([float(wn.n) for wn in rest]), np.array([wn.m_hat for wn in rest]))
+    kept = [wn for wn, bound in zip(rest, G) if bound >= seed * (1.0 - _CEILING_MARGIN)]
+    _log.debug("full_vs_rz_supremum: %d pairs covered, %d in column m = 1, %d solved",
+               len(pairs), len(column), len(column) + len(kept))
+    return max([seed] + [g.full_vs_rz for g, _ in _scan(solve, kept)])
 
 
 # ---------------------------------------------------------------------------

@@ -290,12 +290,12 @@ class TestConfigAndErrors:
             config = merge_config(parse(["--config", str(cfg), "sweep", flag, text]))
             assert {k: getattr(config, k) for k in from_file} == {**from_file, name: value}
 
-    def test_jobs_defaults_to_cpu_count(self, tmp_path):
+    def test_jobs_defaults_to_one(self, tmp_path):
         parse = build_parser().parse_args
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"nu": 0.25}))
-        assert merge_config(parse(["sweep"])).jobs == (os.cpu_count() or 1)
-        assert merge_config(parse(["--config", str(cfg), "sweep"])).jobs == (os.cpu_count() or 1)
+        assert merge_config(parse(["sweep"])).jobs == 1
+        assert merge_config(parse(["--config", str(cfg), "sweep"])).jobs == 1
         cfg.write_text(json.dumps({"jobs": 7}))
         assert merge_config(parse(["--config", str(cfg), "sweep"])).jobs == 7
         assert merge_config(parse(["--config", str(cfg), "sweep", "--jobs", "3"])).jobs == 3

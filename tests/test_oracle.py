@@ -1,8 +1,6 @@
 import dataclasses
 import logging
 import math
-import multiprocessing
-import os
 import tracemalloc
 
 import numpy as np
@@ -11,6 +9,7 @@ import scipy.linalg
 from numpy.polynomial import Polynomial, chebyshev
 
 from cylbuck import critical_load, oracle
+from cylbuck.acceptance import EQUIV_H
 from cylbuck.critical_load import CriticalLoadProblem, per_mode_strain, per_mode_strain_full, sweep
 from cylbuck.errors import (
     AssemblyDegenerate,
@@ -497,10 +496,10 @@ class TestBlockReduction:
     """Forms that live on one or two DOF blocks are solved on those blocks."""
 
     def test_scans_match_full_pencils(self, rng):
-        # two drawn windows, the second with nu < 0, each with its first
-        # multi-row group fed to the kernels at once and the rest a slice at
-        # a time, and the first and last rows of the h = 0.005 window, the
-        # smallest h of criterion 5
+        # two drawn windows, the second with nu < 0, each with the first
+        # multi-row group of the window cut to its first 8 columns fed to the
+        # kernels at once and the rest a slice at a time, and the first and
+        # last rows of the h = 0.005 window, the smallest h of criterion 5
         drawn = [(rng.uniform(*nu), rng.uniform(0.03, 0.1), rng.uniform(2.5, 4.0))
                  for nu in ((0.2, 0.4), (-0.45, -0.05))]
         for nu, h, L in drawn + [(0.3, 0.005, PI)]:
@@ -511,9 +510,10 @@ class TestBlockReduction:
                 batches = []
                 pairs = [wn for wn in pairs if wn.n in (0, window[1])]
             else:
-                group = next(group for group in oracle._row_groups(pairs) if group[0].n != group[-1].n)
-                batches = [group]
-                pairs = [wn for wn in pairs if not group[0].n <= wn.n <= group[-1].n]
+                cut = [wn for wn in pairs if wn.m <= 8]
+                group = next(group for group in oracle._row_groups(cut) if group[0].n != group[-1].n)
+                batches, grouped = [group], set(group)
+                pairs = [wn for wn in pairs if wn not in grouped]
             batches += [pairs[s] for s in oracle._slices(pairs)]
             assert pairs[0].n == 0
             self.assert_scans_match_full_pencils(geom, elastic, RadialDiscretization(), batches)
@@ -572,12 +572,12 @@ class TestBlockReduction:
     def test_korn_scan_names_first_indefinite_pair(self, monkeypatch, name):
         self.break_forms(monkeypatch, name)
         with pytest.raises(AssemblyDegenerate, match=rf"{name} not positive definite for WaveNumbers\(m=2, n=1,"):
-            korn_mode_scan(ShellGeometry(h=0.05, L=PI), EL, RadialDiscretization(6), (6, 3), jobs=1)
+            korn_mode_scan(ShellGeometry(h=0.05, L=PI), EL, RadialDiscretization(6), (6, 3))
 
     def test_gap_scan_names_first_indefinite_pair(self, monkeypatch):
         self.break_forms(monkeypatch, "stiffness")
         with pytest.raises(AssemblyDegenerate, match=r"stiffness not positive definite for WaveNumbers\(m=2, n=1,"):
-            equivalence_scan(ShellGeometry(h=0.05, L=PI), EL, RadialDiscretization(6), (6, 3), jobs=1)
+            equivalence_scan(ShellGeometry(h=0.05, L=PI), EL, RadialDiscretization(6), (6, 3))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("name", ["e2", "grad2", "stiffness"])
@@ -586,7 +586,7 @@ class TestBlockReduction:
         self.break_forms(monkeypatch, name, value)
         scan = equivalence_scan if name == "stiffness" else korn_mode_scan
         with pytest.raises(ValueError, match="infs or NaNs"):
-            scan(ShellGeometry(h=0.05, L=PI), EL, RadialDiscretization(6), (6, 3), jobs=1)
+            scan(ShellGeometry(h=0.05, L=PI), EL, RadialDiscretization(6), (6, 3))
 
     @pytest.mark.parametrize("scan", ["full", "korn", "phi_rz", "phi_rz_mid", "gap"])
     def test_unconverged_solve_raises(self, monkeypatch, scan):
@@ -707,75 +707,31 @@ class TestOracleSweep:
         at_winner = min_rayleigh(assemble_pencil(geom, EL, p.wave_numbers(res.m, res.n), "phi_rz"))
         assert at_winner <= res.strain * (1 + 1e-8)
 
-    def test_jobs_parallel_same_result(self, monkeypatch):
-        # 70 pairs: above the serial cut-off, so jobs=2 runs the process pool
-        geom = ShellGeometry(h=0.05, L=PI)
-        disc = RadialDiscretization(degree=6)
-        window = (10, 6)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real 2-worker pool on any runner
-        for scan in (korn_mode_scan, equivalence_scan):
-            serial = scan(geom, EL, disc, window, jobs=1)
-            assert scan(geom, EL, disc, window, jobs=2) == serial, scan.__name__
-
     @pytest.mark.parametrize("denominator", oracle.DENOMINATORS)
     @pytest.mark.parametrize("h", [0.02, 1e-3])
-    def test_sweep_never_starts_a_pool(self, monkeypatch, caplog, h, denominator):
-        # full scans 46 pairs after its seed at h = 0.02 and 74 at h = 1e-3,
-        # above _scan's 32-pair pool threshold, yet jobs is ignored and every
-        # denominator's scan is serial
+    def test_jobs_leaves_the_sweep_unchanged(self, caplog, h, denominator):
+        # jobs is accepted and ignored: the value's bytes, the pair and the
+        # DEBUG counts are those of jobs=1
         p = CriticalLoadProblem(geom=ShellGeometry(h=h, L=PI), elastic=EL)
         args = (p.geom, EL, RadialDiscretization(), p.window(), denominator)
         serial, serial_counts = sweep_log(caplog, *args, jobs=1)
-
-        class NoPool:
-            def __init__(self, *args, **kwargs):
-                raise AssertionError("oracle_sweep started a process pool")
-
-        monkeypatch.setattr(oracle, "ProcessPoolExecutor", NoPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         got, counts = sweep_log(caplog, *args, jobs=4)
         assert got == serial
         assert np.float64(got.value).tobytes() == np.float64(serial.value).tobytes()
         assert counts == serial_counts
-        if denominator == "full":
-            assert counts[2] - 1 >= 32  # the pairs scanned after the seed
-
-    def test_pool_never_exceeds_cpu_count(self, monkeypatch):
-        started = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize):
-                started.append(chunksize)
-                return map(fn, items)
-
-        monkeypatch.setattr(oracle, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        pairs = list(window_pairs((300, 40), PI))
-        groups = oracle._row_groups(pairs)
-        assert len(groups) >= 2 * 12  # so that the chunk size tells 3 workers from 10**6
-        got = oracle._scan(lambda group: [wn.m for wn in group], pairs, jobs=10**6)
-        assert got == [(wn.m, wn) for wn in pairs]
-        assert started == [3, len(groups) // 12]
-        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("scan", [korn_mode_scan, equivalence_scan])
     def test_whole_window_scans_assemble_once_per_row_group(self, monkeypatch, scan):
         # the h = 0.02 window has 21 rows of 39 pairs: row n = 0 alone, then
-        # the rows n >= 1 six at a time (6 x 39 <= 256 pairs), so 5 groups
+        # the rows n >= 1 one at a time (2 x 39 > 64 pairs), so 21 groups; the
+        # window cut to its first 10 columns joins six rows (6 x 10 <= 64)
         geom = ShellGeometry(h=0.02, L=PI)
         window = CriticalLoadProblem(geom=geom, elastic=EL).window()
         assert window == (39, 20)
         groups = oracle._row_groups(list(window_pairs(window, PI)))
-        assert [len(group) for group in groups] == [39, 234, 234, 234, 78]
+        assert [len(group) for group in groups] == [39] * 21
+        cut = oracle._row_groups([wn for wn in window_pairs(window, PI) if wn.m <= 10])
+        assert [len(group) for group in cut] == [10, 60, 60, 60, 20]
         assembled = []
         assemble = oracle._slice_forms
 
@@ -784,7 +740,7 @@ class TestOracleSweep:
             return assemble(geom, elastic, disc, pairs, names)
 
         monkeypatch.setattr(oracle, "_slice_forms", counted)
-        scan(geom, EL, RadialDiscretization(6), window, jobs=1)
+        scan(geom, EL, RadialDiscretization(6), window)
         assert assembled == groups
 
 
@@ -923,10 +879,10 @@ class TestCeilingScan:
 
     def test_row_groups_bound_the_batched_build(self):
         # scan order kept, row n = 0 alone, and each group of rows n >= 1 at
-        # most _SLICE_PAIRS rows and _SLICE_PAIRS^2 pairs unless one row is
+        # most _SLICE_PAIRS rows and 4 _SLICE_PAIRS pairs unless one row is
         # longer: per (window, pairs kept per row, groups), rows of 300 pairs
-        # stay alone, 40 rows of 3 join 16 at a time and 60 rows of 20 join 12
-        for window, cut, count in (((300, 40), 300, 41), ((30, 40), 3, 4), ((30, 60), 20, 6)):
+        # stay alone, 40 rows of 3 join 16 at a time and 60 rows of 20 join 3
+        for window, cut, count in (((300, 40), 300, 41), ((30, 40), 3, 4), ((30, 60), 20, 21)):
             pairs = [wn for wn in window_pairs(window, PI) if wn.m <= cut]
             groups = oracle._row_groups(pairs)
             assert [wn for group in groups for wn in group] == pairs
@@ -934,7 +890,7 @@ class TestCeilingScan:
             for group in groups[1:]:
                 ns = {wn.n for wn in group}
                 assert 0 not in ns and len(ns) <= oracle._SLICE_PAIRS
-                assert len(group) <= oracle._SLICE_PAIRS**2 or len(ns) == 1
+                assert len(group) <= 4 * oracle._SLICE_PAIRS or len(ns) == 1
 
     def test_silent_by_default(self, caplog, capsys):
         oracle_sweep(self.GEOM, EL, self.DISC, (6, 4), "full")
@@ -1151,6 +1107,49 @@ class TestGapBound:
                 assert value >= pruning_bound(p, wn, "full"), (case, wn)
 
 
+class TestGapSupremum:
+    """full_vs_rz_supremum: equivalence_scan's full_vs_rz, solving only the pairs the proved gap bound keeps."""
+
+    @staticmethod
+    def supremum_log(caplog, monkeypatch, *args):
+        """The supremum, its DEBUG record's (covered, seed column, solved) and the pairs it assembled."""
+        assembled = []
+        assemble = oracle._slice_forms
+
+        def counted(geom, elastic, disc, pairs, names=oracle._FORM_NAMES):
+            assembled.extend(pairs)
+            return assemble(geom, elastic, disc, pairs, names)
+
+        monkeypatch.setattr(oracle, "_slice_forms", counted)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="cylbuck"):
+            got = oracle.full_vs_rz_supremum(*args)
+        (record,) = [r for r in caplog.records if r.name == "cylbuck"]
+        return got, record.args, assembled
+
+    @pytest.mark.parametrize("case", [f"h={h}" for h in EQUIV_H] + ["drawn nu > 0", "drawn nu < 0"])
+    def test_equals_the_whole_window_scan(self, rng, caplog, monkeypatch, case):
+        # criterion 6's four windows, and drawn (nu, h, L) windows with nu of both signs
+        if case.startswith("drawn"):
+            nu = rng.uniform(0.05, 0.45) if ">" in case else rng.uniform(-0.45, -0.05)
+            h, L = rng.uniform(0.02, 0.1), rng.uniform(2.0, 8.0)
+        else:
+            nu, h, L = 0.3, float(case[2:]), PI
+        geom, elastic, disc = ShellGeometry(h=h, L=L), IsotropicElasticity(nu=nu), RadialDiscretization()
+        window = CriticalLoadProblem(geom=geom, elastic=elastic).window()
+        want = equivalence_scan(geom, elastic, disc, window).full_vs_rz
+        got, (covered, column, solved), assembled = self.supremum_log(caplog, monkeypatch, geom, elastic, disc, window)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (case, nu, h, L)
+        assert (covered, column) == (window[0] * (window[1] + 1), window[1] + 1)
+        assert [wn for wn in assembled if wn.m == 1] == [wn for wn in window_pairs(window, L) if wn.m == 1]
+        assert len(set(assembled)) == len(assembled) == solved < covered, (case, nu, h, L)
+
+    def test_silent_by_default(self, caplog, capsys):
+        oracle.full_vs_rz_supremum(ShellGeometry(h=0.05, L=PI), EL, RadialDiscretization(6), (6, 3))
+        assert not [r for r in caplog.records if r.name == "cylbuck"]
+        assert capsys.readouterr() == ("", "")
+
+
 class TestKornScan:
     def test_ratios_positive_and_scale_free(self, rng):
         geom = ShellGeometry(h=0.05, L=PI)
@@ -1181,7 +1180,7 @@ class TestKornScan:
         # a NaN after the first field must fail too: min((1.0, nan)) is 1.0
         monkeypatch.setattr(oracle, "_slice_korn", lambda geom, elastic, disc, pairs: [bad] * len(pairs))
         with pytest.raises(ValueError):
-            korn_mode_scan(ShellGeometry(h=0.05, L=PI), EL, RadialDiscretization(6), (3, 2), jobs=1)
+            korn_mode_scan(ShellGeometry(h=0.05, L=PI), EL, RadialDiscretization(6), (3, 2))
 
 
 class TestEquivalenceGap:
@@ -1219,10 +1218,10 @@ class TestEquivalenceGap:
 @pytest.mark.parametrize("scan", [korn_mode_scan, equivalence_scan])
 def test_scan_logs_pairs_covered(caplog, scan):
     args = (ShellGeometry(h=0.05, L=PI), EL, RadialDiscretization(6), (6, 3))
-    scan(*args, jobs=1)
+    scan(*args)
     assert not [r for r in caplog.records if r.name == "cylbuck"]  # silent by default
     with caplog.at_level(logging.DEBUG, logger="cylbuck"):
-        scan(*args, jobs=1)
+        scan(*args)
     (record,) = [r for r in caplog.records if r.name == "cylbuck"]
     assert record.levelno == logging.DEBUG
     assert record.getMessage() == f"{scan.__name__}: 24 pairs covered"
