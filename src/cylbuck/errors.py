@@ -10,7 +10,7 @@ class NoRoot(CylbuckError):
 
 
 class NonConvergence(CylbuckError):
-    """Iterative solver exhausted its iteration budget."""
+    """A LAPACK eigensolve of the oracle (eigvalsh, eigh or dsygvx) did not converge."""
 
 
 class SingularSystem(CylbuckError):
@@ -22,7 +22,7 @@ class WindowTooSmall(CylbuckError):
 
 
 class AssemblyDegenerate(CylbuckError):
-    """Stiffness matrix of a mode pencil failed positive-definite factorization."""
+    """A form the oracle factors (a mode's stiffness, e2 or grad2) is not positive definite."""
 
 
 class ZeroDenominator(CylbuckError):

@@ -69,14 +69,15 @@ every distinct row of a call is contracted with the moments in one batched
 pass, and every pair is formed as F0 + mhat F1 + mhat^2 F2 in float64.  n
 stays exact in the coefficients, and nothing assembled is interpolated.
 Row n = 0 has no theta block, so it is built apart from the rows n >= 1.
-Every window scan walks a flat scan-order list of pairs cut into row
-groups (_row_groups): row n = 0 in one call, the rows n >= 1 in one call
-per bounded group of rows.  phi_rz, phi_zz and phi_tz are each a
-scalar per pair times the one mass moment int V^T V r dr on one block, and
-full's denominator is one block-diagonal scaled mass.  A call builds only
-the forms it is asked for.  A pair's forms come out bit for bit the same in
-every call, whatever rows, slice or single pair it holds, so the window
-scans and the one-pair mode_forms agree exactly.
+Every scan, the window minima and the Korn and gap scans alike, goes through
+one walker (_walk): a flat scan-order list of pairs cut into row groups
+(_row_groups: row n = 0 alone, the rows n >= 1 in groups of at most 64
+pairs), each assembled in one call and solved slice by slice.  phi_rz,
+phi_zz and phi_tz are each a scalar per pair times the one mass moment int
+V^T V r dr on one block, and full, their sum, is one block-diagonal scaled
+mass.  A call builds only the forms it is asked for.  A pair's forms come
+out bit for bit the same in every call, whatever rows, slice or single pair
+it holds, so the window scans and the one-pair mode_forms agree exactly.
 """
 
 from __future__ import annotations
@@ -226,26 +227,20 @@ class ModeForms(NamedTuple):
 
 
 _FORM_NAMES = ModeForms._fields[1:]
-# the forms each consumer reads; a call assembles only the ones it is asked for
-_PENCIL_FORMS = {
-    "full": ("stiffness", "phi_rz", "phi_zz", "phi_tz"),
-    "phi_rz": ("stiffness", "phi_rz"),
-    "phi_rz_mid": ("stiffness", "phi_rz_mid"),
-}
+# the forms the Korn and gap scans read; a call assembles only the ones it is asked for
 _KORN_FORMS = ("e2", "grad2")
 _GAP_FORMS = ("stiffness",)
 # Pairs per slice: the ceiling test, the solves and the Korn and gap kernels
-# run on slices of at most this many pairs of one row, and every window scan
-# builds its rows n >= 1 in groups of at most this many rows and four times
-# this many pairs.  Serial groups of up to 16^2 pairs raised korn_pool's peak
-# RSS from 61.6 MB (pooled) to 69.0 MB; 64 pairs held it at 63.6 MB at the
-# same wall time (2 vCPUs, BLAS at 1 thread).  Measured before that, through
+# run on slices of at most this many pairs of one row, and every scan builds
+# its rows n >= 1 in groups of at most four times this many pairs.  Through
 # perfbench/run.py (--seconds 15, seed 0, four pairs of 8 and 16
 # alternated): korn_pool wall_ref medians 1.51 (8) and 1.47 (16),
 # oracle_window 0.068 and 0.066, 16 the faster in three pairs of four on
 # each; in-process the h = 0.02 window minima ran 4-8 % faster at 8 or 12
 # in 8-10 of 15 repetitions.  No size was faster on both workloads, so 16
-# stays.
+# stays.  64 pairs per group bound the forms a scan holds at once: at the
+# same wall time, larger groups raised korn_pool's peak RSS by about 5 MB
+# (2 vCPUs, BLAS at 1 thread).
 _SLICE_PAIRS = 16
 
 
@@ -395,7 +390,8 @@ def _slice_forms(
     contracted with the radial moments in one batched pass, and the pairs
     are formed together, elementwise, as F0 + mhat (F1 + mhat F2).  The
     single-block forms are a scalar per pair times the mass moment on their
-    block (phi_tz is zero for n = 0) and build no map.  A pair's forms are
+    block (phi_tz is zero for n = 0) and build no map; full, the sum of the
+    three, is one block-diagonal scaled mass (_mass_form).  A pair's forms are
     the same float64 arrays, bit for bit, in any call and for any names:
     each row's F0, F1 and F2 do not depend on the other rows or the pairs,
     and the evaluation is elementwise per pair.
@@ -429,8 +425,8 @@ def _slice_forms(
                 out[a:b] *= mh[a:b]
                 out[a:b] += F0
     for name in names:
-        if name in _MASS_FORMS:
-            forms[name] = _mass_form(geom, disc, pairs, (name,))
+        if name in _MASS_FORMS or name == "full":
+            forms[name] = _mass_form(geom, disc, pairs, tuple(_MASS_FORMS) if name == "full" else (name,))
     if "phi_rz_mid" in names:
         # cs mhat^2 h outer(v, v) on the r block, v.c = f_r(1) for its coefficients c
         k = disc.degree + 1
@@ -454,26 +450,6 @@ def mode_forms(
     return ModeForms(wn=wn, **{name: F[0] for name, F in forms.items()})
 
 
-def _pencil_forms(
-    geom: ShellGeometry,
-    elastic: IsotropicElasticity,
-    disc: RadialDiscretization,
-    denominator: str,
-    pairs: Sequence[WaveNumbers],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(A, B) of every pair of one row group: the stiffness, and the sum of the denominator's forms.
-
-    full's sum is built as one block-diagonal scaled mass (_mass_form).
-    """
-    if denominator not in DENOMINATORS:
-        raise ValueError(f"denominator must be one of {DENOMINATORS}")
-    if denominator == "full":
-        A = _slice_forms(geom, elastic, disc, pairs, ("stiffness",))["stiffness"]
-        return A, _mass_form(geom, disc, pairs, _PENCIL_FORMS["full"][1:])
-    forms = _slice_forms(geom, elastic, disc, pairs, _PENCIL_FORMS[denominator])
-    return forms["stiffness"], forms[denominator]
-
-
 def assemble_pencil(
     geom: ShellGeometry,
     elastic: IsotropicElasticity,
@@ -487,8 +463,10 @@ def assemble_pencil(
     |phi_{r,z}|^2 + |phi_{z,z}|^2 + |phi_{theta,z}|^2, "phi_rz" for the
     |phi_{r,z}|^2 norm, "phi_rz_mid" for its mid-surface trace.
     """
-    A, B = _pencil_forms(geom, elastic, disc, denominator, [wn])
-    return ModePencil(wn=wn, A=A[0], B=B[0], denominator=denominator)
+    if denominator not in DENOMINATORS:
+        raise ValueError(f"denominator must be one of {DENOMINATORS}")
+    forms = _slice_forms(geom, elastic, disc, [wn], ("stiffness", denominator))
+    return ModePencil(wn=wn, A=forms["stiffness"][0], B=forms[denominator][0], denominator=denominator)
 
 
 def _check_vanishing(pairs: Sequence[WaveNumbers], A: np.ndarray, B: np.ndarray):
@@ -634,68 +612,47 @@ def _slices(pairs: Sequence[WaveNumbers]) -> List[slice]:
     return [slice(i, min(i + _SLICE_PAIRS, b)) for _, a, b in _row_runs(pairs) for i in range(a, b, _SLICE_PAIRS)]
 
 
-def _by_slice(solve: Callable, pairs: Sequence[WaveNumbers], forms: Dict[str, np.ndarray]) -> list:
-    """solve(pairs[s], forms cut to s) over the slices s of the pairs, concatenated."""
-    return [item for s in _slices(pairs) for item in solve(pairs[s], {name: F[s] for name, F in forms.items()})]
-
-
-def _scan(per_group: Callable, pairs: Sequence[WaveNumbers]) -> List[Tuple[object, WaveNumbers]]:
-    """(result, pair) for every pair of pairs, a flat list in scan order.
-
-    The Korn and gap scans run through it, in the calling process.  The
-    pairs are cut into the row groups of _row_groups, and per_group(group)
-    gives one result per pair of a group, so each group is assembled once.
-    """
-    return [item for group in _row_groups(pairs) for item in zip(per_group(group), group, strict=True)]
-
-
-def _slice_min_rayleigh(
-    geom: ShellGeometry,
-    elastic: IsotropicElasticity,
-    disc: RadialDiscretization,
-    denominator: str,
-    pairs: Sequence[WaveNumbers],
-    ceiling: float = math.inf,
-) -> List[float]:
-    """min_rayleigh of every pair of one or more rows, in scan order, under ceiling.
-
-    The pairs (of row n = 0, or of rows n >= 1) are assembled in one call
-    and solved slice by slice (_slices, each of one row) by _slice_minima:
-    a slice whose pencils all clear the ceiling is not solved, and every
-    pair gets inf.  The ceiling starts at ceiling and drops to each solved
-    slice's minimum.  A skipped pair is never solved, so it cannot raise
-    NonConvergence.  Any other slice is solved exactly, as with no ceiling.
-    """
-    A, B = _pencil_forms(geom, elastic, disc, denominator, pairs)  # rejects an unknown denominator
-    values = []
-    for s in _slices(pairs):
-        values += _slice_minima(pairs[s], A[s], B[s], ceiling)
-        ceiling = min(ceiling, *values[s])
-    return values
-
-
 def _row_groups(pairs: Sequence[WaveNumbers]) -> List[List[WaveNumbers]]:
     """The pairs, a flat list in scan order, cut into row groups of one assembly each.
 
     The consecutive runs of one row n (_row_runs) are joined while a group
-    holds at most _SLICE_PAIRS rows and 4 _SLICE_PAIRS pairs; a longer row
-    stays alone, and so does row n = 0, which has no theta block.  That
-    bounds the batched contraction of _slice_forms and the forms a group
-    holds at once by those of 64 pairs, or of one longer row.
+    holds at most 4 _SLICE_PAIRS pairs; a longer row stays alone, and so
+    does row n = 0, which has no theta block.  That bounds the batched
+    contraction of _slice_forms and the forms a group holds at once by
+    those of 64 pairs, or of one longer row.
     """
     groups: List[List[WaveNumbers]] = []
-    joined: List[int] = []  # rows per group
     for n, a, b in _row_runs(pairs):
-        if (
-            groups and min(n, groups[-1][0].n) > 0
-            and joined[-1] < _SLICE_PAIRS and len(groups[-1]) + b - a <= 4 * _SLICE_PAIRS
-        ):
+        if groups and min(n, groups[-1][0].n) > 0 and len(groups[-1]) + b - a <= 4 * _SLICE_PAIRS:
             groups[-1] += pairs[a:b]
-            joined[-1] += 1
         else:
             groups.append(list(pairs[a:b]))
-            joined.append(1)
     return groups
+
+
+def _walk(
+    geom: ShellGeometry,
+    elastic: IsotropicElasticity,
+    disc: RadialDiscretization,
+    pairs: Sequence[WaveNumbers],
+    names: Sequence[str],
+    solve: Callable,
+) -> list:
+    """solve(slice, its forms) over every slice of the pairs, one result per pair, in scan order.
+
+    Every scan runs through it, in the calling process.  Each row group
+    (_row_groups) is assembled once, the named forms only (_slice_forms),
+    and cut into _slices, each of at most _SLICE_PAIRS pairs of one row.  A
+    group's forms are dropped before the next group is built, so the walk
+    holds one group's forms at a time.
+    """
+    out = []
+    for group in _row_groups(pairs):
+        forms = _slice_forms(geom, elastic, disc, group, names)
+        for s in _slices(group):
+            out += solve(group[s], {name: F[s] for name, F in forms.items()})
+        del forms
+    return out
 
 
 # Measured lower bound of the phi_rz and phi_rz_mid minima by the reduced
@@ -757,9 +714,8 @@ def _gap_bound(geom: ShellGeometry, elastic: IsotropicElasticity, n: np.ndarray,
     """G >= full_vs_rz of each pair (n[k], mhat[k]) of the window: the proved bound above."""
     nu = elastic.nu
     kappa = 1.0 / (1.0 + nu) if nu >= 0.0 else 1.0 / (1.0 - 2.0 * nu)
-    rows = np.unique(n)
-    f = [trig_factors(WaveNumbers(m=1, n=int(row), L=geom.L)) for row in rows]
-    s = np.array([x.ss / x.cc for x in f])[np.searchsorted(rows, n)]
+    f = trig_factors(WaveNumbers(m=1, n=1, L=geom.L))
+    s = np.where(n > 0, f.ss / f.cc, 0.0)
     st = s * (n / (m_hat * (1.0 - 0.5 * geom.h))) ** 2
     root = np.sqrt((st - 1.0) ** 2 + 8.0 * st)
     with np.errstate(divide="ignore", invalid="ignore"):  # n = 0 (st = 0) takes g = 1
@@ -851,39 +807,47 @@ def oracle_sweep(
     definite a margin above it (_slice_minima).  No skipped pair can reach
     the minimum, so the result is the exhaustive scan's, bit for bit: the
     winner's value comes from the same exact solve.  The ceiling is seeded
-    before the scan by one exact solve at the closed-form winner
-    (_seed_pair) and carried from one group of rows to the next.  An error
-    in that solve is left to the scan, which names the first failing pair
-    in scan order.  Deterministic tie-break as in the closed-form sweep
-    (smallest n, then m): min keeps the first minimum in scan order.
+    before the scan by min_rayleigh at the closed-form winner (_seed_pair),
+    so min_rayleigh at the scan's winner returns the scan's value, and it
+    is carried from slice to slice.  An error in the seed solve is left to
+    the scan, which names the first failing pair in scan order.
+    Deterministic tie-break as in the closed-form sweep (smallest n, then
+    m): min keeps the first minimum in scan order.  An unknown denominator
+    raises ValueError before any other work.
 
     Each denominator then assembles only the pairs of the closed-form
     annulus that its lower bound cannot exclude under the seeded ceiling
     (_sweep_pairs): the measured deficit bound for phi_rz and phi_rz_mid,
     and for full that bound through the proved gap G.  That and the seed
     pair are where the oracle reads the closed-form reduction.  The kept
-    pairs are assembled a group at a time (_row_groups: one batched build
-    for row n = 0, one per group of the rows n >= 1), and the ceiling test
-    and the solves run on slices of one row.  The seeded ceiling is the
-    exact minimum of a window pair, which a valid bound keeps, so a scan
-    whose minimum lies above it raises BoundViolated.  Logs the
-    denominator, the pairs covered (the window's), the pairs assembled and
-    the pairs solved, the seed included, at DEBUG on the "cylbuck" logger.
-    jobs is accepted and ignored, because the benchmark's oracle_window
-    workload still passes it.
+    pairs are walked like every scan (_walk: one batched build per row
+    group, the ceiling test and the solves on slices of one row).  The
+    seeded ceiling is the exact minimum of a window pair, which a valid
+    bound keeps, so a scan whose minimum lies above it raises
+    BoundViolated.  Logs the denominator, the pairs covered (the window's),
+    the pairs assembled and the pairs solved, the seed included, at DEBUG
+    on the "cylbuck" logger.  jobs is accepted and ignored, because the
+    benchmark's oracle_window workload still passes it.
     """
+    if denominator not in DENOMINATORS:
+        raise ValueError(f"denominator must be one of {DENOMINATORS}")
     seed = _seed_pair(geom, elastic, window)
     ceiling = math.inf
     if seed is not None:
         try:
-            (ceiling,) = _slice_min_rayleigh(geom, elastic, disc, denominator, [seed])
+            ceiling = min_rayleigh(assemble_pencil(geom, elastic, seed, denominator, disc))
         except (ValueError, CylbuckError):
             pass
-    scanned, running = [], ceiling
-    for group in _row_groups(_sweep_pairs(geom, elastic, window, denominator, ceiling)):
-        values = _slice_min_rayleigh(geom, elastic, disc, denominator, group, running)
+    running = ceiling
+
+    def solve(slice_pairs, forms):
+        nonlocal running
+        values = _slice_minima(slice_pairs, forms["stiffness"], forms[denominator], running)
         running = min(running, *values)
-        scanned += zip(values, group)
+        return values
+
+    pairs = _sweep_pairs(geom, elastic, window, denominator, ceiling)
+    scanned = list(zip(_walk(geom, elastic, disc, pairs, ("stiffness", denominator), solve), pairs, strict=True))
     _log.debug(
         "oracle_sweep %s: %d pairs covered, %d assembled, %d solved",
         denominator, window[0] * (window[1] + 1), (seed is not None) + len(scanned),
@@ -930,21 +894,6 @@ def _positive(ratios):
     if not all(v > 0.0 for v in ratios):
         raise ValueError(f"Korn-type ratios are positive by construction, got {ratios}")
     return ratios
-
-
-def _slice_korn(
-    geom: ShellGeometry,
-    elastic: IsotropicElasticity,
-    disc: RadialDiscretization,
-    pairs: Sequence[WaveNumbers],
-) -> List[KornRatios]:
-    """The Korn-type ratios of a row group (_row_groups): e2 and grad2 assembled once, solved slice by slice.
-
-    phi_rz, phi_tz and |phi_r|^2 are a scalar times the mass moment, so they
-    enter the solves through its Cholesky root and are never assembled.
-    """
-    forms = _slice_forms(geom, elastic, disc, pairs, _KORN_FORMS)
-    return _by_slice(partial(_korn_ratios, geom.h, np.linalg.cholesky(_mass_moment(geom, disc))), pairs, forms)
 
 
 def _korn_ratios(
@@ -1010,10 +959,12 @@ def korn_mode_scan(
 ) -> KornRatios:
     """Extremal Korn-type ratios over all modes in the window.
 
-    Logs the pairs covered at DEBUG on the "cylbuck" logger.
+    e2 and grad2 are walked (_walk) and solved by _korn_ratios, which reads
+    the other forms from the mass root.  Logs the pairs covered at DEBUG on
+    the "cylbuck" logger.
     """
-    scanned = _scan(partial(_slice_korn, geom, elastic, disc), list(window_pairs(window, geom.L)))
-    per_mode = [r for r, _ in scanned]
+    solve = partial(_korn_ratios, geom.h, np.linalg.cholesky(_mass_moment(geom, disc)))
+    per_mode = _walk(geom, elastic, disc, list(window_pairs(window, geom.L)), _KORN_FORMS, solve)
     _log.debug("korn_mode_scan: %d pairs covered", len(per_mode))
     return _positive(KornRatios(
         korn=min(r.korn for r in per_mode),
@@ -1034,43 +985,43 @@ class GapValues(NamedTuple):
     rz_vs_mid: float      # sup |1/R1 - 1/R2|
 
 
-def _slice_gaps(
+def _gaps(
     geom: ShellGeometry,
     elastic: IsotropicElasticity,
     disc: RadialDiscretization,
     pairs: Sequence[WaveNumbers],
 ) -> List[GapValues]:
-    """The gaps of a row group (_row_groups): the stiffness assembled once, solved slice by slice.
+    """The gaps of every pair of pairs, in scan order: the stiffness walked (_walk), solved by _gap_values.
 
     With W W^T = M, the mass moment, phi_zz + phi_tz = mhat^2 W_d W_d^T on
     the theta and z blocks, W_d = blockdiag(sqrt(ss) W, sqrt(cc) W) (the z
     block alone for n = 0), and phi_rz - phi_rz_mid = cs mhat^2 D on the r
-    block, D = M - h v v^T (v the mid-surface values).  The group's rows
-    share their trig factors, so its W_d and D carry every destabilizing
-    form, and none is assembled.
+    block, D = M - h v v^T (v the mid-surface values).  A slice's pairs
+    share their trig factors, so W_d and D carry every destabilizing form,
+    and none is assembled.
     """
-    forms = _slice_forms(geom, elastic, disc, pairs, _GAP_FORMS)
     M = _mass_moment(geom, disc)
-    W = np.linalg.cholesky(M)
-    f = trig_factors(pairs[0])
-    Wd = scipy.linalg.block_diag(*[math.sqrt(c) * W for c in ((f.ss, f.cc) if pairs[0].n >= 1 else (f.cc,))])
     v = _cheb_tables(geom.h, disc.degree, disc.nodes).v_mid.astype(float)
-    return _by_slice(partial(_gap_values, Wd, M - geom.h * np.outer(v, v)), pairs, forms)
+    solve = partial(_gap_values, np.linalg.cholesky(M), M - geom.h * np.outer(v, v))
+    return _walk(geom, elastic, disc, pairs, _GAP_FORMS, solve)
 
 
 def _gap_values(
-    Wd: np.ndarray, D: np.ndarray, pairs: Sequence[WaveNumbers], forms: Dict[str, np.ndarray]
+    W: np.ndarray, D: np.ndarray, pairs: Sequence[WaveNumbers], forms: Dict[str, np.ndarray]
 ) -> List[GapValues]:
     """The gaps of every pair of a slice, both read from A^-1 of the stiffness A (_inverse).
 
     full_vs_rz = mhat^2 mu_max(W_d^T (A^-1)_dd W_d) on the theta and z
-    blocks d (see _slice_gaps).  cs mhat^2 D on the r block takes both
-    signs: its extreme |mu| against the Schur complement, whose inverse
-    (A^-1)_rr = R R^T is factored once more, is that of cs mhat^2 R^T D R.
+    blocks d, W_d built from the mass root W (see _gaps).  cs mhat^2 D on
+    the r block takes both signs: its extreme |mu| against the Schur
+    complement, whose inverse (A^-1)_rr = R R^T is factored once more, is
+    that of cs mhat^2 R^T D R.
     """
     A = forms["stiffness"]
     _check_finite(A)
     k = len(D)
+    f = trig_factors(pairs[0])
+    Wd = scipy.linalg.block_diag(*[math.sqrt(c) * W for c in ((f.ss, f.cc) if pairs[0].n >= 1 else (f.cc,))])
     mh2 = np.array([wn.m_hat for wn in pairs]) ** 2
     Ainv = _inverse(pairs, A, "stiffness")
     not_converged = "eigenvalues did not converge"
@@ -1078,7 +1029,7 @@ def _gap_values(
     R = _named(np.linalg.cholesky, pairs, Ainv[:, :k, :k], AssemblyDegenerate, "stiffness not positive definite")
     vals2 = _named(np.linalg.eigvalsh, pairs, R.swapaxes(1, 2) @ D @ R, NonConvergence, not_converged)
     full_vs_rz = mh2 * vals1[:, -1]
-    rz_vs_mid = trig_factors(pairs[0]).cs * mh2 * np.maximum(np.abs(vals2[:, 0]), np.abs(vals2[:, -1]))
+    rz_vs_mid = f.cs * mh2 * np.maximum(np.abs(vals2[:, 0]), np.abs(vals2[:, -1]))
     return [GapValues(full_vs_rz=float(g1), rz_vs_mid=float(g2)) for g1, g2 in zip(full_vs_rz, rz_vs_mid)]
 
 
@@ -1097,10 +1048,11 @@ def equivalence_scan(
 
     Logs the pairs covered at DEBUG on the "cylbuck" logger.
     """
-    gaps = _scan(partial(_slice_gaps, geom, elastic, disc), list(window_pairs(window, geom.L)))
+    pairs = list(window_pairs(window, geom.L))
+    gaps = _gaps(geom, elastic, disc, pairs)
     _log.debug("equivalence_scan: %d pairs covered", len(gaps))
-    sup1 = max(g.full_vs_rz for g, _ in gaps)
-    coef = max(g.rz_vs_mid / (wn.m_hat * math.sqrt(geom.h)) for g, wn in gaps)
+    sup1 = max(g.full_vs_rz for g in gaps)
+    coef = max(g.rz_vs_mid / (wn.m_hat * math.sqrt(geom.h)) for g, wn in zip(gaps, pairs))
     return EquivalenceScan(full_vs_rz=sup1, rz_vs_mid_coef=coef)
 
 
@@ -1112,20 +1064,19 @@ def full_vs_rz_supremum(
     Column m = 1, where the supremum sits at every measured h, is scanned
     whole, and its largest gap s seeds the supremum.  Every pair's gap is at
     most its G (_gap_bound), so of the other pairs only those with
-    G >= s (1 - _CEILING_MARGIN) are solved, through the same _scan and
-    _slice_gaps; a pair's gaps are the same in any group.  Logs the pairs
-    covered, the seed column's and the pairs solved at DEBUG on "cylbuck".
+    G >= s (1 - _CEILING_MARGIN) are solved, through the same _gaps; a
+    pair's gaps are the same in any group.  Logs the pairs covered, the
+    seed column's and the pairs solved at DEBUG on "cylbuck".
     """
     pairs = list(window_pairs(window, geom.L))
-    solve = partial(_slice_gaps, geom, elastic, disc)
     column = [wn for wn in pairs if wn.m == 1]
-    seed = max(g.full_vs_rz for g, _ in _scan(solve, column))
+    seed = max(g.full_vs_rz for g in _gaps(geom, elastic, disc, column))
     rest = [wn for wn in pairs if wn.m > 1]
     G = _gap_bound(geom, elastic, np.array([float(wn.n) for wn in rest]), np.array([wn.m_hat for wn in rest]))
     kept = [wn for wn, bound in zip(rest, G) if bound >= seed * (1.0 - _CEILING_MARGIN)]
     _log.debug("full_vs_rz_supremum: %d pairs covered, %d in column m = 1, %d solved",
                len(pairs), len(column), len(column) + len(kept))
-    return max([seed] + [g.full_vs_rz for g, _ in _scan(solve, kept)])
+    return max([seed] + [g.full_vs_rz for g in _gaps(geom, elastic, disc, kept)])
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import dataclasses
 import logging
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -135,6 +136,21 @@ def window_slices(window, L):
     return [pairs[s] for s in oracle._slices(pairs)]
 
 
+def walked_minima(geom, elastic, disc, denominator, pairs, ceiling=math.inf):
+    """min_rayleigh of every pair in scan order, walked as oracle_sweep walks them (oracle._walk),
+    each slice solved by oracle._slice_minima under the fixed ceiling."""
+    def solve(part, forms):
+        return oracle._slice_minima(part, forms["stiffness"], forms[denominator], ceiling)
+
+    return oracle._walk(geom, elastic, disc, pairs, ("stiffness", denominator), solve)
+
+
+def walked_korn(geom, elastic, disc, pairs):
+    """The Korn-type ratios of every pair in scan order, walked as korn_mode_scan walks them."""
+    solve = partial(oracle._korn_ratios, geom.h, np.linalg.cholesky(oracle._mass_moment(geom, disc)))
+    return oracle._walk(geom, elastic, disc, pairs, oracle._KORN_FORMS, solve)
+
+
 class TestPencilAssembly:
     @pytest.mark.parametrize("h", [0.1, 0.01, 0.002, 1e-4, 1e-5])
     @pytest.mark.parametrize("degree", [6, 12])
@@ -237,7 +253,7 @@ class TestPencilAssembly:
         window = CriticalLoadProblem(geom=geom, elastic=elastic).window()
         want = {wn: mode_forms(geom, elastic, wn, disc) for wn in window_pairs(window, L)}
         subsets = [("stiffness",), oracle._KORN_FORMS, oracle._GAP_FORMS, oracle._FORM_NAMES]
-        subsets += oracle._PENCIL_FORMS.values()
+        subsets += [("stiffness", denominator) for denominator in oracle.DENOMINATORS]
         for size in (5, window[0], 32):
             monkeypatch.setattr(oracle, "_SLICE_PAIRS", size)
             slices = window_slices(window, L)
@@ -249,7 +265,11 @@ class TestPencilAssembly:
                     assert sorted(forms) == sorted(names)
                     for i, wn in enumerate(pairs):
                         for name in names:
-                            got, ref = forms[name][i], getattr(want[wn], name)
+                            got = forms[name][i]
+                            if name == "full":  # the sum of three forms on distinct blocks
+                                ref = want[wn].phi_rz + want[wn].phi_zz + want[wn].phi_tz
+                            else:
+                                ref = getattr(want[wn], name)
                             assert np.array_equal(got, ref), (size, wn, name)
                             assert np.array_equal(np.signbit(got), np.signbit(ref)), (size, wn, name)
 
@@ -273,10 +293,18 @@ class TestPencilAssembly:
         with pytest.raises(ValueError, match="row n = 0 is assembled apart"):
             oracle._slice_forms(geom, elastic, disc, pairs)
 
-    def test_invalid_denominator_rejected(self):
+    def test_invalid_denominator_rejected(self, monkeypatch):
         geom = ShellGeometry(h=0.03, L=PI)
         with pytest.raises(ValueError):
             assemble_pencil(geom, EL, WaveNumbers(m=1, n=1, L=PI), "bogus")
+
+        # the sweep rejects it before any other work, its closed-form seed included
+        def no_seed(*args):
+            raise AssertionError("the seed ran before the denominator was checked")
+
+        monkeypatch.setattr(oracle, "_seed_pair", no_seed)
+        with pytest.raises(ValueError, match="denominator must be one of"):
+            oracle_sweep(geom, EL, RadialDiscretization(), (4, 3), "bogus")
 
 
 class TestSmallHAccuracy:
@@ -464,7 +492,7 @@ class TestSliceMinima:
         disc = RadialDiscretization()
         window = CriticalLoadProblem(geom=geom, elastic=EL).window()
         for pairs in window_slices(window, PI):
-            got = oracle._slice_min_rayleigh(geom, EL, disc, denominator, pairs)
+            got = walked_minima(geom, EL, disc, denominator, pairs)
             for value, wn in zip(got, pairs):
                 pencil = assemble_pencil(geom, EL, wn, denominator, disc)
                 assert np.float64(value).tobytes() == np.float64(min_rayleigh(pencil)).tobytes(), wn
@@ -521,11 +549,9 @@ class TestBlockReduction:
     @staticmethod
     def assert_scans_match_full_pencils(geom, elastic, disc, batches):
         for pairs in batches:
-            korn = oracle._slice_korn(geom, elastic, disc, pairs)
-            gaps = oracle._slice_gaps(geom, elastic, disc, pairs)
-            # slice by slice: one call carries its ceiling from slice to slice
-            phi_rz = [value for s in oracle._slices(pairs)
-                      for value in oracle._slice_min_rayleigh(geom, elastic, disc, "phi_rz", pairs[s])]
+            korn = walked_korn(geom, elastic, disc, pairs)
+            gaps = oracle._gaps(geom, elastic, disc, pairs)
+            phi_rz = walked_minima(geom, elastic, disc, "phi_rz", pairs)  # every slice solved
             # cc M on the r block: the pairs of a batch share cc and their blocks
             phi_r2 = direct_forms(geom, elastic, pairs[0], disc)["phi_r2"]
             for i, wn in enumerate(pairs):
@@ -720,18 +746,25 @@ class TestOracleSweep:
         assert np.float64(got.value).tobytes() == np.float64(serial.value).tobytes()
         assert counts == serial_counts
 
-    @pytest.mark.parametrize("scan", [korn_mode_scan, equivalence_scan])
+    @pytest.mark.parametrize("scan", [korn_mode_scan, equivalence_scan, oracle.full_vs_rz_supremum, oracle_sweep])
     def test_whole_window_scans_assemble_once_per_row_group(self, monkeypatch, scan):
         # the h = 0.02 window has 21 rows of 39 pairs: row n = 0 alone, then
         # the rows n >= 1 one at a time (2 x 39 > 64 pairs), so 21 groups; the
-        # window cut to its first 10 columns joins six rows (6 x 10 <= 64)
-        geom = ShellGeometry(h=0.02, L=PI)
+        # window cut to its first 10 columns joins six rows (6 x 10 <= 64).
+        # The pruned scans assemble once per row group of the pairs they
+        # solve, and oracle_sweep once more for its seed.
+        geom, disc = ShellGeometry(h=0.02, L=PI), RadialDiscretization(6)
         window = CriticalLoadProblem(geom=geom, elastic=EL).window()
         assert window == (39, 20)
         groups = oracle._row_groups(list(window_pairs(window, PI)))
         assert [len(group) for group in groups] == [39] * 21
         cut = oracle._row_groups([wn for wn in window_pairs(window, PI) if wn.m <= 10])
         assert [len(group) for group in cut] == [10, 60, 60, 60, 20]
+        swept = {}
+        for denominator in oracle.DENOMINATORS:
+            ceiling = seeded_ceiling(geom, EL, disc, window, denominator)
+            kept = oracle._sweep_pairs(geom, EL, window, denominator, ceiling)
+            swept[denominator] = [[oracle._seed_pair(geom, EL, window)]] + oracle._row_groups(kept)
         assembled = []
         assemble = oracle._slice_forms
 
@@ -740,17 +773,26 @@ class TestOracleSweep:
             return assemble(geom, elastic, disc, pairs, names)
 
         monkeypatch.setattr(oracle, "_slice_forms", counted)
-        scan(geom, EL, RadialDiscretization(6), window)
+        if scan is oracle_sweep:
+            for denominator, want in swept.items():
+                assembled.clear()
+                scan(geom, EL, disc, window, denominator)
+                assert assembled == want, denominator
+                assert len(assembled) < len(groups), denominator
+            return
+        scan(geom, EL, disc, window)
+        if scan is oracle.full_vs_rz_supremum:  # column m = 1 whole, then the pairs the gap bound keeps
+            solved = [wn for group in assembled for wn in group]
+            column = [wn for wn in window_pairs(window, PI) if wn.m == 1]
+            assert solved[:len(column)] == column and len(solved) < len(groups) * 39
+            groups = oracle._row_groups(column) + oracle._row_groups(solved[len(column):])
         assert assembled == groups
 
 
 def exhaustive_values(geom, elastic, disc, window, denominator):
     """(value, pair) of every window pair in scan order, each slice solved exactly."""
-    out = []
-    for pairs in window_slices(window, geom.L):
-        A, B = oracle._pencil_forms(geom, elastic, disc, denominator, pairs)
-        out += zip(oracle._slice_minima(pairs, A, B), pairs)
-    return out
+    pairs = list(window_pairs(window, geom.L))
+    return list(zip(walked_minima(geom, elastic, disc, denominator, pairs), pairs))
 
 
 def exhaustive_minimum(geom, elastic, disc, window, denominator, values=None):
@@ -771,8 +813,7 @@ def sweep_log(caplog, *args, **kwargs):
 
 def seeded_ceiling(geom, elastic, disc, window, denominator):
     """The ceiling oracle_sweep seeds: the exact minimum at the closed-form winner of the window."""
-    (ceiling,) = oracle._slice_min_rayleigh(geom, elastic, disc, denominator, [oracle._seed_pair(geom, elastic, window)])
-    return ceiling
+    return min_rayleigh(assemble_pencil(geom, elastic, oracle._seed_pair(geom, elastic, window), denominator, disc))
 
 
 def gap_bound(p, pairs):
@@ -820,7 +861,8 @@ class TestCeilingScan:
         p = CriticalLoadProblem(geom=ShellGeometry(h=h, L=PI), elastic=EL)
         res = sweep(p)
         wn, disc = p.wave_numbers(res.m, res.n), RadialDiscretization()
-        A, B = oracle._pencil_forms(p.geom, EL, disc, denominator, [wn])
+        pencil = assemble_pencil(p.geom, EL, wn, denominator, disc)
+        A, B = pencil.A[None], pencil.B[None]
         (value,) = oracle._slice_minima([wn], A, B)
         assert oracle._slice_minima([wn], A, B, value) == [value]  # solved, not skipped
         assert oracle._slice_minima([wn], A, B, value * (1.0 - 1e-3)) == [math.inf]  # the test can pass
@@ -840,7 +882,7 @@ class TestCeilingScan:
         args = (self.GEOM, EL, self.DISC, denominator)
         skipped = [
             pairs[s] for s in oracle._slices(pairs)
-            if len(pairs[s]) >= 3 and all(v == math.inf for v in oracle._slice_min_rayleigh(*args, pairs[s], ceiling))
+            if len(pairs[s]) >= 3 and all(v == math.inf for v in walked_minima(*args, pairs[s], ceiling))
         ]
         return skipped[-1], window
 
@@ -856,10 +898,11 @@ class TestCeilingScan:
     def test_checks_run_on_skipped_slices(self, monkeypatch, denominator, fault, error, match):
         pairs, window = self.skipped_slice(denominator)
         targets = pairs[1:3]
-        assemble = oracle._pencil_forms
+        assemble = oracle._slice_forms
 
-        def patched(geom, elastic, disc, den, slice_pairs):
-            A, B = assemble(geom, elastic, disc, den, slice_pairs)
+        def patched(geom, elastic, disc, slice_pairs, names=oracle._FORM_NAMES):
+            forms = assemble(geom, elastic, disc, slice_pairs, names)
+            A, B = forms["stiffness"], forms[denominator]
             for i, wn in enumerate(slice_pairs):
                 if wn in targets:
                     if fault == "non-finite":
@@ -868,9 +911,9 @@ class TestCeilingScan:
                         B[i] = 0.0
                     else:
                         A[i, 0, 0] *= -1.0
-            return A, B
+            return forms
 
-        monkeypatch.setattr(oracle, "_pencil_forms", patched)
+        monkeypatch.setattr(oracle, "_slice_forms", patched)
         first = targets[0]
         if fault != "non-finite":  # the error names the first failing pair
             match += rf" WaveNumbers\(m={first.m}, n={first.n},"
@@ -879,17 +922,17 @@ class TestCeilingScan:
 
     def test_row_groups_bound_the_batched_build(self):
         # scan order kept, row n = 0 alone, and each group of rows n >= 1 at
-        # most _SLICE_PAIRS rows and 4 _SLICE_PAIRS pairs unless one row is
-        # longer: per (window, pairs kept per row, groups), rows of 300 pairs
-        # stay alone, 40 rows of 3 join 16 at a time and 60 rows of 20 join 3
-        for window, cut, count in (((300, 40), 300, 41), ((30, 40), 3, 4), ((30, 60), 20, 21)):
+        # most 4 _SLICE_PAIRS pairs unless one row is longer: per (window,
+        # pairs kept per row, groups), rows of 300 pairs stay alone, 40 rows
+        # of 3 join 21 at a time and 60 rows of 20 join 3
+        for window, cut, count in (((300, 40), 300, 41), ((30, 40), 3, 3), ((30, 60), 20, 21)):
             pairs = [wn for wn in window_pairs(window, PI) if wn.m <= cut]
             groups = oracle._row_groups(pairs)
             assert [wn for group in groups for wn in group] == pairs
             assert groups[0] == [wn for wn in pairs if wn.n == 0] and len(groups) == count
             for group in groups[1:]:
                 ns = {wn.n for wn in group}
-                assert 0 not in ns and len(ns) <= oracle._SLICE_PAIRS
+                assert 0 not in ns
                 assert len(group) <= 4 * oracle._SLICE_PAIRS or len(ns) == 1
 
     def test_silent_by_default(self, caplog, capsys):
@@ -1099,7 +1142,7 @@ class TestGapBound:
             groups = oracle._row_groups(list(window_pairs(window, p.geom.L)))
             assert groups[0][0].n == 0
             for group in groups:
-                gaps = oracle._slice_gaps(p.geom, p.elastic, disc, group)
+                gaps = oracle._gaps(p.geom, p.elastic, disc, group)
                 for gap, G, old, wn in zip(gaps, gap_bound(p, group), self.even_split_bound(p, group), group):
                     assert gap.full_vs_rz <= G * (1.0 + 1e-12), (case, wn)
                     assert G <= old, (case, wn)  # the best split never loses to eps = 1
@@ -1178,7 +1221,7 @@ class TestKornScan:
     )
     def test_non_positive_ratio_raises(self, monkeypatch, bad):
         # a NaN after the first field must fail too: min((1.0, nan)) is 1.0
-        monkeypatch.setattr(oracle, "_slice_korn", lambda geom, elastic, disc, pairs: [bad] * len(pairs))
+        monkeypatch.setattr(oracle, "_korn_ratios", lambda h, W, pairs, forms: [bad] * len(pairs))
         with pytest.raises(ValueError):
             korn_mode_scan(ShellGeometry(h=0.05, L=PI), EL, RadialDiscretization(6), (3, 2))
 
@@ -1198,7 +1241,7 @@ class TestEquivalenceGap:
 
     def test_gap_values_positive(self):
         geom = ShellGeometry(h=0.02, L=PI)
-        gaps = oracle._slice_gaps(geom, EL, RadialDiscretization(), [WaveNumbers(m=4, n=5, L=PI)])[0]
+        gaps = oracle._gaps(geom, EL, RadialDiscretization(), [WaveNumbers(m=4, n=5, L=PI)])[0]
         assert gaps.full_vs_rz > 0
         assert gaps.rz_vs_mid > 0
 
