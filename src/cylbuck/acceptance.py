@@ -363,9 +363,7 @@ CRITERIA: Dict[int, Callable[..., CriterionResult]] = {
 
 def run_all(numbers: Optional[Iterable[int]] = None) -> List[CriterionResult]:
     selected = sorted(set(numbers)) if numbers else sorted(CRITERIA)
-    results = []
-    for num in selected:
+    for num in selected:  # every number is checked before any criterion runs
         if num not in CRITERIA:
             raise ValueError(f"unknown criterion {num}")
-        results.append(CRITERIA[num]())
-    return results
+    return [CRITERIA[num]() for num in selected]

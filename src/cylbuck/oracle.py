@@ -51,13 +51,14 @@ winner returns the scan's value.  The ceiling comes from the oracle's own
 solves only.  It is seeded, before the scan, by one exact solve at the
 closed-form winner of the window (the extremal fields lie near the Koiter
 circle, where the reduced winner sits within delta_o of the oracle's); the
-closed form only places that pair.  Under that seeded ceiling every
-denominator assembles only the closed-form annulus that its lower bound
-cannot exclude.  At L = pi, nu = 0.3, seed included: 18 pairs for phi_rz
-and 16 for phi_rz_mid at h = 0.02, and 2 from h = 0.005 on, where the
-annulus keeps the seed pair alone; 47, 32, 75 and 212 for full at h = 0.02,
-0.005, 1e-3 and 1e-4, whose bound adds the gap G to the reciprocal.  The
-same G prunes full_vs_rz_supremum exactly.  Nothing runs in a process pool.
+closed form only places that pair, which the scan does not solve again.
+Every denominator assembles only the closed-form annulus that its lower
+bound cannot exclude under that ceiling, and a bound that drops the seed
+pair raises BoundViolated before any other pair is assembled.  At L = pi,
+nu = 0.3, seed included: 17 pairs for phi_rz and 15 for phi_rz_mid at
+h = 0.02 and the seed alone from h = 0.005 on; 46, 31, 74 and 211 for full
+at h = 0.02, 0.005, 1e-3 and 1e-4, its bound adding the gap G to the
+reciprocal.  The same G prunes full_vs_rz_supremum exactly.
 
 Assembly precision: every strain and gradient map of a mode is a Chebyshev
 value or derivative table, times a coefficient that is linear in mhat for a
@@ -73,15 +74,17 @@ Every scan, the window minima and the Korn and gap scans alike, goes through
 one walker (_walk): a flat scan-order list of pairs cut into row groups
 (_row_groups: row n = 0 alone, the rows n >= 1 in groups of at most 64
 pairs), each assembled in one call and solved slice by slice.  phi_rz,
-phi_zz and phi_tz are each a scalar per pair times the one mass moment int
-V^T V r dr on one block, and full, their sum, is one block-diagonal scaled
-mass.  A call builds only the forms it is asked for.  A pair's forms come
-out bit for bit the same in every call, whatever rows, slice or single pair
-it holds, so the window scans and the one-pair mode_forms agree exactly.
+phi_zz, phi_tz and phi_rz_mid are each a scalar per pair times one moment on
+one block (int V^T V r dr, or h v v^T for phi_rz_mid), and full, the sum of
+the first three, is one block-diagonal scaled mass.  A call builds only the
+forms it asks for, and a pair's forms come out bit for bit the same in every
+call, whatever rows, slice or single pair it holds, so the window scans and
+the one-pair mode_forms agree exactly.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import logging
 import math
@@ -322,12 +325,13 @@ def _row_coefficients(n: Sequence[int], f, nu: float, names: Sequence[str]) -> n
     return np.stack([_gram(terms[name]) for name in names], axis=1)
 
 
-# the forms that are one scalar per pair (of the cos-sin factors and mhat^2)
-# times the mass moment int V^T V r dr on one block: name -> (block, scalar)
+# the forms that are one scalar per pair, a trig factor times mhat^2, times a
+# moment of _block_moments on one block: name -> (block, trig factor, moment)
 _MASS_FORMS = {
-    "phi_rz": (0, lambda f, mh2: f.cs * mh2),
-    "phi_zz": (2, lambda f, mh2: f.cc * mh2),
-    "phi_tz": (1, lambda f, mh2: f.ss * mh2),
+    "phi_rz": (0, "cs", "mass"),
+    "phi_zz": (2, "cc", "mass"),
+    "phi_tz": (1, "ss", "mass"),
+    "phi_rz_mid": (0, "cs", "mid"),
 }
 
 
@@ -341,23 +345,25 @@ def _row_runs(pairs: Sequence[WaveNumbers]) -> List[Tuple[int, int, int]]:
     return runs
 
 
-def _mass_moment(geom: ShellGeometry, disc: RadialDiscretization) -> np.ndarray:
-    """The mass moment int V^T V r dr on one block, k x k."""
-    k = disc.degree + 1
-    return _cheb_tables(geom.h, disc.degree, disc.nodes).moments[0].reshape(k, k)
+def _block_moments(geom: ShellGeometry, disc: RadialDiscretization) -> Dict[str, np.ndarray]:
+    """The k x k moments of the single-block forms: the mass moment M = int V^T V r dr ("mass")
+    and h v v^T ("mid"), v the Chebyshev values at the mid-surface r = 1 (each entry 0 or +-1)."""
+    tabs = _cheb_tables(geom.h, disc.degree, disc.nodes)
+    k, v = disc.degree + 1, tabs.v_mid.astype(float)
+    return {"mass": tabs.moments[0].reshape(k, k), "mid": geom.h * np.outer(v, v)}
 
 
 def _mass_form(
     geom: ShellGeometry, disc: RadialDiscretization, pairs: Sequence[WaveNumbers], names: Sequence[str]
 ) -> np.ndarray:
-    """The sum of the named single-block forms of each pair: one scaled block-diagonal mass.
+    """The sum of the named single-block forms of each pair (_MASS_FORMS), block-diagonal.
 
     The pairs share their trig factors and blocks, as _slice_forms' do.  The
-    forms' blocks are distinct, so each entry is one form's scalar times the
+    forms' blocks are distinct, so each entry is one form's scalar times its
     moment, exactly as in the sum of the forms.  A block the row does not
     have (theta for n = 0) holds nothing: phi_tz vanishes there.
     """
-    M = _mass_moment(geom, disc)
+    moments = _block_moments(geom, disc)
     k = disc.degree + 1
     keep = _blocks(pairs[0].n)
     f = trig_factors(pairs[0])
@@ -365,10 +371,10 @@ def _mass_form(
     mh2 = mh * mh
     F = np.zeros((len(pairs), len(keep) * k, len(keep) * k))
     for name in names:
-        block, scalar = _MASS_FORMS[name]
+        block, factor, moment = _MASS_FORMS[name]
         if block in keep:
             j = keep.index(block) * k
-            F[:, j:j + k, j:j + k] = scalar(f, mh2)[:, None, None] * M
+            F[:, j:j + k, j:j + k] = (getattr(f, factor) * mh2)[:, None, None] * moments[moment]
     return F
 
 
@@ -389,9 +395,10 @@ def _slice_forms(
     of mhat at the coefficient level, each power of every distinct row is
     contracted with the radial moments in one batched pass, and the pairs
     are formed together, elementwise, as F0 + mhat (F1 + mhat F2).  The
-    single-block forms are a scalar per pair times the mass moment on their
-    block (phi_tz is zero for n = 0) and build no map; full, the sum of the
-    three, is one block-diagonal scaled mass (_mass_form).  A pair's forms are
+    single-block forms (_MASS_FORMS) are a scalar per pair times a moment on
+    their block, the mass moment or, for phi_rz_mid, h v v^T (phi_tz is zero
+    for n = 0), and build no map; full, the sum of phi_rz, phi_zz and phi_tz,
+    is one block-diagonal scaled mass (_mass_form).  A pair's forms are
     the same float64 arrays, bit for bit, in any call and for any names:
     each row's F0, F1 and F2 do not depend on the other rows or the pairs,
     and the evaluation is elementwise per pair.
@@ -426,16 +433,7 @@ def _slice_forms(
                 out[a:b] += F0
     for name in names:
         if name in _MASS_FORMS or name == "full":
-            forms[name] = _mass_form(geom, disc, pairs, tuple(_MASS_FORMS) if name == "full" else (name,))
-    if "phi_rz_mid" in names:
-        # cs mhat^2 h outer(v, v) on the r block, v.c = f_r(1) for its coefficients c
-        k = disc.degree + 1
-        N = len(_blocks(wn0.n)) * k
-        v = _cheb_tables(geom.h, disc.degree, disc.nodes).v_mid.astype(float)
-        f = trig_factors(wn0)
-        scale = np.array([f.cs * wn.m_hat**2 * geom.h for wn in pairs])
-        forms["phi_rz_mid"] = np.zeros((len(pairs), N, N))
-        forms["phi_rz_mid"][:, :k, :k] = scale[:, None, None] * np.outer(v, v)
+            forms[name] = _mass_form(geom, disc, pairs, ("phi_rz", "phi_zz", "phi_tz") if name == "full" else (name,))
     return forms
 
 
@@ -784,7 +782,8 @@ def _seed_pair(geom: ShellGeometry, elastic: IsotropicElasticity, window: Tuple[
     (critical_load._window_minimum).  The extremal fields lie near the
     Koiter circle, where the reduced minima already sit within delta_o of
     the oracle's, so the oracle's minimum at this pair lies near the window
-    minimum.  Only the pair is read from the closed form.
+    minimum.  Only the pair is read from the closed form; oracle_sweep
+    solves it once, and raises BoundViolated if the deficit bound drops it.
     """
     try:
         return _window_minimum(_WindowProblem(geom=geom, elastic=elastic, given=window))[0]
@@ -802,32 +801,31 @@ def oracle_sweep(
 ) -> OracleMinimum:
     """Minimize the discretized Rayleigh quotient over the integer window.
 
-    The scan keeps the smallest minimum found so far as a definiteness
-    ceiling and skips, unsolved, each slice whose pencils all stay positive
-    definite a margin above it (_slice_minima).  No skipped pair can reach
-    the minimum, so the result is the exhaustive scan's, bit for bit: the
-    winner's value comes from the same exact solve.  The ceiling is seeded
-    before the scan by min_rayleigh at the closed-form winner (_seed_pair),
-    so min_rayleigh at the scan's winner returns the scan's value, and it
-    is carried from slice to slice.  An error in the seed solve is left to
-    the scan, which names the first failing pair in scan order.
-    Deterministic tie-break as in the closed-form sweep (smallest n, then
-    m): min keeps the first minimum in scan order.  An unknown denominator
-    raises ValueError before any other work.
+    The ceiling is seeded by min_rayleigh at the closed-form winner
+    (_seed_pair), and that solve is the seed pair's value: the seed is
+    solved once and kept out of the scan.  The scan carries the smallest
+    minimum so far as a definiteness ceiling and skips, unsolved, each slice
+    whose pencils all stay positive definite a margin above it
+    (_slice_minima).  No skipped pair can reach the minimum, so the result
+    is the exhaustive scan's, bit for bit, and min_rayleigh at the winner
+    returns it.  min keys on (value, n, m), the closed-form sweep's
+    tie-break.  A failed seed solve leaves no seed: the whole window is
+    scanned, naming the first failing pair in scan order.  An unknown
+    denominator raises ValueError before any other work.
 
-    Each denominator then assembles only the pairs of the closed-form
-    annulus that its lower bound cannot exclude under the seeded ceiling
+    Each denominator assembles only the pairs of the closed-form annulus
+    that its lower bound cannot exclude under the seeded ceiling
     (_sweep_pairs): the measured deficit bound for phi_rz and phi_rz_mid,
     and for full that bound through the proved gap G.  That and the seed
     pair are where the oracle reads the closed-form reduction.  The kept
     pairs are walked like every scan (_walk: one batched build per row
-    group, the ceiling test and the solves on slices of one row).  The
-    seeded ceiling is the exact minimum of a window pair, which a valid
-    bound keeps, so a scan whose minimum lies above it raises
-    BoundViolated.  Logs the denominator, the pairs covered (the window's),
-    the pairs assembled and the pairs solved, the seed included, at DEBUG
-    on the "cylbuck" logger.  jobs is accepted and ignored, because the
-    benchmark's oracle_window workload still passes it.
+    group, the ceiling test and the solves on slices of one row).  A valid
+    bound keeps the seed pair, whose exact minimum is the ceiling, so kept
+    pairs without it (bisected on (n, m): they are in scan order) raise
+    BoundViolated naming it, before any scan pair is assembled.  Logs the
+    denominator, the pairs covered (the window's), assembled and solved,
+    each pair once, at DEBUG on the "cylbuck" logger.  jobs is accepted and
+    ignored, because the benchmark's oracle_window workload still passes it.
     """
     if denominator not in DENOMINATORS:
         raise ValueError(f"denominator must be one of {DENOMINATORS}")
@@ -837,7 +835,17 @@ def oracle_sweep(
         try:
             ceiling = min_rayleigh(assemble_pencil(geom, elastic, seed, denominator, disc))
         except (ValueError, CylbuckError):
-            pass
+            seed = None
+    pairs = _sweep_pairs(geom, elastic, window, denominator, ceiling)
+    scanned = []
+    if seed is not None:
+        i = bisect.bisect_left(pairs, (seed.n, seed.m), key=lambda wn: (wn.n, wn.m))
+        if pairs[i:i + 1] != [seed]:
+            raise BoundViolated(
+                f"the {denominator} deficit bound drops the seed pair {seed}, whose minimum {float(ceiling)!r} "
+                f"seeds the window ceiling: the bound does not hold at h={geom.h!r}, nu={elastic.nu!r}, L={geom.L!r}"
+            )
+        scanned.append((ceiling, pairs.pop(i)))
     running = ceiling
 
     def solve(slice_pairs, forms):
@@ -846,19 +854,10 @@ def oracle_sweep(
         running = min(running, *values)
         return values
 
-    pairs = _sweep_pairs(geom, elastic, window, denominator, ceiling)
-    scanned = list(zip(_walk(geom, elastic, disc, pairs, ("stiffness", denominator), solve), pairs, strict=True))
-    _log.debug(
-        "oracle_sweep %s: %d pairs covered, %d assembled, %d solved",
-        denominator, window[0] * (window[1] + 1), (seed is not None) + len(scanned),
-        (ceiling < math.inf) + sum(value < math.inf for value, _ in scanned),
-    )
-    value, wn = min(scanned, key=lambda item: item[0], default=(math.inf, None))
-    if not value <= ceiling:
-        raise BoundViolated(
-            f"the {denominator} scan of the annulus found {float(value)!r}, above the seeded window ceiling "
-            f"{float(ceiling)!r}: the deficit bound does not hold at h={geom.h!r}, nu={elastic.nu!r}, L={geom.L!r}"
-        )
+    scanned += zip(_walk(geom, elastic, disc, pairs, ("stiffness", denominator), solve), pairs, strict=True)
+    _log.debug("oracle_sweep %s: %d pairs covered, %d assembled, %d solved", denominator,
+               window[0] * (window[1] + 1), len(scanned), sum(value < math.inf for value, _ in scanned))
+    value, wn = min(scanned, key=lambda item: (item[0], item[1].n, item[1].m), default=(math.inf, None))
     return OracleMinimum(value, wn)
 
 
@@ -963,7 +962,7 @@ def korn_mode_scan(
     the other forms from the mass root.  Logs the pairs covered at DEBUG on
     the "cylbuck" logger.
     """
-    solve = partial(_korn_ratios, geom.h, np.linalg.cholesky(_mass_moment(geom, disc)))
+    solve = partial(_korn_ratios, geom.h, np.linalg.cholesky(_block_moments(geom, disc)["mass"]))
     per_mode = _walk(geom, elastic, disc, list(window_pairs(window, geom.L)), _KORN_FORMS, solve)
     _log.debug("korn_mode_scan: %d pairs covered", len(per_mode))
     return _positive(KornRatios(
@@ -996,23 +995,25 @@ def _gaps(
     With W W^T = M, the mass moment, phi_zz + phi_tz = mhat^2 W_d W_d^T on
     the theta and z blocks, W_d = blockdiag(sqrt(ss) W, sqrt(cc) W) (the z
     block alone for n = 0), and phi_rz - phi_rz_mid = cs mhat^2 D on the r
-    block, D = M - h v v^T (v the mid-surface values).  A slice's pairs
-    share their trig factors, so W_d and D carry every destabilizing form,
-    and none is assembled.
+    block, D = M - h v v^T (_block_moments).  The trig factors depend on n
+    only through n = 0 or n >= 1, so both roots W_d are built once, and W_d
+    and D carry every destabilizing form; none is assembled.
     """
-    M = _mass_moment(geom, disc)
-    v = _cheb_tables(geom.h, disc.degree, disc.nodes).v_mid.astype(float)
-    solve = partial(_gap_values, np.linalg.cholesky(M), M - geom.h * np.outer(v, v))
+    moments = _block_moments(geom, disc)
+    W = np.linalg.cholesky(moments["mass"])
+    f0, f1 = (trig_factors(WaveNumbers(m=1, n=n, L=geom.L)) for n in (0, 1))
+    roots = (math.sqrt(f0.cc) * W, scipy.linalg.block_diag(math.sqrt(f1.ss) * W, math.sqrt(f1.cc) * W))
+    solve = partial(_gap_values, roots, moments["mass"] - moments["mid"])
     return _walk(geom, elastic, disc, pairs, _GAP_FORMS, solve)
 
 
 def _gap_values(
-    W: np.ndarray, D: np.ndarray, pairs: Sequence[WaveNumbers], forms: Dict[str, np.ndarray]
+    roots: Tuple[np.ndarray, np.ndarray], D: np.ndarray, pairs: Sequence[WaveNumbers], forms: Dict[str, np.ndarray]
 ) -> List[GapValues]:
     """The gaps of every pair of a slice, both read from A^-1 of the stiffness A (_inverse).
 
     full_vs_rz = mhat^2 mu_max(W_d^T (A^-1)_dd W_d) on the theta and z
-    blocks d, W_d built from the mass root W (see _gaps).  cs mhat^2 D on
+    blocks d, W_d = roots[min(n, 1)] (see _gaps).  cs mhat^2 D on
     the r block takes both signs: its extreme |mu| against the Schur
     complement, whose inverse (A^-1)_rr = R R^T is factored once more, is
     that of cs mhat^2 R^T D R.
@@ -1021,7 +1022,7 @@ def _gap_values(
     _check_finite(A)
     k = len(D)
     f = trig_factors(pairs[0])
-    Wd = scipy.linalg.block_diag(*[math.sqrt(c) * W for c in ((f.ss, f.cc) if pairs[0].n >= 1 else (f.cc,))])
+    Wd = roots[min(pairs[0].n, 1)]
     mh2 = np.array([wn.m_hat for wn in pairs]) ** 2
     Ainv = _inverse(pairs, A, "stiffness")
     not_converged = "eigenvalues did not converge"

@@ -21,6 +21,15 @@ def test_criterion(number, capsys):
     assert result.passed, result.details
 
 
+def test_an_unknown_criterion_is_rejected_before_any_runs(monkeypatch):
+    def ran():
+        raise AssertionError("criterion 5 ran before the unknown 10 was rejected")
+
+    monkeypatch.setitem(acceptance.CRITERIA, 5, ran)
+    with pytest.raises(ValueError, match="unknown criterion 10"):
+        acceptance.run_all([5, 10])
+
+
 def test_decoupling_check_detects_coupled_modes(rng):
     # criterion 9's grid energy equals the sum of the per-mode energies only
     # for distinct (m, n): two modes sharing a pair interfere

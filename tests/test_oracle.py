@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import re
 import tracemalloc
 from functools import partial
 
@@ -147,8 +148,20 @@ def walked_minima(geom, elastic, disc, denominator, pairs, ceiling=math.inf):
 
 def walked_korn(geom, elastic, disc, pairs):
     """The Korn-type ratios of every pair in scan order, walked as korn_mode_scan walks them."""
-    solve = partial(oracle._korn_ratios, geom.h, np.linalg.cholesky(oracle._mass_moment(geom, disc)))
+    solve = partial(oracle._korn_ratios, geom.h, np.linalg.cholesky(oracle._block_moments(geom, disc)["mass"]))
     return oracle._walk(geom, elastic, disc, pairs, oracle._KORN_FORMS, solve)
+
+
+def recorded_assembly(monkeypatch):
+    """A list that records the pairs of every oracle._slice_forms call, one list per call, from now on."""
+    assembled, assemble = [], oracle._slice_forms
+
+    def counted(geom, elastic, disc, pairs, names=oracle._FORM_NAMES):
+        assembled.append(list(pairs))
+        return assemble(geom, elastic, disc, pairs, names)
+
+    monkeypatch.setattr(oracle, "_slice_forms", counted)
+    return assembled
 
 
 class TestPencilAssembly:
@@ -752,7 +765,8 @@ class TestOracleSweep:
         # the rows n >= 1 one at a time (2 x 39 > 64 pairs), so 21 groups; the
         # window cut to its first 10 columns joins six rows (6 x 10 <= 64).
         # The pruned scans assemble once per row group of the pairs they
-        # solve, and oracle_sweep once more for its seed.
+        # solve; oracle_sweep assembles its seed alone, first, and walks the
+        # kept pairs without it.
         geom, disc = ShellGeometry(h=0.02, L=PI), RadialDiscretization(6)
         window = CriticalLoadProblem(geom=geom, elastic=EL).window()
         assert window == (39, 20)
@@ -764,15 +778,10 @@ class TestOracleSweep:
         for denominator in oracle.DENOMINATORS:
             ceiling = seeded_ceiling(geom, EL, disc, window, denominator)
             kept = oracle._sweep_pairs(geom, EL, window, denominator, ceiling)
-            swept[denominator] = [[oracle._seed_pair(geom, EL, window)]] + oracle._row_groups(kept)
-        assembled = []
-        assemble = oracle._slice_forms
-
-        def counted(geom, elastic, disc, pairs, names=oracle._FORM_NAMES):
-            assembled.append(list(pairs))
-            return assemble(geom, elastic, disc, pairs, names)
-
-        monkeypatch.setattr(oracle, "_slice_forms", counted)
+            seed = oracle._seed_pair(geom, EL, window)
+            assert seed in kept
+            swept[denominator] = [[seed]] + oracle._row_groups([wn for wn in kept if wn != seed])
+        assembled = recorded_assembly(monkeypatch)
         if scan is oracle_sweep:
             for denominator, want in swept.items():
                 assembled.clear()
@@ -873,12 +882,15 @@ class TestCeilingScan:
     def skipped_slice(self, denominator):
         """The last slice of at least three pairs that the clean scan assembles and skips, and the window.
 
-        A slice whose pencils all clear the seeded ceiling also clears the
-        scan's running ceiling, which never exceeds it.
+        The scan walks the kept pairs without the seed, which oracle_sweep
+        solves apart, so the slices are cut from those.  A slice whose
+        pencils all clear the seeded ceiling also clears the scan's running
+        ceiling, which never exceeds it.
         """
         window = CriticalLoadProblem(geom=self.GEOM, elastic=EL).window()
         ceiling = seeded_ceiling(self.GEOM, EL, self.DISC, window, denominator)
-        pairs = oracle._sweep_pairs(self.GEOM, EL, window, denominator, ceiling)
+        seed = oracle._seed_pair(self.GEOM, EL, window)
+        pairs = [wn for wn in oracle._sweep_pairs(self.GEOM, EL, window, denominator, ceiling) if wn != seed]
         args = (self.GEOM, EL, self.DISC, denominator)
         skipped = [
             pairs[s] for s in oracle._slices(pairs)
@@ -998,7 +1010,8 @@ class TestDeficitBound:
         geom, disc, window = p.geom, RadialDiscretization(8), p.window()
         winner = oracle_sweep(geom, EL, disc, window, denominator)
         ceiling = seeded_ceiling(geom, EL, disc, window, denominator)
-        assert ceiling == winner.value  # the seed pair is the winner, so excluding it must raise
+        assert oracle._seed_pair(geom, EL, window) == winner.wn  # the seed pair is the winner
+        assert ceiling == winner.value
         level = winner.value * (1.0 + oracle._CEILING_MARGIN)
         reduced = per_mode_strain(p, winner.wn).value
         if denominator == "full":
@@ -1016,8 +1029,14 @@ class TestDeficitBound:
             assert 0.0 < C < oracle._DEFICIT_C
             monkeypatch.setattr(oracle, "_DEFICIT_C", C)
         assert winner.wn not in oracle._sweep_pairs(geom, EL, window, denominator, ceiling)
-        with pytest.raises(BoundViolated, match="above the seeded window ceiling"):
+        # raised at once, naming the seed: only the seed's own pencil is assembled
+        assembled = recorded_assembly(monkeypatch)
+        seed = winner.wn
+        value = re.escape(repr(float(winner.value)))
+        match = rf"drops the seed pair WaveNumbers\(m={seed.m}, n={seed.n},.* whose minimum {value} seeds"
+        with pytest.raises(BoundViolated, match=match):
             oracle_sweep(geom, EL, disc, window, denominator)
+        assert assembled == [[seed]]
 
     @pytest.mark.parametrize("h, nu, L", [(0.02, 0.3, PI), (0.005, 0.3, PI), (0.05, 0.45, PI), (0.02, -0.45, 0.5)])
     def test_kept_pairs_are_those_the_bound_cannot_exclude(self, h, nu, L):
@@ -1051,10 +1070,11 @@ class TestDeficitBound:
         geom, elastic, window = ShellGeometry(h=h, L=L), IsotropicElasticity(nu=nu), (12, 8)
         assert oracle._sweep_pairs(geom, elastic, window, denominator, ceiling) == list(window_pairs(window, L))
 
-    # pairs assembled at L = pi, nu = 0.3, the seed included, as measured:
-    # (full, phi_rz, phi_rz_mid); at h = 0.005 and 1e-3 the seed is the
-    # phi_rz and phi_rz_mid winner, and the annulus keeps it alone
-    ASSEMBLED = {0.02: (47, 18, 16), 0.005: (32, 2, 2), 1e-3: (75, 2, 2)}
+    # pairs assembled at L = pi, nu = 0.3, each once, the seed included, as
+    # measured: (full, phi_rz, phi_rz_mid); at h = 0.005 and 1e-3 the seed is
+    # the phi_rz and phi_rz_mid winner, and the annulus keeps it alone, so
+    # those two solve the seed and nothing else
+    ASSEMBLED = {0.02: (46, 17, 15), 0.005: (31, 1, 1), 1e-3: (74, 1, 1)}
 
     @pytest.mark.parametrize("h", list(ASSEMBLED))
     def test_pruned_scans_assemble_a_few_pairs(self, caplog, h):
@@ -1064,6 +1084,8 @@ class TestDeficitBound:
             _, (_, covered, assembled, solved) = sweep_log(caplog, *args, denominator)
             assert assembled <= most, (denominator, assembled)
             assert solved <= assembled
+            if denominator != "full" and h < 0.02:
+                assert solved == 1, (denominator, solved)
 
     @pytest.mark.parametrize("denominator", oracle.DENOMINATORS)
     def test_no_positive_closed_form_minimum_seeds_nothing(self, monkeypatch, caplog, denominator):
@@ -1156,19 +1178,12 @@ class TestGapSupremum:
     @staticmethod
     def supremum_log(caplog, monkeypatch, *args):
         """The supremum, its DEBUG record's (covered, seed column, solved) and the pairs it assembled."""
-        assembled = []
-        assemble = oracle._slice_forms
-
-        def counted(geom, elastic, disc, pairs, names=oracle._FORM_NAMES):
-            assembled.extend(pairs)
-            return assemble(geom, elastic, disc, pairs, names)
-
-        monkeypatch.setattr(oracle, "_slice_forms", counted)
+        assembled = recorded_assembly(monkeypatch)
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="cylbuck"):
             got = oracle.full_vs_rz_supremum(*args)
         (record,) = [r for r in caplog.records if r.name == "cylbuck"]
-        return got, record.args, assembled
+        return got, record.args, [wn for pairs in assembled for wn in pairs]
 
     @pytest.mark.parametrize("case", [f"h={h}" for h in EQUIV_H] + ["drawn nu > 0", "drawn nu < 0"])
     def test_equals_the_whole_window_scan(self, rng, caplog, monkeypatch, case):
