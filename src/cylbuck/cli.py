@@ -275,21 +275,11 @@ def cmd_sweep(config: RunConfig, args) -> Report:
 def cmd_koiter(config: RunConfig, args) -> Report:
     h = _h(config, args)
     problem = config.problem(h)
-    found = cl.koiter_circle(problem, rel_tol=args.tolerance)
+    m, n, residual = cl.koiter_circle(problem, rel_tol=args.tolerance)
+    m_hat, minima = cl._pair_minima(problem, n.astype(float), m)
+    columns = {"m": m, "n": n, "m_hat": m_hat, "circle_residual": residual, "lambda3_tilde": minima.value}
+    records = [dict(zip(columns, row)) for row in zip(*(a.tolist() for a in columns.values()))]
     R = problem.koiter_radius
-    m_hat, minima = cl._pair_minima(
-        problem, np.array([float(wn.n) for wn in found]), np.array([wn.m for wn in found])
-    )
-    records = [
-        {
-            "m": wn.m,
-            "n": wn.n,
-            "m_hat": mh,
-            "circle_residual": cl.circle_residual(wn, R),
-            "lambda3_tilde": strain,
-        }
-        for wn, mh, strain in zip(found, m_hat.tolist(), minima.value.tolist())
-    ]
     out = {"h": h, "radius": R, "tolerance": args.tolerance, "modes": records}
     line = f"{len(records)} integer pairs within {fmt(args.tolerance)} of the circle (R={fmt(R)})"
     return Report("koiter", out, lines=[line])

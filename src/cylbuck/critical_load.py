@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, NamedTuple, Optional, Tuple
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -379,14 +379,27 @@ def _pair_minima(problem: CriticalLoadProblem, n: np.ndarray, m: np.ndarray):
     return m_hat, _mode_minimum(m_hat, m_hat4, n, problem.elastic, problem.geom.h, True)
 
 
+def _range_pairs(n: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """The pairs of the m ranges lo[i, j] .. hi[i, j] of rows n[i] as flat
+    arrays (n, m), a chunk of at most ``_CHUNK_PAIRS`` pairs at a time, in
+    row-major order of the ranges; empty ranges (lo > hi) are skipped."""
+    keep = hi >= lo
+    n, lo, hi = np.broadcast_to(n[:, None], lo.shape)[keep], lo[keep], hi[keep]
+    starts = np.concatenate(([0], np.cumsum(hi - lo + 1)))
+    for k0 in range(0, int(starts[-1]), _CHUNK_PAIRS):
+        k = np.arange(k0, min(k0 + _CHUNK_PAIRS, int(starts[-1])))
+        r = np.searchsorted(starts, k, side="right") - 1
+        yield n[r], lo[r] + (k - starts[r])
+
+
 def window_strains(
     problem: CriticalLoadProblem, ceiling: Optional[float] = None
 ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray, ModeMinimum]]:
     """Reduced minima of the window as flat arrays (n, m, m_hat, minima), a chunk at a time.
 
-    Entry k of each array belongs to the pair (m[k], n[k]); a chunk holds at
-    most ``_CHUNK_PAIRS`` pairs, and flattened in order the chunks follow the
-    scan order of ``spectral.window_pairs``.  Every entry equals
+    Entry k of each array belongs to the pair (m[k], n[k]); the chunks are
+    ``_range_pairs``' walk of the rows' m ranges, so flattened in order they
+    follow the scan order of ``spectral.window_pairs``.  Every entry equals
     ``per_mode_strain`` of its pair bit for bit.
 
     ``ceiling=None`` (or one that is not positive) scans the whole window.  A
@@ -400,14 +413,8 @@ def window_strains(
         lo, hi = np.ones((n.size, 1), dtype=np.int64), np.full((n.size, 1), m_max)
     else:
         lo, hi = _pruned_ranges(problem, ceiling)
-    keep = hi >= lo  # row-major: the ranges in scan order
-    n, lo, hi = np.broadcast_to(n[:, None], lo.shape)[keep], lo[keep], hi[keep]
-    starts = np.concatenate(([0], np.cumsum(hi - lo + 1)))
-    for k0 in range(0, int(starts[-1]), _CHUNK_PAIRS):
-        k = np.arange(k0, min(k0 + _CHUNK_PAIRS, int(starts[-1])))
-        r = np.searchsorted(starts, k, side="right") - 1
-        m = lo[r] + (k - starts[r])
-        yield (n[r], m, *_pair_minima(problem, n[r], m))
+    for n_k, m in _range_pairs(n, lo, hi):
+        yield (n_k, m, *_pair_minima(problem, n_k, m))
 
 
 @dataclass(frozen=True)
@@ -514,37 +521,30 @@ def sweep(problem: CriticalLoadProblem) -> BucklingResult:
     )
 
 
-def circle_residual(wn: WaveNumbers, R: float) -> float:
-    """Relative distance |hypot(mhat - R, n) - R| / R of a pair from the Koiter circle of radius R."""
-    return abs(math.hypot(wn.m_hat - R, wn.n) - R) / R
+def koiter_circle(problem: CriticalLoadProblem, rel_tol: float = 0.05) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integer pairs within relative distance rel_tol of the Koiter circle, as
+    arrays (m, n, residual) sorted by residual (ties: smaller n, then m).
 
-
-def koiter_circle(problem: CriticalLoadProblem, rel_tol: float = 0.05) -> List[WaveNumbers]:
-    """Integer pairs within relative distance rel_tol of the Koiter circle.
-
-    Only each row's band R (1 - rel_tol) <= hypot(mhat - R, n) <= R (1 + rel_tol)
-    is enumerated, widened by one index on both sides; ``circle_residual``
-    decides membership.  Sorted by circle residual (ties: smaller n, then m).
-    Raises ValueError unless rel_tol is finite and >= 0, and EmptySet when the
+    The residual |hypot(mhat - R, n) - R| / R, rounded as ``math.hypot``
+    rounds, decides membership.  Only each row's band R (1 - rel_tol) <=
+    hypot(mhat - R, n) <= R (1 + rel_tol), widened by one index on both sides,
+    is walked, by ``window_strains``' range walk (``_range_pairs``).  Raises
+    ValueError unless rel_tol is finite and >= 0, and EmptySet when the
     tolerance admits no pair.
     """
     if not 0.0 <= rel_tol < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {rel_tol}")
     R = problem.koiter_radius
     m_max, n_max = problem.window()
-    L = problem.geom.L
     n = np.arange(math.floor(min(n_max, R * (1.0 + rel_tol))) + 1, dtype=float)
     outer, inner = (R, R * (1.0 + rel_tol)), (R, R * (1.0 - rel_tol))
-    lo, hi = _annulus_ranges(n, outer, inner, math.pi / L, 1, m_max, pad=1)
-    found = []
-    for row, arcs in enumerate(zip(lo.tolist(), hi.tolist())):
-        for first, last in zip(*arcs):
-            for m in range(first, last + 1):
-                wn = WaveNumbers(m=m, n=row, L=L)
-                residual = circle_residual(wn, R)
-                if residual <= rel_tol:
-                    found.append((residual, wn.n, wn.m, wn))
-    if not found:
+    lo, hi = _annulus_ranges(n, outer, inner, math.pi / problem.geom.L, 1, m_max, pad=1)
+    # never empty: row 0's band always holds m = 1
+    n, m = (np.concatenate(a) for a in zip(*_range_pairs(n, lo, hi)))
+    dm = math.pi * m / problem.geom.L - R  # mhat as WaveNumbers.m_hat rounds it
+    residual = np.abs(np.array(list(map(math.hypot, dm.tolist(), n.tolist()))) - R) / R
+    keep = np.flatnonzero(residual <= rel_tol)
+    if not keep.size:
         raise EmptySet(f"no integer wave numbers within {rel_tol} of the Koiter circle")
-    found.sort(key=lambda t: (t[0], t[1], t[2]))
-    return [t[3] for t in found]
+    keep = keep[np.lexsort((m[keep], n[keep], residual[keep]))]
+    return m[keep], n[keep].astype(np.int64), residual[keep]

@@ -11,7 +11,6 @@ from cylbuck.critical_load import (
     BucklingResult,
     CriticalLoadProblem,
     ModeMinimum,
-    circle_residual,
     koiter_circle,
     mode_strain_at,
     per_mode_strain,
@@ -542,6 +541,35 @@ class TestPrunedScan:
         assert abs(res.strain / p.lambda_star - 1) <= math.sqrt(p.geom.h)
 
 
+def circle_residual(wn, R):
+    """Relative distance |hypot(mhat - R, n) - R| / R of a pair from the Koiter circle of radius R."""
+    return abs(math.hypot(wn.m_hat - R, wn.n) - R) / R
+
+
+def pairwise_koiter_circle(p, rel_tol):
+    """koiter_circle's band enumerated pair by pair, the reference: the sorted
+    (residual, n, m) of the pairs of each row's arcs within rel_tol."""
+    R = p.koiter_radius
+    m_max, n_max = p.window()
+    n = np.arange(math.floor(min(n_max, R * (1.0 + rel_tol))) + 1, dtype=float)
+    outer, inner = (R, R * (1.0 + rel_tol)), (R, R * (1.0 - rel_tol))
+    lo, hi = critical_load._annulus_ranges(n, outer, inner, math.pi / p.geom.L, 1, m_max, pad=1)
+    found = []
+    for row, arcs in enumerate(zip(lo.tolist(), hi.tolist())):
+        for first, last in zip(*arcs):
+            for m in range(first, last + 1):
+                residual = circle_residual(p.wave_numbers(m, row), R)
+                if residual <= rel_tol:
+                    found.append((residual, row, m))
+    return sorted(found)
+
+
+def koiter_pairs(p, rel_tol):
+    """The WaveNumbers of koiter_circle's pairs, in its order."""
+    m, n, _ = koiter_circle(p, rel_tol=rel_tol)
+    return [p.wave_numbers(mi, ni) for mi, ni in zip(m.tolist(), n.tolist())]
+
+
 class TestKoiterCircle:
     def test_axisymmetric_point_present(self):
         # n = 0 crossing sits at mhat = sqrt(2/lambda_star) ~ 18.18 for
@@ -549,7 +577,7 @@ class TestKoiterCircle:
         p = problem(0.01)
         target = math.sqrt(2.0 / p.lambda_star)
         assert target == pytest.approx(18.178, abs=2e-3)
-        found = koiter_circle(p, rel_tol=0.05)
+        found = koiter_pairs(p, 0.05)
         axi = [wn for wn in found if wn.n == 0]
         assert any(wn.m == round(target) for wn in axi)
 
@@ -557,14 +585,14 @@ class TestKoiterCircle:
         p = problem(0.01)
         best = sweep(p).strain
         tol = 0.05
-        for wn in koiter_circle(p, rel_tol=tol):
+        for wn in koiter_pairs(p, tol):
             val = per_mode_strain(p, wn).value
             assert val / best <= 1.0 + 5.0 * tol
 
     def test_sorted_by_residual(self):
         p = problem(0.01)
         R = p.koiter_radius
-        found = koiter_circle(p, rel_tol=0.05)
+        found = koiter_pairs(p, 0.05)
         res = [abs(math.hypot(wn.m_hat - R, wn.n) - R) / R for wn in found]
         assert res == sorted(res)
 
@@ -577,8 +605,9 @@ class TestKoiterCircle:
         p = problem(1e-3)
         m_max, n_max = p.window()
         whole = koiter_circle(p, rel_tol=1e300)
-        assert len(whole) == m_max * (n_max + 1)
-        assert koiter_circle(p, rel_tol=1e308) == whole
+        assert len(whole[0]) == m_max * (n_max + 1)
+        for got, want in zip(koiter_circle(p, rel_tol=1e308), whole):
+            assert np.array_equal(got, want)
 
     def test_radius_scales_inverse_sqrt(self):
         p1, p2 = problem(0.01), problem(0.02)
@@ -595,7 +624,28 @@ class TestKoiterCircle:
                     if circle_residual(wn, R) <= tol
                 )
                 try:
-                    got = [(wn.n, wn.m) for wn in koiter_circle(p, rel_tol=tol)]
+                    got = [(wn.n, wn.m) for wn in koiter_pairs(p, tol)]
                 except EmptySet:
                     got = []
                 assert got == [(n, m) for _, n, m in want], (p, tol)
+
+    @pytest.mark.parametrize("chunk", [critical_load._CHUNK_PAIRS, 7])
+    def test_array_band_equals_the_pairwise_enumeration(self, rng, monkeypatch, chunk):
+        # the same pairs in the same order with bit-equal residuals, on drawn
+        # problems and tolerances, at tol = 0 (mostly EmptySet) and at the two
+        # whole-window tolerances, with the walk's chunks cutting the rows or not
+        monkeypatch.setattr(critical_load, "_CHUNK_PAIRS", chunk)
+        empty = 0
+        for p in window_problems(rng, count=12):
+            for tol in (0.0, float(rng.uniform(0.0, 0.02)), float(rng.uniform(0.02, 2.0)), 1e300, 1e308):
+                want = pairwise_koiter_circle(p, tol)
+                try:
+                    m, n, residual = koiter_circle(p, rel_tol=tol)
+                except EmptySet:
+                    assert want == [], (p, tol)
+                    empty += 1
+                    continue
+                assert m.dtype == n.dtype == np.int64 and residual.dtype == np.float64
+                got = list(zip(residual.tolist(), n.tolist(), m.tolist()))
+                assert [(r.hex(), n, m) for r, n, m in got] == [(r.hex(), n, m) for r, n, m in want], (p, tol)
+        assert empty >= 1

@@ -251,7 +251,8 @@ class TestSimplifiedStrain:
         for h in (0.04, 0.01):
             geom = ShellGeometry(h=h, L=math.pi)
             problem = CriticalLoadProblem(geom=geom, elastic=EL)
-            for wn in koiter_circle(problem, rel_tol=0.05)[:4]:
+            m, n, _ = koiter_circle(problem, rel_tol=0.05)
+            for wn in map(problem.wave_numbers, m[:4].tolist(), n[:4].tolist()):
                 mm = per_mode_strain(problem, wn)
                 mode = optimal_mode(wn, mm.a_theta, mm.a_z, EL)
                 r, w = radial_rule(geom, 24)
