@@ -32,7 +32,7 @@ from typing import Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .errors import EmptySet, SingularSystem, WindowTooSmall
+from .errors import EmptySet, OutputTooLarge, SingularSystem, WindowTooSmall
 from .material import IsotropicElasticity
 from .spectral import ShellGeometry, WaveNumbers
 
@@ -47,6 +47,12 @@ _CHUNK_PAIRS = 1 << 16
 # it before a double overflows.
 _M_MAX = 2.0**53
 _M_HAT_MAX = 2.0**200
+# Candidate pairs of the Koiter band (before the residual filter) that
+# koiter_circle walks: `cylbuck koiter` peaked at 440-460 MB for the 254 k of
+# h = 1e-6 (L = pi, nu = 0.3), about 1.8 kB a pair, so 2 M pairs stay near
+# 3.6 GB.  That admits h = 1e-6 and refuses 1e-7 (2.52 M) and 1e-8 (25.1 M)
+# at the default tolerance.
+_KOITER_PAIRS_MAX = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -366,7 +372,7 @@ def _pruned_ranges(problem: CriticalLoadProblem, ceiling: float):
             x_hi = 0.5 * (T + math.sqrt(max(T * T - 4.0 * c, 0.0)))
             r_out, r_in = 0.5 / math.sqrt(c / x_hi), 0.5 / math.sqrt(x_hi)
             lo[:, 1:], hi[:, 1:] = _annulus_ranges(n, (r_out, r_out), (r_in, r_in), per_m, m1, m_max)
-        kept = int(np.maximum(hi - lo + 1, 0).sum())
+        kept = _range_size(lo, hi)
         if best is None or kept < best[0]:
             best = kept, lo, hi
     return best[1], best[2]
@@ -390,6 +396,11 @@ def _range_pairs(n: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Iterator[Tupl
         k = np.arange(k0, min(k0 + _CHUNK_PAIRS, int(starts[-1])))
         r = np.searchsorted(starts, k, side="right") - 1
         yield n[r], lo[r] + (k - starts[r])
+
+
+def _range_size(lo: np.ndarray, hi: np.ndarray) -> int:
+    """The number of pairs of the m ranges lo .. hi (empty ranges count 0)."""
+    return int(np.maximum(hi - lo + 1, 0).sum())
 
 
 def window_strains(
@@ -521,6 +532,16 @@ def sweep(problem: CriticalLoadProblem) -> BucklingResult:
     )
 
 
+def _koiter_band(problem: CriticalLoadProblem, rel_tol: float):
+    """Rows n and their m ranges (lo, hi) of the band R (1 - rel_tol) <=
+    hypot(mhat - R, n) <= R (1 + rel_tol), widened by one index on both sides."""
+    R = problem.koiter_radius
+    m_max, n_max = problem.window()
+    n = np.arange(math.floor(min(n_max, R * (1.0 + rel_tol))) + 1, dtype=float)
+    outer, inner = (R, R * (1.0 + rel_tol)), (R, R * (1.0 - rel_tol))
+    return (n, *_annulus_ranges(n, outer, inner, math.pi / problem.geom.L, 1, m_max, pad=1))
+
+
 def koiter_circle(problem: CriticalLoadProblem, rel_tol: float = 0.05) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integer pairs within relative distance rel_tol of the Koiter circle, as
     arrays (m, n, residual) sorted by residual (ties: smaller n, then m).
@@ -529,16 +550,24 @@ def koiter_circle(problem: CriticalLoadProblem, rel_tol: float = 0.05) -> Tuple[
     rounds, decides membership.  Only each row's band R (1 - rel_tol) <=
     hypot(mhat - R, n) <= R (1 + rel_tol), widened by one index on both sides,
     is walked, by ``window_strains``' range walk (``_range_pairs``).  Raises
-    ValueError unless rel_tol is finite and >= 0, and EmptySet when the
-    tolerance admits no pair.
+    ValueError unless rel_tol is finite and >= 0, OutputTooLarge before the
+    walk when the band holds more than ``_KOITER_PAIRS_MAX`` candidate pairs
+    (naming a smaller tolerance that fits), and EmptySet when the tolerance
+    admits no pair.
     """
     if not 0.0 <= rel_tol < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {rel_tol}")
+    n, lo, hi = _koiter_band(problem, rel_tol)
+    size = _range_size(lo, hi)
+    if size > _KOITER_PAIRS_MAX:
+        halved = rel_tol * 0.5 ** np.arange(1, 64)
+        fits = next((t for t in halved if _range_size(*_koiter_band(problem, t)[1:]) <= _KOITER_PAIRS_MAX), None)
+        raise OutputTooLarge(
+            f"the Koiter band at h={problem.geom.h!r} and tolerance {rel_tol!r} holds {size} candidate pairs, "
+            f"more than the {_KOITER_PAIRS_MAX} that fit; "
+            + (f"tolerance {fits:.3g} fits" if fits is not None else "no smaller tolerance fits, a larger h does")
+        )
     R = problem.koiter_radius
-    m_max, n_max = problem.window()
-    n = np.arange(math.floor(min(n_max, R * (1.0 + rel_tol))) + 1, dtype=float)
-    outer, inner = (R, R * (1.0 + rel_tol)), (R, R * (1.0 - rel_tol))
-    lo, hi = _annulus_ranges(n, outer, inner, math.pi / problem.geom.L, 1, m_max, pad=1)
     # never empty: row 0's band always holds m = 1
     n, m = (np.concatenate(a) for a in zip(*_range_pairs(n, lo, hi)))
     dm = math.pi * m / problem.geom.L - R  # mhat as WaveNumbers.m_hat rounds it

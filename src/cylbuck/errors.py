@@ -37,5 +37,9 @@ class QuadratureUnderResolved(CylbuckError):
     """Self-check against a refined rule exceeded tolerance; raise resolution."""
 
 
+class OutputTooLarge(CylbuckError):
+    """A command's output would exceed its memory budget; it is refused before anything is allocated."""
+
+
 class BoundViolated(CylbuckError):
     """A measured bound that pruned a scan does not hold on its input."""

@@ -14,6 +14,7 @@ when the wave numbers track the Koiter circle.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Tuple
@@ -21,14 +22,21 @@ from typing import List, NamedTuple, Tuple
 import numpy as np
 
 from .critical_load import CriticalLoadProblem
-from .errors import WindowTooSmall
+from .errors import OutputTooLarge, WindowTooSmall
 from .spectral import (
     FourierMode,
+    ShellGeometry,
     displacement,
     mode_energy,
     mode_phi_rz,
     optimal_mode,
 )
+
+# Points of the grid that synthesize samples: `cylbuck mode` peaked at 1.4 GB
+# for the 1.89 M points of h = 1e-5 (L = pi, nu = 0.3), about 740 bytes a
+# point, so 8 M points stay near 5.9 GB.  That admits h = 1e-6 (7.53 M points)
+# and refuses 1e-7 (30.4 M) and 1e-8 (125 M).
+_GRID_POINTS_MAX = 8_000_000
 
 
 @dataclass(frozen=True)
@@ -148,14 +156,31 @@ def evaluate(spec: BucklingModeSpec, r, theta, z):
     return tuple(fields)
 
 
+def _grid_points(spec: BucklingModeSpec, r_nodes: int) -> int:
+    return r_nodes * (8 * spec.n + 16) * (8 * (spec.m + 2) + 16)
+
+
 def synthesize(spec: BucklingModeSpec, r_nodes: int = 9) -> DisplacementField:
     """Sample the two-term mode on a tensor grid.
 
     The grid resolves the oscillation with Nyquist margin: 8 n + 16 points
-    on [0, 2 pi) in theta, 8 (m+2) + 16 on [0, L] in z.
+    on [0, 2 pi) in theta, 8 (m+2) + 16 on [0, L] in z.  Raises
+    OutputTooLarge, before it allocates the grid, when the grid has more than
+    _GRID_POINTS_MAX points, naming a larger h whose grid fits.
     """
     check_window(spec)
     geom = spec.problem.geom
+    points = _grid_points(spec, r_nodes)
+    if points > _GRID_POINTS_MAX:
+        larger = (
+            BucklingModeSpec(dataclasses.replace(spec.problem, geom=ShellGeometry(h=h, L=geom.L)), spec.alpha)
+            for h in (geom.h * 10.0 ** (np.arange(1, 160) / 8)).tolist() if h < 1.0
+        )
+        fits = next((s.problem.geom.h for s in larger if _grid_points(s, r_nodes) <= _GRID_POINTS_MAX), None)
+        raise OutputTooLarge(
+            f"the mode grid at h={geom.h!r} has {points} points, more than the {_GRID_POINTS_MAX} that fit; "
+            + (f"h = {fits:.3g} fits" if fits is not None else f"no h fits at L={geom.L!r}")
+        )
     r = np.linspace(geom.r_inner, geom.r_outer, r_nodes)
     theta = np.linspace(0.0, 2.0 * math.pi, 8 * spec.n + 16, endpoint=False)
     z = np.linspace(0.0, geom.L, 8 * (spec.m + 2) + 16)

@@ -692,9 +692,10 @@ _DEFICIT_BOX = {"h": (1e-4, 0.25), "nu": (-0.45, 0.45), "L": (0.5, 50.0)}
 #   B_tz = ss int (mhat phi_theta)^2 r dr <= ss (4 (1 + eps) T + (1 + 1/eps) t Z),
 #   t = n^2 / (mhat^2 (1 - h/2)^2), so B_zz + B_tz <= g (cc Z + 2 ss T) for
 #   g = max(2 (1 + eps), 1 + (1 + 1/eps) st), st = t ss / cc, when ss > 0, and
-#   g = 1 when ss = 0 (n = 0: no theta block, B_tz = 0).  ss / cc is read from
-#   trig_factors.  Each pair takes its best split: the two terms are equal, and
-#   g is least, at the positive root of 2 eps^2 + (1 - st) eps - st = 0,
+#   g = 1 when ss = 0 (n = 0: no theta block, B_tz = 0).  ss = cc for n >= 1
+#   (trig_factors), so st = t there.  Each pair takes its best split: the two
+#   terms are equal, and g is least, at the positive root of
+#   2 eps^2 + (1 - st) eps - st = 0,
 #   eps* = ((st - 1) + sqrt((st - 1)^2 + 8 st)) / 4, so g = 2 (1 + eps*), about
 #   st + 3 for large st (the split eps = 1 gives 1 + 2 st).  eps* is computed
 #   without cancellation (as 2 st / ((1 - st) + sqrt(...)) for st < 1), and g
@@ -712,14 +713,12 @@ def _gap_bound(geom: ShellGeometry, elastic: IsotropicElasticity, n: np.ndarray,
     """G >= full_vs_rz of each pair (n[k], mhat[k]) of the window: the proved bound above."""
     nu = elastic.nu
     kappa = 1.0 / (1.0 + nu) if nu >= 0.0 else 1.0 / (1.0 - 2.0 * nu)
-    f = trig_factors(WaveNumbers(m=1, n=1, L=geom.L))
-    s = np.where(n > 0, f.ss / f.cc, 0.0)
-    st = s * (n / (m_hat * (1.0 - 0.5 * geom.h))) ** 2
+    st = (n / (m_hat * (1.0 - 0.5 * geom.h))) ** 2  # t ss / cc = t; 0 for n = 0
     root = np.sqrt((st - 1.0) ** 2 + 8.0 * st)
     with np.errstate(divide="ignore", invalid="ignore"):  # n = 0 (st = 0) takes g = 1
         eps = np.where(st < 1.0, 2.0 * st / ((1.0 - st) + root), ((st - 1.0) + root) / 4.0)
         g = np.maximum(2.0 * (1.0 + eps), 1.0 + (1.0 + 1.0 / eps) * st)
-    return np.where(s > 0.0, g, 1.0) / kappa
+    return np.where(n > 0, g, 1.0) / kappa
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,22 @@ class TestKoiter:
         assert "EmptySet" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, walked",
+    [("koiter", (cli.cl, "_range_pairs")), ("mode", (cli.modes_mod, "evaluate"))],
+)
+def test_oversized_outputs_exit_2_before_anything_is_allocated(tmp_path, capsys, monkeypatch, command, walked):
+    def allocated(*args):
+        raise AssertionError(f"{command} allocated its output")
+
+    monkeypatch.setattr(*walked, allocated)
+    assert main([command, "--h", "1e-8", "--outdir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and os.listdir(tmp_path) == []
+    (line,) = captured.err.splitlines()
+    assert line.startswith("OutputTooLarge: ") and " fits" in line
+
+
 class TestMode:
     def test_vtk_output(self, tmp_path):
         assert (

@@ -20,7 +20,7 @@ from cylbuck.critical_load import (
     sweep,
     window_strains,
 )
-from cylbuck.errors import EmptySet, SingularSystem, WindowTooSmall
+from cylbuck.errors import EmptySet, OutputTooLarge, SingularSystem, WindowTooSmall
 from cylbuck.material import IsotropicElasticity
 from cylbuck.spectral import ShellGeometry, WaveNumbers, window_pairs
 
@@ -608,6 +608,34 @@ class TestKoiterCircle:
         assert len(whole[0]) == m_max * (n_max + 1)
         for got, want in zip(koiter_circle(p, rel_tol=1e308), whole):
             assert np.array_equal(got, want)
+
+    @staticmethod
+    def band_size(p, tol):
+        """The candidate pairs of koiter_circle's band, counted from the rows' ranges."""
+        return critical_load._range_size(*critical_load._koiter_band(p, tol)[1:])
+
+    def test_band_budget_admits_h_1e_6_and_refuses_1e_7_and_1e_8(self, monkeypatch):
+        # the candidate pairs are counted, never walked
+        def walked(*args):
+            raise AssertionError("the band was walked")
+
+        sizes = {h: self.band_size(problem(h), 0.05) for h in (1e-6, 1e-7, 1e-8)}
+        assert sizes == {1e-6: 253936, 1e-7: 2517070, 1e-8: 25100510}
+        assert sizes[1e-6] <= critical_load._KOITER_PAIRS_MAX < sizes[1e-7]
+        monkeypatch.setattr(critical_load, "_range_pairs", walked)
+        for h in (1e-7, 1e-8):
+            message = f"holds {sizes[h]} candidate pairs, more than the 2000000 that fit; tolerance"
+            with pytest.raises(OutputTooLarge, match=message) as info:
+                koiter_circle(problem(h))
+            fits = float(info.value.args[0].rsplit("tolerance ", 1)[1].split()[0])
+            assert fits < 0.05 and self.band_size(problem(h), fits) <= critical_load._KOITER_PAIRS_MAX
+
+    def test_no_tolerance_fits_a_budget_below_the_zero_tolerance_band(self, monkeypatch):
+        p = problem(0.01)
+        monkeypatch.setattr(critical_load, "_KOITER_PAIRS_MAX", self.band_size(p, 0.0) - 1)
+        for tol in (0.0, 0.05):
+            with pytest.raises(OutputTooLarge, match="no smaller tolerance fits, a larger h does"):
+                koiter_circle(p, rel_tol=tol)
 
     def test_radius_scales_inverse_sqrt(self):
         p1, p2 = problem(0.01), problem(0.02)

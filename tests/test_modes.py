@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from cylbuck import modes
 from cylbuck.critical_load import CriticalLoadProblem
-from cylbuck.errors import WindowTooSmall
+from cylbuck.errors import OutputTooLarge, WindowTooSmall
 from cylbuck.material import IsotropicElasticity
 from cylbuck.modes import (
     BucklingModeSpec,
@@ -123,6 +124,40 @@ class TestSynthesizedField:
         assert field.phi_r.shape == (5, len(field.theta), len(field.z))
         assert len(field.theta) >= 8 * spec.n + 16
         assert len(field.z) >= 8 * spec.m + 16
+
+
+class TestGridBudget:
+    """synthesize refuses a grid above _GRID_POINTS_MAX before it allocates it;
+    the sizes are computed, never sampled."""
+
+    @pytest.fixture(autouse=True)
+    def no_sampling(self, monkeypatch):
+        def sampled(*args):
+            raise AssertionError("the grid was sampled")
+
+        monkeypatch.setattr(modes, "evaluate", sampled)
+
+    def test_budget_admits_h_1e_6_and_refuses_1e_7_and_1e_8(self):
+        # L = pi, nu = 0.3, alpha = 0.5: 7.53 M, 30.4 M and 125 M points
+        points = {h: modes._grid_points(spec_at(h, L=math.pi), 9) for h in (1e-6, 1e-7, 1e-8)}
+        assert points == {1e-6: 7526016, 1e-7: 30366720, 1e-8: 125140032}
+        assert points[1e-6] <= modes._GRID_POINTS_MAX < points[1e-7]
+        for h in (1e-7, 1e-8):
+            message = f"has {points[h]} points, more than the 8000000 that fit; h = 1e-06 fits"
+            with pytest.raises(OutputTooLarge, match=message):
+                synthesize(spec_at(h, L=math.pi))
+
+    def test_the_named_h_fits(self):
+        with pytest.raises(OutputTooLarge, match=r"h = ([0-9.e-]+) fits") as info:
+            synthesize(spec_at(1e-8, alpha=1.0, L=math.pi))
+        fits = float(info.value.args[0].rsplit("h = ", 1)[1].split()[0])
+        assert modes._grid_points(spec_at(fits, alpha=1.0, L=math.pi), 9) <= modes._GRID_POINTS_MAX
+
+    def test_no_h_fits_a_budget_below_the_smallest_grid(self, monkeypatch):
+        # every grid has at least 9 x 16 x 40 points
+        monkeypatch.setattr(modes, "_GRID_POINTS_MAX", 9 * 16 * 40 - 1)
+        with pytest.raises(OutputTooLarge, match="no h fits at L=6.28"):
+            synthesize(spec_at(0.01))
 
 
 class TestQuotient:
