@@ -564,6 +564,17 @@ def pairwise_koiter_circle(p, rel_tol):
     return sorted(found)
 
 
+@dataclasses.dataclass(frozen=True)
+class IntegerRadius(CriticalLoadProblem):
+    """A problem whose Koiter radius is exactly 10: at L = pi, where mhat = m,
+    pairs at mhat = R -+ d of a row, and Pythagorean triples across rows,
+    have bit-equal residuals."""
+
+    @property
+    def koiter_radius(self):
+        return 10.0
+
+
 def koiter_pairs(p, rel_tol):
     """The WaveNumbers of koiter_circle's pairs, in its order."""
     m, n, _ = koiter_circle(p, rel_tol=rel_tol)
@@ -656,6 +667,12 @@ class TestKoiterCircle:
                 except EmptySet:
                     got = []
                 assert got == [(n, m) for _, n, m in want], (p, tol)
+
+    def test_equal_residuals_order_by_n_then_m(self):
+        p = IntegerRadius(ShellGeometry(h=0.01, L=math.pi), EL)
+        m, n, residual = koiter_circle(p, rel_tol=0.5)
+        assert len(np.unique(residual)) < len(residual) - 50
+        assert list(zip(residual.tolist(), n.tolist(), m.tolist())) == pairwise_koiter_circle(p, 0.5)
 
     @pytest.mark.parametrize("chunk", [critical_load._CHUNK_PAIRS, 7])
     def test_array_band_equals_the_pairwise_enumeration(self, rng, monkeypatch, chunk):
