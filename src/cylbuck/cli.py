@@ -375,8 +375,15 @@ def cmd_mode(config: RunConfig, args) -> Report:
     return Report("mode", meta, lines=[json.dumps(meta, indent=2)])
 
 
+def _criterion(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"--criteria takes comma-separated criterion numbers, got {token!r}") from None
+
+
 def cmd_verify(config: RunConfig, args) -> Report:
-    numbers = [int(tok) for tok in args.criteria.split(",")] if args.criteria else None
+    numbers = [_criterion(tok) for tok in args.criteria.split(",")] if args.criteria else None
     results = acceptance.run_all(numbers)
     passed = sum(r.passed for r in results)
     lines = [r.line() for r in results] + [f"{passed}/{len(results)} criteria passed"]

@@ -410,8 +410,10 @@ def window_strains(
 
     Entry k of each array belongs to the pair (m[k], n[k]); the chunks are
     ``_range_pairs``' walk of the rows' m ranges, so flattened in order they
-    follow the scan order of ``spectral.window_pairs``.  Every entry equals
-    ``per_mode_strain`` of its pair bit for bit.
+    follow the package's one scan order: n ascending from 0, then m from 1.
+    The oracle walks its windows in the same order, through the same
+    ``_range_pairs``.  Every entry equals ``per_mode_strain`` of its pair
+    bit for bit.
 
     ``ceiling=None`` (or one that is not positive) scans the whole window.  A
     positive ceiling scans only the pairs that ``surrogate_deficit`` cannot

@@ -71,21 +71,20 @@ pass, and every pair is formed as F0 + mhat F1 + mhat^2 F2 in float64.  n
 stays exact in the coefficients, and nothing assembled is interpolated.
 Row n = 0 has no theta block, so it is built apart from the rows n >= 1.
 Every scan, the window minima and the Korn and gap scans alike, goes through
-one walker (_walk): a flat scan-order list of pairs cut into row groups
-(_row_groups: row n = 0 alone, the rows n >= 1 in groups of at most 64
-pairs), each assembled in one call and solved slice by slice.  phi_rz,
-phi_zz, phi_tz and phi_rz_mid are each a scalar per pair times one moment on
-one block (int V^T V r dr, or h v v^T for phi_rz_mid), and full, the sum of
-the first three, is one block-diagonal scaled mass.  A call builds only the
-forms it asks for, and a pair's forms come out bit for bit the same in every
-call, whatever rows, slice or single pair it holds, so the window scans and
-the one-pair mode_forms agree exactly.
+one walker (_walk): int64 arrays (n, m) in the closed form's scan order, cut
+into row groups (_row_groups: row n = 0 alone, the rows n >= 1 in groups of
+at most 64 pairs), each built as WaveNumbers only when it is assembled, in
+one call, and solved slice by slice.  phi_rz, phi_zz, phi_tz and phi_rz_mid
+are each a scalar per pair times one moment on one block (int V^T V r dr, or
+h v v^T for phi_rz_mid), and full, the sum of the first three, is one
+block-diagonal scaled mass.  A call builds only the forms it asks for, and a
+pair's forms come out bit for bit the same in every call, whatever rows,
+slice or single pair it holds, so the window scans and the one-pair
+mode_forms agree exactly.
 """
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -95,7 +94,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequenc
 import numpy as np
 import scipy.linalg
 
-from .critical_load import CriticalLoadProblem, _window_minimum, window_strains
+from .critical_load import CriticalLoadProblem, _range_pairs, _window_minimum, window_strains
 from .errors import (
     AssemblyDegenerate,
     BoundViolated,
@@ -106,7 +105,7 @@ from .errors import (
     ZeroDenominator,
 )
 from .material import IsotropicElasticity
-from .spectral import ShellGeometry, WaveNumbers, trig_factors, window_pairs
+from .spectral import ShellGeometry, WaveNumbers, trig_factors
 
 DENOMINATORS = ("full", "phi_rz", "phi_rz_mid")
 _log = logging.getLogger("cylbuck")
@@ -335,14 +334,10 @@ _MASS_FORMS = {
 }
 
 
-def _row_runs(pairs: Sequence[WaveNumbers]) -> List[Tuple[int, int, int]]:
-    """(n, start, end) of each run of consecutive pairs of one row n."""
-    runs, start = [], 0
-    for n, run in itertools.groupby(pairs, key=lambda wn: wn.n):
-        end = start + sum(1 for _ in run)
-        runs.append((n, start, end))
-        start = end
-    return runs
+def _row_runs(n: np.ndarray) -> List[Tuple[int, int, int]]:
+    """(row, start, end) of each run of consecutive equal entries of the row array n."""
+    edges = [0, *(np.flatnonzero(np.diff(n)) + 1).tolist(), len(n)]
+    return [(int(n[a]), a, b) for a, b in zip(edges, edges[1:]) if a < b]
 
 
 def _block_moments(geom: ShellGeometry, disc: RadialDiscretization) -> Dict[str, np.ndarray]:
@@ -412,7 +407,7 @@ def _slice_forms(
         tabs = _cheb_tables(geom.h, disc.degree, disc.nodes)
         k, keep = disc.degree + 1, _blocks(wn0.n)
         nf, nb = len(contracted), len(keep)
-        runs = _row_runs(pairs)
+        runs = _row_runs(np.array([wn.n for wn in pairs]))
         rows = sorted({n for n, _, _ in runs})
         C = _row_coefficients(rows, trig_factors(wn0), elastic.nu, contracted)
         # (row, form, a, block, table, p, block', table', p') -> (row, form, a, block, block', table, table', p, p')
@@ -605,49 +600,55 @@ class OracleMinimum(NamedTuple):
     wn: WaveNumbers
 
 
-def _slices(pairs: Sequence[WaveNumbers]) -> List[slice]:
-    """The index ranges that cut pairs, in scan order, into slices of at most _SLICE_PAIRS pairs of one row."""
-    return [slice(i, min(i + _SLICE_PAIRS, b)) for _, a, b in _row_runs(pairs) for i in range(a, b, _SLICE_PAIRS)]
+def _window_arrays(window: Tuple[int, int]) -> Tuple[np.ndarray, np.ndarray]:
+    """Every pair of the window (m_max, n_max) as int64 arrays (n, m) in scan order (n from 0, then m
+    from 1): critical_load._range_pairs over whole rows, the walk of window_strains' whole window."""
+    m_max, n_max = window
+    rows = np.arange(n_max + 1, dtype=np.int64)
+    chunks = _range_pairs(rows, np.ones((rows.size, 1), dtype=np.int64), np.full((rows.size, 1), m_max))
+    return tuple(np.concatenate(a) for a in zip(*chunks))
 
 
-def _row_groups(pairs: Sequence[WaveNumbers]) -> List[List[WaveNumbers]]:
-    """The pairs, a flat list in scan order, cut into row groups of one assembly each.
+def _slices(n: np.ndarray) -> List[slice]:
+    """The index ranges that cut the pairs of rows n, in scan order, into slices of at most _SLICE_PAIRS of one row."""
+    return [slice(i, min(i + _SLICE_PAIRS, b)) for _, a, b in _row_runs(n) for i in range(a, b, _SLICE_PAIRS)]
 
-    The consecutive runs of one row n (_row_runs) are joined while a group
+
+def _row_groups(n: np.ndarray) -> List[slice]:
+    """The index ranges that cut the pairs of rows n, in scan order, into row groups of one assembly each.
+
+    The consecutive runs of one row (_row_runs) are joined while a group
     holds at most 4 _SLICE_PAIRS pairs; a longer row stays alone, and so
     does row n = 0, which has no theta block.  That bounds the batched
     contraction of _slice_forms and the forms a group holds at once by
     those of 64 pairs, or of one longer row.
     """
-    groups: List[List[WaveNumbers]] = []
-    for n, a, b in _row_runs(pairs):
-        if groups and min(n, groups[-1][0].n) > 0 and len(groups[-1]) + b - a <= 4 * _SLICE_PAIRS:
-            groups[-1] += pairs[a:b]
+    groups: List[slice] = []
+    for row, a, b in _row_runs(n):
+        if groups and min(row, n[groups[-1].start]) > 0 and b - groups[-1].start <= 4 * _SLICE_PAIRS:
+            groups[-1] = slice(groups[-1].start, b)
         else:
-            groups.append(list(pairs[a:b]))
+            groups.append(slice(a, b))
     return groups
 
 
 def _walk(
-    geom: ShellGeometry,
-    elastic: IsotropicElasticity,
-    disc: RadialDiscretization,
-    pairs: Sequence[WaveNumbers],
-    names: Sequence[str],
-    solve: Callable,
+    geom: ShellGeometry, elastic: IsotropicElasticity, disc: RadialDiscretization, n: np.ndarray, m: np.ndarray,
+    names: Sequence[str], solve: Callable,
 ) -> list:
-    """solve(slice, its forms) over every slice of the pairs, one result per pair, in scan order.
+    """solve(slice, its forms) over every slice of the pairs (m[k], n[k]), one result per pair, in scan order.
 
     Every scan runs through it, in the calling process.  Each row group
-    (_row_groups) is assembled once, the named forms only (_slice_forms),
-    and cut into _slices, each of at most _SLICE_PAIRS pairs of one row.  A
-    group's forms are dropped before the next group is built, so the walk
-    holds one group's forms at a time.
+    (_row_groups) is built as WaveNumbers, the only ones a scan builds,
+    assembled once, the named forms only (_slice_forms), and cut into
+    _slices, each of at most _SLICE_PAIRS pairs of one row.  A group is
+    dropped before the next is built, so the walk holds one at a time.
     """
     out = []
-    for group in _row_groups(pairs):
+    for g in _row_groups(n):
+        group = [WaveNumbers(m=col, n=row, L=geom.L) for row, col in zip(n[g].tolist(), m[g].tolist())]
         forms = _slice_forms(geom, elastic, disc, group, names)
-        for s in _slices(group):
+        for s in _slices(n[g]):
             out += solve(group[s], {name: F[s] for name, F in forms.items()})
         del forms
     return out
@@ -733,12 +734,12 @@ class _WindowProblem(CriticalLoadProblem):
 
 def _sweep_pairs(
     geom: ShellGeometry, elastic: IsotropicElasticity, window: Tuple[int, int], denominator: str, ceiling: float
-) -> List[WaveNumbers]:
-    """The pairs oracle_sweep assembles under its seeded ceiling, a flat list in scan order.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The pairs oracle_sweep assembles under its seeded ceiling, as int64 arrays (n, m) in scan order.
 
     An infinite ceiling and an (h, nu, L) outside _DEFICIT_BOX get the whole
-    window.  Otherwise the window is cut to the pairs that the
-    denominator's lower bound cannot exclude: with r the pair's computed
+    window (_window_arrays).  Otherwise the window is cut to the pairs that
+    the denominator's lower bound cannot exclude: with r the pair's computed
     reduced minimum and lb = max(0, r (1 - delta_o)) (0 when delta_o >= 1),
     a pair is kept when its bound is at most ceiling (1 + _CEILING_MARGIN).
     The bound is lb for phi_rz and phi_rz_mid (the measured deficit bound)
@@ -748,12 +749,12 @@ def _sweep_pairs(
     critical_load.window_strains' certified superset at that level over
     (1 - delta_max), delta_max being delta_o at the window's largest
     mhat^2 + n^2 (the whole window when delta_max >= 1); full filters the
-    whole window.
+    whole window, each chunk of window_strains by a mask.
     """
     (h_lo, h_hi), (nu_lo, nu_hi), (L_lo, L_hi) = _DEFICIT_BOX.values()
     in_box = h_lo <= geom.h <= h_hi and nu_lo <= elastic.nu <= nu_hi and L_lo <= geom.L <= L_hi
     if ceiling == math.inf or not in_box:
-        return list(window_pairs(window, geom.L))
+        return _window_arrays(window)
     m_max, n_max = window
     scale = _DEFICIT_C * geom.h * geom.h
     delta_max = scale * (1.0 + (math.pi * m_max / geom.L) ** 2 + n_max * n_max)
@@ -761,16 +762,15 @@ def _sweep_pairs(
     # G grows without bound as n / mhat does, so no one level certifies full's candidates
     superset = level / (1.0 - delta_max) if delta_max < 1.0 and denominator != "full" else None
     problem = _WindowProblem(geom=geom, elastic=elastic, given=window)
-    kept: List[WaveNumbers] = []
+    kept = [(np.zeros(0, dtype=np.int64),) * 2]  # the superset may be empty
     for n, m, m_hat, minima in window_strains(problem, superset):
         delta = scale * (1.0 + m_hat * m_hat + n * n)
         lower = np.maximum(minima.value * (1.0 - delta), 0.0)  # of phi_rz and phi_rz_mid; 0 where delta_o >= 1
         if denominator == "full":
             lower = lower / (1.0 + _gap_bound(geom, elastic, n, m_hat) * lower)
         keep = lower <= level
-        for row, col in zip(n[keep].astype(int).tolist(), m[keep].tolist()):
-            kept.append(WaveNumbers(m=col, n=row, L=geom.L))
-    return kept
+        kept.append((n[keep].astype(np.int64), m[keep]))
+    return tuple(np.concatenate(a) for a in zip(*kept))
 
 
 def _seed_pair(geom: ShellGeometry, elastic: IsotropicElasticity, window: Tuple[int, int]) -> Optional[WaveNumbers]:
@@ -807,10 +807,10 @@ def oracle_sweep(
     whose pencils all stay positive definite a margin above it
     (_slice_minima).  No skipped pair can reach the minimum, so the result
     is the exhaustive scan's, bit for bit, and min_rayleigh at the winner
-    returns it.  min keys on (value, n, m), the closed-form sweep's
-    tie-break.  A failed seed solve leaves no seed: the whole window is
-    scanned, naming the first failing pair in scan order.  An unknown
-    denominator raises ValueError before any other work.
+    returns it.  The winner is the first in (value, n, m) order, the
+    closed-form sweep's tie-break.  A failed seed solve leaves no seed: the
+    whole window is scanned, naming the first failing pair in scan order.
+    An unknown denominator raises ValueError before any other work.
 
     Each denominator assembles only the pairs of the closed-form annulus
     that its lower bound cannot exclude under the seeded ceiling
@@ -820,11 +820,11 @@ def oracle_sweep(
     pairs are walked like every scan (_walk: one batched build per row
     group, the ceiling test and the solves on slices of one row).  A valid
     bound keeps the seed pair, whose exact minimum is the ceiling, so kept
-    pairs without it (bisected on (n, m): they are in scan order) raise
-    BoundViolated naming it, before any scan pair is assembled.  Logs the
-    denominator, the pairs covered (the window's), assembled and solved,
-    each pair once, at DEBUG on the "cylbuck" logger.  jobs is accepted and
-    ignored, because the benchmark's oracle_window workload still passes it.
+    pairs without it (a mask on (n, m)) raise BoundViolated naming it,
+    before any scan pair is assembled.  Logs the denominator, the pairs
+    covered (the window's), assembled and solved, each pair once, at DEBUG
+    on the "cylbuck" logger.  jobs is accepted and ignored, because the
+    benchmark's oracle_window workload still passes it.
     """
     if denominator not in DENOMINATORS:
         raise ValueError(f"denominator must be one of {DENOMINATORS}")
@@ -835,16 +835,17 @@ def oracle_sweep(
             ceiling = min_rayleigh(assemble_pencil(geom, elastic, seed, denominator, disc))
         except (ValueError, CylbuckError):
             seed = None
-    pairs = _sweep_pairs(geom, elastic, window, denominator, ceiling)
-    scanned = []
+    n, m = _sweep_pairs(geom, elastic, window, denominator, ceiling)
+    values = []
     if seed is not None:
-        i = bisect.bisect_left(pairs, (seed.n, seed.m), key=lambda wn: (wn.n, wn.m))
-        if pairs[i:i + 1] != [seed]:
+        at_seed = (n == seed.n) & (m == seed.m)
+        if not at_seed.any():
             raise BoundViolated(
                 f"the {denominator} deficit bound drops the seed pair {seed}, whose minimum {float(ceiling)!r} "
                 f"seeds the window ceiling: the bound does not hold at h={geom.h!r}, nu={elastic.nu!r}, L={geom.L!r}"
             )
-        scanned.append((ceiling, pairs.pop(i)))
+        n, m = np.append(seed.n, n[~at_seed]), np.append(seed.m, m[~at_seed])
+        values.append(ceiling)
     running = ceiling
 
     def solve(slice_pairs, forms):
@@ -853,11 +854,11 @@ def oracle_sweep(
         running = min(running, *values)
         return values
 
-    scanned += zip(_walk(geom, elastic, disc, pairs, ("stiffness", denominator), solve), pairs, strict=True)
+    values += _walk(geom, elastic, disc, n[len(values):], m[len(values):], ("stiffness", denominator), solve)
     _log.debug("oracle_sweep %s: %d pairs covered, %d assembled, %d solved", denominator,
-               window[0] * (window[1] + 1), len(scanned), sum(value < math.inf for value, _ in scanned))
-    value, wn = min(scanned, key=lambda item: (item[0], item[1].n, item[1].m), default=(math.inf, None))
-    return OracleMinimum(value, wn)
+               window[0] * (window[1] + 1), len(values), sum(value < math.inf for value in values))
+    i = np.lexsort((m, n, values))[0]
+    return OracleMinimum(values[i], WaveNumbers(m=int(m[i]), n=int(n[i]), L=geom.L))
 
 
 # ---------------------------------------------------------------------------
@@ -962,7 +963,7 @@ def korn_mode_scan(
     the "cylbuck" logger.
     """
     solve = partial(_korn_ratios, geom.h, np.linalg.cholesky(_block_moments(geom, disc)["mass"]))
-    per_mode = _walk(geom, elastic, disc, list(window_pairs(window, geom.L)), _KORN_FORMS, solve)
+    per_mode = _walk(geom, elastic, disc, *_window_arrays(window), _KORN_FORMS, solve)
     _log.debug("korn_mode_scan: %d pairs covered", len(per_mode))
     return _positive(KornRatios(
         korn=min(r.korn for r in per_mode),
@@ -984,26 +985,21 @@ class GapValues(NamedTuple):
 
 
 def _gaps(
-    geom: ShellGeometry,
-    elastic: IsotropicElasticity,
-    disc: RadialDiscretization,
-    pairs: Sequence[WaveNumbers],
+    geom: ShellGeometry, elastic: IsotropicElasticity, disc: RadialDiscretization, n: np.ndarray, m: np.ndarray
 ) -> List[GapValues]:
-    """The gaps of every pair of pairs, in scan order: the stiffness walked (_walk), solved by _gap_values.
+    """The gaps of every pair (m[k], n[k]), in scan order: the stiffness walked (_walk), solved by _gap_values.
 
     With W W^T = M, the mass moment, phi_zz + phi_tz = mhat^2 W_d W_d^T on
     the theta and z blocks, W_d = blockdiag(sqrt(ss) W, sqrt(cc) W) (the z
     block alone for n = 0), and phi_rz - phi_rz_mid = cs mhat^2 D on the r
-    block, D = M - h v v^T (_block_moments).  The trig factors depend on n
-    only through n = 0 or n >= 1, so both roots W_d are built once, and W_d
-    and D carry every destabilizing form; none is assembled.
+    block, D = M - h v v^T (_block_moments).  ss = cc for n >= 1, so W_d is
+    sqrt(cc) times W or blockdiag(W, W), built once; W_d and D carry every
+    destabilizing form, and none is assembled.
     """
     moments = _block_moments(geom, disc)
     W = np.linalg.cholesky(moments["mass"])
-    f0, f1 = (trig_factors(WaveNumbers(m=1, n=n, L=geom.L)) for n in (0, 1))
-    roots = (math.sqrt(f0.cc) * W, scipy.linalg.block_diag(math.sqrt(f1.ss) * W, math.sqrt(f1.cc) * W))
-    solve = partial(_gap_values, roots, moments["mass"] - moments["mid"])
-    return _walk(geom, elastic, disc, pairs, _GAP_FORMS, solve)
+    solve = partial(_gap_values, (W, scipy.linalg.block_diag(W, W)), moments["mass"] - moments["mid"])
+    return _walk(geom, elastic, disc, n, m, _GAP_FORMS, solve)
 
 
 def _gap_values(
@@ -1012,7 +1008,7 @@ def _gap_values(
     """The gaps of every pair of a slice, both read from A^-1 of the stiffness A (_inverse).
 
     full_vs_rz = mhat^2 mu_max(W_d^T (A^-1)_dd W_d) on the theta and z
-    blocks d, W_d = roots[min(n, 1)] (see _gaps).  cs mhat^2 D on
+    blocks d, W_d = sqrt(cc) roots[min(n, 1)] (see _gaps).  cs mhat^2 D on
     the r block takes both signs: its extreme |mu| against the Schur
     complement, whose inverse (A^-1)_rr = R R^T is factored once more, is
     that of cs mhat^2 R^T D R.
@@ -1021,7 +1017,7 @@ def _gap_values(
     _check_finite(A)
     k = len(D)
     f = trig_factors(pairs[0])
-    Wd = roots[min(pairs[0].n, 1)]
+    Wd = math.sqrt(f.cc) * roots[min(pairs[0].n, 1)]
     mh2 = np.array([wn.m_hat for wn in pairs]) ** 2
     Ainv = _inverse(pairs, A, "stiffness")
     not_converged = "eigenvalues did not converge"
@@ -1048,11 +1044,12 @@ def equivalence_scan(
 
     Logs the pairs covered at DEBUG on the "cylbuck" logger.
     """
-    pairs = list(window_pairs(window, geom.L))
-    gaps = _gaps(geom, elastic, disc, pairs)
+    n, m = _window_arrays(window)
+    gaps = _gaps(geom, elastic, disc, n, m)
     _log.debug("equivalence_scan: %d pairs covered", len(gaps))
     sup1 = max(g.full_vs_rz for g in gaps)
-    coef = max(g.rz_vs_mid / (wn.m_hat * math.sqrt(geom.h)) for g, wn in zip(gaps, pairs))
+    m_hat = (math.pi * m / geom.L).tolist()  # as WaveNumbers.m_hat rounds it
+    coef = max(g.rz_vs_mid / (mh * math.sqrt(geom.h)) for g, mh in zip(gaps, m_hat))
     return EquivalenceScan(full_vs_rz=sup1, rz_vs_mid_coef=coef)
 
 
@@ -1065,18 +1062,17 @@ def full_vs_rz_supremum(
     whole, and its largest gap s seeds the supremum.  Every pair's gap is at
     most its G (_gap_bound), so of the other pairs only those with
     G >= s (1 - _CEILING_MARGIN) are solved, through the same _gaps; a
-    pair's gaps are the same in any group.  Logs the pairs covered, the
-    seed column's and the pairs solved at DEBUG on "cylbuck".
+    pair's gaps are the same in any group; both are masks on the window's
+    arrays.  Logs the pairs covered, the seed column's and the pairs solved
+    at DEBUG on "cylbuck".
     """
-    pairs = list(window_pairs(window, geom.L))
-    column = [wn for wn in pairs if wn.m == 1]
-    seed = max(g.full_vs_rz for g in _gaps(geom, elastic, disc, column))
-    rest = [wn for wn in pairs if wn.m > 1]
-    G = _gap_bound(geom, elastic, np.array([float(wn.n) for wn in rest]), np.array([wn.m_hat for wn in rest]))
-    kept = [wn for wn, bound in zip(rest, G) if bound >= seed * (1.0 - _CEILING_MARGIN)]
+    n, m = _window_arrays(window)
+    column = m == 1
+    seed = max(g.full_vs_rz for g in _gaps(geom, elastic, disc, n[column], m[column]))
+    kept = (m > 1) & (_gap_bound(geom, elastic, n, math.pi * m / geom.L) >= seed * (1.0 - _CEILING_MARGIN))
     _log.debug("full_vs_rz_supremum: %d pairs covered, %d in column m = 1, %d solved",
-               len(pairs), len(column), len(column) + len(kept))
-    return max([seed] + [g.full_vs_rz for g in _gaps(geom, elastic, disc, kept)])
+               n.size, column.sum(), column.sum() + kept.sum())
+    return max([seed] + [g.full_vs_rz for g in _gaps(geom, elastic, disc, n[kept], m[kept])])
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Tuple
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -73,19 +72,6 @@ class WaveNumbers:
     @property
     def m_hat(self) -> float:
         return math.pi * self.m / self.L
-
-
-def window_pairs(window: Tuple[int, int], L: float) -> Iterator[WaveNumbers]:
-    """The pairs of the integer window (m_max, n_max) in scan order.
-
-    n is the outer index, ascending from 0; m the inner one, ascending from 1.
-    Window scans keep the first minimum in this order, so ties go to the
-    smallest n, then the smallest m.
-    """
-    m_max, n_max = window
-    for n in range(n_max + 1):
-        for m in range(1, m_max + 1):
-            yield WaveNumbers(m=m, n=n, L=L)
 
 
 @dataclass(frozen=True)

@@ -270,6 +270,14 @@ class TestVerify:
         assert "criterion 4" in out and "criterion 7" in out
         assert "2/2 criteria passed" in out
 
+    @pytest.mark.parametrize("criteria, token", [("1,,2", "''"), ("x", "'x'"), ("4,7.0", "'7.0'")])
+    def test_bad_criteria_token_named(self, tmp_path, capsys, criteria, token):
+        # one line naming the flag and the token, before any criterion runs
+        assert main(["verify", "--criteria", criteria, "--outdir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ValueError: --criteria takes comma-separated criterion numbers, got {token}\n"
+
 
 class TestConfigAndErrors:
     def test_config_file_with_flag_override(self, tmp_path):

@@ -22,7 +22,8 @@ from cylbuck.critical_load import (
 )
 from cylbuck.errors import EmptySet, OutputTooLarge, SingularSystem, WindowTooSmall
 from cylbuck.material import IsotropicElasticity
-from cylbuck.spectral import ShellGeometry, WaveNumbers, window_pairs
+from cylbuck.spectral import ShellGeometry, WaveNumbers
+from test_spectral import window_pairs
 
 EL = IsotropicElasticity(nu=0.3)
 

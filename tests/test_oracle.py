@@ -44,9 +44,8 @@ from cylbuck.spectral import (
     mode_energy,
     optimal_mode,
     trig_factors,
-    window_pairs,
 )
-from test_spectral import mode_denominators
+from test_spectral import mode_denominators, window_pairs
 
 EL = IsotropicElasticity(nu=0.3)
 PI = math.pi
@@ -131,10 +130,34 @@ def direct_forms(geom, elastic, wn, disc):
     return {name: np.asarray(M, dtype=np.float64) for name, M in forms.items()}
 
 
+def arrays(pairs):
+    """The pairs as the int64 arrays (n, m) that the oracle's scans walk."""
+    return tuple(np.array([(wn.n, wn.m) for wn in pairs], dtype=np.int64).reshape(-1, 2).T)
+
+
+def as_pairs(n, m, L):
+    """The WaveNumbers of the arrays (n, m), in their order."""
+    return [WaveNumbers(m=col, n=row, L=L) for row, col in zip(n.tolist(), m.tolist())]
+
+
+def slices(pairs):
+    """The pairs, a list in scan order, cut into the slices that the scans solve together."""
+    return [pairs[s] for s in oracle._slices(arrays(pairs)[0])]
+
+
 def window_slices(window, L):
     """The window's pairs in scan order, cut into the slices that the scans solve together."""
-    pairs = list(window_pairs(window, L))
-    return [pairs[s] for s in oracle._slices(pairs)]
+    return slices(list(window_pairs(window, L)))
+
+
+def row_groups(pairs):
+    """The pairs, a list in scan order, cut into the row groups that oracle._walk assembles."""
+    return [pairs[g] for g in oracle._row_groups(arrays(pairs)[0])]
+
+
+def sweep_pairs(geom, elastic, window, denominator, ceiling):
+    """oracle._sweep_pairs as a list of WaveNumbers."""
+    return as_pairs(*oracle._sweep_pairs(geom, elastic, window, denominator, ceiling), geom.L)
 
 
 def walked_minima(geom, elastic, disc, denominator, pairs, ceiling=math.inf):
@@ -143,13 +166,18 @@ def walked_minima(geom, elastic, disc, denominator, pairs, ceiling=math.inf):
     def solve(part, forms):
         return oracle._slice_minima(part, forms["stiffness"], forms[denominator], ceiling)
 
-    return oracle._walk(geom, elastic, disc, pairs, ("stiffness", denominator), solve)
+    return oracle._walk(geom, elastic, disc, *arrays(pairs), ("stiffness", denominator), solve)
 
 
 def walked_korn(geom, elastic, disc, pairs):
     """The Korn-type ratios of every pair in scan order, walked as korn_mode_scan walks them."""
     solve = partial(oracle._korn_ratios, geom.h, np.linalg.cholesky(oracle._block_moments(geom, disc)["mass"]))
-    return oracle._walk(geom, elastic, disc, pairs, oracle._KORN_FORMS, solve)
+    return oracle._walk(geom, elastic, disc, *arrays(pairs), oracle._KORN_FORMS, solve)
+
+
+def gaps(geom, elastic, disc, pairs):
+    """oracle._gaps of the pairs, a list in scan order."""
+    return oracle._gaps(geom, elastic, disc, *arrays(pairs))
 
 
 def recorded_assembly(monkeypatch):
@@ -552,11 +580,11 @@ class TestBlockReduction:
                 batches = []
                 pairs = [wn for wn in pairs if wn.n in (0, window[1])]
             else:
-                cut = [wn for wn in pairs if wn.m <= 8]
-                group = next(group for group in oracle._row_groups(cut) if group[0].n != group[-1].n)
+                first = [wn for wn in pairs if wn.m <= 8]
+                group = next(group for group in row_groups(first) if group[0].n != group[-1].n)
                 batches, grouped = [group], set(group)
                 pairs = [wn for wn in pairs if wn not in grouped]
-            batches += [pairs[s] for s in oracle._slices(pairs)]
+            batches += slices(pairs)
             assert pairs[0].n == 0
             self.assert_scans_match_full_pencils(geom, elastic, RadialDiscretization(), batches)
 
@@ -564,7 +592,7 @@ class TestBlockReduction:
     def assert_scans_match_full_pencils(geom, elastic, disc, batches):
         for pairs in batches:
             korn = walked_korn(geom, elastic, disc, pairs)
-            gaps = oracle._gaps(geom, elastic, disc, pairs)
+            walked_gaps = gaps(geom, elastic, disc, pairs)
             phi_rz = walked_minima(geom, elastic, disc, "phi_rz", pairs)  # every slice solved
             # cc M on the r block: the pairs of a batch share cc and their blocks
             phi_r2 = direct_forms(geom, elastic, pairs[0], disc)["phi_r2"]
@@ -575,8 +603,8 @@ class TestBlockReduction:
                     assert getattr(korn[i], field) == pytest.approx(value, rel=1e-10, abs=0.0), (wn, field)
                 full_vs_rz = scipy.linalg.eigh(f.phi_zz + f.phi_tz, f.stiffness, eigvals_only=True)[-1]
                 mid = scipy.linalg.eigh(f.phi_rz - f.phi_rz_mid, f.stiffness, eigvals_only=True)
-                assert gaps[i].full_vs_rz == pytest.approx(full_vs_rz, rel=1e-10), wn
-                assert gaps[i].rz_vs_mid == pytest.approx(max(abs(mid[0]), abs(mid[-1])), rel=1e-10), wn
+                assert walked_gaps[i].full_vs_rz == pytest.approx(full_vs_rz, rel=1e-10), wn
+                assert walked_gaps[i].rz_vs_mid == pytest.approx(max(abs(mid[0]), abs(mid[-1])), rel=1e-10), wn
                 rz = scipy.linalg.eigh(f.phi_rz, f.stiffness, eigvals_only=True)[-1]
                 assert phi_rz[i] == pytest.approx(1.0 / rz, rel=1e-10), wn
 
@@ -771,17 +799,17 @@ class TestOracleSweep:
         geom, disc = ShellGeometry(h=0.02, L=PI), RadialDiscretization(6)
         window = CriticalLoadProblem(geom=geom, elastic=EL).window()
         assert window == (39, 20)
-        groups = oracle._row_groups(list(window_pairs(window, PI)))
+        groups = row_groups(list(window_pairs(window, PI)))
         assert [len(group) for group in groups] == [39] * 21
-        cut = oracle._row_groups([wn for wn in window_pairs(window, PI) if wn.m <= 10])
-        assert [len(group) for group in cut] == [10, 60, 60, 60, 20]
+        first = row_groups([wn for wn in window_pairs(window, PI) if wn.m <= 10])
+        assert [len(group) for group in first] == [10, 60, 60, 60, 20]
         swept = {}
         for denominator in oracle.DENOMINATORS:
             ceiling = seeded_ceiling(geom, EL, disc, window, denominator)
-            kept = oracle._sweep_pairs(geom, EL, window, denominator, ceiling)
+            kept = sweep_pairs(geom, EL, window, denominator, ceiling)
             seed = oracle._seed_pair(geom, EL, window)
             assert seed in kept
-            swept[denominator] = [[seed]] + oracle._row_groups([wn for wn in kept if wn != seed])
+            swept[denominator] = [[seed]] + row_groups([wn for wn in kept if wn != seed])
         assembled = recorded_assembly(monkeypatch)
         if scan is oracle_sweep:
             for denominator, want in swept.items():
@@ -795,8 +823,36 @@ class TestOracleSweep:
             solved = [wn for group in assembled for wn in group]
             column = [wn for wn in window_pairs(window, PI) if wn.m == 1]
             assert solved[:len(column)] == column and len(solved) < len(groups) * 39
-            groups = oracle._row_groups(column) + oracle._row_groups(solved[len(column):])
+            groups = row_groups(column) + row_groups(solved[len(column):])
         assert assembled == groups
+
+    # beyond the pairs assembled: the closed-form seed, which critical_load
+    # names, and the winner, which oracle_sweep returns
+    EXTRA_PAIRS = 2
+
+    @pytest.mark.parametrize("scan", ["full_vs_rz_supremum", "oracle_sweep", "korn_mode_scan"])
+    def test_scans_build_wave_numbers_only_for_the_pairs_they_assemble(self, caplog, monkeypatch, scan):
+        # at L = pi, nu = 0.3, h = 0.005 the window holds 3120 pairs; the
+        # supremum solves 232 of them, the full window minimum assembles 31
+        # and the Korn scan all 3120, and none builds a WaveNumbers for any
+        # other pair.  Every WaveNumbers built anywhere counts
+        built, check = [], WaveNumbers.__post_init__
+
+        def counted(wn):
+            built.append(wn)
+            check(wn)
+
+        monkeypatch.setattr(WaveNumbers, "__post_init__", counted)
+        geom = ShellGeometry(h=0.005, L=PI)
+        window = CriticalLoadProblem(geom=geom, elastic=EL).window()
+        args = (geom, EL, RadialDiscretization(), window) + (("full",) if scan == "oracle_sweep" else ())
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="cylbuck"):
+            getattr(oracle, scan)(*args)
+        (record,) = [r for r in caplog.records if r.name == "cylbuck"]
+        walked = record.args[{"full_vs_rz_supremum": 2, "oracle_sweep": 2, "korn_mode_scan": 0}[scan]]
+        assert walked <= window[0] * (window[1] + 1)
+        assert len(built) <= walked + self.EXTRA_PAIRS, (scan, len(built), walked)
 
 
 def exhaustive_values(geom, elastic, disc, window, denominator):
@@ -841,6 +897,57 @@ def pruning_bound(p, wn, denominator):
         return lb
     lb = max(lb, 0.0)
     return lb / (1.0 + gap_bound(p, [wn])[0] * lb)
+
+
+class TestScanOrder:
+    """The oracle walks the closed form's scan order as arrays (n, m); window_pairs is the reference."""
+
+    @staticmethod
+    def cases(rng):
+        """(geom, elastic, window, inside the deficit bound's box): the smallest window, (8, 8), two windows
+        drawn in the box and one outside it (h above it, nu or L beyond it)."""
+        (h_lo, h_hi), (nu_lo, nu_hi), (L_lo, L_hi) = oracle._DEFICIT_BOX.values()
+        geoms = [(ShellGeometry(h=0.25, L=1.0), EL)]
+        for _ in range(2):
+            h = math.exp(rng.uniform(math.log(5e-3), math.log(h_hi)))
+            L = math.exp(rng.uniform(math.log(L_lo), math.log(8.0)))
+            geoms.append((ShellGeometry(h=h, L=L), IsotropicElasticity(nu=rng.uniform(nu_lo, nu_hi))))
+        outside = rng.integers(3)
+        h = rng.uniform(h_hi, 0.4) if outside == 0 else rng.uniform(0.02, 0.1)
+        nu = rng.uniform(nu_hi, 0.49) if outside == 1 else 0.3
+        L = rng.uniform(L_hi, 80.0) if outside == 2 else rng.uniform(L_lo, 8.0)
+        geoms.append((ShellGeometry(h=h, L=L), IsotropicElasticity(nu=nu)))
+        return [
+            (geom, elastic, CriticalLoadProblem(geom=geom, elastic=elastic).window(), i < len(geoms) - 1)
+            for i, (geom, elastic) in enumerate(geoms)
+        ]
+
+    def test_arrays_follow_the_reference_order(self, rng):
+        cases = self.cases(rng)
+        assert cases[0][2] == (8, 8)
+        for geom, elastic, window, inside in cases:
+            want = list(window_pairs(window, geom.L))
+            n, m = oracle._window_arrays(window)
+            assert n.dtype == m.dtype == np.int64
+            assert as_pairs(n, m, geom.L) == want, window
+            # a whole window, and outside the box nothing is pruned under any ceiling
+            for ceiling in (math.inf,) if inside else (math.inf, 1e-9):
+                for denominator in oracle.DENOMINATORS:
+                    assert sweep_pairs(geom, elastic, window, denominator, ceiling) == want, (window, ceiling)
+
+    def test_groups_and_slices_cover_the_pairs_in_order(self, rng):
+        for geom, _, window, _ in self.cases(rng):
+            n, _ = oracle._window_arrays(window)
+            groups, slices = oracle._row_groups(n), oracle._slices(n)
+            for ranges in (groups, slices):
+                assert [i for r in ranges for i in range(r.start, r.stop)] == list(range(n.size)), window
+            assert groups[0] == slice(0, window[0])  # row n = 0 alone
+            for g in groups[1:]:
+                rows = set(n[g].tolist())
+                assert 0 not in rows
+                assert g.stop - g.start <= 4 * oracle._SLICE_PAIRS or len(rows) == 1, (window, g)
+            for s in slices:
+                assert len(set(n[s].tolist())) == 1 and s.stop - s.start <= oracle._SLICE_PAIRS, (window, s)
 
 
 class TestCeilingScan:
@@ -891,11 +998,11 @@ class TestCeilingScan:
         window = CriticalLoadProblem(geom=self.GEOM, elastic=EL).window()
         ceiling = seeded_ceiling(self.GEOM, EL, self.DISC, window, denominator)
         seed = oracle._seed_pair(self.GEOM, EL, window)
-        pairs = [wn for wn in oracle._sweep_pairs(self.GEOM, EL, window, denominator, ceiling) if wn != seed]
+        pairs = [wn for wn in sweep_pairs(self.GEOM, EL, window, denominator, ceiling) if wn != seed]
         args = (self.GEOM, EL, self.DISC, denominator)
         skipped = [
-            pairs[s] for s in oracle._slices(pairs)
-            if len(pairs[s]) >= 3 and all(v == math.inf for v in walked_minima(*args, pairs[s], ceiling))
+            part for part in slices(pairs)
+            if len(part) >= 3 and all(v == math.inf for v in walked_minima(*args, part, ceiling))
         ]
         return skipped[-1], window
 
@@ -938,9 +1045,9 @@ class TestCeilingScan:
         # most 4 _SLICE_PAIRS pairs unless one row is longer: per (window,
         # pairs kept per row, groups), rows of 300 pairs stay alone, 40 rows
         # of 3 join 21 at a time and 60 rows of 20 join 3
-        for window, cut, count in (((300, 40), 300, 41), ((30, 40), 3, 3), ((30, 60), 20, 21)):
-            pairs = [wn for wn in window_pairs(window, PI) if wn.m <= cut]
-            groups = oracle._row_groups(pairs)
+        for window, columns, count in (((300, 40), 300, 41), ((30, 40), 3, 3), ((30, 60), 20, 21)):
+            pairs = [wn for wn in window_pairs(window, PI) if wn.m <= columns]
+            groups = row_groups(pairs)
             assert [wn for group in groups for wn in group] == pairs
             assert groups[0] == [wn for wn in pairs if wn.n == 0] and len(groups) == count
             for group in groups[1:]:
@@ -1029,7 +1136,7 @@ class TestDeficitBound:
             C = 0.5 * (1.0 - level / reduced) / (geom.h**2 * (1.0 + k2))
             assert 0.0 < C < oracle._DEFICIT_C
             monkeypatch.setattr(oracle, "_DEFICIT_C", C)
-        assert winner.wn not in oracle._sweep_pairs(geom, EL, window, denominator, ceiling)
+        assert winner.wn not in sweep_pairs(geom, EL, window, denominator, ceiling)
         # raised at once, naming the seed: only the seed's own pencil is assembled
         assembled = recorded_assembly(monkeypatch)
         seed = winner.wn
@@ -1052,7 +1159,7 @@ class TestDeficitBound:
             delta = oracle._DEFICIT_C * h * h * (1.0 + wn.m_hat**2 + wn.n**2)
             if delta >= 1.0 or per_mode_strain(p, wn).value * (1.0 - delta) <= level:
                 want.append(wn)
-        assert oracle._sweep_pairs(p.geom, p.elastic, p.window(), "phi_rz", ceiling) == want
+        assert sweep_pairs(p.geom, p.elastic, p.window(), "phi_rz", ceiling) == want
         assert len(want) < p.window()[0] * (p.window()[1] + 1) / 10
 
     @pytest.mark.parametrize(
@@ -1069,7 +1176,13 @@ class TestDeficitBound:
     )
     def test_nothing_pruned_without_a_measured_bound(self, h, nu, L, denominator, ceiling):
         geom, elastic, window = ShellGeometry(h=h, L=L), IsotropicElasticity(nu=nu), (12, 8)
-        assert oracle._sweep_pairs(geom, elastic, window, denominator, ceiling) == list(window_pairs(window, L))
+        assert sweep_pairs(geom, elastic, window, denominator, ceiling) == list(window_pairs(window, L))
+
+    @pytest.mark.parametrize("denominator", oracle.DENOMINATORS)
+    def test_a_ceiling_below_every_bound_keeps_nothing(self, denominator):
+        # an empty superset is no error here: oracle_sweep names the seed it drops
+        n, m = oracle._sweep_pairs(ShellGeometry(h=0.02, L=PI), EL, (39, 20), denominator, 1e-9)
+        assert n.dtype == m.dtype == np.int64 and n.size == m.size == 0
 
     # pairs assembled at L = pi, nu = 0.3, each once, the seed included, as
     # measured: (full, phi_rz, phi_rz_mid); at h = 0.005 and 1e-3 the seed is
@@ -1162,11 +1275,11 @@ class TestGapBound:
         for p in problems:
             window = TestDeficitBound.cut_window(p)
             case = (p.geom.h, p.elastic.nu, p.geom.L, window)
-            groups = oracle._row_groups(list(window_pairs(window, p.geom.L)))
+            groups = row_groups(list(window_pairs(window, p.geom.L)))
             assert groups[0][0].n == 0
             for group in groups:
-                gaps = oracle._gaps(p.geom, p.elastic, disc, group)
-                for gap, G, old, wn in zip(gaps, gap_bound(p, group), self.even_split_bound(p, group), group):
+                walked = gaps(p.geom, p.elastic, disc, group)
+                for gap, G, old, wn in zip(walked, gap_bound(p, group), self.even_split_bound(p, group), group):
                     assert gap.full_vs_rz <= G * (1.0 + 1e-12), (case, wn)
                     assert G <= old, (case, wn)  # the best split never loses to eps = 1
             for value, wn in exhaustive_values(p.geom, p.elastic, disc, window, "full"):
@@ -1257,9 +1370,9 @@ class TestEquivalenceGap:
 
     def test_gap_values_positive(self):
         geom = ShellGeometry(h=0.02, L=PI)
-        gaps = oracle._gaps(geom, EL, RadialDiscretization(), [WaveNumbers(m=4, n=5, L=PI)])[0]
-        assert gaps.full_vs_rz > 0
-        assert gaps.rz_vs_mid > 0
+        values = gaps(geom, EL, RadialDiscretization(), [WaveNumbers(m=4, n=5, L=PI)])[0]
+        assert values.full_vs_rz > 0
+        assert values.rz_vs_mid > 0
 
     def test_mid_gap_coefficient_stable_in_h(self):
         # sup |1/R1 - 1/R2| <= C mhat sqrt(h): the fitted C barely moves

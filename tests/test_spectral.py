@@ -23,6 +23,20 @@ from cylbuck.spectral import (
 EL = IsotropicElasticity(nu=0.3)
 
 
+def window_pairs(window, L):
+    """The pairs of the integer window (m_max, n_max) in scan order, one WaveNumbers each.
+
+    n is the outer index, ascending from 0; m the inner one, ascending from
+    1.  Window scans keep the first minimum in this order, so ties go to the
+    smallest n, then the smallest m.  The package walks this order as arrays
+    (critical_load._range_pairs); this generator is the tests' reference.
+    """
+    m_max, n_max = window
+    for n in range(n_max + 1):
+        for m in range(1, m_max + 1):
+            yield WaveNumbers(m=m, n=n, L=L)
+
+
 class DenominatorValues(NamedTuple):
     """Squared L2 norms of the z-gradient components of a mode."""
 
