@@ -600,13 +600,18 @@ class OracleMinimum(NamedTuple):
     wn: WaveNumbers
 
 
+def _joined(chunks: Iterable[Tuple[np.ndarray, np.ndarray]]) -> Tuple[np.ndarray, np.ndarray]:
+    """The chunks (n, m) of a scan-order walk as two int64 arrays, empty when there is no chunk."""
+    n, m = zip((np.zeros(0, dtype=np.int64),) * 2, *chunks)
+    return np.concatenate(n), np.concatenate(m)
+
+
 def _window_arrays(window: Tuple[int, int]) -> Tuple[np.ndarray, np.ndarray]:
     """Every pair of the window (m_max, n_max) as int64 arrays (n, m) in scan order (n from 0, then m
     from 1): critical_load._range_pairs over whole rows, the walk of window_strains' whole window."""
     m_max, n_max = window
     rows = np.arange(n_max + 1, dtype=np.int64)
-    chunks = _range_pairs(rows, np.ones((rows.size, 1), dtype=np.int64), np.full((rows.size, 1), m_max))
-    return tuple(np.concatenate(a) for a in zip(*chunks))
+    return _joined(_range_pairs(rows, np.ones((rows.size, 1), dtype=np.int64), np.full((rows.size, 1), m_max)))
 
 
 def _slices(n: np.ndarray) -> List[slice]:
@@ -762,7 +767,7 @@ def _sweep_pairs(
     # G grows without bound as n / mhat does, so no one level certifies full's candidates
     superset = level / (1.0 - delta_max) if delta_max < 1.0 and denominator != "full" else None
     problem = _WindowProblem(geom=geom, elastic=elastic, given=window)
-    kept = [(np.zeros(0, dtype=np.int64),) * 2]  # the superset may be empty
+    kept = []
     for n, m, m_hat, minima in window_strains(problem, superset):
         delta = scale * (1.0 + m_hat * m_hat + n * n)
         lower = np.maximum(minima.value * (1.0 - delta), 0.0)  # of phi_rz and phi_rz_mid; 0 where delta_o >= 1
@@ -770,7 +775,7 @@ def _sweep_pairs(
             lower = lower / (1.0 + _gap_bound(geom, elastic, n, m_hat) * lower)
         keep = lower <= level
         kept.append((n[keep].astype(np.int64), m[keep]))
-    return tuple(np.concatenate(a) for a in zip(*kept))
+    return _joined(kept)
 
 
 def _seed_pair(geom: ShellGeometry, elastic: IsotropicElasticity, window: Tuple[int, int]) -> Optional[WaveNumbers]:
@@ -857,6 +862,8 @@ def oracle_sweep(
     values += _walk(geom, elastic, disc, n[len(values):], m[len(values):], ("stiffness", denominator), solve)
     _log.debug("oracle_sweep %s: %d pairs covered, %d assembled, %d solved", denominator,
                window[0] * (window[1] + 1), len(values), sum(value < math.inf for value in values))
+    if not values:  # a window without pairs (m_max = 0)
+        return OracleMinimum(math.inf, None)
     i = np.lexsort((m, n, values))[0]
     return OracleMinimum(values[i], WaveNumbers(m=int(m[i]), n=int(n[i]), L=geom.L))
 

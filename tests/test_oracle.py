@@ -826,6 +826,11 @@ class TestOracleSweep:
             groups = row_groups(column) + row_groups(solved[len(column):])
         assert assembled == groups
 
+    def test_a_window_without_pairs_has_no_minimum(self):
+        assert oracle_sweep(ShellGeometry(h=0.05, L=PI), EL, RadialDiscretization(6), (0, 3)) == (math.inf, None)
+        n, m = oracle._window_arrays((0, 3))
+        assert n.dtype == m.dtype == np.int64 and n.size == m.size == 0
+
     # beyond the pairs assembled: the closed-form seed, which critical_load
     # names, and the winner, which oracle_sweep returns
     EXTRA_PAIRS = 2
