@@ -334,10 +334,10 @@ _MASS_FORMS = {
 }
 
 
-def _row_runs(n: np.ndarray) -> List[Tuple[int, int, int]]:
-    """(row, start, end) of each run of consecutive equal entries of the row array n."""
-    edges = [0, *(np.flatnonzero(np.diff(n)) + 1).tolist(), len(n)]
-    return [(int(n[a]), a, b) for a, b in zip(edges, edges[1:]) if a < b]
+def _row_runs(rows: Sequence[int]) -> List[Tuple[int, int, int]]:
+    """(row, start, end) of each run of consecutive equal entries of the list rows."""
+    starts = [k for k in range(len(rows)) if k == 0 or rows[k] != rows[k - 1]]
+    return [(rows[a], a, b) for a, b in zip(starts, starts[1:] + [len(rows)])]
 
 
 def _block_moments(geom: ShellGeometry, disc: RadialDiscretization) -> Dict[str, np.ndarray]:
@@ -407,7 +407,7 @@ def _slice_forms(
         tabs = _cheb_tables(geom.h, disc.degree, disc.nodes)
         k, keep = disc.degree + 1, _blocks(wn0.n)
         nf, nb = len(contracted), len(keep)
-        runs = _row_runs(np.array([wn.n for wn in pairs]))
+        runs = _row_runs([wn.n for wn in pairs])
         rows = sorted({n for n, _, _ in runs})
         C = _row_coefficients(rows, trig_factors(wn0), elastic.nu, contracted)
         # (row, form, a, block, table, p, block', table', p') -> (row, form, a, block, block', table, table', p, p')
@@ -616,7 +616,7 @@ def _window_arrays(window: Tuple[int, int]) -> Tuple[np.ndarray, np.ndarray]:
 
 def _slices(n: np.ndarray) -> List[slice]:
     """The index ranges that cut the pairs of rows n, in scan order, into slices of at most _SLICE_PAIRS of one row."""
-    return [slice(i, min(i + _SLICE_PAIRS, b)) for _, a, b in _row_runs(n) for i in range(a, b, _SLICE_PAIRS)]
+    return [slice(i, min(i + _SLICE_PAIRS, b)) for _, a, b in _row_runs(n.tolist()) for i in range(a, b, _SLICE_PAIRS)]
 
 
 def _row_groups(n: np.ndarray) -> List[slice]:
@@ -628,9 +628,9 @@ def _row_groups(n: np.ndarray) -> List[slice]:
     contraction of _slice_forms and the forms a group holds at once by
     those of 64 pairs, or of one longer row.
     """
-    groups: List[slice] = []
-    for row, a, b in _row_runs(n):
-        if groups and min(row, n[groups[-1].start]) > 0 and b - groups[-1].start <= 4 * _SLICE_PAIRS:
+    rows, groups = n.tolist(), []
+    for row, a, b in _row_runs(rows):
+        if groups and min(row, rows[groups[-1].start]) > 0 and b - groups[-1].start <= 4 * _SLICE_PAIRS:
             groups[-1] = slice(groups[-1].start, b)
         else:
             groups.append(slice(a, b))
@@ -841,7 +841,7 @@ def oracle_sweep(
         except (ValueError, CylbuckError):
             seed = None
     n, m = _sweep_pairs(geom, elastic, window, denominator, ceiling)
-    values = []
+    scanned = []  # (value, n, m) of every pair assembled
     if seed is not None:
         at_seed = (n == seed.n) & (m == seed.m)
         if not at_seed.any():
@@ -849,8 +849,8 @@ def oracle_sweep(
                 f"the {denominator} deficit bound drops the seed pair {seed}, whose minimum {float(ceiling)!r} "
                 f"seeds the window ceiling: the bound does not hold at h={geom.h!r}, nu={elastic.nu!r}, L={geom.L!r}"
             )
-        n, m = np.append(seed.n, n[~at_seed]), np.append(seed.m, m[~at_seed])
-        values.append(ceiling)
+        n, m = n[~at_seed], m[~at_seed]
+        scanned.append((ceiling, seed.n, seed.m))
     running = ceiling
 
     def solve(slice_pairs, forms):
@@ -859,13 +859,11 @@ def oracle_sweep(
         running = min(running, *values)
         return values
 
-    values += _walk(geom, elastic, disc, n[len(values):], m[len(values):], ("stiffness", denominator), solve)
+    scanned += zip(_walk(geom, elastic, disc, n, m, ("stiffness", denominator), solve), n.tolist(), m.tolist())
     _log.debug("oracle_sweep %s: %d pairs covered, %d assembled, %d solved", denominator,
-               window[0] * (window[1] + 1), len(values), sum(value < math.inf for value in values))
-    if not values:  # a window without pairs (m_max = 0)
-        return OracleMinimum(math.inf, None)
-    i = np.lexsort((m, n, values))[0]
-    return OracleMinimum(values[i], WaveNumbers(m=int(m[i]), n=int(n[i]), L=geom.L))
+               window[0] * (window[1] + 1), len(scanned), sum(value < math.inf for value, _, _ in scanned))
+    value, row, col = min(scanned, default=(math.inf, None, None))  # a window without pairs has no winner
+    return OracleMinimum(value, None if row is None else WaveNumbers(m=col, n=row, L=geom.L))
 
 
 # ---------------------------------------------------------------------------
