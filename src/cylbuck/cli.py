@@ -6,6 +6,12 @@ text and a ``--config`` file value go through.  Each command returns a
 ``Report``; ``emit`` writes ``<stem>.csv`` and ``<stem>.json`` and prints
 the stdout lines.
 
+Every writer streams its text to the open file; none builds the whole text
+first.  ``mode.vtk`` and ``mode.csv`` go out one z-plane at a time, and JSON
+goes through ``json.dump``.  Each file is written as ``<name>.tmp`` and moved
+onto its name after the last write, so a run that fails partway leaves no
+partial file that looks like a result.
+
 Outputs are deterministic: fixed scan orders, fixed tie-breaks, and
 shortest-round-trip float formatting make reruns byte-identical.
 """
@@ -41,20 +47,44 @@ def fmt(x) -> str:
     return repr(float(x))
 
 
+def _write_replacing(path: str, write: Callable):
+    """``write(fh)`` on ``path + ".tmp"``, then move the file onto ``path``.
+
+    A write that fails partway (an OSError, a MemoryError, Ctrl-C) removes
+    the temporary file, so no partial file is left that looks like a result."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", newline="\n") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        raise
+
+
 def write_text(path: str, text: str):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+    _write_replacing(path, lambda fh: fh.write(text))
 
 
 def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) if not isinstance(v, str) else v for v in row))
-    write_text(path, "\n".join(lines) + "\n")
+    def write(fh):
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(fmt(v) if not isinstance(v, str) else v for v in row) + "\n")
+
+    _write_replacing(path, write)
 
 
 def write_json(path: str, obj):
-    write_text(path, json.dumps(obj, indent=2) + "\n")
+    """The bytes of ``json.dumps(obj, indent=2)`` and a newline, written chunk by chunk."""
+    def write(fh):
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+    _write_replacing(path, write)
 
 
 def _h_list(value) -> List[float]:
@@ -169,8 +199,9 @@ def _column(a) -> list:
     return np.ravel(a, order="F").tolist()
 
 
-def _repr_column(a) -> List[str]:
-    """``repr`` of each value of ``_column(a)``, each distinct magnitude formatted once.
+def _repr_planes(a, plane: int):
+    """``repr`` of each value of ``_column(a)``, one list per ``plane`` values
+    (a z-plane), each distinct magnitude formatted once for the whole column.
 
     Values are keyed by the bit pattern of their magnitude, and a set sign bit
     puts the "-" back, so 0.0 and -0.0 stay apart; a NaN reads "nan" whatever
@@ -178,51 +209,70 @@ def _repr_column(a) -> List[str]:
     v = np.ravel(np.asarray(a, dtype=np.float64), order="F")
     bits = v.view(np.uint64)
     magnitudes, index = np.unique(bits & np.uint64(2**63 - 1), return_inverse=True)
-    text = list(map(repr, magnitudes.view(np.float64).tolist()))
+    table = np.array(list(map(repr, magnitudes.view(np.float64).tolist())), dtype=object)
     negative = (bits >> np.uint64(63)).astype(bool) & ~np.isnan(v)
-    table = np.array(text + ["-" + t for t in text], dtype=object)
-    return table[index + len(text) * negative].tolist()
+    del v, bits, magnitudes  # not held while the planes are written
+    for start in range(0, len(index), plane):
+        text = table[index[start:start + plane]]
+        signed = np.flatnonzero(negative[start:start + plane])
+        text[signed] = ["-" + t for t in text[signed].tolist()]
+        yield text.tolist()
 
 
-def _point_lines(field: modes_mod.DisplacementField, sep: str, x, y) -> List[str]:
-    """``f"{x!r}{sep}{y!r}{sep}{z!r}"`` per grid point in ``_column`` order,
-    from x and y given on [ir, jt].  Each (x, y) prefix and each z is
-    formatted once and joined by grid index, not by value, so that 0.0 and
-    -0.0 stay apart."""
+def _prefixes(field: modes_mod.DisplacementField, sep: str, x, y) -> List[str]:
+    """``f"{x!r}{sep}{y!r}{sep}"`` per (r, theta) node in ``_column`` order,
+    from x and y given on [ir, jt]; a point's line is its prefix and its z.
+    Joined by grid index, not by value, so that 0.0 and -0.0 stay apart."""
     shape = (len(field.r), len(field.theta))
     xs, ys = (_column(np.broadcast_to(a, shape)) for a in (x, y))
-    prefixes = [f"{a!r}{sep}{b!r}{sep}" for a, b in zip(xs, ys)]
-    return [p + z for z in map(repr, _column(field.z)) for p in prefixes]
+    return [f"{a!r}{sep}{b!r}{sep}" for a, b in zip(xs, ys)]
 
 
 def write_vtk(path: str, field: modes_mod.DisplacementField):
-    """Legacy ASCII structured grid; r varies fastest, then theta, then z."""
+    """Legacy ASCII structured grid; r varies fastest, then theta, then z.
+
+    Streamed a z-plane at a time; the three scalar fields are formatted one
+    after another, so the text of at most one field's distinct magnitudes is
+    held at once."""
     nr, nt, nz = len(field.r), len(field.theta), len(field.z)
     r = np.asarray(field.r)[:, None]
     cos_t = np.array([math.cos(t) for t in field.theta])
     sin_t = np.array([math.sin(t) for t in field.theta])
-    parts = [
-        "# vtk DataFile Version 3.0",
-        "cylbuck buckling mode displacement",
-        "ASCII",
-        "DATASET STRUCTURED_GRID",
-        f"DIMENSIONS {nr} {nt} {nz}",
-        f"POINTS {nr * nt * nz} double",
-        *_point_lines(field, " ", r * cos_t, r * sin_t),
-        f"POINT_DATA {nr * nt * nz}",
-    ]
-    for name in ("phi_r", "phi_theta", "phi_z"):
-        parts += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
-        parts += _repr_column(getattr(field, name))
-    write_text(path, "\n".join(parts) + "\n")
+    prefixes = _prefixes(field, " ", r * cos_t, r * sin_t)
+
+    def write(fh):
+        fh.write(
+            "# vtk DataFile Version 3.0\ncylbuck buckling mode displacement\nASCII\n"
+            f"DATASET STRUCTURED_GRID\nDIMENSIONS {nr} {nt} {nz}\nPOINTS {nr * nt * nz} double\n"
+        )
+        for z in map(repr, _column(field.z)):
+            line_end = z + "\n"
+            fh.write(line_end.join(prefixes))
+            fh.write(line_end)
+        fh.write(f"POINT_DATA {nr * nt * nz}\n")
+        for name in ("phi_r", "phi_theta", "phi_z"):
+            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            for text in _repr_planes(getattr(field, name), len(prefixes)):
+                fh.write("\n".join(text))
+                fh.write("\n")
+
+    _write_replacing(path, write)
 
 
 def write_mode_csv(path: str, field: modes_mod.DisplacementField):
-    """One row per grid point; r varies fastest, then theta, then z."""
-    points = _point_lines(field, ",", np.asarray(field.r)[:, None], np.asarray(field.theta))
-    phi = (_repr_column(field.phi_r), _repr_column(field.phi_theta), _repr_column(field.phi_z))
-    rows = map(",".join, zip(points, *phi))
-    write_text(path, "r,theta,z,phi_r,phi_theta,phi_z\n" + "\n".join(rows) + "\n")
+    """One row per grid point; r varies fastest, then theta, then z.  Streamed
+    a z-plane at a time."""
+    prefixes = _prefixes(field, ",", np.asarray(field.r)[:, None], np.asarray(field.theta))
+
+    def write(fh):
+        fh.write("r,theta,z,phi_r,phi_theta,phi_z\n")
+        names = ("phi_r", "phi_theta", "phi_z")
+        planes = zip(*(_repr_planes(getattr(field, name), len(prefixes)) for name in names))
+        for z, (a, b, c) in zip(map(repr, _column(field.z)), planes):
+            fh.write("\n".join(f"{p}{z},{x},{y},{w}" for p, x, y, w in zip(prefixes, a, b, c)))
+            fh.write("\n")
+
+    _write_replacing(path, write)
 
 
 def _h(config: RunConfig, args) -> float:

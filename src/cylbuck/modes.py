@@ -32,10 +32,11 @@ from .spectral import (
     optimal_mode,
 )
 
-# Points of the grid that synthesize samples: `cylbuck mode` peaked at 1.4 GB
-# for the 1.89 M points of h = 1e-5 (L = pi, nu = 0.3), about 740 bytes a
-# point, so 8 M points stay near 5.9 GB.  That admits h = 1e-6 (7.53 M points)
-# and refuses 1e-7 (30.4 M) and 1e-8 (125 M).
+# Points of the grid that synthesize samples: with the VTK writer streaming a
+# z-plane at a time, `cylbuck mode` peaked at 417 MB for the 1.89 M points of
+# h = 1e-5 (L = pi, nu = 0.3) and at 1.29 GB for the 7.53 M of h = 1e-6, about
+# 220 and 172 bytes a point, so 8 M points stay near 1.4 GB.  That admits
+# h = 1e-6 and refuses 1e-7 (30.4 M) and 1e-8 (125 M).
 _GRID_POINTS_MAX = 8_000_000
 
 
@@ -152,7 +153,8 @@ def evaluate(spec: BucklingModeSpec, r, theta, z):
     z = np.asarray(z, dtype=float)[None, None, :]
     fields = [np.zeros(np.broadcast_shapes(r.shape, theta.shape, z.shape)) for _ in range(3)]
     for mode in harmonics(spec):
-        fields = [f + part for f, part in zip(fields, displacement(mode, r, theta, z))]
+        for f, part in zip(fields, displacement(mode, r, theta, z)):
+            f += part
     return tuple(fields)
 
 

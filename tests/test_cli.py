@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import pytest
 
@@ -134,6 +135,7 @@ class TestMode:
             # signed zeros and repeated values: sin(0.0) = 0.0, sin(-0.0) = -0.0, sin(pi) = 1.2e-16,
             # and a negative r times sin(0.0) gives -0.0; a cache keyed by value would merge 0.0 with -0.0
             (np.array([0.995, 1.0, 1.0, -0.5]), np.array([0.0, -0.0, math.pi, math.pi, 2.0]), np.array([0.0, -0.0, 1.0, 1.0])),
+            (np.linspace(0.99, 1.01, 3), np.linspace(0.0, 2.0 * math.pi, 4, endpoint=False), np.linspace(0.0, 2.0, 5)),
         ]
         for k, (r, theta, z) in enumerate(grids):
             shape = (len(r), len(theta), len(z))
@@ -141,6 +143,12 @@ class TestMode:
             phi[0][0, 0, 0], phi[1][1, 2, 3] = -0.0, 0.0
             for i, p in enumerate(phi):
                 p.flat[5 * i + 1:5 * i + 1 + len(special)] = special
+                # the writers format a column's distinct magnitudes once but write it a
+                # z-plane at a time: one magnitude with both signs in the first, second
+                # and last planes, and a -0.0 and a negative NaN in the last
+                x = 0.1 * (i + 1)
+                p[-1, -1, 0], p[-1, -2, 1], p[-1, -2, -1] = x, -x, x
+                p[-2, -1, -1], p[-1, -1, -1] = -0.0, np.copysign(math.nan, -1.0)
             field = cli.modes_mod.DisplacementField(
                 r=r, theta=theta, z=z, phi_r=phi[0], phi_theta=phi[1], phi_z=phi[2],
             )
@@ -160,6 +168,15 @@ class TestMode:
         assert {"0.0", "-0.0"} <= {tok for ln in lines[6:6 + 80] for tok in ln.split()}
         assert {"nan", "-inf", "-5e-324", "1e+16", "9999999999999998.0", "1e-05", "0.0001"} <= set(lines)
         assert "-nan" not in lines
+        for k, (r, theta, z) in enumerate(grids):
+            plane = len(r) * len(theta)
+            columns = read(tmp_path / f"fast{k}.vtk").decode().split("LOOKUP_TABLE default\n")[1:]
+            for i, column in enumerate(columns):
+                values = column.splitlines()
+                planes = [values[j:j + plane] for j in range(0, len(z) * plane, plane)]
+                x, before_last = repr(0.1 * (i + 1)), -len(r) - 1
+                assert (planes[0][-1], planes[1][before_last], planes[-1][before_last]) == (x, "-" + x, x)
+                assert planes[-1][-2:] == ["-0.0", "nan"]
 
     def test_csv_output_row_count(self, tmp_path, capsys):
         assert (
@@ -175,6 +192,95 @@ class TestMode:
         assert body[0] == "r,theta,z,phi_r,phi_theta,phi_z"
         nr, nt, nz = meta["grid"]
         assert len(body) == 1 + nr * nt * nz
+
+
+class TestAtomicWrites:
+    """Every writer writes <name>.tmp and moves it onto <name> after its last
+    write; a writer that fails partway leaves neither file."""
+
+    @pytest.mark.parametrize("error", [OSError("No space left on device"), KeyboardInterrupt()],
+                             ids=["OSError", "KeyboardInterrupt"])
+    @pytest.mark.parametrize("form", ["vtk", "csv"])
+    def test_mode_failing_on_its_second_column(self, tmp_path, capsys, monkeypatch, form, error):
+        columns = []
+        repr_planes = cli._repr_planes
+
+        def second_column_fails(a, plane):
+            columns.append(os.listdir(tmp_path))
+            if len(columns) == 2:
+                raise error
+            return repr_planes(a, plane)
+
+        monkeypatch.setattr(cli, "_repr_planes", second_column_fails)
+        argv = ["mode", "--h", "0.1", "--format", form, "--outdir", str(tmp_path)]
+        if isinstance(error, OSError):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == "OSError: No space left on device\n"
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        # the file was open under its temporary name when the column failed
+        assert columns[1] == [f"mode.{form}.tmp"]
+        assert os.listdir(tmp_path) == []
+
+    def test_json_failing_partway(self, tmp_path):
+        path = str(tmp_path / "out.json")
+        with pytest.raises(TypeError, match="set is not JSON serializable"):
+            cli.write_json(path, {"modes": list(range(10_000)), "tail": {1, 2}})
+        assert os.listdir(tmp_path) == []
+
+
+def _traced_peak(write) -> int:
+    """tracemalloc's peak, in bytes, of what write() allocates."""
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamingWriters:
+    def command_data(self, tmp_path, argv):
+        args = build_parser().parse_args(argv + ["--outdir", str(tmp_path)])
+        return args.fn(merge_config(args), args).data
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--h-list", "0.1,0.05"],
+            ["koiter", "--h", "0.01"],
+            ["korn", "--h-list", "0.1", "--degree", "6"],
+            ["equivalence", "--h-list", "0.1", "--degree", "6"],
+            ["mode", "--h", "0.1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_json_bytes_match_dumps(self, tmp_path, argv):
+        # single-h korn and equivalence carry JSON nulls, mode a nested list
+        data = self.command_data(tmp_path, argv)
+        for obj in (data, {"data": data, "nested": [[1, [2.5, None]], [], {}, [-0.0, 1e16, 5e-324]],
+                           "text": "\u00e9\"\n", "flags": [True, False, None]}):
+            cli.write_json(str(tmp_path / "out.json"), obj)
+            assert read(tmp_path / "out.json") == (json.dumps(obj, indent=2) + "\n").encode()
+
+    @pytest.mark.parametrize("writer", ["write_vtk", "write_mode_csv"])
+    def test_mode_writer_holds_less_than_twice_its_bytes(self, tmp_path, writer):
+        # the h = 0.01 grid of `cylbuck mode` (L = pi, nu = 0.3); a writer that
+        # builds the whole text first holds over 4 times the file
+        spec = cli.modes_mod.BucklingModeSpec(cli.RunConfig().problem(0.01), 0.5)
+        field = cli.modes_mod.synthesize(spec)
+        assert field.phi_r.size == 46_080
+        path = str(tmp_path / "mode")
+        peak = _traced_peak(lambda: getattr(cli, writer)(path, field))
+        assert peak < 2 * os.path.getsize(path)
+
+    def test_json_writer_holds_less_than_half_its_bytes(self, tmp_path):
+        # `cylbuck koiter --h 1e-4`: json.dumps(indent=2) holds 7 times the file
+        data = self.command_data(tmp_path, ["koiter", "--h", "1e-4"])
+        path = str(tmp_path / "koiter.json")
+        peak = _traced_peak(lambda: cli.write_json(path, data))
+        assert peak < 0.5 * os.path.getsize(path)
 
 
 class TestKornFamily:
