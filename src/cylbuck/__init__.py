@@ -2,7 +2,8 @@
 
 Closed-form reduction (Fourier modes -> radial linearization -> 2x2
 quadratic minimization -> Koiter circle) with an independent discretized
-3D-elasticity oracle for every step.
+3D-elasticity oracle for every step.  The oracle is ``cylbuck.oracle``; it
+loads scipy.linalg, and ``import cylbuck`` loads numpy only.
 """
 
 from .material import IsotropicElasticity, SymStrain, coercivity_bound, energy_density
@@ -26,43 +27,25 @@ from .critical_load import (
     per_mode_strain_full,
     sweep,
 )
-from .oracle import (
-    AnsatzRatios,
-    KornRatios,
-    ModePencil,
-    RadialDiscretization,
-    ansatz_ratios,
-    assemble_pencil,
-    korn_mode_scan,
-    min_rayleigh,
-)
 from .modes import BucklingModeSpec, DisplacementField, quotient_ratio, synthesize
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnsatzRatios",
     "BucklingModeSpec",
     "BucklingResult",
     "CriticalLoadProblem",
     "DisplacementField",
     "FourierMode",
     "IsotropicElasticity",
-    "KornRatios",
-    "ModePencil",
-    "RadialDiscretization",
     "ShellGeometry",
     "StVenantKirchhoff",
     "SymStrain",
     "WaveNumbers",
-    "ansatz_ratios",
-    "assemble_pencil",
     "coercivity_bound",
     "energy_density",
     "koiter_circle",
-    "korn_mode_scan",
     "linearized_displacement_slope",
-    "min_rayleigh",
     "optimal_mode",
     "per_mode_strain",
     "per_mode_strain_full",

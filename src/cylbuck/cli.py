@@ -199,24 +199,36 @@ def _column(a) -> list:
     return np.ravel(a, order="F").tolist()
 
 
+# values per block of whole z-planes that shares one table of formatted
+# magnitudes (a block holds at least one plane); at small h nearly every
+# magnitude is distinct, so a table for the whole column would hold a string
+# per value.  A block costs about 190 bytes a value while its table is built:
+# `mode --h 1e-5` peaks at 255 MB with 2**19 and 354 MB with 2**20
+_BLOCK_VALUES = 2**19
+
+
 def _repr_planes(a, plane: int):
     """``repr`` of each value of ``_column(a)``, one list per ``plane`` values
-    (a z-plane), each distinct magnitude formatted once for the whole column.
+    (a z-plane), each distinct magnitude formatted once per block of whole
+    z-planes of at most ``_BLOCK_VALUES`` values.
 
     Values are keyed by the bit pattern of their magnitude, and a set sign bit
     puts the "-" back, so 0.0 and -0.0 stay apart; a NaN reads "nan" whatever
     its sign bit, as with ``repr``."""
-    v = np.ravel(np.asarray(a, dtype=np.float64), order="F")
-    bits = v.view(np.uint64)
-    magnitudes, index = np.unique(bits & np.uint64(2**63 - 1), return_inverse=True)
-    table = np.array(list(map(repr, magnitudes.view(np.float64).tolist())), dtype=object)
-    negative = (bits >> np.uint64(63)).astype(bool) & ~np.isnan(v)
-    del v, bits, magnitudes  # not held while the planes are written
-    for start in range(0, len(index), plane):
-        text = table[index[start:start + plane]]
-        signed = np.flatnonzero(negative[start:start + plane])
-        text[signed] = ["-" + t for t in text[signed].tolist()]
-        yield text.tolist()
+    column = np.ravel(np.asarray(a, dtype=np.float64), order="F")
+    block = plane * max(1, _BLOCK_VALUES // plane)
+    for first in range(0, len(column), block):
+        v = column[first:first + block]
+        bits = v.view(np.uint64)
+        magnitudes, index = np.unique(bits & np.uint64(2**63 - 1), return_inverse=True)
+        table = np.array(list(map(repr, magnitudes.view(np.float64).tolist())), dtype=object)
+        negative = (bits >> np.uint64(63)).astype(bool) & ~np.isnan(v)
+        del v, bits, magnitudes  # not held while the block's planes are written
+        for start in range(0, len(index), plane):
+            text = table[index[start:start + plane]]
+            signed = np.flatnonzero(negative[start:start + plane])
+            text[signed] = ["-" + t for t in text[signed].tolist()]
+            yield text.tolist()
 
 
 def _prefixes(field: modes_mod.DisplacementField, sep: str, x, y) -> List[str]:

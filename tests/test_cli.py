@@ -106,7 +106,7 @@ class TestMode:
         scalars = [ln for ln in lines if ln.startswith("SCALARS")]
         assert [s.split()[1] for s in scalars] == ["phi_r", "phi_theta", "phi_z"]
 
-    def test_vtk_bytes_match_the_scalar_writer(self, tmp_path):
+    def test_vtk_bytes_match_the_scalar_writer(self, tmp_path, monkeypatch):
         def scalar_writer(path, field):
             nr, nt, nz = len(field.r), len(field.theta), len(field.z)
             points = [(ir, jt, kz) for kz in range(nz) for jt in range(nt) for ir in range(nr)]
@@ -137,33 +137,37 @@ class TestMode:
             (np.array([0.995, 1.0, 1.0, -0.5]), np.array([0.0, -0.0, math.pi, math.pi, 2.0]), np.array([0.0, -0.0, 1.0, 1.0])),
             (np.linspace(0.99, 1.01, 3), np.linspace(0.0, 2.0 * math.pi, 4, endpoint=False), np.linspace(0.0, 2.0, 5)),
         ]
+        whole_column = cli._BLOCK_VALUES
+        assert all(len(r) * len(theta) * len(z) <= whole_column for r, theta, z in grids)
         for k, (r, theta, z) in enumerate(grids):
             shape = (len(r), len(theta), len(z))
             phi = [rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape) for _ in range(3)]
             phi[0][0, 0, 0], phi[1][1, 2, 3] = -0.0, 0.0
             for i, p in enumerate(phi):
                 p.flat[5 * i + 1:5 * i + 1 + len(special)] = special
-                # the writers format a column's distinct magnitudes once but write it a
-                # z-plane at a time: one magnitude with both signs in the first, second
-                # and last planes, and a -0.0 and a negative NaN in the last
+                # the writers format a block of z-planes' distinct magnitudes once but
+                # write it a z-plane at a time: one magnitude with both signs in the
+                # first, second and last planes, and a -0.0 and a negative NaN in the last
                 x = 0.1 * (i + 1)
                 p[-1, -1, 0], p[-1, -2, 1], p[-1, -2, -1] = x, -x, x
                 p[-2, -1, -1], p[-1, -1, -1] = -0.0, np.copysign(math.nan, -1.0)
             field = cli.modes_mod.DisplacementField(
                 r=r, theta=theta, z=z, phi_r=phi[0], phi_theta=phi[1], phi_z=phi[2],
             )
-            cli.write_vtk(str(tmp_path / f"fast{k}.vtk"), field)
             scalar_writer(str(tmp_path / f"scalar{k}.vtk"), field)
-            assert read(tmp_path / f"fast{k}.vtk") == read(tmp_path / f"scalar{k}.vtk")
-
             # the mode CSV: one row per point in the same order, each value fmt-ed
             nr, nt, nz = shape
             rows = ["r,theta,z,phi_r,phi_theta,phi_z"] + [
                 ",".join(fmt(v) for v in (r[ir], theta[jt], z[kz], *(p[ir, jt, kz] for p in phi)))
                 for kz in range(nz) for jt in range(nt) for ir in range(nr)
             ]
-            cli.write_mode_csv(str(tmp_path / f"fast{k}.csv"), field)
-            assert read(tmp_path / f"fast{k}.csv") == ("\n".join(rows) + "\n").encode()
+            # one table of magnitudes for the whole column, then one per plane and per two planes
+            for block in (whole_column, nr * nt, 2 * nr * nt):
+                monkeypatch.setattr(cli, "_BLOCK_VALUES", block)
+                cli.write_vtk(str(tmp_path / f"fast{k}.vtk"), field)
+                assert read(tmp_path / f"fast{k}.vtk") == read(tmp_path / f"scalar{k}.vtk")
+                cli.write_mode_csv(str(tmp_path / f"fast{k}.csv"), field)
+                assert read(tmp_path / f"fast{k}.csv") == ("\n".join(rows) + "\n").encode()
         lines = read(tmp_path / "fast1.vtk").decode().splitlines()
         assert {"0.0", "-0.0"} <= {tok for ln in lines[6:6 + 80] for tok in ln.split()}
         assert {"nan", "-inf", "-5e-324", "1e+16", "9999999999999998.0", "1e-05", "0.0001"} <= set(lines)
