@@ -24,7 +24,6 @@ from .critical_load import (
     CriticalLoadProblem,
     koiter_circle,
     per_mode_strain,
-    per_mode_strain_full,
     sweep,
 )
 from .modes import BucklingModeSpec, DisplacementField, quotient_ratio, synthesize
@@ -48,7 +47,6 @@ __all__ = [
     "linearized_displacement_slope",
     "optimal_mode",
     "per_mode_strain",
-    "per_mode_strain_full",
     "quotient_ratio",
     "solve_radial_stretch",
     "strain_amplitudes",

@@ -242,7 +242,7 @@ def _grid_energy(geom: ShellGeometry, elastic: IsotropicElasticity, modes) -> fl
     shell: Gauss-Legendre in r (24 nodes) and z (48), uniform in theta (64)."""
     r, wr = spectral.radial_rule(geom, 24)
     theta = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)[None, :, None]
-    zq, wz = np.polynomial.legendre.leggauss(48)
+    zq, wz = spectral.leggauss(48)
     z = 0.5 * geom.L * (zq + 1.0)[None, None, :]
     total = [0.0] * 6
     for mode in modes:
@@ -293,7 +293,7 @@ def _wall_sides(rng: np.random.Generator):
     u = rng.random((100, 7))
     h = 0.01 + (0.5 - 0.01) * u[:, 0]
     d = (-2.0 + 4.0 * u[:, 1:]) @ _SHIFT_TO_1
-    t, w = np.polynomial.legendre.leggauss(7)
+    t, w = spectral.leggauss(7)
     y = 0.5 * h[:, None] * t  # x - 1 at the nodes
     powers = y[..., None] ** np.arange(6)
     f = np.einsum("ijk,ik->ij", powers, d)

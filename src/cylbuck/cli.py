@@ -31,7 +31,7 @@ from . import acceptance
 from . import critical_load as cl
 from . import modes as modes_mod
 from . import oracle as oracle_mod
-from .errors import CylbuckError
+from .errors import CylbuckError, WindowTooSmall
 from .material import IsotropicElasticity
 from .spectral import ShellGeometry
 
@@ -337,13 +337,22 @@ def cmd_sweep(config: RunConfig, args) -> Report:
 def cmd_koiter(config: RunConfig, args) -> Report:
     h = _h(config, args)
     problem = config.problem(h)
-    m, n, residual = cl.koiter_circle(problem, rel_tol=args.tolerance)
+    tol = args.tolerance
+    m, n, residual = cl.koiter_circle(problem, rel_tol=tol)
+    # the band's outer circle reaches n = R (1 + tol) and mhat = (2 + tol) R;
+    # koiter_circle lists only the window's pairs of it
+    R = problem.koiter_radius
+    m_max, n_max = problem.window()
+    if R * (1.0 + tol) >= n_max + 1 or (2.0 + tol) * R * problem.geom.L / math.pi >= m_max + 1:
+        raise WindowTooSmall(
+            f"the Koiter band at tolerance {tol!r} leaves the window (m_max={m_max}, n_max={n_max}); "
+            f"a --margin of at least {1.0 + tol!r} holds it"
+        )
     m_hat, minima = cl._pair_minima(problem, n.astype(float), m)
     columns = {"m": m, "n": n, "m_hat": m_hat, "circle_residual": residual, "lambda3_tilde": minima.value}
     records = [dict(zip(columns, row)) for row in zip(*(a.tolist() for a in columns.values()))]
-    R = problem.koiter_radius
-    out = {"h": h, "radius": R, "tolerance": args.tolerance, "modes": records}
-    line = f"{len(records)} integer pairs within {fmt(args.tolerance)} of the circle (R={fmt(R)})"
+    out = {"h": h, "radius": R, "tolerance": tol, "modes": records}
+    line = f"{len(records)} integer pairs within {fmt(tol)} of the circle (R={fmt(R)})"
     return Report("koiter", out, lines=[line])
 
 

@@ -236,11 +236,6 @@ def per_mode_strain(problem: CriticalLoadProblem, wn: WaveNumbers) -> ModeMinimu
     return mode_strain_at(problem.elastic, wn, problem.geom.h, reduced=True)
 
 
-def per_mode_strain_full(problem: CriticalLoadProblem, wn: WaveNumbers) -> ModeMinimum:
-    """Per-(m,n) critical strain keeping the cross term and the h^4 moment."""
-    return mode_strain_at(problem.elastic, wn, problem.geom.h, reduced=False)
-
-
 # Relative rounding of a computed reduced minimum, in units of 2**-53 times the
 # size (beta + 2)(1 + H s^2) / (2 (1 + nu) mhat^2) of the objective's constant
 # term, which the minimization cancels down to the minimum.  The largest seen on
@@ -520,7 +515,7 @@ def sweep(problem: CriticalLoadProblem) -> BucklingResult:
             f"sweep winner (m={wn.m}, n={wn.n}) on window boundary "
             f"(m_max={m_max}, n_max={n_max}); increase the margin factor"
         )
-    full = per_mode_strain_full(problem, wn)
+    full = mode_strain_at(problem.elastic, wn, problem.geom.h, reduced=False)
     mh = wn.m_hat
     residual = abs(mh / (mh * mh + wn.n**2) - math.sqrt(best.value / 2.0))
     return BucklingResult(
@@ -546,8 +541,10 @@ def _koiter_band(problem: CriticalLoadProblem, rel_tol: float):
 
 
 def koiter_circle(problem: CriticalLoadProblem, rel_tol: float = 0.05) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Integer pairs within relative distance rel_tol of the Koiter circle, as
-    arrays (m, n, residual) sorted by residual (ties: smaller n, then m).
+    """Integer pairs of the window within relative distance rel_tol of the
+    Koiter circle, as arrays (m, n, residual) sorted by residual (ties:
+    smaller n, then m).  A band that reaches past the window keeps only its
+    pairs inside it; ``cylbuck koiter`` refuses such a band.
 
     The residual |hypot(mhat - R, n) - R| / R, rounded as ``math.hypot``
     rounds, decides membership.  Only each row's band R (1 - rel_tol) <=

@@ -18,7 +18,8 @@ class SingularSystem(CylbuckError):
 
 
 class WindowTooSmall(CylbuckError):
-    """Integer wave-number minimizer touched the sweep window boundary."""
+    """A result reaches the sweep window's boundary: the sweep's minimizer on
+    it, or mode's harmonics or koiter's band past it."""
 
 
 class AssemblyDegenerate(CylbuckError):

@@ -1,14 +1,14 @@
 """Isotropic linear elasticity in the cylindrical frame.
 
-All Rayleigh quotients downstream work with the Young's-modulus-normalized
-tensor ``L0/E``, so the quadratic form implemented here is dimensionless:
+Every output is a dimensionless quotient, so Young's modulus E cancels from
+all of them: the material is its Poisson ratio, its moduli are in units of
+E, and the quadratic form implemented here is that of the tensor ``L0/E``:
 
     density(e) = 1/(1+nu) * ( nu/(1-2 nu) * tr(e)^2 + |e|^2 )
 
 with ``|e|^2`` the Frobenius norm squared of the symmetric strain; the
 docstrings elsewhere write its trace coefficient as Lambda / 2, with
-Lambda = 2 nu / (1-2 nu).  ``E`` only scales the dimensional moduli ``mu``
-and ``lame_lambda``.
+Lambda = 2 nu / (1-2 nu).
 """
 
 from __future__ import annotations
@@ -18,30 +18,27 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class IsotropicElasticity:
-    """Isotropic moduli.  ``nu`` must lie strictly inside (-1, 1/2).
+    """Isotropic moduli in units of Young's modulus.  ``nu`` must lie
+    strictly inside (-1, 1/2).
 
     Derived constants:
-      mu           shear modulus E / (2(1+nu))
-      lame_lambda  first Lame parameter E nu / ((1+nu)(1-2 nu))
+      mu           shear modulus 1 / (2(1+nu))
+      lame_lambda  first Lame parameter nu / ((1+nu)(1-2 nu))
     """
 
     nu: float
-    E: float = 1.0
 
     def __post_init__(self):
         if not (-1.0 < self.nu < 0.5):
             raise ValueError(f"Poisson ratio must satisfy -1 < nu < 1/2, got {self.nu}")
-        if not self.E > 0:
-            raise ValueError(f"Young's modulus must be positive, got {self.E}")
 
     @property
     def mu(self) -> float:
-        return self.E / (2.0 * (1.0 + self.nu))
+        return 1.0 / (2.0 * (1.0 + self.nu))
 
     @property
     def lame_lambda(self) -> float:
-        """First Lame parameter (dimensional)."""
-        return self.E * self.nu / ((1.0 + self.nu) * (1.0 - 2.0 * self.nu))
+        return self.nu / ((1.0 + self.nu) * (1.0 - 2.0 * self.nu))
 
 
 @dataclass(frozen=True)

@@ -105,7 +105,7 @@ from .errors import (
     ZeroDenominator,
 )
 from .material import IsotropicElasticity
-from .spectral import ShellGeometry, WaveNumbers, trig_factors
+from .spectral import ShellGeometry, WaveNumbers, leggauss, trig_factors
 
 DENOMINATORS = ("full", "phi_rz", "phi_rz_mid")
 _log = logging.getLogger("cylbuck")
@@ -150,7 +150,7 @@ def _leggauss_refined(nodes: int):
             p, p_prev = ((2 * k - 1) * t * p - (k - 1) * p_prev) / k, p
         return p, nodes * (t * p - p_prev) / (t * t - 1.0)
 
-    t64, _ = np.polynomial.legendre.leggauss(nodes)
+    t64, _ = leggauss(nodes)
     t = t64.astype(np.longdouble)
     for _ in range(2):
         p, dp = legendre(t)
@@ -1112,15 +1112,6 @@ def _bump_derivatives(t: np.ndarray, order: int) -> List[np.ndarray]:
     return out
 
 
-@lru_cache(maxsize=8)
-def _leggauss(nodes: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The float64 Gauss-Legendre rule of nodes nodes, computed once and read-only."""
-    rule = np.polynomial.legendre.leggauss(nodes)
-    for a in rule:
-        a.setflags(write=False)
-    return rule
-
-
 # Gauss-Legendre nodes of the ansatz rule in (eta, z, r); the self-check of
 # ansatz_ratios refines eta and z by 1.5 and keeps r.
 _ANSATZ_NODES = (160, 160, 8)
@@ -1140,15 +1131,15 @@ def _ansatz_norms(geom: ShellGeometry, eta_nodes: int, z_nodes: int, r_nodes: in
     q = h**0.25  # theta = q * eta compresses the circumferential profile
     s = math.sqrt(h)
 
-    t_eta, w_eta = _leggauss(eta_nodes)
-    t_z, w_z = _leggauss(z_nodes)
+    t_eta, w_eta = leggauss(eta_nodes)
+    t_z, w_z = leggauss(z_nodes)
     b = np.array(_bump_derivatives(t_eta, 4))  # b and its eta derivatives to order 4
     # c, c', c'' of the bump in z = L (t + 1) / 2
     c = np.array([cj * (2.0 / L) ** j for j, cj in enumerate(_bump_derivatives(t_z, 2))])
     G_eta = (b * (q * w_eta)) @ b.T
     G_z = (c * (0.5 * L * w_z)) @ c.T
 
-    t_r, w_r = _leggauss(r_nodes)
+    t_r, w_r = leggauss(r_nodes)
     rho = 0.5 * h * t_r  # r - 1
     r = 1.0 + rho
     w_r = 0.5 * h * w_r * r

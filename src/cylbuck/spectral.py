@@ -20,12 +20,16 @@ shears e_rt and e_rz vanish on r = 1:
 
 Two amplitudes (a_theta, a_z) parameterize it; ``optimal_mode`` builds the
 family's member with the energy-minimizing radial profile.
+
+``leggauss`` is the package's one float64 Gauss-Legendre rule; every Gauss
+quadrature of the package, the oracle's and criterion 9's too, starts from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -139,9 +143,18 @@ def strain_amplitudes(mode: FourierMode, r) -> SymStrain:
 # quadrature over the shell for single modes
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=8)
+def leggauss(nodes: int):
+    """The float64 Gauss-Legendre rule of nodes nodes on [-1, 1], computed once and read-only."""
+    rule = np.polynomial.legendre.leggauss(nodes)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
 def radial_rule(geom: ShellGeometry, nodes: int = 16):
     """Gauss-Legendre nodes/weights on the wall [1-h/2, 1+h/2]."""
-    t, w = np.polynomial.legendre.leggauss(nodes)
+    t, w = leggauss(nodes)
     half = 0.5 * geom.h
     return 1.0 + half * t, half * w
 

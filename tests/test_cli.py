@@ -67,6 +67,37 @@ class TestKoiter:
         assert code == 2
         assert "EmptySet" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, window, tolerance, holds",
+        [
+            # the band's outer circle reaches n = 1.05 R = 30.2, past n_max = 29:
+            # the window would drop row 30's 7 of the band's 245 pairs
+            ([], "m_max=58, n_max=29", "0.05", "1.05"),
+            # it stays inside n_max = 29 but reaches m = 2.01 R L / pi = 577.7,
+            # past m_max = 575: the window would drop 7 of the band's 491 pairs
+            (["--L", "31.41592653589793", "--tolerance", "0.01"], "m_max=575, n_max=29", "0.01", "1.01"),
+        ],
+        ids=["row", "column"],
+    )
+    def test_band_cut_by_the_window_is_refused(self, tmp_path, capsys, flags, window, tolerance, holds):
+        assert main(["koiter", "--h", "1e-3", "--margin", "1", "--outdir", str(tmp_path)] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"WindowTooSmall: the Koiter band at tolerance {tolerance} leaves the window ({window}); "
+            f"a --margin of at least {holds} holds it\n"
+        )
+        assert os.listdir(tmp_path) == []
+
+    def test_every_margin_that_holds_the_band_writes_its_bytes(self, tmp_path):
+        written = []
+        for margin in ("3", "1.05", "10"):
+            outdir = tmp_path / margin
+            assert main(["koiter", "--h", "1e-3", "--margin", margin, "--outdir", str(outdir)]) == 0
+            written.append(read(outdir / "koiter.json"))
+        assert len(json.loads(written[0])["modes"]) == 245
+        assert written[1:] == written[:1] * 2
+
 
 @pytest.mark.parametrize(
     "command, walked",

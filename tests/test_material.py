@@ -21,8 +21,8 @@ def voigt_matrix(elastic):
 
 
 def bulk_modulus(elastic):
-    """kappa = E / (3 (1 - 2 nu))."""
-    return elastic.E / (3.0 * (1.0 - 2.0 * elastic.nu))
+    """kappa / E = 1 / (3 (1 - 2 nu))."""
+    return 1.0 / (3.0 * (1.0 - 2.0 * elastic.nu))
 
 
 def lame_ratio(elastic):
@@ -42,9 +42,10 @@ class TestInvariants:
                 IsotropicElasticity(nu=nu)
 
     def test_derived_constants(self):
-        el = IsotropicElasticity(nu=0.3, E=2.0)
-        assert el.mu == pytest.approx(2.0 / 2.6)
-        assert bulk_modulus(el) == pytest.approx(2.0 / (3 * 0.4))
+        el = IsotropicElasticity(nu=0.3)
+        assert el.mu == pytest.approx(1.0 / 2.6)
+        assert el.lame_lambda == pytest.approx(0.3 / (1.3 * 0.4))
+        assert bulk_modulus(el) == pytest.approx(1.0 / (3 * 0.4))
         assert lame_ratio(el) == pytest.approx(0.6 / 0.4)
         # Lambda/(Lambda+2) stays in [0, 1) on the compressive side
         for nu in (0.0, 0.2, 0.45, 0.49):

@@ -12,7 +12,7 @@ from numpy.polynomial import Polynomial, chebyshev
 
 from cylbuck import critical_load, oracle
 from cylbuck.acceptance import EQUIV_H
-from cylbuck.critical_load import CriticalLoadProblem, per_mode_strain, per_mode_strain_full, sweep
+from cylbuck.critical_load import CriticalLoadProblem, mode_strain_at, per_mode_strain, sweep
 from cylbuck.errors import (
     AssemblyDegenerate,
     BoundViolated,
@@ -758,7 +758,7 @@ class TestReducedPencil:
         geom = ShellGeometry(h=0.01, L=PI)
         p = CriticalLoadProblem(geom=geom, elastic=EL)
         wn = WaveNumbers(m=mn[0], n=mn[1], L=PI)
-        closed = per_mode_strain_full(p, wn).value
+        closed = mode_strain_at(p.elastic, wn, p.geom.h, reduced=False).value
         eig = min_rayleigh(assemble_reduced_pencil(geom, EL, wn))
         assert eig == pytest.approx(closed, rel=1e-8)
 

@@ -12,6 +12,7 @@ from cylbuck.spectral import (
     ShellGeometry,
     WaveNumbers,
     _ftheta,
+    leggauss,
     mode_energy,
     mode_phi_rz,
     optimal_mode,
@@ -470,6 +471,16 @@ class TestModeQuadrature:
         dens = energy_density(EL, e)
         direct = f.cc * float(np.sum(w * r * dens))
         assert mode_energy(geom, EL, mode) == pytest.approx(direct, rel=1e-13)
+
+    def test_shared_rule_is_numpys_and_read_only(self):
+        # every quadrature reads the one cached rule, so no caller may write it
+        for nodes in (7, 16, 48):
+            rule = leggauss(nodes)
+            assert leggauss(nodes) is rule
+            for got, want in zip(rule, np.polynomial.legendre.leggauss(nodes)):
+                assert np.array_equal(got, want)
+                with pytest.raises(ValueError):
+                    got[0] = 0.0
 
     def test_denominators_for_flat_mode(self):
         geom = ShellGeometry(h=0.04, L=math.pi)
