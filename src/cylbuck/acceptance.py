@@ -239,23 +239,28 @@ def criterion_8() -> CriterionResult:
 
 def _grid_energy(geom: ShellGeometry, elastic: IsotropicElasticity, modes) -> float:
     """Elastic energy of the summed modes by tensor-grid quadrature over the
-    shell: Gauss-Legendre in r (24 nodes) and z (48), uniform in theta (64)."""
+    shell: Gauss-Legendre in r (24 nodes) and z (48), uniform in theta (64).
+
+    Each mode's strain amplitudes and its (theta, z) trig planes are evaluated
+    once; the energy is then summed one radial node at a time, so no array
+    spans the whole grid."""
     r, wr = spectral.radial_rule(geom, 24)
-    theta = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)[None, :, None]
+    theta = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)[:, None]
     zq, wz = spectral.leggauss(48)
-    z = 0.5 * geom.L * (zq + 1.0)[None, None, :]
-    total = [0.0] * 6
+    z = 0.5 * geom.L * (zq + 1.0)
+    terms = []  # per mode, the six strain components' (amplitudes over r, (theta, z) plane)
     for mode in modes:
-        e = spectral.strain_amplitudes(mode, r[:, None, None])
+        e = spectral.strain_amplitudes(mode, r)
         n, mh = float(mode.wn.n), mode.wn.m_hat
-        cc = np.cos(n * theta) * np.cos(mh * z)
-        sc = np.sin(n * theta) * np.cos(mh * z)
-        cs = np.cos(n * theta) * np.sin(mh * z)
-        ss = np.sin(n * theta) * np.sin(mh * z)
-        terms = (e.rr * cc, e.tt * cc, e.zz * cc, e.rt * sc, e.rz * cs, e.tz * ss)
-        total = [t + term for t, term in zip(total, terms)]
-    weight = (wr * r)[:, None, None] * (2.0 * math.pi / 64) * (0.5 * geom.L * wz)[None, None, :]
-    return float(np.sum(weight * energy_density(elastic, SymStrain(*total))))
+        ct, st, cz, sz = np.cos(n * theta), np.sin(n * theta), np.cos(mh * z), np.sin(mh * z)
+        cc, sc, cs, ss = ct * cz, st * cz, ct * sz, st * sz
+        terms.append(tuple(zip((e.rr, e.tt, e.zz, e.rt, e.rz, e.tz), (cc, cc, cc, sc, cs, ss))))
+    plane_weight = (2.0 * math.pi / 64) * (0.5 * geom.L * wz)
+    energy = 0.0
+    for i, weight in enumerate((wr * r).tolist()):
+        strain = SymStrain(*(sum(a[i] * plane for a, plane in component) for component in zip(*terms)))
+        energy += weight * float(np.sum(plane_weight * energy_density(elastic, strain)))
+    return energy
 
 
 def _strain_samples(rng: np.random.Generator):

@@ -7,10 +7,11 @@ text and a ``--config`` file value go through.  Each command returns a
 the stdout lines.
 
 Every writer streams its text to the open file; none builds the whole text
-first.  ``mode.vtk`` and ``mode.csv`` go out one z-plane at a time, and JSON
-goes through ``json.dump``.  Each file is written as ``<name>.tmp`` and moved
-onto its name after the last write, so a run that fails partway leaves no
-partial file that looks like a result.
+first.  ``mode.vtk`` and ``mode.csv`` go out one z-plane at a time, the
+Koiter band's records a block of rows at a time from its column arrays, and
+other JSON through ``json.dump``.  Each file is written as ``<name>.tmp``
+and moved onto its name after the last write, so a run that fails partway
+leaves no partial file that looks like a result.
 
 Outputs are deterministic: fixed scan orders, fixed tie-breaks, and
 shortest-round-trip float formatting make reruns byte-identical.
@@ -19,6 +20,7 @@ shortest-round-trip float formatting make reruns byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -78,10 +80,55 @@ def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]):
     _write_replacing(path, write)
 
 
+class RecordColumns(NamedTuple):
+    """A JSON list of records given as named numeric or boolean columns of
+    one length: record i is ``{name: column[i] for name, column in columns.items()}``."""
+
+    columns: Dict[str, np.ndarray]
+
+
+# records of a RecordColumns list formatted per block before it is written; a
+# block holds about 800 bytes a record while it is formatted, so the bound of
+# test_json_writer_holds_less_than_half_its_bytes, half of the 158 bytes a
+# record of koiter.json, holds with blocks of up to about 250 records
+_BLOCK_ROWS = 2**7
+
+
+def _write_records(fh, records: RecordColumns):
+    """The list of ``records``, as ``json.dump(..., indent=2)`` writes a value
+    of the top-level dict, ``_BLOCK_ROWS`` records at a time through one row
+    template."""
+    names, columns = zip(*records.columns.items())
+    fields = (f"      {json.dumps(name).replace('%', '%%')}: %s" for name in names)
+    row = "    {\n" + ",\n".join(fields) + "\n    }"
+    size = len(columns[0])
+    for first in range(0, size, _BLOCK_ROWS):
+        fh.write(",\n" if first else "[\n")
+        # each value as json.dumps writes it; a number's text holds no ", "
+        texts = [json.dumps(c[first:first + _BLOCK_ROWS].tolist())[1:-1].split(", ") for c in columns]
+        fh.write(",\n".join(map(row.__mod__, zip(*texts))))
+    fh.write("\n  ]" if size else "[]")
+
+
 def write_json(path: str, obj):
-    """The bytes of ``json.dumps(obj, indent=2)`` and a newline, written chunk by chunk."""
+    """The bytes of ``json.dumps(obj, indent=2)`` and a newline, written chunk by chunk.
+
+    One value of a dict ``obj`` may be a ``RecordColumns``: it is written as
+    the list of its records, with the bytes ``json.dumps`` gives that list.
+    Every other document goes through ``json.dump``."""
+    key = next((k for k, v in obj.items() if isinstance(v, RecordColumns)), None) if isinstance(obj, dict) else None
+
     def write(fh):
-        json.dump(obj, fh, indent=2)
+        if key is None:
+            json.dump(obj, fh, indent=2)
+        else:
+            # the document with [] in the records' place, cut there; only a
+            # top-level key opens a line indented by two spaces
+            field = json.dumps({key: []}, indent=2)[1:-4]
+            head, _, tail = json.dumps({**obj, key: []}, indent=2).partition(field + "[]")
+            fh.write(head + field)
+            _write_records(fh, obj[key])
+            fh.write(tail)
         fh.write("\n")
 
     _write_replacing(path, write)
@@ -344,15 +391,18 @@ def cmd_koiter(config: RunConfig, args) -> Report:
     R = problem.koiter_radius
     m_max, n_max = problem.window()
     if R * (1.0 + tol) >= n_max + 1 or (2.0 + tol) * R * problem.geom.L / math.pi >= m_max + 1:
+        try:
+            dataclasses.replace(problem, margin=1.0 + tol).window()
+            holds = f"a --margin of at least {1.0 + tol!r} holds it"
+        except ValueError:
+            holds = f"no --margin holds it: at {1.0 + tol!r} the window would span more than 2**53 indices m"
         raise WindowTooSmall(
-            f"the Koiter band at tolerance {tol!r} leaves the window (m_max={m_max}, n_max={n_max}); "
-            f"a --margin of at least {1.0 + tol!r} holds it"
+            f"the Koiter band at tolerance {tol!r} leaves the window (m_max={m_max}, n_max={n_max}); {holds}"
         )
     m_hat, minima = cl._pair_minima(problem, n.astype(float), m)
     columns = {"m": m, "n": n, "m_hat": m_hat, "circle_residual": residual, "lambda3_tilde": minima.value}
-    records = [dict(zip(columns, row)) for row in zip(*(a.tolist() for a in columns.values()))]
-    out = {"h": h, "radius": R, "tolerance": tol, "modes": records}
-    line = f"{len(records)} integer pairs within {fmt(tol)} of the circle (R={fmt(R)})"
+    out = {"h": h, "radius": R, "tolerance": tol, "modes": RecordColumns(columns)}
+    line = f"{len(m)} integer pairs within {fmt(tol)} of the circle (R={fmt(R)})"
     return Report("koiter", out, lines=[line])
 
 

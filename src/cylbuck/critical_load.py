@@ -48,11 +48,12 @@ _CHUNK_PAIRS = 1 << 16
 _M_MAX = 2.0**53
 _M_HAT_MAX = 2.0**200
 # Candidate pairs of the Koiter band (before the residual filter) that
-# koiter_circle walks: with the JSON writer streaming, `cylbuck koiter` peaked
-# at 68 MB for the 26.1 k of h = 1e-5 and at 168 MB for the 254 k of h = 1e-6
-# (L = pi, nu = 0.3), about 440 bytes a pair above the 57 MB of the import,
-# so 2 M pairs stay near 0.9 GB.  That admits h = 1e-6 and refuses 1e-7
-# (2.52 M) and 1e-8 (25.1 M) at the default tolerance.
+# koiter_circle walks: with its records written from the band's columns,
+# `cylbuck koiter` peaked at 63 MB for the 26.1 k of h = 1e-5 and at 101 MB
+# for the 254 k of h = 1e-6 (L = pi, nu = 0.3), about 250 and 176 bytes a
+# pair above the 56 MB of the import, so 2 M pairs stay near 0.4 GB.  That
+# admits h = 1e-6 and refuses 1e-7 (2.52 M) and 1e-8 (25.1 M) at the default
+# tolerance.
 _KOITER_PAIRS_MAX = 2_000_000
 
 

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
-from cylbuck import acceptance, trivial_branch
-from cylbuck.material import IsotropicElasticity, SymStrain
+from cylbuck import acceptance, spectral, trivial_branch
+from cylbuck.material import IsotropicElasticity, SymStrain, energy_density
 from cylbuck.spectral import FourierMode, ShellGeometry, WaveNumbers, mode_energy
 
 
@@ -48,6 +48,44 @@ def test_decoupling_check_detects_coupled_modes(rng):
     assert grid == pytest.approx(per_mode, rel=1e-9)
     grid, per_mode = energies([(1, 2), (3, 2), (1, 2)])
     assert grid != pytest.approx(per_mode, rel=1e-3)
+
+
+def _dense_grid_energy(geom, elastic, modes) -> float:
+    """Criterion 9's tensor-grid energy with every factor broadcast over the
+    whole 24 x 64 x 48 grid at once."""
+    r, wr = spectral.radial_rule(geom, 24)
+    theta = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)[None, :, None]
+    zq, wz = spectral.leggauss(48)
+    z = 0.5 * geom.L * (zq + 1.0)[None, None, :]
+    total = [0.0] * 6
+    for mode in modes:
+        e = spectral.strain_amplitudes(mode, r[:, None, None])
+        n, mh = float(mode.wn.n), mode.wn.m_hat
+        cc = np.cos(n * theta) * np.cos(mh * z)
+        sc = np.sin(n * theta) * np.cos(mh * z)
+        cs = np.cos(n * theta) * np.sin(mh * z)
+        ss = np.sin(n * theta) * np.sin(mh * z)
+        terms = (e.rr * cc, e.tt * cc, e.zz * cc, e.rt * sc, e.rz * cs, e.tz * ss)
+        total = [t + term for t, term in zip(total, terms)]
+    weight = (wr * r)[:, None, None] * (2.0 * math.pi / 64) * (0.5 * geom.L * wz)[None, None, :]
+    return float(np.sum(weight * energy_density(elastic, SymStrain(*total))))
+
+
+def test_grid_energy_equals_the_dense_grid_sum(rng):
+    # summed a radial node at a time, the grid energy is the one-shot sum to
+    # rounding, on drawn shells, materials and sets of modes (coupled ones too)
+    for _ in range(20):
+        geom = ShellGeometry(h=float(rng.uniform(0.01, 0.5)), L=float(rng.uniform(0.5, 10.0)))
+        el = IsotropicElasticity(nu=float(rng.uniform(-0.9, 0.45)))
+        modes = [
+            FourierMode(
+                WaveNumbers(m=int(rng.integers(1, 8)), n=int(rng.integers(0, 8)), L=geom.L),
+                *(Polynomial(rng.uniform(-1, 1, size=3)) for _ in range(3)),
+            )
+            for _ in range(int(rng.integers(1, 5)))
+        ]
+        dense = _dense_grid_energy(geom, el, modes)
+        assert abs(acceptance._grid_energy(geom, el, modes) - dense) <= 1e-13 * abs(dense)
 
 
 def test_criterion_7_fails_a_stretch_off_the_energy(monkeypatch):

@@ -16,6 +16,19 @@ def read(path):
         return fh.read()
 
 
+def dict_document(obj):
+    """obj with each RecordColumns value as the list of dicts it stands for."""
+    def records(columns):
+        return [dict(zip(columns, row)) for row in zip(*(a.tolist() for a in columns.values()))]
+
+    return {k: records(v.columns) if isinstance(v, cli.RecordColumns) else v for k, v in obj.items()}
+
+
+def command_data(tmp_path, argv):
+    args = build_parser().parse_args(argv + ["--outdir", str(tmp_path)])
+    return args.fn(merge_config(args), args).data
+
+
 class TestCriticalLoad:
     def test_reference_run(self, tmp_path, capsys):
         code = main(["critical-load", "--nu", "0.3", "--h", "0.01", "--outdir", str(tmp_path)])
@@ -88,6 +101,39 @@ class TestKoiter:
             f"a --margin of at least {holds} holds it\n"
         )
         assert os.listdir(tmp_path) == []
+
+    def test_a_band_no_window_holds_is_refused_without_a_margin(self, tmp_path, capsys):
+        # margin 1 + 1e300 would span 5.75e301 indices m, more than any window
+        argv = ["koiter", "--h", "1e-3", "--tolerance", "1e300", "--outdir", str(tmp_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "WindowTooSmall: the Koiter band at tolerance 1e+300 leaves the window (m_max=173, n_max=87); "
+            "no --margin holds it: at 1e+300 the window would span more than 2**53 indices m\n"
+        )
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("block", [1, 7, cli._BLOCK_ROWS])
+    def test_bytes_equal_the_dumped_record_dicts(self, tmp_path, monkeypatch, block):
+        # koiter.json is written from the band's columns, a block of rows at a
+        # time; its bytes are those of json.dumps over one dict per pair
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
+        inputs = [
+            ("0.01", "0.05", "3.141592653589793", "3"),
+            ("1e-3", "0.05", "3.141592653589793", "1.05"),
+            ("1e-3", "0.01", "31.41592653589793", "3"),
+            ("0.3", "0.2", "2", "2"),
+            ("0.1", "0.01", "7", "4"),
+        ]
+        counts = []
+        for h, tol, L, margin in inputs:
+            argv = ["koiter", "--h", h, "--tolerance", tol, "--L", L, "--margin", margin]
+            assert main(argv + ["--outdir", str(tmp_path)]) == 0
+            document = dict_document(command_data(tmp_path, argv))
+            assert read(tmp_path / "koiter.json") == (json.dumps(document, indent=2) + "\n").encode()
+            counts.append(len(document["modes"]))
+        assert counts == [25, 245, 491, 2, 1]
 
     def test_every_margin_that_holds_the_band_writes_its_bytes(self, tmp_path):
         written = []
@@ -276,10 +322,6 @@ def _traced_peak(write) -> int:
 
 
 class TestStreamingWriters:
-    def command_data(self, tmp_path, argv):
-        args = build_parser().parse_args(argv + ["--outdir", str(tmp_path)])
-        return args.fn(merge_config(args), args).data
-
     @pytest.mark.parametrize(
         "argv",
         [
@@ -292,12 +334,40 @@ class TestStreamingWriters:
         ids=lambda argv: argv[0],
     )
     def test_json_bytes_match_dumps(self, tmp_path, argv):
-        # single-h korn and equivalence carry JSON nulls, mode a nested list
-        data = self.command_data(tmp_path, argv)
-        for obj in (data, {"data": data, "nested": [[1, [2.5, None]], [], {}, [-0.0, 1e16, 5e-324]],
-                           "text": "\u00e9\"\n", "flags": [True, False, None]}):
+        # single-h korn and equivalence carry JSON nulls, mode a nested list,
+        # koiter its records as columns
+        data = command_data(tmp_path, argv)
+        document = dict_document(data) if isinstance(data, dict) else data
+        nested = {"nested": [[1, [2.5, None]], [], {}, [-0.0, 1e16, 5e-324]],
+                  "text": "\u00e9\"\n", "flags": [True, False, None]}
+        for obj, want in ((data, document), ({"data": document, **nested},) * 2):
             cli.write_json(str(tmp_path / "out.json"), obj)
-            assert read(tmp_path / "out.json") == (json.dumps(obj, indent=2) + "\n").encode()
+            assert read(tmp_path / "out.json") == (json.dumps(want, indent=2) + "\n").encode()
+
+    @pytest.mark.parametrize("block", [1, 2, cli._BLOCK_ROWS])
+    def test_record_columns_bytes_match_dumps(self, tmp_path, monkeypatch, block):
+        # ints of any width, booleans, signed zeros, NaN of either sign bit,
+        # infinities, subnormals and repr's notation switches; keys that JSON
+        # escapes or that read as format directives; the list first, in the
+        # middle, last, of one record and of none
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
+        columns = {
+            "i": np.array([0, -1, 2**62, -(2**63), 7], dtype=np.int64),
+            "u %s %d": np.array([0, 1, 2**64 - 1, 3, 4], dtype=np.uint64),
+            "x": np.array([math.nan, math.inf, -math.inf, -0.0, np.copysign(math.nan, -1.0)]),
+            "\u00e9\"\n": np.array([1e16, 5e-324, 9999999999999998.0, 1e-05, 0.0001]),
+            "z": np.array([1.5, -2.0, 0.1, 3e38, -1e-40], dtype=np.float32),
+            "b": np.array([True, False, False, True, True]),
+        }
+        one = {k: a[:1] for k, a in columns.items()}
+        none = {k: a[:0] for k, a in columns.items()}
+        path = str(tmp_path / "out.json")
+        for records in (columns, one, none):
+            for document in ({"rows": records}, {"a": [1, {"b": None}], "rows": records, "c": "x"},
+                             {"a": 1.0, "rows": records}, {"rows": records, "nested": {"rows": []}}):
+                obj = {k: cli.RecordColumns(v) if k == "rows" else v for k, v in document.items()}
+                cli.write_json(path, obj)
+                assert read(path) == (json.dumps(dict_document(obj), indent=2) + "\n").encode()
 
     @pytest.mark.parametrize("writer", ["write_vtk", "write_mode_csv"])
     def test_mode_writer_holds_less_than_twice_its_bytes(self, tmp_path, writer):
@@ -311,8 +381,9 @@ class TestStreamingWriters:
         assert peak < 2 * os.path.getsize(path)
 
     def test_json_writer_holds_less_than_half_its_bytes(self, tmp_path):
-        # `cylbuck koiter --h 1e-4`: json.dumps(indent=2) holds 7 times the file
-        data = self.command_data(tmp_path, ["koiter", "--h", "1e-4"])
+        # `cylbuck koiter --h 1e-4`: json.dumps(indent=2) holds 7 times the
+        # file; this bound sets cli._BLOCK_ROWS
+        data = command_data(tmp_path, ["koiter", "--h", "1e-4"])
         path = str(tmp_path / "koiter.json")
         peak = _traced_peak(lambda: cli.write_json(path, data))
         assert peak < 0.5 * os.path.getsize(path)
