@@ -20,7 +20,6 @@ shortest-round-trip float formatting make reruns byte-identical.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -33,7 +32,7 @@ from . import acceptance
 from . import critical_load as cl
 from . import modes as modes_mod
 from . import oracle as oracle_mod
-from .errors import CylbuckError, WindowTooSmall
+from .errors import CylbuckError
 from .material import IsotropicElasticity
 from .spectral import ShellGeometry
 
@@ -385,24 +384,11 @@ def cmd_koiter(config: RunConfig, args) -> Report:
     h = _h(config, args)
     problem = config.problem(h)
     tol = args.tolerance
-    m, n, residual = cl.koiter_circle(problem, rel_tol=tol)
-    # the band's outer circle reaches n = R (1 + tol) and mhat = (2 + tol) R;
-    # koiter_circle lists only the window's pairs of it
+    names = ("m", "n", "m_hat", "circle_residual", "lambda3_tilde")
+    columns = dict(zip(names, cl.koiter_circle(problem, rel_tol=tol)))
     R = problem.koiter_radius
-    m_max, n_max = problem.window()
-    if R * (1.0 + tol) >= n_max + 1 or (2.0 + tol) * R * problem.geom.L / math.pi >= m_max + 1:
-        try:
-            dataclasses.replace(problem, margin=1.0 + tol).window()
-            holds = f"a --margin of at least {1.0 + tol!r} holds it"
-        except ValueError:
-            holds = f"no --margin holds it: at {1.0 + tol!r} the window would span more than 2**53 indices m"
-        raise WindowTooSmall(
-            f"the Koiter band at tolerance {tol!r} leaves the window (m_max={m_max}, n_max={n_max}); {holds}"
-        )
-    m_hat, minima = cl._pair_minima(problem, n.astype(float), m)
-    columns = {"m": m, "n": n, "m_hat": m_hat, "circle_residual": residual, "lambda3_tilde": minima.value}
     out = {"h": h, "radius": R, "tolerance": tol, "modes": RecordColumns(columns)}
-    line = f"{len(m)} integer pairs within {fmt(tol)} of the circle (R={fmt(R)})"
+    line = f"{len(columns['m'])} integer pairs within {fmt(tol)} of the circle (R={fmt(R)})"
     return Report("koiter", out, lines=[line])
 
 

@@ -27,7 +27,7 @@ would.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -48,12 +48,11 @@ _CHUNK_PAIRS = 1 << 16
 _M_MAX = 2.0**53
 _M_HAT_MAX = 2.0**200
 # Candidate pairs of the Koiter band (before the residual filter) that
-# koiter_circle walks: with its records written from the band's columns,
-# `cylbuck koiter` peaked at 63 MB for the 26.1 k of h = 1e-5 and at 101 MB
-# for the 254 k of h = 1e-6 (L = pi, nu = 0.3), about 250 and 176 bytes a
-# pair above the 56 MB of the import, so 2 M pairs stay near 0.4 GB.  That
-# admits h = 1e-6 and refuses 1e-7 (2.52 M) and 1e-8 (25.1 M) at the default
-# tolerance.
+# koiter_circle walks, a chunk at a time: `cylbuck koiter` peaked at 63 MB for
+# the 26.1 k of h = 1e-5 and at 97 MB for the 254 k of h = 1e-6 (L = pi, nu =
+# 0.3), about 260 and 161 bytes a pair above the 56 MB of the import, so 2 M
+# pairs stay near 0.4 GB.  That admits h = 1e-6 and refuses 1e-7 (2.52 M) and
+# 1e-8 (25.1 M) at the default tolerance.
 _KOITER_PAIRS_MAX = 2_000_000
 
 
@@ -535,29 +534,38 @@ def _koiter_band(problem: CriticalLoadProblem, rel_tol: float):
     """Rows n and their m ranges (lo, hi) of the band R (1 - rel_tol) <=
     hypot(mhat - R, n) <= R (1 + rel_tol), widened by one index on both sides."""
     R = problem.koiter_radius
-    m_max, n_max = problem.window()
-    n = np.arange(math.floor(min(n_max, R * (1.0 + rel_tol))) + 1, dtype=float)
+    n = np.arange(math.floor(R * (1.0 + rel_tol)) + 1, dtype=float)
     outer, inner = (R, R * (1.0 + rel_tol)), (R, R * (1.0 - rel_tol))
-    return (n, *_annulus_ranges(n, outer, inner, math.pi / problem.geom.L, 1, m_max, pad=1))
+    return (n, *_annulus_ranges(n, outer, inner, math.pi / problem.geom.L, 1, problem.window()[0], pad=1))
 
 
-def koiter_circle(problem: CriticalLoadProblem, rel_tol: float = 0.05) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Integer pairs of the window within relative distance rel_tol of the
-    Koiter circle, as arrays (m, n, residual) sorted by residual (ties:
-    smaller n, then m).  A band that reaches past the window keeps only its
-    pairs inside it; ``cylbuck koiter`` refuses such a band.
+def koiter_circle(problem: CriticalLoadProblem, rel_tol: float = 0.05) -> Tuple[np.ndarray, ...]:
+    """The window's integer pairs within relative distance rel_tol of the
+    Koiter circle, as the columns (m, n, m_hat, circle_residual, lambda3_tilde)
+    of ``cylbuck koiter``, sorted by residual (ties: smaller n, then m).
 
     The residual |hypot(mhat - R, n) - R| / R, rounded as ``math.hypot``
     rounds, decides membership.  Only each row's band R (1 - rel_tol) <=
     hypot(mhat - R, n) <= R (1 + rel_tol), widened by one index on both sides,
-    is walked, by ``window_strains``' range walk (``_range_pairs``).  Raises
-    ValueError unless rel_tol is finite and >= 0, OutputTooLarge before the
-    walk when the band holds more than ``_KOITER_PAIRS_MAX`` candidate pairs
-    (naming a smaller tolerance that fits), and EmptySet when the tolerance
-    admits no pair.
+    is walked: ``window_strains``' range walk, each chunk evaluated as there
+    (m_hat and ``per_mode_strain`` bit for bit) and cut to its members.  Raises,
+    in order, ValueError unless rel_tol is finite and >= 0, WindowTooSmall when
+    the band (n up to R (1 + rel_tol), mhat up to (2 + rel_tol) R) leaves the
+    window, OutputTooLarge before the walk above ``_KOITER_PAIRS_MAX`` candidate
+    pairs (naming a smaller tolerance that fits), and EmptySet when none is in it.
     """
     if not 0.0 <= rel_tol < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {rel_tol}")
+    R = problem.koiter_radius
+    m_max, n_max = problem.window()
+    if R * (1.0 + rel_tol) >= n_max + 1 or (2.0 + rel_tol) * R * problem.geom.L / math.pi >= m_max + 1:
+        try:
+            replace(problem, margin=1.0 + rel_tol).window()
+            holds = f"a --margin of at least {1.0 + rel_tol!r} holds it"
+        except ValueError:
+            holds = f"no --margin holds it: at {1.0 + rel_tol!r} the window would span more than 2**53 indices m"
+        raise WindowTooSmall(f"the Koiter band at tolerance {rel_tol!r} leaves the window "
+                             f"(m_max={m_max}, n_max={n_max}); {holds}")
     n, lo, hi = _koiter_band(problem, rel_tol)
     size = _range_size(lo, hi)
     if size > _KOITER_PAIRS_MAX:
@@ -568,13 +576,15 @@ def koiter_circle(problem: CriticalLoadProblem, rel_tol: float = 0.05) -> Tuple[
             f"more than the {_KOITER_PAIRS_MAX} that fit; "
             + (f"tolerance {fits:.3g} fits" if fits is not None else "no smaller tolerance fits, a larger h does")
         )
-    R = problem.koiter_radius
+    members = []
+    for n_k, m_k in _range_pairs(n, lo, hi):
+        m_hat, minima = _pair_minima(problem, n_k, m_k)
+        residual = np.abs(np.array(list(map(math.hypot, (m_hat - R).tolist(), n_k.tolist()))) - R) / R
+        keep = residual <= rel_tol
+        members.append((m_k[keep], n_k[keep].astype(np.int64), m_hat[keep], residual[keep], minima.value[keep]))
     # never empty: row 0's band always holds m = 1
-    n, m = (np.concatenate(a) for a in zip(*_range_pairs(n, lo, hi)))
-    dm = math.pi * m / problem.geom.L - R  # mhat as WaveNumbers.m_hat rounds it
-    residual = np.abs(np.array(list(map(math.hypot, dm.tolist(), n.tolist()))) - R) / R
-    keep = np.flatnonzero(residual <= rel_tol)
-    if not keep.size:
+    m, n, m_hat, residual, value = (np.concatenate(c) for c in zip(*members))
+    if not m.size:
         raise EmptySet(f"no integer wave numbers within {rel_tol} of the Koiter circle")
-    keep = keep[np.lexsort((m[keep], n[keep], residual[keep]))]
-    return m[keep], n[keep].astype(np.int64), residual[keep]
+    order = np.lexsort((m, n, residual))
+    return m[order], n[order], m_hat[order], residual[order], value[order]

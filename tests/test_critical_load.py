@@ -546,6 +546,14 @@ def circle_residual(wn, R):
     return abs(math.hypot(wn.m_hat - R, wn.n) - R) / R
 
 
+def band_leaves_window(p, rel_tol):
+    """Whether the Koiter band's outer circle, n up to R (1 + rel_tol) and mhat
+    up to (2 + rel_tol) R, reaches past the window's last row or column."""
+    R = p.koiter_radius
+    m_max, n_max = p.window()
+    return R * (1.0 + rel_tol) >= n_max + 1 or (2.0 + rel_tol) * R * p.geom.L / math.pi >= m_max + 1
+
+
 def pairwise_koiter_circle(p, rel_tol):
     """koiter_circle's band enumerated pair by pair, the reference: the sorted
     (residual, n, m) of the pairs of each row's arcs within rel_tol."""
@@ -577,7 +585,7 @@ class IntegerRadius(CriticalLoadProblem):
 
 def koiter_pairs(p, rel_tol):
     """The WaveNumbers of koiter_circle's pairs, in its order."""
-    m, n, _ = koiter_circle(p, rel_tol=rel_tol)
+    m, n, *_ = koiter_circle(p, rel_tol=rel_tol)
     return [p.wave_numbers(mi, ni) for mi, ni in zip(m.tolist(), n.tolist())]
 
 
@@ -611,14 +619,60 @@ class TestKoiterCircle:
         with pytest.raises(EmptySet):
             koiter_circle(problem(0.01), rel_tol=1e-9)
 
-    def test_overflowing_tolerance_admits_the_whole_window(self):
-        # R (1 + 1e308) overflows to inf; the band is then the whole window
+    def test_overflowing_tolerance_is_refused(self):
+        # R (1 + 1e308) overflows to inf; no window holds either band
         p = problem(1e-3)
-        m_max, n_max = p.window()
-        whole = koiter_circle(p, rel_tol=1e300)
-        assert len(whole[0]) == m_max * (n_max + 1)
-        for got, want in zip(koiter_circle(p, rel_tol=1e308), whole):
-            assert np.array_equal(got, want)
+        for tol in (1e300, 1e308):
+            with pytest.raises(WindowTooSmall) as info:
+                koiter_circle(p, rel_tol=tol)
+            assert str(info.value).endswith(
+                f"no --margin holds it: at {1.0 + tol!r} the window would span more than 2**53 indices m"
+            )
+
+    @pytest.mark.parametrize(
+        "L, tol, window, holds",
+        [
+            # the band's outer circle reaches n = 1.05 R = 30.2, past n_max = 29
+            (math.pi, 0.05, "m_max=58, n_max=29", "a --margin of at least 1.05 holds it"),
+            # it reaches m = 2.01 R L / pi = 577.7, past m_max = 575
+            (31.41592653589793, 0.01, "m_max=575, n_max=29", "a --margin of at least 1.01 holds it"),
+            # margin 1 + 1e300 would span 5.75e301 indices m
+            (math.pi, 1e300, "m_max=58, n_max=29",
+             "no --margin holds it: at 1e+300 the window would span more than 2**53 indices m"),
+        ],
+        ids=["row", "column", "no-margin"],
+    )
+    def test_band_cut_by_the_window_is_refused_before_it_is_counted(self, monkeypatch, L, tol, window, holds):
+        def counted(*args):
+            raise AssertionError("the band was counted or walked")
+
+        monkeypatch.setattr(critical_load, "_annulus_ranges", counted)
+        monkeypatch.setattr(critical_load, "_range_pairs", counted)
+        p = dataclasses.replace(problem(1e-3, L=L), margin=1.0)
+        with pytest.raises(WindowTooSmall) as info:
+            koiter_circle(p, rel_tol=tol)
+        assert str(info.value) == f"the Koiter band at tolerance {tol!r} leaves the window ({window}); {holds}"
+
+    def test_refusals_come_in_order(self, monkeypatch):
+        # ValueError, WindowTooSmall, OutputTooLarge, EmptySet: each input below
+        # also meets a refusal that comes later
+        def walked(*args):
+            raise AssertionError("the band was walked")
+
+        monkeypatch.setattr(critical_load, "_range_pairs", walked)
+        # the margin-1 window cuts this band, of 25.1 M candidate pairs
+        cut = dataclasses.replace(problem(1e-8), margin=1.0)
+        for tol in (math.inf, -1.0, math.nan):
+            with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+                koiter_circle(cut, rel_tol=tol)
+        with pytest.raises(WindowTooSmall):
+            koiter_circle(cut)
+        monkeypatch.undo()
+        # no pair lies within 1e-12 of the circle, whose band this window cuts
+        with pytest.raises(WindowTooSmall):
+            koiter_circle(WindowedProblem(ShellGeometry(h=0.01, L=math.pi), EL, given=(10, 5)), rel_tol=1e-12)
+        with pytest.raises(EmptySet):
+            koiter_circle(problem(0.01), rel_tol=1e-12)
 
     @staticmethod
     def band_size(p, tol):
@@ -653,44 +707,67 @@ class TestKoiterCircle:
         # doubling lambda_star shrinks the radius by sqrt(2)
         assert p1.koiter_radius / p2.koiter_radius == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
-    def test_band_enumeration_equals_the_window_scan(self, rng):
+    def test_band_enumeration_equals_the_window_scan(self, rng, monkeypatch):
+        # every tolerance whose band the window holds, with the walk's chunks
+        # cutting the rows or not; every other one is refused
+        chunks = (critical_load._CHUNK_PAIRS, 7)
+        fitted = refused = 0
         for p in window_problems(rng, count=12):
             R = p.koiter_radius
             for tol in (0.01, 0.05, 0.3, 1.5):
+                if band_leaves_window(p, tol):
+                    with pytest.raises(WindowTooSmall):
+                        koiter_circle(p, rel_tol=tol)
+                    refused += 1
+                    continue
                 want = sorted(
                     (circle_residual(wn, R), wn.n, wn.m)
                     for wn in window_pairs(p.window(), p.geom.L)
                     if circle_residual(wn, R) <= tol
                 )
-                try:
-                    got = [(wn.n, wn.m) for wn in koiter_pairs(p, tol)]
-                except EmptySet:
-                    got = []
-                assert got == [(n, m) for _, n, m in want], (p, tol)
+                for chunk in chunks:
+                    monkeypatch.setattr(critical_load, "_CHUNK_PAIRS", chunk)
+                    try:
+                        got = [(wn.n, wn.m) for wn in koiter_pairs(p, tol)]
+                    except EmptySet:
+                        got = []
+                    assert got == [(n, m) for _, n, m in want], (p, tol, chunk)
+                fitted += 1
+        assert fitted > 0 and refused > 0
 
     def test_equal_residuals_order_by_n_then_m(self):
         p = IntegerRadius(ShellGeometry(h=0.01, L=math.pi), EL)
-        m, n, residual = koiter_circle(p, rel_tol=0.5)
+        m, n, _, residual, _ = koiter_circle(p, rel_tol=0.5)
         assert len(np.unique(residual)) < len(residual) - 50
         assert list(zip(residual.tolist(), n.tolist(), m.tolist())) == pairwise_koiter_circle(p, 0.5)
 
     @pytest.mark.parametrize("chunk", [critical_load._CHUNK_PAIRS, 7])
     def test_array_band_equals_the_pairwise_enumeration(self, rng, monkeypatch, chunk):
-        # the same pairs in the same order with bit-equal residuals, on drawn
-        # problems and tolerances, at tol = 0 (mostly EmptySet) and at the two
-        # whole-window tolerances, with the walk's chunks cutting the rows or not
+        # the same pairs in the same order with bit-equal residuals, m_hat and
+        # lambda3_tilde, on drawn problems and tolerances and at tol = 0 (mostly
+        # EmptySet), with the walk's chunks cutting the rows or not; a band past
+        # the window, as at the two overflowing tolerances, is refused
         monkeypatch.setattr(critical_load, "_CHUNK_PAIRS", chunk)
-        empty = 0
+        empty = refused = 0
         for p in window_problems(rng, count=12):
             for tol in (0.0, float(rng.uniform(0.0, 0.02)), float(rng.uniform(0.02, 2.0)), 1e300, 1e308):
+                if band_leaves_window(p, tol):
+                    with pytest.raises(WindowTooSmall):
+                        koiter_circle(p, rel_tol=tol)
+                    refused += 1
+                    continue
                 want = pairwise_koiter_circle(p, tol)
                 try:
-                    m, n, residual = koiter_circle(p, rel_tol=tol)
+                    m, n, m_hat, residual, value = koiter_circle(p, rel_tol=tol)
                 except EmptySet:
                     assert want == [], (p, tol)
                     empty += 1
                     continue
-                assert m.dtype == n.dtype == np.int64 and residual.dtype == np.float64
+                assert m.dtype == n.dtype == np.int64
+                assert m_hat.dtype == residual.dtype == value.dtype == np.float64
                 got = list(zip(residual.tolist(), n.tolist(), m.tolist()))
                 assert [(r.hex(), n, m) for r, n, m in got] == [(r.hex(), n, m) for r, n, m in want], (p, tol)
-        assert empty >= 1
+                wns = list(map(p.wave_numbers, m.tolist(), n.tolist()))
+                assert [x.hex() for x in m_hat.tolist()] == [wn.m_hat.hex() for wn in wns], (p, tol)
+                assert [x.hex() for x in value.tolist()] == [per_mode_strain(p, wn).value.hex() for wn in wns], (p, tol)
+        assert empty >= 1 and refused >= 24

@@ -426,7 +426,7 @@ class TestMinRayleigh:
         p = CriticalLoadProblem(geom=geom, elastic=EL)
         from cylbuck.critical_load import koiter_circle
 
-        m, n, _ = koiter_circle(p, rel_tol=0.03)
+        m, n, *_ = koiter_circle(p, rel_tol=0.03)
         for wn in map(p.wave_numbers, m[:5].tolist(), n[:5].tolist()):
             closed = per_mode_strain(p, wn).value
             got = min_rayleigh(assemble_pencil(geom, EL, wn, "phi_rz"))

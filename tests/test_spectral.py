@@ -266,7 +266,7 @@ class TestSimplifiedStrain:
         for h in (0.04, 0.01):
             geom = ShellGeometry(h=h, L=math.pi)
             problem = CriticalLoadProblem(geom=geom, elastic=EL)
-            m, n, _ = koiter_circle(problem, rel_tol=0.05)
+            m, n, *_ = koiter_circle(problem, rel_tol=0.05)
             for wn in map(problem.wave_numbers, m[:4].tolist(), n[:4].tolist()):
                 mm = per_mode_strain(problem, wn)
                 mode = optimal_mode(wn, mm.a_theta, mm.a_z, EL)
