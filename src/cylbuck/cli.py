@@ -490,7 +490,7 @@ def _criterion(token: str) -> int:
 
 
 def cmd_verify(config: RunConfig, args) -> Report:
-    numbers = [_criterion(tok) for tok in args.criteria.split(",")] if args.criteria else None
+    numbers = [_criterion(tok) for tok in args.criteria.split(",")] if args.criteria is not None else None
     results = acceptance.run_all(numbers)
     passed = sum(r.passed for r in results)
     lines = [r.line() for r in results] + [f"{passed}/{len(results)} criteria passed"]
@@ -539,7 +539,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error; 2 is a CylbuckError's code here
+        return 1 if exc.code == 2 else exc.code
     try:
         config = merge_config(args)
         os.makedirs(config.outdir, exist_ok=True)

@@ -47,6 +47,16 @@ _CHUNK_PAIRS = 1 << 16
 # it before a double overflows.
 _M_MAX = 2.0**53
 _M_HAT_MAX = 2.0**200
+# Rows n = 0 .. n_max of a window: the seeds and the pruned scan's ranges take
+# a few hundred bytes a row (`cylbuck critical-load` peaked at 292 MB for the
+# 862 k rows of h = 1e-11 and at 774 MB for the 2.73 M of 1e-12, L = pi,
+# nu = 0.3), so 2**20 rows stay near 0.35 GB.  That admits h = 1e-11 at the
+# default margin and refuses 1e-12.
+_N_MAX = 2**20
+# Pairs one window scan walks, at 4-6 M pairs a second: 2**25 admits the whole
+# window of h = 1e-6 (14.9 M pairs at L = pi) and the pruned scan of h = 1e-11
+# (6.0 M), and refuses the pruned scan of h = 0.01 at L = 1e9 (1.95 G).
+_SCAN_PAIRS_MAX = 2**25
 # Candidate pairs of the Koiter band (before the residual filter) that
 # koiter_circle walks, a chunk at a time: `cylbuck koiter` peaked at 63 MB for
 # the 26.1 k of h = 1e-5 and at 97 MB for the 254 k of h = 1e-6 (L = pi, nu =
@@ -96,7 +106,8 @@ class CriticalLoadProblem:
     def window(self) -> Tuple[int, int]:
         """(m_max, n_max); the circle spans mhat <= 2R and n <= R.
 
-        Raises ValueError when m_max would exceed 2**53 (L too long for h)."""
+        Raises ValueError when m_max would exceed 2**53 (L too long for h), or
+        n_max 2**20 (h too small)."""
         R = self.koiter_radius
         m_top = self.margin * 2.0 * R * self.geom.L / math.pi
         if not m_top <= _M_MAX:
@@ -104,9 +115,13 @@ class CriticalLoadProblem:
                 f"L={self.geom.L!r} is too long at h={self.geom.h!r}: the window would "
                 f"span {m_top:.3g} axial indices m, more than 2**53"
             )
-        m_max = max(8, math.ceil(m_top))
-        n_max = max(8, math.ceil(self.margin * R))
-        return m_max, n_max
+        n_top = self.margin * R
+        if not n_top <= _N_MAX:
+            raise ValueError(
+                f"h={self.geom.h!r} is too small at margin {self.margin!r}: the window would "
+                f"span {n_top:.3g} rows n, more than 2**20"
+            )
+        return max(8, math.ceil(m_top)), max(8, math.ceil(n_top))
 
     def wave_numbers(self, m: int, n: int) -> WaveNumbers:
         return WaveNumbers(m=m, n=n, L=self.geom.L)
@@ -414,7 +429,9 @@ def window_strains(
     ``ceiling=None`` (or one that is not positive) scans the whole window.  A
     positive ceiling scans only the pairs that ``surrogate_deficit`` cannot
     exclude (``_pruned_ranges``), in their rows' order; every pair whose
-    computed minimum is at most the ceiling is among them.
+    computed minimum is at most the ceiling is among them.  Raises
+    OutputTooLarge, before the walk, when the scan holds more than
+    ``_SCAN_PAIRS_MAX`` pairs.
     """
     m_max, n_max = problem.window()
     n = np.arange(n_max + 1, dtype=float)
@@ -422,6 +439,12 @@ def window_strains(
         lo, hi = np.ones((n.size, 1), dtype=np.int64), np.full((n.size, 1), m_max)
     else:
         lo, hi = _pruned_ranges(problem, ceiling)
+    size = _range_size(lo, hi)
+    if size > _SCAN_PAIRS_MAX:
+        raise OutputTooLarge(
+            f"the window scan at h={problem.geom.h!r}, L={problem.geom.L!r} would walk {size} pairs, "
+            f"more than the {_SCAN_PAIRS_MAX} that one scan walks"
+        )
     for n_k, m in _range_pairs(n, lo, hi):
         yield (n_k, m, *_pair_minima(problem, n_k, m))
 
@@ -562,8 +585,9 @@ def koiter_circle(problem: CriticalLoadProblem, rel_tol: float = 0.05) -> Tuple[
         try:
             replace(problem, margin=1.0 + rel_tol).window()
             holds = f"a --margin of at least {1.0 + rel_tol!r} holds it"
-        except ValueError:
-            holds = f"no --margin holds it: at {1.0 + rel_tol!r} the window would span more than 2**53 indices m"
+        except ValueError as exc:  # window() names the first of its two extents past its cap
+            span = "2**53 indices m" if "indices m" in str(exc) else "2**20 rows n"
+            holds = f"no --margin holds it: at {1.0 + rel_tol!r} the window would span more than {span}"
         raise WindowTooSmall(f"the Koiter band at tolerance {rel_tol!r} leaves the window "
                              f"(m_max={m_max}, n_max={n_max}); {holds}")
     n, lo, hi = _koiter_band(problem, rel_tol)

@@ -19,7 +19,8 @@ class SingularSystem(CylbuckError):
 
 class WindowTooSmall(CylbuckError):
     """A result reaches the sweep window's boundary: the sweep's minimizer on
-    it, or mode's harmonics or koiter's band past it."""
+    it, mode's harmonics past it, or a Koiter band (``koiter_circle``) whose
+    outer circle reaches past it."""
 
 
 class AssemblyDegenerate(CylbuckError):
@@ -39,7 +40,8 @@ class QuadratureUnderResolved(CylbuckError):
 
 
 class OutputTooLarge(CylbuckError):
-    """A command's output would exceed its memory budget; it is refused before anything is allocated."""
+    """A command's output would exceed its memory budget, or a window scan its
+    budget of pairs; it is refused before anything is allocated or walked."""
 
 
 class BoundViolated(CylbuckError):

@@ -482,7 +482,7 @@ class TestVerify:
         assert "criterion 4" in out and "criterion 7" in out
         assert "2/2 criteria passed" in out
 
-    @pytest.mark.parametrize("criteria, token", [("1,,2", "''"), ("x", "'x'"), ("4,7.0", "'7.0'")])
+    @pytest.mark.parametrize("criteria, token", [("1,,2", "''"), ("x", "'x'"), ("4,7.0", "'7.0'"), ("", "''")])
     def test_bad_criteria_token_named(self, tmp_path, capsys, criteria, token):
         # one line naming the flag and the token, before any criterion runs
         assert main(["verify", "--criteria", criteria, "--outdir", str(tmp_path)]) == 1
@@ -492,6 +492,22 @@ class TestVerify:
 
 
 class TestConfigAndErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [["koiter", "--h", "abc"], ["sweep", "--h-list", "0.1,abc"], ["--bogus", "1"], ["sweep", "--bogus", "1"], []],
+        ids=["float", "h-list", "global-flag", "command-flag", "no-command"],
+    )
+    def test_usage_errors_exit_one(self, tmp_path, capsys, argv):
+        # exit 2 is a CylbuckError refusal's; a bad flag exits 1 like a bad config value
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: " in captured.err.splitlines()[-1]
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert main(["koiter", "--help"]) == 0
+        assert "--tolerance" in capsys.readouterr().out
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"nu": 0.25, "h_list": [0.1], "jobs": 1}))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -539,6 +540,57 @@ class TestPrunedScan:
         assert (res.m, res.n) == (1, 135)
         assert res.m < m_max and 0 < res.n < n_max
         assert abs(res.strain / p.lambda_star - 1) <= math.sqrt(p.geom.h)
+
+
+class TestScanBudgets:
+    def test_too_many_rows_are_refused_before_anything_is_allocated(self, monkeypatch):
+        # 86.2 M rows; the seeds and the pruned ranges would allocate per row
+        def allocated(*args):
+            raise AssertionError("the window was sized or walked")
+
+        monkeypatch.setattr(critical_load, "_annulus_ranges", allocated)
+        monkeypatch.setattr(critical_load, "_range_pairs", allocated)
+        start = time.perf_counter()
+        message = r"h=1e-15 is too small at margin 3\.0: the window would span 8\.62e\+07 rows n, more than 2\*\*20"
+        with pytest.raises(ValueError, match=message):
+            sweep(problem(1e-15))
+        assert time.perf_counter() - start < 1.0
+        # 2.73 M rows at h = 1e-12; the default margin's 862 k rows at 1e-11 fit
+        with pytest.raises(ValueError, match="rows n, more than 2\\*\\*20"):
+            problem(1e-12).window()
+        assert problem(1e-11).window()[1] == 862278
+
+    @pytest.mark.parametrize("L, pairs", [(1e9, 1946157027), (1e12, 1992864825315)])
+    def test_too_many_kept_pairs_are_refused_before_the_walk(self, monkeypatch, L, pairs):
+        # a long shell whose seed ceiling is positive: the pruned ranges are
+        # sized on the window's 29 rows, and nothing is walked
+        def walked(*args):
+            raise AssertionError("the window was walked")
+
+        def sized(n, *args, **kwargs):
+            assert n.size <= 29
+            return annulus_ranges(n, *args, **kwargs)
+
+        annulus_ranges = critical_load._annulus_ranges
+        monkeypatch.setattr(critical_load, "_annulus_ranges", sized)
+        monkeypatch.setattr(critical_load, "_range_pairs", walked)
+        start = time.perf_counter()
+        with pytest.raises(OutputTooLarge, match=f"would walk {pairs} pairs, more than the 33554432 that one scan walks"):
+            sweep(problem(0.01, L=L))
+        assert time.perf_counter() - start < 1.0
+
+    def test_a_koiter_band_past_the_row_cap_is_refused_without_a_margin(self):
+        # at h = 1e-11 the margin 4 that would hold the band spans 1.15 M rows
+        message = r"no --margin holds it: at 4\.0 the window would span more than 2\*\*20 rows n$"
+        with pytest.raises(WindowTooSmall, match=message):
+            koiter_circle(problem(1e-11), rel_tol=3.0)
+
+    def test_budgets_admit_the_small_h_sweeps(self):
+        # 272 k rows and 4.09 M kept pairs at h = 1e-10; 191 k kept pairs at
+        # h = 1e-8, L = 30
+        for p in (problem(1e-10), problem(1e-8, L=30.0)):
+            res = sweep(p)
+            assert abs(res.strain / p.lambda_star - 1) <= math.sqrt(p.geom.h) * p.geom.L
 
 
 def circle_residual(wn, R):
