@@ -570,9 +570,9 @@ def koiter_circle(problem: CriticalLoadProblem, rel_tol: float = 0.05) -> Tuple[
     The residual |hypot(mhat - R, n) - R| / R, rounded as ``math.hypot``
     rounds, decides membership.  Only each row's band R (1 - rel_tol) <=
     hypot(mhat - R, n) <= R (1 + rel_tol), widened by one index on both sides,
-    is walked: ``window_strains``' range walk, each chunk evaluated as there
-    (m_hat and ``per_mode_strain`` bit for bit) and cut to its members.  Raises,
-    in order, ValueError unless rel_tol is finite and >= 0, WindowTooSmall when
+    is walked by ``window_strains``' range walk, each chunk evaluated as there
+    (``per_mode_strain`` bit for bit) and cut to its members.  Raises, in
+    order, ValueError unless rel_tol is finite and >= 0, WindowTooSmall when
     the band (n up to R (1 + rel_tol), mhat up to (2 + rel_tol) R) leaves the
     window, OutputTooLarge before the walk above ``_KOITER_PAIRS_MAX`` candidate
     pairs (naming a smaller tolerance that fits), and EmptySet when none is in it.
