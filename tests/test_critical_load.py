@@ -706,13 +706,15 @@ class TestKoiterCircle:
         assert str(info.value) == f"the Koiter band at tolerance {tol!r} leaves the window ({window}); {holds}"
 
     def test_refusals_come_in_order(self, monkeypatch):
-        # ValueError, WindowTooSmall, OutputTooLarge, EmptySet: each input below
-        # also meets a refusal that comes later
+        # ValueError, WindowTooSmall, OutputTooLarge, EmptySet: the band that
+        # the window cuts also holds more than _KOITER_PAIRS_MAX candidates (and
+        # at tolerance inf leaves the window), and the cut band of the window
+        # (10, 5) holds no pair within 1e-12
         def walked(*args):
             raise AssertionError("the band was walked")
 
         monkeypatch.setattr(critical_load, "_range_pairs", walked)
-        # the margin-1 window cuts this band, of 25.1 M candidate pairs
+        # the margin-1 window cuts this band, of 25.1 M candidate pairs at margin 3
         cut = dataclasses.replace(problem(1e-8), margin=1.0)
         for tol in (math.inf, -1.0, math.nan):
             with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
@@ -720,7 +722,6 @@ class TestKoiterCircle:
         with pytest.raises(WindowTooSmall):
             koiter_circle(cut)
         monkeypatch.undo()
-        # no pair lies within 1e-12 of the circle, whose band this window cuts
         with pytest.raises(WindowTooSmall):
             koiter_circle(WindowedProblem(ShellGeometry(h=0.01, L=math.pi), EL, given=(10, 5)), rel_tol=1e-12)
         with pytest.raises(EmptySet):
