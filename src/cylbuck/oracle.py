@@ -74,10 +74,13 @@ Every scan, the window minima and the Korn and gap scans alike, goes through
 one walker (_walk): int64 arrays (n, m) in the closed form's scan order, cut
 into row groups (_row_groups: row n = 0 alone, the rows n >= 1 in groups of
 at most 64 pairs), each built as WaveNumbers only when it is assembled, in
-one call, and solved slice by slice.  phi_rz, phi_zz, phi_tz and phi_rz_mid
-are each a scalar per pair times one moment on one block (int V^T V r dr, or
-h v v^T for phi_rz_mid), and full, the sum of the first three, is one
-block-diagonal scaled mass.  A call builds only the forms it asks for, and a
+one call, and solved slice by slice.  Each slice solve returns a float array
+of one row per pair (the minima, the four Korn ratios or the two gaps), and
+the walker joins them in scan order, so its rows line up with (n, m): the
+reducers take column extrema, and a mask on (n, m) selects rows.  phi_rz,
+phi_zz, phi_tz and phi_rz_mid are each a scalar per pair times one moment on
+one block (int V^T V r dr, or h v v^T for phi_rz_mid), and full, the sum of
+the first three, is one block-diagonal scaled mass.  A call builds only the forms it asks for, and a
 pair's forms come out bit for bit the same in every call, whatever rows,
 slice or single pair it holds, so the window scans and the one-pair
 mode_forms agree exactly.
@@ -560,8 +563,8 @@ _CEILING_MARGIN = 1e-5
 
 def _slice_minima(
     pairs: Sequence[WaveNumbers], A: np.ndarray, B: np.ndarray, ceiling: float = math.inf
-) -> List[float]:
-    """min_rayleigh of each pencil (A[i], B[i]) of a slice, or inf for every pair if all clear ceiling.
+) -> np.ndarray:
+    """min_rayleigh of each pencil (A[i], B[i]) of a slice as an array, or inf for every pair if all clear ceiling.
 
     The vanishing and finiteness checks run once for the slice, each naming
     the first failing pair in scan order.  Under a finite ceiling, one
@@ -581,14 +584,14 @@ def _slice_minima(
     if ceiling < math.inf:
         try:
             np.linalg.cholesky(A - (ceiling * (1.0 + _CEILING_MARGIN)) * B)
-            return [math.inf] * len(pairs)
+            return np.full(len(pairs), math.inf)
         except np.linalg.LinAlgError:
             pass
     mu = _block_eigh(pairs, A, B, np.flatnonzero(np.any(B, axis=(0, 1))))
     not_positive = mu[:, -1] <= 1e-14 * np.abs(mu[:, 0])
     if not_positive.any():
         raise ZeroDenominator(f"destabilizing form is not positive on {pairs[np.argmax(not_positive)]}")
-    return list(1.0 / mu[:, -1])
+    return 1.0 / mu[:, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -640,23 +643,24 @@ def _row_groups(n: np.ndarray) -> List[slice]:
 def _walk(
     geom: ShellGeometry, elastic: IsotropicElasticity, disc: RadialDiscretization, n: np.ndarray, m: np.ndarray,
     names: Sequence[str], solve: Callable,
-) -> list:
-    """solve(slice, its forms) over every slice of the pairs (m[k], n[k]), one result per pair, in scan order.
+) -> np.ndarray:
+    """solve(slice, its forms) over every slice of the pairs (m[k], n[k]): its float arrays, joined in scan order.
 
     Every scan runs through it, in the calling process.  Each row group
     (_row_groups) is built as WaveNumbers, the only ones a scan builds,
     assembled once, the named forms only (_slice_forms), and cut into
     _slices, each of at most _SLICE_PAIRS pairs of one row.  A group is
     dropped before the next is built, so the walk holds one at a time.
+    Each solve returns one row per pair, so row k is the pair (n[k], m[k])'s
+    and a mask on (n, m) selects rows; without pairs the result is 1-D.
     """
     out = []
     for g in _row_groups(n):
         group = [WaveNumbers(m=col, n=row, L=geom.L) for row, col in zip(n[g].tolist(), m[g].tolist())]
         forms = _slice_forms(geom, elastic, disc, group, names)
-        for s in _slices(n[g]):
-            out += solve(group[s], {name: F[s] for name, F in forms.items()})
+        out += [solve(group[s], {name: F[s] for name, F in forms.items()}) for s in _slices(n[g])]
         del forms
-    return out
+    return np.concatenate(out) if out else np.zeros(0)
 
 
 # Measured lower bound of the phi_rz and phi_rz_mid minima by the reduced
@@ -813,7 +817,8 @@ def oracle_sweep(
     (_slice_minima).  No skipped pair can reach the minimum, so the result
     is the exhaustive scan's, bit for bit, and min_rayleigh at the winner
     returns it.  The winner is the first in (value, n, m) order, the
-    closed-form sweep's tie-break.  A failed seed solve leaves no seed: the
+    closed-form sweep's tie-break, over the walked values with the seed's in
+    front.  A failed seed solve leaves no seed: the
     whole window is scanned, naming the first failing pair in scan order.
     An unknown denominator raises ValueError before any other work.
 
@@ -841,7 +846,6 @@ def oracle_sweep(
         except (ValueError, CylbuckError):
             seed = None
     n, m = _sweep_pairs(geom, elastic, window, denominator, ceiling)
-    scanned = []  # (value, n, m) of every pair assembled
     if seed is not None:
         at_seed = (n == seed.n) & (m == seed.m)
         if not at_seed.any():
@@ -850,20 +854,23 @@ def oracle_sweep(
                 f"seeds the window ceiling: the bound does not hold at h={geom.h!r}, nu={elastic.nu!r}, L={geom.L!r}"
             )
         n, m = n[~at_seed], m[~at_seed]
-        scanned.append((ceiling, seed.n, seed.m))
     running = ceiling
 
     def solve(slice_pairs, forms):
         nonlocal running
         values = _slice_minima(slice_pairs, forms["stiffness"], forms[denominator], running)
-        running = min(running, *values)
+        running = min(running, values.min())
         return values
 
-    scanned += zip(_walk(geom, elastic, disc, n, m, ("stiffness", denominator), solve), n.tolist(), m.tolist())
+    values = _walk(geom, elastic, disc, n, m, ("stiffness", denominator), solve)
+    if seed is not None:  # the seed's value in front: every pair assembled, each once
+        n, m, values = np.append(seed.n, n), np.append(seed.m, m), np.append(ceiling, values)
     _log.debug("oracle_sweep %s: %d pairs covered, %d assembled, %d solved", denominator,
-               window[0] * (window[1] + 1), len(scanned), sum(value < math.inf for value, _, _ in scanned))
-    value, row, col = min(scanned, default=(math.inf, None, None))  # a window without pairs has no winner
-    return OracleMinimum(value, None if row is None else WaveNumbers(m=col, n=row, L=geom.L))
+               window[0] * (window[1] + 1), values.size, np.count_nonzero(values < math.inf))
+    if not values.size:  # a window without pairs has no winner
+        return OracleMinimum(math.inf, None)
+    k = np.lexsort((m, n, values))[0]  # the first in (value, n, m) order
+    return OracleMinimum(values[k], WaveNumbers(m=int(m[k]), n=int(n[k]), L=geom.L))
 
 
 # ---------------------------------------------------------------------------
@@ -900,10 +907,8 @@ def _positive(ratios):
     return ratios
 
 
-def _korn_ratios(
-    h: float, W: np.ndarray, pairs: Sequence[WaveNumbers], forms: Dict[str, np.ndarray]
-) -> List[KornRatios]:
-    """The Korn-type ratios of every pair of a slice; theta_z is 0 for n = 0.
+def _korn_ratios(h: float, W: np.ndarray, pairs: Sequence[WaveNumbers], forms: Dict[str, np.ndarray]) -> np.ndarray:
+    """The Korn-type ratios of every pair of a slice, one row per pair in KornRatios' order; theta_z is 0 for n = 0.
 
     W W^T = M, the mass moment, and phi_rz and phi_tz are c M on the r and
     theta block b, c = cs mhat^2 and ss mhat^2.  Their pencils against e2 =
@@ -949,10 +954,7 @@ def _korn_ratios(
     pr2 = f.cc * ((X[:, :, :k] @ W) ** 2).sum(axis=2)  # |phi_r|^2 = cc x_r^T W W^T x_r
     # e2 is positive definite (factored above), so every bound is positive
     weighted = (g2 / ((np.sqrt(pr2) / h + np.sqrt(e2_x)) * np.sqrt(e2_x))).max(axis=1)
-    return [
-        KornRatios(korn=float(c), theta_z=float(t), r_z=float(r), weighted=float(w))
-        for c, t, r, w in zip(korn, top["theta_z"], top["r_z"], weighted)
-    ]
+    return np.stack((korn, top["theta_z"], top["r_z"], weighted), axis=1)
 
 
 def korn_mode_scan(
@@ -964,35 +966,28 @@ def korn_mode_scan(
     """Extremal Korn-type ratios over all modes in the window.
 
     e2 and grad2 are walked (_walk) and solved by _korn_ratios, which reads
-    the other forms from the mass root.  Logs the pairs covered at DEBUG on
-    the "cylbuck" logger.
+    the other forms from the mass root, and reduced by columns; a window
+    without pairs has no extrema (ValueError).  Logs the pairs covered at
+    DEBUG on the "cylbuck" logger.
     """
     solve = partial(_korn_ratios, geom.h, np.linalg.cholesky(_block_moments(geom, disc)["mass"]))
-    per_mode = _walk(geom, elastic, disc, *_window_arrays(window), _KORN_FORMS, solve)
-    _log.debug("korn_mode_scan: %d pairs covered", len(per_mode))
-    return _positive(KornRatios(
-        korn=min(r.korn for r in per_mode),
-        theta_z=max(r.theta_z for r in per_mode),
-        r_z=max(r.r_z for r in per_mode),
-        weighted=max(r.weighted for r in per_mode),
-    ))
+    rows = _walk(geom, elastic, disc, *_window_arrays(window), _KORN_FORMS, solve)
+    _log.debug("korn_mode_scan: %d pairs covered", len(rows))
+    korn, *maxima = rows.reshape(-1, len(KornRatios._fields)).T  # KornRatios' columns, empty without pairs
+    return _positive(KornRatios(float(korn.min()), *(float(column.max()) for column in maxima)))
 
 
 # ---------------------------------------------------------------------------
 # buckling-equivalence gaps
 # ---------------------------------------------------------------------------
 
-class GapValues(NamedTuple):
-    """Per-mode suprema of the reciprocal-quotient differences."""
-
-    full_vs_rz: float     # sup |1/R - 1/R1| = sup (|phi_zz|^2+|phi_tz|^2)/stiffness
-    rz_vs_mid: float      # sup |1/R1 - 1/R2|
-
-
 def _gaps(
     geom: ShellGeometry, elastic: IsotropicElasticity, disc: RadialDiscretization, n: np.ndarray, m: np.ndarray
-) -> List[GapValues]:
-    """The gaps of every pair (m[k], n[k]), in scan order: the stiffness walked (_walk), solved by _gap_values.
+) -> np.ndarray:
+    """The gaps of every pair (m[k], n[k]), row k: the stiffness walked (_walk), solved by _gap_values.
+
+    The columns, two also without pairs, are the pair's suprema full_vs_rz of
+    |1/R - 1/R1| = (|phi_zz|^2 + |phi_tz|^2) / stiffness and rz_vs_mid of |1/R1 - 1/R2|.
 
     With W W^T = M, the mass moment, phi_zz + phi_tz = mhat^2 W_d W_d^T on
     the theta and z blocks, W_d = blockdiag(sqrt(ss) W, sqrt(cc) W) (the z
@@ -1004,13 +999,13 @@ def _gaps(
     moments = _block_moments(geom, disc)
     W = np.linalg.cholesky(moments["mass"])
     solve = partial(_gap_values, (W, scipy.linalg.block_diag(W, W)), moments["mass"] - moments["mid"])
-    return _walk(geom, elastic, disc, n, m, _GAP_FORMS, solve)
+    return _walk(geom, elastic, disc, n, m, _GAP_FORMS, solve).reshape(-1, 2)
 
 
 def _gap_values(
     roots: Tuple[np.ndarray, np.ndarray], D: np.ndarray, pairs: Sequence[WaveNumbers], forms: Dict[str, np.ndarray]
-) -> List[GapValues]:
-    """The gaps of every pair of a slice, both read from A^-1 of the stiffness A (_inverse).
+) -> np.ndarray:
+    """The gaps (full_vs_rz, rz_vs_mid) of every pair of a slice, one row per pair, read from A^-1 of the stiffness A.
 
     full_vs_rz = mhat^2 mu_max(W_d^T (A^-1)_dd W_d) on the theta and z
     blocks d, W_d = sqrt(cc) roots[min(n, 1)] (see _gaps).  cs mhat^2 D on
@@ -1031,7 +1026,7 @@ def _gap_values(
     vals2 = _named(np.linalg.eigvalsh, pairs, R.swapaxes(1, 2) @ D @ R, NonConvergence, not_converged)
     full_vs_rz = mh2 * vals1[:, -1]
     rz_vs_mid = f.cs * mh2 * np.maximum(np.abs(vals2[:, 0]), np.abs(vals2[:, -1]))
-    return [GapValues(full_vs_rz=float(g1), rz_vs_mid=float(g2)) for g1, g2 in zip(full_vs_rz, rz_vs_mid)]
+    return np.stack((full_vs_rz, rz_vs_mid), axis=1)
 
 
 class EquivalenceScan(NamedTuple):
@@ -1045,17 +1040,16 @@ def equivalence_scan(
     disc: RadialDiscretization,
     window: Tuple[int, int],
 ) -> EquivalenceScan:
-    """Suprema of the two gaps over all modes in the window.
+    """Suprema of the two gaps over all modes in the window: column maxima of _gaps.
 
-    Logs the pairs covered at DEBUG on the "cylbuck" logger.
+    A window without pairs has none (ValueError).  Logs the pairs covered at
+    DEBUG on the "cylbuck" logger.
     """
     n, m = _window_arrays(window)
     gaps = _gaps(geom, elastic, disc, n, m)
     _log.debug("equivalence_scan: %d pairs covered", len(gaps))
-    sup1 = max(g.full_vs_rz for g in gaps)
-    m_hat = (math.pi * m / geom.L).tolist()  # as WaveNumbers.m_hat rounds it
-    coef = max(g.rz_vs_mid / (mh * math.sqrt(geom.h)) for g, mh in zip(gaps, m_hat))
-    return EquivalenceScan(full_vs_rz=sup1, rz_vs_mid_coef=coef)
+    coef = gaps[:, 1] / (math.pi * m / geom.L * math.sqrt(geom.h))  # mhat as WaveNumbers.m_hat rounds it
+    return EquivalenceScan(full_vs_rz=float(gaps[:, 0].max()), rz_vs_mid_coef=float(coef.max()))
 
 
 def full_vs_rz_supremum(
@@ -1073,11 +1067,11 @@ def full_vs_rz_supremum(
     """
     n, m = _window_arrays(window)
     column = m == 1
-    seed = max(g.full_vs_rz for g in _gaps(geom, elastic, disc, n[column], m[column]))
+    seed = _gaps(geom, elastic, disc, n[column], m[column])[:, 0].max()
     kept = (m > 1) & (_gap_bound(geom, elastic, n, math.pi * m / geom.L) >= seed * (1.0 - _CEILING_MARGIN))
     _log.debug("full_vs_rz_supremum: %d pairs covered, %d in column m = 1, %d solved",
                n.size, column.sum(), column.sum() + kept.sum())
-    return max([seed] + [g.full_vs_rz for g in _gaps(geom, elastic, disc, n[kept], m[kept])])
+    return float(_gaps(geom, elastic, disc, n[kept], m[kept])[:, 0].max(initial=seed))
 
 
 # ---------------------------------------------------------------------------

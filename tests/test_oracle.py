@@ -161,7 +161,7 @@ def sweep_pairs(geom, elastic, window, denominator, ceiling):
 
 
 def walked_minima(geom, elastic, disc, denominator, pairs, ceiling=math.inf):
-    """min_rayleigh of every pair in scan order, walked as oracle_sweep walks them (oracle._walk),
+    """min_rayleigh of every pair in scan order, an array walked as oracle_sweep walks them (oracle._walk),
     each slice solved by oracle._slice_minima under the fixed ceiling."""
     def solve(part, forms):
         return oracle._slice_minima(part, forms["stiffness"], forms[denominator], ceiling)
@@ -170,13 +170,14 @@ def walked_minima(geom, elastic, disc, denominator, pairs, ceiling=math.inf):
 
 
 def walked_korn(geom, elastic, disc, pairs):
-    """The Korn-type ratios of every pair in scan order, walked as korn_mode_scan walks them."""
+    """The Korn-type ratios of every pair in scan order, one row per pair in KornRatios' order,
+    walked as korn_mode_scan walks them."""
     solve = partial(oracle._korn_ratios, geom.h, np.linalg.cholesky(oracle._block_moments(geom, disc)["mass"]))
     return oracle._walk(geom, elastic, disc, *arrays(pairs), oracle._KORN_FORMS, solve)
 
 
 def gaps(geom, elastic, disc, pairs):
-    """oracle._gaps of the pairs, a list in scan order."""
+    """oracle._gaps of the pairs, a list in scan order: an array of one row (full_vs_rz, rz_vs_mid) per pair."""
     return oracle._gaps(geom, elastic, disc, *arrays(pairs))
 
 
@@ -599,12 +600,12 @@ class TestBlockReduction:
             for i, wn in enumerate(pairs):
                 f = mode_forms(geom, elastic, wn, disc)
                 want = reference_korn(geom.h, f.e2, f.grad2, f.phi_rz, f.phi_tz, phi_r2)
-                for field, value in zip(want._fields, want):
-                    assert getattr(korn[i], field) == pytest.approx(value, rel=1e-10, abs=0.0), (wn, field)
+                for field, got, value in zip(want._fields, korn[i], want):
+                    assert got == pytest.approx(value, rel=1e-10, abs=0.0), (wn, field)
                 full_vs_rz = scipy.linalg.eigh(f.phi_zz + f.phi_tz, f.stiffness, eigvals_only=True)[-1]
                 mid = scipy.linalg.eigh(f.phi_rz - f.phi_rz_mid, f.stiffness, eigvals_only=True)
-                assert walked_gaps[i].full_vs_rz == pytest.approx(full_vs_rz, rel=1e-10), wn
-                assert walked_gaps[i].rz_vs_mid == pytest.approx(max(abs(mid[0]), abs(mid[-1])), rel=1e-10), wn
+                assert walked_gaps[i, 0] == pytest.approx(full_vs_rz, rel=1e-10), wn
+                assert walked_gaps[i, 1] == pytest.approx(max(abs(mid[0]), abs(mid[-1])), rel=1e-10), wn
                 rz = scipy.linalg.eigh(f.phi_rz, f.stiffness, eigvals_only=True)[-1]
                 assert phi_rz[i] == pytest.approx(1.0 / rz, rel=1e-10), wn
 
@@ -986,8 +987,8 @@ class TestCeilingScan:
         pencil = assemble_pencil(p.geom, EL, wn, denominator, disc)
         A, B = pencil.A[None], pencil.B[None]
         (value,) = oracle._slice_minima([wn], A, B)
-        assert oracle._slice_minima([wn], A, B, value) == [value]  # solved, not skipped
-        assert oracle._slice_minima([wn], A, B, value * (1.0 - 1e-3)) == [math.inf]  # the test can pass
+        assert oracle._slice_minima([wn], A, B, value).tolist() == [value]  # solved, not skipped
+        assert oracle._slice_minima([wn], A, B, value * (1.0 - 1e-3)).tolist() == [math.inf]  # the test can pass
 
     GEOM = ShellGeometry(h=0.05, L=PI)
     DISC = RadialDiscretization(8)
@@ -1284,8 +1285,8 @@ class TestGapBound:
             assert groups[0][0].n == 0
             for group in groups:
                 walked = gaps(p.geom, p.elastic, disc, group)
-                for gap, G, old, wn in zip(walked, gap_bound(p, group), self.even_split_bound(p, group), group):
-                    assert gap.full_vs_rz <= G * (1.0 + 1e-12), (case, wn)
+                for gap, G, old, wn in zip(walked[:, 0], gap_bound(p, group), self.even_split_bound(p, group), group):
+                    assert gap <= G * (1.0 + 1e-12), (case, wn)
                     assert G <= old, (case, wn)  # the best split never loses to eps = 1
             for value, wn in exhaustive_values(p.geom, p.elastic, disc, window, "full"):
                 assert value >= pruning_bound(p, wn, "full"), (case, wn)
@@ -1355,7 +1356,7 @@ class TestKornScan:
     )
     def test_non_positive_ratio_raises(self, monkeypatch, bad):
         # a NaN after the first field must fail too: min((1.0, nan)) is 1.0
-        monkeypatch.setattr(oracle, "_korn_ratios", lambda h, W, pairs, forms: [bad] * len(pairs))
+        monkeypatch.setattr(oracle, "_korn_ratios", lambda h, W, pairs, forms: np.array([bad] * len(pairs)))
         with pytest.raises(ValueError):
             korn_mode_scan(ShellGeometry(h=0.05, L=PI), EL, RadialDiscretization(6), (3, 2))
 
@@ -1375,9 +1376,9 @@ class TestEquivalenceGap:
 
     def test_gap_values_positive(self):
         geom = ShellGeometry(h=0.02, L=PI)
-        values = gaps(geom, EL, RadialDiscretization(), [WaveNumbers(m=4, n=5, L=PI)])[0]
-        assert values.full_vs_rz > 0
-        assert values.rz_vs_mid > 0
+        full_vs_rz, rz_vs_mid = gaps(geom, EL, RadialDiscretization(), [WaveNumbers(m=4, n=5, L=PI)])[0]
+        assert full_vs_rz > 0
+        assert rz_vs_mid > 0
 
     def test_mid_gap_coefficient_stable_in_h(self):
         # sup |1/R1 - 1/R2| <= C mhat sqrt(h): the fitted C barely moves
