@@ -168,21 +168,26 @@ def synthesize(spec: BucklingModeSpec, r_nodes: int = 9) -> DisplacementField:
     The grid resolves the oscillation with Nyquist margin: 8 n + 16 points
     on [0, 2 pi) in theta, 8 (m+2) + 16 on [0, L] in z.  Raises
     OutputTooLarge, before it allocates the grid, when the grid has more than
-    _GRID_POINTS_MAX points, naming a larger h whose grid fits.
+    _GRID_POINTS_MAX points, naming a larger h below 1 whose grid fits.  The
+    budget needs only m and n, so it comes before check_window, unless no h
+    fits: then an L too long for the window is named by its ValueError.
     """
-    check_window(spec)
     geom = spec.problem.geom
     points = _grid_points(spec, r_nodes)
     if points > _GRID_POINTS_MAX:
+        steps = np.arange(1, 8 * math.ceil(-math.log10(geom.h)) + 1) / 8  # 10^(1/8) apart, up to h = 1
         larger = (
             BucklingModeSpec(dataclasses.replace(spec.problem, geom=ShellGeometry(h=h, L=geom.L)), spec.alpha)
-            for h in (geom.h * 10.0 ** (np.arange(1, 160) / 8)).tolist() if h < 1.0
+            for h in (geom.h * 10.0 ** steps).tolist() if h < 1.0
         )
         fits = next((s.problem.geom.h for s in larger if _grid_points(s, r_nodes) <= _GRID_POINTS_MAX), None)
+        if fits is None:
+            check_window(spec)
         raise OutputTooLarge(
             f"the mode grid at h={geom.h!r} has {points} points, more than the {_GRID_POINTS_MAX} that fit; "
             + (f"h = {fits:.3g} fits" if fits is not None else f"no h fits at L={geom.L!r}")
         )
+    check_window(spec)
     r = np.linspace(geom.r_inner, geom.r_outer, r_nodes)
     theta = np.linspace(0.0, 2.0 * math.pi, 8 * spec.n + 16, endpoint=False)
     z = np.linspace(0.0, geom.L, 8 * (spec.m + 2) + 16)

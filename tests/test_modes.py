@@ -153,6 +153,20 @@ class TestGridBudget:
         fits = float(info.value.args[0].rsplit("h = ", 1)[1].split()[0])
         assert modes._grid_points(spec_at(fits, alpha=1.0, L=math.pi), 9) <= modes._GRID_POINTS_MAX
 
+    @pytest.mark.parametrize("h", [1e-12, 1e-300])
+    def test_the_budget_is_checked_before_the_window(self, monkeypatch, h):
+        # the grid's size needs only m and n; sizing the window refuses these
+        # h by its row cap (below h ~ 6.8e-12) or its axial cap (ValueError)
+        def sized(problem):
+            raise AssertionError("the window was sized")
+
+        monkeypatch.setattr(CriticalLoadProblem, "window", sized)
+        with pytest.raises(OutputTooLarge, match=r"h = ([0-9.e-]+) fits") as info:
+            synthesize(spec_at(h, L=math.pi))
+        fits = float(info.value.args[0].rsplit("h = ", 1)[1].split()[0])
+        assert h < fits < 1.0
+        assert modes._grid_points(spec_at(fits, L=math.pi), 9) <= modes._GRID_POINTS_MAX
+
     def test_no_h_fits_a_budget_below_the_smallest_grid(self, monkeypatch):
         # every grid has at least 9 x 16 x 40 points
         monkeypatch.setattr(modes, "_GRID_POINTS_MAX", 9 * 16 * 40 - 1)
