@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import logging
 import math
 import re
@@ -609,6 +610,35 @@ class TestBlockReduction:
                 rz = scipy.linalg.eigh(f.phi_rz, f.stiffness, eigvals_only=True)[-1]
                 assert phi_rz[i] == pytest.approx(1.0 / rz, rel=1e-10), wn
 
+    def test_reducers_are_python_extrema_bit_for_bit(self, rng, monkeypatch):
+        # two drawn windows, the second with nu < 0: the Korn and gap scans'
+        # column extrema equal, by float.hex, Python's min and max over the
+        # walked rows, the coefficient divided by WaveNumbers.m_hat sqrt(h);
+        # then each pair's coefficient alone (every other gap zero) is the
+        # supremum, so a rounding change at any pair fails
+        disc = RadialDiscretization(6)
+        for nu in ((0.2, 0.4), (-0.45, -0.05)):
+            geom = ShellGeometry(h=rng.uniform(0.05, 0.1), L=rng.uniform(2.5, 4.0))
+            elastic = IsotropicElasticity(nu=rng.uniform(*nu))
+            window = CriticalLoadProblem(geom=geom, elastic=elastic).window()
+            pairs = list(window_pairs(window, geom.L))
+            korn = walked_korn(geom, elastic, disc, pairs).tolist()
+            walked_gaps = gaps(geom, elastic, disc, pairs)
+            rows = walked_gaps.tolist()
+            want = [min(r[0] for r in korn)] + [max(r[j] for r in korn) for j in (1, 2, 3)]
+            got = korn_mode_scan(geom, elastic, disc, window)
+            assert [float(v).hex() for v in got] == [v.hex() for v in want], (nu, window)
+            scan = equivalence_scan(geom, elastic, disc, window)
+            coef = [g[1] / (wn.m_hat * math.sqrt(geom.h)) for g, wn in zip(rows, pairs)]
+            assert float(scan.full_vs_rz).hex() == max(g[0] for g in rows).hex(), (nu, window)
+            assert float(scan.rz_vs_mid_coef).hex() == max(coef).hex(), (nu, window)
+            with monkeypatch.context() as patch:
+                for k, wn in enumerate(pairs):
+                    alone = np.where(np.arange(len(pairs))[:, None] == k, walked_gaps, 0.0)
+                    patch.setattr(oracle, "_gaps", lambda *args: alone)
+                    got = equivalence_scan(geom, elastic, disc, window).rz_vs_mid_coef
+                    assert float(got).hex() == coef[k].hex(), (nu, wn)
+
     def test_indefinite_block_form_keeps_both_extremes(self):
         # phi_rz - phi_rz_mid takes both signs on the r block
         geom, disc = ShellGeometry(h=0.05, L=PI), RadialDiscretization()
@@ -955,6 +985,23 @@ class TestScanOrder:
             for s in slices:
                 assert len(set(n[s].tolist())) == 1 and s.stop - s.start <= oracle._SLICE_PAIRS, (window, s)
 
+    def test_walk_rows_line_up_with_the_pairs(self):
+        # row n = 0 and two rows of 70 pairs, each a group alone, and six rows
+        # of 3 pairs joined into one: row k of the walk is pair k's
+        pairs = [wn for wn in window_pairs((70, 8), PI) if wn.n <= 2 or wn.m <= 3]
+        n, m = arrays(pairs)
+        assert [g.stop - g.start for g in oracle._row_groups(n)] == [70, 70, 70, 18]
+
+        def walk(row):
+            def solve(part, forms):
+                assert len(forms["phi_rz"]) == len(part)
+                return np.array([row(wn) for wn in part], dtype=float)
+
+            return oracle._walk(ShellGeometry(h=0.05, L=PI), EL, RadialDiscretization(4), n, m, ("phi_rz",), solve)
+
+        assert np.array_equal(walk(lambda wn: (wn.n, wn.m)), np.stack((n, m), 1))
+        assert np.array_equal(walk(lambda wn: (wn.m,)), m[:, None])  # one column
+
 
 class TestCeilingScan:
     """Every window minimum skips the slices that stay definite above the best value so far."""
@@ -975,6 +1022,35 @@ class TestCeilingScan:
         assert (den, covered) == (denominator, window[0] * (window[1] + 1))
         assert solved < covered / 2, case  # the ceiling skipped most of the window
         assert solved <= assembled, case
+
+    def test_ties_go_to_the_first_pair_in_value_n_m_order(self, monkeypatch):
+        # every pair assembled, the seed included, solves to the seeded
+        # ceiling, or to a value falling in n: the winner is the first
+        # assembled pair in (value, n, m) order, and under one of the two
+        # every other order of the lexsort keys picks another pair
+        window = CriticalLoadProblem(geom=self.GEOM, elastic=EL).window()
+        ceiling = seeded_ceiling(self.GEOM, EL, self.DISC, window, "phi_rz")
+        seed = oracle._seed_pair(self.GEOM, EL, window)
+        values = {"constant": lambda wn: ceiling, "falling in n": lambda wn: ceiling * (1 + seed.n) / (1 + wn.n)}
+        orders = list(itertools.permutations(("value", "n", "m")))
+        firsts = []
+        for value in values.values():
+            def solved(pairs, A, B, limit=math.inf):
+                return np.array([value(wn) for wn in pairs])
+
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "_slice_minima", solved)
+                assembled = recorded_assembly(patch)
+                got = oracle_sweep(self.GEOM, EL, self.DISC, window, "phi_rz")
+            pairs = [wn for part in assembled for wn in part]
+            first = {
+                order: min(pairs, key=lambda wn: tuple({"value": value(wn), "n": wn.n, "m": wn.m}[k] for k in order))
+                for order in orders
+            }
+            assert got == OracleMinimum(value(first[orders[0]]), first[orders[0]])
+            firsts.append(first)
+        for order in orders[1:]:
+            assert any(first[order] != first[orders[0]] for first in firsts), order
 
     @pytest.mark.parametrize("denominator", oracle.DENOMINATORS)
     @pytest.mark.parametrize("h", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
@@ -1326,6 +1402,42 @@ class TestGapSupremum:
         oracle.full_vs_rz_supremum(ShellGeometry(h=0.05, L=PI), EL, RadialDiscretization(6), (6, 3))
         assert not [r for r in caplog.records if r.name == "cylbuck"]
         assert capsys.readouterr() == ("", "")
+
+
+class TestEmptyWalks:
+    """A walk without pairs returns an empty 1-D array; every scan keeps its result."""
+
+    GEOM, DISC = ShellGeometry(h=0.05, L=PI), RadialDiscretization(6)
+
+    def test_the_seed_alone(self, caplog):
+        geom = ShellGeometry(h=0.005, L=PI)
+        window = CriticalLoadProblem(geom=geom, elastic=EL).window()
+        disc = RadialDiscretization()
+        got, (_, _, assembled, solved) = sweep_log(caplog, geom, EL, disc, window, "phi_rz")
+        assert (assembled, solved) == (1, 1)
+        seed = oracle._seed_pair(geom, EL, window)
+        assert got == OracleMinimum(seeded_ceiling(geom, EL, disc, window, "phi_rz"), seed)
+        assert oracle._walk(geom, EL, disc, *arrays([]), ("phi_rz",), None).shape == (0,)
+
+    def test_supremum_of_column_one_alone(self, caplog, monkeypatch):
+        window = (6, 3)
+        got, (covered, column, solved), _ = TestGapSupremum.supremum_log(
+            caplog, monkeypatch, self.GEOM, EL, self.DISC, window)
+        assert (covered, column, solved) == (24, 4, 4)  # no pair past column m = 1 kept
+        want = gaps(self.GEOM, EL, self.DISC, [wn for wn in window_pairs(window, PI) if wn.m == 1])[:, 0].max()
+        assert float(got).hex() == float(want).hex()
+        assert float(got).hex() == float(equivalence_scan(self.GEOM, EL, self.DISC, window).full_vs_rz).hex()
+
+    @pytest.mark.parametrize("denominator", oracle.DENOMINATORS)
+    def test_no_pairs_no_winner(self, caplog, denominator):
+        got, (_, covered, assembled, solved) = sweep_log(caplog, self.GEOM, EL, self.DISC, (0, 3), denominator)
+        assert got == OracleMinimum(math.inf, None)
+        assert (covered, assembled, solved) == (0, 0, 0)
+
+    @pytest.mark.parametrize("scan", [korn_mode_scan, equivalence_scan, oracle.full_vs_rz_supremum])
+    def test_no_pairs_no_extrema(self, scan):
+        with pytest.raises(ValueError):
+            scan(self.GEOM, EL, self.DISC, (0, 3))
 
 
 class TestKornScan:
