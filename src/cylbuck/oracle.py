@@ -80,10 +80,10 @@ the walker joins them in scan order, so its rows line up with (n, m): the
 reducers take column extrema, and a mask on (n, m) selects rows.  phi_rz,
 phi_zz, phi_tz and phi_rz_mid are each a scalar per pair times one moment on
 one block (int V^T V r dr, or h v v^T for phi_rz_mid), and full, the sum of
-the first three, is one block-diagonal scaled mass.  A call builds only the forms it asks for, and a
-pair's forms come out bit for bit the same in every call, whatever rows,
-slice or single pair it holds, so the window scans and the one-pair
-mode_forms agree exactly.
+the first three, is one block-diagonal scaled mass.  A call builds only the
+forms it asks for, and a pair's forms come out bit for bit the same in every
+call, whatever rows, slice or single pair it holds, so the window scans and
+the one-pair mode_forms agree exactly.
 """
 
 from __future__ import annotations
@@ -651,8 +651,8 @@ def _walk(
     assembled once, the named forms only (_slice_forms), and cut into
     _slices, each of at most _SLICE_PAIRS pairs of one row.  A group is
     dropped before the next is built, so the walk holds one at a time.
-    Each solve returns one row per pair, so row k is the pair (n[k], m[k])'s
-    and a mask on (n, m) selects rows; without pairs the result is 1-D.
+    Each solve returns a row per pair, so row k is (n[k], m[k])'s and a mask
+    on (n, m) selects rows; a walk without pairs returns an empty 1-D array.
     """
     out = []
     for g in _row_groups(n):
@@ -818,9 +818,9 @@ def oracle_sweep(
     is the exhaustive scan's, bit for bit, and min_rayleigh at the winner
     returns it.  The winner is the first in (value, n, m) order, the
     closed-form sweep's tie-break, over the walked values with the seed's in
-    front.  A failed seed solve leaves no seed: the
-    whole window is scanned, naming the first failing pair in scan order.
-    An unknown denominator raises ValueError before any other work.
+    front.  A failed seed solve leaves no seed: the whole window is scanned,
+    naming the first failing pair in scan order.  An unknown denominator
+    raises ValueError before any other work.
 
     Each denominator assembles only the pairs of the closed-form annulus
     that its lower bound cannot exclude under the seeded ceiling
