@@ -30,15 +30,18 @@ support of the destabilizing form, through one block eigensolve
 trailing block factors S_b, and the trailing-block congruence): phi_rz on
 the r block, 13 x 13 at the default degree instead of 39 x 39, phi_rz_mid on
 the even Chebyshev coefficients of the r block (7 x 7, rank one), and full
-on every DOF.  The Korn and gap kernels have several blocks per pair and
-read them all from one inverse: S_b^-1 is the b block of A^-1, which one
-factorization and one triangular inverse per pair give (_inverse).  Their
-single-block forms are a scalar times the mass moment M = W W^T, so r_z and
-theta_z are c mu_max(W^T (A^-1)_bb W) on the r and theta blocks, full_vs_rz
-the same on the theta and z blocks together, and rz_vs_mid the extreme
-eigenvalues of M - h v v^T against (A^-1)_rr; none of these forms is
-assembled.  Only the korn ratio, whose two forms both have full rank, keeps
-one LAPACK dsygvx call per mode that computes only the one lowest eigenpair.
+on every DOF.  The Korn kernel reads every pencil of a pair from one
+factorization of e2 = L L^T and one triangular inverse L^-1 (_inverse_root):
+S_b^-1 is the b block of A^-1 = L^-T L^-1.  Its single-block forms are a
+scalar times the mass moment M = W W^T, so r_z and theta_z are
+c mu_max(W^T (A^-1)_bb W) on the r and theta blocks, and korn, whose two
+forms both have full rank, is 1 / mu_max(L^-1 grad2 L^-T), one LAPACK
+dsyevr call per pair that computes only the top eigenpair.  The gaps have
+one kernel each: full_vs_rz is c mu_max(W^T (A^-1)_dd W) on the theta and
+z blocks together, and rz_vs_mid the extreme eigenvalues of M - h v v^T
+against the Schur complement onto the r block (_block_eigh); none of these
+forms is assembled.  equivalence_scan walks the whole window for rz_vs_mid
+only and takes full_vs_rz from full_vs_rz_supremum.
 
 Window minimum: the buckling load is where the second variation stops being
 positive definite, and every denominator's scan uses that directly.  The
@@ -75,7 +78,7 @@ one walker (_walk): int64 arrays (n, m) in the closed form's scan order, cut
 into row groups (_row_groups: row n = 0 alone, the rows n >= 1 in groups of
 at most 64 pairs), each built as WaveNumbers only when it is assembled, in
 one call, and solved slice by slice.  Each slice solve returns a float array
-of one row per pair (the minima, the four Korn ratios or the two gaps), and
+of one row per pair (the minima, the four Korn ratios or one gap), and
 the walker joins them in scan order, so its rows line up with (n, m): the
 reducers take column extrema, and a mask on (n, m) selects rows.  phi_rz,
 phi_zz, phi_tz and phi_rz_mid are each a scalar per pair times one moment on
@@ -535,16 +538,17 @@ def _block_eigh(pairs: Sequence[WaveNumbers], A: np.ndarray, B: np.ndarray, dofs
     return _named(np.linalg.eigvalsh, pairs, C, NonConvergence, "eigenvalues did not converge")
 
 
-def _inverse(pairs: Sequence[WaveNumbers], A: np.ndarray, what: str) -> np.ndarray:
-    """A[i]^-1 of each pair: one batched Cholesky factorization L L^T = A and L^-T L^-1.
+def _inverse_root(pairs: Sequence[WaveNumbers], A: np.ndarray, what: str) -> np.ndarray:
+    """L^-1 of each pair's Cholesky factor L L^T = A (one batched factorization), so A^-1 = L^-T L^-1.
 
     The diagonal blocks of A^-1 are the inverse Schur complements of A onto
     each block, so every block pencil of a pair reads from this one
-    factorization.  Raises AssemblyDegenerate naming the first pair, in scan
-    order, whose A[i] (the form named what) is not positive definite.
+    factorization, and so does a full-rank pencil (B, A): its eigenvalues
+    are those of L^-1 B L^-T.  Raises AssemblyDegenerate naming the first
+    pair, in scan order, whose A[i] (the form named what) is not positive
+    definite.
     """
-    Li = _lower_inverse(_named(np.linalg.cholesky, pairs, A, AssemblyDegenerate, f"{what} not positive definite"))
-    return Li.swapaxes(1, 2) @ Li
+    return _lower_inverse(_named(np.linalg.cholesky, pairs, A, AssemblyDegenerate, f"{what} not positive definite"))
 
 
 # Relative margin of the definiteness ceiling.  A slice is skipped when
@@ -692,7 +696,7 @@ _DEFICIT_BOX = {"h": (1e-4, 0.25), "nu": (-0.45, 0.45), "L": (0.5, 50.0)}
 # Proved bound of the full-vs-phi_rz gap, pair by pair.  full's form is
 # B_rz + B_zz + B_tz and mu_max(., A) is subadditive, so
 # 1/full = mu_max(B_rz + B_zz + B_tz, A) <= 1/phi_rz + gap with
-# gap = mu_max(B_zz + B_tz, A) (_gap_values' full_vs_rz), and gap <= G = g / kappa:
+# gap = mu_max(B_zz + B_tz, A) (_full_gap's full_vs_rz), and gap <= G = g / kappa:
 #
 #   B_zz + B_tz <= g e2.  With Z = int C_zz^2 r dr and T = int C_tz^2 r dr,
 #   B_zz = cc Z (C_zz = mhat phi_z) and e2 >= cc Z + 2 ss T.  From
@@ -910,13 +914,16 @@ def _positive(ratios):
 def _korn_ratios(h: float, W: np.ndarray, pairs: Sequence[WaveNumbers], forms: Dict[str, np.ndarray]) -> np.ndarray:
     """The Korn-type ratios of every pair of a slice, one row per pair in KornRatios' order; theta_z is 0 for n = 0.
 
-    W W^T = M, the mass moment, and phi_rz and phi_tz are c M on the r and
-    theta block b, c = cs mhat^2 and ss mhat^2.  Their pencils against e2 =
-    A read A^-1 only: one factorization and one triangular inverse per pair
-    (_inverse).  (A^-1)_bb is the inverse Schur complement of A onto b, so
-    mu_max(c M, A) = c mu_max(W^T (A^-1)_bb W), with extremal field
-    x = A^-1[:, b] W u for that top eigenvector u.  korn pairs two
-    full-rank forms: one dsygvx eigenpair per pencil.
+    Every pencil reads e2 = A through one factorization and one triangular
+    inverse per pair, L^-1 of L L^T = A (_inverse_root).  W W^T = M, the
+    mass moment, and phi_rz and phi_tz are c M on the r and theta block b,
+    c = cs mhat^2 and ss mhat^2.  (A^-1)_bb is the inverse Schur complement
+    of A onto b, so mu_max(c M, A) = c mu_max(W^T (A^-1)_bb W), with
+    extremal field x = A^-1[:, b] W u for that top eigenvector u.  korn
+    pairs two full-rank forms: 1 / korn = mu_max(grad2, A) is the top
+    eigenvalue of L^-1 grad2 L^-T, one dsyevr eigenpair per pair, with
+    extremal field L^-T u.  grad2 is checked positive definite by one
+    batched Cholesky factorization.
     """
     e2, grad2 = forms["e2"], forms["grad2"]
     _check_finite(e2, grad2)
@@ -928,7 +935,9 @@ def _korn_ratios(h: float, W: np.ndarray, pairs: Sequence[WaveNumbers], forms: D
         blocks["theta_z"] = (k, f.ss)
     top = {"theta_z": np.zeros(len(pairs))}
     extremals = []
-    Ainv = _inverse(pairs, e2, "e2")
+    Li = _inverse_root(pairs, e2, "e2")
+    _named(np.linalg.cholesky, pairs, grad2, AssemblyDegenerate, "grad2 not positive definite")
+    Ainv = Li.swapaxes(1, 2) @ Li
     for ratio, (j, scale) in blocks.items():
         cols = Ainv[:, :, j:j + k] @ W  # A^-1[:, b] W
         vals, vecs = _named(np.linalg.eigh, pairs, W.T @ cols[:, j:j + k], NonConvergence,
@@ -936,18 +945,16 @@ def _korn_ratios(h: float, W: np.ndarray, pairs: Sequence[WaveNumbers], forms: D
         top[ratio] = scale * mh2 * vals[:, -1]
         extremals.append((cols @ vecs[:, :, -1:])[..., 0])
 
-    korn, x_korn = [], []
-    for wn, a, b in zip(pairs, e2, grad2):
+    korn, u_korn = [], []
+    for wn, c in zip(pairs, Li @ grad2 @ Li.swapaxes(1, 2)):
         # LAPACK directly: scipy.linalg.eigh's argument handling adds about
         # half again to this small solve
-        vals, vecs, _, _, info = scipy.linalg.lapack.dsygvx(a, b, range="I", il=1, iu=1)
-        if info > len(a):  # LAPACK's code for a failed factorization of b
-            raise AssemblyDegenerate(f"grad2 not positive definite for {wn}")
+        vals, vecs, _, _, info = scipy.linalg.lapack.dsyevr(c, range="I", il=len(c), iu=len(c))
         if info:
             raise NonConvergence(f"korn eigenvector did not converge for {wn}")
-        korn.append(vals[0])
-        x_korn.append(vecs[:, 0])
-    extremals.append(np.array(x_korn))
+        korn.append(1.0 / vals[0])
+        u_korn.append(vecs[:, 0])
+    extremals.append((Li.swapaxes(1, 2) @ np.array(u_korn)[:, :, None])[..., 0])
 
     X = np.stack(extremals, axis=1)  # (pair, extremal, DOF)
     g2, e2_x = (((X @ M) * X).sum(axis=2) for M in (grad2, e2))
@@ -981,52 +988,65 @@ def korn_mode_scan(
 # buckling-equivalence gaps
 # ---------------------------------------------------------------------------
 
-def _gaps(
+def _full_gaps(
     geom: ShellGeometry, elastic: IsotropicElasticity, disc: RadialDiscretization, n: np.ndarray, m: np.ndarray
 ) -> np.ndarray:
-    """The gaps of every pair (m[k], n[k]), row k: the stiffness walked (_walk), solved by _gap_values.
+    """full_vs_rz of every pair (m[k], n[k]), entry k: the stiffness walked (_walk), solved by _full_gap.
 
-    The columns, two also without pairs, are the pair's suprema full_vs_rz of
-    |1/R - 1/R1| = (|phi_zz|^2 + |phi_tz|^2) / stiffness and rz_vs_mid of |1/R1 - 1/R2|.
-
+    full_vs_rz is the pair's supremum of |1/R - 1/R1| = (|phi_zz|^2 + |phi_tz|^2) / stiffness.
     With W W^T = M, the mass moment, phi_zz + phi_tz = mhat^2 W_d W_d^T on
     the theta and z blocks, W_d = blockdiag(sqrt(ss) W, sqrt(cc) W) (the z
-    block alone for n = 0), and phi_rz - phi_rz_mid = cs mhat^2 D on the r
-    block, D = M - h v v^T (_block_moments).  ss = cc for n >= 1, so W_d is
-    sqrt(cc) times W or blockdiag(W, W), built once; W_d and D carry every
-    destabilizing form, and none is assembled.
+    block alone for n = 0).  ss = cc for n >= 1, so W_d is sqrt(cc) times W
+    or blockdiag(W, W), built once; no destabilizing form is assembled.
     """
-    moments = _block_moments(geom, disc)
-    W = np.linalg.cholesky(moments["mass"])
-    solve = partial(_gap_values, (W, scipy.linalg.block_diag(W, W)), moments["mass"] - moments["mid"])
-    return _walk(geom, elastic, disc, n, m, _GAP_FORMS, solve).reshape(-1, 2)
+    W = np.linalg.cholesky(_block_moments(geom, disc)["mass"])
+    return _walk(geom, elastic, disc, n, m, _GAP_FORMS, partial(_full_gap, (W, scipy.linalg.block_diag(W, W))))
 
 
-def _gap_values(
-    roots: Tuple[np.ndarray, np.ndarray], D: np.ndarray, pairs: Sequence[WaveNumbers], forms: Dict[str, np.ndarray]
+def _full_gap(
+    roots: Tuple[np.ndarray, np.ndarray], pairs: Sequence[WaveNumbers], forms: Dict[str, np.ndarray]
 ) -> np.ndarray:
-    """The gaps (full_vs_rz, rz_vs_mid) of every pair of a slice, one row per pair, read from A^-1 of the stiffness A.
+    """full_vs_rz of every pair of a slice, read from A^-1 of the stiffness A (_inverse_root).
 
     full_vs_rz = mhat^2 mu_max(W_d^T (A^-1)_dd W_d) on the theta and z
-    blocks d, W_d = sqrt(cc) roots[min(n, 1)] (see _gaps).  cs mhat^2 D on
-    the r block takes both signs: its extreme |mu| against the Schur
-    complement, whose inverse (A^-1)_rr = R R^T is factored once more, is
-    that of cs mhat^2 R^T D R.
+    blocks d, W_d = sqrt(cc) roots[min(n, 1)] (see _full_gaps).
     """
     A = forms["stiffness"]
     _check_finite(A)
-    k = len(D)
-    f = trig_factors(pairs[0])
-    Wd = math.sqrt(f.cc) * roots[min(pairs[0].n, 1)]
+    k = len(roots[0])
+    Wd = math.sqrt(trig_factors(pairs[0]).cc) * roots[min(pairs[0].n, 1)]
     mh2 = np.array([wn.m_hat for wn in pairs]) ** 2
-    Ainv = _inverse(pairs, A, "stiffness")
+    Li = _inverse_root(pairs, A, "stiffness")
+    Ainv = Li.swapaxes(1, 2) @ Li
     not_converged = "eigenvalues did not converge"
-    vals1 = _named(np.linalg.eigvalsh, pairs, Wd.T @ Ainv[:, k:, k:] @ Wd, NonConvergence, not_converged)
-    R = _named(np.linalg.cholesky, pairs, Ainv[:, :k, :k], AssemblyDegenerate, "stiffness not positive definite")
-    vals2 = _named(np.linalg.eigvalsh, pairs, R.swapaxes(1, 2) @ D @ R, NonConvergence, not_converged)
-    full_vs_rz = mh2 * vals1[:, -1]
-    rz_vs_mid = f.cs * mh2 * np.maximum(np.abs(vals2[:, 0]), np.abs(vals2[:, -1]))
-    return np.stack((full_vs_rz, rz_vs_mid), axis=1)
+    return mh2 * _named(np.linalg.eigvalsh, pairs, Wd.T @ Ainv[:, k:, k:] @ Wd, NonConvergence, not_converged)[:, -1]
+
+
+def _mid_gaps(
+    geom: ShellGeometry, elastic: IsotropicElasticity, disc: RadialDiscretization, n: np.ndarray, m: np.ndarray
+) -> np.ndarray:
+    """rz_vs_mid of every pair (m[k], n[k]), entry k: the stiffness walked (_walk), solved by _mid_gap.
+
+    rz_vs_mid is the pair's supremum of |1/R1 - 1/R2|: phi_rz - phi_rz_mid =
+    cs mhat^2 D on the r block, D = M - h v v^T (_block_moments), built once.
+    """
+    moments = _block_moments(geom, disc)
+    return _walk(geom, elastic, disc, n, m, _GAP_FORMS, partial(_mid_gap, moments["mass"] - moments["mid"]))
+
+
+def _mid_gap(D: np.ndarray, pairs: Sequence[WaveNumbers], forms: Dict[str, np.ndarray]) -> np.ndarray:
+    """rz_vs_mid of every pair of a slice: the extreme |mu| of cs mhat^2 D on the r block against the stiffness.
+
+    D takes both signs.  One block eigensolve (_block_eigh) on the r block
+    gives its eigenvalues against the Schur complement of the stiffness
+    onto that block; it reads only B's block on the DOFs it is given, here
+    the r block, which is D itself for every pair.
+    """
+    A = forms["stiffness"]
+    _check_finite(A)
+    mh2 = np.array([wn.m_hat for wn in pairs]) ** 2
+    vals = _block_eigh(pairs, A, D[None], np.arange(len(D)))
+    return trig_factors(pairs[0]).cs * mh2 * np.maximum(np.abs(vals[:, 0]), np.abs(vals[:, -1]))
 
 
 class EquivalenceScan(NamedTuple):
@@ -1040,38 +1060,41 @@ def equivalence_scan(
     disc: RadialDiscretization,
     window: Tuple[int, int],
 ) -> EquivalenceScan:
-    """Suprema of the two gaps over all modes in the window: column maxima of _gaps.
+    """Suprema of the two gaps over all modes in the window.
 
-    A window without pairs has none (ValueError).  Logs the pairs covered at
-    DEBUG on the "cylbuck" logger.
+    rz_vs_mid's is the maximum of _mid_gaps over the whole window, and
+    full_vs_rz's is full_vs_rz_supremum, which solves only the pairs that
+    the proved bound G keeps.  A window without pairs has none
+    (ValueError).  Logs the pairs covered at DEBUG on the "cylbuck" logger,
+    before full_vs_rz_supremum's own line.
     """
     n, m = _window_arrays(window)
-    gaps = _gaps(geom, elastic, disc, n, m)
-    _log.debug("equivalence_scan: %d pairs covered", len(gaps))
-    coef = gaps[:, 1] / (math.pi * m / geom.L * math.sqrt(geom.h))  # mhat as WaveNumbers.m_hat rounds it
-    return EquivalenceScan(full_vs_rz=float(gaps[:, 0].max()), rz_vs_mid_coef=float(coef.max()))
+    mid = _mid_gaps(geom, elastic, disc, n, m)
+    _log.debug("equivalence_scan: %d pairs covered", len(mid))
+    coef = mid / (math.pi * m / geom.L * math.sqrt(geom.h))  # mhat as WaveNumbers.m_hat rounds it
+    return EquivalenceScan(full_vs_rz_supremum(geom, elastic, disc, window), float(coef.max()))
 
 
 def full_vs_rz_supremum(
     geom: ShellGeometry, elastic: IsotropicElasticity, disc: RadialDiscretization, window: Tuple[int, int]
 ) -> float:
-    """equivalence_scan's full_vs_rz, bit for bit, solving only the pairs that the proved bound G keeps.
+    """The maximum of _full_gaps over the window, bit for bit, solving only the pairs that the proved bound G keeps.
 
     Column m = 1, where the supremum sits at every measured h, is scanned
     whole, and its largest gap s seeds the supremum.  Every pair's gap is at
     most its G (_gap_bound), so of the other pairs only those with
-    G >= s (1 - _CEILING_MARGIN) are solved, through the same _gaps; a
-    pair's gaps are the same in any group; both are masks on the window's
+    G >= s (1 - _CEILING_MARGIN) are solved, through the same _full_gaps; a
+    pair's gap is the same in any group; both are masks on the window's
     arrays.  Logs the pairs covered, the seed column's and the pairs solved
     at DEBUG on "cylbuck".
     """
     n, m = _window_arrays(window)
     column = m == 1
-    seed = _gaps(geom, elastic, disc, n[column], m[column])[:, 0].max()
+    seed = _full_gaps(geom, elastic, disc, n[column], m[column]).max()
     kept = (m > 1) & (_gap_bound(geom, elastic, n, math.pi * m / geom.L) >= seed * (1.0 - _CEILING_MARGIN))
     _log.debug("full_vs_rz_supremum: %d pairs covered, %d in column m = 1, %d solved",
                n.size, column.sum(), column.sum() + kept.sum())
-    return float(_gaps(geom, elastic, disc, n[kept], m[kept])[:, 0].max(initial=seed))
+    return float(_full_gaps(geom, elastic, disc, n[kept], m[kept]).max(initial=seed))
 
 
 # ---------------------------------------------------------------------------

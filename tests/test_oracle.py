@@ -178,8 +178,10 @@ def walked_korn(geom, elastic, disc, pairs):
 
 
 def gaps(geom, elastic, disc, pairs):
-    """oracle._gaps of the pairs, a list in scan order: an array of one row (full_vs_rz, rz_vs_mid) per pair."""
-    return oracle._gaps(geom, elastic, disc, *arrays(pairs))
+    """oracle._full_gaps and oracle._mid_gaps of the pairs, a list in scan order:
+    an array of one row (full_vs_rz, rz_vs_mid) per pair."""
+    n, m = arrays(pairs)
+    return np.stack([oracle._full_gaps(geom, elastic, disc, n, m), oracle._mid_gaps(geom, elastic, disc, n, m)], 1)
 
 
 def recorded_assembly(monkeypatch):
@@ -615,7 +617,8 @@ class TestBlockReduction:
         # column extrema equal, by float.hex, Python's min and max over the
         # walked rows, the coefficient divided by WaveNumbers.m_hat sqrt(h);
         # then each pair's coefficient alone (every other gap zero) is the
-        # supremum, so a rounding change at any pair fails
+        # supremum, so a rounding change at any pair fails.  full_vs_rz, the
+        # pruned supremum, is checked once; the loop patches it out
         disc = RadialDiscretization(6)
         for nu in ((0.2, 0.4), (-0.45, -0.05)):
             geom = ShellGeometry(h=rng.uniform(0.05, 0.1), L=rng.uniform(2.5, 4.0))
@@ -633,9 +636,10 @@ class TestBlockReduction:
             assert float(scan.full_vs_rz).hex() == max(g[0] for g in rows).hex(), (nu, window)
             assert float(scan.rz_vs_mid_coef).hex() == max(coef).hex(), (nu, window)
             with monkeypatch.context() as patch:
+                patch.setattr(oracle, "full_vs_rz_supremum", lambda *args: 0.0)
                 for k, wn in enumerate(pairs):
-                    alone = np.where(np.arange(len(pairs))[:, None] == k, walked_gaps, 0.0)
-                    patch.setattr(oracle, "_gaps", lambda *args: alone)
+                    alone = np.where(np.arange(len(pairs)) == k, walked_gaps[:, 1], 0.0)
+                    patch.setattr(oracle, "_mid_gaps", lambda *args: alone)
                     got = equivalence_scan(geom, elastic, disc, window).rz_vs_mid_coef
                     assert float(got).hex() == coef[k].hex(), (nu, wn)
 
@@ -653,15 +657,15 @@ class TestBlockReduction:
             assert got[-1] == pytest.approx(want[-1], rel=1e-10), wn
 
     @staticmethod
-    def break_forms(monkeypatch, name, value=None):
-        """Make form name indefinite at (m, n) = (2, 1) and (4, 2) of every slice that holds them,
+    def break_forms(monkeypatch, name, value=None, at=((2, 1), (4, 2))):
+        """Make form name indefinite at the pairs (m, n) at of every slice that holds them,
         or set its first entry there to value."""
         assemble = oracle._slice_forms
 
         def patched(geom, elastic, disc, pairs, names=oracle._FORM_NAMES):
             forms = assemble(geom, elastic, disc, pairs, names)
             for i, wn in enumerate(pairs):
-                if (wn.m, wn.n) in ((2, 1), (4, 2)) and name in forms:
+                if (wn.m, wn.n) in at and name in forms:
                     forms[name][i, 0, 0] = -forms[name][i, 0, 0] if value is None else value
             return forms
 
@@ -672,6 +676,43 @@ class TestBlockReduction:
         self.break_forms(monkeypatch, name)
         with pytest.raises(AssemblyDegenerate, match=rf"{name} not positive definite for WaveNumbers\(m=2, n=1,"):
             korn_mode_scan(ShellGeometry(h=0.05, L=PI), EL, RadialDiscretization(6), (6, 3))
+
+    # the (6, 3) window in scan order: rows n = 0 to 3 of m = 1 to 6, row
+    # n = 0 assembled alone and rows 1 to 3 as one group of three slices
+    @pytest.mark.parametrize("broken, named", [
+        ([(5, 2)], (5, 2)),  # one pair
+        ([(3, 3), (5, 2)], (5, 2)),  # the earlier pair in scan order, a slice before the other
+        ([(6, 1), (1, 1)], (1, 1)),  # both in one slice
+        ([(2, 0), (1, 1)], (2, 0)),  # row n = 0, a row group before the other
+    ])
+    @pytest.mark.parametrize("name", ["e2", "grad2"])
+    def test_korn_kernel_names_the_first_indefinite_pair(self, monkeypatch, name, broken, named):
+        # e2 is factored for the block ratios and korn, grad2 by its own batched check
+        self.break_forms(monkeypatch, name, at=broken)
+        m, n = named
+        message = rf"^{name} not positive definite for WaveNumbers\(m={m}, n={n}, "
+        with pytest.raises(AssemblyDegenerate, match=message):
+            korn_mode_scan(ShellGeometry(h=0.05, L=PI), EL, RadialDiscretization(6), (6, 3))
+
+    @pytest.mark.parametrize("failing, named", [((10,), (4, 1)), ((10, 16), (4, 1)), ((3, 9), (3, 0))])
+    def test_korn_kernel_names_the_first_unconverged_pair(self, monkeypatch, failing, named):
+        # dsyevr, called once per pair in scan order, reports failure on the
+        # calls numbered failing: pair 10 is (4, 1), 16 is (4, 2), in the next
+        # slice of the same row group, and 3 is (3, 0); the scan stops at the first
+        dsyevr, calls = scipy.linalg.lapack.dsyevr, []
+
+        def reported(*args, **kwargs):
+            calls.append(args[0].shape)
+            *out, info = dsyevr(*args, **kwargs)
+            return (*out, 1 if len(calls) in failing else info)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dsyevr", reported)
+        m, n = named
+        message = rf"^korn eigenvector did not converge for WaveNumbers\(m={m}, n={n}, "
+        with pytest.raises(NonConvergence, match=message):
+            korn_mode_scan(ShellGeometry(h=0.05, L=PI), EL, RadialDiscretization(6), (6, 3))
+        assert len(calls) == failing[0]
+        assert calls[0] == (14, 14) and calls[-1] == ((14, 14) if n == 0 else (21, 21))  # 2 or 3 blocks of degree 6
 
     def test_gap_scan_names_first_indefinite_pair(self, monkeypatch):
         self.break_forms(monkeypatch, "stiffness")
@@ -689,17 +730,17 @@ class TestBlockReduction:
 
     @pytest.mark.parametrize("scan", ["full", "korn", "phi_rz", "phi_rz_mid", "gap"])
     def test_unconverged_solve_raises(self, monkeypatch, scan):
-        # the Korn ratio solves by dsygvx; the window minima and both gaps end in eigvalsh
+        # the Korn ratio solves by dsyevr; the window minima and both gaps end in eigvalsh
         geom, disc = ShellGeometry(h=0.05, L=PI), RadialDiscretization(6)
         oracle._cheb_tables(geom.h, disc.degree, disc.nodes)  # its Gauss rule calls eigvalsh: cache it first
         if scan == "korn":
-            dsygvx = scipy.linalg.lapack.dsygvx
+            dsyevr = scipy.linalg.lapack.dsyevr
 
             def unconverged(*args, **kwargs):
-                *out, _ = dsygvx(*args, **kwargs)
+                *out, _ = dsyevr(*args, **kwargs)
                 return (*out, 1)
 
-            monkeypatch.setattr(scipy.linalg.lapack, "dsygvx", unconverged)
+            monkeypatch.setattr(scipy.linalg.lapack, "dsyevr", unconverged)
         else:
             def unconverged(*args, **kwargs):
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -826,7 +867,8 @@ class TestOracleSweep:
         # window cut to its first 10 columns joins six rows (6 x 10 <= 64).
         # The pruned scans assemble once per row group of the pairs they
         # solve; oracle_sweep assembles its seed alone, first, and walks the
-        # kept pairs without it.
+        # kept pairs without it; equivalence_scan walks the whole window,
+        # then full_vs_rz_supremum's pairs.
         geom, disc = ShellGeometry(h=0.02, L=PI), RadialDiscretization(6)
         window = CriticalLoadProblem(geom=geom, elastic=EL).window()
         assert window == (39, 20)
@@ -850,11 +892,13 @@ class TestOracleSweep:
                 assert len(assembled) < len(groups), denominator
             return
         scan(geom, EL, disc, window)
-        if scan is oracle.full_vs_rz_supremum:  # column m = 1 whole, then the pairs the gap bound keeps
-            solved = [wn for group in assembled for wn in group]
+        if scan is not korn_mode_scan:  # column m = 1 whole, then the pairs the gap bound keeps
+            whole = groups if scan is equivalence_scan else []
+            assert assembled[:len(whole)] == whole
+            solved = [wn for group in assembled[len(whole):] for wn in group]
             column = [wn for wn in window_pairs(window, PI) if wn.m == 1]
             assert solved[:len(column)] == column and len(solved) < len(groups) * 39
-            groups = row_groups(column) + row_groups(solved[len(column):])
+            groups = whole + row_groups(column) + row_groups(solved[len(column):])
         assert assembled == groups
 
     def test_a_window_without_pairs_has_no_minimum(self):
@@ -1369,7 +1413,8 @@ class TestGapBound:
 
 
 class TestGapSupremum:
-    """full_vs_rz_supremum: equivalence_scan's full_vs_rz, solving only the pairs the proved gap bound keeps."""
+    """full_vs_rz_supremum: the maximum of the theta,z gap kernel walked over every window pair,
+    solving only the pairs the proved gap bound keeps; equivalence_scan's full_vs_rz is this supremum."""
 
     @staticmethod
     def supremum_log(caplog, monkeypatch, *args):
@@ -1391,9 +1436,9 @@ class TestGapSupremum:
             nu, h, L = 0.3, float(case[2:]), PI
         geom, elastic, disc = ShellGeometry(h=h, L=L), IsotropicElasticity(nu=nu), RadialDiscretization()
         window = CriticalLoadProblem(geom=geom, elastic=elastic).window()
-        want = equivalence_scan(geom, elastic, disc, window).full_vs_rz
+        want = oracle._full_gaps(geom, elastic, disc, *oracle._window_arrays(window)).max()
         got, (covered, column, solved), assembled = self.supremum_log(caplog, monkeypatch, geom, elastic, disc, window)
-        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (case, nu, h, L)
+        assert float(got).hex() == float(want).hex(), (case, nu, h, L)
         assert (covered, column) == (window[0] * (window[1] + 1), window[1] + 1)
         assert [wn for wn in assembled if wn.m == 1] == [wn for wn in window_pairs(window, L) if wn.m == 1]
         assert len(set(assembled)) == len(assembled) == solved < covered, (case, nu, h, L)
@@ -1426,7 +1471,8 @@ class TestEmptyWalks:
         assert (covered, column, solved) == (24, 4, 4)  # no pair past column m = 1 kept
         want = gaps(self.GEOM, EL, self.DISC, [wn for wn in window_pairs(window, PI) if wn.m == 1])[:, 0].max()
         assert float(got).hex() == float(want).hex()
-        assert float(got).hex() == float(equivalence_scan(self.GEOM, EL, self.DISC, window).full_vs_rz).hex()
+        whole = oracle._full_gaps(self.GEOM, EL, self.DISC, *oracle._window_arrays(window)).max()
+        assert float(got).hex() == float(whole).hex()
 
     @pytest.mark.parametrize("denominator", oracle.DENOMINATORS)
     def test_no_pairs_no_winner(self, caplog, denominator):
@@ -1473,6 +1519,30 @@ class TestKornScan:
             korn_mode_scan(ShellGeometry(h=0.05, L=PI), EL, RadialDiscretization(6), (3, 2))
 
 
+class TestKornAccuracy:
+    """korn against a 30-digit mpmath eigenvalue of the same float64 pencil."""
+
+    @pytest.mark.parametrize("m, n", [(1, 5), (2, 12)])
+    def test_korn_within_1e_12_of_mpmath(self, m, n):
+        # h = 0.005 is criterion 5's smallest h (L = pi, nu = 0.3, degree 12,
+        # window (78, 39)).  1 / korn = mu_max(grad2, e2), read from e2's
+        # Cholesky factor, measured -1.6e-13 and -7.0e-14 off here; a dsygvx
+        # eigenpair of (e2, grad2) read -3.1e-12 and +7.8e-13
+        import mpmath
+
+        geom, disc = ShellGeometry(h=0.005, L=PI), RadialDiscretization()
+        window = CriticalLoadProblem(geom=geom, elastic=EL).window()
+        assert m <= window[0] and n <= window[1]
+        wn = WaveNumbers(m=m, n=n, L=PI)
+        forms = mode_forms(geom, EL, wn, disc)
+        got = walked_korn(geom, EL, disc, [wn])[0, 0]
+        with mpmath.workdps(30):
+            Li = mpmath.inverse(mpmath.cholesky(mpmath.matrix(forms.e2.tolist())))
+            mu = mpmath.eigsy(Li * mpmath.matrix(forms.grad2.tolist()) * Li.T, eigvals_only=True)
+            want = float(1 / max(mu[i] for i in range(mu.rows)))
+        assert abs(got - want) <= 1e-12 * want, (wn, (got - want) / want)
+
+
 class TestEquivalenceGap:
     def test_full_gap_nonnegative_definite(self):
         # 1/R - 1/R1 = (|phi_zz|^2 + |phi_tz|^2)/stiffness >= 0 modewise
@@ -1512,9 +1582,12 @@ def test_scan_logs_pairs_covered(caplog, scan):
     assert not [r for r in caplog.records if r.name == "cylbuck"]  # silent by default
     with caplog.at_level(logging.DEBUG, logger="cylbuck"):
         scan(*args)
-    (record,) = [r for r in caplog.records if r.name == "cylbuck"]
-    assert record.levelno == logging.DEBUG
-    assert record.getMessage() == f"{scan.__name__}: 24 pairs covered"
+    records = [r for r in caplog.records if r.name == "cylbuck"]
+    assert [r.levelno for r in records] == [logging.DEBUG] * len(records)
+    want = [f"{scan.__name__}: 24 pairs covered"]
+    if scan is equivalence_scan:  # then its full_vs_rz, the pruned supremum
+        want.append("full_vs_rz_supremum: 24 pairs covered, 4 in column m = 1, 4 solved")
+    assert [r.getMessage() for r in records] == want
 
 
 def dense_ansatz_norms(geom, eta_nodes, z_nodes, r_nodes, dtype=float):
