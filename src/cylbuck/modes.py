@@ -162,15 +162,28 @@ def _grid_points(spec: BucklingModeSpec, r_nodes: int) -> int:
     return r_nodes * (8 * spec.n + 16) * (8 * (spec.m + 2) + 16)
 
 
+def _fits(spec: BucklingModeSpec, r_nodes: int) -> bool:
+    """Whether synthesize takes spec: its grid fits the budget and its window holds both harmonics."""
+    if _grid_points(spec, r_nodes) > _GRID_POINTS_MAX:
+        return False
+    try:
+        check_window(spec)
+    except WindowTooSmall:
+        return False
+    return True
+
+
 def synthesize(spec: BucklingModeSpec, r_nodes: int = 9) -> DisplacementField:
     """Sample the two-term mode on a tensor grid.
 
     The grid resolves the oscillation with Nyquist margin: 8 n + 16 points
     on [0, 2 pi) in theta, 8 (m+2) + 16 on [0, L] in z.  Raises
     OutputTooLarge, before it allocates the grid, when the grid has more than
-    _GRID_POINTS_MAX points, naming a larger h below 1 whose grid fits.  The
-    budget needs only m and n, so it comes before check_window, unless no h
-    fits: then an L too long for the window is named by its ValueError.
+    _GRID_POINTS_MAX points, naming a larger h below 1 that synthesize takes:
+    its grid fits and its window holds both harmonics (check_window).  The
+    budget needs only m and n, so it comes before check_window at the given
+    h, unless no h fits: then a window too small or too long for the given h
+    is named by its own error.  A point count past 2**53 prints to 3 digits.
     """
     geom = spec.problem.geom
     points = _grid_points(spec, r_nodes)
@@ -180,11 +193,12 @@ def synthesize(spec: BucklingModeSpec, r_nodes: int = 9) -> DisplacementField:
             BucklingModeSpec(dataclasses.replace(spec.problem, geom=ShellGeometry(h=h, L=geom.L)), spec.alpha)
             for h in (geom.h * 10.0 ** steps).tolist() if h < 1.0
         )
-        fits = next((s.problem.geom.h for s in larger if _grid_points(s, r_nodes) <= _GRID_POINTS_MAX), None)
+        fits = next((s.problem.geom.h for s in larger if _fits(s, r_nodes)), None)
         if fits is None:
             check_window(spec)
         raise OutputTooLarge(
-            f"the mode grid at h={geom.h!r} has {points} points, more than the {_GRID_POINTS_MAX} that fit; "
+            f"the mode grid at h={geom.h!r} has {points if points <= 2**53 else format(points, '.3g')} points, "
+            f"more than the {_GRID_POINTS_MAX} that fit; "
             + (f"h = {fits:.3g} fits" if fits is not None else f"no h fits at L={geom.L!r}")
         )
     check_window(spec)

@@ -147,18 +147,31 @@ class TestGridBudget:
             with pytest.raises(OutputTooLarge, match=message):
                 synthesize(spec_at(h, L=math.pi))
 
-    def test_the_named_h_fits(self):
+    @pytest.mark.parametrize("margin", [3.0, 1.0])
+    def test_the_named_h_fits(self, margin):
+        # the named h takes both the grid and the window: at margin 1 the
+        # grid of h = 1e-7 fits, but its window does not hold m + 2
         with pytest.raises(OutputTooLarge, match=r"h = ([0-9.e-]+) fits") as info:
-            synthesize(spec_at(1e-8, alpha=1.0, L=math.pi))
+            synthesize(spec_at(1e-8, alpha=1.0, L=math.pi, margin=margin))
         fits = float(info.value.args[0].rsplit("h = ", 1)[1].split()[0])
-        assert modes._grid_points(spec_at(fits, alpha=1.0, L=math.pi), 9) <= modes._GRID_POINTS_MAX
+        spec = spec_at(fits, alpha=1.0, L=math.pi, margin=margin)
+        assert modes._grid_points(spec, 9) <= modes._GRID_POINTS_MAX
+        check_window(spec)
+        if margin == 1.0:
+            assert modes._grid_points(spec_at(1e-7, alpha=1.0, L=math.pi, margin=margin), 9) <= modes._GRID_POINTS_MAX
+            with pytest.raises(WindowTooSmall):
+                check_window(spec_at(1e-7, alpha=1.0, L=math.pi, margin=margin))
 
     @pytest.mark.parametrize("h", [1e-12, 1e-300])
     def test_the_budget_is_checked_before_the_window(self, monkeypatch, h):
         # the grid's size needs only m and n; sizing the window refuses these
-        # h by its row cap (below h ~ 6.8e-12) or its axial cap (ValueError)
+        # h by its row cap (below h ~ 6.8e-12) or its axial cap (ValueError).
+        # Only the larger h that the search tries have their window sized
+        window = CriticalLoadProblem.window
+
         def sized(problem):
-            raise AssertionError("the window was sized")
+            assert problem.geom.h > h, "the window was sized at the refused h"
+            return window(problem)
 
         monkeypatch.setattr(CriticalLoadProblem, "window", sized)
         with pytest.raises(OutputTooLarge, match=r"h = ([0-9.e-]+) fits") as info:
@@ -166,6 +179,15 @@ class TestGridBudget:
         fits = float(info.value.args[0].rsplit("h = ", 1)[1].split()[0])
         assert h < fits < 1.0
         assert modes._grid_points(spec_at(fits, L=math.pi), 9) <= modes._GRID_POINTS_MAX
+
+    def test_point_counts_past_2_53_print_to_three_digits(self):
+        # the exact counts of h = 1e-7 and 1e-8 are pinned above
+        points = modes._grid_points(spec_at(1e-300, L=math.pi), 9)
+        assert points > 2**53
+        with pytest.raises(OutputTooLarge) as info:
+            synthesize(spec_at(1e-300, L=math.pi))
+        assert info.value.args[0].startswith(f"the mode grid at h=1e-300 has {points:.3g} points, ")
+        assert "has 3.84e+190 points" in info.value.args[0]
 
     def test_no_h_fits_a_budget_below_the_smallest_grid(self, monkeypatch):
         # every grid has at least 9 x 16 x 40 points
