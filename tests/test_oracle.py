@@ -671,22 +671,17 @@ class TestBlockReduction:
 
         monkeypatch.setattr(oracle, "_slice_forms", patched)
 
-    @pytest.mark.parametrize("name", ["e2", "grad2"])
-    def test_korn_scan_names_first_indefinite_pair(self, monkeypatch, name):
-        self.break_forms(monkeypatch, name)
-        with pytest.raises(AssemblyDegenerate, match=rf"{name} not positive definite for WaveNumbers\(m=2, n=1,"):
-            korn_mode_scan(ShellGeometry(h=0.05, L=PI), EL, RadialDiscretization(6), (6, 3))
-
     # the (6, 3) window in scan order: rows n = 0 to 3 of m = 1 to 6, row
     # n = 0 assembled alone and rows 1 to 3 as one group of three slices
     @pytest.mark.parametrize("broken, named", [
+        ([(2, 1), (4, 2)], (2, 1)),  # break_forms' pairs, in two slices
         ([(5, 2)], (5, 2)),  # one pair
         ([(3, 3), (5, 2)], (5, 2)),  # the earlier pair in scan order, a slice before the other
         ([(6, 1), (1, 1)], (1, 1)),  # both in one slice
         ([(2, 0), (1, 1)], (2, 0)),  # row n = 0, a row group before the other
-    ])
+    ], ids=["two-slices", "one-pair", "later-first", "one-slice", "row-0"])
     @pytest.mark.parametrize("name", ["e2", "grad2"])
-    def test_korn_kernel_names_the_first_indefinite_pair(self, monkeypatch, name, broken, named):
+    def test_korn_scan_names_first_indefinite_pair(self, monkeypatch, name, broken, named):
         # e2 is factored for the block ratios and korn, grad2 by its own batched check
         self.break_forms(monkeypatch, name, at=broken)
         m, n = named
@@ -694,8 +689,9 @@ class TestBlockReduction:
         with pytest.raises(AssemblyDegenerate, match=message):
             korn_mode_scan(ShellGeometry(h=0.05, L=PI), EL, RadialDiscretization(6), (6, 3))
 
-    @pytest.mark.parametrize("failing, named", [((10,), (4, 1)), ((10, 16), (4, 1)), ((3, 9), (3, 0))])
-    def test_korn_kernel_names_the_first_unconverged_pair(self, monkeypatch, failing, named):
+    @pytest.mark.parametrize("failing, named", [((10,), (4, 1)), ((10, 16), (4, 1)), ((3, 9), (3, 0))],
+                             ids=["one-pair", "two-slices", "row-0"])
+    def test_korn_scan_names_first_unconverged_pair(self, monkeypatch, failing, named):
         # dsyevr, called once per pair in scan order, reports failure on the
         # calls numbered failing: pair 10 is (4, 1), 16 is (4, 2), in the next
         # slice of the same row group, and 3 is (3, 0); the scan stops at the first
