@@ -1018,8 +1018,9 @@ def _full_gap(
     mh2 = np.array([wn.m_hat for wn in pairs]) ** 2
     Li = _inverse_root(pairs, A, "stiffness")
     Ainv = Li.swapaxes(1, 2) @ Li
-    not_converged = "eigenvalues did not converge"
-    return mh2 * _named(np.linalg.eigvalsh, pairs, Wd.T @ Ainv[:, k:, k:] @ Wd, NonConvergence, not_converged)[:, -1]
+    vals = _named(np.linalg.eigvalsh, pairs, Wd.T @ Ainv[:, k:, k:] @ Wd, NonConvergence,
+                  "eigenvalues did not converge")
+    return mh2 * vals[:, -1]
 
 
 def _mid_gaps(
