@@ -60,8 +60,10 @@ class BucklingModeSpec:
 
     @property
     def m(self) -> int:
-        target = math.sqrt(2.0 / self.problem.lambda_star) ** self.alpha
-        return max(1, round(target * self.problem.geom.L / math.pi))
+        target = math.sqrt(2.0 / self.problem.lambda_star) ** self.alpha * self.problem.geom.L / math.pi
+        if target == math.inf:  # at most the window's m_top, so window() names L as too long
+            self.problem.window()
+        return max(1, round(target))
 
     @property
     def m_hat(self) -> float:

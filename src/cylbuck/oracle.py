@@ -24,24 +24,23 @@ all of them simultaneously.
 
 Block reduction: a form B that vanishes off some DOFs b (its support) has
 the same nonzero eigenvalues w.r.t. A as its block B_b w.r.t. the Schur
-complement S_b of A onto b.  Every window minimum solves its pencil on the
-support of the destabilizing form, through one block eigensolve
-(_block_eigh: a batched factorization per slice with b ordered last, whose
-trailing block factors S_b, and the trailing-block congruence): phi_rz on
-the r block, 13 x 13 at the default degree instead of 39 x 39, phi_rz_mid on
-the even Chebyshev coefficients of the r block (7 x 7, rank one), and full
-on every DOF.  The Korn kernel reads every pencil of a pair from one
-factorization of e2 = L L^T and one triangular inverse L^-1 (_inverse_root):
-S_b^-1 is the b block of A^-1 = L^-T L^-1.  Its single-block forms are a
-scalar times the mass moment M = W W^T, so r_z and theta_z are
-c mu_max(W^T (A^-1)_bb W) on the r and theta blocks, and korn, whose two
-forms both have full rank, is 1 / mu_max(L^-1 grad2 L^-T), one LAPACK
-dsyevr call per pair that computes only the top eigenpair.  The gaps have
-one kernel each: full_vs_rz is c mu_max(W^T (A^-1)_dd W) on the theta and
-z blocks together, and rz_vs_mid the extreme eigenvalues of M - h v v^T
-against the Schur complement onto the r block (_block_eigh); none of these
-forms is assembled.  equivalence_scan walks the whole window for rz_vs_mid
-only and takes full_vs_rz from full_vs_rz_supremum.
+complement S_b of A onto b.  Every pencil whose eigenvalue alone is read is
+solved on such a block, through one block eigensolve (_block_eigh: a
+batched factorization per slice with b ordered last, whose trailing block
+factors S_b, and the trailing-block congruence).  Every window minimum
+solves on the support of its destabilizing form: phi_rz on the r block,
+13 x 13 at the default degree instead of 39 x 39, phi_rz_mid on the even
+Chebyshev coefficients of the r block (7 x 7, rank one), and full on every
+DOF.  The gaps have one kernel each and assemble no form: full_vs_rz is
+c mu_max of blockdiag(M, M) on the theta and z blocks, the stiffness's
+trailing DOFs, and rz_vs_mid the extreme eigenvalues of M - h v v^T on the
+r block, M being the mass moment.  equivalence_scan walks the whole window
+for rz_vs_mid only and takes full_vs_rz from full_vs_rz_supremum.  The Korn
+kernel alone needs the whole inverse of e2 = L L^T: korn pairs two
+full-rank forms, 1 / mu_max(L^-1 grad2 L^-T) by one top dsyevr eigenpair
+per pair, and every ratio also reads its extremal field, so all of them come
+from one factorization and one triangular inverse L^-1 (S_b^-1 is the b
+block of A^-1 = L^-T L^-1).
 
 Window minimum: the buckling load is where the second variation stops being
 positive definite, and every denominator's scan uses that directly.  The
@@ -514,14 +513,15 @@ def _lower_inverse(L: np.ndarray) -> np.ndarray:
 
 
 def _block_eigh(pairs: Sequence[WaveNumbers], A: np.ndarray, B: np.ndarray, dofs: np.ndarray) -> np.ndarray:
-    """Eigenvalues of each pencil (B[i], A[i]) whose B[i] vanishes off the DOFs dofs.
+    """Eigenvalues of each pencil whose destabilizing form vanishes off the DOFs dofs, against A[i].
 
-    B[i] has the same nonzero eigenvalues w.r.t. A[i] as its dofs block B_b
-    w.r.t. the Schur complement of A[i] onto dofs.  One batched Cholesky
-    factorization L[i] L[i]^T of A[i], the DOFs reordered so that dofs come
-    last, serves the slice: its trailing block L_b factors that Schur
-    complement.  So the eigenvalues are those of C[i] = L_b^-1 B_b L_b^-T,
-    ascending, one row per pair.
+    B is that form's block on dofs, B[i] per pair or one B[0] for the whole
+    slice.  It has the same nonzero eigenvalues w.r.t. A[i] as against the
+    Schur complement of A[i] onto dofs.  One batched Cholesky factorization
+    L[i] L[i]^T of A[i], the DOFs reordered so that dofs come last, serves
+    the slice: its trailing block L_b factors that Schur complement.  So the
+    eigenvalues are those of C[i] = L_b^-1 B[i] L_b^-T, ascending, one row
+    per pair.
 
     The caller checks that the forms are finite.  Raises AssemblyDegenerate
     (the stiffness A not positive definite) and NonConvergence, each naming
@@ -532,23 +532,9 @@ def _block_eigh(pairs: Sequence[WaveNumbers], A: np.ndarray, B: np.ndarray, dofs
     order = np.concatenate([np.flatnonzero(rest), dofs])
     A = A[:, order][:, :, order]
     L = _named(np.linalg.cholesky, pairs, A, AssemblyDegenerate, "stiffness not positive definite")
-    nb = len(dofs)
-    Li = _lower_inverse(L[:, -nb:, -nb:])
-    C = Li @ B[:, dofs][:, :, dofs] @ Li.swapaxes(1, 2)
+    Li = _lower_inverse(L[:, -len(dofs):, -len(dofs):])
+    C = Li @ B @ Li.swapaxes(1, 2)
     return _named(np.linalg.eigvalsh, pairs, C, NonConvergence, "eigenvalues did not converge")
-
-
-def _inverse_root(pairs: Sequence[WaveNumbers], A: np.ndarray, what: str) -> np.ndarray:
-    """L^-1 of each pair's Cholesky factor L L^T = A (one batched factorization), so A^-1 = L^-T L^-1.
-
-    The diagonal blocks of A^-1 are the inverse Schur complements of A onto
-    each block, so every block pencil of a pair reads from this one
-    factorization, and so does a full-rank pencil (B, A): its eigenvalues
-    are those of L^-1 B L^-T.  Raises AssemblyDegenerate naming the first
-    pair, in scan order, whose A[i] (the form named what) is not positive
-    definite.
-    """
-    return _lower_inverse(_named(np.linalg.cholesky, pairs, A, AssemblyDegenerate, f"{what} not positive definite"))
 
 
 # Relative margin of the definiteness ceiling.  A slice is skipped when
@@ -591,7 +577,8 @@ def _slice_minima(
             return np.full(len(pairs), math.inf)
         except np.linalg.LinAlgError:
             pass
-    mu = _block_eigh(pairs, A, B, np.flatnonzero(np.any(B, axis=(0, 1))))
+    support = np.flatnonzero(np.any(B, axis=(0, 1)))
+    mu = _block_eigh(pairs, A, B[:, support][:, :, support], support)
     not_positive = mu[:, -1] <= 1e-14 * np.abs(mu[:, 0])
     if not_positive.any():
         raise ZeroDenominator(f"destabilizing form is not positive on {pairs[np.argmax(not_positive)]}")
@@ -915,7 +902,7 @@ def _korn_ratios(h: float, W: np.ndarray, pairs: Sequence[WaveNumbers], forms: D
     """The Korn-type ratios of every pair of a slice, one row per pair in KornRatios' order; theta_z is 0 for n = 0.
 
     Every pencil reads e2 = A through one factorization and one triangular
-    inverse per pair, L^-1 of L L^T = A (_inverse_root).  W W^T = M, the
+    inverse per pair, L^-1 of L L^T = A, so A^-1 = L^-T L^-1.  W W^T = M, the
     mass moment, and phi_rz and phi_tz are c M on the r and theta block b,
     c = cs mhat^2 and ss mhat^2.  (A^-1)_bb is the inverse Schur complement
     of A onto b, so mu_max(c M, A) = c mu_max(W^T (A^-1)_bb W), with
@@ -935,7 +922,7 @@ def _korn_ratios(h: float, W: np.ndarray, pairs: Sequence[WaveNumbers], forms: D
         blocks["theta_z"] = (k, f.ss)
     top = {"theta_z": np.zeros(len(pairs))}
     extremals = []
-    Li = _inverse_root(pairs, e2, "e2")
+    Li = _lower_inverse(_named(np.linalg.cholesky, pairs, e2, AssemblyDegenerate, "e2 not positive definite"))
     _named(np.linalg.cholesky, pairs, grad2, AssemblyDegenerate, "grad2 not positive definite")
     Ainv = Li.swapaxes(1, 2) @ Li
     for ratio, (j, scale) in blocks.items():
@@ -994,33 +981,30 @@ def _full_gaps(
     """full_vs_rz of every pair (m[k], n[k]), entry k: the stiffness walked (_walk), solved by _full_gap.
 
     full_vs_rz is the pair's supremum of |1/R - 1/R1| = (|phi_zz|^2 + |phi_tz|^2) / stiffness.
-    With W W^T = M, the mass moment, phi_zz + phi_tz = mhat^2 W_d W_d^T on
-    the theta and z blocks, W_d = blockdiag(sqrt(ss) W, sqrt(cc) W) (the z
-    block alone for n = 0).  ss = cc for n >= 1, so W_d is sqrt(cc) times W
-    or blockdiag(W, W), built once; no destabilizing form is assembled.
+    With M the mass moment, phi_zz + phi_tz = cc mhat^2 F on the theta and
+    z blocks, the stiffness's trailing DOFs, with F = blockdiag(M, M) (M on
+    the z block alone for n = 0), since ss = cc for n >= 1.  Both F are
+    built once; no destabilizing form is assembled.
     """
-    W = np.linalg.cholesky(_block_moments(geom, disc)["mass"])
-    return _walk(geom, elastic, disc, n, m, _GAP_FORMS, partial(_full_gap, (W, scipy.linalg.block_diag(W, W))))
+    M = _block_moments(geom, disc)["mass"]
+    return _walk(geom, elastic, disc, n, m, _GAP_FORMS, partial(_full_gap, (M, scipy.linalg.block_diag(M, M))))
 
 
 def _full_gap(
-    roots: Tuple[np.ndarray, np.ndarray], pairs: Sequence[WaveNumbers], forms: Dict[str, np.ndarray]
+    masses: Tuple[np.ndarray, np.ndarray], pairs: Sequence[WaveNumbers], forms: Dict[str, np.ndarray]
 ) -> np.ndarray:
-    """full_vs_rz of every pair of a slice, read from A^-1 of the stiffness A (_inverse_root).
+    """full_vs_rz of every pair of a slice: cc mhat^2 mu_max of F = masses[min(n, 1)] on the theta and z blocks.
 
-    full_vs_rz = mhat^2 mu_max(W_d^T (A^-1)_dd W_d) on the theta and z
-    blocks d, W_d = sqrt(cc) roots[min(n, 1)] (see _full_gaps).
+    Its eigenvalue alone is read, so like every such pencil it is one block
+    eigensolve (_block_eigh) against the Schur complement of the stiffness
+    onto those blocks (see _full_gaps); only the Korn kernel, which also
+    reads extremal fields, needs the whole inverse L^-1.
     """
-    A = forms["stiffness"]
+    A, F = forms["stiffness"], masses[min(pairs[0].n, 1)]
     _check_finite(A)
-    k = len(roots[0])
-    Wd = math.sqrt(trig_factors(pairs[0]).cc) * roots[min(pairs[0].n, 1)]
     mh2 = np.array([wn.m_hat for wn in pairs]) ** 2
-    Li = _inverse_root(pairs, A, "stiffness")
-    Ainv = Li.swapaxes(1, 2) @ Li
-    vals = _named(np.linalg.eigvalsh, pairs, Wd.T @ Ainv[:, k:, k:] @ Wd, NonConvergence,
-                  "eigenvalues did not converge")
-    return mh2 * vals[:, -1]
+    vals = _block_eigh(pairs, A, F[None], np.arange(A.shape[-1])[-len(F):])
+    return trig_factors(pairs[0]).cc * mh2 * vals[:, -1]
 
 
 def _mid_gaps(
@@ -1038,10 +1022,9 @@ def _mid_gaps(
 def _mid_gap(D: np.ndarray, pairs: Sequence[WaveNumbers], forms: Dict[str, np.ndarray]) -> np.ndarray:
     """rz_vs_mid of every pair of a slice: the extreme |mu| of cs mhat^2 D on the r block against the stiffness.
 
-    D takes both signs.  One block eigensolve (_block_eigh) on the r block
-    gives its eigenvalues against the Schur complement of the stiffness
-    onto that block; it reads only B's block on the DOFs it is given, here
-    the r block, which is D itself for every pair.
+    D takes both signs.  One block eigensolve (_block_eigh), D the one block
+    of the slice, gives its eigenvalues against the Schur complement of the
+    stiffness onto the r block.
     """
     A = forms["stiffness"]
     _check_finite(A)

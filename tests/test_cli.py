@@ -637,6 +637,19 @@ class TestConfigAndErrors:
         assert captured.err.startswith(f"ValueError: L={float(L)!r} ") and captured.err.count("\n") == 1, captured.err
         assert os.listdir(tmp_path) == []
 
+    def test_mode_names_an_overflowing_axial_target_as_the_window_does(self, tmp_path, capsys):
+        # (2R)^alpha L / pi overflows; it is at most the window's m_top, so
+        # mode prints the window's own line, as sweep and koiter do
+        errors = []
+        for argv in (["mode", "--h", "1e-300"], ["sweep", "--h-list", "1e-300"], ["koiter", "--h", "1e-300"]):
+            assert main(argv + ["--L", "1e250", "--outdir", str(tmp_path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and os.listdir(tmp_path) == []
+            errors.append(captured.err)
+        want = ("ValueError: L=1e+250 is too long at h=1e-300: the window would span inf axial indices m, "
+                "more than 2**53\n")
+        assert errors == [want] * 3
+
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
     def test_koiter_tolerance_checked(self, tmp_path, capsys, tolerance):
         assert main(["koiter", "--h", "0.01", "--tolerance", tolerance, "--outdir", str(tmp_path)]) == 1

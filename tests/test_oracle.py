@@ -652,7 +652,8 @@ class TestBlockReduction:
             D = f.phi_rz - f.phi_rz_mid
             want = scipy.linalg.eigh(D, f.stiffness, eigvals_only=True)
             assert want[0] < 0.0 < want[-1]
-            got = oracle._block_eigh([wn], f.stiffness[None], D[None], np.arange(disc.degree + 1))[0]
+            k = disc.degree + 1
+            got = oracle._block_eigh([wn], f.stiffness[None], D[None, :k, :k], np.arange(k))[0]
             assert got[0] == pytest.approx(want[0], rel=1e-10), wn
             assert got[-1] == pytest.approx(want[-1], rel=1e-10), wn
 
@@ -1515,6 +1516,16 @@ class TestKornScan:
             korn_mode_scan(ShellGeometry(h=0.05, L=PI), EL, RadialDiscretization(6), (3, 2))
 
 
+def mpmath_top(A, B):
+    """The top eigenvalue of the float64 pencil (B, A), A positive definite, by 30-digit mpmath: as a float."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        Li = mpmath.inverse(mpmath.cholesky(mpmath.matrix(A.tolist())))
+        mu = mpmath.eigsy(Li * mpmath.matrix(B.tolist()) * Li.T, eigvals_only=True)
+        return float(max(mu[i] for i in range(mu.rows)))
+
+
 class TestKornAccuracy:
     """korn against a 30-digit mpmath eigenvalue of the same float64 pencil."""
 
@@ -1524,19 +1535,42 @@ class TestKornAccuracy:
         # window (78, 39)).  1 / korn = mu_max(grad2, e2), read from e2's
         # Cholesky factor, measured -1.6e-13 and -7.0e-14 off here; a dsygvx
         # eigenpair of (e2, grad2) read -3.1e-12 and +7.8e-13
-        import mpmath
-
         geom, disc = ShellGeometry(h=0.005, L=PI), RadialDiscretization()
         window = CriticalLoadProblem(geom=geom, elastic=EL).window()
         assert m <= window[0] and n <= window[1]
         wn = WaveNumbers(m=m, n=n, L=PI)
         forms = mode_forms(geom, EL, wn, disc)
         got = walked_korn(geom, EL, disc, [wn])[0, 0]
-        with mpmath.workdps(30):
-            Li = mpmath.inverse(mpmath.cholesky(mpmath.matrix(forms.e2.tolist())))
-            mu = mpmath.eigsy(Li * mpmath.matrix(forms.grad2.tolist()) * Li.T, eigvals_only=True)
-            want = float(1 / max(mu[i] for i in range(mu.rows)))
+        want = 1.0 / mpmath_top(forms.e2, forms.grad2)
         assert abs(got - want) <= 1e-12 * want, (wn, (got - want) / want)
+
+
+class TestBlockSolveAccuracy:
+    """The block solve (_block_eigh) against a 30-digit mpmath eigenvalue of the same float64 pencil."""
+
+    @pytest.mark.parametrize("degree", [8, 12])
+    def test_phi_rz_minimum_within_5e_11_of_mpmath(self, degree):
+        # (2, 19) is the closed-form winner at h = 1e-4 (L = pi, nu = 0.3).
+        # The r block ordered last measured -2.1e-11 (degree 8) and -1.1e-11
+        # (12) off; read from the natural-order inverse's r block, as the
+        # Korn kernel reads r_z, the same minimum was +1.5e-10 and +8.5e-11 off
+        geom, wn = ShellGeometry(h=1e-4, L=PI), WaveNumbers(m=2, n=19, L=PI)
+        assert critical_load._window_minimum(CriticalLoadProblem(geom=geom, elastic=EL))[0] == wn
+        disc = RadialDiscretization(degree)
+        forms = mode_forms(geom, EL, wn, disc)
+        got = min_rayleigh(assemble_pencil(geom, EL, wn, "phi_rz", disc))
+        want = 1.0 / mpmath_top(forms.stiffness, forms.phi_rz)
+        assert abs(got - want) <= 5e-11 * want, (degree, (got - want) / want)
+
+    def test_full_gap_within_1e_13_of_mpmath(self):
+        # full_vs_rz = mu_max(phi_zz + phi_tz, stiffness) at h = 0.005, degree
+        # 12: the theta and z blocks ordered last measured -1.9e-14 off, read
+        # from the stiffness's whole inverse -2.0e-14
+        geom, disc, wn = ShellGeometry(h=0.005, L=PI), RadialDiscretization(), WaveNumbers(m=1, n=4, L=PI)
+        forms = mode_forms(geom, EL, wn, disc)
+        (got,) = oracle._full_gaps(geom, EL, disc, *arrays([wn]))
+        want = mpmath_top(forms.stiffness, forms.phi_zz + forms.phi_tz)
+        assert abs(got - want) <= 1e-13 * want, (got - want) / want
 
 
 class TestEquivalenceGap:
