@@ -10,7 +10,7 @@ class NoRoot(CylbuckError):
 
 
 class NonConvergence(CylbuckError):
-    """A LAPACK eigensolve of the oracle (eigvalsh, eigh or the korn ratio's dsyevr) did not converge."""
+    """A LAPACK eigensolve of the oracle (eigvalsh or the Korn ratios' dsyevr) did not converge."""
 
 
 class SingularSystem(CylbuckError):

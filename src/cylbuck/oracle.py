@@ -35,12 +35,12 @@ DOF.  The gaps have one kernel each and assemble no form: full_vs_rz is
 c mu_max of blockdiag(M, M) on the theta and z blocks, the stiffness's
 trailing DOFs, and rz_vs_mid the extreme eigenvalues of M - h v v^T on the
 r block, M being the mass moment.  equivalence_scan walks the whole window
-for rz_vs_mid only and takes full_vs_rz from full_vs_rz_supremum.  The Korn
-kernel alone needs the whole inverse of e2 = L L^T: korn pairs two
-full-rank forms, 1 / mu_max(L^-1 grad2 L^-T) by one top dsyevr eigenpair
-per pair, and every ratio also reads its extremal field, so all of them come
-from one factorization and one triangular inverse L^-1 (S_b^-1 is the b
-block of A^-1 = L^-T L^-1).
+for rz_vs_mid only and takes full_vs_rz from full_vs_rz_supremum.  That is
+the oracle's one rule: a pencil whose eigenvalue alone is read is one block
+eigensolve, and a pencil whose extremal field is also read, as every Korn
+ratio's is, is one top dsyevr eigenpair from the inverse factor L^-1 of
+e2 = L L^T (_korn_ratios): korn of L^-1 grad2 L^-T, r_z and theta_z of
+Y_b^T Y_b with Y_b = L^-1[:, b] W, W W^T = M.
 
 Window minimum: the buckling load is where the second variation stops being
 positive definite, and every denominator's scan uses that directly.  The
@@ -898,57 +898,54 @@ def _positive(ratios):
     return ratios
 
 
+def _top_eigenpair(ratio: str, wn: WaveNumbers, S: np.ndarray) -> Tuple[float, np.ndarray]:
+    """S's top eigenvalue and unit eigenvector by one dsyevr call (LAPACK directly: scipy.linalg.eigh's
+    argument handling adds about half again to this small solve); NonConvergence names ratio and wn."""
+    vals, vecs, _, _, info = scipy.linalg.lapack.dsyevr(S, range="I", il=len(S), iu=len(S))
+    if info:
+        raise NonConvergence(f"{ratio} eigenvector did not converge for {wn}")
+    return vals[0], vecs[:, 0]
+
+
 def _korn_ratios(h: float, W: np.ndarray, pairs: Sequence[WaveNumbers], forms: Dict[str, np.ndarray]) -> np.ndarray:
     """The Korn-type ratios of every pair of a slice, one row per pair in KornRatios' order; theta_z is 0 for n = 0.
 
-    Every pencil reads e2 = A through one factorization and one triangular
-    inverse per pair, L^-1 of L L^T = A, so A^-1 = L^-T L^-1.  W W^T = M, the
-    mass moment, and phi_rz and phi_tz are c M on the r and theta block b,
-    c = cs mhat^2 and ss mhat^2.  (A^-1)_bb is the inverse Schur complement
-    of A onto b, so mu_max(c M, A) = c mu_max(W^T (A^-1)_bb W), with
-    extremal field x = A^-1[:, b] W u for that top eigenvector u.  korn
-    pairs two full-rank forms: 1 / korn = mu_max(grad2, A) is the top
-    eigenvalue of L^-1 grad2 L^-T, one dsyevr eigenpair per pair, with
-    extremal field L^-T u.  grad2 is checked positive definite by one
-    batched Cholesky factorization.
+    Every ratio also reads its extremal field, so each pencil is one top
+    dsyevr eigenpair (_top_eigenpair) from the inverse factor L^-1 of
+    e2 = L L^T, in the coordinates y = L^T x, where x^T e2 x = y^T y.
+    1 / korn is the top eigenvalue of C = L^-1 grad2 L^-T, and x^T grad2 x =
+    y^T C y.  phi_rz and phi_tz are c M = c W W^T on the r and theta block b
+    (c = cs mhat^2 and ss mhat^2, M the mass moment), so with
+    Y_b = L^-1[:, b] W their ratio is c mu_max(Y_b^T Y_b), extremal y = Y_b u.
+    Only |phi_r|^2 = cc |Y_r^T y|^2 maps back.  Each pair solves korn, r_z,
+    then theta_z, so a failed solve names the first failing pair in scan
+    order.  grad2 is checked positive definite by one batched Cholesky
+    factorization.
     """
     e2, grad2 = forms["e2"], forms["grad2"]
     _check_finite(e2, grad2)
     k = len(W)
     f = trig_factors(pairs[0])
     mh2 = np.array([wn.m_hat for wn in pairs]) ** 2
-    blocks = {"r_z": (0, f.cs)}
-    if pairs[0].n >= 1:
-        blocks["theta_z"] = (k, f.ss)
-    top = {"theta_z": np.zeros(len(pairs))}
-    extremals = []
     Li = _lower_inverse(_named(np.linalg.cholesky, pairs, e2, AssemblyDegenerate, "e2 not positive definite"))
     _named(np.linalg.cholesky, pairs, grad2, AssemblyDegenerate, "grad2 not positive definite")
-    Ainv = Li.swapaxes(1, 2) @ Li
-    for ratio, (j, scale) in blocks.items():
-        cols = Ainv[:, :, j:j + k] @ W  # A^-1[:, b] W
-        vals, vecs = _named(np.linalg.eigh, pairs, W.T @ cols[:, j:j + k], NonConvergence,
-                            "eigenvalues did not converge")
-        top[ratio] = scale * mh2 * vals[:, -1]
-        extremals.append((cols @ vecs[:, :, -1:])[..., 0])
+    C = Li @ grad2 @ Li.swapaxes(1, 2)
+    Y = {"r_z": Li[:, :, :k] @ W}
+    if pairs[0].n >= 1:
+        Y["theta_z"] = Li[:, :, k:2 * k] @ W
+    mu = np.zeros((len(pairs), 3))  # the top eigenvalues of korn, r_z and theta_z
+    y = np.empty((len(pairs), 1 + len(Y), len(C[0])))  # (pair, extremal, DOF)
+    for i, wn in enumerate(pairs):
+        mu[i, 0], y[i, 0] = _top_eigenpair("korn", wn, C[i])
+        for j, (ratio, Yb) in enumerate(Y.items(), 1):
+            mu[i, j], u = _top_eigenpair(ratio, wn, Yb[i].T @ Yb[i])
+            y[i, j] = Yb[i] @ u
 
-    korn, u_korn = [], []
-    for wn, c in zip(pairs, Li @ grad2 @ Li.swapaxes(1, 2)):
-        # LAPACK directly: scipy.linalg.eigh's argument handling adds about
-        # half again to this small solve
-        vals, vecs, _, _, info = scipy.linalg.lapack.dsyevr(c, range="I", il=len(c), iu=len(c))
-        if info:
-            raise NonConvergence(f"korn eigenvector did not converge for {wn}")
-        korn.append(1.0 / vals[0])
-        u_korn.append(vecs[:, 0])
-    extremals.append((Li.swapaxes(1, 2) @ np.array(u_korn)[:, :, None])[..., 0])
-
-    X = np.stack(extremals, axis=1)  # (pair, extremal, DOF)
-    g2, e2_x = (((X @ M) * X).sum(axis=2) for M in (grad2, e2))
-    pr2 = f.cc * ((X[:, :, :k] @ W) ** 2).sum(axis=2)  # |phi_r|^2 = cc x_r^T W W^T x_r
+    g2, e2_x = ((y @ C) * y).sum(axis=2), (y * y).sum(axis=2)
+    pr2 = f.cc * ((y @ Y["r_z"]) ** 2).sum(axis=2)
     # e2 is positive definite (factored above), so every bound is positive
     weighted = (g2 / ((np.sqrt(pr2) / h + np.sqrt(e2_x)) * np.sqrt(e2_x))).max(axis=1)
-    return np.stack((korn, top["theta_z"], top["r_z"], weighted), axis=1)
+    return np.stack((1.0 / mu[:, 0], f.ss * mh2 * mu[:, 2], f.cs * mh2 * mu[:, 1], weighted), axis=1)
 
 
 def korn_mode_scan(
@@ -998,7 +995,7 @@ def _full_gap(
     Its eigenvalue alone is read, so like every such pencil it is one block
     eigensolve (_block_eigh) against the Schur complement of the stiffness
     onto those blocks (see _full_gaps); only the Korn kernel, which also
-    reads extremal fields, needs the whole inverse L^-1.
+    reads extremal fields, takes top eigenpairs from e2's inverse factor.
     """
     A, F = forms["stiffness"], masses[min(pairs[0].n, 1)]
     _check_finite(A)
