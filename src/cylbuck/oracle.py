@@ -62,6 +62,15 @@ h = 0.02 and the seed alone from h = 0.005 on; 46, 31, 74 and 211 for full
 at h = 0.02, 0.005, 1e-3 and 1e-4, its bound adding the gap G to the
 reciprocal.  The same G prunes full_vs_rz_supremum exactly.
 
+Korn scan: the radial spaces are nested, and inside the box
+h sqrt(mhat^2 + n^2) <= 1 a pair's Korn ratios at degree 6 lie within
+1.7e-8 (relative, measured) of degree 12.  So korn_mode_scan walks those
+pairs once at degree 6 and solves at the requested degree only the pairs
+outside the box and those whose coarse ratios lie within the band 1e-6 of
+a coarse window extremum; the extrema are the whole-window scan's, bit for
+bit, and every in-box pair it solves checks the band (BoundViolated).  At
+h = 0.005 it solves 4 of the 3120 pairs at degree 12.
+
 Assembly precision: every strain and gradient map of a mode is a Chebyshev
 value or derivative table, times a coefficient that is linear in mhat for a
 fixed n, times r^0 or r^-1.  Each form is therefore a fixed combination of
@@ -74,18 +83,18 @@ stays exact in the coefficients, and nothing assembled is interpolated.
 Row n = 0 has no theta block, so it is built apart from the rows n >= 1.
 Every scan, the window minima and the Korn and gap scans alike, goes through
 one walker (_walk): int64 arrays (n, m) in the closed form's scan order, cut
-into row groups (_row_groups: row n = 0 alone, the rows n >= 1 in groups of
-at most 64 pairs), each built as WaveNumbers only when it is assembled, in
-one call, and solved slice by slice.  Each slice solve returns a float array
-of one row per pair (the minima, the four Korn ratios or one gap), and
-the walker joins them in scan order, so its rows line up with (n, m): the
-reducers take column extrema, and a mask on (n, m) selects rows.  phi_rz,
-phi_zz, phi_tz and phi_rz_mid are each a scalar per pair times one moment on
-one block (int V^T V r dr, or h v v^T for phi_rz_mid), and full, the sum of
-the first three, is one block-diagonal scaled mass.  A call builds only the
-forms it asks for, and a pair's forms come out bit for bit the same in every
-call, whatever rows, slice or single pair it holds, so the window scans and
-the one-pair mode_forms agree exactly.
+into row groups (_row_groups: at most 64 pairs each, a longer row cut, row
+n = 0 apart from the rows n >= 1), each built as WaveNumbers only when it is
+assembled, in one call, and solved slice by slice.  Each slice solve
+returns a float array of one row per pair (the minima, the four Korn ratios
+or one gap), and the walker joins them in scan order, so its rows line up
+with (n, m): the reducers take column extrema, and a mask on (n, m) selects
+rows.  phi_rz, phi_zz, phi_tz and phi_rz_mid are each a scalar per pair
+times one moment on one block (int V^T V r dr, or h v v^T for phi_rz_mid),
+and full, the sum of the first three, is one block-diagonal scaled mass.  A
+call builds only the forms it asks for, and a pair's forms come out bit for
+bit the same in every call, whatever rows, slice or single pair it holds, so
+the window scans and the one-pair mode_forms agree exactly.
 """
 
 from __future__ import annotations
@@ -616,18 +625,22 @@ def _slices(n: np.ndarray) -> List[slice]:
 def _row_groups(n: np.ndarray) -> List[slice]:
     """The index ranges that cut the pairs of rows n, in scan order, into row groups of one assembly each.
 
-    The consecutive runs of one row (_row_runs) are joined while a group
-    holds at most 4 _SLICE_PAIRS pairs; a longer row stays alone, and so
-    does row n = 0, which has no theta block.  That bounds the batched
+    Each run of one row (_row_runs) is cut into pieces of at most
+    4 _SLICE_PAIRS pairs, at _SLICE_PAIRS boundaries from the run's start,
+    so every group is a whole number of _slices.  The pieces are joined
+    while a group holds at most 4 _SLICE_PAIRS pairs, except that row n = 0,
+    which has no theta block, joins no other row.  That bounds the batched
     contraction of _slice_forms and the forms a group holds at once by
-    those of 64 pairs, or of one longer row.
+    those of 64 pairs, whatever the rows' length.
     """
-    rows, groups = n.tolist(), []
+    rows, groups, most = n.tolist(), [], 4 * _SLICE_PAIRS
     for row, a, b in _row_runs(rows):
-        if groups and min(row, rows[groups[-1].start]) > 0 and b - groups[-1].start <= 4 * _SLICE_PAIRS:
-            groups[-1] = slice(groups[-1].start, b)
-        else:
-            groups.append(slice(a, b))
+        for i in range(a, b, most):
+            end = min(i + most, b)
+            if groups and min(row, rows[groups[-1].start]) > 0 and end - groups[-1].start <= most:
+                groups[-1] = slice(groups[-1].start, end)
+            else:
+                groups.append(slice(i, end))
     return groups
 
 
@@ -638,9 +651,9 @@ def _walk(
     """solve(slice, its forms) over every slice of the pairs (m[k], n[k]): its float arrays, joined in scan order.
 
     Every scan runs through it, in the calling process.  Each row group
-    (_row_groups) is built as WaveNumbers, the only ones a scan builds,
-    assembled once, the named forms only (_slice_forms), and cut into
-    _slices, each of at most _SLICE_PAIRS pairs of one row.  A group is
+    (_row_groups, at most 64 pairs) is built as WaveNumbers, the only ones
+    a scan builds, assembled once, the named forms only (_slice_forms), and
+    cut into _slices, each of at most _SLICE_PAIRS pairs of one row.  A group is
     dropped before the next is built, so the walk holds one at a time.
     Each solve returns a row per pair, so row k is (n[k], m[k])'s and a mask
     on (n, m) selects rows; a walk without pairs returns an empty 1-D array.
@@ -948,23 +961,90 @@ def _korn_ratios(h: float, W: np.ndarray, pairs: Sequence[WaveNumbers], forms: D
     return np.stack((1.0 / mu[:, 0], f.ss * mh2 * mu[:, 2], f.cs * mh2 * mu[:, 1], weighted), axis=1)
 
 
+def _korn_rows(
+    geom: ShellGeometry, elastic: IsotropicElasticity, disc: RadialDiscretization, n: np.ndarray, m: np.ndarray
+) -> np.ndarray:
+    """The Korn-type ratios of every pair (m[k], n[k]) at disc's degree, row k in KornRatios' order:
+    e2 and grad2 walked (_walk) and solved by _korn_ratios, which reads the other forms from the mass root."""
+    solve = partial(_korn_ratios, geom.h, np.linalg.cholesky(_block_moments(geom, disc)["mass"]))
+    return _walk(geom, elastic, disc, n, m, _KORN_FORMS, solve).reshape(-1, len(KornRatios._fields))
+
+
+# Measured band of the Korn scan's coarse pass.  The radial spaces are
+# nested, so by Rayleigh-Ritz a pair's korn cannot rise and its r_z and
+# theta_z cannot fall as the degree rises (weighted has no such order); how
+# far degree 6 sits from degree 12 is measured.  Worst relative error of any
+# of a pair's four ratios at degree 6 (and 8) against degree 12, over every
+# pair of the windows at L in {0.5, pi, 10}, margins 3 and 6, with
+# h in {0.7, 0.3, 0.1, 0.03} at nu = +-0.3 and h in {0.01, 0.005} at
+# nu in {-0.45, 0, 0.45}, by h k, k = sqrt(mhat^2 + n^2):
+#
+#     h k      <= 0.2    <= 1      <= 2      <= 3      <= 5      > 5
+#     deg 6    2.1e-12   1.7e-8    3.9e-6    7.9e-5    1.8e-3    0.36
+#     deg 8    9.3e-13   3.3e-11   1.7e-8    7.5e-7    4.3e-5    0.12
+#
+# The first column's 2.1e-12 comes from h <= 0.01, where the rounding grows
+# with the forms' conditioning (2.5e-13 at h >= 0.03); every other worst
+# case is from h >= 0.03.  So inside the box h k <= 1 every degree-6 row is
+# within 1.7e-8 of degree 12, and the band 1e-6 stays 59 times above it.
+# korn_mode_scan checks the band at every in-box pair it solves at the
+# requested degree.
+_KORN_COARSE_DEGREE = 6
+_KORN_BAND = 1e-6
+_KORN_BOX = 1.0
+
+
 def korn_mode_scan(
     geom: ShellGeometry,
     elastic: IsotropicElasticity,
     disc: RadialDiscretization,
     window: Tuple[int, int],
 ) -> KornRatios:
-    """Extremal Korn-type ratios over all modes in the window.
+    """Extremal Korn-type ratios over all modes in the window, those of the whole-window scan bit for bit.
 
-    e2 and grad2 are walked (_walk) and solved by _korn_ratios, which reads
-    the other forms from the mass root, and reduced by columns; a window
-    without pairs has no extrema (ValueError).  Logs the pairs covered at
-    DEBUG on the "cylbuck" logger.
+    Above degree _KORN_COARSE_DEGREE, the pairs in the box
+    h sqrt(mhat^2 + n^2) <= _KORN_BOX are first walked at that coarse
+    degree (_korn_rows).  With the band d = _KORN_BAND, a pair in the box
+    is solved at disc's degree only if a coarse ratio of it lies near the
+    coarse column extremum: korn <= min (1 + 2d) / (1 - d), or theta_z,
+    r_z or weighted >= max (1 - 2d) / (1 + d).  Every pair outside the box
+    is solved.  While every pair's degree-p ratios lie within d (relative)
+    of its coarse ones, the pair that holds each window extremum is
+    solved, and a pair's row does not depend on the other pairs walked, so
+    the column extrema (korn's minimum and the other maxima) are the whole
+    window's.  The band is measured, not proved (see _KORN_BAND): every
+    in-box pair solved at degree p is checked against it, and the first in
+    scan order off by more raises BoundViolated.  At degree
+    _KORN_COARSE_DEGREE or less the whole window is solved once.  A failed
+    factorization or eigensolve names the first failing pair of the coarse
+    walk, then of the degree-p walk.  A window without pairs has no extrema
+    (ValueError).  Logs the pairs covered, walked at the coarse degree and
+    solved at disc's degree, at DEBUG on the "cylbuck" logger.
     """
-    solve = partial(_korn_ratios, geom.h, np.linalg.cholesky(_block_moments(geom, disc)["mass"]))
-    rows = _walk(geom, elastic, disc, *_window_arrays(window), _KORN_FORMS, solve)
-    _log.debug("korn_mode_scan: %d pairs covered", len(rows))
-    korn, *maxima = rows.reshape(-1, len(KornRatios._fields)).T  # KornRatios' columns, empty without pairs
+    n, m = _window_arrays(window)
+    solved = np.ones(n.size, dtype=bool)
+    box = np.zeros(n.size, dtype=bool)
+    coarse = np.zeros((0, len(KornRatios._fields)))
+    if disc.degree > _KORN_COARSE_DEGREE:
+        box = geom.h * np.sqrt((math.pi * m / geom.L) ** 2 + n * n) <= _KORN_BOX
+        coarse = _korn_rows(geom, elastic, RadialDiscretization(_KORN_COARSE_DEGREE), n[box], m[box])
+        d = _KORN_BAND
+        near = coarse[:, 0] <= coarse[:, 0].min(initial=math.inf) * (1.0 + 2.0 * d) / (1.0 - d)
+        near |= (coarse[:, 1:] >= coarse[:, 1:].max(axis=0, initial=-math.inf) * (1.0 - 2.0 * d) / (1.0 + d)).any(axis=1)
+        solved[box] = near
+        coarse = coarse[near]
+    rows = _korn_rows(geom, elastic, disc, n[solved], m[solved])
+    off = (np.abs(rows[box[solved]] - coarse) > _KORN_BAND * np.abs(coarse)).any(axis=1)
+    if off.any():
+        k = np.flatnonzero(box & solved)[np.argmax(off)]
+        raise BoundViolated(
+            f"the Korn ratios of {WaveNumbers(m=int(m[k]), n=int(n[k]), L=geom.L)} at degree {disc.degree} lie "
+            f"more than {_KORN_BAND!r} off those at degree {_KORN_COARSE_DEGREE}: the band that prunes the Korn "
+            f"scan does not hold at h={geom.h!r}, nu={elastic.nu!r}, L={geom.L!r}"
+        )
+    _log.debug("korn_mode_scan: %d pairs covered, %d walked at degree %d, %d solved at degree %d",
+               n.size, box.sum(), _KORN_COARSE_DEGREE, len(rows), disc.degree)
+    korn, *maxima = rows.T  # KornRatios' columns, empty without pairs
     return _positive(KornRatios(float(korn.min()), *(float(column.max()) for column in maxima)))
 
 

@@ -4,7 +4,6 @@ import logging
 import math
 import re
 import tracemalloc
-from functools import partial
 
 import numpy as np
 import pytest
@@ -174,8 +173,7 @@ def walked_minima(geom, elastic, disc, denominator, pairs, ceiling=math.inf):
 def walked_korn(geom, elastic, disc, pairs):
     """The Korn-type ratios of every pair in scan order, one row per pair in KornRatios' order,
     walked as korn_mode_scan walks them."""
-    solve = partial(oracle._korn_ratios, geom.h, np.linalg.cholesky(oracle._block_moments(geom, disc)["mass"]))
-    return oracle._walk(geom, elastic, disc, *arrays(pairs), oracle._KORN_FORMS, solve)
+    return oracle._korn_rows(geom, elastic, disc, *arrays(pairs))
 
 
 def gaps(geom, elastic, disc, pairs):
@@ -937,9 +935,10 @@ class TestOracleSweep:
     @pytest.mark.parametrize("scan", ["full_vs_rz_supremum", "oracle_sweep", "korn_mode_scan"])
     def test_scans_build_wave_numbers_only_for_the_pairs_they_assemble(self, caplog, monkeypatch, scan):
         # at L = pi, nu = 0.3, h = 0.005 the window holds 3120 pairs; the
-        # supremum solves 232 of them, the full window minimum assembles 31
-        # and the Korn scan all 3120, and none builds a WaveNumbers for any
-        # other pair.  Every WaveNumbers built anywhere counts
+        # supremum solves 232 of them, the full window minimum assembles 31,
+        # the Korn scan walks all 3120 at its coarse degree and solves 4 at
+        # degree 12, and none builds a WaveNumbers for any other pair or more
+        # than once per walk.  Every WaveNumbers built anywhere counts
         built, check = [], WaveNumbers.__post_init__
 
         def counted(wn):
@@ -954,8 +953,13 @@ class TestOracleSweep:
         with caplog.at_level(logging.DEBUG, logger="cylbuck"):
             getattr(oracle, scan)(*args)
         (record,) = [r for r in caplog.records if r.name == "cylbuck"]
-        walked = record.args[{"full_vs_rz_supremum": 2, "oracle_sweep": 2, "korn_mode_scan": 0}[scan]]
-        assert walked <= window[0] * (window[1] + 1)
+        if scan == "korn_mode_scan":  # (covered, walked at the coarse degree, it, solved, the degree)
+            covered, coarse, _, solved, _ = record.args
+            assert (covered, coarse, solved) == (window[0] * (window[1] + 1), covered, 4)
+            walked = coarse + solved
+        else:
+            walked = record.args[2]
+            assert walked <= window[0] * (window[1] + 1)
         assert len(built) <= walked + self.EXTRA_PAIRS, (scan, len(built), walked)
 
 
@@ -1045,20 +1049,49 @@ class TestScanOrder:
             groups, slices = oracle._row_groups(n), oracle._slices(n)
             for ranges in (groups, slices):
                 assert [i for r in ranges for i in range(r.start, r.stop)] == list(range(n.size)), window
-            assert groups[0] == slice(0, window[0])  # row n = 0 alone
-            for g in groups[1:]:
+            for g in groups:  # row n = 0 joins no other row, and no group holds more than 64 pairs
                 rows = set(n[g].tolist())
-                assert 0 not in rows
-                assert g.stop - g.start <= 4 * oracle._SLICE_PAIRS or len(rows) == 1, (window, g)
+                assert rows == {0} or 0 not in rows, (window, g)
+                assert g.stop - g.start <= 4 * oracle._SLICE_PAIRS, (window, g)
+            # each group cut into _slices, as _walk cuts it, gives the slices of all the pairs
+            assert [slice(g.start + s.start, g.start + s.stop) for g in groups for s in oracle._slices(n[g])] == slices
             for s in slices:
                 assert len(set(n[s].tolist())) == 1 and s.stop - s.start <= oracle._SLICE_PAIRS, (window, s)
 
+    def test_a_long_row_walks_in_bounded_groups(self):
+        # row n = 0 of 2048 pairs at degree 12 (26 x 26 forms, 5.4 kB a pair):
+        # its groups hold 64 pairs and line up with its slices, the walk
+        # returns the bits of the row assembled in one call, and its
+        # tracemalloc peak is that of one group, whatever the row's length
+        # (the whole row at once would hold 11 MB of e2)
+        geom, disc = ShellGeometry(h=0.05, L=PI), RadialDiscretization(12)
+        row = [WaveNumbers(m=m, n=0, L=PI) for m in range(1, 2049)]
+        n, m = arrays(row)
+        groups = oracle._row_groups(n)
+        assert [g.stop - g.start for g in groups] == [4 * oracle._SLICE_PAIRS] * 32
+        assert [slice(g.start + s.start, g.start + s.stop) for g in groups for s in oracle._slices(n[g])] \
+            == oracle._slices(n)
+        want = oracle._slice_forms(geom, EL, disc, row[:300], ("e2",))["e2"]
+        got = oracle._walk(geom, EL, disc, n[:300], m[:300], ("e2",), lambda part, forms: forms["e2"])
+        assert got.tobytes() == want.tobytes()
+
+        def peak(count):
+            tracemalloc.start()
+            oracle._walk(geom, EL, disc, n[:count], m[:count], ("e2",), lambda part, forms: forms["e2"][:, 0, 0].copy())
+            _, top = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            return top
+
+        peak(64)  # the moments, cached
+        short, long = peak(256), peak(2048)
+        assert long <= 1.5 * short, (short, long)
+
     def test_walk_rows_line_up_with_the_pairs(self):
-        # row n = 0 and two rows of 70 pairs, each a group alone, and six rows
-        # of 3 pairs joined into one: row k of the walk is pair k's
+        # row n = 0 and two rows of 70 pairs, each cut into groups of 64 and 6
+        # pairs, the last 6 joined with six rows of 3: row k of the walk is pair k's
         pairs = [wn for wn in window_pairs((70, 8), PI) if wn.n <= 2 or wn.m <= 3]
         n, m = arrays(pairs)
-        assert [g.stop - g.start for g in oracle._row_groups(n)] == [70, 70, 70, 18]
+        assert [g.stop - g.start for g in oracle._row_groups(n)] == [64, 6, 64, 6, 64, 24]
 
         def walk(row):
             def solve(part, forms):
@@ -1191,19 +1224,20 @@ class TestCeilingScan:
             oracle_sweep(self.GEOM, EL, self.DISC, window, denominator)
 
     def test_row_groups_bound_the_batched_build(self):
-        # scan order kept, row n = 0 alone, and each group of rows n >= 1 at
-        # most 4 _SLICE_PAIRS pairs unless one row is longer: per (window,
-        # pairs kept per row, groups), rows of 300 pairs stay alone, 40 rows
-        # of 3 join 21 at a time and 60 rows of 20 join 3
-        for window, columns, count in (((300, 40), 300, 41), ((30, 40), 3, 3), ((30, 60), 20, 21)):
+        # scan order kept, row n = 0 apart from the other rows, and every
+        # group at most 4 _SLICE_PAIRS pairs: per (window, pairs kept per
+        # row, groups, groups of row n = 0), rows of 300 pairs are cut into
+        # 4 x 64 + 44, 40 rows of 3 join 21 at a time and 60 rows of 20 join 3
+        cases = (((300, 40), 300, 205, 5), ((30, 40), 3, 3, 1), ((30, 60), 20, 21, 1))
+        for window, columns, count, zero in cases:
             pairs = [wn for wn in window_pairs(window, PI) if wn.m <= columns]
             groups = row_groups(pairs)
             assert [wn for group in groups for wn in group] == pairs
-            assert groups[0] == [wn for wn in pairs if wn.n == 0] and len(groups) == count
-            for group in groups[1:]:
-                ns = {wn.n for wn in group}
-                assert 0 not in ns
-                assert len(group) <= 4 * oracle._SLICE_PAIRS or len(ns) == 1
+            assert [wn for group in groups[:zero] for wn in group] == [wn for wn in pairs if wn.n == 0]
+            assert len(groups) == count
+            for group in groups[zero:]:
+                assert 0 not in {wn.n for wn in group}
+            assert max(len(group) for group in groups) <= 4 * oracle._SLICE_PAIRS
 
     def test_silent_by_default(self, caplog, capsys):
         oracle_sweep(self.GEOM, EL, self.DISC, (6, 4), "full")
@@ -1542,6 +1576,148 @@ class TestKornScan:
         with pytest.raises(ValueError):
             korn_mode_scan(ShellGeometry(h=0.05, L=PI), EL, RadialDiscretization(6), (3, 2))
 
+    @staticmethod
+    def drawn_windows(rng):
+        """(geom, elastic, window, in-box mask on the window's arrays) of three drawn problems, nu in the
+        deficit bound's box: h in [0.02, 0.06], L in [0.5, 4], margin 3, nearly all in the box
+        h sqrt(mhat^2 + n^2) <= 1; h in [0.06, 0.3], L in [0.5, 4], margin 3 or 6; and h in [0.05, 0.1]
+        at L = 0.5, margin 6, most of whose pairs lie outside the box (the first two h and L log-uniform)."""
+        (_, _), (nu_lo, nu_hi), _ = oracle._DEFICIT_BOX.values()
+
+        def log_uniform(lo, hi):
+            return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+        drawn = [(log_uniform(0.02, 0.06), log_uniform(0.5, 4.0), 3.0),
+                 (log_uniform(0.06, 0.3), log_uniform(0.5, 4.0), float(rng.choice([3.0, 6.0]))),
+                 (rng.uniform(0.05, 0.1), 0.5, 6.0)]
+        out = []
+        for h, L, margin in drawn:
+            geom, elastic = ShellGeometry(h=h, L=L), IsotropicElasticity(nu=rng.uniform(nu_lo, nu_hi))
+            window = CriticalLoadProblem(geom=geom, elastic=elastic, margin=margin).window()
+            n, m = oracle._window_arrays(window)
+            box = h * np.sqrt((math.pi * m / L) ** 2 + n * n) <= oracle._KORN_BOX
+            out.append((geom, elastic, window, box))
+        return out
+
+    def test_degrees_nest(self, rng):
+        # the radial spaces are nested (Rayleigh-Ritz): from degree 6 to 8 to
+        # 12 a pair's korn, a minimum over the fields, cannot rise, and its
+        # r_z and theta_z, maxima, cannot fall.  Allowance: 1e-12 relative,
+        # the rounding of the assembled moments and of the eigensolve
+        for geom, elastic, window, box in self.drawn_windows(rng):
+            n, m = oracle._window_arrays(window)
+            pick = rng.choice(np.flatnonzero(box), size=min(12, box.sum()), replace=False)
+            pick.sort()
+            rows = [oracle._korn_rows(geom, elastic, RadialDiscretization(p), n[pick], m[pick]) for p in (6, 8, 12)]
+            for low, high in zip(rows, rows[1:]):
+                assert (high[:, 0] <= low[:, 0] * (1.0 + 1e-12)).all(), window
+                assert (high[:, 1:3] >= low[:, 1:3] * (1.0 - 1e-12)).all(), window
+
+    def test_pruned_scan_equals_the_whole_window(self, rng, caplog):
+        # every in-box pair's coarse row lies within a tenth of the band of
+        # degree 12, and the scan at degrees 8 and 12 returns the whole-window
+        # scan's extrema by float.hex, solving at that degree only the pairs
+        # outside the box and those near a coarse extremum
+        band = oracle._KORN_BAND
+        for geom, elastic, window, box in self.drawn_windows(rng):
+            n, m = oracle._window_arrays(window)
+            coarse = oracle._korn_rows(geom, elastic, RadialDiscretization(oracle._KORN_COARSE_DEGREE), n, m)
+            near = np.zeros(n.size, dtype=bool)  # the in-box pairs near a coarse extremum of the box
+            if box.any():
+                near = (coarse[:, 0] <= coarse[box, 0].min() * (1 + 2 * band) / (1 - band)) | (
+                    coarse[:, 1:] >= coarse[box, 1:].max(axis=0) * (1 - 2 * band) / (1 + band)).any(axis=1)
+                near &= box
+            for degree in (8, 12):
+                rows = oracle._korn_rows(geom, elastic, RadialDiscretization(degree), n, m)
+                if degree == 12:
+                    assert (np.abs(rows - coarse)[box] <= band / 10 * np.abs(rows[box])).all(), window
+                want = [rows[:, 0].min()] + list(rows[:, 1:].max(axis=0))
+                caplog.clear()
+                with caplog.at_level(logging.DEBUG, logger="cylbuck"):
+                    got = korn_mode_scan(geom, elastic, RadialDiscretization(degree), window)
+                assert [float(v).hex() for v in got] == [float(v).hex() for v in want], (window, degree)
+                (record,) = [r for r in caplog.records if r.name == "cylbuck"]
+                covered, walked, coarse_degree, solved, at = record.args
+                assert (covered, walked, coarse_degree, at) == (n.size, box.sum(), 6, degree)
+                assert solved == (~box).sum() + near.sum(), window
+
+    @pytest.mark.parametrize("degree", [4, 6])
+    def test_no_coarse_walk_at_or_below_the_coarse_degree(self, caplog, monkeypatch, degree):
+        # the whole window is solved once, at the requested degree
+        sizes, kernel = [], oracle._korn_ratios
+
+        def recorded(h, W, pairs, forms):
+            sizes.append(len(W))
+            return kernel(h, W, pairs, forms)
+
+        monkeypatch.setattr(oracle, "_korn_ratios", recorded)
+        geom = ShellGeometry(h=0.02, L=PI)
+        with caplog.at_level(logging.DEBUG, logger="cylbuck"):
+            korn_mode_scan(geom, EL, RadialDiscretization(degree), (12, 8))
+        assert set(sizes) == {degree + 1}
+        (record,) = [r for r in caplog.records if r.name == "cylbuck"]
+        assert record.args == (108, 0, 6, 108, degree)
+
+    def test_no_pairs_no_extrema_above_the_coarse_degree(self):
+        with pytest.raises(ValueError):
+            korn_mode_scan(ShellGeometry(h=0.05, L=PI), EL, RadialDiscretization(), (0, 3))
+
+    # the h = 0.02 window at L = pi, nu = 0.3: 819 pairs, all inside the box
+    GEOM, WINDOW = ShellGeometry(h=0.02, L=PI), (39, 20)
+
+    @pytest.mark.parametrize("column", range(4), ids=KornRatios._fields)
+    def test_patched_coarse_row_raises(self, monkeypatch, column):
+        # the coarse row of the pair that holds a column's coarse extremum,
+        # moved 3 bands further out, keeps it solved, and there its degree-12
+        # ratio lies about 3 bands off: BoundViolated names that pair
+        geom, window, band = self.GEOM, self.WINDOW, oracle._KORN_BAND
+        n, m = oracle._window_arrays(window)
+        coarse = oracle._korn_rows(geom, EL, RadialDiscretization(oracle._KORN_COARSE_DEGREE), n, m)
+        k = np.argmin(coarse[:, 0]) if column == 0 else np.argmax(coarse[:, column])
+        target = (int(m[k]), int(n[k]))
+        kernel = oracle._korn_ratios
+
+        def patched(h, W, pairs, forms):
+            rows = kernel(h, W, pairs, forms)
+            for i, wn in enumerate(pairs):
+                if len(W) == oracle._KORN_COARSE_DEGREE + 1 and (wn.m, wn.n) == target:
+                    rows[i, column] *= 1.0 - 3.0 * band if column == 0 else 1.0 + 3.0 * band
+            return rows
+
+        monkeypatch.setattr(oracle, "_korn_ratios", patched)
+        with pytest.raises(BoundViolated, match=rf"WaveNumbers\(m={target[0]}, n={target[1]}, .* at degree 12 "):
+            korn_mode_scan(geom, EL, RadialDiscretization(), window)
+
+    def test_band_below_the_measured_error_raises(self, monkeypatch):
+        # with no band only the pairs at a coarse extremum are solved, and the
+        # first of them in scan order whose degree-12 row differs is named
+        geom, window = self.GEOM, self.WINDOW
+        n, m = oracle._window_arrays(window)
+        coarse = oracle._korn_rows(geom, EL, RadialDiscretization(oracle._KORN_COARSE_DEGREE), n, m)
+        at = (coarse[:, 0] == coarse[:, 0].min()) | (coarse[:, 1:] == coarse[:, 1:].max(axis=0)).any(axis=1)
+        fine = oracle._korn_rows(geom, EL, RadialDiscretization(), n[at], m[at])
+        k = np.flatnonzero(at)[np.argmax((fine != coarse[at]).any(axis=1))]
+        monkeypatch.setattr(oracle, "_KORN_BAND", 0.0)
+        with pytest.raises(BoundViolated, match=rf"^the Korn ratios of WaveNumbers\(m={m[k]}, n={n[k]}, "):
+            korn_mode_scan(geom, EL, RadialDiscretization(), window)
+
+    def test_indefinite_e2_named_by_the_coarse_walk(self, monkeypatch):
+        # a degree-12 scan factors e2 first at the coarse degree, in scan
+        # order, so the coarse walk names the first indefinite pair and no
+        # form is assembled at degree 12
+        degrees, assemble = [], oracle._slice_forms
+        TestBlockReduction.break_forms(monkeypatch, "e2", at=((3, 3), (5, 2)))
+        broken = oracle._slice_forms
+
+        def recorded(geom, elastic, disc, pairs, names=oracle._FORM_NAMES):
+            degrees.append(disc.degree)
+            return broken(geom, elastic, disc, pairs, names)
+
+        monkeypatch.setattr(oracle, "_slice_forms", recorded)
+        with pytest.raises(AssemblyDegenerate, match=r"^e2 not positive definite for WaveNumbers\(m=5, n=2, "):
+            korn_mode_scan(ShellGeometry(h=0.05, L=PI), EL, RadialDiscretization(), (6, 3))
+        assert set(degrees) == {oracle._KORN_COARSE_DEGREE}
+
 
 def mpmath_top(A, *B):
     """The top eigenvalue of each float64 pencil (B[j], A), A positive definite, by 30-digit mpmath:
@@ -1662,6 +1838,8 @@ def test_scan_logs_pairs_covered(caplog, scan):
     records = [r for r in caplog.records if r.name == "cylbuck"]
     assert [r.levelno for r in records] == [logging.DEBUG] * len(records)
     want = [f"{scan.__name__}: 24 pairs covered"]
+    if scan is korn_mode_scan:  # at degree 6 no pair is walked at the coarse degree
+        want = ["korn_mode_scan: 24 pairs covered, 0 walked at degree 6, 24 solved at degree 6"]
     if scan is equivalence_scan:  # then its full_vs_rz, the pruned supremum
         want.append("full_vs_rz_supremum: 24 pairs covered, 4 in column m = 1, 4 solved")
     assert [r.getMessage() for r in records] == want
