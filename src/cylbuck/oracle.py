@@ -65,11 +65,11 @@ reciprocal.  The same G prunes full_vs_rz_supremum exactly.
 Korn scan: the radial spaces are nested, and inside the box
 h sqrt(mhat^2 + n^2) <= 1 a pair's Korn ratios at degree 6 lie within
 1.7e-8 (relative, measured) of degree 12.  So korn_mode_scan walks those
-pairs once at degree 6 and solves at the requested degree only the pairs
-outside the box and those whose coarse ratios lie within the band 1e-6 of
-a coarse window extremum; the extrema are the whole-window scan's, bit for
-bit, and every in-box pair it solves checks the band (BoundViolated).  At
-h = 0.005 it solves 4 of the 3120 pairs at degree 12.
+pairs once at min(degree, 6) and solves at the requested degree only the
+pairs outside the box and those whose first-pass ratios lie within the
+band 1e-6 of a first-pass window extremum; the extrema are the
+whole-window scan's, bit for bit, and every in-box pair it solves checks
+the band (BoundViolated).  At h = 0.005 it solves 4 of 3120 pairs at 12.
 
 Assembly precision: every strain and gradient map of a mode is a Chebyshev
 value or derivative table, times a coefficient that is linear in mhat for a
@@ -338,14 +338,15 @@ def _row_coefficients(n: Sequence[int], f, nu: float, names: Sequence[str]) -> n
     return np.stack([_gram(terms[name]) for name in names], axis=1)
 
 
-# the forms that are one scalar per pair, a trig factor times mhat^2, times a
-# moment of _block_moments on one block: name -> (block, trig factor, moment)
+# the forms that are terms on distinct blocks, each a scalar per pair (a trig factor times
+# mhat^2) times a moment of _block_moments: name -> its (block, trig factor, moment) terms
 _MASS_FORMS = {
-    "phi_rz": (0, "cs", "mass"),
-    "phi_zz": (2, "cc", "mass"),
-    "phi_tz": (1, "ss", "mass"),
-    "phi_rz_mid": (0, "cs", "mid"),
+    "phi_rz": ((0, "cs", "mass"),),
+    "phi_zz": ((2, "cc", "mass"),),
+    "phi_tz": ((1, "ss", "mass"),),
+    "phi_rz_mid": ((0, "cs", "mid"),),
 }
+_MASS_FORMS["full"] = _MASS_FORMS["phi_rz"] + _MASS_FORMS["phi_zz"] + _MASS_FORMS["phi_tz"]
 
 
 def _row_runs(rows: Sequence[int]) -> List[Tuple[int, int, int]]:
@@ -362,15 +363,13 @@ def _block_moments(geom: ShellGeometry, disc: RadialDiscretization) -> Dict[str,
     return {"mass": tabs.moments[0].reshape(k, k), "mid": geom.h * np.outer(v, v)}
 
 
-def _mass_form(
-    geom: ShellGeometry, disc: RadialDiscretization, pairs: Sequence[WaveNumbers], names: Sequence[str]
-) -> np.ndarray:
-    """The sum of the named single-block forms of each pair (_MASS_FORMS), block-diagonal.
+def _mass_form(geom: ShellGeometry, disc: RadialDiscretization, pairs: Sequence[WaveNumbers], name: str) -> np.ndarray:
+    """The named form of _MASS_FORMS of each pair, block-diagonal.
 
     The pairs share their trig factors and blocks, as _slice_forms' do.  The
-    forms' blocks are distinct, so each entry is one form's scalar times its
-    moment, exactly as in the sum of the forms.  A block the row does not
-    have (theta for n = 0) holds nothing: phi_tz vanishes there.
+    terms' blocks are distinct, so each entry is one term's scalar times its
+    moment, as in that term's own form.  A block the row does not have
+    (theta for n = 0) holds nothing: phi_tz vanishes there.
     """
     moments = _block_moments(geom, disc)
     k = disc.degree + 1
@@ -379,8 +378,7 @@ def _mass_form(
     mh = np.array([wn.m_hat for wn in pairs])
     mh2 = mh * mh
     F = np.zeros((len(pairs), len(keep) * k, len(keep) * k))
-    for name in names:
-        block, factor, moment = _MASS_FORMS[name]
+    for block, factor, moment in _MASS_FORMS[name]:
         if block in keep:
             j = keep.index(block) * k
             F[:, j:j + k, j:j + k] = (getattr(f, factor) * mh2)[:, None, None] * moments[moment]
@@ -403,12 +401,12 @@ def _slice_forms(
     e2 and grad2 are F0 + mhat F1 + mhat^2 F2: the maps are split by power
     of mhat at the coefficient level, each power of every distinct row is
     contracted with the radial moments in one batched pass, and the pairs
-    are formed together, elementwise, as F0 + mhat (F1 + mhat F2).  The
-    single-block forms (_MASS_FORMS) are a scalar per pair times a moment on
-    their block, the mass moment or, for phi_rz_mid, h v v^T (phi_tz is zero
-    for n = 0), and build no map; full, the sum of phi_rz, phi_zz and phi_tz,
-    is one block-diagonal scaled mass (_mass_form).  A pair's forms are
-    the same float64 arrays, bit for bit, in any call and for any names:
+    are formed together, elementwise, as F0 + mhat (F1 + mhat F2).  Every
+    other name is in _MASS_FORMS and builds no map (_mass_form): a scalar per
+    pair times a moment, the mass moment or, for phi_rz_mid, h v v^T, on each
+    term's block (phi_tz is zero for n = 0); full, the sum of phi_rz, phi_zz
+    and phi_tz, is one block-diagonal scaled mass.  A pair's forms are the
+    same float64 arrays, bit for bit, in any call and for any names:
     each row's F0, F1 and F2 do not depend on the other rows or the pairs,
     and the evaluation is elementwise per pair.
     """
@@ -416,7 +414,7 @@ def _slice_forms(
     if any((wn.n == 0) != (wn0.n == 0) or wn.L != wn0.L for wn in pairs):
         raise ValueError("row n = 0 is assembled apart from the rows n >= 1, and every pair has one L")
     forms = {}
-    contracted = [name for name in names if name in ("stiffness", "e2", "grad2")]
+    contracted = [name for name in names if name not in _MASS_FORMS]
     if contracted:
         tabs = _cheb_tables(geom.h, disc.degree, disc.nodes)
         k, keep = disc.degree + 1, _blocks(wn0.n)
@@ -440,9 +438,7 @@ def _slice_forms(
                 out[a:b] += F1
                 out[a:b] *= mh[a:b]
                 out[a:b] += F0
-    for name in names:
-        if name in _MASS_FORMS or name == "full":
-            forms[name] = _mass_form(geom, disc, pairs, ("phi_rz", "phi_zz", "phi_tz") if name == "full" else (name,))
+    forms.update((name, _mass_form(geom, disc, pairs, name)) for name in names if name in _MASS_FORMS)
     return forms
 
 
@@ -1002,48 +998,46 @@ def korn_mode_scan(
 ) -> KornRatios:
     """Extremal Korn-type ratios over all modes in the window, those of the whole-window scan bit for bit.
 
-    Above degree _KORN_COARSE_DEGREE, the pairs in the box
-    h sqrt(mhat^2 + n^2) <= _KORN_BOX are first walked at that coarse
-    degree (_korn_rows).  With the band d = _KORN_BAND, a pair in the box
-    is solved at disc's degree only if a coarse ratio of it lies near the
-    coarse column extremum: korn <= min (1 + 2d) / (1 - d), or theta_z,
-    r_z or weighted >= max (1 - 2d) / (1 + d).  Every pair outside the box
-    is solved.  While every pair's degree-p ratios lie within d (relative)
-    of its coarse ones, the pair that holds each window extremum is
-    solved, and a pair's row does not depend on the other pairs walked, so
-    the column extrema (korn's minimum and the other maxima) are the whole
+    The pairs in the box h sqrt(mhat^2 + n^2) <= _KORN_BOX are first walked
+    at the coarse degree min(p, _KORN_COARSE_DEGREE) (_korn_rows), p being
+    disc's degree.  With the band d = _KORN_BAND, a pair in the box is
+    solved at degree p only if a coarse ratio of it lies near the coarse
+    column extremum: korn <= min (1 + 2d) / (1 - d), or theta_z, r_z or
+    weighted >= max (1 - 2d) / (1 + d).  Every pair outside the box is
+    solved.  While every pair's degree-p ratios lie within d (relative) of
+    its coarse ones, the pair that holds each window extremum is solved,
+    and a pair's row does not depend on the other pairs walked, so the
+    column extrema (korn's minimum and the other maxima) are the whole
     window's.  The band is measured, not proved (see _KORN_BAND): every
     in-box pair solved at degree p is checked against it, and the first in
-    scan order off by more raises BoundViolated.  At degree
-    _KORN_COARSE_DEGREE or less the whole window is solved once.  A failed
-    factorization or eigensolve names the first failing pair of the coarse
-    walk, then of the degree-p walk.  A window without pairs has no extrema
-    (ValueError).  Logs the pairs covered, walked at the coarse degree and
-    solved at disc's degree, at DEBUG on the "cylbuck" logger.
+    scan order off by more raises BoundViolated; at p <= 6 the coarse rows
+    are the degree-p rows.  A failed factorization or eigensolve names the
+    first failing pair of the coarse walk, then of the degree-p walk.  A
+    window without pairs has no extrema (ValueError).  Logs the pairs
+    covered, walked at the coarse degree and solved at p, at DEBUG on the
+    "cylbuck" logger.
     """
     n, m = _window_arrays(window)
-    solved = np.ones(n.size, dtype=bool)
-    box = np.zeros(n.size, dtype=bool)
-    coarse = np.zeros((0, len(KornRatios._fields)))
-    if disc.degree > _KORN_COARSE_DEGREE:
-        box = geom.h * np.sqrt((math.pi * m / geom.L) ** 2 + n * n) <= _KORN_BOX
-        coarse = _korn_rows(geom, elastic, RadialDiscretization(_KORN_COARSE_DEGREE), n[box], m[box])
-        d = _KORN_BAND
-        near = coarse[:, 0] <= coarse[:, 0].min(initial=math.inf) * (1.0 + 2.0 * d) / (1.0 - d)
-        near |= (coarse[:, 1:] >= coarse[:, 1:].max(axis=0, initial=-math.inf) * (1.0 - 2.0 * d) / (1.0 + d)).any(axis=1)
-        solved[box] = near
-        coarse = coarse[near]
+    box = geom.h * np.sqrt((math.pi * m / geom.L) ** 2 + n * n) <= _KORN_BOX
+    coarse_degree = min(disc.degree, _KORN_COARSE_DEGREE)
+    coarse = _korn_rows(geom, elastic, RadialDiscretization(coarse_degree), n[box], m[box])
+    d = _KORN_BAND
+    near = coarse[:, 0] <= coarse[:, 0].min(initial=math.inf) * (1.0 + 2.0 * d) / (1.0 - d)
+    near |= (coarse[:, 1:] >= coarse[:, 1:].max(axis=0, initial=-math.inf) * (1.0 - 2.0 * d) / (1.0 + d)).any(axis=1)
+    solved = ~box
+    solved[box] = near
+    coarse = coarse[near]
     rows = _korn_rows(geom, elastic, disc, n[solved], m[solved])
-    off = (np.abs(rows[box[solved]] - coarse) > _KORN_BAND * np.abs(coarse)).any(axis=1)
+    off = (np.abs(rows[box[solved]] - coarse) > d * np.abs(coarse)).any(axis=1)
     if off.any():
         k = np.flatnonzero(box & solved)[np.argmax(off)]
         raise BoundViolated(
             f"the Korn ratios of {WaveNumbers(m=int(m[k]), n=int(n[k]), L=geom.L)} at degree {disc.degree} lie "
-            f"more than {_KORN_BAND!r} off those at degree {_KORN_COARSE_DEGREE}: the band that prunes the Korn "
+            f"more than {d!r} off those at degree {coarse_degree}: the band that prunes the Korn "
             f"scan does not hold at h={geom.h!r}, nu={elastic.nu!r}, L={geom.L!r}"
         )
     _log.debug("korn_mode_scan: %d pairs covered, %d walked at degree %d, %d solved at degree %d",
-               n.size, box.sum(), _KORN_COARSE_DEGREE, len(rows), disc.degree)
+               n.size, box.sum(), coarse_degree, len(rows), disc.degree)
     korn, *maxima = rows.T  # KornRatios' columns, empty without pairs
     return _positive(KornRatios(float(korn.min()), *(float(column.max()) for column in maxima)))
 

@@ -176,6 +176,17 @@ def walked_korn(geom, elastic, disc, pairs):
     return oracle._korn_rows(geom, elastic, disc, *arrays(pairs))
 
 
+def near_korn_extrema(rows, box):
+    """The in-box pairs whose Korn rows lie within the band oracle._KORN_BAND of a column extremum
+    of the box's rows: the pairs that korn_mode_scan solves after its first pass, given that pass's rows."""
+    band = oracle._KORN_BAND
+    if not box.any():
+        return box.copy()
+    near = (rows[:, 0] <= rows[box, 0].min() * (1 + 2 * band) / (1 - band)) | (
+        rows[:, 1:] >= rows[box, 1:].max(axis=0) * (1 - 2 * band) / (1 + band)).any(axis=1)
+    return near & box
+
+
 def gaps(geom, elastic, disc, pairs):
     """oracle._full_gaps and oracle._mid_gaps of the pairs, a list in scan order:
     an array of one row (full_vs_rz, rz_vs_mid) per pair."""
@@ -890,7 +901,8 @@ class TestOracleSweep:
         # The pruned scans assemble once per row group of the pairs they
         # solve; oracle_sweep assembles its seed alone, first, and walks the
         # kept pairs without it; equivalence_scan walks the whole window,
-        # then full_vs_rz_supremum's pairs.
+        # then full_vs_rz_supremum's pairs; korn_mode_scan's first pass walks
+        # the whole window, all in the box, then the pairs near its extrema.
         geom, disc = ShellGeometry(h=0.02, L=PI), RadialDiscretization(6)
         window = CriticalLoadProblem(geom=geom, elastic=EL).window()
         assert window == (39, 20)
@@ -905,6 +917,12 @@ class TestOracleSweep:
             seed = oracle._seed_pair(geom, EL, window)
             assert seed in kept
             swept[denominator] = [[seed]] + row_groups([wn for wn in kept if wn != seed])
+        every = list(window_pairs(window, PI))
+        n, m = arrays(every)
+        assert (0.02 * np.hypot(m, n) <= oracle._KORN_BOX).all()  # mhat = m at L = pi
+        near = near_korn_extrema(walked_korn(geom, EL, disc, every), np.ones(len(every), dtype=bool))
+        assert near.any()
+        korn_groups = groups + row_groups([wn for wn, k in zip(every, near) if k])
         assembled = recorded_assembly(monkeypatch)
         if scan is oracle_sweep:
             for denominator, want in swept.items():
@@ -914,7 +932,9 @@ class TestOracleSweep:
                 assert len(assembled) < len(groups), denominator
             return
         scan(geom, EL, disc, window)
-        if scan is not korn_mode_scan:  # column m = 1 whole, then the pairs the gap bound keeps
+        if scan is korn_mode_scan:
+            groups = korn_groups
+        else:  # column m = 1 whole, then the pairs the gap bound keeps
             whole = groups if scan is equivalence_scan else []
             assert assembled[:len(whole)] == whole
             solved = [wn for group in assembled[len(whole):] for wn in group]
@@ -1566,6 +1586,25 @@ class TestKornScan:
         assert ratios.korn < 1.0
         assert ratios.r_z > ratios.theta_z
 
+    @pytest.mark.parametrize("degree", [6, 12])
+    @pytest.mark.parametrize("h", [0.3, 0.03, 3e-3, 1e-4])
+    def test_grad2_minus_e2_is_semidefinite(self, rng, h, degree):
+        # pointwise |grad phi|^2 - |e(phi)|^2 = 1/2 sum_{i<j} (g_ij - g_ji)^2,
+        # and each pair (g_ij, g_ji) carries one trig weight, so grad2 - e2 is
+        # positive semidefinite: korn <= 1, and e2 factoring implies that
+        # grad2 factors.  Allowance: 1e-14 of grad2's norm, the rounding of
+        # the two assembled forms
+        (_, _), (nu_lo, nu_hi), _ = oracle._DEFICIT_BOX.values()
+        geom = ShellGeometry(h=h, L=math.exp(rng.uniform(math.log(0.5), math.log(30.0))))
+        elastic, disc = IsotropicElasticity(nu=rng.uniform(nu_lo, nu_hi)), RadialDiscretization(degree)
+        drawn = rng.integers((1, 1), (400, 60), (12, 2))
+        for part in ([(int(m), int(n)) for m, n in drawn], [(int(m), 0) for m in drawn[:4, 0]]):
+            pairs = [WaveNumbers(m=m, n=n, L=geom.L) for m, n in part]
+            forms = oracle._slice_forms(geom, elastic, disc, pairs, oracle._KORN_FORMS)
+            lowest = np.linalg.eigvalsh(forms["grad2"] - forms["e2"])[:, 0]
+            norm = np.linalg.eigvalsh(forms["grad2"])[:, -1]
+            assert (lowest >= -1e-14 * norm).all(), [pairs[k] for k in np.flatnonzero(lowest < -1e-14 * norm)]
+
     @pytest.mark.parametrize(
         "bad", [KornRatios(1.0, 0.0, 1.0, 1.0), KornRatios(1.0, 1.0, 1.0, math.nan)],
         ids=["zero", "nan-last"],
@@ -1614,49 +1653,28 @@ class TestKornScan:
                 assert (high[:, 1:3] >= low[:, 1:3] * (1.0 - 1e-12)).all(), window
 
     def test_pruned_scan_equals_the_whole_window(self, rng, caplog):
-        # every in-box pair's coarse row lies within a tenth of the band of
-        # degree 12, and the scan at degrees 8 and 12 returns the whole-window
-        # scan's extrema by float.hex, solving at that degree only the pairs
-        # outside the box and those near a coarse extremum
+        # every in-box pair's degree-6 row lies within a tenth of the band of
+        # degree 12, and the scan at degrees 4, 5, 6, 8 and 12 returns the
+        # whole-window scan's extrema by float.hex: it walks the box at
+        # min(degree, 6) and solves at the degree only the pairs outside the
+        # box and those near a first-pass extremum
         band = oracle._KORN_BAND
         for geom, elastic, window, box in self.drawn_windows(rng):
             n, m = oracle._window_arrays(window)
-            coarse = oracle._korn_rows(geom, elastic, RadialDiscretization(oracle._KORN_COARSE_DEGREE), n, m)
-            near = np.zeros(n.size, dtype=bool)  # the in-box pairs near a coarse extremum of the box
-            if box.any():
-                near = (coarse[:, 0] <= coarse[box, 0].min() * (1 + 2 * band) / (1 - band)) | (
-                    coarse[:, 1:] >= coarse[box, 1:].max(axis=0) * (1 - 2 * band) / (1 + band)).any(axis=1)
-                near &= box
-            for degree in (8, 12):
-                rows = oracle._korn_rows(geom, elastic, RadialDiscretization(degree), n, m)
-                if degree == 12:
-                    assert (np.abs(rows - coarse)[box] <= band / 10 * np.abs(rows[box])).all(), window
+            pairs = as_pairs(n, m, geom.L)
+            whole = {p: walked_korn(geom, elastic, RadialDiscretization(p), pairs) for p in (4, 5, 6, 8, 12)}
+            assert (np.abs(whole[12] - whole[6])[box] <= band / 10 * np.abs(whole[12][box])).all(), window
+            for degree, rows in whole.items():
+                first = min(degree, oracle._KORN_COARSE_DEGREE)
                 want = [rows[:, 0].min()] + list(rows[:, 1:].max(axis=0))
                 caplog.clear()
                 with caplog.at_level(logging.DEBUG, logger="cylbuck"):
                     got = korn_mode_scan(geom, elastic, RadialDiscretization(degree), window)
                 assert [float(v).hex() for v in got] == [float(v).hex() for v in want], (window, degree)
                 (record,) = [r for r in caplog.records if r.name == "cylbuck"]
-                covered, walked, coarse_degree, solved, at = record.args
-                assert (covered, walked, coarse_degree, at) == (n.size, box.sum(), 6, degree)
-                assert solved == (~box).sum() + near.sum(), window
-
-    @pytest.mark.parametrize("degree", [4, 6])
-    def test_no_coarse_walk_at_or_below_the_coarse_degree(self, caplog, monkeypatch, degree):
-        # the whole window is solved once, at the requested degree
-        sizes, kernel = [], oracle._korn_ratios
-
-        def recorded(h, W, pairs, forms):
-            sizes.append(len(W))
-            return kernel(h, W, pairs, forms)
-
-        monkeypatch.setattr(oracle, "_korn_ratios", recorded)
-        geom = ShellGeometry(h=0.02, L=PI)
-        with caplog.at_level(logging.DEBUG, logger="cylbuck"):
-            korn_mode_scan(geom, EL, RadialDiscretization(degree), (12, 8))
-        assert set(sizes) == {degree + 1}
-        (record,) = [r for r in caplog.records if r.name == "cylbuck"]
-        assert record.args == (108, 0, 6, 108, degree)
+                covered, walked, at_first, solved, at = record.args
+                assert (covered, walked, at_first, at) == (n.size, box.sum(), first, degree)
+                assert solved == (~box).sum() + near_korn_extrema(whole[first], box).sum(), (window, degree)
 
     def test_no_pairs_no_extrema_above_the_coarse_degree(self):
         with pytest.raises(ValueError):
@@ -1838,8 +1856,8 @@ def test_scan_logs_pairs_covered(caplog, scan):
     records = [r for r in caplog.records if r.name == "cylbuck"]
     assert [r.levelno for r in records] == [logging.DEBUG] * len(records)
     want = [f"{scan.__name__}: 24 pairs covered"]
-    if scan is korn_mode_scan:  # at degree 6 no pair is walked at the coarse degree
-        want = ["korn_mode_scan: 24 pairs covered, 0 walked at degree 6, 24 solved at degree 6"]
+    if scan is korn_mode_scan:  # every pair lies in the box: the first pass walks all 24 at degree 6
+        want = ["korn_mode_scan: 24 pairs covered, 24 walked at degree 6, 2 solved at degree 6"]
     if scan is equivalence_scan:  # then its full_vs_rz, the pruned supremum
         want.append("full_vs_rz_supremum: 24 pairs covered, 4 in column m = 1, 4 solved")
     assert [r.getMessage() for r in records] == want
